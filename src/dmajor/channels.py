@@ -228,13 +228,20 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     # absorb tolerance-level input slack so the vector-transfer preconditions
     # hold exactly; perturbs T(B) by at most a few ulp of the tolerance
     x = x + (y.sum() - x.sum()) / n
-    y1 = float(np.abs(y).sum())
+    # on an excess beyond rounding, bisect for the largest lam that brings
+    # ||lam (x - c) + c||_1 within the limit (the norm is convex in lam and
+    # ||c||_1 <= ||y||_1); the bound lam ||x||_1 + (1 - lam) ||c||_1 would give
+    # lam = 0 for every definite b, where ||c||_1 = ||y||_1
     center = y.sum() / n
-    base = float(np.abs(np.full(n, center)).sum())
-    while np.abs(x).sum() > y1 and np.abs(x - center).max() > 0:
-        # ||lam (x - c) + c||_1 <= lam ||x||_1 + (1 - lam) ||c||_1 = y1
-        lam = min(1.0, max(0.0, (y1 - base) / max(np.abs(x).sum() - base, 1e-300)))
-        x = lam * (x - center) + center
+    y1 = float(np.abs(y).sum())
+    limit = y1 + 1e-14 * max(1.0, y1)      # below the T-transform chain's 1e-13
+    if np.abs(x).sum() > limit:
+        lo, hi = 0.0, 1.0
+        for _ in range(53):
+            mid = (lo + hi) / 2
+            inside = np.abs(mid * (x - center) + center).sum() <= limit
+            lo, hi = (mid, hi) if inside else (lo, mid)
+        x = lo * (x - center) + center
     m = column_stochastic_transfer(x, y).matrix
 
     null_images: dict[int, np.ndarray] = {}

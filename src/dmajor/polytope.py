@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
-from .majorize import as_vector, as_weight_vector, majorizes, thermo_curve
+from .majorize import as_vector, as_weight_vector, thermo_curve
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -24,32 +24,31 @@ MAX_LIPSCHITZ_DIM = 4
 
 
 @lru_cache(maxsize=None)
-def _row_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    subsets = []
-    for j in range(1, n):
-        subsets.extend(itertools.combinations(range(n), j))
-    subsets.append(tuple(range(n)))  # e^T row; -e^T follows implicitly
-    return tuple(subsets)
+def _row_masks(n: int) -> np.ndarray:
+    """Bitmask of each subset row (singletons, pairs in lexicographic order,
+    ..., full set); the -e^T row follows implicitly."""
+    masks = np.array([sum(1 << i for i in s) for j in range(1, n + 1)
+                      for s in itertools.combinations(range(n), j)])
+    masks.setflags(write=False)
+    return masks
 
 
 @lru_cache(maxsize=None)
-def _mask_index(n: int) -> dict[int, int]:
-    table = {0: -1}
-    for pos, subset in enumerate(_row_subsets(n)):
-        table[sum(1 << i for i in subset)] = pos
-    return table
-
-
 def constraint_matrix(n: int) -> np.ndarray:
     """The fixed 2^n x n matrix of subset-sum constraints (rows: singletons,
-    pairs, ..., full set, negated full set)."""
+    pairs, ..., full set, negated full set).  Cached and read-only."""
     if not 1 <= n <= MAX_VERTEX_DIM:
         raise ValueError(f"dimension must lie in 1..{MAX_VERTEX_DIM}, got {n}")
-    rows = np.zeros((2 ** n, n))
-    for pos, subset in enumerate(_row_subsets(n)):
-        rows[pos, list(subset)] = 1.0
-    rows[-1] = -1.0
+    rows = np.vstack(((_row_masks(n)[:, None] >> np.arange(n)) & 1, -np.ones(n))).astype(float)
+    rows.setflags(write=False)
     return rows
+
+
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    perms = np.array(list(itertools.permutations(range(n))))
+    perms.setflags(write=False)
+    return perms
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,6 @@ class HPolytope:
     def trace(self) -> float:
         return float(self.b[-2])
 
-    def bound(self, subset_mask: int) -> float:
-        """b-entry belonging to the subset row with the given bitmask."""
-        pos = _mask_index(self.n)[subset_mask]
-        return 0.0 if pos < 0 else float(self.b[pos])
-
 
 def halfspace_bounds(y, d) -> HPolytope:
     """Right-hand side b of the polytope {x : x is d-majorized by y}.
@@ -92,14 +86,8 @@ def halfspace_bounds(y, d) -> HPolytope:
     n = y.size
     if n > MAX_VERTEX_DIM:
         raise ValueError(f"dimension capped at {MAX_VERTEX_DIM}")
-    curve = thermo_curve(y, d)
-    b = np.empty(2 ** n)
-    subsets = _row_subsets(n)
-    weights = np.array([d[list(s)].sum() for s in subsets])
-    b[:-1] = curve(weights)
-    b[-2] = y.sum()
-    b[-1] = -y.sum()
-    return HPolytope(n=n, b=b)
+    weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
+    return HPolytope(n=n, b=np.append(thermo_curve(y, d)(weights), (y.sum(), -y.sum())))
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
@@ -109,6 +97,16 @@ def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
         raise ValueError("dimension mismatch")
     sums = constraint_matrix(poly.n) @ x
     return bool(np.all(sums <= poly.b + tol))
+
+
+def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:
+    """vertex_for_permutation for every row of perms, in one array pass."""
+    b_by_mask = np.zeros(2 ** poly.n)
+    b_by_mask[_row_masks(poly.n)] = poly.b[:-1]
+    cum = b_by_mask[np.cumsum(1 << perms, axis=1)]
+    x = np.empty(perms.shape)
+    np.put_along_axis(x, perms, np.diff(cum, axis=1, prepend=0.0), axis=1)
+    return x
 
 
 def vertex_for_permutation(perm, poly: HPolytope) -> np.ndarray:
@@ -121,15 +119,7 @@ def vertex_for_permutation(perm, poly: HPolytope) -> np.ndarray:
     p = check_permutation(perm)
     if p.size != poly.n:
         raise ValueError("permutation length must equal the polytope dimension")
-    x = np.empty(poly.n)
-    mask = 0
-    prev = 0.0
-    for j in range(poly.n):
-        mask |= 1 << int(p[j])
-        cur = poly.bound(mask)
-        x[p[j]] = cur - prev
-        prev = cur
-    return x
+    return _corners(p[None, :], poly)[0]
 
 
 @dataclass(frozen=True)
@@ -141,50 +131,61 @@ class VertexSet:
         return self.points.shape[0]
 
 
-def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
-    """All polytope corners over the n! permutations, deduplicated.
+def _first_within(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Each row's kept row, greedy in row order: a row joins the first earlier
+    kept row within tol in the 1-norm, or is kept.
 
-    Permutations sharing one corner (ratio ties) are recorded together.
-    Points appear in order of their first generating permutation.
+    Rows in one cell of the grid of width tol/n lie within tol of each other.
+    As |w.(p - q)| <= ||p - q||_1 for ||w||_inf <= 1, rows of two cells lie
+    within tol only if the cells' projections on w lie within 2n cell widths
+    (one more absorbs rounding); a window over the sorted projections finds
+    every such pair.  An unpaired cell keeps its first row; the rows of paired
+    cells, rare in practice, are merged one kept row at a time.
+    """
+    n = pts.shape[1]
+    cells = np.floor(pts * (n / tol))
+    proj = cells @ (1.0 / np.sqrt(np.arange(n) + 2.0))
+    order = np.argsort(proj, kind="stable")
+    cells, proj = cells[order], proj[order]
+    cell = np.cumsum(np.r_[True, np.any(cells[1:] != cells[:-1], axis=1)]) - 1
+    start = np.flatnonzero(np.diff(cell, prepend=-1))   # runs of one cell, rows ascending
+    width = np.searchsorted(proj[start], proj[start] + 2 * n + 1) - np.arange(start.size) - 1
+    lo = np.repeat(np.arange(start.size), width)
+    hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(width) - width, width)
+    paired = np.bincount(np.r_[lo, hi], minlength=start.size) > 0
+    owner = order[start][cell][np.argsort(order)]
+    rows = np.sort(order[paired[cell]])
+    while rows.size:
+        # the first unmerged row has no kept row within tol before it
+        near = np.abs(pts[rows] - pts[rows[0]]).sum(axis=1) <= tol
+        owner[rows[near]] = rows[0]
+        rows = rows[~near]
+    return owner
+
+
+def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
+    """All polytope corners over the n! permutations, computed in one (n!, n)
+    array pass and deduplicated greedily in permutation order: each corner
+    joins the first kept corner within dedup_tol * max(1, ||y||_1) in the
+    1-norm, else it is kept, so kept points lie farther apart than that.
+    Permutations sharing one corner (ratio ties) are recorded together;
+    points appear in order of their first generating permutation.
     """
     y = as_vector(y)
     d = as_weight_vector(d)
     n = y.size
     if n > MAX_VERTEX_DIM:
         raise ValueError(f"vertex enumeration capped at n = {MAX_VERTEX_DIM}")
+    if not dedup_tol > 0:
+        raise ValueError("dedup_tol must be positive")
     poly = halfspace_bounds(y, d)
-    kept: list[np.ndarray] = []
-    gen: list[list[tuple[int, ...]]] = []
-    # two shifted rounding grids so near-identical corners straddling a
-    # rounding boundary still collide with an existing bucket
-    buckets: dict[tuple, int] = {}
+    pts = _corners(_permutations(n), poly)
     scale = max(1.0, float(np.abs(y).sum()))
-    grid = 1e10 / scale
-
-    def keys(v: np.ndarray):
-        base = v * grid
-        return (("a",) + tuple(np.round(base).astype(np.int64)),
-                ("b",) + tuple(np.round(base + 0.5).astype(np.int64)))
-
-    for perm in itertools.permutations(range(n)):
-        v = vertex_for_permutation(perm, poly)
-        k1, k2 = keys(v)
-        idx = buckets.get(k1, buckets.get(k2, -1))
-        if idx >= 0 and np.abs(v - kept[idx]).sum() > dedup_tol * scale:
-            idx = -1
-        if idx < 0 and len(kept) <= 2000:
-            for i, w in enumerate(kept):
-                if np.abs(v - w).sum() <= dedup_tol * scale:
-                    idx = i
-                    break
-        if idx < 0:
-            kept.append(v)
-            gen.append([])
-            idx = len(kept) - 1
-        buckets.setdefault(k1, idx)
-        buckets.setdefault(k2, idx)
-        gen[idx].append(tuple(perm))
-    points = np.array(kept)
+    kept, slot = np.unique(_first_within(pts, dedup_tol * scale), return_inverse=True)
+    gen: list[list[tuple[int, ...]]] = [[] for _ in kept]
+    for perm, s in zip(map(tuple, _permutations(n).tolist()), slot.tolist()):
+        gen[s].append(perm)
+    points = pts[kept]
     slack = constraint_matrix(n) @ points.T - poly.b[:, None]
     if float(slack.max()) > 1e-9 * scale:
         raise RuntimeError("enumerated corner violates the half-space system")
@@ -206,7 +207,7 @@ def max_corner(y, d) -> np.ndarray:
     if np.all(ratios[:-1] >= ratios[1:]):
         # y/d sorted like d: y is its own maximal corner, exactly
         return y.copy()
-    return vertex_for_permutation(perm, halfspace_bounds(y, d))
+    return _corners(perm[None, :], halfspace_bounds(y, d))[0]
 
 
 def hausdorff(p, q) -> float:
@@ -279,7 +280,6 @@ __all__ = [
     "hausdorff",
     "hull_hausdorff",
     "lipschitz_constant",
-    "majorizes",
     "max_corner",
     "vertex_for_permutation",
     "vertices",

@@ -221,6 +221,28 @@ class TestChannelBetween:
         assert is_cp(t) and is_tp(t)
         assert trace_norm(t.apply(b) - a) <= 1e-8
 
+    def test_definite_pairs_of_equal_trace(self):
+        # for definite pairs of equal trace, ||A||_1 may round one ulp above
+        # ||B||_1; that must not collapse the spectrum of A
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            sign = rng.choice((-1.0, 1.0))
+            a, b = sign * rand_density(rng, n), sign * rand_density(rng, n)
+            t = channel_between(a, b)
+            assert trace_norm(t.apply(b) - a) <= 1e-8
+
+    def test_tolerance_level_excess_over_definite_b(self):
+        # ||A||_1 exceeds ||B||_1 by less than the tolerance while B is
+        # definite or nearly so
+        for a, b in (([0.7 + 4e-10, 0.3, -4e-10], [0.5, 0.3, 0.2]),
+                     ([-0.7 - 4e-10, -0.3, 4e-10], [-0.5, -0.3, -0.2]),
+                     ([1.5 + 2e-10, 0.5, -2e-10 - 1e-12], [1.0, 1.0, -1e-12])):
+            a, b = np.diag(a).astype(complex), np.diag(b).astype(complex)
+            t = channel_between(a, b)
+            assert is_cp(t) and is_tp(t)
+            assert trace_norm(t.apply(b) - a) <= 1e-8
+
     def test_rejects_trace_mismatch(self):
         with pytest.raises(ValueError):
             channel_between(np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dmajor import polytope
 from dmajor.majorize import d_majorizes, majorizes, random_d_stochastic
 from dmajor.polytope import (
     HPolytope,
@@ -38,6 +39,39 @@ def _same_point_set(a, b, tol=1e-9):
     return a == b
 
 
+def _loop_corner(perm, poly):
+    """Reference corner: coordinate perm[j] is the bound of the subset row of
+    the first j+1 images minus the bound of the first j."""
+    m = constraint_matrix(poly.n)
+    x = np.empty(poly.n)
+    chosen = np.zeros(poly.n)
+    prev = 0.0
+    for i in perm:
+        chosen[i] = 1.0
+        cur = poly.b[np.flatnonzero((m == chosen).all(axis=1))[0]]
+        x[i] = cur - prev
+        prev = cur
+    return x
+
+
+def _greedy_vertices(y, d, tol=1e-9):
+    """Reference dedup: each corner, in permutation order, joins the first
+    kept corner within tol * max(1, ||y||_1), or is kept."""
+    poly = halfspace_bounds(y, d)
+    eps = tol * max(1.0, float(np.abs(np.asarray(y, dtype=float)).sum()))
+    kept, groups = [], []
+    for perm in itertools.permutations(range(poly.n)):
+        v = _loop_corner(perm, poly)
+        for i, w in enumerate(kept):
+            if np.abs(v - w).sum() <= eps:
+                groups[i].append(perm)
+                break
+        else:
+            kept.append(v)
+            groups.append([perm])
+    return np.array(kept), tuple(tuple(g) for g in groups)
+
+
 class TestConstraintMatrix:
     def test_n2(self):
         assert np.array_equal(
@@ -65,6 +99,12 @@ class TestConstraintMatrix:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             constraint_matrix(9)
+
+    def test_cached_read_only(self):
+        m = constraint_matrix(5)
+        assert m is constraint_matrix(5)
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
 
 
 class TestHalfspaceBounds:
@@ -161,6 +201,61 @@ class TestVertices:
             n = rng.integers(2, 6)
             verts = vertices(rng.standard_normal(n), rng.uniform(0.2, 2.0, size=n))
             assert 1 <= len(verts) <= math.factorial(n)
+
+
+class TestVertexKernel:
+    def test_rows_match_closed_form(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            poly = halfspace_bounds(rng.standard_normal(n), rng.uniform(0.2, 2.0, size=n))
+            perms = polytope._permutations(n)
+            assert perms.shape == (math.factorial(n), n)
+            rows = polytope._corners(perms, poly)
+            for perm, row in zip(perms, rows):
+                assert np.array_equal(row, _loop_corner(perm, poly))
+
+    def test_y_proportional_to_d_is_one_vertex(self):
+        d = np.array([0.3, 1.7, 0.9, 2.2, 0.5, 1.1, 1.4, 0.8])
+        verts = vertices(2.5 * d, d)
+        assert len(verts) == 1
+        assert verts.perms[0] == tuple(itertools.permutations(range(8)))
+        assert np.allclose(verts.points[0], 2.5 * d)
+
+    def test_merge_across_a_cell_edge(self):
+        # the dedup grid has cells of width tol / n: corners closer than tol
+        # merge even when they straddle a cell edge, and corners farther apart
+        # stay separate even when no coordinate differs by tol
+        tol = 1e-9
+        edge = 5 * tol / 3
+        assert np.floor((edge - 0.2 * tol) * 3 / tol) != np.floor((edge + 0.2 * tol) * 3 / tol)
+        for p, q, owners in (
+            ([edge - 0.2 * tol, 0.1, 0.2], [edge + 0.2 * tol, 0.1, 0.2], [0, 0]),
+            ([edge - 0.45 * tol, 0.1, 0.2], [edge + 0.45 * tol, 0.1, 0.2], [0, 0]),
+            ([edge - tol, 0.1, 0.2], [edge + tol, 0.1, 0.2], [0, 1]),
+            ([0.05 * tol] * 3, [0.5 * tol] * 3, [0, 1]),
+        ):
+            assert polytope._first_within(np.array([p, q]), tol).tolist() == owners
+
+    def test_matches_greedy_reference(self):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n = int(rng.integers(1, 6))
+            if trial % 3 == 0:
+                d = rng.choice([0.5, 1.0, 2.0], size=n)          # ties in d
+            else:
+                d = rng.uniform(0.2, 2.0, size=n)
+            if trial % 2 == 0:
+                y = d * rng.choice([-0.5, 0.2, 1.0], size=n)     # ties in y / d
+            else:
+                y = rng.standard_normal(n)
+            verts = vertices(y, d)
+            points, perms = _greedy_vertices(y, d)
+            assert verts.perms == perms
+            assert np.array_equal(verts.points, points)
+
+    def test_rejects_non_positive_dedup_tol(self):
+        with pytest.raises(ValueError):
+            vertices(Y421, D421, dedup_tol=0.0)
 
 
 class TestVertexEnumerationOracle:
