@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eig
-from .majorize import column_stochastic_transfer, majorizes
+from .majorize import _within_norm, column_stochastic_transfer, majorizes
 
 
 class PositivityError(Exception):
@@ -225,23 +225,10 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
 
     x, u = hermitian_eig(a)
     y, v = hermitian_eig(b)
-    # absorb tolerance-level input slack so the vector-transfer preconditions
-    # hold exactly; perturbs T(B) by at most a few ulp of the tolerance
-    x = x + (y.sum() - x.sum()) / n
-    # on an excess beyond rounding, bisect for the largest lam that brings
-    # ||lam (x - c) + c||_1 within the limit (the norm is convex in lam and
-    # ||c||_1 <= ||y||_1); the bound lam ||x||_1 + (1 - lam) ||c||_1 would give
-    # lam = 0 for every definite b, where ||c||_1 = ||y||_1
-    center = y.sum() / n
-    y1 = float(np.abs(y).sum())
-    limit = y1 + 1e-14 * max(1.0, y1)      # below the T-transform chain's 1e-13
-    if np.abs(x).sum() > limit:
-        lo, hi = 0.0, 1.0
-        for _ in range(53):
-            mid = (lo + hi) / 2
-            inside = np.abs(mid * (x - center) + center).sum() <= limit
-            lo, hi = (mid, hi) if inside else (lo, mid)
-        x = lo * (x - center) + center
+    # absorb the trace and norm slack this function accepts (tol, wider than
+    # the 1e-10 that column_stochastic_transfer accepts); perturbs T(B) by at
+    # most a few ulp of the tolerance
+    x = _within_norm(x, y)
     m = column_stochastic_transfer(x, y).matrix
 
     null_images: dict[int, np.ndarray] = {}

@@ -189,11 +189,6 @@ def sigma_plus(n: int) -> np.ndarray:
     return m
 
 
-def thermal_lindblad_ops(d) -> list[np.ndarray]:
-    """The weighted ladder pair whose dissipator relaxes diagonals into d."""
-    return lowering_raising_ops(thermal_rates(d))
-
-
 def apply_gamma(ops, rho: np.ndarray) -> np.ndarray:
     """GKSL dissipator value sum_j [ (V_j^*V_j rho + rho V_j^*V_j)/2 - V_j rho V_j^* ]."""
     rho = np.asarray(rho, dtype=complex)
@@ -222,7 +217,6 @@ __all__ = [
     "sigma_plus",
     "steady_state",
     "thermal_angles",
-    "thermal_lindblad_ops",
     "thermal_rates",
     "zero_temperature_rates",
 ]

@@ -14,14 +14,20 @@ def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """Return exp(t*a) for a square matrix a.
 
     Uses scaling-and-squaring with a Pade core; accurate to ~1e-12 relative
-    at the sizes used in this package.
+    at the sizes used in this package.  Raises ValueError when t*a or the
+    exponential is not finite.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or not np.isfinite(t):
-        raise ValueError("expm expects finite entries and finite t")
-    return scipy.linalg.expm(t * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ta = t * a
+        if not np.isfinite(ta).all():
+            raise ValueError("expm expects finite entries and a finite product t*a")
+        out = scipy.linalg.expm(ta)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix exponential overflows")
+    return out
 
 
 def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

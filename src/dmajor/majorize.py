@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import InfeasibleError, phase1_feasible
-from .linalg import identity_perm
 
 D_MAJORIZE_METHODS = ("norm", "positive_part", "curve")
 
@@ -272,12 +271,39 @@ def sign_collapse_matrix(y) -> np.ndarray:
     return m0
 
 
+def _within_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x shifted to the total of y, then moved toward the mean of y until
+    ||x||_1 is within 1e-14 relative of ||y||_1, below the 1e-13 that the
+    T-transform chain resolves.
+
+    With equal totals an excess of the 1-norm comes only from negative
+    entries.  Bisects for the largest lam that brings ||lam (x - c) + c||_1
+    within the limit, with c the mean of y: the norm is convex in lam and
+    ||c||_1 <= ||y||_1.  The bound lam ||x||_1 + (1 - lam) ||c||_1 would give
+    lam = 0 for every definite y, where ||c||_1 = ||y||_1.
+    """
+    center = y.sum() / y.size
+    x = x + (y.sum() - x.sum()) / y.size
+    y1 = float(np.abs(y).sum())
+    limit = y1 + 1e-14 * max(1.0, y1)
+    if np.abs(x).sum() <= limit:
+        return x
+    lo, hi = 0.0, 1.0
+    for _ in range(53):
+        mid = (lo + hi) / 2
+        inside = np.abs(mid * (x - center) + center).sum() <= limit
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    return lo * (x - center) + center
+
+
 def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     """Column-stochastic A with A y = x.
 
     Exists iff e^T x = e^T y and ||x||_1 <= ||y||_1.  Built as D M0 where M0
     collapses y onto its signed masses and D is doubly stochastic for the
-    majorization x < (sum y_+, -sum y_-, 0, ...).
+    majorization x < (sum y_+, -sum y_-, 0, ...).  A tolerance-level gap
+    between the totals and excess of ||x||_1 over ||y||_1 are absorbed first,
+    so A y = x holds within 1e-9.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -294,7 +320,7 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
 
     m0 = sign_collapse_matrix(y)
     zhat = m0 @ y
-    dmat = doubly_stochastic_transfer(x, zhat, tol)
+    dmat = doubly_stochastic_transfer(_within_norm(x, y), zhat, tol)
     a = dmat.matrix @ m0
     out = StochasticMatrix(a, "column", n_t_transforms=dmat.n_t_transforms)
     out.validate()
@@ -428,5 +454,4 @@ __all__ = [
     "ratio_order",
     "sign_collapse_matrix",
     "thermo_curve",
-    "identity_perm",
 ]

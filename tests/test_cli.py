@@ -168,6 +168,35 @@ class TestSimulateSynthesize:
         assert np.isclose(last[0], 0.5)
         assert np.isclose(last[1] + last[2], 1.0)
 
+    def test_synthesize_exits_numeric_when_eps_is_missed(self, tmp_path, capture):
+        target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, _ = capture(["synthesize", "--zero-temp", "3", "--target", target,
+                                "--x0", x0, "--eps", "1e-300"])
+        assert code == 3
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics[0].startswith("endpoint 1-norm error")
+        assert "exceeds eps" in diagnostics[1]
+
+    def test_synthesize_within_eps_exits_zero(self, tmp_path, capture):
+        target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, _ = capture(["synthesize", "--zero-temp", "3", "--target", target,
+                                "--x0", x0, "--eps", "1e-6"])
+        assert code == 0
+        assert len(json.loads(out)["diagnostics"]) == 1
+
+    def test_simulate_overflowing_duration_is_input_error(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        d = write(tmp_path, "d.json", [0.5, 0.3, 0.2])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [0, 1, 2],
+                                                          "duration": 1e308}]})
+        code, out, err = capture(["simulate", "--thermal", d, "--x0", x0,
+                                  "--schedule", sched, "--dt", "1e308"])
+        assert code == 2
+        assert "nan" not in out
+        assert "finite" in err
+
     def test_simulate_with_explicit_rate_matrix(self, tmp_path, capture):
         b0 = write(tmp_path, "b0.json", [[0.0, -2.0, 0.0], [0.0, 2.0, -2.0],
                                          [0.0, 0.0, 2.0]])

@@ -54,6 +54,21 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(np.ones((2, 3)), 1.0)
 
+    def test_rejects_overflowing_product(self):
+        # a and t are finite on their own, t*a is not
+        with pytest.raises(ValueError):
+            expm(np.array([[0.0, -2.0], [0.0, 2.0]]), -1e308)
+
+    def test_rejects_overflowing_result(self):
+        with pytest.raises(ValueError):
+            expm(np.diag([0.0, 1.0]), 1000.0)
+
+    def test_rejects_non_finite_inputs(self):
+        with pytest.raises(ValueError):
+            expm(np.array([[np.inf]]), 0.0)
+        with pytest.raises(ValueError):
+            expm(np.eye(2), np.nan)
+
 
 class TestHermitianEig:
     def test_diagonal_input_sorted(self):

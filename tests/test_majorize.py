@@ -236,6 +236,49 @@ class TestColumnStochasticTransfer:
         with pytest.raises(ValueError):
             column_stochastic_transfer([2.0, -1.0], [0.5, 0.5])
 
+    def test_tolerance_level_norm_excess(self):
+        # ||x||_1 exceeds ||y||_1 by 1e-11, inside the accepted 1e-10 but above
+        # the 1e-13 that the T-transform chain resolves
+        x = np.array([0.7 + 5e-12, 0.3, -5e-12])
+        y = np.array([0.5, 0.3, 0.2])
+        out = column_stochastic_transfer(x, y)
+        out.validate()
+        assert np.abs(out.matrix @ y - x).sum() <= 1e-10
+
+    def test_tolerance_level_negative_entries(self):
+        # a tolerance-level negative entry in x against a nonnegative y
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            y = rng.dirichlet(np.ones(n)) * 10.0 ** rng.integers(-3, 4)
+            x = rng.dirichlet(np.ones(n)) * y.sum()
+            k, el = rng.choice(n, size=2, replace=False)
+            delta = 10.0 ** rng.uniform(-13, np.log10(4e-11)) * max(1.0, y.sum())
+            x[el] += x[k] + delta
+            x[k] = -delta
+            out = column_stochastic_transfer(x, y)
+            out.validate()
+            assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * max(1.0, y.sum())
+
+    def test_tolerance_level_total_gap(self):
+        # nonnegative x whose total differs from y's by less than the accepted
+        # 1e-10: the norm excess is the total gap, not a negative entry
+        x = np.array([0.4, 0.35, 0.25 + 5e-11])
+        y = np.array([0.5, 0.3, 0.2])
+        out = column_stochastic_transfer(x, y)
+        out.validate()
+        assert np.abs(out.matrix @ y - x).sum() <= 1e-10
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            y = rng.dirichlet(np.ones(n)) * 10.0 ** rng.integers(-3, 4)
+            x = rng.dirichlet(np.ones(n)) * y.sum()
+            gap = 10.0 ** rng.uniform(-14, np.log10(9e-11)) * max(1.0, y.sum())
+            x[rng.integers(n)] += gap * rng.choice([-1.0, 1.0])
+            out = column_stochastic_transfer(x, y)
+            out.validate()
+            assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * max(1.0, y.sum())
+
 
 class TestDStochasticTransfer:
     def test_identity_case(self):

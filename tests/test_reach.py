@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import dmajor.reach
 from dmajor.dissipation import b0_from_rates, equidistant_d, thermal_rates, \
     zero_temperature_rates
 from dmajor.linalg import perm_matrix
@@ -24,6 +26,54 @@ from dmajor.reach import (
 
 def _gen(n):
     return b0_from_rates(zero_temperature_rates(n))
+
+
+def _bisection_face_hit(b0, z):
+    """Reference: a fresh exponential per probe, doubling from 1e-6, bisection
+    to 1e-12 relative and a 31-point grid against an earlier crossing."""
+
+    def w(t):
+        return scipy.linalg.expm(t * b0) @ z
+
+    scale = max(1.0, float(np.abs(z).sum()))
+    if float(np.min(z)) <= 1e-12 * scale:
+        return 0.0, int(np.argmin(z))
+    t_hi = 1e-6
+    while np.min(w(t_hi)) > 0.0:
+        t_hi *= 2.0
+    t_lo = 0.0 if t_hi == 1e-6 else t_hi / 2.0
+    tau = t_hi
+    for _ in range(4):
+        lo, hi = t_lo, t_hi
+        while hi - lo > 1e-12 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if np.min(w(mid)) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        tau = hi
+        bad = [t for t in np.linspace(t_lo, tau, 33)[1:-1]
+               if np.min(w(t)) < -1e-13 * scale]
+        if not bad:
+            break
+        t_hi = bad[0]
+    wt = w(tau)
+    return tau, int(np.nonzero(wt <= np.min(wt) + 1e-13 * scale)[0][0])
+
+
+@pytest.fixture(scope="module")
+def faces():
+    """Seeded (B0 block, state) pairs as synthesize_from_ground meets them:
+    n = 2..8, leading m x m block, Dirichlet states of three concentrations."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in range(2, 9):
+        b0 = _gen(n).b0
+        for conc in (0.3, 1.0, 3.0):
+            for _ in range(25):
+                m = int(rng.integers(2, n + 1))
+                out.append((b0[:m, :m], rng.dirichlet(np.full(m, conc))))
+    return out
 
 
 class TestSimulate:
@@ -103,6 +153,44 @@ class TestGroundSynthesis:
         gen = b0_from_rates(thermal_rates([0.6, 0.3, 0.1]))
         with pytest.raises(ValueError):
             synthesize_from_ground(gen, [0.5, 0.3, 0.2])
+
+
+class TestFirstFaceHit:
+    def test_matches_bisection_reference(self, faces):
+        assert len(faces) >= 500
+        for b0, z in faces:
+            tau, j, _ = dmajor.reach._first_face_hit(b0, z)
+            tau_ref, j_ref = _bisection_face_hit(b0, z)
+            # the stopping rule is 1e-12 * max(1, t), so compare on that scale
+            assert abs(tau - tau_ref) <= 1e-10 * max(1.0, tau_ref)
+            assert j == j_ref
+
+    def test_few_exponentials_per_face(self, faces, monkeypatch):
+        calls = []
+        real = dmajor.reach.expm
+
+        def counting(a, t=1.0):
+            calls.append(t)
+            return real(a, t)
+
+        monkeypatch.setattr(dmajor.reach, "expm", counting)
+        worst = 0
+        for b0, z in faces:
+            calls.clear()
+            dmajor.reach._first_face_hit(b0, z)
+            worst = max(worst, len(calls))
+        assert worst <= 15
+
+    def test_returns_the_state_at_the_hit(self, faces):
+        for b0, z in faces[::7]:
+            tau, j, w = dmajor.reach._first_face_hit(b0, z)
+            assert np.max(np.abs(w - scipy.linalg.expm(tau * b0) @ z)) <= 1e-12
+            assert abs(w[j]) <= 1e-10
+            assert w.min() >= -1e-10
+
+    def test_clamp_rejects_nan_states(self):
+        with pytest.raises(SimplexViolationError):
+            dmajor.reach._clamp_simplex(np.array([np.nan, 0.5, 0.5]))
 
 
 class TestFullSynthesis:
