@@ -2,7 +2,8 @@
 
 Subcommands wrap the library operations and emit machine-readable reports:
 JSON to stdout (or --out), CSV for tabular data.  Exit codes: 0 = true/ok,
-1 = negative verdict, 2 = input error, 3 = numerical failure.
+1 = negative verdict, 2 = input error, 3 = numerical failure or internal
+error.
 
 File formats: vectors are JSON arrays; real matrices are arrays of row
 arrays; complex matrices use [re, im] entry pairs; schedules are
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -323,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write output to a file")
     common.add_argument("--format", choices=["json", "csv"], default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="reserved parallelism hint (computation is deterministic)")
 
     parser = argparse.ArgumentParser(
         prog="dmajor",
@@ -413,7 +413,6 @@ def main(argv=None) -> int:
     args.seed = getattr(args, "seed", 0)
     args.out = getattr(args, "out", None)
     args.format = getattr(args, "format", "json")
-    args.jobs = getattr(args, "jobs", 1)
     try:
         args.tol = getattr(args, "tol", None)
         if args.tol is None:
@@ -427,6 +426,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (TransferSynthesisError, InfeasibleError, SimplexViolationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except Exception as exc:
+        # exit 1 is reserved for a negative verdict, so a defect exits 3
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

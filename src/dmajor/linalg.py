@@ -10,16 +10,23 @@ import numpy as np
 import scipy.linalg
 
 
-def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Return exp(t*a) for a square matrix a.
 
     Uses scaling-and-squaring with a Pade core; accurate to ~1e-12 relative
-    at the sizes used in this package.  Raises ValueError when t*a or the
-    exponential is not finite.
+    at the sizes used in this package.  A 1-d array t gives the (k, n, n)
+    stack of exp(t[i]*a), each slice computed exactly as the scalar call
+    would compute it.  Raises ValueError when t*a or the exponential is not
+    finite.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 1:
+        t = t[:, None, None]
+    elif t.ndim != 0:
+        raise ValueError("expm expects a scalar or 1-d array of times")
     with np.errstate(over="ignore", invalid="ignore"):
         ta = t * a
         if not np.isfinite(ta).all():

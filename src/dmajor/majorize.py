@@ -106,18 +106,23 @@ def curve_minimum_form(y: np.ndarray, d: np.ndarray, c) -> np.ndarray | float:
     )
 
 
+def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """majorizes(x, y, tol) for every vector x along the last axis of xs, in
+    one array pass; the result has shape xs.shape[:-1]."""
+    eps = _scaled_tol(y, tol)
+    totals = np.abs(xs.sum(axis=-1) - y.sum()) <= eps
+    xc = np.cumsum(np.sort(xs, axis=-1)[..., ::-1], axis=-1)
+    yc = np.cumsum(np.sort(y)[::-1])
+    return totals & np.all(xc[..., :-1] <= yc[:-1] + eps, axis=-1)
+
+
 def majorizes(x, y, tol: float = 1e-9) -> bool:
     """True iff x is majorized by y (equal totals, dominated partial sums)."""
     x = as_vector(x)
     y = as_vector(y)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    eps = _scaled_tol(y, tol)
-    if abs(x.sum() - y.sum()) > eps:
-        return False
-    xs = np.cumsum(np.sort(x)[::-1])
-    ys = np.cumsum(np.sort(y)[::-1])
-    return bool(np.all(xs[:-1] <= ys[:-1] + eps))
+    return bool(_majorized_rows(x, y, tol))
 
 
 def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9,

@@ -186,9 +186,11 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     for perm, s in zip(map(tuple, _permutations(n).tolist()), slot.tolist()):
         gen[s].append(perm)
     points = pts[kept]
-    slack = constraint_matrix(n) @ points.T - poly.b[:, None]
-    if float(slack.max()) > 1e-9 * scale:
-        raise RuntimeError("enumerated corner violates the half-space system")
+    # in blocks of points: one (2^n, k) slack array is ~140 MB at n = 8
+    for lo in range(0, len(points), 1024):
+        slack = constraint_matrix(n) @ points[lo:lo + 1024].T - poly.b[:, None]
+        if float(slack.max()) > 1e-9 * scale:
+            raise RuntimeError("enumerated corner violates the half-space system")
     return VertexSet(points=points, perms=tuple(tuple(g) for g in gen))
 
 

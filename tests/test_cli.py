@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+import dmajor.polytope
 from dmajor.cli import main
 
 
@@ -197,6 +199,18 @@ class TestSimulateSynthesize:
         assert "nan" not in out
         assert "finite" in err
 
+    def test_simulate_over_the_row_cap_is_input_error(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [0, 1, 2],
+                                                          "duration": 1000.0}]})
+        start = time.perf_counter()
+        code, out, err = capture(["simulate", "--zero-temp", "3", "--x0", x0,
+                                  "--schedule", sched, "--dt", "1e-6"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
     def test_simulate_with_explicit_rate_matrix(self, tmp_path, capture):
         b0 = write(tmp_path, "b0.json", [[0.0, -2.0, 0.0], [0.0, 2.0, -2.0],
                                          [0.0, 0.0, 2.0]])
@@ -295,3 +309,22 @@ class TestReportRoundtrip:
         y = write(tmp_path, "y.json", [0.6, 0.4])
         code, _, _ = capture(["check", x, y])
         assert code == 0  # partial-sum excess forgiven at the loose tolerance
+
+
+class TestExitContract:
+    def test_internal_error_exits_numeric(self, tmp_path, capture, monkeypatch):
+        def broken(y, d):
+            raise RuntimeError("enumerated corner violates the half-space system")
+
+        monkeypatch.setattr(dmajor.polytope, "vertices", broken)
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        d = write(tmp_path, "d.json", [1.0, 1.0, 1.0])
+        code, out, err = capture(["polytope", y, "--d", d])
+        assert code == 3
+        assert out == ""
+        assert "internal error: RuntimeError: enumerated corner" in err
+
+    def test_jobs_flag_is_rejected(self, capture):
+        with pytest.raises(SystemExit) as exc:
+            capture(["--jobs", "2", "bath", "--zero-temp", "3"])
+        assert exc.value.code == 2

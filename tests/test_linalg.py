@@ -69,6 +69,27 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(np.eye(2), np.nan)
 
+    def test_stacked_times_match_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 7):
+            a = rng.standard_normal((n, n))
+            t = np.concatenate(([0.0], rng.uniform(-3.0, 3.0, size=12)))
+            stack = expm(a, t)
+            assert stack.shape == (t.size, n, n)
+            for k, tk in enumerate(t):
+                assert np.array_equal(stack[k], expm(a, float(tk)))
+        assert expm(np.eye(3), np.array([])).shape == (0, 3, 3)
+
+    def test_stacked_times_reject_non_finite(self):
+        b0 = np.array([[0.0, -2.0], [0.0, 2.0]])
+        for bad in (np.nan, np.inf, -1e308):
+            with pytest.raises(ValueError):
+                expm(b0, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError):
+            expm(np.diag([0.0, 1.0]), np.array([1.0, 1000.0]))
+        with pytest.raises(ValueError):
+            expm(np.eye(2), np.ones((2, 2)))
+
 
 class TestHermitianEig:
     def test_diagonal_input_sorted(self):

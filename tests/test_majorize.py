@@ -3,6 +3,7 @@ import pytest
 
 from dmajor.majorize import (
     D_MAJORIZE_METHODS,
+    _majorized_rows,
     column_stochastic_transfer,
     curve_minimum_form,
     d_majorizes,
@@ -37,6 +38,38 @@ class TestMajorizes:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             majorizes([1.0], [0.5, 0.5])
+
+    def test_rows_agree_with_single_calls(self):
+        def reference(x, y, tol=1e-9):
+            eps = tol * max(1.0, float(np.abs(y).sum()))
+            if abs(x.sum() - y.sum()) > eps:
+                return False
+            xs = np.cumsum(np.sort(x)[::-1])
+            ys = np.cumsum(np.sort(y)[::-1])
+            return bool(np.all(xs[:-1] <= ys[:-1] + eps))
+
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for _ in range(20):
+                y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                # mixtures of permutations of y (majorized), other vectors
+                # rescaled to y's total (mostly not), and unequal totals
+                mixed = np.array([rng.dirichlet(np.ones(4)) @ np.array(
+                    [rng.permutation(y) for _ in range(4)]) for _ in range(5)])
+                other = rng.standard_normal((5, n))
+                other += (y.sum() - other.sum(axis=1, keepdims=True)) / n
+                off = mixed + rng.choice([-1.0, 1.0], size=(5, 1)) * 1e-3 * (1.0 + np.abs(y).sum())
+                xs = np.concatenate((mixed, other, off, y[None, :]))
+                rows = _majorized_rows(xs, y, 1e-9)
+                assert rows.shape == (xs.shape[0],)
+                expected = [reference(x, y) for x in xs]
+                assert rows.tolist() == expected
+                assert [majorizes(x, y) for x in xs] == expected
+                assert not any(rows[10:15])
+                assert rows[-1]
+                stacked = _majorized_rows(xs.reshape(4, 4, n), y, 1e-9)
+                assert np.array_equal(stacked, rows.reshape(4, 4))
+        assert _majorized_rows(np.empty((0, 3)), np.ones(3), 1e-9).shape == (0,)
 
 
 class TestDMajorizes:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,21 @@ class TestVertexKernel:
             points, perms = _greedy_vertices(y, d)
             assert verts.perms == perms
             assert np.array_equal(verts.points, points)
+
+    def test_generic_n8_memory(self):
+        # the half-space check runs in blocks of points; checked all at once
+        # it held two (256, k) float arrays, ~150 MB at this size
+        rng = np.random.default_rng(8)
+        y = rng.dirichlet(np.ones(8))
+        d = rng.uniform(0.2, 2.0, size=8)
+        tracemalloc.start()
+        try:
+            verts = vertices(y, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(verts) > 30_000
+        assert peak < 40e6
 
     def test_rejects_non_positive_dedup_tol(self):
         with pytest.raises(ValueError):

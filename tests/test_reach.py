@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import dmajor.dissipation
 import dmajor.reach
 from dmajor.dissipation import b0_from_rates, equidistant_d, thermal_rates, \
     zero_temperature_rates
-from dmajor.linalg import perm_matrix
+from dmajor.linalg import expm, perm_matrix
 from dmajor.majorize import majorizes
+from dmajor.polytope import max_corner
 from dmajor.reach import (
+    EnvelopeReport,
     Schedule,
     Segment,
     SimplexViolationError,
@@ -76,6 +81,70 @@ def faces():
     return out
 
 
+def _scalar_majorizes(x, y, tol=1e-9):
+    eps = tol * max(1.0, float(np.abs(y).sum()))
+    if abs(x.sum() - y.sum()) > eps:
+        return False
+    xs = np.cumsum(np.sort(x)[::-1])
+    ys = np.cumsum(np.sort(y)[::-1])
+    return bool(np.all(xs[:-1] <= ys[:-1] + eps))
+
+
+def _per_point_sample(b0, x, depth, seed):
+    """Reference: the schedule drawn one segment at a time, one exponential,
+    one clamp and one copy per segment."""
+    rng = SplitMix64(seed)
+    lo, hi = np.log(1e-3), np.log(1e2)
+    points = [x.copy()]
+    for _ in range(depth):
+        perm = rng.permutation(b0.shape[0])
+        duration = float(np.exp(lo + rng.uniform() * (hi - lo)))
+        x = scipy.linalg.expm(-duration * b0) @ x[perm]
+        assert -np.minimum(x, 0.0).sum() <= 1e-10
+        x = np.maximum(x, 0.0)
+        x = x / x.sum()
+        points.append(x.copy())
+    return np.array(points)
+
+
+def _per_point_envelope(x0, d, sample_count, depth, seed):
+    """Reference: majorization_envelope with one scalar majorization test per
+    permutation and mu, and per sampled point."""
+    x0 = np.maximum(x0, 0.0)
+    x0 = x0 / x0.sum()
+    z = max_corner(x0, d)
+    b0 = b0_from_rates(thermal_rates(d)).b0
+    tangential = {}
+    for perm in itertools.permutations(range(d.size)):
+        pz = z[list(perm)]
+        tangential[perm] = next((2.0 ** -k for k in range(41)
+                                 if _scalar_majorizes(pz - 2.0 ** -k * (b0 @ pz), z)), None)
+    violations = sum(not _scalar_majorizes(p, z) for s in range(sample_count)
+                     for p in _per_point_sample(b0, x0, depth, seed + s))
+    return z, EnvelopeReport(_scalar_majorizes(x0, z), tangential, violations, sample_count)
+
+
+@pytest.fixture(scope="module")
+def envelope_cases():
+    """Seeded (x0, d, sample_count, depth, seed): n = 2..5, depth 0..6,
+    sample_count 0..50; x0 of three concentrations, with zeros, or Gibbs."""
+    rng = np.random.default_rng(404)
+    out = []
+    for case in range(200):
+        n = int(rng.integers(2, 6))
+        d = rng.uniform(0.1, 0.9) ** np.arange(n)
+        d = d / d.sum()
+        if case % 10 == 0:
+            x0 = d.copy()
+        else:
+            x0 = rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])))
+            if case % 10 == 1:
+                x0[rng.integers(n)] = 0.0
+        out.append((x0, d, int(rng.integers(0, 51)), int(rng.integers(0, 7)),
+                    int(rng.integers(0, 2 ** 40))))
+    return out
+
+
 class TestSimulate:
     def test_pure_flow(self):
         gen = _gen(3)
@@ -111,6 +180,22 @@ class TestSimulate:
     def test_rejects_states_outside_simplex(self):
         with pytest.raises(SimplexViolationError):
             simulate(_gen(2), [0.9, 0.4], Schedule([]), dt=0.1)
+
+    def test_row_cap(self, monkeypatch):
+        gen = _gen(3)
+        x0 = np.full(3, 1 / 3)
+        with pytest.raises(ValueError, match="cap"):
+            simulate(gen, x0, Schedule([Segment((0, 1, 2), 1000.0)]), dt=1e-6)
+        # the count is exact: rows for x0, each permutation, each dt sample
+        # and each flow end; a zero-duration segment adds one row
+        sched = Schedule([Segment((1, 0, 2), 1.0), Segment((0, 2, 1), 0.0),
+                          Segment((2, 1, 0), 0.55)])
+        rows = len(simulate(gen, x0, sched, dt=0.25).times)
+        assert rows == 1 + (2 + 4) + 1 + (2 + 2)
+        monkeypatch.setattr(dmajor.reach, "MAX_TRAJECTORY_ROWS", rows)
+        simulate(gen, x0, sched, dt=0.25)
+        with pytest.raises(ValueError, match="cap"):
+            simulate(gen, x0, sched, dt=0.18)
 
     def test_schedule_roundtrip(self):
         sched = random_schedule(3, 5, seed=1)
@@ -213,6 +298,20 @@ class TestFullSynthesis:
             sched = synthesize(gen, x0, target, eps=1e-5)
             assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-5
 
+    def test_error_within_half_eps_plus_ground_error(self):
+        # the documented bound: eps/2 from cooling plus the ground schedule's
+        # own face-hit error, which is far below 1e-10
+        rng = np.random.default_rng(23)
+        for eps in (1e-6, 1e-9, 1e-12):
+            for _ in range(25):
+                n = int(rng.integers(3, 7))
+                gen = _gen(n)
+                x0 = rng.dirichlet(np.ones(n))
+                target = rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])))
+                sched = synthesize(gen, x0, target, eps=eps)
+                err = np.abs(endpoint(gen, x0, sched) - target).sum()
+                assert err <= eps / 2 + 1e-10
+
 
 class TestLocalSynthesis:
     def test_round_one_collapse(self):
@@ -282,6 +381,40 @@ class TestEnvelope:
             assert report.tangential_ok
             assert report.sampled_violations == 0
 
+    def test_matches_per_point_loop(self, envelope_cases):
+        for x0, d, count, depth, seed in envelope_cases:
+            z, report = majorization_envelope(x0, d, count, depth, seed)
+            z_ref, report_ref = _per_point_envelope(x0, d, count, depth, seed)
+            assert np.array_equal(z, z_ref)
+            assert report == report_ref
+
+    def test_one_stacked_exponential_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(a, t=1.0):
+            calls.append(np.shape(t))
+            return expm(a, t)
+
+        monkeypatch.setattr(dmajor.reach, "expm", counting)
+        monkeypatch.setattr(dmajor.dissipation, "expm", counting)
+        d = equidistant_d(0.5, 3)
+        x0 = np.array([0.2, 0.3, 0.5])
+        for count in (1, 20, 1024):
+            calls.clear()
+            majorization_envelope(x0, d, sample_count=count, sample_depth=2)
+            assert calls == [(2 * count,)]
+        # smaller blocks, so both block loops run several times
+        monkeypatch.setattr(dmajor.reach, "_SAMPLE_BLOCK", 8)
+        monkeypatch.setattr(dmajor.reach, "_PERM_BLOCK", 5)
+        d = equidistant_d(0.4, 4)
+        x0 = np.array([0.1, 0.2, 0.3, 0.4])
+        calls.clear()
+        z, report = majorization_envelope(x0, d, sample_count=20, sample_depth=2, seed=5)
+        assert calls == [(16,), (16,), (8,)]
+        z_ref, report_ref = _per_point_envelope(x0, d, 20, 2, 5)
+        assert np.array_equal(z, z_ref)
+        assert report == report_ref
+
     def test_rejects_non_equidistant(self):
         from dmajor.dissipation import gibbs_vector
         d = gibbs_vector([0.0, 0.25, 4.25], 1.0)
@@ -328,6 +461,14 @@ class TestSampling:
             pts = reachable_sample(gen, np.full(4, 0.25), depth=6, seed=seed)
             assert np.max(np.abs(pts.sum(axis=1) - 1.0)) <= 1e-10
             assert pts.min() >= -1e-10
+
+    def test_matches_per_point_loop(self, envelope_cases):
+        for x0, d, _, depth, seed in envelope_cases:
+            gen = b0_from_rates(thermal_rates(d))
+            x0 = x0 / x0.sum()
+            pts = reachable_sample(gen, x0, depth, seed)
+            assert pts.shape == (depth + 1, d.size)
+            assert np.max(np.abs(pts - _per_point_sample(gen.b0, x0, depth, seed))) <= 1e-14
 
     def test_splitmix_reference_values(self):
         rng = SplitMix64(0)
