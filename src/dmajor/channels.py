@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import check_square, hermitian_eig
 from .majorize import _within_norm, column_stochastic_transfer, majorizes
 
 
@@ -31,16 +31,6 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
     v = np.asarray(v)
     n = rows if rows is not None else int(round(np.sqrt(v.size)))
     return v.reshape((n, v.size // n), order="F")
-
-
-def _check_hermitian(a, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if float(np.max(np.abs(a - a.conj().T))) > tol * scale:
-        raise ValueError(f"{name} is not Hermitian within tolerance")
-    return a
 
 
 def trace_norm(a) -> float:
@@ -105,19 +95,14 @@ class SuperOperator:
         """X -> tr(X) * state."""
         state = np.asarray(state, dtype=complex)
         n = state.shape[0]
-        return cls.from_function(lambda x: np.trace(x) * state, n, n)
+        return cls(n, n, np.outer(vec(state), vec(np.eye(n))))
 
 
 def choi(t: SuperOperator) -> np.ndarray:
     """Block matrix (T(E_jk))_{j,k} of size dim_in*dim_out."""
     n, k = t.dim_in, t.dim_out
-    c = np.zeros((n * k, n * k), dtype=complex)
-    for j in range(n):
-        for l in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[j, l] = 1.0
-            c[j * k:(j + 1) * k, l * k:(l + 1) * k] = t.apply(unit)
-    return c
+    # action[a + b k, j + l n] = T(E_jl)[a, b] goes to row j k + a, column l k + b
+    return t.action.reshape(k, k, n, n).transpose(3, 1, 2, 0).reshape(n * k, n * k)
 
 
 def is_cp(t: SuperOperator, tol: float = 1e-9) -> bool:
@@ -131,16 +116,10 @@ def is_cp(t: SuperOperator, tol: float = 1e-9) -> bool:
 
 
 def is_tp(t: SuperOperator, tol: float = 1e-9) -> bool:
-    """Trace-preserving iff tr T(E_jk) = delta_jk."""
-    n = t.dim_in
-    for j in range(n):
-        for l in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[j, l] = 1.0
-            val = np.trace(t.apply(unit))
-            if abs(val - (1.0 if j == l else 0.0)) > tol:
-                return False
-    return True
+    """Trace-preserving iff tr T(E_jk) = delta_jk, i.e. vec(I)^T action =
+    vec(I)^T."""
+    traces = vec(np.eye(t.dim_out)) @ t.action
+    return bool(np.max(np.abs(traces - vec(np.eye(t.dim_in)))) <= tol)
 
 
 def is_unital(t: SuperOperator, tol: float = 1e-9) -> bool:
@@ -152,7 +131,7 @@ def is_unital(t: SuperOperator, tol: float = 1e-9) -> bool:
 
 def is_strictly_positive(t: SuperOperator, tol: float = 1e-9) -> bool:
     """For a positive map (caller-asserted): strictly positive iff T(1) > 0."""
-    img = _check_hermitian(t.apply(np.eye(t.dim_in, dtype=complex)), 1e-9, "T(1)")
+    img = check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
     w = np.linalg.eigvalsh(img)
     return bool(w.min() > tol)
 
@@ -166,21 +145,15 @@ def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
     the input was not actually positive.
     """
     k = t.dim_out
-    img = _check_hermitian(t.apply(np.eye(t.dim_in, dtype=complex)), 1e-9, "T(1)")
+    img = check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
     w, u = hermitian_eig(img)
     m = int(np.sum(w < tol))
     proj = u[:, :k - m] @ u[:, :k - m].conj().T
-    n = t.dim_in
-    for j in range(n):
-        for l in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[j, l] = 1.0
-            img_unit = t.apply(unit)
-            if float(np.max(np.abs(proj @ img_unit @ proj - img_unit))) > 1e-8:
-                raise PositivityError(
-                    "projector compression failed on a matrix unit; "
-                    "the map is not positive"
-                )
+    images = t.action.T.reshape(-1, k, k).transpose(0, 2, 1)     # T(E_jl), stacked
+    if float(np.max(np.abs(proj @ images @ proj - images))) > 1e-8:
+        raise PositivityError(
+            "projector compression failed on a matrix unit; the map is not positive"
+        )
     return m, u, proj
 
 
@@ -212,8 +185,8 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     of that eigendirection is a free choice; the default is the maximally
     mixed state, override with null_state.
     """
-    a = _check_hermitian(a, name="A")
-    b = _check_hermitian(b, name="B")
+    a = check_square(a, "A", 1e-10)
+    b = check_square(b, "B", 1e-10)
     if a.shape != b.shape:
         raise ValueError("A and B must have equal size")
     n = a.shape[0]
@@ -246,8 +219,8 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
 
 def matrix_majorizes(a, b, tol: float = 1e-9) -> bool:
     """True iff the eigenvalue vector of a is majorized by that of b."""
-    a = _check_hermitian(a, name="A")
-    b = _check_hermitian(b, name="B")
+    a = check_square(a, "A", 1e-10)
+    b = check_square(b, "B", 1e-10)
     if a.shape != b.shape:
         raise ValueError("A and B must have equal size")
     wa, _ = hermitian_eig(a)
@@ -269,8 +242,8 @@ def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
     b to a: trace equality, two trace-norm inequalities at the spectral
     points of D^{-1/2} B D^{-1/2}, and the generalized-fidelity inequality.
     """
-    a = _check_hermitian(a, name="A")
-    b = _check_hermitian(b, name="B")
+    a = check_square(a, "A", 1e-10)
+    b = check_square(b, "B", 1e-10)
     d = np.asarray(d, dtype=float)
     if d.ndim == 2:
         if np.max(np.abs(d - np.diag(np.diag(d)))) > 0:
@@ -300,7 +273,7 @@ def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
 def pure_state_reachable(rho, d, j: int, tol: float = 1e-9) -> bool:
     """True iff rho can be generated from the pure state e_j by a channel
     fixing diag(d): equivalent to diag(d) - d_j rho >= 0."""
-    rho = _check_hermitian(rho, name="rho")
+    rho = check_square(rho, "rho", 1e-10)
     d = np.asarray(d, dtype=float)
     n = rho.shape[0]
     if d.shape != (n,) or np.any(d <= 0):
@@ -324,7 +297,7 @@ def identity_distance_witness(t: SuperOperator, tol: float = 1e-9):
     """
     if t.dim_in != t.dim_out:
         raise ValueError("witness construction requires equal dimensions")
-    img = _check_hermitian(t.apply(np.eye(t.dim_in, dtype=complex)), 1e-9, "T(1)")
+    img = check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
     if np.linalg.eigvalsh(img).min() > tol:
         raise ValueError("T(1) is nonsingular; the map is strictly positive")
     _, u, _ = kernel_block_form(t, tol)

@@ -21,7 +21,6 @@ import traceback
 import numpy as np
 
 from . import dissipation, majorize, polytope, reach
-from ._simplex import InfeasibleError
 from .channels import channel_between, is_cp, is_tp, kraus_set, trace_norm
 from .cnr import c_numerical_range_sample
 from .majorize import TransferSynthesisError
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TransferSynthesisError, InfeasibleError, SimplexViolationError) as exc:
+    except (TransferSynthesisError, SimplexViolationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:

@@ -9,20 +9,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import check_square, hermitian_eig
 
 MAX_SPECTRUM_DIM = 7
 
 
-def _check_square(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square")
-    return a
-
-
 def _check_normal(a, name: str, tol: float = 1e-9) -> np.ndarray:
-    a = _check_square(a, name)
+    a = check_square(a, name)
     scale = max(1.0, float(np.max(np.abs(a))) ** 2)
     comm = a @ a.conj().T - a.conj().T @ a
     if float(np.max(np.abs(comm))) > tol * scale:
@@ -86,8 +79,8 @@ def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def c_numerical_range_sample(c, a, count: int, seed: int = 0) -> np.ndarray:
     """count samples of tr(C U* A U) at Haar-random unitaries (seeded)."""
-    c = _check_square(c, "C")
-    a = _check_square(a, "A")
+    c = check_square(c, "C")
+    a = check_square(a, "A")
     if c.shape != a.shape:
         raise ValueError("C and A must have equal size")
     rng = np.random.default_rng(seed)

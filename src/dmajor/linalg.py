@@ -37,6 +37,19 @@ def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     return out
 
 
+def check_square(a, name: str = "matrix", herm_tol: float | None = None) -> np.ndarray:
+    """a as a complex square matrix; with herm_tol, also Hermitian within
+    herm_tol * max(1, max |a_ij|)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if herm_tol is not None:
+        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
+        if float(np.max(np.abs(a - a.conj().T))) > herm_tol * scale:
+            raise ValueError(f"{name} is not Hermitian within tolerance")
+    return a
+
+
 def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -44,13 +57,7 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, n
     ascending-solver order, so the result is deterministic) and unitary u
     such that h = u @ diag(w) @ u^dagger.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"hermitian_eig expects a square matrix, got shape {h.shape}")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    if float(np.max(np.abs(h - h.conj().T))) > herm_tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, u = np.linalg.eigh(h)
+    w, u = np.linalg.eigh(check_square(h, herm_tol=herm_tol))
     order = np.argsort(-w, kind="stable")
     return w[order], u[:, order]
 

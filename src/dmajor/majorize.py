@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import InfeasibleError, phase1_feasible
-
 D_MAJORIZE_METHODS = ("norm", "positive_part", "curve")
 
 
@@ -199,13 +197,19 @@ class StochasticMatrix:
         return self.matrix.shape
 
 
-def _t_transform_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Doubly stochastic A with A ys = xs for non-increasing xs <= ys.
+def _t_transform_chain(xs: np.ndarray, ys: np.ndarray,
+                       w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Column-stochastic A >= 0 with A ys = xs and A w = w, for masses whose
+    densities xs/w and ys/w are non-increasing and whose prefix sums satisfy
+    sum xs[:m] <= sum ys[:m] with equal totals.  w defaults to ones, where A
+    is doubly stochastic and this is classical majorization.
 
-    Classical chain of at most n-1 T-transforms: each step blends one
-    transposition and matches at least one more coordinate.
+    A chain of at most n-1 weighted T-transforms: each step moves mass from
+    the last piece j with ys_j > xs_j to the first later piece k with
+    ys_k < xs_k, fixes w, and matches at least one more piece.
     """
     n = xs.size
+    w = np.ones(n) if w is None else w
     a = np.eye(n)
     y = ys.copy()
     count = 0
@@ -223,12 +227,11 @@ def _t_transform_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]
             break
         k = j + 1 + int(k_candidates[0])   # smallest index > j with x_k > y_k
         delta = min(y[j] - xs[j], xs[k] - y[k])
-        lam = 1.0 - delta / (y[j] - y[k])
-        t = np.eye(n)
-        t[j, j] = t[k, k] = lam
-        t[j, k] = t[k, j] = 1.0 - lam
-        a = t @ a
-        y = t @ y
+        lam = delta / (y[j] * w[k] - y[k] * w[j])
+        t = np.array([[1.0 - lam * w[k], lam * w[j]],
+                      [lam * w[k], 1.0 - lam * w[j]]])
+        a[[j, k]] = t @ a[[j, k]]
+        y[[j, k]] = t @ y[[j, k]]
         count += 1
     return a, count
 
@@ -337,9 +340,13 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
 def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:
     """d-stochastic A (nonnegative, unit column sums, A d = d) with A y = x.
 
-    Requires d_majorizes(x, y, d).  Solved as a phase-1 simplex feasibility
-    problem in the n^2 nonnegative entries with 3n-1 equality constraints
-    (one A d = d row is linearly dependent and dropped).
+    Requires d_majorizes(x, y, d).  Lays d out on [0, e^T d] once in the
+    ratio order of x and once in that of y, and cuts at both sets of ends:
+    on these at most 2n-1 pieces, of lengths w, both curves have
+    non-increasing step densities, and x <=_d y is w-weighted majorization
+    of the densities.  A = merge @ chain @ split: split spreads each y_j over
+    its pieces, the T-transform chain fixing w maps those masses to the
+    masses of x, and merge sums each x_i back from its pieces.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -354,33 +361,24 @@ def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:
     if np.abs(x - minimal).sum() <= eps * 1e-3:
         return StochasticMatrix(np.outer(d, np.ones(n)) / d.sum(), "d-stochastic", d=d)
 
-    rows = []
-    rhs = []
-    for i in range(n):                       # A y = x
-        row = np.zeros(n * n)
-        row[i * n:(i + 1) * n] = y
-        rows.append(row)
-        rhs.append(x[i])
-    for i in range(n - 1):                   # A d = d (last row redundant)
-        row = np.zeros(n * n)
-        row[i * n:(i + 1) * n] = d
-        rows.append(row)
-        rhs.append(d[i])
-    for j in range(n):                       # unit column sums
-        row = np.zeros(n * n)
-        row[j::n] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-
-    try:
-        z = phase1_feasible(np.array(rows), np.array(rhs), tol=1e-10)
-    except InfeasibleError as exc:
-        raise TransferSynthesisError(
-            "LP found no d-stochastic certificate although the verdict was positive; "
-            "this indicates a tolerance conflict or a bug"
-        ) from exc
-    a = z.reshape(n, n)
-    out = StochasticMatrix(a, "d-stochastic", d=d)
+    px = ratio_order(x, d)
+    py = ratio_order(y, d)
+    ends_x = np.cumsum(d[px])
+    ends_y = np.cumsum(d[py])
+    ends_x[-1] = ends_y[-1] = d.sum()         # both layouts end at one point
+    cuts = np.union1d(ends_x, ends_y)
+    starts = np.r_[0.0, cuts[:-1]]
+    w = cuts - starts
+    ix = px[np.searchsorted(ends_x, starts, side="right")]
+    iy = py[np.searchsorted(ends_y, starts, side="right")]
+    pieces = np.arange(w.size)
+    split = np.zeros((w.size, n))
+    split[pieces, iy] = w / d[iy]
+    merge = np.zeros((n, w.size))
+    merge[ix, pieces] = 1.0
+    chain, count = _t_transform_chain(x[ix] * w / d[ix], split @ y, w)
+    a = merge @ chain @ split
+    out = StochasticMatrix(a, "d-stochastic", d=d, n_t_transforms=count)
     out.validate(entry_tol=1e-8, sum_tol=1e-8)
     residual = max(np.abs(a @ y - x).sum(), np.abs(a @ d - d).sum(),
                    float(np.max(np.abs(a.sum(axis=0) - 1.0))))

@@ -91,12 +91,15 @@ def halfspace_bounds(y, d) -> HPolytope:
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
-    """Componentwise test M x <= b + tol."""
+    """Componentwise test M x <= b + tol * max(1, ||y||_1), the tolerance of
+    d_majorizes.  The curve peaks at the subset row of y's positive entries,
+    so ||y||_1 = 2 max(0, max b[:-1]) - e^T y."""
     x = as_vector(x)
     if x.size != poly.n:
         raise ValueError("dimension mismatch")
+    y1 = 2.0 * max(0.0, float(poly.b[:-1].max())) - poly.trace
     sums = constraint_matrix(poly.n) @ x
-    return bool(np.all(sums <= poly.b + tol))
+    return bool(np.all(sums <= poly.b + tol * max(1.0, y1)))
 
 
 def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:

@@ -155,7 +155,7 @@ def test_criterion_4_criterion_equivalence_and_lp():
     elapsed = time.time() - start
     assert elapsed < 30.0
     assert positives >= 900
-    _announce(4, f"2000 triples, 4-way agreement, {positives} LP certificates "
+    _announce(4, f"2000 triples, 4-way agreement, {positives} certificates "
                  f"({elapsed:.1f}s)")
 
 

@@ -126,6 +126,77 @@ class TestPredicates:
                 assert is_strictly_positive(t2.compose(t1))
 
 
+def _unit_images(t):
+    """T(E_jl) for every matrix unit, in the loop order j, l."""
+    n = t.dim_in
+    for j in range(n):
+        for l in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[j, l] = 1.0
+            yield j, l, t.apply(unit)
+
+
+def _kernel_projector_by_units(t, tol=1e-9):
+    """kernel_block_form's projector, with the compression checked one matrix
+    unit at a time."""
+    w, u = hermitian_eig(t.apply(np.eye(t.dim_in)), herm_tol=1e-9)
+    keep = t.dim_out - int(np.sum(w < tol))
+    proj = u[:, :keep] @ u[:, :keep].conj().T
+    for _, _, img in _unit_images(t):
+        if np.max(np.abs(proj @ img @ proj - img)) > 1e-8:
+            raise PositivityError("compression failed")
+    return proj
+
+
+class TestActionPredicates:
+    def test_match_matrix_unit_definitions(self):
+        # choi, is_tp, kernel_block_form and trace_projection read the action
+        # matrix directly; each agrees with its definition over matrix units
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            n, k = (int(v) for v in rng.integers(1, 5, size=2))
+            if trial % 2:
+                k = n
+            count = n + 1 if trial % 3 == 0 else int(rng.integers(1, 4))
+            kraus = [rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+                     for _ in range(count)]
+            if trial % 3 == 0:
+                # trace preserving: K -> K (sum K^* K)^{-1/2}
+                w, u = hermitian_eig(sum(op.conj().T @ op for op in kraus))
+                kraus = [op @ u @ np.diag(w ** -0.5) @ u.conj().T for op in kraus]
+            elif trial % 3 == 1 and k > 1:
+                # a kernel for T(1): the last output row is zero
+                kraus = [np.vstack([op[:-1], np.zeros((1, n))]) for op in kraus]
+            t = SuperOperator.from_kraus(kraus)
+            if trial % 5 == 2:
+                t = SuperOperator(n, k, t.action + 1e-3 * rng.standard_normal(t.action.shape))
+            elif trial % 5 == 4:
+                # Hermiticity preserving but not positive
+                t = SuperOperator(n, k, t.action - SuperOperator.from_kraus(kraus[:1]).action * 2)
+
+            ref = np.zeros((n * k, n * k), dtype=complex)
+            tp = True
+            for j, l, img in _unit_images(t):
+                ref[j * k:(j + 1) * k, l * k:(l + 1) * k] = img
+                tp &= bool(abs(np.trace(img) - (1.0 if j == l else 0.0)) <= 1e-9)
+            assert np.array_equal(choi(t), ref)
+            assert is_tp(t) == tp
+            assert tp == (trial % 3 == 0 and trial % 5 not in (2, 4))
+
+            if k == n:
+                try:
+                    want = _kernel_projector_by_units(t)
+                except (PositivityError, ValueError) as exc:
+                    with pytest.raises(type(exc)):
+                        kernel_block_form(t)
+                else:
+                    assert np.array_equal(kernel_block_form(t)[2], want)
+
+            state = rand_density(rng, n)
+            want = SuperOperator.from_function(lambda x: np.trace(x) * state, n, n)
+            assert np.array_equal(SuperOperator.trace_projection(state).action, want.action)
+
+
 class TestKernelBlockForm:
     def test_sp_map_has_trivial_kernel(self):
         m, _, proj = kernel_block_form(SuperOperator.identity(3))

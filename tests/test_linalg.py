@@ -3,6 +3,7 @@ import pytest
 
 from dmajor.linalg import (
     apply_perm,
+    check_square,
     expm,
     hermitian_eig,
     identity_perm,
@@ -125,6 +126,20 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestCheckSquare:
+    def test_shape_and_hermitian_tolerance(self):
+        with pytest.raises(ValueError, match="A must be square"):
+            check_square(np.zeros((2, 3)), "A")
+        with pytest.raises(ValueError, match="must be square"):
+            hermitian_eig(np.zeros(3))
+        # square only without herm_tol; the Hermitian bound scales with the entries
+        assert check_square([[0.0, 1.0], [0.0, 0.0]]).dtype == complex
+        h = np.array([[1e6, 1.0], [1.0 + 1e-5, 0.0]])
+        assert np.array_equal(check_square(h, herm_tol=1e-10), h)
+        with pytest.raises(ValueError, match="B is not Hermitian"):
+            check_square(h, "B", herm_tol=1e-12)
 
 
 class TestPermutations:

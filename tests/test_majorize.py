@@ -16,6 +16,7 @@ from dmajor.majorize import (
     sign_collapse_matrix,
     thermo_curve,
 )
+from dmajor.polytope import contains, halfspace_bounds, vertex_for_permutation
 
 
 class TestMajorizes:
@@ -348,6 +349,51 @@ class TestDStochasticTransfer:
             assert np.abs(a.sum(axis=0) - 1).max() <= 1e-8
             assert np.abs(a @ d - d).sum() <= 1e-8
             assert np.abs(a @ y - x).sum() <= 1e-8
+
+        # interior points, polytope corners, edge midpoints, corners moved by
+        # +-1e-12 relative and corners pushed out of the polytope, at n = 2..8
+        # and scales 1e-6, 1, 1e6: the four verdict routes agree, and every
+        # positive verdict gets a certificate matching to 1e-10 relative
+        rng = np.random.default_rng(15)
+        positives = 0
+        for trial in range(900):
+            n = int(rng.integers(2, 9))
+            scale = (1e-6, 1.0, 1e6)[trial % 3]
+            d = rng.uniform(0.2, 2.0, size=n)
+            if trial % 7 == 0:
+                d[-1] = d[0]                                # tied weights
+            y = scale * rng.standard_normal(n)
+            if trial % 11 == 0:
+                y[-1] = y[0]                                # tied entries
+            poly = halfspace_bounds(y, d)
+            corner = vertex_for_permutation(rng.permutation(n), poly)
+            kind = (trial // 3) % 5
+            if kind == 0:
+                x = random_d_stochastic(d, rng) @ y
+            elif kind == 1:
+                x = corner
+            elif kind == 2:
+                x = (corner + vertex_for_permutation(rng.permutation(n), poly)) / 2
+            elif kind == 3:
+                x = corner * (1.0 + rng.choice([-1e-12, 1e-12], size=n))
+            else:
+                # well outside at every scale, also where the tolerance is absolute
+                push = 1e-3 * max(1.0, 1.0 / np.abs(y).sum())
+                x = corner + push * (corner - minimal_element(y.sum(), d))
+            verdicts = {d_majorizes(x, y, d, method=m) for m in D_MAJORIZE_METHODS}
+            verdicts.add(contains(x, poly))
+            assert len(verdicts) == 1, (trial, verdicts)
+            if not verdicts.pop():
+                continue
+            positives += 1
+            out = d_stochastic_transfer(x, y, d)
+            assert (out.n_t_transforms or 0) <= 2 * n - 2
+            a = out.matrix
+            assert a.min() >= -1e-12
+            assert np.abs(a.sum(axis=0) - 1).max() <= 1e-10
+            assert np.abs(a @ d - d).sum() <= 1e-10 * d.sum()
+            assert np.abs(a @ y - x).sum() <= 1e-10 * np.abs(y).sum()
+        assert positives == 720
 
     def test_rejects_non_majorized(self):
         with pytest.raises(ValueError):

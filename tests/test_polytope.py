@@ -382,16 +382,22 @@ class TestContains:
         assert not contains(mid, halfspace_bounds([0.25, 0.5, 0.25], np.ones(3)))
 
     def test_agrees_with_decision_procedure(self):
+        # at every scale: contains uses the tolerance of d_majorizes
         rng = np.random.default_rng(2)
-        for _ in range(300):
+        for trial in range(300):
+            scale = (1e-6, 1.0, 1e6)[trial % 3]
             n = rng.integers(2, 6)
-            y = rng.standard_normal(n)
+            y = scale * rng.standard_normal(n)
             d = rng.uniform(0.1, 3.0, size=n)
-            if rng.uniform() < 0.5:
+            u = rng.uniform()
+            if u < 0.4:
                 x = random_d_stochastic(d, rng) @ y
-            else:
-                x = rng.standard_normal(n)
+            elif u < 0.8:
+                x = scale * rng.standard_normal(n)
                 x += (y.sum() - x.sum()) / n
+            else:
+                # the corner y, moved by 1e-12 relative
+                x = y * (1.0 + rng.choice([-1e-12, 1e-12], size=n))
             assert contains(x, halfspace_bounds(y, d)) == d_majorizes(x, y, d)
 
     def test_convex_combinations_inside(self):
