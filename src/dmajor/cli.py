@@ -100,22 +100,20 @@ def _vector_json(v: np.ndarray) -> list:
     return [float(x) for x in v]
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, indent=2))
 
 
 def _emit_csv(args, header: str, rows: list[str]) -> None:
-    text = "\n".join([header] + rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, "\n".join([header] + rows))
 
 
 def _report(command: str, verdict=None, data=None, diagnostics=None) -> dict:
@@ -333,8 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_command(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
+
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument("--zero-temp", type=int, default=None, metavar="N")
+    generator.add_argument("--thermal", default=None, metavar="D_FILE")
+    generator.add_argument("--b0", default=None, metavar="B0_FILE")
 
     p = add_command("check", help="decide (d-)majorization between two vectors")
     p.add_argument("x")
@@ -364,23 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equidistant", nargs=2, default=None, metavar=("ALPHA", "N"))
     p.set_defaults(func=_cmd_bath)
 
-    p = add_command("simulate", help="simulate a schedule, emit trajectory CSV")
+    p = add_command("simulate", generator, help="simulate a schedule, emit trajectory CSV")
     p.add_argument("--x0", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--zero-temp", type=int, default=None, metavar="N")
-    p.add_argument("--thermal", default=None, metavar="D_FILE")
-    p.add_argument("--b0", default=None, metavar="B0_FILE")
     p.set_defaults(func=_cmd_simulate)
 
-    p = add_command("synthesize", help="steering schedule for the "
-                                          "zero-temperature model")
+    p = add_command("synthesize", generator, help="steering schedule for the "
+                                                  "zero-temperature model")
     p.add_argument("--target", required=True)
     p.add_argument("--x0", default=None, help="initial state; omit to steer from e_1")
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--zero-temp", type=int, default=None, metavar="N")
-    p.add_argument("--thermal", default=None, metavar="D_FILE")
-    p.add_argument("--b0", default=None, metavar="B0_FILE")
     p.set_defaults(func=_cmd_synthesize)
 
     p = add_command("bound", help="majorization envelope for the thermal model")
@@ -417,10 +414,7 @@ def main(argv=None) -> int:
         if args.tol is None:
             args.tol = _default_tol()
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError, TypeError) as exc:
+    except (_InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TransferSynthesisError, SimplexViolationError) as exc:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .dissipation import Generator, b0_from_rates, flow, propagator, thermal_rates, \
     zero_temperature_rates
-from .linalg import apply_perm, check_permutation, expm, identity_perm, perm_compose, \
-    perm_inverse
+from .linalg import apply_perm, check_permutation, expm, identity_perm, perm_inverse
 from .majorize import _majorized_rows, as_vector, as_weight_vector, majorizes
 from .polytope import max_corner
 
@@ -164,13 +163,9 @@ def _cooling_rates(gen: Generator) -> np.ndarray:
     """Extract c_1..c_{n-1} from an upper-bidiagonal zero-temperature
     generator (diagonal (0, c_1, ..., c_{n-1}), superdiagonal -c_j)."""
     b0 = gen.b0
-    n = gen.n
     scale = max(1.0, float(np.max(np.abs(b0))))
     c = np.diag(b0)[1:].copy()
-    expected = np.zeros_like(b0)
-    for j in range(n - 1):
-        expected[j + 1, j + 1] = c[j]
-        expected[j, j + 1] = -c[j]
+    expected = np.diag(np.r_[0.0, c]) - np.diag(c, 1)
     if np.max(np.abs(b0 - expected)) > 1e-12 * scale or np.any(c <= 0):
         raise ValueError("generator is not of the zero-temperature upper-bidiagonal form")
     return c
@@ -288,6 +283,23 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     return Schedule(segments)
 
 
+def _relax_time(propagate, x, target, budget: float, what: str) -> float:
+    """First t = 1, 2, 4, ... with ||propagate(x, t) - target||_1 < budget.
+
+    The exact error falls with t; once a doubling no longer lowers the
+    computed one, the flow has reached rounding level and the budget is out
+    of reach, so SimplexViolationError(what) is raised.
+    """
+    t, last = 1.0, np.inf
+    while True:
+        err = np.abs(propagate(x, t) - target).sum()
+        if err < budget:
+            return t
+        if not err < last:
+            raise SimplexViolationError(what)
+        t, last = 2.0 * t, err
+
+
 def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     """Cool x0 toward e_1 within eps/2, then run the ground schedule.
 
@@ -297,6 +309,8 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     renormalized onto the face, which leaves up to ~1e-11 in the 1-norm.  So
     the endpoint error is at most eps/2 plus that, and an eps below ~1e-11
     is not met.  The error is not checked here; measure it with endpoint.
+    Raises SimplexViolationError when eps/2 lies below the flow's rounding
+    level.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -309,13 +323,8 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     if np.abs(x0 - e1).sum() <= target_err:
         cool_t = 0.0
     else:
-        cool_t = 1.0
-        for _ in range(2 ** 16):
-            if np.abs(flow(gen, x0, cool_t) - e1).sum() < target_err:
-                break
-            cool_t *= 2.0
-        else:
-            raise SimplexViolationError("cooling did not converge")
+        cool_t = _relax_time(lambda s, t: flow(gen, s, t), x0, e1, target_err,
+                             "cooling did not converge")
     ground = synthesize_from_ground(gen, x)
     return Schedule([Segment(tuple(identity_perm(n)), cool_t)] + ground.segments)
 
@@ -331,26 +340,16 @@ def local_generator(n: int, m: int) -> Generator:
     if total > MAX_LOCAL_DIM:
         raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
     block = b0_from_rates(zero_temperature_rates(n)).b0
-    full = np.zeros((total, total))
-    for k in range(n ** (m - 1)):
-        sl = slice(k * n, (k + 1) * n)
-        full[sl, sl] = block
-    return Generator(full)
+    return Generator(np.kron(np.eye(n ** (m - 1)), block))
 
 
-def _embed_block_perm(perm_n, block: int, n: int, total: int) -> np.ndarray:
-    p = identity_perm(total)
-    base = block * n
-    for j, img in enumerate(check_permutation(perm_n)):
-        p[base + j] = base + img
-    return p
-
-
-def _gather_perm(sources: list[int], total: int) -> np.ndarray:
-    """Permutation whose action moves old coordinate sources[k] to slot k."""
-    source_set = set(sources)
-    rest = [i for i in range(total) if i not in source_set]
-    return np.array(list(sources) + rest)
+def _placement(slots, sources, total: int) -> np.ndarray:
+    """Permutation whose action moves old coordinate sources[k] to slot
+    slots[k]; the other coordinates fill the free slots in ascending order."""
+    images = np.full(total, -1)
+    images[slots] = sources
+    images[images < 0] = np.setdiff1d(np.arange(total), sources)
+    return images
 
 
 def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int) -> list[Segment]:
@@ -379,10 +378,12 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int) ->
         if t_evt > clock + 1e-15:
             segments.append(Segment(tuple(identity_perm(total)), t_evt - clock))
             clock = t_evt
+        # events due together apply in schedule order, each on its block
         combined = identity_perm(total)
         while i < len(events) and events[i][0] <= clock + 1e-15:
             _, blk, perm_n = events[i]
-            combined = perm_compose(_embed_block_perm(perm_n, blk, n, total), combined)
+            sl = slice(blk * n, (blk + 1) * n)
+            combined[sl] = combined[sl][list(perm_n)]
             i += 1
         segments.append(Segment(tuple(combined), 0.0))
     if t_max > clock:
@@ -394,10 +395,12 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     """Steering for the chain of m n-level systems with local noise.
 
     Step 1 collapses the state onto e_1 in m relax-and-gather rounds, each
-    within a budgeted fraction of eps.  Step 2 splits the target block
-    masses down the block-head hierarchy and finishes with exact per-block
-    ground schedules run in parallel; it adds no further error, so the
-    endpoint lands within eps of x.
+    within eps / (2m).  Step 2 splits the target block masses down the
+    block-head hierarchy and finishes with per-block ground schedules run in
+    parallel.  Its maps are 1-norm contractions, so the endpoint error is at
+    most eps/2 plus the ground schedules' own error of up to ~1e-11 (see
+    synthesize).  Raises SimplexViolationError when a round's budget lies
+    below the flow's rounding level.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -426,60 +429,37 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     round_budget = eps / (2.0 * max(m, 1))
     for r in range(1, m + 1):
         collapsed = np.zeros(total)
-        for k in range(n_blocks):
-            collapsed[k * n] = cur[k * n:(k + 1) * n].sum()
-        t_relax = 1.0
-        for _ in range(2 ** 16):
-            if np.abs(block_flow(cur, t_relax) - collapsed).sum() < round_budget:
-                break
-            t_relax *= 2.0
-        else:
-            raise SimplexViolationError("relaxation budget not reachable")
+        collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
+        t_relax = _relax_time(block_flow, cur, collapsed, round_budget,
+                              "relaxation budget not reachable")
         segments.append(Segment(tuple(identity_perm(total)), t_relax))
         cur = _clamp_simplex(block_flow(cur, t_relax))
-        active_heads = [k * n for k in range(n ** (m - r))]
-        gather = _gather_perm(active_heads, total)
+        heads = n * np.arange(n ** (m - r))
+        gather = _placement(np.arange(heads.size), heads, total)
         segments.append(Segment(tuple(gather), 0.0))
         cur = apply_perm(gather, cur)
 
     # Step 2: planned on the ideal collapsed state e_1; all remaining maps
     # are 1-norm contractions so the step-1 error rides along unchanged.
-    block_mass = np.array([x[k * n:(k + 1) * n].sum() for k in range(n_blocks)])
+    blocks = x.reshape(n_blocks, n)
+    block_mass = blocks.sum(axis=1)
 
     for level in range(1, m):
         span = n ** (m - level)            # coordinates per child subtree
-        child_blocks = span // n           # fine blocks per child subtree
-        parents = [k * span * n for k in range(n ** (level - 1))]
-        steer: dict[int, Schedule] = {}
-        for p_pos in parents:
-            first_block = p_pos // n
-            child_masses = np.array([
-                block_mass[first_block + i * child_blocks:
-                           first_block + (i + 1) * child_blocks].sum()
-                for i in range(n)
-            ])
-            mass = child_masses.sum()
-            if mass <= 1e-15:
-                continue
-            steer[p_pos // n] = synthesize_from_ground(gen_block, child_masses / mass)
+        # parent k sits at coordinate k * span * n, i.e. at block k * span;
+        # its i-th child subtree holds span / n consecutive fine blocks
+        child_masses = block_mass.reshape(-1, n, span // n).sum(axis=2)
+        steer = {k * span: synthesize_from_ground(gen_block, c / c.sum())
+                 for k, c in enumerate(child_masses) if c.sum() > 1e-15}
         segments.extend(_merge_parallel(steer, n, total))
         # scatter the split masses from block slots to the child head positions
-        images = np.full(total, -1, dtype=int)
-        for p_pos in parents:
-            for i in range(n):
-                images[p_pos + i * span] = p_pos + i
-        used = set(int(v) for v in images if v >= 0)
-        remaining = iter(i for i in range(total) if i not in used)
-        for slot in range(total):
-            if images[slot] < 0:
-                images[slot] = next(remaining)
-        segments.append(Segment(tuple(images), 0.0))
+        parents = (span * n * np.arange(n ** (level - 1)))[:, None]
+        scatter = _placement((parents + span * np.arange(n)).ravel(),
+                             (parents + np.arange(n)).ravel(), total)
+        segments.append(Segment(tuple(scatter), 0.0))
 
-    final: dict[int, Schedule] = {}
-    for k in range(n_blocks):
-        if block_mass[k] <= 1e-15:
-            continue
-        final[k] = synthesize_from_ground(gen_block, x[k * n:(k + 1) * n] / block_mass[k])
+    final = {k: synthesize_from_ground(gen_block, b / mass)
+             for k, (b, mass) in enumerate(zip(blocks, block_mass)) if mass > 1e-15}
     segments.extend(_merge_parallel(final, n, total))
     return Schedule(segments)
 

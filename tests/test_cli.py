@@ -180,6 +180,14 @@ class TestSimulateSynthesize:
         assert diagnostics[0].startswith("endpoint 1-norm error")
         assert "exceeds eps" in diagnostics[1]
 
+    def test_synthesize_eps_below_rounding_floor_exits_numeric(self, tmp_path, capture):
+        target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
+        x0 = write(tmp_path, "x0.json", [0.1, 0.2, 0.7])
+        code, _, err = capture(["synthesize", "--zero-temp", "3", "--target", target,
+                                "--x0", x0, "--eps", "1e-17"])
+        assert code == 3
+        assert "numerical failure" in err
+
     def test_synthesize_within_eps_exits_zero(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

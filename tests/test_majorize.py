@@ -96,13 +96,19 @@ class TestDMajorizes:
 
     def test_methods_agree(self):
         rng = np.random.default_rng(2)
+        cases = []
         for _ in range(300):
             n = rng.integers(2, 6)
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
             if rng.uniform() < 0.5:
                 x += (y.sum() - x.sum()) / n  # force equal totals half the time
-            d = rng.uniform(0.1, 3.0, size=n)
+            cases.append((x, y, rng.uniform(0.1, 3.0, size=n)))
+        # a curve excess of 0.75 eps, whose 1-norm excess is 1.5 eps
+        for s in (1.0, 1e3):
+            cases.append((s * np.array([0.8 + 7.5e-10, 0.12, 0.08 - 7.5e-10]),
+                          s * np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])))
+        for x, y, d in cases:
             verdicts = {m: d_majorizes(x, y, d, method=m) for m in D_MAJORIZE_METHODS}
             assert len(set(verdicts.values())) == 1, verdicts
 

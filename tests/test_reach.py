@@ -6,9 +6,10 @@ import scipy.linalg
 
 import dmajor.dissipation
 import dmajor.reach
-from dmajor.dissipation import b0_from_rates, equidistant_d, thermal_rates, \
+from dmajor.dissipation import b0_from_rates, equidistant_d, flow, thermal_rates, \
     zero_temperature_rates
-from dmajor.linalg import expm, perm_matrix
+from dmajor.linalg import apply_perm, check_permutation, expm, identity_perm, perm_compose, \
+    perm_matrix
 from dmajor.majorize import majorizes
 from dmajor.polytope import max_corner
 from dmajor.reach import (
@@ -122,6 +123,173 @@ def _per_point_envelope(x0, d, sample_count, depth, seed):
     violations = sum(not _scalar_majorizes(p, z) for s in range(sample_count)
                      for p in _per_point_sample(b0, x0, depth, seed + s))
     return z, EnvelopeReport(_scalar_majorizes(x0, z), tangential, violations, sample_count)
+
+
+def _reference_synthesize(gen, x0, x, eps):
+    """Reference: synthesize with the cooling time doubled in a bounded loop."""
+    n = gen.n
+    x0 = np.asarray(x0, dtype=float)
+    e1 = np.eye(n)[0]
+    cool_t = 0.0
+    if np.abs(x0 - e1).sum() > eps / 2.0:
+        cool_t = 1.0
+        for _ in range(2 ** 16):
+            if np.abs(flow(gen, x0, cool_t) - e1).sum() < eps / 2.0:
+                break
+            cool_t *= 2.0
+    ground = synthesize_from_ground(gen, x)
+    return Schedule([Segment(tuple(identity_perm(n)), cool_t)] + ground.segments)
+
+
+def _reference_embed_block_perm(perm_n, block, n, total):
+    p = identity_perm(total)
+    base = block * n
+    for j, img in enumerate(check_permutation(perm_n)):
+        p[base + j] = base + img
+    return p
+
+
+def _reference_gather_perm(sources, total):
+    source_set = set(sources)
+    rest = [i for i in range(total) if i not in source_set]
+    return np.array(list(sources) + rest)
+
+
+def _reference_merge_parallel(block_schedules, n, total):
+    """Reference: events due together composed through embedded full-length
+    permutations."""
+    if not block_schedules:
+        return []
+    events = []
+    t_max = max(s.total_duration for s in block_schedules.values())
+    for blk in sorted(block_schedules):
+        sched = block_schedules[blk]
+        t_local = t_max - sched.total_duration
+        for seg in sched.segments:
+            events.append((t_local, blk, seg.perm))
+            t_local += seg.duration
+    events.sort(key=lambda e: (e[0], e[1]))
+    segments = []
+    clock = 0.0
+    i = 0
+    while i < len(events):
+        t_evt = events[i][0]
+        if t_evt > clock + 1e-15:
+            segments.append(Segment(tuple(identity_perm(total)), t_evt - clock))
+            clock = t_evt
+        combined = identity_perm(total)
+        while i < len(events) and events[i][0] <= clock + 1e-15:
+            _, blk, perm_n = events[i]
+            combined = perm_compose(_reference_embed_block_perm(perm_n, blk, n, total),
+                                    combined)
+            i += 1
+        segments.append(Segment(tuple(combined), 0.0))
+    if t_max > clock:
+        segments.append(Segment(tuple(identity_perm(total)), t_max - clock))
+    return segments
+
+
+def _reference_synthesize_local(n, m, x0, x, eps):
+    """Reference: synthesize_local with per-block loops, the fill loop for
+    the scatter and a bounded doubling loop for each relaxation."""
+    total = n ** m
+    gen_block = _gen(n)
+    x = np.asarray(x, dtype=float)
+    n_blocks = n ** (m - 1)
+
+    def block_flow(state, t):
+        step = expm(gen_block.b0, -t)
+        return (step @ state.reshape(n_blocks, n).T).T.reshape(total)
+
+    segments = []
+    cur = np.maximum(np.asarray(x0, dtype=float), 0.0)
+    cur = cur / cur.sum()
+    round_budget = eps / (2.0 * max(m, 1))
+    for r in range(1, m + 1):
+        collapsed = np.zeros(total)
+        for k in range(n_blocks):
+            collapsed[k * n] = cur[k * n:(k + 1) * n].sum()
+        t_relax = 1.0
+        for _ in range(2 ** 16):
+            if np.abs(block_flow(cur, t_relax) - collapsed).sum() < round_budget:
+                break
+            t_relax *= 2.0
+        segments.append(Segment(tuple(identity_perm(total)), t_relax))
+        cur = dmajor.reach._clamp_simplex(block_flow(cur, t_relax))
+        gather = _reference_gather_perm([k * n for k in range(n ** (m - r))], total)
+        segments.append(Segment(tuple(gather), 0.0))
+        cur = apply_perm(gather, cur)
+
+    block_mass = np.array([x[k * n:(k + 1) * n].sum() for k in range(n_blocks)])
+    for level in range(1, m):
+        span = n ** (m - level)
+        child_blocks = span // n
+        parents = [k * span * n for k in range(n ** (level - 1))]
+        steer = {}
+        for p_pos in parents:
+            first_block = p_pos // n
+            child_masses = np.array([
+                block_mass[first_block + i * child_blocks:
+                           first_block + (i + 1) * child_blocks].sum()
+                for i in range(n)
+            ])
+            mass = child_masses.sum()
+            if mass <= 1e-15:
+                continue
+            steer[p_pos // n] = synthesize_from_ground(gen_block, child_masses / mass)
+        segments.extend(_reference_merge_parallel(steer, n, total))
+        images = np.full(total, -1, dtype=int)
+        for p_pos in parents:
+            for i in range(n):
+                images[p_pos + i * span] = p_pos + i
+        used = set(int(v) for v in images if v >= 0)
+        remaining = iter(i for i in range(total) if i not in used)
+        for slot in range(total):
+            if images[slot] < 0:
+                images[slot] = next(remaining)
+        segments.append(Segment(tuple(images), 0.0))
+
+    final = {}
+    for k in range(n_blocks):
+        if block_mass[k] <= 1e-15:
+            continue
+        final[k] = synthesize_from_ground(gen_block, x[k * n:(k + 1) * n] / block_mass[k])
+    segments.extend(_reference_merge_parallel(final, n, total))
+    return Schedule(segments)
+
+
+def _steer_global(rng):
+    gen = _gen(int(rng.integers(3, 7)))
+    return gen, lambda x0, target, eps: synthesize(gen, x0, target, eps=eps)
+
+
+def _steer_local(rng):
+    n, m = [(2, 2), (3, 2), (2, 3)][int(rng.integers(3))]
+    return local_generator(n, m), lambda x0, target, eps: synthesize_local(n, m, x0, target, eps)
+
+
+def _assert_same_schedule(got, want):
+    assert [s.perm for s in got.segments] == [s.perm for s in want.segments]
+    assert [s.duration for s in got.segments] == [s.duration for s in want.segments]
+
+
+@pytest.fixture(scope="module")
+def local_cases():
+    """Seeded (n, m, x0, target, eps): every fifth target has half its
+    entries zero."""
+    rng = np.random.default_rng(707)
+    out = []
+    for case, ((n, m), eps, _) in enumerate(itertools.product(
+            [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6)],
+            [1e-3, 1e-6, 1e-9], range(2))):
+        total = n ** m
+        x0 = rng.dirichlet(np.full(total, rng.choice([0.3, 1.0, 3.0])))
+        target = rng.dirichlet(np.full(total, rng.choice([0.3, 1.0, 3.0])))
+        if case % 5 == 0:
+            target[rng.permutation(total)[:total // 2]] = 0.0
+            target = target / target.sum()
+        out.append((n, m, x0, target, eps))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -298,19 +466,41 @@ class TestFullSynthesis:
             sched = synthesize(gen, x0, target, eps=1e-5)
             assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-5
 
-    def test_error_within_half_eps_plus_ground_error(self):
-        # the documented bound: eps/2 from cooling plus the ground schedule's
-        # own face-hit error, which is far below 1e-10
+    @pytest.mark.parametrize("steer", [_steer_global, _steer_local],
+                             ids=["synthesize", "synthesize_local"])
+    def test_error_within_half_eps_plus_ground_error(self, steer):
+        # the documented bound: eps/2 from cooling (or from the m relaxation
+        # rounds) plus the ground schedules' own face-hit error, which is far
+        # below 1e-10
         rng = np.random.default_rng(23)
         for eps in (1e-6, 1e-9, 1e-12):
             for _ in range(25):
-                n = int(rng.integers(3, 7))
-                gen = _gen(n)
-                x0 = rng.dirichlet(np.ones(n))
-                target = rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])))
-                sched = synthesize(gen, x0, target, eps=eps)
+                gen, run = steer(rng)
+                x0 = rng.dirichlet(np.ones(gen.n))
+                target = rng.dirichlet(np.full(gen.n, rng.choice([0.3, 1.0, 3.0])))
+                sched = run(x0, target, eps)
                 err = np.abs(endpoint(gen, x0, sched) - target).sum()
                 assert err <= eps / 2 + 1e-10
+
+    def test_eps_below_rounding_floor_raises(self):
+        # a 3-level flow stops lowering the error at rounding level; the
+        # doubling search gives up there instead of running t into overflow
+        with pytest.raises(SimplexViolationError, match="cooling"):
+            synthesize(_gen(3), [0.1, 0.2, 0.7], [0.1, 0.6, 0.3], eps=1e-17)
+        x0, target = np.random.default_rng(29).dirichlet(np.ones(9), size=2)
+        with pytest.raises(SimplexViolationError, match="relaxation"):
+            synthesize_local(3, 2, x0, target, 1e-17)
+
+    def test_matches_doubling_loop_reference(self):
+        rng = np.random.default_rng(31)
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            for case in range(25):
+                n = int(rng.integers(2, 7))
+                gen = _gen(n)
+                x0 = np.eye(n)[0] if case == 0 else rng.dirichlet(np.ones(n))
+                target = rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])))
+                _assert_same_schedule(synthesize(gen, x0, target, eps),
+                                      _reference_synthesize(gen, x0, target, eps))
 
 
 class TestLocalSynthesis:
@@ -355,6 +545,19 @@ class TestLocalSynthesis:
         parts = np.concatenate([flow(blk, x0[:2] / 0.5, t) * 0.5,
                                 flow(blk, x0[2:] / 0.5, t) * 0.5])
         assert np.max(np.abs(full - parts)) <= 1e-12
+
+    def test_matches_loop_reference(self, local_cases):
+        for n, m, x0, target, eps in local_cases:
+            _assert_same_schedule(synthesize_local(n, m, x0, target, eps),
+                                  _reference_synthesize_local(n, m, x0, target, eps))
+
+    def test_merge_applies_simultaneous_events_in_schedule_order(self):
+        sched = Schedule([Segment((1, 0, 2), 0.0), Segment((0, 2, 1), 0.0),
+                          Segment((0, 1, 2), 1.0)])
+        merged = Schedule(dmajor.reach._merge_parallel({0: sched}, 3, 3))
+        gen = _gen(3)
+        x = np.array([0.5, 0.3, 0.2])
+        assert np.abs(endpoint(gen, x, merged) - endpoint(gen, x, sched)).sum() <= 1e-15
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
