@@ -141,26 +141,37 @@ def _generator_from_args(args) -> dissipation.Generator:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _certificate_residuals(a: np.ndarray, x, y, d=None) -> list[str]:
+    """Residual lines of a transfer certificate A with A y = x (and A d = d)."""
+    lines = [f"certificate transfer 1-norm error {np.abs(a @ y - x).sum():.3e}",
+             f"certificate column-sum error {np.abs(a.sum(axis=0) - 1.0).max():.3e}",
+             f"certificate min entry {a.min():.3e}"]
+    if d is not None:
+        lines.append(f"certificate fixed-point 1-norm error {np.abs(a @ d - d).sum():.3e}")
+    return lines
+
+
 def _cmd_check(args) -> int:
     x = _load_vector(args.x)
     y = _load_vector(args.y)
-    diagnostics = []
-    data: dict = {}
+    d = None
     if args.d is None:
         verdict = majorize.majorizes(x, y, tol=args.tol)
-        if verdict and args.certificate:
-            cert = majorize.doubly_stochastic_transfer(x, y, tol=args.tol)
-            data["certificate"] = _matrix_json(cert.matrix)
-            data["certificate_kind"] = cert.kind
     else:
         d = _load_vector(args.d)
         if np.any(d <= 0):
             raise _InputError("weight vector must be strictly positive")
         verdict = majorize.d_majorizes(x, y, d, method=args.method, tol=args.tol)
-        if verdict and args.certificate:
+    data: dict = {}
+    diagnostics = []
+    if verdict and args.certificate:
+        if d is None:
+            cert = majorize.doubly_stochastic_transfer(x, y, tol=args.tol)
+        else:
             cert = majorize.d_stochastic_transfer(x, y, d, tol=args.tol)
-            data["certificate"] = _matrix_json(cert.matrix)
-            data["certificate_kind"] = cert.kind
+        data["certificate"] = _matrix_json(cert.matrix)
+        data["certificate_kind"] = cert.kind
+        diagnostics = _certificate_residuals(cert.matrix, x, y, d)
     _emit(args, _report("check", verdict=verdict, data=data, diagnostics=diagnostics))
     return EXIT_TRUE if verdict else EXIT_FALSE
 
@@ -413,6 +424,8 @@ def main(argv=None) -> int:
         args.tol = getattr(args, "tol", None)
         if args.tol is None:
             args.tol = _default_tol()
+        if not (np.isfinite(args.tol) and args.tol >= 0):
+            raise _InputError(f"tolerance must be finite and nonnegative, got {args.tol}")
         return args.func(args)
     except (_InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

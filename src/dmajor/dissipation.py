@@ -45,11 +45,16 @@ class Generator:
         object.__setattr__(self, "b0", b0)
         if b0.ndim != 2 or b0.shape[0] != b0.shape[1]:
             raise ValueError("B0 must be square")
-        scale = max(1.0, float(np.max(np.abs(b0))))
+        # reductions and strided views only: no n x n temporaries, since a
+        # local generator may be 4096 x 4096
+        scale = max(1.0, float(b0.max()), -float(b0.min()))
         if np.max(np.abs(b0.sum(axis=0))) > 1e-12 * scale:
             raise ValueError("columns of B0 must sum to zero")
-        off = b0 - np.diag(np.diag(b0))
-        if np.max(off) > 1e-12 * scale:
+        n = b0.shape[0]
+        # in row-major order, the entries after (0, 0) come in runs of n
+        # off-diagonal entries, each followed by the next diagonal entry
+        off = b0.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+        if off.size and off.max() > 1e-12 * scale:
             raise ValueError("off-diagonal entries of B0 must be nonpositive")
 
     @property

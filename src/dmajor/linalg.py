@@ -7,7 +7,6 @@ Everything here operates on plain numpy arrays at desk scale (n <= 16).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
@@ -19,6 +18,8 @@ def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     would compute it.  Raises ValueError when t*a or the exponential is not
     finite.
     """
+    import scipy.linalg  # loaded on first use: most subcommands never need it
+
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")

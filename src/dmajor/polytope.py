@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
 
 from .majorize import as_vector, as_weight_vector, thermo_curve
 from .linalg import check_permutation
@@ -217,6 +215,8 @@ def max_corner(y, d) -> np.ndarray:
 
 def hausdorff(p, q) -> float:
     """Hausdorff distance between two finite point sets in the 1-norm."""
+    from scipy.spatial.distance import cdist
+
     p = np.atleast_2d(np.asarray(p, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if p.size == 0 or q.size == 0:
@@ -229,6 +229,8 @@ def hausdorff(p, q) -> float:
 
 def _point_hull_distance(x: np.ndarray, hull_points: np.ndarray) -> float:
     """Exact 1-norm distance from x to the convex hull of hull_points (LP)."""
+    from scipy.optimize import linprog
+
     k, n = hull_points.shape
     # variables: lambda (k), t (n);  minimize sum t
     # constraints: V^T lambda - x <= t,  x - V^T lambda <= t,  sum lambda = 1

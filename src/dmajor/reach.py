@@ -501,6 +501,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
         raise ValueError("x0 and d must have equal length")
     if np.min(x0) < -1e-12:
         raise ValueError("x0 must be entrywise nonnegative")
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be nonnegative, got {sample_count}")
     if d.size > 1:
         ratios = d[1:] / d[:-1]
         if np.max(np.abs(ratios - ratios[0])) > 1e-10:

@@ -1,17 +1,32 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmajor
 import dmajor.polytope
 from dmajor.cli import main
+
+# the checkout's src/ directory, so a fresh interpreter imports this dmajor
+SRC_DIR = str(Path(dmajor.__file__).resolve().parents[1])
 
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -69,6 +84,28 @@ class TestCheck:
         assert np.allclose(cert.sum(axis=0), 1.0, atol=1e-8)
         assert np.allclose(cert @ np.array([3, 2, 1]), [3, 2, 1], atol=1e-8)
         assert np.allclose(cert @ np.array([0, 2 / 3, 1 / 3]), [1, 0, 0], atol=1e-8)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_certificate_reports_its_residuals(self, tmp_path, capture, weighted):
+        rng = np.random.default_rng(11)
+        y = rng.dirichlet(np.ones(5))
+        d = rng.dirichlet(np.ones(5)) if weighted else np.ones(5)
+        x = 0.7 * y + 0.3 * d / d.sum()  # a mix with the minimal element
+        argv = ["check", write(tmp_path, "x.json", list(x)),
+                write(tmp_path, "y.json", list(y)), "--certificate"]
+        if weighted:
+            argv += ["--d", write(tmp_path, "d.json", list(d))]
+        code, out, _ = capture(argv)
+        assert code == 0
+        report = json.loads(out)
+        a = np.array(report["data"]["certificate"])
+        expected = [f"certificate transfer 1-norm error {np.abs(a @ y - x).sum():.3e}",
+                    f"certificate column-sum error {np.abs(a.sum(axis=0) - 1.0).max():.3e}",
+                    f"certificate min entry {a.min():.3e}"]
+        if weighted:
+            expected.append(
+                f"certificate fixed-point 1-norm error {np.abs(a @ d - d).sum():.3e}")
+        assert report["diagnostics"] == expected
 
 
 class TestPolytope:
@@ -253,6 +290,13 @@ class TestBound:
         assert data["tangential_ok"] is True
         assert data["sampled_violations"] == 0
 
+    def test_negative_sample_count_exits_input(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, err = capture(["bound", "--x0", x0, "--alpha", "0.5", "--samples", "-5"])
+        assert code == 2
+        assert out == ""
+        assert "sample_count must be nonnegative" in err
+
     def test_non_equidistant_rejected(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
         d = write(tmp_path, "d.json", [0.5577, 0.4343, 0.0080])
@@ -300,6 +344,7 @@ class TestReportRoundtrip:
         code, out, _ = capture(["check", x, y])
         report = json.loads(out)
         assert report["command"] == "check"
+        assert report["diagnostics"] == []  # residuals only with --certificate
         assert json.loads(json.dumps(report)) == report
 
     def test_out_flag_writes_file(self, tmp_path, capture):
@@ -336,3 +381,54 @@ class TestExitContract:
         with pytest.raises(SystemExit) as exc:
             capture(["--jobs", "2", "bath", "--zero-temp", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, env", [("-1", None), ("nan", None), (None, "-1")])
+    def test_bad_tolerance_exits_input(self, tmp_path, capture, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("DMAJOR_TOL", env)
+        x = write(tmp_path, "x.json", [0.5, 0.3, 0.2])
+        argv = ["check", x, x] + (["--tol", flag] if flag is not None else [])
+        code, out, err = capture(argv)
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be finite and nonnegative" in err
+
+    def test_zero_tolerance_allowed(self, tmp_path, capture):
+        x = write(tmp_path, "x.json", [0.5, 0.3, 0.2])
+        code, out, _ = capture(["check", x, x, "--tol", "0"])
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
+
+
+class TestImportHygiene:
+    """scipy is loaded only where expm, cdist and linprog run."""
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = run_fresh("import sys, dmajor, dmajor.cli\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_scipy_free_subcommands_run_without_scipy(self, tmp_path):
+        x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        d = write(tmp_path, "d.json", [0.5, 0.3, 0.2])
+        a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
+        b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
+        out = str(tmp_path / "out.txt")
+        commands = [
+            ["check", d, x, "--d", d, "--certificate"],
+            ["check", x, y, "--certificate"],
+            ["polytope", y, "--d", d],
+            ["curve", y, "--d", d],
+            ["bath", "--zero-temp", "3"],
+            ["channel", "--a", a, "--b", b, "--kraus"],
+            ["cnr", "--c", a, "--t", b, "--count", "10"],
+        ]
+        commands = [argv + ["--out", out] for argv in commands]
+        proc = run_fresh("import sys\n"
+                         "sys.modules['scipy'] = None  # any scipy import raises\n"
+                         "from dmajor.cli import main\n"
+                         f"print([main(argv) for argv in {commands!r}])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([0] * len(commands)), proc.stderr

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dmajor.dissipation import (
     thermal_rates,
     zero_temperature_rates,
 )
+from dmajor.reach import local_generator
 
 
 class TestB0FromRates:
@@ -39,6 +42,44 @@ class TestB0FromRates:
         rates = BathRates(n=5, a=rng.uniform(0, 2, 4), b=rng.uniform(0, 2, 4))
         gen = b0_from_rates(rates)
         assert np.max(np.abs(gen.b0.sum(axis=0))) == 0.0
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rejects_each_positive_off_diagonal_entry(self, n):
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                b0 = np.zeros((n, n))
+                b0[i, j], b0[j, j] = 1e-6, -1e-6  # columns still sum to zero
+                with pytest.raises(ValueError, match="off-diagonal entries of B0"):
+                    Generator(b0)
+
+    def test_rejects_nonzero_column_sum(self):
+        b0 = b0_from_rates(zero_temperature_rates(4)).b0.copy()
+        b0[3, 2] += 1e-9
+        with pytest.raises(ValueError, match="columns of B0 must sum to zero"):
+            Generator(b0)
+
+    def test_tolerance_scales_with_largest_entry(self):
+        b0 = 1e6 * b0_from_rates(zero_temperature_rates(3)).b0
+        b0[0, 1] += 1e-7  # column-sum error 1e-7 <= 1e-12 * scale
+        Generator(b0)
+        b0[0, 1] += 1e-5
+        with pytest.raises(ValueError, match="columns of B0 must sum to zero"):
+            Generator(b0)
+
+    def test_largest_local_generator_validates_without_full_size_temporaries(self):
+        # the 4096 x 4096 matrix itself is 134 MB; validation adds vectors only
+        tracemalloc.start()
+        try:
+            gen = local_generator(4, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 4096
+        assert peak < 150e6
 
 
 class TestThermalRates:

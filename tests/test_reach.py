@@ -618,6 +618,14 @@ class TestEnvelope:
         assert np.array_equal(z, z_ref)
         assert report == report_ref
 
+    def test_rejects_negative_sample_count(self):
+        d = equidistant_d(0.5, 3)
+        with pytest.raises(ValueError, match="sample_count must be nonnegative"):
+            majorization_envelope([0.2, 0.3, 0.5], d, sample_count=-5)
+        z, report = majorization_envelope([0.2, 0.3, 0.5], d, sample_count=0)
+        assert report.samples_checked == 0
+        assert report.sampled_violations == 0
+
     def test_rejects_non_equidistant(self):
         from dmajor.dissipation import gibbs_vector
         d = gibbs_vector([0.0, 0.25, 4.25], 1.0)
