@@ -47,7 +47,10 @@ class Generator:
             raise ValueError("B0 must be square")
         # reductions and strided views only: no n x n temporaries, since a
         # local generator may be 4096 x 4096
-        scale = max(1.0, float(b0.max()), -float(b0.min()))
+        hi, lo = float(b0.max()), float(b0.min())
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError("entries of B0 must be finite")
+        scale = max(1.0, hi, -lo)
         if np.max(np.abs(b0.sum(axis=0))) > 1e-12 * scale:
             raise ValueError("columns of B0 must sum to zero")
         n = b0.shape[0]

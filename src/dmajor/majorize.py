@@ -40,18 +40,9 @@ def _scaled_tol(y: np.ndarray, tol: float) -> float:
     return tol * max(1.0, float(np.abs(y).sum()))
 
 
-def ratio_order(y: np.ndarray, d: np.ndarray, reverse_ties: bool = False) -> np.ndarray:
-    """Permutation sorting y/d non-increasingly; ties broken by index.
-
-    reverse_ties flips the tie-break, used to assert that verdicts do not
-    depend on it.
-    """
-    r = y / d
-    if reverse_ties:
-        idx = np.lexsort((-np.arange(r.size), -r))
-    else:
-        idx = np.argsort(-r, kind="stable")
-    return idx
+def ratio_order(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Permutation sorting y/d non-increasingly; ties broken by index."""
+    return np.argsort(-(y / d), kind="stable")
 
 
 @dataclass(frozen=True)
@@ -77,12 +68,12 @@ class ThermoCurve:
         return float(self.f[-1])
 
 
-def thermo_curve(y, d, reverse_ties: bool = False) -> ThermoCurve:
+def thermo_curve(y, d) -> ThermoCurve:
     y = as_vector(y)
     d = as_weight_vector(d)
     if y.size != d.size:
         raise ValueError("y and d must have equal length")
-    order = ratio_order(y, d, reverse_ties)
+    order = ratio_order(y, d)
     c = np.concatenate(([0.0], np.cumsum(d[order])))
     f = np.concatenate(([0.0], np.cumsum(y[order])))
     return ThermoCurve(c=c, f=f)
@@ -123,8 +114,7 @@ def majorizes(x, y, tol: float = 1e-9) -> bool:
     return bool(_majorized_rows(x, y, tol))
 
 
-def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9,
-                reverse_ties: bool = False) -> bool:
+def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
     """Decide x <=_d y, i.e. existence of a d-stochastic matrix mapping y to x.
 
     Three equivalent criteria are implemented:
@@ -160,8 +150,8 @@ def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9,
                 return False
         return True
 
-    curve_x = thermo_curve(x, d, reverse_ties)
-    curve_y = thermo_curve(y, d, reverse_ties)
+    curve_x = thermo_curve(x, d)
+    curve_y = thermo_curve(y, d)
     # dominance at the elbows of the lower curve suffices (concavity)
     return bool(np.all(curve_x.f[1:-1] <= curve_y(curve_x.c[1:-1]) + eps))
 
@@ -200,18 +190,17 @@ class StochasticMatrix:
 
 
 def _t_transform_chain(xs: np.ndarray, ys: np.ndarray,
-                       w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                       w: np.ndarray) -> tuple[np.ndarray, int]:
     """Column-stochastic A >= 0 with A ys = xs and A w = w, for masses whose
     densities xs/w and ys/w are non-increasing and whose prefix sums satisfy
-    sum xs[:m] <= sum ys[:m] with equal totals.  w defaults to ones, where A
-    is doubly stochastic and this is classical majorization.
+    sum xs[:m] <= sum ys[:m] with equal totals.  At w = ones, A is doubly
+    stochastic and this is classical majorization.
 
     A chain of at most n-1 weighted T-transforms: each step moves mass from
     the last piece j with ys_j > xs_j to the first later piece k with
     ys_k < xs_k, fixes w, and matches at least one more piece.
     """
     n = xs.size
-    w = np.ones(n) if w is None else w
     a = np.eye(n)
     y = ys.copy()
     count = 0
@@ -238,36 +227,62 @@ def _t_transform_chain(xs: np.ndarray, ys: np.ndarray,
     return a, count
 
 
-def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
-    """Doubly stochastic A with A y = x, built from at most n-1 T-transforms.
+def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
+                    tol: float) -> StochasticMatrix:
+    """d-stochastic A with A y = x, for x <=_d y: A = merge @ chain @ split.
 
-    Requires majorizes(x, y).  The minimal element (uniform mean) gets the
-    canonical averaging certificate e e^T / n.
+    Cuts [0, e^T d] at the ends of d laid out in the ratio orders of x and
+    of y; on these at most 2n-1 pieces, of lengths w, x <=_d y is w-weighted
+    majorization of the step densities.  split spreads each y_j over its
+    pieces, the T-transform chain fixing w maps those masses to those of x,
+    and merge sums each x_i back.  At d = e both are permutations.
+    """
+    n = x.size
+    eps = _scaled_tol(y, tol)
+    if np.abs(x - y).sum() <= eps * 1e-3:
+        return StochasticMatrix(np.eye(n), "d-stochastic", d=d, n_t_transforms=0)
+    minimal = (y.sum() / d.sum()) * d
+    if np.abs(x - minimal).sum() <= eps * 1e-3:
+        return StochasticMatrix(np.outer(d, np.ones(n)) / d.sum(), "d-stochastic", d=d,
+                                n_t_transforms=0)
+
+    px = ratio_order(x, d)
+    py = ratio_order(y, d)
+    ends_x = np.cumsum(d[px])
+    ends_y = np.cumsum(d[py])
+    ends_x[-1] = ends_y[-1] = d.sum()         # both layouts end at one point
+    cuts = np.union1d(ends_x, ends_y)
+    starts = np.concatenate(([0.0], cuts[:-1]))
+    w = cuts - starts
+    ix = px[np.searchsorted(ends_x, starts, side="right")]
+    iy = py[np.searchsorted(ends_y, starts, side="right")]
+    pieces = np.arange(w.size)
+    split = np.zeros((w.size, n))
+    split[pieces, iy] = w / d[iy]
+    merge = np.zeros((n, w.size))
+    merge[ix, pieces] = 1.0
+    chain, count = _t_transform_chain(x[ix] * w / d[ix], split @ y, w)
+    a = merge @ chain @ split
+    out = StochasticMatrix(a, "d-stochastic", d=d, n_t_transforms=count)
+    # column sums and A d = d within 1e-8; at d = e the latter are row sums
+    out.validate(entry_tol=1e-8, sum_tol=1e-8)
+    residual = np.abs(a @ y - x).sum()
+    if residual > 1e-8 * max(1.0, float(np.abs(y).sum() + d.sum())):
+        raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds 1e-8")
+    return out
+
+
+def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
+    """Doubly stochastic A with A y = x: the d-stochastic certificate at
+    d = e, from at most n-1 T-transforms.  Requires majorizes(x, y); the
+    minimal element (uniform mean) gets the averaging certificate e e^T / n.
     """
     x = as_vector(x)
     y = as_vector(y)
-    n = x.size
     if not majorizes(x, y, tol):
         raise ValueError("doubly_stochastic_transfer requires x to be majorized by y")
-    eps = _scaled_tol(y, tol)
-    if np.abs(x - y).sum() <= eps * 1e-3:
-        return StochasticMatrix(np.eye(n), "doubly", n_t_transforms=0)
-    if np.abs(x - y.sum() / n).sum() <= eps * 1e-3:
-        return StochasticMatrix(np.full((n, n), 1.0 / n), "doubly", n_t_transforms=0)
-
-    px = np.argsort(-x, kind="stable")
-    py = np.argsort(-y, kind="stable")
-    a_sorted, count = _t_transform_chain(x[px], y[py])
-    mx = np.zeros((n, n))
-    mx[np.arange(n), px] = 1.0
-    my = np.zeros((n, n))
-    my[np.arange(n), py] = 1.0
-    a = mx.T @ a_sorted @ my
-    out = StochasticMatrix(a, "doubly", n_t_transforms=count)
-    out.validate()
-    if np.abs(a @ y - x).sum() > _scaled_tol(y, 1e-9):
-        raise TransferSynthesisError("T-transform chain failed to map y to x")
-    return out
+    out = _chain_transfer(x, y, np.ones(x.size), tol)
+    return StochasticMatrix(out.matrix, "doubly", n_t_transforms=out.n_t_transforms)
 
 
 def sign_collapse_matrix(y) -> np.ndarray:
@@ -340,53 +355,16 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
 
 
 def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:
-    """d-stochastic A (nonnegative, unit column sums, A d = d) with A y = x.
-
-    Requires d_majorizes(x, y, d).  Lays d out on [0, e^T d] once in the
-    ratio order of x and once in that of y, and cuts at both sets of ends:
-    on these at most 2n-1 pieces, of lengths w, both curves have
-    non-increasing step densities, and x <=_d y is w-weighted majorization
-    of the densities.  A = merge @ chain @ split: split spreads each y_j over
-    its pieces, the T-transform chain fixing w maps those masses to the
-    masses of x, and merge sums each x_i back from its pieces.
+    """d-stochastic A (nonnegative, unit column sums, A d = d) with A y = x,
+    built from at most 2n-2 weighted T-transforms.  Requires
+    d_majorizes(x, y, d).
     """
     x = as_vector(x)
     y = as_vector(y)
     d = as_weight_vector(d)
-    n = x.size
     if not d_majorizes(x, y, d, tol=tol):
         raise ValueError("d_stochastic_transfer requires d_majorizes(x, y, d)")
-    eps = _scaled_tol(y, tol)
-    if np.abs(x - y).sum() <= eps * 1e-3:
-        return StochasticMatrix(np.eye(n), "d-stochastic", d=d)
-    minimal = (y.sum() / d.sum()) * d
-    if np.abs(x - minimal).sum() <= eps * 1e-3:
-        return StochasticMatrix(np.outer(d, np.ones(n)) / d.sum(), "d-stochastic", d=d)
-
-    px = ratio_order(x, d)
-    py = ratio_order(y, d)
-    ends_x = np.cumsum(d[px])
-    ends_y = np.cumsum(d[py])
-    ends_x[-1] = ends_y[-1] = d.sum()         # both layouts end at one point
-    cuts = np.union1d(ends_x, ends_y)
-    starts = np.r_[0.0, cuts[:-1]]
-    w = cuts - starts
-    ix = px[np.searchsorted(ends_x, starts, side="right")]
-    iy = py[np.searchsorted(ends_y, starts, side="right")]
-    pieces = np.arange(w.size)
-    split = np.zeros((w.size, n))
-    split[pieces, iy] = w / d[iy]
-    merge = np.zeros((n, w.size))
-    merge[ix, pieces] = 1.0
-    chain, count = _t_transform_chain(x[ix] * w / d[ix], split @ y, w)
-    a = merge @ chain @ split
-    out = StochasticMatrix(a, "d-stochastic", d=d, n_t_transforms=count)
-    out.validate(entry_tol=1e-8, sum_tol=1e-8)
-    residual = max(np.abs(a @ y - x).sum(), np.abs(a @ d - d).sum(),
-                   float(np.max(np.abs(a.sum(axis=0) - 1.0))))
-    if residual > 1e-8 * max(1.0, float(np.abs(y).sum() + d.sum())):
-        raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds 1e-8")
-    return out
+    return _chain_transfer(x, y, d, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -213,16 +213,22 @@ def max_corner(y, d) -> np.ndarray:
     return _corners(perm[None, :], halfspace_bounds(y, d))[0]
 
 
+def _point_sets(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-empty point sets of one dimension, one point per row."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    if p.size == 0 or q.size == 0:
+        raise ValueError("Hausdorff distance requires non-empty point sets")
+    if p.shape[1] != q.shape[1]:
+        raise ValueError("point sets must share a dimension")
+    return p, q
+
+
 def hausdorff(p, q) -> float:
     """Hausdorff distance between two finite point sets in the 1-norm."""
     from scipy.spatial.distance import cdist
 
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if p.size == 0 or q.size == 0:
-        raise ValueError("hausdorff requires non-empty point sets")
-    if p.shape[1] != q.shape[1]:
-        raise ValueError("point sets must share a dimension")
+    p, q = _point_sets(p, q)
     dist = cdist(p, q, "cityblock")
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
@@ -254,8 +260,7 @@ def hull_hausdorff(p_vertices, q_vertices) -> float:
     The maximum of the distance-to-hull function over a polytope is attained
     at a vertex, so vertex-to-hull LPs give the exact value.
     """
-    p = np.atleast_2d(np.asarray(p_vertices, dtype=float))
-    q = np.atleast_2d(np.asarray(q_vertices, dtype=float))
+    p, q = _point_sets(p_vertices, q_vertices)
     d_pq = max(_point_hull_distance(v, q) for v in p)
     d_qp = max(_point_hull_distance(w, p) for w in q)
     return max(d_pq, d_qp)

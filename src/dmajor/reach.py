@@ -503,6 +503,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
         raise ValueError("x0 must be entrywise nonnegative")
     if sample_count < 0:
         raise ValueError(f"sample_count must be nonnegative, got {sample_count}")
+    if not 0 <= sample_depth <= MAX_SAMPLE_DEPTH:
+        raise ValueError(f"sample_depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {sample_depth}")
     if d.size > 1:
         ratios = d[1:] / d[:-1]
         if np.max(np.abs(ratios - ratios[0])) > 1e-10:
@@ -585,13 +587,12 @@ class SplitMix64:
 
 def _draw(n: int, depth: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Permutations (depth, n) and durations (depth,) of one random schedule."""
-    if depth > MAX_SAMPLE_DEPTH:
-        raise ValueError(f"depth capped at {MAX_SAMPLE_DEPTH}")
+    if not 0 <= depth <= MAX_SAMPLE_DEPTH:
+        raise ValueError(f"depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {depth}")
     rng = SplitMix64(seed)
-    steps = max(depth, 0)
-    perms = np.empty((steps, n), dtype=int)
-    u = np.empty(steps)
-    for i in range(steps):
+    perms = np.empty((depth, n), dtype=int)
+    u = np.empty(depth)
+    for i in range(depth):
         perms[i] = rng.permutation(n)
         u[i] = rng.uniform()
     lo, hi = np.log(1e-3), np.log(1e2)
@@ -615,13 +616,13 @@ def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:
     """
     x = _check_simplex(as_vector(x0))
     drawn = [_draw(gen.n, depth, s) for s in seeds]
-    k, steps = len(drawn), max(depth, 0)
-    perms = np.array([p for p, _ in drawn], dtype=int).reshape(k, steps, gen.n)
-    durations = np.array([t for _, t in drawn]).reshape(k, steps)
-    flows = expm(gen.b0, -durations.ravel()).reshape(k, steps, gen.n, gen.n)
-    out = np.empty((k, steps + 1, gen.n))
+    k = len(drawn)
+    perms = np.array([p for p, _ in drawn], dtype=int).reshape(k, depth, gen.n)
+    durations = np.array([t for _, t in drawn]).reshape(k, depth)
+    flows = expm(gen.b0, -durations.ravel()).reshape(k, depth, gen.n, gen.n)
+    out = np.empty((k, depth + 1, gen.n))
     out[:, 0] = x
-    for j in range(steps):
+    for j in range(depth):
         permuted = np.take_along_axis(out[:, j], perms[:, j], axis=1)
         out[:, j + 1] = _clamp_simplex(np.matmul(flows[:, j], permuted[:, :, None])[:, :, 0])
     return out

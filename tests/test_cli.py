@@ -85,6 +85,16 @@ class TestCheck:
         assert np.allclose(cert @ np.array([3, 2, 1]), [3, 2, 1], atol=1e-8)
         assert np.allclose(cert @ np.array([0, 2 / 3, 1 / 3]), [1, 0, 0], atol=1e-8)
 
+    def test_certificate_at_the_tolerance_boundary(self, tmp_path, capture):
+        # partial-sum excess 9e-10, inside the 1e-9 verdict tolerance
+        x = write(tmp_path, "x.json", [0.5 + 9e-10, 0.3 - 9e-10, 0.2])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        code, out, _ = capture(["check", x, y, "--certificate"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["data"]["certificate_kind"] == "doubly"
+        assert "certificate transfer 1-norm error 1.800e-09" in report["diagnostics"]
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_certificate_reports_its_residuals(self, tmp_path, capture, weighted):
         rng = np.random.default_rng(11)
@@ -268,6 +278,16 @@ class TestSimulateSynthesize:
         last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
         assert np.allclose(last[1:], [1.0, 0.0, 0.0], atol=1e-8)
 
+    def test_simulate_rejects_non_finite_rate_matrix(self, tmp_path, capture):
+        b0 = write(tmp_path, "b0.json", [[0.0, float("nan")], [0.0, 0.0]])
+        x0 = write(tmp_path, "x0.json", [0.5, 0.5])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [0, 1], "duration": 1.0}]})
+        code, out, err = capture(["simulate", "--b0", b0, "--x0", x0,
+                                  "--schedule", sched, "--dt", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert "entries of B0 must be finite" in err
+
     def test_roundtrip_csv_floats(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [1 / 3, 1 / 3, 1 / 3])
         sched = write(tmp_path, "s.json",
@@ -296,6 +316,14 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert "sample_count must be nonnegative" in err
+
+    def test_negative_depth_exits_input(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, err = capture(["bound", "--x0", x0, "--alpha", "0.5",
+                                  "--depth", "-3", "--samples", "3"])
+        assert code == 2
+        assert out == ""
+        assert "sample_depth must lie in [0, 12], got -3" in err
 
     def test_non_equidistant_rejected(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

@@ -62,6 +62,16 @@ class TestGenerator:
         with pytest.raises(ValueError, match="columns of B0 must sum to zero"):
             Generator(b0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="entries of B0 must be finite"):
+            Generator(np.array([[bad]]))
+        for i, j in ((0, 0), (0, 2), (2, 1)):
+            b0 = b0_from_rates(zero_temperature_rates(3)).b0.copy()
+            b0[i, j] = bad
+            with pytest.raises(ValueError, match="entries of B0 must be finite"):
+                Generator(b0)
+
     def test_tolerance_scales_with_largest_entry(self):
         b0 = 1e6 * b0_from_rates(zero_temperature_rates(3)).b0
         b0[0, 1] += 1e-7  # column-sum error 1e-7 <= 1e-12 * scale

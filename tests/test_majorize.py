@@ -3,7 +3,9 @@ import pytest
 
 from dmajor.majorize import (
     D_MAJORIZE_METHODS,
+    StochasticMatrix,
     _majorized_rows,
+    _t_transform_chain,
     column_stochastic_transfer,
     curve_minimum_form,
     d_majorizes,
@@ -113,6 +115,7 @@ class TestDMajorizes:
             assert len(set(verdicts.values())) == 1, verdicts
 
     def test_tie_break_independent(self):
+        # reversing the index order flips the stable tie-break of ratio_order
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = 4
@@ -120,7 +123,7 @@ class TestDMajorizes:
             y = rng.choice([0.5, 1.0], size=n) * d  # engineered ratio ties
             x = random_d_stochastic(d, rng) @ y
             assert d_majorizes(x, y, d, method="curve") == \
-                d_majorizes(x, y, d, method="curve", reverse_ties=True)
+                d_majorizes(x[::-1], y[::-1], d[::-1], method="curve")
 
     def test_reduces_to_classical_at_uniform_d(self):
         rng = np.random.default_rng(4)
@@ -204,7 +207,102 @@ class TestThermoCurve:
             assert dominated == d_majorizes(x, y, d)
 
 
+def _sorted_assembly(x, y, tol=1e-9):
+    """The classical certificate as assembled before it became the
+    d-stochastic one at d = e: the chain on the sorted vectors, conjugated by
+    permutation matrices, gated at 1e-9.  None where that gate or the default
+    validation rejects it."""
+    n = x.size
+    eps = tol * max(1.0, float(np.abs(y).sum()))
+    if np.abs(x - y).sum() <= eps * 1e-3:
+        return np.eye(n), 0
+    if np.abs(x - y.sum() / n).sum() <= eps * 1e-3:
+        return np.full((n, n), 1.0 / n), 0
+    px = np.argsort(-x, kind="stable")
+    py = np.argsort(-y, kind="stable")
+    a_sorted, count = _t_transform_chain(x[px], y[py], np.ones(n))
+    mx = np.zeros((n, n))
+    mx[np.arange(n), px] = 1.0
+    my = np.zeros((n, n))
+    my[np.arange(n), py] = 1.0
+    a = mx.T @ a_sorted @ my
+    try:
+        StochasticMatrix(a, "doubly").validate()
+    except ValueError:
+        return None
+    if np.abs(a @ y - x).sum() > 1e-9 * max(1.0, float(np.abs(y).sum())):
+        return None
+    return a, count
+
+
+def _classical_cases(seed, count):
+    """Seeded (x, y) with x majorized by y: n = 2..8, scales 1e-6, 1 and
+    1e6, signed and tied y; x a mixture of permutations of y, a permutation,
+    a move toward the mean, the mean itself or y."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(2, 9))
+        y = (1e-6, 1.0, 1e6)[trial % 3] * rng.standard_normal(n)
+        if trial % 4 == 0:
+            y = np.abs(y)
+        if trial % 5 == 0:
+            y[-1] = y[0]                                     # tied entries
+        kind = (trial // 3) % 5
+        if kind == 0:
+            x = rng.dirichlet(np.ones(4)) @ np.array([rng.permutation(y) for _ in range(4)])
+        elif kind == 1:
+            x = rng.permutation(y)
+        elif kind == 2:
+            x = y + rng.uniform(0.1, 0.9) * (y.mean() - y)
+        elif kind == 3:
+            x = np.full(n, y.sum() / n)
+        else:
+            x = y.copy()
+        yield x, y
+
+
 class TestDoublyStochasticTransfer:
+    def test_matches_sorted_assembly(self):
+        # the d route at d = e returns the old assembly's matrix bit for bit
+        compared = 0
+        for x, y in _classical_cases(21, 600):
+            if not majorizes(x, y):
+                continue
+            ref = _sorted_assembly(x, y)
+            out = doubly_stochastic_transfer(x, y)
+            assert out.kind == "doubly" and out.d is None
+            if ref is None:
+                continue
+            compared += 1
+            assert np.array_equal(out.matrix, ref[0])
+            assert out.n_t_transforms == ref[1]
+        assert compared == 600
+
+    def test_boundary_verdicts_get_certificates(self):
+        # corners and interior points pushed out of the polytope by up to
+        # 3 eps: every positive verdict yields a certificate
+        rng = np.random.default_rng(22)
+        positives = 0
+        for trial, (x, y) in enumerate(_classical_cases(23, 900)):
+            n = y.size
+            eps = 1e-9 * max(1.0, float(np.abs(y).sum()))
+            order = np.argsort(-x, kind="stable")
+            # more mass on the largest entry raises every partial sum
+            push = rng.uniform(0.0, 3.0) * eps
+            x = x.copy()
+            x[order[0]] += push
+            x[order[rng.integers(1, n)]] -= push
+            if not majorizes(x, y):
+                continue
+            positives += 1
+            out = doubly_stochastic_transfer(x, y)
+            a = out.matrix
+            assert a.min() >= -1e-8
+            assert np.abs(a.sum(axis=0) - 1).max() <= 1e-8
+            assert np.abs(a.sum(axis=1) - 1).sum() <= 1e-8
+            assert np.abs(a @ y - x).sum() <= 1e-8 * max(1.0, np.abs(y).sum() + n)
+        assert positives == 649
+
     def test_identity_case(self):
         y = np.array([0.5, 0.2, 0.3])
         out = doubly_stochastic_transfer(y, y)

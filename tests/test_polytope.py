@@ -488,6 +488,16 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff(np.empty((0, 2)), np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("distance", [hausdorff, hull_hausdorff])
+    def test_both_distances_reject_bad_point_sets(self, distance):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-empty point sets"):
+            distance(np.empty((0, 2)), square)
+        with pytest.raises(ValueError, match="non-empty point sets"):
+            distance(square, [])
+        with pytest.raises(ValueError, match="share a dimension"):
+            distance(square, np.array([[0.0, 0.0, 1.0]]))
+
     def test_non_expansive_in_y(self):
         rng = np.random.default_rng(6)
         for _ in range(15):

@@ -626,6 +626,13 @@ class TestEnvelope:
         assert report.samples_checked == 0
         assert report.sampled_violations == 0
 
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("depth", [-3, 13])
+    def test_rejects_sample_depth_out_of_range(self, count, depth):
+        d = equidistant_d(0.5, 3)
+        with pytest.raises(ValueError, match=r"sample_depth must lie in \[0, 12\]"):
+            majorization_envelope([0.2, 0.3, 0.5], d, sample_count=count, sample_depth=depth)
+
     def test_rejects_non_equidistant(self):
         from dmajor.dissipation import gibbs_vector
         d = gibbs_vector([0.0, 0.25, 4.25], 1.0)
@@ -691,3 +698,9 @@ class TestSampling:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             random_schedule(3, 13, seed=0)
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="depth must lie in"):
+            random_schedule(3, -1, seed=0)
+        with pytest.raises(ValueError, match="depth must lie in"):
+            reachable_sample(_gen(3), np.full(3, 1 / 3), depth=-3, seed=0)
