@@ -10,6 +10,7 @@ zero raising part relax everything into the first basis vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,12 @@ class BathRates:
             raise ValueError("rate arrays must have length n-1")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise ValueError("rates must be finite")
+
+
+# largest max(s) / min(s), s = sqrt(fixed point), for which the spectral
+# propagator is used: its gap from expm grows about linearly with the spread
+# and stays below 1e-13 up to 16 (n <= 8, t <= 100)
+_MAX_SPECTRAL_SPREAD = 16.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,40 @@ class Generator:
     @property
     def n(self) -> int:
         return self.b0.shape[0]
+
+    @cached_property
+    def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+        """(s Q, w, Q^T / s, max |B0_ij|) with exp(-t B0) = (s Q) diag(exp(-t w)) (Q^T / s),
+        for a birth-death B0; None for every other generator.
+
+        A tridiagonal B0 with every neighbour rate positive is in detailed
+        balance with pi_{j+1} / pi_j = B0[j+1, j] / B0[j, j+1].  With
+        s = sqrt(pi), diag(1/s) B0 diag(s) is the symmetric tridiagonal
+        matrix with the same diagonal and off-diagonal -sqrt(B0[j, j+1]
+        B0[j+1, j]), and one eigh of it gives every exponential.  Its rounding
+        is amplified up to the spread max(s) / min(s), so the factors are kept
+        only when that spread is at most _MAX_SPECTRAL_SPREAD.
+        """
+        b0 = self.b0
+        up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
+        if not ((up > 0).all() and (down > 0).all()):
+            return None
+        # count only: a local generator may be 4096 x 4096
+        if np.count_nonzero(b0) != np.count_nonzero(np.diagonal(b0)) + 2 * up.size:
+            return None
+        with np.errstate(all="ignore"):
+            s = np.cumprod(np.r_[1.0, np.sqrt(down) / np.sqrt(up)])
+            spread = s.max() / s.min()
+        if not spread <= _MAX_SPECTRAL_SPREAD:  # also false for inf and nan
+            return None
+        off = -np.sqrt(up) * np.sqrt(down)
+        w, q = np.linalg.eigh(np.diag(np.diagonal(b0)) + np.diag(off, 1) + np.diag(off, -1))
+        # B0 has zero column sums and nonpositive off-diagonal entries, so its
+        # spectrum lies in [0, inf) and holds 0; pinning the smallest
+        # eigenvalue there makes long flows end on the fixed point
+        w = np.maximum(w, 0.0)
+        w[0] = 0.0
+        return s[:, None] * q, w, q.T / s, max(float(b0.max()), -float(b0.min()))
 
 
 def b0_from_rates(rates: BathRates) -> Generator:
@@ -134,14 +175,32 @@ def flow(gen: Generator, x, t: float) -> np.ndarray:
     x = as_vector(x)
     if x.size != gen.n:
         raise ValueError("state dimension mismatch")
-    return expm(gen.b0, -t) @ x
+    return propagator(gen, t) @ x
 
 
-def propagator(gen: Generator, t: float) -> np.ndarray:
-    """The column-stochastic matrix exp(-t B0)."""
-    if t < 0:
+def propagator(gen: Generator, t: float | np.ndarray) -> np.ndarray:
+    """The column-stochastic matrix exp(-t B0); a 1-d array t gives the
+    (k, n, n) stack, each slice equal bit for bit to the scalar call.
+
+    A birth-death generator evaluates its cached eigendecomposition; every
+    other one calls linalg.expm.  Raises ValueError when t*B0 is not finite.
+    """
+    t = np.asarray(t, dtype=float)
+    lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
+    if lo < 0:
         raise ValueError("propagator requires t >= 0")
-    return expm(gen.b0, -t)
+    spectral = gen._spectral
+    if spectral is None:
+        return expm(gen.b0, -t)
+    if t.ndim > 1:
+        raise ValueError("propagator expects a scalar or 1-d array of times")
+    sq, w, qs, scale = spectral
+    if not hi * scale < np.inf:  # a nan or an overflow on the way
+        raise ValueError("propagator expects finite t and a finite product t*B0")
+    # a scalar runs as a stack of one, so that slices match it exactly; the
+    # entries are bounded by the spread of s, so the result is finite
+    out = (sq * np.exp(-t.reshape(-1, 1) * w)[:, None, :]) @ qs
+    return out.reshape(t.shape + w.shape * 2)
 
 
 def steady_state(gen: Generator, tol: float = 1e-9) -> np.ndarray:

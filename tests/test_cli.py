@@ -429,7 +429,8 @@ class TestExitContract:
 
 
 class TestImportHygiene:
-    """scipy is loaded only where expm, cdist and linprog run."""
+    """scipy is loaded only where expm, cdist and linprog run; birth-death
+    flows do not call expm."""
 
     def test_import_leaves_scipy_unloaded(self):
         proc = run_fresh("import sys, dmajor, dmajor.cli\n"
@@ -443,6 +444,7 @@ class TestImportHygiene:
         d = write(tmp_path, "d.json", [0.5, 0.3, 0.2])
         a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
         b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [2, 0, 1], "duration": 0.7}]})
         out = str(tmp_path / "out.txt")
         commands = [
             ["check", d, x, "--d", d, "--certificate"],
@@ -452,6 +454,9 @@ class TestImportHygiene:
             ["bath", "--zero-temp", "3"],
             ["channel", "--a", a, "--b", b, "--kraus"],
             ["cnr", "--c", a, "--t", b, "--count", "10"],
+            # birth-death generators run on the spectral propagator
+            ["simulate", "--thermal", d, "--x0", x, "--schedule", sched, "--dt", "0.2"],
+            ["bound", "--x0", x, "--alpha", "0.5", "--samples", "20"],
         ]
         commands = [argv + ["--out", out] for argv in commands]
         proc = run_fresh("import sys\n"

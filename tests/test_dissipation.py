@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import dmajor.dissipation
 from dmajor.dissipation import (
     BathRates,
     Generator,
@@ -223,6 +225,99 @@ class TestFlow:
                 p = propagator(gen, t)
                 assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-10
                 assert p.min() >= -1e-10
+
+
+def _birth_death_generators():
+    """Seeded birth-death generators, n = 2..8: thermal rates of Gibbs vectors
+    with energy spreads up to 40 T, and random rates a, b in (0, 2)."""
+    rng = np.random.default_rng(41)
+    out = []
+    for n in range(2, 9):
+        for spread in (0.1, 1.0, 5.0, 20.0, 40.0):
+            for _ in range(3):
+                energies = rng.uniform(0.0, spread, n)
+                energies[:2] = 0.0, spread
+                d = gibbs_vector(rng.permutation(energies), 1.0)
+                out.append(b0_from_rates(thermal_rates(d)))
+        for _ in range(10):
+            rates = BathRates(n=n, a=rng.uniform(0, 2, n - 1), b=rng.uniform(0, 2, n - 1))
+            out.append(b0_from_rates(rates))
+    return out
+
+
+SPECTRAL_TIMES = (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Arguments of every linalg.expm call made by the propagator."""
+    calls = []
+    real = dmajor.dissipation.expm
+
+    def counting(a, t=1.0):
+        calls.append(np.shape(t))
+        return real(a, t)
+
+    monkeypatch.setattr(dmajor.dissipation, "expm", counting)
+    return calls
+
+
+class TestSpectralPropagator:
+    def test_matches_scipy_expm(self):
+        gens = _birth_death_generators()
+        # the spectral route serves most of them; the rest run on expm
+        assert sum(g._spectral is not None for g in gens) >= len(gens) // 2
+        for gen in gens:
+            for t in SPECTRAL_TIMES:
+                p = propagator(gen, t)
+                assert np.max(np.abs(p - scipy.linalg.expm(-t * gen.b0))) <= 1e-12
+                assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-12
+                assert p.min() >= -1e-13
+
+    def test_stack_slices_equal_scalar_calls(self):
+        rng = np.random.default_rng(43)
+        for gen in _birth_death_generators()[::3]:
+            t = np.r_[SPECTRAL_TIMES, rng.uniform(0, 5, 4), 0.0]
+            stack = propagator(gen, t)
+            assert stack.shape == (t.size, gen.n, gen.n)
+            for k, tk in enumerate(t):
+                assert np.array_equal(stack[k], propagator(gen, float(tk)))
+        assert propagator(gen, np.array([])).shape == (0, gen.n, gen.n)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+    def test_rejects_non_finite_product(self, bad):
+        gen = b0_from_rates(thermal_rates(equidistant_d(0.5, 4)))
+        assert gen._spectral is not None
+        with pytest.raises(ValueError, match="finite"):
+            propagator(gen, bad)
+        with pytest.raises(ValueError, match="finite"):
+            propagator(gen, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            flow(gen, np.full(4, 0.25), bad)
+
+    def test_thermal_generators_never_call_expm(self, expm_calls):
+        rng = np.random.default_rng(47)
+        for n in range(2, 9):
+            for d in (equidistant_d(rng.uniform(0.2, 0.8), n),
+                      gibbs_vector(rng.uniform(0.0, 5.0, n), 1.0)):
+                gen = b0_from_rates(thermal_rates(d))
+                propagator(gen, 0.5)
+                propagator(gen, np.array([0.1, 2.0]))
+                flow(gen, d, 3.0)
+        assert expm_calls == []
+
+    def test_other_generators_call_expm(self, expm_calls):
+        dense = Generator(3.0 * np.eye(3) - np.ones((3, 3)))
+        gap = b0_from_rates(BathRates(n=4, a=[1.0, 0.0, 1.0], b=[1.0, 1.0, 1.0]))
+        # a 40 T spread is beyond the spread the spectral route accepts
+        steep = b0_from_rates(thermal_rates(gibbs_vector([0.0, 20.0, 40.0], 1.0)))
+        gens = [b0_from_rates(zero_temperature_rates(4)), local_generator(2, 2), gap, dense,
+                steep]
+        for gen in gens:
+            assert gen._spectral is None
+            p = propagator(gen, 0.5)
+            assert np.array_equal(p, scipy.linalg.expm(-0.5 * gen.b0))
+        assert expm_calls == [()] * len(gens)
 
 
 class TestSteadyState:

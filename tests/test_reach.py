@@ -67,6 +67,104 @@ def _bisection_face_hit(b0, z):
     return tau, int(np.nonzero(wt <= np.min(wt) + 1e-13 * scale)[0][0])
 
 
+def _loop_face_hit(b0, z):
+    """Reference: _first_face_hit with the guard grid checked one state at a
+    time, stopping at the first state below the face."""
+    scale = max(1.0, float(np.abs(z).sum()))
+    if float(np.min(z)) <= 1e-12 * scale:
+        return 0.0, int(np.argmin(z)), z.copy()
+    t_hi = 1e-6
+    e = expm(b0, t_hi)
+    exact = True
+    w_lo = z
+    while True:
+        w_hi = e @ z
+        if not np.min(w_hi) > 0.0:
+            if exact:
+                break
+            e = expm(b0, t_hi)
+            exact = True
+            continue
+        w_lo = w_hi
+        t_hi *= 2.0
+        if t_hi > 2.0 ** 60:
+            raise SimplexViolationError("backward flow never hits a face")
+        e = e @ e
+        exact = False
+    t_lo = 0.0 if t_hi == 1e-6 else t_hi / 2.0
+    for _ in range(4):
+        lo, hi = t_lo, t_hi
+        t, wt, at_lo = lo, w_lo, True
+        move_before = move = hi - lo
+        while hi - lo > 1e-12 * max(1.0, hi):
+            slope = b0 @ wt
+            falling = slope < 0.0
+            probe = 0.5 * (lo + hi)
+            if falling.any():
+                newton = float(np.min(t - wt[falling] / slope[falling]))
+                newton += (0.25e-12 if at_lo else -0.25e-12) * max(1.0, hi)
+                if lo < newton < hi and 2.0 * abs(newton - t) <= move_before:
+                    probe = newton
+            move_before, move = move, abs(probe - t)
+            t, wt = probe, expm(b0, probe) @ z
+            at_lo = bool(np.min(wt) > 0.0)
+            if at_lo:
+                lo = t
+            else:
+                hi, w_hi = t, wt
+        tau, w_tau = hi, w_hi
+        h = (tau - t_lo) / 32.0
+        step = expm(b0, h)
+        v = w_lo
+        for k in range(1, 32):
+            v = step @ v
+            if np.min(v) < -1e-13 * scale:
+                t_hi, w_hi = t_lo + k * h, v
+                break
+        else:
+            break
+    hit = np.nonzero(w_tau <= np.min(w_tau) + 1e-13 * scale)[0]
+    return tau, int(hit[0]), w_tau
+
+
+# rotating (b0, z) pairs, not generators, whose first bracket holds an earlier
+# crossing than the one the Newton and bisection steps find: the guard grid
+# moves the bracket
+_SKIPPED_CROSSINGS = [
+    (np.array([[-0.1, -0.30262018940639035, 3.1588265459827496, -6.140176616045918],
+               [0.30262018940639035, -0.1, -2.4062495063544427, 3.43847493769642],
+               [-3.1588265459827496, 2.4062495063544427, -0.1, 7.3718477035095695],
+               [6.140176616045918, -3.43847493769642, -7.3718477035095695, -0.1]]),
+     np.array([0.45005841680449127, 0.4003493877492151, 0.036861512639811043,
+               0.11273068280648271])),
+    (np.array([[-0.1, -13.654704424351078, 7.85620990110225],
+               [13.654704424351078, -0.1, -4.803971698510563],
+               [-7.85620990110225, 4.803971698510563, -0.1]]),
+     np.array([0.16010613672705667, 0.1509030921120871, 0.6889907711608562])),
+]
+
+
+def _exact_relax_time(b0, apply, x, target, budget):
+    """Reference: the first t = 1, 2, 4, ... whose exact exponential brings
+    x within budget of target; None where the error stops falling first."""
+    t, last = 1.0, np.inf
+    while True:
+        err = np.abs(apply(expm(b0, -t), x) - target).sum()
+        if err < budget:
+            return t
+        if not err < last:
+            return None
+        t, last = 2.0 * t, err
+
+
+def _relax_or_none(b0, apply, x, target, budget):
+    """_relax_time as (t, state), or (None, None) where it raises."""
+    try:
+        return dmajor.reach._relax_time(b0, apply, x, target, budget, "no")
+    except SimplexViolationError:
+        return None, None
+
+
 @pytest.fixture(scope="module")
 def faces():
     """Seeded (B0 block, state) pairs as synthesize_from_ground meets them:
@@ -418,6 +516,13 @@ class TestFirstFaceHit:
             assert abs(tau - tau_ref) <= 1e-10 * max(1.0, tau_ref)
             assert j == j_ref
 
+    def test_matches_state_by_state_grid(self, faces):
+        for b0, z in faces + _SKIPPED_CROSSINGS:
+            tau, j, w = dmajor.reach._first_face_hit(b0, z)
+            tau_ref, j_ref, w_ref = _loop_face_hit(b0, z)
+            assert (tau, j) == (tau_ref, j_ref)
+            assert np.array_equal(w, w_ref)
+
     def test_few_exponentials_per_face(self, faces, monkeypatch):
         calls = []
         real = dmajor.reach.expm
@@ -490,6 +595,42 @@ class TestFullSynthesis:
         x0, target = np.random.default_rng(29).dirichlet(np.ones(9), size=2)
         with pytest.raises(SimplexViolationError, match="relaxation"):
             synthesize_local(3, 2, x0, target, 1e-17)
+
+    def test_cooling_time_matches_exact_doubling(self):
+        rng = np.random.default_rng(37)
+        for n in range(2, 9):
+            b0 = _gen(n).b0
+            e1 = np.eye(n)[0]
+            for x0 in rng.dirichlet(np.full(n, 0.5), size=4):
+                for eps in [10.0 ** -k for k in range(2, 13)] + [1e-17, 1e-300]:
+                    t, state = _relax_or_none(b0, np.matmul, x0, e1, eps / 2)
+                    assert t == _exact_relax_time(b0, np.matmul, x0, e1, eps / 2)
+                    if t is not None:
+                        assert np.array_equal(state, expm(b0, -t) @ x0)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_relaxation_rounds_match_exact_doubling(self, n, m):
+        rng = np.random.default_rng(53)
+        total, n_blocks = n ** m, n ** (m - 1)
+        b0 = _gen(n).b0
+
+        def apply(step, state):
+            return (step @ state.reshape(n_blocks, n).T).T.reshape(total)
+
+        for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+            for _ in range(4):
+                cur = rng.dirichlet(np.full(total, rng.choice([0.3, 1.0, 3.0])))
+                for r in range(1, m + 1):
+                    collapsed = np.zeros(total)
+                    collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
+                    budget = eps / (2 * m)
+                    t, state = _relax_or_none(b0, apply, cur, collapsed, budget)
+                    assert t == _exact_relax_time(b0, apply, cur, collapsed, budget)
+                    assert np.array_equal(state, apply(expm(b0, -t), cur))
+                    heads = n * np.arange(n ** (m - r))
+                    cur = apply_perm(dmajor.reach._placement(np.arange(heads.size), heads,
+                                                             total),
+                                     dmajor.reach._clamp_simplex(state))
 
     def test_matches_doubling_loop_reference(self):
         rng = np.random.default_rng(31)
@@ -593,13 +734,13 @@ class TestEnvelope:
 
     def test_one_stacked_exponential_per_block(self, monkeypatch):
         calls = []
+        real = dmajor.reach.propagator
 
-        def counting(a, t=1.0):
+        def counting(gen, t):
             calls.append(np.shape(t))
-            return expm(a, t)
+            return real(gen, t)
 
-        monkeypatch.setattr(dmajor.reach, "expm", counting)
-        monkeypatch.setattr(dmajor.dissipation, "expm", counting)
+        monkeypatch.setattr(dmajor.reach, "propagator", counting)
         d = equidistant_d(0.5, 3)
         x0 = np.array([0.2, 0.3, 0.5])
         for count in (1, 20, 1024):
