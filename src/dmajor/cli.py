@@ -212,24 +212,21 @@ def _cmd_curve(args) -> int:
 
 def _cmd_bath(args) -> int:
     data: dict = {}
+    d = None
     if args.gibbs is not None:
-        energies = _load_vector(args.gibbs)
-        d = dissipation.gibbs_vector(energies, args.temperature)
-        rates = dissipation.thermal_rates(d)
-        data["d"] = _vector_json(d)
+        d = dissipation.gibbs_vector(_load_vector(args.gibbs), args.temperature)
     elif args.equidistant is not None:
         alpha, n = args.equidistant
         d = dissipation.equidistant_d(float(alpha), int(n))
-        rates = dissipation.thermal_rates(d)
-        data["d"] = _vector_json(d)
     elif args.thermal is not None:
         d = _load_vector(args.thermal)
-        rates = dissipation.thermal_rates(d)
-        data["d"] = _vector_json(d)
-    elif args.zero_temp is not None:
+    elif args.zero_temp is None:
+        raise _InputError("specify --zero-temp, --thermal, --gibbs, or --equidistant")
+    if d is None:
         rates = dissipation.zero_temperature_rates(args.zero_temp)
     else:
-        raise _InputError("specify --zero-temp, --thermal, --gibbs, or --equidistant")
+        rates = dissipation.thermal_rates(d)
+        data["d"] = _vector_json(d)
     gen = dissipation.b0_from_rates(rates)
     data["a"] = _vector_json(rates.a)
     data["b"] = _vector_json(rates.b)

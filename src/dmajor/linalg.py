@@ -80,36 +80,3 @@ def perm_matrix(images) -> np.ndarray:
     m = np.zeros((p.size, p.size))
     m[np.arange(p.size), p] = 1.0
     return m
-
-
-def perm_inverse(images) -> np.ndarray:
-    p = check_permutation(images)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size)
-    return inv
-
-
-def perm_compose(p, q) -> np.ndarray:
-    """Composition p after q: (p o q)(j) = p[q[j]].
-
-    The matrix identity perm_matrix(p o q) = perm_matrix(q) @ perm_matrix(p)
-    holds for this convention.
-    """
-    p = check_permutation(p)
-    q = check_permutation(q)
-    if p.size != q.size:
-        raise ValueError("cannot compose permutations of different lengths")
-    return p[q]
-
-
-def identity_perm(n: int) -> np.ndarray:
-    return np.arange(int(n))
-
-
-def apply_perm(images, x: np.ndarray) -> np.ndarray:
-    """Apply the permutation matrix to a vector: result_j = x_{images[j]}."""
-    p = check_permutation(images)
-    x = np.asarray(x)
-    if x.shape[0] != p.size:
-        raise ValueError("permutation and vector lengths differ")
-    return x[p]

@@ -82,8 +82,6 @@ def halfspace_bounds(y, d) -> HPolytope:
     if y.size != d.size:
         raise ValueError("y and d must have equal length")
     n = y.size
-    if n > MAX_VERTEX_DIM:
-        raise ValueError(f"dimension capped at {MAX_VERTEX_DIM}")
     weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
     return HPolytope(n=n, b=np.append(thermo_curve(y, d)(weights), (y.sum(), -y.sum())))
 
@@ -175,8 +173,6 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     y = as_vector(y)
     d = as_weight_vector(d)
     n = y.size
-    if n > MAX_VERTEX_DIM:
-        raise ValueError(f"vertex enumeration capped at n = {MAX_VERTEX_DIM}")
     if not dedup_tol > 0:
         raise ValueError("dedup_tol must be positive")
     poly = halfspace_bounds(y, d)

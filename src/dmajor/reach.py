@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dissipation import Generator, b0_from_rates, flow, propagator, thermal_rates, \
+from .dissipation import Generator, b0_from_rates, propagator, thermal_rates, \
     zero_temperature_rates
-from .linalg import apply_perm, check_permutation, expm, identity_perm, perm_inverse
+from .linalg import check_permutation, expm
 from .majorize import _majorized_rows, as_vector, as_weight_vector, majorizes
 from .polytope import max_corner
 
 MAX_LOCAL_DIM = 4096
 MAX_TRAJECTORY_ROWS = 10 ** 6
 MAX_SAMPLE_DEPTH = 12
+# the envelope tests every one of the n! permutations (40,320 at n = 8)
+MAX_ENVELOPE_DIM = 8
 # schedules propagated together; bounds the (block, depth, n, n) propagator stack
 _SAMPLE_BLOCK = 1024
 # rows per tangential test; bounds the (block, 41, n) candidate stack
@@ -105,13 +107,14 @@ def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
     Segment endpoints come from a single matrix exponential each, so the
     final state matches the closed-form product of permutation matrices and
     flow exponentials to machine precision.  Raises ValueError before any
-    step when the trajectory would exceed MAX_TRAJECTORY_ROWS rows.
+    step when x0 or a permutation does not have length gen.n, or when the
+    trajectory would exceed MAX_TRAJECTORY_ROWS rows.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x = _check_simplex(as_vector(x0))
-    if x.size != gen.n:
-        raise ValueError("state dimension does not match the generator")
+    x = _check_simplex(x0)
+    if x.size != gen.n or any(len(seg.perm) != gen.n for seg in schedule.segments):
+        raise ValueError("state and permutation lengths must match the generator")
     # one row per permutation, plus the dt samples and the end of each flow
     rows = 1.0 + sum(2.0 + seg.duration // dt if seg.duration > 0 else 1.0
                      for seg in schedule.segments)
@@ -123,7 +126,7 @@ def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
     t = 0.0
     step = None
     for seg in schedule.segments:
-        x = apply_perm(seg.perm, x)
+        x = x[list(seg.perm)]
         times.append(t)
         states.append(x.copy())
         if seg.duration > 0:
@@ -140,7 +143,7 @@ def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
                     samples[k] = xs
                 times.extend(t + k * dt for k in range(1, n_steps + 1))
                 states.extend(_clamp_simplex(samples))
-            x = _clamp_simplex(flow(gen, x, seg.duration))
+            x = _clamp_simplex(propagator(gen, seg.duration) @ x)
             t += seg.duration
             times.append(t)
             states.append(x.copy())
@@ -148,12 +151,15 @@ def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
 
 
 def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
-    """Closed-form final state of a schedule (no intermediate sampling)."""
-    x = _check_simplex(as_vector(x0))
+    """Closed-form final state of a schedule (no intermediate sampling).
+    Raises ValueError when x0 or a permutation does not have length gen.n."""
+    x = _check_simplex(x0)
+    if x.size != gen.n or any(len(seg.perm) != gen.n for seg in schedule.segments):
+        raise ValueError("state and permutation lengths must match the generator")
     for seg in schedule.segments:
-        x = apply_perm(seg.perm, x)
+        x = x[list(seg.perm)]
         if seg.duration > 0:
-            x = _clamp_simplex(flow(gen, x, seg.duration))
+            x = _clamp_simplex(propagator(gen, seg.duration) @ x)
     return x
 
 
@@ -259,7 +265,7 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     """
     _cooling_rates(gen)
     n = gen.n
-    x = _check_simplex(as_vector(x))
+    x = _check_simplex(x)
     if x.size != n:
         raise ValueError("target dimension does not match the generator")
     z = np.maximum(x, 0.0)
@@ -275,14 +281,14 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
         tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m])
         w = np.maximum(w, 0.0)
         w = w / w.sum() * z[:m].sum()
-        swap = identity_perm(n)
-        swap[j], swap[m - 1] = swap[m - 1], swap[j]
-        z = z.copy()
+        # a transposition is its own inverse, so the forward segment reuses it
+        swap = np.arange(n)
+        swap[j], swap[m - 1] = m - 1, j
         z[:m] = w
-        z = apply_perm(swap, z)
+        z = z[swap]
         backward.append((swap, tau))
         m -= 1
-    segments = [Segment(tuple(perm_inverse(p)), t) for p, t in reversed(backward)]
+    segments = [Segment(tuple(p), t) for p, t in reversed(backward)]
     return Schedule(segments)
 
 
@@ -341,7 +347,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
         raise ValueError("eps must be positive")
     _cooling_rates(gen)
     n = gen.n
-    x0 = _check_simplex(as_vector(x0))
+    x0 = _check_simplex(x0)
     e1 = np.zeros(n)
     e1[0] = 1.0
     target_err = eps / 2.0
@@ -351,7 +357,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
         cool_t, _ = _relax_time(gen.b0, np.matmul, x0, e1, target_err,
                                 "cooling did not converge")
     ground = synthesize_from_ground(gen, x)
-    return Schedule([Segment(tuple(identity_perm(n)), cool_t)] + ground.segments)
+    return Schedule([Segment(tuple(range(n)), cool_t)] + ground.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +407,10 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int) ->
     while i < len(events):
         t_evt = events[i][0]
         if t_evt > clock + 1e-15:
-            segments.append(Segment(tuple(identity_perm(total)), t_evt - clock))
+            segments.append(Segment(tuple(range(total)), t_evt - clock))
             clock = t_evt
         # events due together apply in schedule order, each on its block
-        combined = identity_perm(total)
+        combined = np.arange(total)
         while i < len(events) and events[i][0] <= clock + 1e-15:
             _, blk, perm_n = events[i]
             sl = slice(blk * n, (blk + 1) * n)
@@ -412,7 +418,7 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int) ->
             i += 1
         segments.append(Segment(tuple(combined), 0.0))
     if t_max > clock:
-        segments.append(Segment(tuple(identity_perm(total)), t_max - clock))
+        segments.append(Segment(tuple(range(total)), t_max - clock))
     return segments
 
 
@@ -433,8 +439,8 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     if total > MAX_LOCAL_DIM:
         raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
     gen_block = b0_from_rates(zero_temperature_rates(n))
-    x0 = _check_simplex(as_vector(x0))
-    x = _check_simplex(as_vector(x))
+    x0 = _check_simplex(x0)
+    x = _check_simplex(x)
     if x0.size != total or x.size != total:
         raise ValueError("states must live on the n^m simplex")
     n_blocks = n ** (m - 1)
@@ -456,12 +462,12 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
         collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
         t_relax, relaxed = _relax_time(gen_block.b0, block_apply, cur, collapsed, round_budget,
                                        "relaxation budget not reachable")
-        segments.append(Segment(tuple(identity_perm(total)), t_relax))
+        segments.append(Segment(tuple(range(total)), t_relax))
         cur = _clamp_simplex(relaxed)
         heads = n * np.arange(n ** (m - r))
         gather = _placement(np.arange(heads.size), heads, total)
         segments.append(Segment(tuple(gather), 0.0))
-        cur = apply_perm(gather, cur)
+        cur = cur[gather]
 
     # Step 2: planned on the ideal collapsed state e_1; all remaining maps
     # are 1-norm contractions so the step-1 error rides along unchanged.
@@ -508,12 +514,13 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
                           seed: int = 0) -> tuple[np.ndarray, EnvelopeReport]:
     """Envelope vertex z bounding the reachable set of the thermal model.
 
-    Requires constant neighbour ratios of d (equidistant energy levels) and
-    x0 >= 0.  z is the maximal corner of the d-majorization polytope of x0;
-    the report verifies that (a) x0 is majorized by z, (b) the tangential
-    condition (1 - mu B0) P z < z holds for every permutation P at some
-    dyadic mu <= 1, and (c) sampled random schedule endpoints stay majorized
-    by z.  Tangential failures are reported, not raised.
+    Requires n <= MAX_ENVELOPE_DIM, constant neighbour ratios of d
+    (equidistant energy levels) and x0 >= 0.  z is the maximal corner of the
+    d-majorization polytope of x0; the report verifies that (a) x0 is
+    majorized by z, (b) the tangential condition (1 - mu B0) P z < z holds
+    for every permutation P at some dyadic mu <= 1, and (c) sampled random
+    schedule endpoints stay majorized by z.  Tangential failures are
+    reported, not raised.
 
     The sampled schedules (seeds seed, seed + 1, ...) are propagated
     together, with one stacked propagator evaluation per block of 1024
@@ -523,6 +530,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     d = as_weight_vector(d)
     if x0.size != d.size:
         raise ValueError("x0 and d must have equal length")
+    if x0.size > MAX_ENVELOPE_DIM:
+        raise ValueError(f"n = {x0.size} exceeds the cap {MAX_ENVELOPE_DIM}")
     if np.min(x0) < -1e-12:
         raise ValueError("x0 must be entrywise nonnegative")
     if sample_count < 0:
@@ -638,7 +647,7 @@ def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:
     schedules then advance one segment at a time, by one matvec per schedule
     as a single schedule would.
     """
-    x = _check_simplex(as_vector(x0))
+    x = _check_simplex(x0)
     drawn = [_draw(gen.n, depth, s) for s in seeds]
     k = len(drawn)
     perms = np.array([p for p, _ in drawn], dtype=int).reshape(k, depth, gen.n)

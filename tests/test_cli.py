@@ -145,6 +145,13 @@ class TestPolytope:
         data = json.loads(out)["data"]
         assert data["b"] == [5, 3, 2, 5, 6, 4, 4, -4]
 
+    def test_dimension_above_the_cap_exits_input(self, tmp_path, capture):
+        y = write(tmp_path, "y.json", list(range(9)))
+        d = write(tmp_path, "d.json", [1] * 9)
+        code, out, _ = capture(["polytope", y, "--d", d])
+        assert code == 2
+        assert out == ""
+
 
 class TestCurve:
     def test_elbows(self, tmp_path, capture):
@@ -288,6 +295,18 @@ class TestSimulateSynthesize:
         assert out == ""
         assert "entries of B0 must be finite" in err
 
+    @pytest.mark.parametrize("perm, duration", [([1, 0], 0.0), ([1, 0], 0.5),
+                                                ([0, 2, 1, 3], 0.0), ([0, 2, 1, 3], 0.5)])
+    def test_simulate_rejects_permutation_of_wrong_length(self, tmp_path, capture, perm,
+                                                          duration):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": perm, "duration": duration}]})
+        code, out, err = capture(["simulate", "--zero-temp", "3", "--x0", x0,
+                                  "--schedule", sched, "--dt", "0.25"])
+        assert code == 2
+        assert out == ""
+        assert "lengths" in err
+
     def test_roundtrip_csv_floats(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [1 / 3, 1 / 3, 1 / 3])
         sched = write(tmp_path, "s.json",
@@ -324,6 +343,14 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert "sample_depth must lie in [0, 12], got -3" in err
+
+    def test_dimension_above_the_cap_exits_input(self, tmp_path, capture):
+        # the Gibbs state is its own maximal corner, so no polytope code sees n
+        x0 = write(tmp_path, "x0.json", dmajor.equidistant_d(0.5, 9).tolist())
+        code, out, err = capture(["bound", "--x0", x0, "--alpha", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap 8" in err
 
     def test_non_equidistant_rejected(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

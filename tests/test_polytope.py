@@ -127,6 +127,16 @@ class TestHalfspaceBounds:
         assert np.allclose(poly.b[10:14], sums[2])
         assert np.isclose(poly.b[-2], sums[3])
 
+    def test_largest_dimension(self):
+        rng = np.random.default_rng(8)
+        poly = halfspace_bounds(rng.standard_normal(8), rng.uniform(0.5, 2.0, 8))
+        assert poly.b.shape == (2 ** 8,)
+
+    @pytest.mark.parametrize("build", [halfspace_bounds, vertices])
+    def test_rejects_dimension_above_the_cap(self, build):
+        with pytest.raises(ValueError):
+            build(np.ones(9), np.ones(9))
+
 
 class TestVertices:
     def test_worked_example(self):

@@ -8,8 +8,7 @@ import dmajor.dissipation
 import dmajor.reach
 from dmajor.dissipation import b0_from_rates, equidistant_d, flow, thermal_rates, \
     zero_temperature_rates
-from dmajor.linalg import apply_perm, check_permutation, expm, identity_perm, perm_compose, \
-    perm_matrix
+from dmajor.linalg import expm, perm_matrix
 from dmajor.majorize import majorizes
 from dmajor.polytope import max_corner
 from dmajor.reach import (
@@ -236,13 +235,13 @@ def _reference_synthesize(gen, x0, x, eps):
                 break
             cool_t *= 2.0
     ground = synthesize_from_ground(gen, x)
-    return Schedule([Segment(tuple(identity_perm(n)), cool_t)] + ground.segments)
+    return Schedule([Segment(tuple(range(n)), cool_t)] + ground.segments)
 
 
 def _reference_embed_block_perm(perm_n, block, n, total):
-    p = identity_perm(total)
+    p = np.arange(total)
     base = block * n
-    for j, img in enumerate(check_permutation(perm_n)):
+    for j, img in enumerate(perm_n):
         p[base + j] = base + img
     return p
 
@@ -273,17 +272,16 @@ def _reference_merge_parallel(block_schedules, n, total):
     while i < len(events):
         t_evt = events[i][0]
         if t_evt > clock + 1e-15:
-            segments.append(Segment(tuple(identity_perm(total)), t_evt - clock))
+            segments.append(Segment(tuple(range(total)), t_evt - clock))
             clock = t_evt
-        combined = identity_perm(total)
+        combined = np.arange(total)
         while i < len(events) and events[i][0] <= clock + 1e-15:
             _, blk, perm_n = events[i]
-            combined = perm_compose(_reference_embed_block_perm(perm_n, blk, n, total),
-                                    combined)
+            combined = _reference_embed_block_perm(perm_n, blk, n, total)[combined]
             i += 1
         segments.append(Segment(tuple(combined), 0.0))
     if t_max > clock:
-        segments.append(Segment(tuple(identity_perm(total)), t_max - clock))
+        segments.append(Segment(tuple(range(total)), t_max - clock))
     return segments
 
 
@@ -312,11 +310,11 @@ def _reference_synthesize_local(n, m, x0, x, eps):
             if np.abs(block_flow(cur, t_relax) - collapsed).sum() < round_budget:
                 break
             t_relax *= 2.0
-        segments.append(Segment(tuple(identity_perm(total)), t_relax))
+        segments.append(Segment(tuple(range(total)), t_relax))
         cur = dmajor.reach._clamp_simplex(block_flow(cur, t_relax))
         gather = _reference_gather_perm([k * n for k in range(n ** (m - r))], total)
         segments.append(Segment(tuple(gather), 0.0))
-        cur = apply_perm(gather, cur)
+        cur = cur[gather]
 
     block_mass = np.array([x[k * n:(k + 1) * n].sum() for k in range(n_blocks)])
     for level in range(1, m):
@@ -446,6 +444,22 @@ class TestSimulate:
     def test_rejects_states_outside_simplex(self):
         with pytest.raises(SimplexViolationError):
             simulate(_gen(2), [0.9, 0.4], Schedule([]), dt=0.1)
+
+    # plain indexing would truncate the state with a short permutation
+    @pytest.mark.parametrize("last", [Segment((1, 0), 0.0), Segment((1, 0), 0.5),
+                                      Segment((0, 2, 1, 3), 0.0), Segment((0, 2, 1, 3), 0.5)])
+    def test_rejects_permutation_of_wrong_length(self, last):
+        gen = _gen(3)
+        sched = Schedule([Segment((2, 0, 1), 0.1), last])
+        x0 = np.array([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="lengths"):
+            endpoint(gen, x0, sched)
+        with pytest.raises(ValueError, match="lengths"):
+            simulate(gen, x0, sched, dt=0.05)
+
+    def test_endpoint_rejects_state_of_wrong_length(self):
+        with pytest.raises(ValueError, match="lengths"):
+            endpoint(_gen(3), [0.5, 0.5], Schedule([]))
 
     def test_row_cap(self, monkeypatch):
         gen = _gen(3)
@@ -628,9 +642,8 @@ class TestFullSynthesis:
                     assert t == _exact_relax_time(b0, apply, cur, collapsed, budget)
                     assert np.array_equal(state, apply(expm(b0, -t), cur))
                     heads = n * np.arange(n ** (m - r))
-                    cur = apply_perm(dmajor.reach._placement(np.arange(heads.size), heads,
-                                                             total),
-                                     dmajor.reach._clamp_simplex(state))
+                    gather = dmajor.reach._placement(np.arange(heads.size), heads, total)
+                    cur = dmajor.reach._clamp_simplex(state)[gather]
 
     def test_matches_doubling_loop_reference(self):
         rng = np.random.default_rng(31)
@@ -758,6 +771,16 @@ class TestEnvelope:
         z_ref, report_ref = _per_point_envelope(x0, d, 20, 2, 5)
         assert np.array_equal(z, z_ref)
         assert report == report_ref
+
+    def test_dimension_cap(self):
+        x0 = np.arange(1.0, 9.0) / 36.0
+        z, report = majorization_envelope(x0, equidistant_d(0.5, 8), sample_count=0)
+        assert len(report.tangential_mu) == 40320
+        assert report.initial_majorized
+        # x0 = d is its own maximal corner, so no polytope code sees n
+        d = equidistant_d(0.5, 9)
+        with pytest.raises(ValueError, match="n = 9 exceeds the cap 8"):
+            majorization_envelope(d, d, sample_count=0)
 
     def test_rejects_negative_sample_count(self):
         d = equidistant_d(0.5, 3)
