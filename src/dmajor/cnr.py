@@ -85,7 +85,7 @@ def c_numerical_range_sample(c, a, count: int, seed: int = 0) -> np.ndarray:
         raise ValueError("C and A must have equal size")
     rng = np.random.default_rng(seed)
     us = haar_unitaries(c.shape[0], count, rng)
-    conj = np.einsum("kba,bc,kcd->kad", us.conj(), a, us)
+    conj = np.swapaxes(us.conj(), 1, 2) @ a @ us       # U* A U
     return np.einsum("ab,kba->k", c, conj)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorize import as_vector, as_weight_vector, thermo_curve
+from .majorize import _elbows, as_vector, as_weight_vector
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -83,7 +83,7 @@ def halfspace_bounds(y, d) -> HPolytope:
         raise ValueError("y and d must have equal length")
     n = y.size
     weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
-    return HPolytope(n=n, b=np.append(thermo_curve(y, d)(weights), (y.sum(), -y.sum())))
+    return HPolytope(n=n, b=np.append(np.interp(weights, *_elbows(y, d)), (y.sum(), -y.sum())))
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:

@@ -95,6 +95,20 @@ class TestCheck:
         assert report["data"]["certificate_kind"] == "doubly"
         assert "certificate transfer 1-norm error 1.800e-09" in report["diagnostics"]
 
+    def test_certificate_with_large_weights(self, tmp_path, capture):
+        # d = 1e8 e defines the same order as d = e; A d = d is checked
+        # relative to e^T d
+        x = write(tmp_path, "x.json", [0.45, 0.33, 0.22])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        d = write(tmp_path, "d.json", [1e8, 1e8, 1e8])
+        code, out, _ = capture(["check", x, y, "--d", d, "--certificate"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] is True
+        a = np.array(report["data"]["certificate"])
+        assert np.abs(a @ np.full(3, 1e8) - 1e8).sum() <= 1e-8 * 3e8
+        assert np.abs(a @ [0.5, 0.3, 0.2] - [0.45, 0.33, 0.22]).sum() <= 1e-8
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_certificate_reports_its_residuals(self, tmp_path, capture, weighted):
         rng = np.random.default_rng(11)

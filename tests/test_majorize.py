@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dmajor import majorize
 from dmajor.majorize import (
     D_MAJORIZE_METHODS,
     StochasticMatrix,
+    TransferSynthesisError,
     _majorized_rows,
     _t_transform_chain,
     column_stochastic_transfer,
@@ -75,6 +77,93 @@ class TestMajorizes:
         assert _majorized_rows(np.empty((0, 3)), np.ones(3), 1e-9).shape == (0,)
 
 
+def _loop_verdict(x, y, d, method, tol=1e-9):
+    """d_majorizes as one loop step per critical t, before the array routes:
+    the reference for their verdicts."""
+    eps = tol * max(1.0, float(np.abs(y).sum()))
+    if abs(x.sum() - y.sum()) > eps:
+        return False
+    if method == "norm":
+        return all(np.abs(x - t * d).sum() <= np.abs(y - t * d).sum() + 2.0 * eps
+                   for t in y / d)
+    if method == "positive_part":
+        return all(np.clip(x - t * d, 0.0, None).sum()
+                   <= np.clip(y - t * d, 0.0, None).sum() + eps
+                   for t in np.concatenate((x / d, y / d)))
+    curves = []
+    for v in (x, y):
+        order = np.argsort(-(v / d), kind="stable")
+        curves.append((np.concatenate(([0.0], np.cumsum(d[order]))),
+                       np.concatenate(([0.0], np.cumsum(v[order])))))
+    (cx, fx), (cy, fy) = curves
+    return bool(np.all(fx[1:-1] <= np.interp(cx[1:-1], cy, fy) + eps))
+
+
+def _array_chain(xs, ys, w):
+    """The T-transform chain on numpy arrays, before it ran on floats: the
+    reference for its step count and entries."""
+    n = xs.size
+    a = np.eye(n)
+    y = ys.copy()
+    count = 0
+    small = 1e-13 * max(1.0, float(np.abs(ys).sum()))
+    for _ in range(n):
+        diff = y - xs
+        if np.max(np.abs(diff)) <= small:
+            break
+        j_candidates = np.nonzero(diff > small)[0]
+        if j_candidates.size == 0:
+            break
+        j = int(j_candidates[-1])
+        k_candidates = np.nonzero(diff[j + 1:] < -small)[0]
+        if k_candidates.size == 0:
+            break
+        k = j + 1 + int(k_candidates[0])
+        delta = min(y[j] - xs[j], xs[k] - y[k])
+        lam = delta / (y[j] * w[k] - y[k] * w[j])
+        t = np.array([[1.0 - lam * w[k], lam * w[j]],
+                      [lam * w[k], 1.0 - lam * w[j]]])
+        a[[j, k]] = t @ a[[j, k]]
+        y[[j, k]] = t @ y[[j, k]]
+        count += 1
+    return a, count
+
+
+def _weighted_cases(seed):
+    """Seeded (x, y, d) at n = 1..8 and scales 2^k, k in [-40, 40]: interior
+    points, polytope corners, corners moved by +-1e-12 relative, corners
+    with up to 2 eps of mass moved between two entries (at the verdict
+    tolerance), points just outside a corner, and equal-total random x."""
+    rng = np.random.default_rng(seed)
+    for k in range(-40, 41):
+        for n in range(1, 9):
+            d = rng.uniform(0.2, 2.0, size=n)
+            y = 2.0 ** k * rng.standard_normal(n)
+            if n > 1 and k % 3 == 0:
+                y[-1] = y[0] * d[-1] / d[0]                 # tied ratios
+            poly = halfspace_bounds(y, d)
+            corner = vertex_for_permutation(rng.permutation(n), poly)
+            kind = int(rng.integers(0, 6))
+            if kind == 0:
+                x = random_d_stochastic(d, rng) @ y
+            elif kind == 1:
+                x = corner
+            elif kind == 2:
+                x = corner * (1.0 + rng.choice([-1e-12, 1e-12], size=n))
+            elif kind == 3:
+                x = corner.copy()
+                push = rng.uniform(0.0, 2.0) * 1e-9 * max(1.0, np.abs(y).sum())
+                i, j = rng.integers(0, n, size=2)
+                x[i] += push
+                x[j] -= push
+            elif kind == 4:
+                x = corner + 1e-6 * (corner - minimal_element(y.sum(), d))
+            else:
+                x = 2.0 ** k * rng.standard_normal(n)
+                x += (y.sum() - x.sum()) / n
+            yield x, y, d
+
+
 class TestDMajorizes:
     def test_minimal_element_always_majorized(self):
         rng = np.random.default_rng(1)
@@ -113,6 +202,17 @@ class TestDMajorizes:
         for x, y, d in cases:
             verdicts = {m: d_majorizes(x, y, d, method=m) for m in D_MAJORIZE_METHODS}
             assert len(set(verdicts.values())) == 1, verdicts
+
+    def test_array_routes_match_loops(self):
+        # every route gives the verdict of its per-t loop, on both sides of
+        # the boundary and at every scale
+        verdicts = {True: 0, False: 0}
+        for x, y, d in _weighted_cases(5):
+            for method in D_MAJORIZE_METHODS:
+                verdict = d_majorizes(x, y, d, method=method)
+                assert verdict == _loop_verdict(x, y, d, method), (method, x, y, d)
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 300, verdicts
 
     def test_tie_break_independent(self):
         # reversing the index order flips the stable tie-break of ratio_order
@@ -498,6 +598,77 @@ class TestDStochasticTransfer:
             assert np.abs(a @ d - d).sum() <= 1e-10 * d.sum()
             assert np.abs(a @ y - x).sum() <= 1e-10 * np.abs(y).sum()
         assert positives == 720
+
+    def test_chain_matches_array_chain(self, monkeypatch):
+        # the chain on floats takes the steps of the chain on arrays, and its
+        # entries (all in [0, 1]) agree to 1e-14
+        inputs = []
+        chain = majorize._t_transform_chain
+
+        def recorded(xs, ys, w):
+            inputs.append((xs, ys, w))
+            return chain(xs, ys, w)
+
+        monkeypatch.setattr(majorize, "_t_transform_chain", recorded)
+        for x, y, d in _weighted_cases(6):
+            if d_majorizes(x, y, d):
+                d_stochastic_transfer(x, y, d)
+        for x, y in _classical_cases(7, 300):
+            doubly_stochastic_transfer(x, y)
+        assert len(inputs) >= 500
+        for xs, ys, w in inputs:
+            a, count = chain(xs, ys, w)
+            ref, ref_count = _array_chain(xs, ys, w)
+            assert count == ref_count
+            assert np.abs(a - ref).max() <= 1e-14
+
+    def test_certificate_under_rescaled_weights(self):
+        # d-majorization ignores the scale of d; at d 2^k the chain computes
+        # the same certificate bit for bit, and it passes the gate
+        rng = np.random.default_rng(16)
+        for trial in range(24):
+            n = 2 + trial % 7
+            d = rng.uniform(0.2, 2.0, size=n)
+            y = rng.dirichlet(np.ones(n))
+            if trial % 2:
+                x = random_d_stochastic(d, rng) @ y
+            else:
+                x = vertex_for_permutation(rng.permutation(n), halfspace_bounds(y, d))
+            base = d_stochastic_transfer(x, y, d).matrix
+            for k in range(-40, 41):
+                dk = 2.0 ** k * d
+                a = d_stochastic_transfer(x, y, dk).matrix
+                assert np.array_equal(a, base)
+                assert a.min() >= -1e-8
+                assert np.abs(a.sum(axis=0) - 1).max() <= 1e-8
+                assert np.abs(a @ dk - dk).sum() <= 1e-8 * max(1.0, dk.sum())
+                assert np.abs(a @ y - x).sum() <= 1e-8 * max(1.0, np.abs(y).sum())
+
+    def test_fixed_point_check_scales_with_weights(self):
+        # A d off by 1e-6 e^T d at e^T d = 1e8 is rejected, 1e-9 e^T d is not
+        d = np.array([5e7, 3e7, 2e7])
+        for excess, ok in ((1e-6, False), (1e-9, True)):
+            delta = excess * d.sum() / (2 * d[1])
+            a = np.eye(3)
+            a[0, 1], a[1, 1] = delta, 1.0 - delta   # moves delta of column 1 up
+            cert = StochasticMatrix(a, "d-stochastic", d=d)
+            if ok:
+                cert.validate(entry_tol=1e-8, sum_tol=1e-8)
+            else:
+                with pytest.raises(ValueError, match="not a fixed point"):
+                    cert.validate(entry_tol=1e-8, sum_tol=1e-8)
+
+    def test_residual_gate_ignores_weight_total(self, monkeypatch):
+        # with the chain replaced by the identity, merge @ split is still
+        # d-stochastic but maps y to a point ||A y - x||_1 = 0.2 away, which
+        # the gate must reject however large e^T d is
+        monkeypatch.setattr(majorize, "_t_transform_chain",
+                            lambda xs, ys, w: (np.eye(xs.size), 0))
+        x = np.array([0.4, 0.35, 0.25])
+        y = np.array([0.5, 0.3, 0.2])
+        for scale in (1.0, 1e8):
+            with pytest.raises(TransferSynthesisError, match="residual"):
+                d_stochastic_transfer(x, y, np.full(3, scale))
 
     def test_rejects_non_majorized(self):
         with pytest.raises(ValueError):
