@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_square, hermitian_eig
-from .majorize import _within_norm, column_stochastic_transfer, majorizes
+from .majorize import _within_norm, as_weight_vector, column_stochastic_transfer, majorizes
 
 
 class PositivityError(Exception):
@@ -204,17 +204,14 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     x = _within_norm(x, y)
     m = column_stochastic_transfer(x, y).matrix
 
-    null_images: dict[int, np.ndarray] = {}
-    omega = np.eye(n, dtype=complex) / n if null_state is None \
-        else np.asarray(null_state, dtype=complex)
-    for j in range(n):
-        if abs(y[j]) <= tol * scale:
-            null_images[j] = u.conj().T @ omega @ u
-    pinch = pinching_superoperator(m, null_images or None)
-
-    into_v = SuperOperator(n, n, np.kron(v.T, v.conj().T))       # X -> V* X V
-    out_u = SuperOperator(n, n, np.kron(u.conj(), u))            # Y -> U Y U*
-    return out_u.compose(pinch).compose(into_v)
+    # T(v_j v_j*) = U diag(M[:, j]) U*, or omega where y_j vanishes; each
+    # column is kron(conj(U), U) on the diagonal units, applied to M
+    cols = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n) @ m
+    null = np.abs(y) <= tol * scale
+    cols[:, null] = vec(np.eye(n) / n if null_state is None else null_state)[:, None]
+    # row j reads the coefficient of v_j v_j* in X: vec(v_j v_j*)^* vec(X)
+    rows = (v.T[:, :, None] * v.conj().T[:, None, :]).reshape(n, n * n)
+    return SuperOperator(n, n, cols @ rows)
 
 
 def matrix_majorizes(a, b, tol: float = 1e-9) -> bool:
@@ -246,13 +243,12 @@ def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
     b = check_square(b, "B", 1e-10)
     d = np.asarray(d, dtype=float)
     if d.ndim == 2:
-        if np.max(np.abs(d - np.diag(np.diag(d)))) > 0:
+        if (d != np.diag(np.diag(d))).any():  # also true for a NaN entry
             raise ValueError("D must be diagonal")
         d = np.diag(d).real
     if a.shape != (2, 2) or b.shape != (2, 2) or d.shape != (2,):
         raise ValueError("d_matrix_majorizes_2x2 handles 2x2 inputs only")
-    if np.any(d <= 0):
-        raise ValueError("D must be positive definite")
+    d = as_weight_vector(d)
     dm = np.diag(d).astype(complex)
     eps = tol * max(1.0, trace_norm(b))
     if abs(np.trace(a).real - np.trace(b).real) > eps:
@@ -274,9 +270,9 @@ def pure_state_reachable(rho, d, j: int, tol: float = 1e-9) -> bool:
     """True iff rho can be generated from the pure state e_j by a channel
     fixing diag(d): equivalent to diag(d) - d_j rho >= 0."""
     rho = check_square(rho, "rho", 1e-10)
-    d = np.asarray(d, dtype=float)
+    d = as_weight_vector(d)
     n = rho.shape[0]
-    if d.shape != (n,) or np.any(d <= 0):
+    if d.shape != (n,):
         raise ValueError("d must be a positive vector matching rho")
     if not 0 <= j < n:
         raise ValueError("index out of range")

@@ -159,8 +159,6 @@ def _cmd_check(args) -> int:
         verdict = majorize.majorizes(x, y, tol=args.tol)
     else:
         d = _load_vector(args.d)
-        if np.any(d <= 0):
-            raise _InputError("weight vector must be strictly positive")
         verdict = majorize.d_majorizes(x, y, d, method=args.method, tol=args.tol)
     data: dict = {}
     diagnostics = []
@@ -272,8 +270,10 @@ def _cmd_bound(args) -> int:
     x0 = _load_vector(args.x0)
     if args.alpha is not None:
         d = dissipation.equidistant_d(args.alpha, x0.size)
-    else:
+    elif args.d is not None:
         d = _load_vector(args.d)
+    else:
+        raise _InputError("specify the weights via --alpha or --d")
     z, report = reach.majorization_envelope(
         x0, d, sample_count=args.samples, sample_depth=args.depth, seed=args.seed)
     data = {

@@ -26,9 +26,9 @@ def _check_normal(a, name: str, tol: float = 1e-9) -> np.ndarray:
 def c_spectrum(c, t, dedup_tol: float = 1e-10) -> np.ndarray:
     """All sums sum_i lambda_i(C) lambda_{pi(i)}(T) over permutations pi.
 
-    Both matrices must be normal; the result is deduplicated.  These points
-    are attained in the C-numerical range by eigenbasis permutation
-    unitaries.
+    Both matrices must be normal.  The sums come in (real, imag) order, and
+    one within dedup_tol of an earlier kept sum is dropped.  These points are
+    attained in the C-numerical range by eigenbasis permutation unitaries.
     """
     c = _check_normal(c, "C")
     t = _check_normal(t, "T")
@@ -41,11 +41,16 @@ def c_spectrum(c, t, dedup_tol: float = 1e-10) -> np.ndarray:
     lt = np.linalg.eigvals(t)
     perms = np.array(list(itertools.permutations(range(n))))
     values = lt[perms] @ lc
-    out: list[complex] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        if not out or abs(v - out[-1]) > dedup_tol:
-            out.append(v)
-    return np.array(out)
+    values = values[np.lexsort((values.imag, values.real))]
+    # kept sums within dedup_tol of v have real parts within it: a tail of out
+    out = np.empty_like(values)
+    k = 0
+    for v in values:
+        lo = np.searchsorted(out[:k].real, v.real - dedup_tol)
+        if not (np.abs(out[lo:k] - v) <= dedup_tol).any():
+            out[k] = v
+            k += 1
+    return out[:k]
 
 
 class OrbitExtrema(NamedTuple):

@@ -72,31 +72,39 @@ class Generator:
         return self.b0.shape[0]
 
     @cached_property
+    def _balance(self) -> np.ndarray | None:
+        """s = sqrt(pi) for a tridiagonal B0 with positive upper rates, which is
+        in detailed balance with pi_{j+1} / pi_j = B0[j+1, j] / B0[j, j+1] (a
+        zero lower rate cuts pi off above it: at zero temperature s = e_1);
+        None for every other generator."""
+        b0 = self.b0
+        up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
+        if not ((up > 0).all() and (down >= 0).all()):
+            return None
+        # count only: a local generator may be 4096 x 4096
+        if np.count_nonzero(b0) != (np.count_nonzero(np.diagonal(b0)) + up.size
+                                    + np.count_nonzero(down)):
+            return None
+        with np.errstate(all="ignore"):
+            s = np.cumprod(np.r_[1.0, np.sqrt(down) / np.sqrt(up)])
+        return s if np.isfinite(s).all() else None
+
+    @cached_property
     def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
         """(s Q, w, Q^T / s, max |B0_ij|) with exp(-t B0) = (s Q) diag(exp(-t w)) (Q^T / s),
         for a birth-death B0; None for every other generator.
 
-        A tridiagonal B0 with every neighbour rate positive is in detailed
-        balance with pi_{j+1} / pi_j = B0[j+1, j] / B0[j, j+1].  With
-        s = sqrt(pi), diag(1/s) B0 diag(s) is the symmetric tridiagonal
+        With s from _balance, diag(1/s) B0 diag(s) is the symmetric tridiagonal
         matrix with the same diagonal and off-diagonal -sqrt(B0[j, j+1]
         B0[j+1, j]), and one eigh of it gives every exponential.  Its rounding
         is amplified up to the spread max(s) / min(s), so the factors are kept
         only when that spread is at most _MAX_SPECTRAL_SPREAD.
         """
-        b0 = self.b0
-        up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
-        if not ((up > 0).all() and (down > 0).all()):
+        s, b0 = self._balance, self.b0
+        # also false for a zero entry of s, where the spread is infinite
+        if s is None or not s.max() <= _MAX_SPECTRAL_SPREAD * s.min():
             return None
-        # count only: a local generator may be 4096 x 4096
-        if np.count_nonzero(b0) != np.count_nonzero(np.diagonal(b0)) + 2 * up.size:
-            return None
-        with np.errstate(all="ignore"):
-            s = np.cumprod(np.r_[1.0, np.sqrt(down) / np.sqrt(up)])
-            spread = s.max() / s.min()
-        if not spread <= _MAX_SPECTRAL_SPREAD:  # also false for inf and nan
-            return None
-        off = -np.sqrt(up) * np.sqrt(down)
+        off = -np.sqrt(-np.diagonal(b0, 1)) * np.sqrt(-np.diagonal(b0, -1))
         w, q = np.linalg.eigh(np.diag(np.diagonal(b0)) + np.diag(off, 1) + np.diag(off, -1))
         # B0 has zero column sums and nonpositive off-diagonal entries, so its
         # spectrum lies in [0, inf) and holds 0; pinning the smallest
@@ -104,6 +112,13 @@ class Generator:
         w = np.maximum(w, 0.0)
         w[0] = 0.0
         return s[:, None] * q, w, q.T / s, max(float(b0.max()), -float(b0.min()))
+
+
+def check_zero_temperature(gen: Generator) -> None:
+    """Raise ValueError unless B0 is a zero-temperature generator: tridiagonal
+    with positive upper and exactly zero lower rates, so it cools into e_1."""
+    if gen._balance is None or np.diagonal(gen.b0, -1).any():
+        raise ValueError("generator is not of the zero-temperature upper-bidiagonal form")
 
 
 def b0_from_rates(rates: BathRates) -> Generator:
@@ -206,22 +221,16 @@ def propagator(gen: Generator, t: float | np.ndarray) -> np.ndarray:
 def steady_state(gen: Generator, tol: float = 1e-9) -> np.ndarray:
     """The unique kernel vector of B0, normalized to total 1.
 
-    An upper-triangular B0 with vanishing leading rate (the zero-temperature
-    case) is handled explicitly; otherwise the kernel is extracted from an
-    SVD and must be one-dimensional.
+    A tridiagonal B0 with positive upper rates gives it in closed form, from
+    its detailed-balance vector (exactly e_1 at zero temperature); for every
+    other generator it is extracted from an SVD and must be one-dimensional.
     """
-    b0 = gen.b0
-    n = gen.n
-    if n == 1:
-        return np.ones(1)
-    scale = max(1.0, float(np.max(np.abs(b0))))
-    lower = np.tril(b0, -1)
-    if np.max(np.abs(lower)) <= 1e-14 * scale:
-        diag = np.diag(b0)
-        if abs(diag[0]) <= tol * scale and np.all(diag[1:] > tol * scale):
-            return np.eye(n)[:, 0].copy()
-    _, s, vt = np.linalg.svd(b0)
-    null_dim = int(np.sum(s <= tol * max(s[0], 1.0)))
+    s = gen._balance
+    if s is not None:
+        p = np.square(s / s.max())
+        return p / p.sum()
+    _, sv, vt = np.linalg.svd(gen.b0)
+    null_dim = int(np.sum(sv <= tol * max(sv[0], 1.0)))
     if null_dim != 1:
         raise ValueError(f"B0 kernel is {null_dim}-dimensional; flow is not relaxing")
     v = vt[-1]
@@ -276,6 +285,7 @@ __all__ = [
     "Generator",
     "apply_gamma",
     "b0_from_rates",
+    "check_zero_temperature",
     "equidistant_d",
     "flow",
     "gibbs_vector",

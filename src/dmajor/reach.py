@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dissipation import Generator, b0_from_rates, propagator, thermal_rates, \
-    zero_temperature_rates
+from .dissipation import Generator, b0_from_rates, check_zero_temperature, propagator, \
+    thermal_rates, zero_temperature_rates
 from .linalg import check_permutation, expm
 from .majorize import _majorized_rows, as_vector, as_weight_vector, majorizes
 from .polytope import max_corner
@@ -151,33 +151,14 @@ def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
 
 
 def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
-    """Closed-form final state of a schedule (no intermediate sampling).
-    Raises ValueError when x0 or a permutation does not have length gen.n."""
-    x = _check_simplex(x0)
-    if x.size != gen.n or any(len(seg.perm) != gen.n for seg in schedule.segments):
-        raise ValueError("state and permutation lengths must match the generator")
-    for seg in schedule.segments:
-        x = x[list(seg.perm)]
-        if seg.duration > 0:
-            x = _clamp_simplex(propagator(gen, seg.duration) @ x)
-    return x
+    """Final state of a schedule: the endpoint of simulate with no
+    intermediate sampling, under the same checks and row cap."""
+    return simulate(gen, x0, schedule, np.inf).endpoint
 
 
 # ---------------------------------------------------------------------------
 # zero-temperature synthesis
 # ---------------------------------------------------------------------------
-
-def _cooling_rates(gen: Generator) -> np.ndarray:
-    """Extract c_1..c_{n-1} from an upper-bidiagonal zero-temperature
-    generator (diagonal (0, c_1, ..., c_{n-1}), superdiagonal -c_j)."""
-    b0 = gen.b0
-    scale = max(1.0, float(np.max(np.abs(b0))))
-    c = np.diag(b0)[1:].copy()
-    expected = np.diag(np.r_[0.0, c]) - np.diag(c, 1)
-    if np.max(np.abs(b0 - expected)) > 1e-12 * scale or np.any(c <= 0):
-        raise ValueError("generator is not of the zero-temperature upper-bidiagonal form")
-    return c
-
 
 def _first_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarray]:
     """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate.
@@ -263,7 +244,7 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     state stays in the simplex, permute that face into the last active slot,
     and recurse on the shrunken support.
     """
-    _cooling_rates(gen)
+    check_zero_temperature(gen)
     n = gen.n
     x = _check_simplex(x)
     if x.size != n:
@@ -345,7 +326,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    _cooling_rates(gen)
+    check_zero_temperature(gen)
     n = gen.n
     x0 = _check_simplex(x0)
     e1 = np.zeros(n)

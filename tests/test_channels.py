@@ -22,7 +22,7 @@ from dmajor.channels import (
     vec,
 )
 from dmajor.linalg import hermitian_eig
-from dmajor.majorize import d_majorizes
+from dmajor.majorize import _within_norm, column_stochastic_transfer, d_majorizes
 
 
 def rand_hermitian(rng, n):
@@ -45,6 +45,38 @@ def hermitian_pair_with_precondition(rng, n):
     while trace_norm(a) > trace_norm(b):
         a = 0.7 * a + 0.3 * center
     return a, b
+
+
+def pair_with_singular_b(rng, n, zeros):
+    """Random (A, B) as above, with B of rank n - zeros."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    y = rng.standard_normal(n)
+    y[:zeros] = 0.0
+    b = q @ np.diag(y) @ q.conj().T
+    b = (b + b.conj().T) / 2
+    a = rand_hermitian(rng, n)
+    a += (np.trace(b).real - np.trace(a).real) / n * np.eye(n)
+    center = np.trace(b).real / n * np.eye(n)
+    while trace_norm(a) > trace_norm(b):
+        a = 0.7 * a + 0.3 * center
+    return a, b
+
+
+def composed_channel(a, b, null_state=None, tol=1e-9):
+    """channel_between as three composed superoperators: X -> V* X V into the
+    eigenbasis of B, the pinching channel of the transfer matrix (the null
+    directions of B sent to U* omega U), and Y -> U Y U* out."""
+    n = a.shape[0]
+    x, u = hermitian_eig(a)
+    y, v = hermitian_eig(b)
+    m = column_stochastic_transfer(_within_norm(x, y), y).matrix
+    omega = np.eye(n) / n if null_state is None else null_state
+    scale = max(1.0, trace_norm(b))
+    null_images = {j: u.conj().T @ omega @ u for j in range(n) if abs(y[j]) <= tol * scale}
+    pinch = pinching_superoperator(m, null_images or None)
+    into_v = SuperOperator(n, n, np.kron(v.T, v.conj().T))
+    out_u = SuperOperator(n, n, np.kron(u.conj(), u))
+    return out_u.compose(pinch).compose(into_v)
 
 
 # the qutrit map from the strict-positivity discussion: cptp, not sp, and
@@ -314,6 +346,22 @@ class TestChannelBetween:
             assert is_cp(t) and is_tp(t)
             assert trace_norm(t.apply(b) - a) <= 1e-8
 
+    def test_matches_composed_superoperators(self):
+        rng = np.random.default_rng(83)
+        for n in (2, 3, 4):
+            for _ in range(20):
+                a, b = hermitian_pair_with_precondition(rng, n)
+                ref = composed_channel(a, b).action
+                assert np.max(np.abs(channel_between(a, b).action - ref)) <= 1e-12
+            for zeros in range(1, n):
+                a, b = pair_with_singular_b(rng, n, zeros)
+                omega = rand_density(rng, n)
+                for null_state in (None, omega):
+                    t = channel_between(a, b, null_state=null_state)
+                    ref = composed_channel(a, b, null_state).action
+                    assert np.max(np.abs(t.action - ref)) <= 1e-12
+                    assert is_cp(t) and is_tp(t)
+
     def test_rejects_trace_mismatch(self):
         with pytest.raises(ValueError):
             channel_between(np.eye(2, dtype=complex), 2 * np.eye(2, dtype=complex))
@@ -415,6 +463,15 @@ class TestDMatrix2x2:
             assert d_matrix_majorizes_2x2(a, b, d)
             assert d_matrix_majorizes_2x2(a, c, d)
 
+    @pytest.mark.parametrize("d", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [0.0, 1.0],
+                                   [-1.0, 1.0], np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]),
+                                   [[1.0, np.nan], [np.nan, 1.0]], np.diag([0.0, 1.0])])
+    def test_rejects_bad_weights(self, d):
+        a = np.diag([0.6, 0.4]).astype(complex)
+        # a ValueError from the input check, not a LinAlgError on the way
+        with pytest.raises(ValueError, match="finite|positive|diagonal"):
+            d_matrix_majorizes_2x2(a, a, d)
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             d_matrix_majorizes_2x2(np.eye(3, dtype=complex), np.eye(3, dtype=complex),
@@ -438,6 +495,13 @@ class TestPureStateReachable:
         d = np.array([3.0, 2.0, 1.0])
         rho = np.diag([0.0, 0.0, 1.0]).astype(complex)
         assert not pure_state_reachable(rho, d, 0)
+
+    @pytest.mark.parametrize("d", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [0.0, 1.0],
+                                   [-1.0, 1.0]])
+    def test_rejects_bad_weights(self, d):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="finite|positive"):
+            pure_state_reachable(rho, d, 0)
 
 
 class TestIdentityDistanceWitness:

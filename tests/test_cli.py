@@ -65,6 +65,17 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("weights", [[0.0, 1.0, 1.0], [-1.0, 2.0, 1.0]])
+    @pytest.mark.parametrize("method", ["norm", "curve"])
+    def test_non_positive_weights_exit_input(self, tmp_path, capture, weights, method):
+        x = write(tmp_path, "x.json", [0.4, 0.3, 0.3])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        d = write(tmp_path, "d.json", weights)
+        code, out, err = capture(["check", x, y, "--d", d, "--method", method])
+        assert code == 2
+        assert out == ""
+        assert "strictly positive" in err
+
     def test_method_flag(self, tmp_path, capture):
         x = write(tmp_path, "x.json", [1, 0, 0])
         y = write(tmp_path, "y.json", [0, 2 / 3, 1 / 3])
@@ -365,6 +376,14 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert "exceeds the cap 8" in err
+
+    def test_missing_weights_named(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, err = capture(["bound", "--x0", x0])
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err and "--d" in err
+        assert "NoneType" not in err
 
     def test_non_equidistant_rejected(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

@@ -48,6 +48,21 @@ class TestCSpectrum:
             assert round(val, 9) in pts or \
                 min(abs(val - p) for p in pts) <= 1e-8
 
+    def test_no_two_kept_values_within_dedup_tol(self):
+        # sums equal in exact arithmetic come out a few ulp apart and need not
+        # be neighbours in (real, imag) order
+        lc, lt = [1j, -1j, 1, 1], [1j, -1j, 2, 2]
+        exact = {sum(c * lt[k] for c, k in zip(lc, p)) for p in itertools.permutations(range(4))}
+        for seed in range(30):
+            q = haar_unitaries(4, 1, np.random.default_rng(seed))[0]
+            pts = c_spectrum(q @ np.diag(lc) @ q.conj().T, q @ np.diag(lt) @ q.conj().T)
+            gaps = np.abs(pts[:, None] - pts[None, :])[~np.eye(pts.size, dtype=bool)]
+            assert gaps.min() > 1e-10
+            assert pts.size == len(exact)
+            assert all(min(abs(z - e) for e in exact) <= 1e-9 for z in pts)
+            order = np.lexsort((pts.imag, pts.real))
+            assert np.array_equal(order, np.arange(pts.size))
+
     def test_rejects_non_normal(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from dmajor.dissipation import (
     Generator,
     apply_gamma,
     b0_from_rates,
+    check_zero_temperature,
     equidistant_d,
     flow,
     gibbs_vector,
@@ -320,10 +321,24 @@ class TestSpectralPropagator:
         assert expm_calls == [()] * len(gens)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 class TestSteadyState:
     def test_zero_temperature(self):
-        gen = b0_from_rates(zero_temperature_rates(4))
-        assert np.allclose(steady_state(gen), [1, 0, 0, 0])
+        for n in range(1, 9):
+            gen = b0_from_rates(zero_temperature_rates(n))
+            assert np.array_equal(steady_state(gen), np.eye(n)[0])
 
     def test_zero_temperature_long_time_propagator(self):
         gen = b0_from_rates(zero_temperature_rates(3))
@@ -354,6 +369,49 @@ class TestSteadyState:
     def test_rejects_multidimensional_kernel(self):
         with pytest.raises(ValueError):
             steady_state(b0_from_rates(BathRates(n=3, a=np.zeros(2), b=np.zeros(2))))
+
+    def test_thermal_in_closed_form(self, svd_calls):
+        rng = np.random.default_rng(29)
+        for n in range(2, 9):
+            for _ in range(20):
+                d = rng.dirichlet(np.ones(n))
+                p = steady_state(b0_from_rates(thermal_rates(d)))
+                assert np.max(np.abs(p - d) / d) <= 1e-14 * n
+        assert svd_calls == []
+
+    def test_zero_lower_rate_cuts_the_fixed_point(self, svd_calls):
+        # nothing climbs past the zero lower rate, so levels 2 and 3 drain
+        gen = b0_from_rates(BathRates(n=4, a=[1.0, 2.0, 0.5], b=[0.5, 0.0, 1.0]))
+        p = steady_state(gen)
+        assert np.array_equal(p[2:], [0.0, 0.0])
+        assert abs(p.sum() - 1.0) <= 1e-15
+        assert np.max(np.abs(gen.b0 @ p)) <= 1e-15
+        assert svd_calls == []
+
+    def test_dense_generator_uses_the_svd(self, svd_calls):
+        gen = Generator(3.0 * np.eye(3) - np.ones((3, 3)))
+        assert np.max(np.abs(steady_state(gen) - 1.0 / 3.0)) <= 1e-14
+        assert len(svd_calls) == 1
+
+
+class TestZeroTemperatureCheck:
+    MESSAGE = "zero-temperature upper-bidiagonal form"
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_accepts_zero_temperature_rates(self, n):
+        check_zero_temperature(b0_from_rates(zero_temperature_rates(n)))
+
+    def test_rejects_thermal_rates(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            check_zero_temperature(b0_from_rates(thermal_rates(equidistant_d(0.5, 4))))
+
+    # -1e-14 lies within the column-sum tolerance, so B0 stays a valid Generator
+    @pytest.mark.parametrize("i, j", [(1, 0), (3, 2), (2, 0), (3, 1)])
+    def test_rejects_one_nonzero_lower_entry(self, i, j):
+        b0 = b0_from_rates(zero_temperature_rates(4)).b0.copy()
+        b0[i, j] = -1e-14
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            check_zero_temperature(Generator(b0))
 
 
 class TestDissipator:

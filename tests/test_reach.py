@@ -477,6 +477,40 @@ class TestSimulate:
         with pytest.raises(ValueError, match="cap"):
             simulate(gen, x0, sched, dt=0.18)
 
+    def test_endpoint_is_the_last_simulated_state(self):
+        def stepwise(gen, x, sched):
+            # reference: apply each permutation, then one propagator per flow
+            for seg in sched.segments:
+                x = x[list(seg.perm)]
+                if seg.duration > 0:
+                    x = dmajor.reach._clamp_simplex(dmajor.reach.propagator(gen, seg.duration) @ x)
+            return x
+
+        rng = np.random.default_rng(61)
+        for seed in range(40):
+            n = 2 + seed % 4
+            gen = _gen(n) if seed % 2 else b0_from_rates(thermal_rates(rng.dirichlet(np.ones(n))))
+            segments = []
+            for seg in random_schedule(n, 1 + seed % 5, seed).segments:
+                segments += [seg, Segment(tuple(rng.permutation(n).tolist()), 0.0)]
+            sched = Schedule(segments)
+            x0 = rng.dirichlet(np.ones(n))
+            out = endpoint(gen, x0, sched)
+            assert np.array_equal(out, stepwise(gen, x0, sched))
+            for dt in (0.05, 1.0, np.inf):
+                assert np.array_equal(out, simulate(gen, x0, sched, dt).states[-1])
+
+    def test_endpoint_shares_the_row_cap(self, monkeypatch):
+        gen = _gen(3)
+        x0 = np.full(3, 1 / 3)
+        # x0, two rows for the flowing segment and one for the swap
+        sched = Schedule([Segment((1, 0, 2), 1.0), Segment((0, 2, 1), 0.0)])
+        monkeypatch.setattr(dmajor.reach, "MAX_TRAJECTORY_ROWS", 4)
+        endpoint(gen, x0, sched)
+        monkeypatch.setattr(dmajor.reach, "MAX_TRAJECTORY_ROWS", 3)
+        with pytest.raises(ValueError, match="cap"):
+            endpoint(gen, x0, sched)
+
     def test_schedule_roundtrip(self):
         sched = random_schedule(3, 5, seed=1)
         again = Schedule.from_dict(sched.to_dict())
