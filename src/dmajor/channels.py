@@ -18,6 +18,10 @@ from .linalg import check_square, hermitian_eig
 from .majorize import _within_norm, as_weight_vector, column_stochastic_transfer, majorizes
 
 
+# channel_between's action has n^4 complex entries: 16 MB at the cap
+MAX_CHANNEL_DIM = 32
+
+
 class PositivityError(Exception):
     """A map assumed positive failed a consequence of positivity."""
 
@@ -157,20 +161,14 @@ def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
     return m, u, proj
 
 
-def pinching_superoperator(m_stochastic: np.ndarray,
-                           null_images: dict[int, np.ndarray] | None = None) -> SuperOperator:
+def pinching_superoperator(m_stochastic: np.ndarray) -> SuperOperator:
     """Diagonal-to-diagonal channel: E_jj -> sum_k M_kj E_kk, off-diagonal
-    units -> 0.  Column j may be overridden by an arbitrary state image."""
+    units -> 0."""
     m_stochastic = np.asarray(m_stochastic, dtype=float)
     n = m_stochastic.shape[0]
     action = np.zeros((n ** 2, n ** 2), dtype=complex)
-    for j in range(n):
-        col = np.zeros((n, n), dtype=complex)
-        if null_images is not None and j in null_images:
-            col = np.asarray(null_images[j], dtype=complex)
-        else:
-            col[np.arange(n), np.arange(n)] = m_stochastic[:, j]
-        action[:, j + j * n] = vec(col)
+    diag = np.arange(n) * (n + 1)              # vec positions of the E_jj
+    action[np.ix_(diag, diag)] = m_stochastic
     return SuperOperator(n, n, action)
 
 
@@ -190,6 +188,9 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     if a.shape != b.shape:
         raise ValueError("A and B must have equal size")
     n = a.shape[0]
+    if n > MAX_CHANNEL_DIM:
+        raise ValueError(f"channel_between handles n <= MAX_CHANNEL_DIM = {MAX_CHANNEL_DIM}, "
+                         f"got n = {n}")
     scale = max(1.0, trace_norm(b))
     if abs(np.trace(a).real - np.trace(b).real) > tol * scale:
         raise ValueError("channel_between requires tr(A) = tr(B)")
@@ -199,8 +200,8 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     x, u = hermitian_eig(a)
     y, v = hermitian_eig(b)
     # absorb the trace and norm slack this function accepts (tol, wider than
-    # the 1e-10 that column_stochastic_transfer accepts); perturbs T(B) by at
-    # most a few ulp of the tolerance
+    # the 1e-10 that column_stochastic_transfer accepts); moves the spectrum
+    # of A by O(tol * scale) in 1-norm
     x = _within_norm(x, y)
     m = column_stochastic_transfer(x, y).matrix
 
@@ -317,6 +318,7 @@ def kraus_set(t: SuperOperator, tol: float = 1e-12) -> list[np.ndarray]:
 
 
 __all__ = [
+    "MAX_CHANNEL_DIM",
     "PositivityError",
     "SuperOperator",
     "channel_between",

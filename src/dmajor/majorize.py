@@ -205,7 +205,7 @@ def _t_transform_chain(xs: np.ndarray, ys: np.ndarray,
     a = np.eye(n).tolist()
     x, y, w = xs.tolist(), ys.tolist(), w.tolist()
     count = 0
-    small = 1e-13 * max(1.0, float(np.abs(ys).sum()))
+    small = 1e-13 * float(np.abs(ys).sum())
     for _ in range(n):
         diff = [yi - xi for yi, xi in zip(y, x)]
         if max(map(abs, diff)) <= small:
@@ -238,11 +238,13 @@ def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     and merge sums each x_i back.  At d = e both are permutations.
     """
     n = x.size
-    eps = _scaled_tol(y, tol)
-    if np.abs(x - y).sum() <= eps * 1e-3:
+    # both shortcuts and the chain's floor are relative to ||y||_1, so the
+    # certificate of (s x, s y) is that of (x, y) for every power of two s
+    eps = 1e-3 * tol * np.abs(y).sum()
+    if np.abs(x - y).sum() <= eps:
         return StochasticMatrix(np.eye(n), "d-stochastic", d=d, n_t_transforms=0)
     minimal = (y.sum() / d.sum()) * d
-    if np.abs(x - minimal).sum() <= eps * 1e-3:
+    if np.abs(x - minimal).sum() <= eps:
         return StochasticMatrix(np.outer(d, np.ones(n)) / d.sum(), "d-stochastic", d=d,
                                 n_t_transforms=0)
 
@@ -285,50 +287,32 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     return StochasticMatrix(out.matrix, "doubly", n_t_transforms=out.n_t_transforms)
 
 
-def sign_collapse_matrix(y) -> np.ndarray:
-    """Column map sending positive mass of y to slot 0 and negative to slot 1,
-    so M0 y = (sum y_+, -sum y_-, 0, ..., 0)."""
-    y = as_vector(y)
-    n = y.size
-    m0 = np.zeros((n, n))
-    for j in range(n):
-        m0[1 if (y[j] < 0 and n > 1) else 0, j] = 1.0
-    return m0
-
-
 def _within_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x shifted to the total of y, then moved toward the mean of y until
-    ||x||_1 is within 1e-14 relative of ||y||_1, below the 1e-13 that the
-    T-transform chain resolves.
+    """x shifted to the total of y, then x_+ scaled down to sum y_+ and x_-
+    to sum y_- where they exceed them.
 
-    With equal totals an excess of the 1-norm comes only from negative
-    entries.  Bisects for the largest lam that brings ||lam (x - c) + c||_1
-    within the limit, with c the mean of y: the norm is convex in lam and
-    ||c||_1 <= ||y||_1.  The bound lam ||x||_1 + (1 - lam) ||c||_1 would give
-    lam = 0 for every definite y, where ||c||_1 = ||y||_1.
+    With equal totals an excess of ||x||_1 over ||y||_1 splits evenly between
+    the two parts, so this moves x by exactly that excess: the smallest
+    1-norm move into ||x||_1 <= ||y||_1.
     """
-    center = y.sum() / y.size
     x = x + (y.sum() - x.sum()) / y.size
-    y1 = float(np.abs(y).sum())
-    limit = y1 + 1e-14 * max(1.0, y1)
-    if np.abs(x).sum() <= limit:
-        return x
-    lo, hi = 0.0, 1.0
-    for _ in range(53):
-        mid = (lo + hi) / 2
-        inside = np.abs(mid * (x - center) + center).sum() <= limit
-        lo, hi = (mid, hi) if inside else (lo, mid)
-    return lo * (x - center) + center
+    parts = []
+    for side in (1.0, -1.0):
+        part, bound = np.maximum(side * x, 0.0), np.maximum(side * y, 0.0).sum()
+        parts.append(part * (bound / part.sum()) if part.sum() > bound else part)
+    return parts[0] - parts[1]
 
 
 def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     """Column-stochastic A with A y = x.
 
-    Exists iff e^T x = e^T y and ||x||_1 <= ||y||_1.  Built as D M0 where M0
-    collapses y onto its signed masses and D is doubly stochastic for the
-    majorization x < (sum y_+, -sum y_-, 0, ...).  A tolerance-level gap
+    Exists iff e^T x = e^T y and ||x||_1 <= ||y||_1.  A tolerance-level gap
     between the totals and excess of ||x||_1 over ||y||_1 are absorbed first,
-    so A y = x holds within 1e-9.
+    giving z.  Column j is then (z_+ + s_+ e/n) / sum y_+ where y_j > 0,
+    (z_- + s_- e/n) / sum y_- where y_j < 0, and e/n where y_j = 0, with the
+    slack s_+- = max(0, sum y_+- - sum z_+-) of each side taken on its own,
+    so a side of tiny mass keeps unit column sums.  A y = z_+ - z_- = z
+    holds within 1e-9 of x.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -339,18 +323,19 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
         raise ValueError("column_stochastic_transfer requires equal totals")
     if np.abs(x).sum() > np.abs(y).sum() + 1e-10 * max(1.0, np.abs(y).sum()):
         raise ValueError("column_stochastic_transfer requires ||x||_1 <= ||y||_1")
-    eps = _scaled_tol(y, tol)
-    if np.abs(x - y).sum() <= eps * 1e-3:
+    if np.abs(x - y).sum() <= 1e-3 * tol * np.abs(y).sum():
         return StochasticMatrix(np.eye(n), "column")
 
-    m0 = sign_collapse_matrix(y)
-    zhat = m0 @ y
-    dmat = doubly_stochastic_transfer(_within_norm(x, y), zhat, tol)
-    a = dmat.matrix @ m0
-    out = StochasticMatrix(a, "column", n_t_transforms=dmat.n_t_transforms)
+    z = _within_norm(x, y)
+    a = np.full((n, n), 1.0 / n)
+    for side in (1.0, -1.0):
+        part, total = np.maximum(side * z, 0.0), np.maximum(side * y, 0.0).sum()
+        if total > 0:
+            a[:, side * y > 0] = ((part + max(0.0, total - part.sum()) / n) / total)[:, None]
+    out = StochasticMatrix(a, "column")
     out.validate()
     if np.abs(a @ y - x).sum() > _scaled_tol(y, 1e-9):
-        raise TransferSynthesisError("sign-collapse construction failed to map y to x")
+        raise TransferSynthesisError("column-stochastic transfer failed to map y to x")
     return out
 
 
@@ -435,6 +420,5 @@ __all__ = [
     "minimal_element",
     "random_d_stochastic",
     "ratio_order",
-    "sign_collapse_matrix",
     "thermo_curve",
 ]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dmajor import channels, majorize
 from dmajor.channels import (
+    MAX_CHANNEL_DIM,
     PositivityError,
     SuperOperator,
     channel_between,
@@ -72,8 +74,9 @@ def composed_channel(a, b, null_state=None, tol=1e-9):
     m = column_stochastic_transfer(_within_norm(x, y), y).matrix
     omega = np.eye(n) / n if null_state is None else null_state
     scale = max(1.0, trace_norm(b))
-    null_images = {j: u.conj().T @ omega @ u for j in range(n) if abs(y[j]) <= tol * scale}
-    pinch = pinching_superoperator(m, null_images or None)
+    pinch = pinching_superoperator(m)
+    for j in np.flatnonzero(np.abs(y) <= tol * scale):
+        pinch.action[:, j + j * n] = vec(u.conj().T @ omega @ u)
     into_v = SuperOperator(n, n, np.kron(v.T, v.conj().T))
     out_u = SuperOperator(n, n, np.kron(u.conj(), u))
     return out_u.compose(pinch).compose(into_v)
@@ -361,6 +364,40 @@ class TestChannelBetween:
                     ref = composed_channel(a, b, null_state).action
                     assert np.max(np.abs(t.action - ref)) <= 1e-12
                     assert is_cp(t) and is_tp(t)
+
+    def test_runs_without_the_chain(self, monkeypatch):
+        # the column-stochastic transfer is closed form: no majorization
+        # test, no doubly stochastic chain
+        def refuse(*args, **kwargs):
+            raise AssertionError("channel_between reached the chain route")
+
+        for name in ("majorizes", "doubly_stochastic_transfer", "_chain_transfer"):
+            monkeypatch.setattr(majorize, name, refuse)
+        monkeypatch.setattr(channels, "majorizes", refuse)
+        rng = np.random.default_rng(84)
+        for n in (2, 3, 4):
+            a, b = hermitian_pair_with_precondition(rng, n)
+            t = channel_between(a, b)
+            assert is_cp(t) and is_tp(t)
+            assert trace_norm(t.apply(b) - a) <= 1e-8
+
+    def test_at_the_dimension_cap(self):
+        rng = np.random.default_rng(85)
+        b = rand_density(rng, MAX_CHANNEL_DIM)
+        a = np.diag(rng.dirichlet(np.ones(MAX_CHANNEL_DIM))).astype(complex)
+        t = channel_between(a, b)
+        assert is_cp(t) and is_tp(t)
+        assert trace_norm(t.apply(b) - a) <= 1e-8
+
+    def test_rejects_above_the_cap_before_decomposing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed a matrix above the cap")
+
+        monkeypatch.setattr(channels, "hermitian_eig", refuse)
+        monkeypatch.setattr(channels, "trace_norm", refuse)
+        n = MAX_CHANNEL_DIM + 1
+        with pytest.raises(ValueError, match=f"MAX_CHANNEL_DIM = {MAX_CHANNEL_DIM}"):
+            channel_between(np.eye(n) / n, np.eye(n) / n)
 
     def test_rejects_trace_mismatch(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,20 @@ class TestCheck:
         assert report["data"]["certificate_kind"] == "doubly"
         assert "certificate transfer 1-norm error 1.800e-09" in report["diagnostics"]
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_certificate_at_a_small_scale(self, tmp_path, capture, weighted):
+        # at 2^-40 the certificate is the one at scale 1, not the identity
+        s = 2.0 ** -40
+        x, y = s * np.array([0.55, 0.27, 0.18]), s * np.array([0.7, 0.2, 0.1])
+        argv = ["check", write(tmp_path, "x.json", list(x)),
+                write(tmp_path, "y.json", list(y)), "--certificate"]
+        if weighted:
+            argv += ["--d", write(tmp_path, "d.json", [0.5, 0.3, 0.2])]
+        code, out, _ = capture(argv)
+        assert code == 0
+        a = np.array(json.loads(out)["data"]["certificate"])
+        assert np.abs(a @ y - x).sum() <= 1e-14 * y.sum()
+
     def test_certificate_with_large_weights(self, tmp_path, capture):
         # d = 1e8 e defines the same order as d = e; A d = d is checked
         # relative to e^T d
@@ -410,6 +424,13 @@ class TestChannel:
                   [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
         code, out, _ = capture(["channel", "--a", a, "--b", b])
         assert code == 0
+
+    def test_dimension_cap_is_an_input_error(self, tmp_path, capture):
+        n = dmajor.channels.MAX_CHANNEL_DIM + 1
+        a = write(tmp_path, "a.json", (np.eye(n) / n).tolist())
+        code, out, err = capture(["channel", "--a", a, "--b", a])
+        assert code == 2 and out == ""
+        assert f"MAX_CHANNEL_DIM = {n - 1}" in err
 
 
 class TestCnr:

@@ -17,7 +17,6 @@ from dmajor.majorize import (
     maximal_element,
     minimal_element,
     random_d_stochastic,
-    sign_collapse_matrix,
     thermo_curve,
 )
 from dmajor.polytope import contains, halfspace_bounds, vertex_for_permutation
@@ -106,7 +105,7 @@ def _array_chain(xs, ys, w):
     a = np.eye(n)
     y = ys.copy()
     count = 0
-    small = 1e-13 * max(1.0, float(np.abs(ys).sum()))
+    small = 1e-13 * float(np.abs(ys).sum())
     for _ in range(n):
         diff = y - xs
         if np.max(np.abs(diff)) <= small:
@@ -436,11 +435,6 @@ class TestColumnStochasticTransfer:
         y = np.array([0.5, -0.2])
         assert np.array_equal(column_stochastic_transfer(y, y).matrix, np.eye(2))
 
-    def test_sign_collapse_stage(self):
-        # direct multiplication of the sign-indicator column map
-        m0 = sign_collapse_matrix([4.0, -2.0, 2.0])
-        assert np.allclose(m0 @ np.array([4.0, -2.0, 2.0]), [6.0, -2.0, 0.0])
-
     def test_worked_example(self):
         x = np.array([2.0, 1.0, 1.0])
         y = np.array([4.0, -2.0, 2.0])
@@ -516,6 +510,125 @@ class TestColumnStochasticTransfer:
             out = column_stochastic_transfer(x, y)
             out.validate()
             assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * max(1.0, y.sum())
+
+
+def _check_column_transfer(x, y, rng):
+    """column_stochastic_transfer(x, y) passes validate(), the 1e-9 residual
+    gate and a 1-norm contraction probe."""
+    out = column_stochastic_transfer(x, y)
+    out.validate()
+    a = out.matrix
+    assert np.abs(a @ y - x).sum() <= 1e-9 * max(1.0, np.abs(y).sum())
+    for z in rng.standard_normal((5, y.size)):
+        assert np.abs(a @ z).sum() <= np.abs(z).sum() * (1.0 + 1e-12)
+    return a
+
+
+def _integer_pair(rng, n, signs):
+    """Integer y with the given entry signs (+1, -1, 0) and an integer x with
+    the same positive and negative masses, spread over a permutation of those
+    signs, so that e^T x = e^T y and ||x||_1 = ||y||_1 hold exactly."""
+    y = signs * rng.integers(1, 50, size=n)
+    x_signs = rng.permutation(signs)
+    x = np.zeros(n)
+    for side in (1, -1):
+        slots = x_signs == side
+        mass = int(np.maximum(side * y, 0).sum())
+        if mass:
+            x[slots] = side * rng.multinomial(mass, rng.dirichlet(np.ones(slots.sum())))
+    return x, y.astype(float)
+
+
+class TestColumnStochasticClosedForm:
+    def test_campaign(self):
+        # zero, one-signed and mixed-sign y at 1-norm equality, inside it,
+        # and with tolerance-level norm excess and total gaps
+        rng = np.random.default_rng(41)
+        for trial in range(600):
+            n = int(rng.integers(1, 9))
+            signs = (np.ones(n), rng.choice([-1.0, 1.0], size=n),
+                     rng.choice([-1.0, 0.0, 1.0], size=n))[trial % 3]
+            if trial % 2:
+                signs = -signs
+            x, y = _integer_pair(rng, n, signs)
+            scale = 2.0 ** int(rng.integers(-20, 21))
+            x, y = scale * x, scale * y
+            assert x.sum() == y.sum() and np.abs(x).sum() == np.abs(y).sum()
+            a = _check_column_transfer(x, y, rng)
+            if not np.array_equal(x, y):                # else the identity
+                assert (a[:, y == 0] == 1.0 / n).all()
+            # inside the norm ball: a mixture with the mean
+            inner = x + rng.uniform(0.0, 1.0) * (y.sum() / n - x)
+            _check_column_transfer(inner, y, rng)
+            if n == 1:
+                continue
+            # tolerance-level excess of the norm, and a gap between the totals
+            bound = 1e-10 * max(1.0, np.abs(y).sum())
+            delta = 10.0 ** rng.uniform(-15, -10.5) * max(1.0, np.abs(y).sum())
+            i, j = rng.choice(n, size=2, replace=False)
+            # x_i away from zero, x_j toward or past it: equal totals
+            over = x.copy()
+            over[[i, j]] += (np.sign(x[i]) or 1.0) * delta / 2 * np.array([1.0, -1.0])
+            if np.abs(over).sum() <= np.abs(y).sum() + bound:
+                _check_column_transfer(over, y, rng)
+            gap = x.copy()
+            gap[i] += rng.choice([-1.0, 1.0]) * min(delta, 9e-11 * max(1.0, abs(y.sum())))
+            if np.abs(gap).sum() <= np.abs(y).sum() + bound:
+                _check_column_transfer(gap, y, rng)
+
+    def test_per_side_slack_with_a_tiny_side(self):
+        # y with one entry of +-1e-17 against the other sign: the slack of
+        # each side is its own, so the tiny side keeps unit column sums
+        rng = np.random.default_rng(42)
+        for trial in range(400):
+            n = int(rng.integers(2, 9))
+            sign = 1.0 if trial % 2 else -1.0
+            y = sign * rng.dirichlet(np.ones(n)) * 10.0 ** rng.integers(-3, 4)
+            y[rng.integers(n)] = -sign * 1e-17
+            x = random_d_stochastic(np.ones(n), rng) @ y
+            x += (y.sum() - x.sum()) / n
+            if np.abs(x).sum() > np.abs(y).sum():
+                x = 0.5 * x + 0.5 * y.sum() / n
+            a = _check_column_transfer(x, y, rng)
+            assert np.abs(a.sum(axis=0) - 1.0).max() <= 1e-14
+
+
+class TestCertificateScaleInvariance:
+    def test_bit_identical_at_powers_of_two(self):
+        # every floor is relative to ||y||_1, so (2^k x, 2^k y) gets the
+        # certificate of (x, y) bit for bit, for all three transfer kinds
+        rng = np.random.default_rng(43)
+        x, y = np.array([0.55, 0.27, 0.18]), np.array([0.7, 0.2, 0.1])
+        cases = [(x, y, x, np.array([0.5, 0.3, 0.2]))]         # (x, y, xd, d)
+        for trial in range(20):
+            n = 2 + trial % 7
+            d = rng.uniform(0.2, 2.0, size=n)
+            y = rng.standard_normal(n) if trial % 2 else rng.dirichlet(np.ones(n))
+            cases.append((random_d_stochastic(np.ones(n), rng) @ y, y,
+                          random_d_stochastic(d, rng) @ y, d))
+        for x, y, xd, d in cases:
+            xc = 0.5 * x + 0.5 * y.sum() / y.size
+            base = (doubly_stochastic_transfer(x, y).matrix,
+                    d_stochastic_transfer(xd, y, d).matrix,
+                    column_stochastic_transfer(xc, y).matrix)
+            assert not any(np.array_equal(a, np.eye(y.size)) for a in base)
+            for k in range(-40, 41):
+                s = 2.0 ** k
+                got = (doubly_stochastic_transfer(s * x, s * y).matrix,
+                       d_stochastic_transfer(s * xd, s * y, d).matrix,
+                       column_stochastic_transfer(s * xc, s * y).matrix)
+                for a, ref in zip(got, base):
+                    assert np.array_equal(a, ref)
+
+    def test_small_scale_reproducer(self):
+        # at 2^-40 the absolute floors returned the identity, 30 % of ||y||_1
+        # off; now the residual is relative
+        x = 2.0 ** -40 * np.array([0.55, 0.27, 0.18])
+        y = 2.0 ** -40 * np.array([0.7, 0.2, 0.1])
+        for a in (doubly_stochastic_transfer(x, y).matrix,
+                  d_stochastic_transfer(x, y, [0.5, 0.3, 0.2]).matrix,
+                  column_stochastic_transfer(x, y).matrix):
+            assert np.abs(a @ y - x).sum() <= 1e-14 * np.abs(y).sum()
 
 
 class TestDStochasticTransfer:
