@@ -89,15 +89,11 @@ def _load_complex_matrix(path: str) -> np.ndarray:
 
 
 def _complex_matrix_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in m]
-
-
-def _vector_json(v: np.ndarray) -> list:
-    return [float(x) for x in v]
+def _real_json(a) -> list:
+    return np.asarray(a, float).tolist()
 
 
 def _write(args, text: str) -> None:
@@ -167,7 +163,7 @@ def _cmd_check(args) -> int:
             cert = majorize.doubly_stochastic_transfer(x, y, tol=args.tol)
         else:
             cert = majorize.d_stochastic_transfer(x, y, d, tol=args.tol)
-        data["certificate"] = _matrix_json(cert.matrix)
+        data["certificate"] = _real_json(cert.matrix)
         data["certificate_kind"] = cert.kind
         diagnostics = _certificate_residuals(cert.matrix, x, y, d)
     _emit(args, _report("check", verdict=verdict, data=data, diagnostics=diagnostics))
@@ -185,8 +181,8 @@ def _cmd_polytope(args) -> int:
     else:
         data = {
             "n": poly.n,
-            "b": _vector_json(poly.b),
-            "vertices": [_vector_json(p) for p in verts.points],
+            "b": _real_json(poly.b),
+            "vertices": _real_json(verts.points),
             "generating_perms": [[list(p) for p in ps] for ps in verts.perms],
         }
         _emit(args, _report("polytope", data=data))
@@ -202,8 +198,8 @@ def _cmd_curve(args) -> int:
         _emit_csv(args, "c,f", rows)
     else:
         _emit(args, _report("curve", data={
-            "elbows_c": _vector_json(curve.c),
-            "elbows_f": _vector_json(curve.f),
+            "elbows_c": _real_json(curve.c),
+            "elbows_f": _real_json(curve.f),
         }))
     return EXIT_TRUE
 
@@ -224,11 +220,11 @@ def _cmd_bath(args) -> int:
         rates = dissipation.zero_temperature_rates(args.zero_temp)
     else:
         rates = dissipation.thermal_rates(d)
-        data["d"] = _vector_json(d)
+        data["d"] = _real_json(d)
     gen = dissipation.b0_from_rates(rates)
-    data["a"] = _vector_json(rates.a)
-    data["b"] = _vector_json(rates.b)
-    data["b0"] = _matrix_json(gen.b0)
+    data["a"] = _real_json(rates.a)
+    data["b"] = _real_json(rates.b)
+    data["b0"] = _real_json(gen.b0)
     _emit(args, _report("bath", data=data))
     return EXIT_TRUE
 
@@ -277,7 +273,7 @@ def _cmd_bound(args) -> int:
     z, report = reach.majorization_envelope(
         x0, d, sample_count=args.samples, sample_depth=args.depth, seed=args.seed)
     data = {
-        "z": _vector_json(z),
+        "z": _real_json(z),
         "initial_majorized": report.initial_majorized,
         "tangential_ok": report.tangential_ok,
         "tangential_mu": {str(list(k)): v for k, v in report.tangential_mu.items()},

@@ -8,7 +8,9 @@ a column-stochastic matrix with fixed point d mapping y to x.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +35,13 @@ def as_weight_vector(d) -> np.ndarray:
     if (v <= 0).any():
         raise ValueError("weight vector entries must be strictly positive")
     return v
+
+
+def _validated(x, y, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x, y, d = as_vector(x), as_vector(y), as_weight_vector(d)
+    if not (x.size == y.size == d.size):
+        raise ValueError("x, y, d must have equal length")
+    return x, y, d
 
 
 def _scaled_tol(y: np.ndarray, tol: float) -> float:
@@ -129,13 +138,14 @@ def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
     ||v||_1 = 2 sum v_+ - sum v, so a 1-norm gap is twice the positive-part
     (and curve) gap; the norm route compares it against twice the tolerance.
     """
-    x = as_vector(x)
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    if not (x.size == y.size == d.size):
-        raise ValueError("x, y, d must have equal length")
+    x, y, d = _validated(x, y, d)
     if method not in D_MAJORIZE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {D_MAJORIZE_METHODS}")
+    return _d_majorizes(x, y, d, method, tol)
+
+
+def _d_majorizes(x, y, d, method: str, tol: float) -> bool:
+    """d_majorizes on validated vectors of equal length."""
     eps = _scaled_tol(y, tol)
     if abs(x.sum() - y.sum()) > eps:
         return False
@@ -190,86 +200,81 @@ class StochasticMatrix:
         return self.matrix.shape
 
 
-def _t_transform_chain(xs: np.ndarray, ys: np.ndarray,
-                       w: np.ndarray) -> tuple[np.ndarray, int]:
-    """Column-stochastic A >= 0 with A ys = xs and A w = w, for masses whose
-    densities xs/w and ys/w are non-increasing and whose prefix sums satisfy
-    sum xs[:m] <= sum ys[:m] with equal totals.  At w = ones, A is doubly
-    stochastic and this is classical majorization.
-
-    A chain of at most n-1 weighted T-transforms: each step moves mass from
-    the last piece j with ys_j > xs_j to the first later piece k with
-    ys_k < xs_k, fixes w, and matches at least one more piece.
-    """
-    n = xs.size
-    a = np.eye(n).tolist()
-    x, y, w = xs.tolist(), ys.tolist(), w.tolist()
-    count = 0
-    small = 1e-13 * float(np.abs(ys).sum())
-    for _ in range(n):
-        diff = [yi - xi for yi, xi in zip(y, x)]
-        if max(map(abs, diff)) <= small:
-            break
+def _t_transform_chain(xs: list, ys: list, w: list, rows: list) -> tuple[list, int]:
+    """C @ rows and the step count of C, column-stochastic with C ys = xs and
+    C w = w, for masses of non-increasing densities xs/w and ys/w, equal
+    totals and sum xs[:m] <= sum ys[:m]; at w = e this is classical
+    majorization.  Each of at most m-1 weighted T-transforms moves mass from
+    the last j with ys_j > xs_j to the first later k with ys_k < xs_k."""
+    m = len(xs)
+    a, y = list(rows), list(ys)
+    diff = [yi - xi for yi, xi in zip(y, xs)]
+    small = 1e-13 * sum(map(abs, ys))
+    for count in range(m):
         # largest j with x_j < y_j, then the smallest k > j with x_k > y_k;
         # without such a j there is no k
-        j = next((i for i in reversed(range(n)) if diff[i] > small), n)
-        k = next((i for i in range(j + 1, n) if diff[i] < -small), None)
+        j = next((i for i in reversed(range(m)) if diff[i] > small), m)
+        k = next((i for i in range(j + 1, m) if diff[i] < -small), None)
         if k is None:
-            break
-        delta = min(y[j] - x[j], x[k] - y[k])
-        lam = delta / (y[j] * w[k] - y[k] * w[j])
+            return a, count
+        lam = min(diff[j], -diff[k]) / (y[j] * w[k] - y[k] * w[j])
         t00, t01, t10, t11 = 1.0 - lam * w[k], lam * w[j], lam * w[k], 1.0 - lam * w[j]
-        aj, ak = a[j], a[k]
-        a[j] = [t00 * u + t01 * v for u, v in zip(aj, ak)]
-        a[k] = [t10 * u + t11 * v for u, v in zip(aj, ak)]
+        a[j], a[k] = ([t00 * u + t01 * v for u, v in zip(a[j], a[k])],
+                      [t10 * u + t11 * v for u, v in zip(a[j], a[k])])
         y[j], y[k] = t00 * y[j] + t01 * y[k], t10 * y[j] + t11 * y[k]
-        count += 1
-    return np.array(a), count
+        diff[j], diff[k] = y[j] - xs[j], y[k] - xs[k]
+    return a, m
+
+
+def _pieces(d: list, px: list, py: list, total: float) -> list[tuple[float, int, int]]:
+    """(width, i_x, i_y) of each piece of [0, total] cut at the ends of d laid
+    out in the orders px and py, i_x and i_y being the entries whose intervals
+    hold it.  Equal ends give one cut, and no cut lies above total."""
+    ex, ey = list(accumulate(d[i] for i in px)), list(accumulate(d[i] for i in py))
+    ex[-1] = ey[-1] = total
+    out, start, i, j = [], 0.0, 0, 0
+    while i < len(d) and j < len(d):
+        end = min(ex[i], ey[j], total)
+        out.append((end - start, px[i], py[j]))
+        start, i, j = end, bisect_right(ex, end, i), bisect_right(ey, end, j)
+    return out
 
 
 def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
                     tol: float) -> StochasticMatrix:
-    """d-stochastic A with A y = x, for x <=_d y: A = merge @ chain @ split.
+    """d-stochastic A with A y = x, for validated x <=_d y.
 
-    Cuts [0, e^T d] at the ends of d laid out in the ratio orders of x and
-    of y; on these at most 2n-1 pieces, of lengths w, x <=_d y is w-weighted
-    majorization of the step densities.  split spreads each y_j over its
-    pieces, the T-transform chain fixing w maps those masses to those of x,
-    and merge sums each x_i back.  At d = e both are permutations.
+    On the at most 2n-1 _pieces of the ratio orders of x and of y, of widths
+    w, x <=_d y is w-weighted majorization of the step densities.  A piece p
+    of y_j starts as the row (w_p / d_j) e_j, the chain maps the pieces'
+    masses to those of x, and the rows of the pieces of x_i sum to row i of
+    A.  At d = e each piece is one entry, and A is the chain permuted.
     """
     n = x.size
+    xl, yl, dl = x.tolist(), y.tolist(), d.tolist()
     # both shortcuts and the chain's floor are relative to ||y||_1, so the
     # certificate of (s x, s y) is that of (x, y) for every power of two s
-    eps = 1e-3 * tol * np.abs(y).sum()
-    if np.abs(x - y).sum() <= eps:
+    norm, total = float(np.abs(y).sum()), float(d.sum())
+    eps = 1e-3 * tol * norm
+    if sum(abs(u - v) for u, v in zip(xl, yl)) <= eps:
         return StochasticMatrix(np.eye(n), "d-stochastic", d=d, n_t_transforms=0)
-    minimal = (y.sum() / d.sum()) * d
-    if np.abs(x - minimal).sum() <= eps:
-        return StochasticMatrix(np.outer(d, np.ones(n)) / d.sum(), "d-stochastic", d=d,
+    mean = sum(yl) / total
+    if sum(abs(u - mean * v) for u, v in zip(xl, dl)) <= eps:
+        return StochasticMatrix(np.outer(d, np.ones(n)) / total, "d-stochastic", d=d,
                                 n_t_transforms=0)
 
-    px = ratio_order(x, d)
-    py = ratio_order(y, d)
-    ends_x = np.cumsum(d[px])
-    ends_y = np.cumsum(d[py])
-    ends_x[-1] = ends_y[-1] = d.sum()         # both layouts end at one point
-    cuts = np.union1d(ends_x, ends_y)
-    starts = np.concatenate(([0.0], cuts[:-1]))
-    w = cuts - starts
-    ix = px[np.searchsorted(ends_x, starts, side="right")]
-    iy = py[np.searchsorted(ends_y, starts, side="right")]
-    pieces = np.arange(w.size)
-    split = np.zeros((w.size, n))
-    split[pieces, iy] = w / d[iy]
-    merge = np.zeros((n, w.size))
-    merge[ix, pieces] = 1.0
-    chain, count = _t_transform_chain(x[ix] * w / d[ix], split @ y, w)
-    a = merge @ chain @ split
+    pieces = _pieces(dl, ratio_order(x, d).tolist(), ratio_order(y, d).tolist(), total)
+    rows = [[0.0] * j + [w / dl[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
+    rows, count = _t_transform_chain([xl[i] * w / dl[i] for w, i, _ in pieces],
+                                     [row[j] * yl[j] for row, (_, _, j) in zip(rows, pieces)],
+                                     [w for w, _, _ in pieces], rows)
+    a = np.zeros((n, n))
+    np.add.at(a, [i for _, i, _ in pieces], rows)
     out = StochasticMatrix(a, "d-stochastic", d=d, n_t_transforms=count)
     # column sums, and A d = d relative to e^T d (row sums at d = e), within 1e-8
     out.validate(entry_tol=1e-8, sum_tol=1e-8)
     residual = np.abs(a @ y - x).sum()
-    if residual > _scaled_tol(y, 1e-8):
+    if residual > 1e-8 * max(1.0, norm):
         raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds 1e-8")
     return out
 
@@ -281,7 +286,9 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     """
     x = as_vector(x)
     y = as_vector(y)
-    if not majorizes(x, y, tol):
+    if x.size != y.size:
+        raise ValueError("x and y must have equal length")
+    if not _majorized_rows(x, y, tol):
         raise ValueError("doubly_stochastic_transfer requires x to be majorized by y")
     out = _chain_transfer(x, y, np.ones(x.size), tol)
     return StochasticMatrix(out.matrix, "doubly", n_t_transforms=out.n_t_transforms)
@@ -341,13 +348,10 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
 
 def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:
     """d-stochastic A (nonnegative, unit column sums, A d = d) with A y = x,
-    built from at most 2n-2 weighted T-transforms.  Requires
-    d_majorizes(x, y, d).
+    from at most 2n-2 weighted T-transforms.  Requires d_majorizes(x, y, d).
     """
-    x = as_vector(x)
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    if not d_majorizes(x, y, d, tol=tol):
+    x, y, d = _validated(x, y, d)
+    if not _d_majorizes(x, y, d, "norm", tol):
         raise ValueError("d_stochastic_transfer requires d_majorizes(x, y, d)")
     return _chain_transfer(x, y, d, tol)
 

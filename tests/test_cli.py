@@ -473,6 +473,25 @@ class TestReportRoundtrip:
         assert code == 0  # partial-sum excess forgiven at the loose tolerance
 
 
+class TestJsonWriters:
+    def test_text_matches_elementwise_floats(self):
+        # ndarray.tolist() gives the floats of the per-entry loop it
+        # replaced, so the emitted text is unchanged, signed zero included
+        from dmajor.cli import _complex_matrix_json, _real_json
+
+        vals = np.array([[-0.0, 5e-324, 1e308], [-5e-324, -1e308, 0.25]])
+        z = np.empty(vals.shape, complex)
+        z.real, z.imag = vals, vals[::-1]
+        before = {"real": [[float(v) for v in row] for row in vals],
+                  "vector": [float(v) for v in vals[0]],
+                  "complex": [[[float(c.real), float(c.imag)] for c in row] for row in z]}
+        after = {"real": _real_json(vals), "vector": _real_json(vals[0]),
+                 "complex": _complex_matrix_json(z)}
+        text = json.dumps(after, indent=2)
+        assert text == json.dumps(before, indent=2)
+        assert "-0.0" in text and "5e-324" in text and "1e+308" in text
+
+
 class TestExitContract:
     def test_internal_error_exits_numeric(self, tmp_path, capture, monkeypatch):
         def broken(y, d):

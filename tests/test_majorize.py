@@ -7,6 +7,7 @@ from dmajor.majorize import (
     StochasticMatrix,
     TransferSynthesisError,
     _majorized_rows,
+    _pieces,
     _t_transform_chain,
     column_stochastic_transfer,
     curve_minimum_form,
@@ -17,6 +18,7 @@ from dmajor.majorize import (
     maximal_element,
     minimal_element,
     random_d_stochastic,
+    ratio_order,
     thermo_curve,
 )
 from dmajor.polytope import contains, halfspace_bounds, vertex_for_permutation
@@ -319,7 +321,8 @@ def _sorted_assembly(x, y, tol=1e-9):
         return np.full((n, n), 1.0 / n), 0
     px = np.argsort(-x, kind="stable")
     py = np.argsort(-y, kind="stable")
-    a_sorted, count = _t_transform_chain(x[px], y[py], np.ones(n))
+    a_sorted, count = _t_transform_chain(x[px].tolist(), y[py].tolist(), [1.0] * n,
+                                         np.eye(n).tolist())
     mx = np.zeros((n, n))
     mx[np.arange(n), px] = 1.0
     my = np.zeros((n, n))
@@ -718,9 +721,9 @@ class TestDStochasticTransfer:
         inputs = []
         chain = majorize._t_transform_chain
 
-        def recorded(xs, ys, w):
+        def recorded(xs, ys, w, rows):
             inputs.append((xs, ys, w))
-            return chain(xs, ys, w)
+            return chain(xs, ys, w, rows)
 
         monkeypatch.setattr(majorize, "_t_transform_chain", recorded)
         for x, y, d in _weighted_cases(6):
@@ -730,8 +733,8 @@ class TestDStochasticTransfer:
             doubly_stochastic_transfer(x, y)
         assert len(inputs) >= 500
         for xs, ys, w in inputs:
-            a, count = chain(xs, ys, w)
-            ref, ref_count = _array_chain(xs, ys, w)
+            a, count = chain(xs, ys, w, np.eye(len(xs)).tolist())
+            ref, ref_count = _array_chain(*map(np.array, (xs, ys, w)))
             assert count == ref_count
             assert np.abs(a - ref).max() <= 1e-14
 
@@ -772,11 +775,11 @@ class TestDStochasticTransfer:
                     cert.validate(entry_tol=1e-8, sum_tol=1e-8)
 
     def test_residual_gate_ignores_weight_total(self, monkeypatch):
-        # with the chain replaced by the identity, merge @ split is still
-        # d-stochastic but maps y to a point ||A y - x||_1 = 0.2 away, which
-        # the gate must reject however large e^T d is
+        # with the chain replaced by the identity, the summed piece rows are
+        # still d-stochastic but map y to a point ||A y - x||_1 = 0.2 away,
+        # which the gate must reject however large e^T d is
         monkeypatch.setattr(majorize, "_t_transform_chain",
-                            lambda xs, ys, w: (np.eye(xs.size), 0))
+                            lambda xs, ys, w, rows: (rows, 0))
         x = np.array([0.4, 0.35, 0.25])
         y = np.array([0.5, 0.3, 0.2])
         for scale in (1.0, 1e8):
@@ -786,6 +789,113 @@ class TestDStochasticTransfer:
     def test_rejects_non_majorized(self):
         with pytest.raises(ValueError):
             d_stochastic_transfer([1.0, 0.0], [0.5, 0.5], [1.0, 5.0])
+
+
+def _union_layout(d, px, py):
+    """The refinement as laid out before the two-pointer merge: the union of
+    both layouts' ends, each piece's entries found by binary search.  The
+    ends are clipped to e^T d here; unclipped, a weight below the rounding
+    of e^T d that came last in both layouts left an end above e^T d, and the
+    search indexed past the last entry (IndexError)."""
+    ends_x = np.minimum(np.cumsum(d[px]), d.sum())
+    ends_y = np.minimum(np.cumsum(d[py]), d.sum())
+    ends_x[-1] = ends_y[-1] = d.sum()
+    cuts = np.union1d(ends_x, ends_y)
+    starts = np.concatenate(([0.0], cuts[:-1]))
+    return (cuts - starts, px[np.searchsorted(ends_x, starts, side="right")],
+            py[np.searchsorted(ends_y, starts, side="right")])
+
+
+def _product_certificate(x, y, d, tol=1e-9):
+    """The d-stochastic certificate as assembled before the chain ran on
+    rows: merge @ chain @ split on the union layout, after the identity and
+    minimal-element shortcuts."""
+    n = x.size
+    eps = 1e-3 * tol * np.abs(y).sum()
+    if np.abs(x - y).sum() <= eps:
+        return np.eye(n)
+    if np.abs(x - (y.sum() / d.sum()) * d).sum() <= eps:
+        return np.outer(d, np.ones(n)) / d.sum()
+    w, ix, iy = _union_layout(d, ratio_order(x, d), ratio_order(y, d))
+    pieces = np.arange(w.size)
+    split = np.zeros((w.size, n))
+    split[pieces, iy] = w / d[iy]
+    merge = np.zeros((n, w.size))
+    merge[ix, pieces] = 1.0
+    chain, _ = _array_chain(x[ix] * w / d[ix], split @ y, w)
+    return merge @ chain @ split
+
+
+def _refinement_cases(seed):
+    """Seeded (x, y, d) at n = 2..8 and scales 2^k, k in [-40, 40], with
+    signed y: tied ratios in both layouts, integer weights whose ends
+    coincide across the layouts, one weight below the rounding of e^T d,
+    and plain draws.  x is mostly a d-stochastic image of y."""
+    rng = np.random.default_rng(seed)
+    for trial in range(480):
+        n = 2 + trial % 7
+        kind = trial % 4
+        d = rng.integers(1, 4, size=n).astype(float) if kind == 1 else rng.uniform(0.2, 2.0, n)
+        if kind == 2:
+            d[rng.integers(n)] = 1e-20 * d.sum()
+        y = rng.standard_normal(n)
+        if kind == 0:
+            y[-1] = y[0] * d[-1] / d[0]
+            # a mixture of y and the minimal element keeps y's ties
+            x = 0.5 * y + 0.5 * minimal_element(y.sum(), d)
+        elif trial % 5 == 4:
+            x = rng.standard_normal(n)
+            x += (y.sum() - x.sum()) / n
+        else:
+            x = random_d_stochastic(d, rng) @ y
+        s = 2.0 ** int(rng.integers(-40, 41))
+        yield s * x, s * y, d, s
+
+
+class TestRefinement:
+    def test_merge_matches_union_layout(self):
+        for x, y, d, _ in _refinement_cases(71):
+            px, py = ratio_order(x, d), ratio_order(y, d)
+            w, ix, iy = _union_layout(d, px, py)
+            pieces = _pieces(d.tolist(), px.tolist(), py.tolist(), float(d.sum()))
+            assert pieces == list(zip(w.tolist(), ix.tolist(), iy.tolist()))
+
+    def test_certificate_matches_products(self):
+        # the row chain stays within 1e-14 of merge @ chain @ split, and
+        # returns the certificate of (x, y) at every (2^k x, 2^k y).  A weight
+        # below the rounding of e^T d that comes last in y's layout gets no
+        # piece: its column is zero in both, and the certificate is refused
+        positives = refused = 0
+        for x, y, d, s in _refinement_cases(72):
+            # decided at scale 1: below it the verdict's floor is absolute
+            if not d_majorizes(x / s, y / s, d):
+                continue
+            positives += 1
+            ref = _product_certificate(x, y, d)
+            if np.abs(ref.sum(axis=0) - 1.0).max() > 1e-8:
+                refused += 1
+                assert d.min() < 1e-16 * d.sum()
+                with pytest.raises(ValueError, match="column sums"):
+                    d_stochastic_transfer(x, y, d)
+                continue
+            a = d_stochastic_transfer(x, y, d).matrix
+            assert np.abs(a - ref).max() <= 1e-14
+            assert np.array_equal(d_stochastic_transfer(x / s, y / s, d).matrix, a)
+        assert positives >= 400 and refused < positives // 4
+
+    def test_bit_identical_at_uniform_weights(self):
+        # at d = e the certificate is the sorted assembly's, at every scale
+        compared = 0
+        for x, y, _, s in _refinement_cases(73):
+            if not majorizes(x / s, y / s):
+                continue
+            a = d_stochastic_transfer(x, y, np.ones(x.size)).matrix
+            assert np.array_equal(doubly_stochastic_transfer(x, y).matrix, a)
+            ref = _sorted_assembly(x / s, y / s)
+            if ref is not None:
+                compared += 1
+                assert np.array_equal(a, ref[0])
+        assert compared >= 200
 
 
 class TestDefinitionalOracle:
