@@ -276,7 +276,8 @@ def _cmd_bound(args) -> int:
         "z": _real_json(z),
         "initial_majorized": report.initial_majorized,
         "tangential_ok": report.tangential_ok,
-        "tangential_mu": {str(list(k)): v for k, v in report.tangential_mu.items()},
+        "tangential_margin": report.tangential_margin,
+        "tangential_witness": list(report.tangential_witness),
         "sampled_violations": report.sampled_violations,
         "samples_checked": report.samples_checked,
     }

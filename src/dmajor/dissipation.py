@@ -125,14 +125,16 @@ def b0_from_rates(rates: BathRates) -> Generator:
     """Tridiagonal rate matrix: sum_j a_j^2 |e_{j+1}-e_j><e_{j+1}|
     + b_j^2 |e_j-e_{j+1}><e_j|.  Column sums vanish exactly."""
     n = rates.n
+    # float_power squares by pow, as a scalar a_j ** 2 does; a ** 2 runs a * a,
+    # which can differ in the last bit
+    a2, b2 = np.float_power(rates.a, 2), np.float_power(rates.b, 2)
     b0 = np.zeros((n, n))
-    for j in range(n - 1):
-        a2 = rates.a[j] ** 2
-        b2 = rates.b[j] ** 2
-        b0[j + 1, j + 1] += a2
-        b0[j, j + 1] -= a2
-        b0[j, j] += b2
-        b0[j + 1, j] -= b2
+    flat = b0.reshape(-1)
+    # the diagonal gets a2 before b2; subtracting keeps +0.0 at a zero rate
+    flat[n + 1::n + 1] += a2
+    flat[:-1:n + 1] += b2
+    flat[1::n + 1] -= a2
+    flat[n::n + 1] -= b2
     return Generator(b0)
 
 
@@ -248,21 +250,15 @@ def steady_state(gen: Generator, tol: float = 1e-9) -> np.ndarray:
 
 def lowering_raising_ops(rates: BathRates) -> list[np.ndarray]:
     """The Lindblad pair N+ = sum a_j |e_j><e_{j+1}|, N- = sum b_j |e_{j+1}><e_j|."""
-    n = rates.n
-    n_plus = np.zeros((n, n), dtype=complex)
-    n_minus = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        n_plus[j, j + 1] = rates.a[j]
-        n_minus[j + 1, j] = rates.b[j]
-    return [n_plus, n_minus]
+    return [np.diag(rates.a, 1).astype(complex), np.diag(rates.b, -1).astype(complex)]
 
 
 def sigma_plus(n: int) -> np.ndarray:
     """Spin lowering ladder sum_j sqrt(j(n-j)) |e_j><e_{j+1}|."""
-    m = np.zeros((n, n), dtype=complex)
-    for j in range(1, n):
-        m[j - 1, j] = np.sqrt(j * (n - j))
-    return m
+    if n < 1:
+        raise ValueError("n must be positive")
+    j = np.arange(1, n)
+    return np.diag(np.sqrt(j * (n - j)), 1).astype(complex)
 
 
 def apply_gamma(ops, rho: np.ndarray) -> np.ndarray:

@@ -23,12 +23,12 @@ from .polytope import max_corner
 MAX_LOCAL_DIM = 4096
 MAX_TRAJECTORY_ROWS = 10 ** 6
 MAX_SAMPLE_DEPTH = 12
+# schedules per envelope: 21 s, 63 MB max RSS at n = 8, depth 12 (2-core VM)
+MAX_SAMPLE_COUNT = 100_000
 # the envelope tests every one of the n! permutations (40,320 at n = 8)
 MAX_ENVELOPE_DIM = 8
 # schedules propagated together; bounds the (block, depth, n, n) propagator stack
 _SAMPLE_BLOCK = 1024
-# rows per tangential test; bounds the (block, 41, n) candidate stack
-_PERM_BLOCK = 1024
 
 
 class SimplexViolationError(Exception):
@@ -482,13 +482,14 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
 @dataclass
 class EnvelopeReport:
     initial_majorized: bool
-    tangential_mu: dict[tuple[int, ...], float | None]
+    tangential_margin: float
+    tangential_witness: tuple[int, ...]
     sampled_violations: int
     samples_checked: int
 
     @property
     def tangential_ok(self) -> bool:
-        return all(mu is not None for mu in self.tangential_mu.values())
+        return self.tangential_margin <= 1.0
 
 
 def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
@@ -496,16 +497,18 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     """Envelope vertex z bounding the reachable set of the thermal model.
 
     Requires n <= MAX_ENVELOPE_DIM, constant neighbour ratios of d
-    (equidistant energy levels) and x0 >= 0.  z is the maximal corner of the
-    d-majorization polytope of x0; the report verifies that (a) x0 is
-    majorized by z, (b) the tangential condition (1 - mu B0) P z < z holds
-    for every permutation P at some dyadic mu <= 1, and (c) sampled random
-    schedule endpoints stay majorized by z.  Tangential failures are
-    reported, not raised.
+    (equidistant energy levels), x0 >= 0 and sample_count <= MAX_SAMPLE_COUNT.
+    z is the maximal corner of the d-majorization polytope of x0.  The report
+    checks, without raising, that (a) x0 is majorized by z, (b) {x < z} is
+    invariant under dx/dt = -B0 x and (c) no sampled schedule (seeds seed,
+    seed + 1, ..., one stacked propagator evaluation per 1024) leaves it.
 
-    The sampled schedules (seeds seed, seed + 1, ...) are propagated
-    together, with one stacked propagator evaluation per block of 1024
-    schedules, and every candidate point is tested in one array pass.
+    (b) is Nagumo's condition at every vertex P z; the field is linear, so
+    the vertices suffice.  Ordered by P z descending, ties by v descending
+    (the worst active set), the partial sums of v = -B0 P z but the total
+    must be <= 8 n u ||B0||_1 ||z||_1, u the unit roundoff.  tangential_margin
+    is the largest over that bound (<= 1 passes), at the permutation
+    tangential_witness.
     """
     x0 = as_vector(x0)
     d = as_weight_vector(d)
@@ -515,8 +518,9 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
         raise ValueError(f"n = {x0.size} exceeds the cap {MAX_ENVELOPE_DIM}")
     if np.min(x0) < -1e-12:
         raise ValueError("x0 must be entrywise nonnegative")
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be nonnegative, got {sample_count}")
+    if not 0 <= sample_count <= MAX_SAMPLE_COUNT:
+        raise ValueError("sample_count must be nonnegative and at most MAX_SAMPLE_COUNT = "
+                         f"{MAX_SAMPLE_COUNT}, got {sample_count}")
     if not 0 <= sample_depth <= MAX_SAMPLE_DEPTH:
         raise ValueError(f"sample_depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {sample_depth}")
     if d.size > 1:
@@ -530,30 +534,28 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     z = max_corner(x0, d)
     gen = b0_from_rates(thermal_rates(d))
 
-    # every permutation P against every dyadic mu = 2^-k, k = 0..40; the
-    # first passing mu is kept
-    perms = list(itertools.permutations(range(n)))
-    mus = 0.5 ** np.arange(41)
-    tangential: dict[tuple[int, ...], float | None] = {}
-    for lo in range(0, len(perms), _PERM_BLOCK):
-        block = perms[lo:lo + _PERM_BLOCK]
-        pz = z[np.array(block)]
-        # one matvec per row, not pz @ b0.T, so each row rounds as b0 @ pz
-        drift = np.matmul(gen.b0, pz[:, :, None])[:, :, 0]
-        ok = _majorized_rows(pz[:, None, :] - mus[:, None] * drift[:, None, :], z, 1e-9)
-        first = ok.argmax(axis=1)
-        for perm, k, passed in zip(block, first.tolist(), ok.any(axis=1).tolist()):
-            tangential[perm] = float(mus[k]) if passed else None
+    perms = np.array(list(itertools.permutations(range(n))))
+    pz = z[perms]
+    # one matvec per row, not pz @ b0.T, so each row rounds as b0 @ pz
+    v = -np.matmul(gen.b0, pz[:, :, None])[:, :, 0]
+    order = np.lexsort((-v, -pz), axis=1)
+    partial = np.cumsum(np.take_along_axis(v, order, axis=1), axis=1)[:, :-1]
+    # the empty prefix is always active, so margins start at 0 (also at n = 1)
+    worst = partial.max(axis=1, initial=0.0)
+    k = int(worst.argmax())
+    bound = 8 * n * (np.finfo(float).eps / 2) * np.abs(gen.b0).sum(axis=0).max() * np.abs(z).sum()
+    margin = float(worst[k] / bound) if worst[k] > 0 else 0.0
 
     violations = 0
     for lo in range(0, sample_count, _SAMPLE_BLOCK):
         seeds = range(seed + lo, seed + min(lo + _SAMPLE_BLOCK, sample_count))
         pts = _sample_paths(gen, x0, sample_depth, seeds)
-        violations += int(np.count_nonzero(~_majorized_rows(pts, z, 1e-9)))
+        violations += int(np.count_nonzero(~_majorized_rows(pts, z, 1e-9).all(axis=1)))
 
     report = EnvelopeReport(
         initial_majorized=majorizes(x0, z),
-        tangential_mu=tangential,
+        tangential_margin=margin,
+        tangential_witness=tuple(perms[k].tolist()),
         sampled_violations=violations,
         samples_checked=sample_count,
     )
@@ -592,11 +594,11 @@ class SplitMix64:
                 return u % bound
 
     def permutation(self, n: int) -> np.ndarray:
-        p = np.arange(n)
+        p = list(range(n))
         for i in range(n - 1, 0, -1):
             j = self.below(i + 1)
             p[i], p[j] = p[j], p[i]
-        return p
+        return np.array(p)
 
 
 def _draw(n: int, depth: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

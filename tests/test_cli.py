@@ -366,7 +366,34 @@ class TestBound:
         assert code == 0
         data = json.loads(out)["data"]
         assert data["tangential_ok"] is True
+        assert 0.0 <= data["tangential_margin"] <= 1.0
+        assert sorted(data["tangential_witness"]) == [0, 1, 2]
+        assert "tangential_mu" not in data
         assert data["sampled_violations"] == 0
+
+    def test_non_invariant_corner_exits_false(self, tmp_path, capture, monkeypatch):
+        # the sorted x0 is no maximal corner: the flow lifts its top entries
+        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: np.sort(x0))
+        x0 = write(tmp_path, "x0.json", [0.1, 0.2, 0.3, 0.4])
+        code, out, _ = capture(["bound", "--x0", x0, "--alpha", "0.5", "--samples", "20"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] is False
+        data = report["data"]
+        assert data["tangential_ok"] is False
+        assert data["tangential_margin"] > 1e9
+        assert data["tangential_witness"] == [3, 2, 0, 1]
+        assert data["initial_majorized"] is True
+        assert 0 < data["sampled_violations"] <= data["samples_checked"] == 20
+
+    def test_sample_count_cap_exits_input(self, tmp_path, capture):
+        cap = dmajor.reach.MAX_SAMPLE_COUNT
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, err = capture(["bound", "--x0", x0, "--alpha", "0.5",
+                                  "--samples", str(cap + 1)])
+        assert code == 2
+        assert out == ""
+        assert f"MAX_SAMPLE_COUNT = {cap}, got {cap + 1}" in err
 
     def test_negative_sample_count_exits_input(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

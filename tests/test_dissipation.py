@@ -46,6 +46,38 @@ class TestB0FromRates:
         gen = b0_from_rates(rates)
         assert np.max(np.abs(gen.b0.sum(axis=0))) == 0.0
 
+    def test_bits_match_per_entry_loop(self):
+        # the entry-by-entry construction, scalar squares included; the bytes
+        # are compared, so a last-bit or a -0.0 difference fails
+        rng = np.random.default_rng(16)
+        for case in range(300):
+            n = case % 9 + 1
+            if case % 3 == 0:
+                rates = zero_temperature_rates(n)
+            elif case % 3 == 1:
+                rates = thermal_rates(rng.uniform(0.01, 1.0, n))
+            else:
+                rates = BathRates(n=n, a=np.where(rng.random(n - 1) < 0.3, 0.0,
+                                                  rng.uniform(0, 10, n - 1)),
+                                  b=np.where(rng.random(n - 1) < 0.3, 0.0,
+                                             rng.uniform(0, 10, n - 1)))
+            b0 = np.zeros((n, n))
+            n_plus = np.zeros((n, n), dtype=complex)
+            n_minus = np.zeros((n, n), dtype=complex)
+            for j in range(n - 1):
+                a2, b2 = rates.a[j] ** 2, rates.b[j] ** 2
+                b0[j + 1, j + 1] += a2
+                b0[j, j + 1] -= a2
+                b0[j, j] += b2
+                b0[j + 1, j] -= b2
+                n_plus[j, j + 1] = rates.a[j]
+                n_minus[j + 1, j] = rates.b[j]
+            assert b0_from_rates(rates).b0.tobytes() == b0.tobytes()
+            ops = lowering_raising_ops(rates)
+            assert [op.dtype for op in ops] == [np.complex128] * 2
+            assert ops[0].tobytes() == n_plus.tobytes()
+            assert ops[1].tobytes() == n_minus.tobytes()
+
 
 class TestGenerator:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -467,6 +499,13 @@ class TestDissipator:
         ops = lowering_raising_ops(zero_temperature_rates(n))
         assert np.allclose(ops[0], sigma_plus(n))
         assert np.max(np.abs(ops[1])) == 0.0
+        for n in range(1, 9):
+            ladder = np.zeros((n, n), dtype=complex)
+            for j in range(1, n):
+                ladder[j - 1, j] = np.sqrt(j * (n - j))
+            assert sigma_plus(n).tobytes() == ladder.tobytes()
+        with pytest.raises(ValueError, match="n must be positive"):
+            sigma_plus(0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from dmajor.dissipation import b0_from_rates, equidistant_d, flow, thermal_rates
     zero_temperature_rates
 from dmajor.linalg import expm, perm_matrix
 from dmajor.majorize import majorizes
-from dmajor.polytope import max_corner
 from dmajor.reach import (
     EnvelopeReport,
     Schedule,
@@ -205,21 +204,45 @@ def _per_point_sample(b0, x, depth, seed):
     return np.array(points)
 
 
+def _tangent_partials(z, b0):
+    """Reference: the tangent test one vertex at a time.  For each
+    permutation P, the largest partial sum (at least 0, the empty one) of
+    v = -B0 P z taken in the order of P z descending, ties by v descending,
+    leaving out the full sum; and the bound 8 n u ||B0||_1 ||z||_1."""
+    n = z.size
+    bound = 8 * n * 2.0 ** -53 * np.abs(b0).sum(axis=0).max() * np.abs(z).sum()
+    worst = {}
+    for perm in itertools.permutations(range(n)):
+        pz = z[list(perm)]
+        v = -(b0 @ pz)
+        total = top = 0.0
+        for i in sorted(range(n), key=lambda i: (-pz[i], -v[i]))[:-1]:
+            total += v[i]
+            top = max(top, total)
+        worst[perm] = top
+    return worst, bound
+
+
 def _per_point_envelope(x0, d, sample_count, depth, seed):
-    """Reference: majorization_envelope with one scalar majorization test per
-    permutation and mu, and per sampled point."""
+    """Reference: majorization_envelope with the tangent test run one vertex
+    at a time and one scalar majorization test per sampled point."""
     x0 = np.maximum(x0, 0.0)
     x0 = x0 / x0.sum()
-    z = max_corner(x0, d)
+    z = dmajor.reach.max_corner(x0, d)
     b0 = b0_from_rates(thermal_rates(d)).b0
-    tangential = {}
-    for perm in itertools.permutations(range(d.size)):
-        pz = z[list(perm)]
-        tangential[perm] = next((2.0 ** -k for k in range(41)
-                                 if _scalar_majorizes(pz - 2.0 ** -k * (b0 @ pz), z)), None)
-    violations = sum(not _scalar_majorizes(p, z) for s in range(sample_count)
-                     for p in _per_point_sample(b0, x0, depth, seed + s))
-    return z, EnvelopeReport(_scalar_majorizes(x0, z), tangential, violations, sample_count)
+    worst, bound = _tangent_partials(z, b0)
+    witness = max(worst, key=worst.get)
+    margin = worst[witness] / bound if worst[witness] > 0 else 0.0
+    violations = sum(any(not _scalar_majorizes(p, z)
+                         for p in _per_point_sample(b0, x0, depth, seed + s))
+                     for s in range(sample_count))
+    return z, EnvelopeReport(_scalar_majorizes(x0, z), margin, witness, violations, sample_count)
+
+
+def _leaves_after_short_flow(b0, pz, z):
+    """Whether exp(-1e-4 B0) P z has a top-k sum above z's."""
+    out = np.sort(scipy.linalg.expm(-1e-4 * b0) @ pz)[::-1].cumsum()
+    return bool(np.any(out[:-1] > np.sort(z)[::-1].cumsum()[:-1]))
 
 
 def _reference_synthesize(gen, x0, x, eps):
@@ -794,9 +817,8 @@ class TestEnvelope:
             calls.clear()
             majorization_envelope(x0, d, sample_count=count, sample_depth=2)
             assert calls == [(2 * count,)]
-        # smaller blocks, so both block loops run several times
+        # smaller blocks, so the block loop runs several times
         monkeypatch.setattr(dmajor.reach, "_SAMPLE_BLOCK", 8)
-        monkeypatch.setattr(dmajor.reach, "_PERM_BLOCK", 5)
         d = equidistant_d(0.4, 4)
         x0 = np.array([0.1, 0.2, 0.3, 0.4])
         calls.clear()
@@ -808,13 +830,73 @@ class TestEnvelope:
 
     def test_dimension_cap(self):
         x0 = np.arange(1.0, 9.0) / 36.0
-        z, report = majorization_envelope(x0, equidistant_d(0.5, 8), sample_count=0)
-        assert len(report.tangential_mu) == 40320
+        d = equidistant_d(0.5, 8)
+        z, report = majorization_envelope(x0, d, sample_count=0)
         assert report.initial_majorized
+        z_ref, report_ref = _per_point_envelope(x0, d, 0, 4, 0)
+        assert np.array_equal(z, z_ref)
+        assert report == report_ref
         # x0 = d is its own maximal corner, so no polytope code sees n
         d = equidistant_d(0.5, 9)
         with pytest.raises(ValueError, match="n = 9 exceeds the cap 8"):
             majorization_envelope(d, d, sample_count=0)
+
+    def test_genuine_corners_pass(self):
+        rng = np.random.default_rng(16)
+        for n in range(2, 9):
+            for alpha in (0.1, 0.5, 0.9):
+                x0 = rng.dirichlet(np.ones(n))
+                z, report = majorization_envelope(x0, equidistant_d(alpha, n), sample_count=0)
+                assert report.tangential_ok
+                # rounding fills at most a quarter of the bound
+                assert report.tangential_margin <= 0.25
+
+    def test_non_invariant_corner_fails(self, monkeypatch):
+        # the sorted x0 is no maximal corner: the flow lifts its top entries
+        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: np.sort(x0))
+        x0 = np.array([0.1, 0.2, 0.3, 0.4])
+        d = equidistant_d(0.5, 4)
+        z, report = majorization_envelope(x0, d, sample_count=200, seed=3)
+        assert not report.tangential_ok
+        z_ref, report_ref = _per_point_envelope(x0, d, 200, 4, 3)
+        assert report == report_ref
+        assert report.tangential_margin > 1e9
+        assert 0 < report.sampled_violations <= report.samples_checked == 200
+        b0 = b0_from_rates(thermal_rates(d)).b0
+        assert _leaves_after_short_flow(b0, z[list(report.tangential_witness)], z)
+
+    def test_tangent_test_matches_short_flow(self, monkeypatch):
+        rng = np.random.default_rng(1606)
+        corners = {}
+        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: corners["z"])
+        vertices = failed = 0
+        for n in (3, 4, 5):
+            for _ in range(30):
+                corners["z"] = z = rng.dirichlet(np.ones(n))
+                d = equidistant_d(rng.uniform(0.1, 0.9), n)
+                b0 = b0_from_rates(thermal_rates(d)).b0
+                worst, bound = _tangent_partials(z, b0)
+                fails = {p: w > bound for p, w in worst.items()}
+                for perm, fail in fails.items():
+                    assert fail == _leaves_after_short_flow(b0, z[list(perm)], z)
+                    vertices += 1
+                    failed += fail
+                _, report = majorization_envelope(np.full(n, 1.0 / n), d, sample_count=0)
+                assert report.tangential_ok == (not any(fails.values()))
+        assert vertices == 30 * (6 + 24 + 120)
+        assert 0 < failed < vertices
+
+    def test_sample_count_cap(self, monkeypatch):
+        cap = dmajor.reach.MAX_SAMPLE_COUNT
+
+        def refuse(*args):
+            raise AssertionError("drawn before the cap was checked")
+
+        monkeypatch.setattr(dmajor.reach, "_sample_paths", refuse)
+        monkeypatch.setattr(dmajor.reach, "max_corner", refuse)
+        d = equidistant_d(0.5, 3)
+        with pytest.raises(ValueError, match=f"at most MAX_SAMPLE_COUNT = {cap}, got {cap + 1}"):
+            majorization_envelope([0.2, 0.3, 0.5], d, sample_count=cap + 1)
 
     def test_rejects_negative_sample_count(self):
         d = equidistant_d(0.5, 3)
