@@ -10,13 +10,14 @@ of reachable points.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dissipation import Generator, b0_from_rates, check_zero_temperature, propagator, \
     thermal_rates, zero_temperature_rates
-from .linalg import check_permutation, expm
+from .linalg import check_permutation
 from .majorize import _majorized_rows, as_vector, as_weight_vector, majorizes
 from .polytope import max_corner
 
@@ -160,8 +161,10 @@ def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
 # zero-temperature synthesis
 # ---------------------------------------------------------------------------
 
-def _first_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate.
+def _first_face_hit(b0: np.ndarray, z: np.ndarray,
+                    expo: Callable[[float], np.ndarray]) -> tuple[float, int, np.ndarray]:
+    """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate,
+    where expo(t) evaluates exp(t B0).
 
     Brackets the hit by doubling the duration from 1e-6, squaring the
     propagator instead of recomputing it, and confirms the bracket end with
@@ -178,7 +181,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarr
     # doubling by squaring: exp(2t B0) = exp(t B0)^2; a sign change seen
     # through the rounding of repeated squares is confirmed exactly
     t_hi = 1e-6
-    e = expm(b0, t_hi)
+    e = expo(t_hi)
     exact = True
     w_lo = z
     while True:
@@ -186,7 +189,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarr
         if not w_hi.min() > 0.0:
             if exact:
                 break
-            e = expm(b0, t_hi)
+            e = expo(t_hi)
             exact = True
             continue
         w_lo = w_hi
@@ -215,7 +218,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarr
                 if lo < newton < hi and 2.0 * abs(newton - t) <= move_before:
                     probe = newton
             move_before, move = move, abs(probe - t)
-            t, wt = probe, expm(b0, probe) @ z
+            t, wt = probe, expo(probe) @ z
             at_lo = bool(wt.min() > 0.0)
             if at_lo:
                 lo = t
@@ -223,7 +226,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarr
                 hi, w_hi = t, wt
         tau, w_tau = hi, w_hi
         h = (tau - t_lo) / 32.0
-        step = expm(b0, h)
+        step = expo(h)
         grid = np.empty((31, z.size))
         v = w_lo
         for k in range(31):
@@ -242,9 +245,11 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
 
     Built backwards: evolve x backward until a coordinate vanishes while the
     state stays in the simplex, permute that face into the last active slot,
-    and recurse on the shrunken support.
+    and recurse on the shrunken support.  The backward flows run on the
+    generator's cached series.
     """
     check_zero_temperature(gen)
+    series = gen._ladder[1]
     n = gen.n
     x = _check_simplex(x)
     if x.size != n:
@@ -259,7 +264,7 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
             m -= 1
         if m == 1:
             break
-        tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m])
+        tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m], series.block(m))
         w = np.maximum(w, 0.0)
         w = w / w.sum() * z[:m].sum()
         # a transposition is its own inverse, so the forward segment reuses it
@@ -273,14 +278,16 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     return Schedule(segments)
 
 
-def _relax_time(b0: np.ndarray, apply, x, target, budget: float,
+def _relax_time(gen: Generator, apply, x, target, budget: float,
                 what: str) -> tuple[float, np.ndarray]:
     """First t = 1, 2, 4, ... with ||apply(exp(-t B0), x) - target||_1 < budget,
-    and apply(exp(-t B0), x) at that t.
+    and apply(exp(-t B0), x) at that t, for a zero-temperature generator.
 
-    The exact error falls with t; once a doubling no longer lowers the
-    computed one, the flow has reached rounding level and the budget is out
-    of reach, so SimplexViolationError(what) is raised.
+    The exact error falls with t.  The forward series' columns sum to 1
+    exactly, so the computed error falls to the gap between the rounded
+    totals of the relaxed state and of target, which is zero when they round
+    alike.  Once a doubling no longer lowers it, the budget is out of reach
+    and SimplexViolationError(what) is raised.
 
     Doubling squares exp(-t B0) instead of recomputing it.  The rounding of
     the squares moves an error by far less than slack, so a decision that
@@ -290,26 +297,26 @@ def _relax_time(b0: np.ndarray, apply, x, target, budget: float,
     returned t and the raise are those of exact doubling.
     """
     squaring = True
-    t, last, e, exact = 1.0, np.inf, expm(b0, -1.0), True
+    t, last, e, exact = 1.0, np.inf, propagator(gen, 1.0), True
     while True:
         state = apply(e, x)
         err = np.abs(state - target).sum()
         if not exact:
             # ~45 n t ulps; measured gaps stay below 0.7 n t ulps
-            slack = 1e-14 * b0.shape[0] * t
+            slack = 1e-14 * gen.n * t
             if not err < last - 2.0 * slack:
                 squaring = False
-                t, last, e, exact = 1.0, np.inf, expm(b0, -1.0), True
+                t, last, e, exact = 1.0, np.inf, propagator(gen, 1.0), True
                 continue
             if err < budget + slack:
-                e, exact = expm(b0, -t), True
+                e, exact = propagator(gen, t), True
                 continue
         if err < budget:
             return t, state
         if not err < last:
             raise SimplexViolationError(what)
         t, last = 2.0 * t, err
-        e, exact = (e @ e, False) if squaring else (expm(b0, -t), True)
+        e, exact = (e @ e, False) if squaring else (propagator(gen, t), True)
 
 
 def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
@@ -321,8 +328,9 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     renormalized onto the face, which leaves up to ~1e-11 in the 1-norm.  So
     the endpoint error is at most eps/2 plus that, and an eps below ~1e-11
     is not met.  The error is not checked here; measure it with endpoint.
-    Raises SimplexViolationError when eps/2 lies below the flow's rounding
-    level.
+    The cooling flow's columns sum to 1 exactly, so it reaches e_1 up to the
+    rounding of x0's total: SimplexViolationError is raised only when eps/2
+    lies below that, as for an x0 whose total does not round to 1.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -335,7 +343,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     if np.abs(x0 - e1).sum() <= target_err:
         cool_t = 0.0
     else:
-        cool_t, _ = _relax_time(gen.b0, np.matmul, x0, e1, target_err,
+        cool_t, _ = _relax_time(gen, np.matmul, x0, e1, target_err,
                                 "cooling did not converge")
     ground = synthesize_from_ground(gen, x)
     return Schedule([Segment(tuple(range(n)), cool_t)] + ground.segments)
@@ -411,8 +419,9 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     block-head hierarchy and finishes with per-block ground schedules run in
     parallel.  Its maps are 1-norm contractions, so the endpoint error is at
     most eps/2 plus the ground schedules' own error of up to ~1e-11 (see
-    synthesize).  Raises SimplexViolationError when a round's budget lies
-    below the flow's rounding level.
+    synthesize).  Each round's flow carries every block onto its head up to
+    the rounding of the block's total, so SimplexViolationError is raised
+    only when a round's budget lies below that rounding.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -441,7 +450,7 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     for r in range(1, m + 1):
         collapsed = np.zeros(total)
         collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
-        t_relax, relaxed = _relax_time(gen_block.b0, block_apply, cur, collapsed, round_budget,
+        t_relax, relaxed = _relax_time(gen_block, block_apply, cur, collapsed, round_budget,
                                        "relaxation budget not reachable")
         segments.append(Segment(tuple(range(total)), t_relax))
         cur = _clamp_simplex(relaxed)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dmajor
+import dmajor.dissipation
 import dmajor.polytope
 from dmajor.cli import main
 
@@ -239,6 +240,18 @@ class TestBath:
         code, _, err = capture(["bath"])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", [["--zero-temp"], ["--equidistant", "0.5"]])
+    def test_level_cap(self, capture, mode):
+        cap = dmajor.dissipation.MAX_BATH_DIM
+        code, out, _ = capture(["bath", *mode, str(cap)])
+        assert code == 0
+        assert np.array(json.loads(out)["data"]["b0"]).shape == (cap, cap)
+        # far above the cap nothing is allocated before the check
+        for n in (cap + 1, 10 ** 12):
+            code, out, err = capture(["bath", *mode, str(n)])
+            assert code == 2 and out == ""
+            assert f"n = {n} exceeds the cap MAX_BATH_DIM = {cap}" in err
+
 
 class TestSimulateSynthesize:
     def test_synthesize_two_level(self, tmp_path, capture):
@@ -274,12 +287,32 @@ class TestSimulateSynthesize:
         assert "exceeds eps" in diagnostics[1]
 
     def test_synthesize_eps_below_rounding_floor_exits_numeric(self, tmp_path, capture):
+        # the total of x0 rounds below 1, so cooling stalls 1.1e-16 from e_1
         target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
-        x0 = write(tmp_path, "x0.json", [0.1, 0.2, 0.7])
+        x0 = write(tmp_path, "x0.json", [0.7, 0.2, 0.1])
         code, _, err = capture(["synthesize", "--zero-temp", "3", "--target", target,
                                 "--x0", x0, "--eps", "1e-17"])
         assert code == 3
         assert "numerical failure" in err
+
+    def test_synthesize_eps_below_ground_error_exits_numeric(self, tmp_path, capture):
+        # an exact total cools onto e_1, so a schedule is built; its ground
+        # schedule's error then exceeds eps, and the endpoint check says so
+        target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
+        x0 = write(tmp_path, "x0.json", [0.1, 0.2, 0.7])
+        code, out, err = capture(["synthesize", "--zero-temp", "3", "--target", target,
+                                  "--x0", x0, "--eps", "1e-17"])
+        assert code == 3 and err == ""
+        report = json.loads(out)
+        assert report["data"]["segments"][0]["duration"] == 32.0
+        assert "exceeds eps" in report["diagnostics"][1]
+
+    def test_synthesize_above_the_level_cap_exits_input(self, tmp_path, capture):
+        n = dmajor.dissipation.MAX_BATH_DIM + 1
+        target = write(tmp_path, "t.json", np.eye(n)[0].tolist())
+        code, _, err = capture(["synthesize", "--zero-temp", str(n), "--target", target])
+        assert code == 2
+        assert f"exceeds the cap MAX_BATH_DIM = {n - 1}" in err
 
     def test_synthesize_within_eps_exits_zero(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
@@ -557,7 +590,7 @@ class TestExitContract:
 
 class TestImportHygiene:
     """scipy is loaded only where expm, cdist and linprog run; birth-death
-    flows do not call expm."""
+    and zero-temperature flows do not call expm."""
 
     def test_import_leaves_scipy_unloaded(self):
         proc = run_fresh("import sys, dmajor, dmajor.cli\n"
@@ -583,6 +616,9 @@ class TestImportHygiene:
             ["cnr", "--c", a, "--t", b, "--count", "10"],
             # birth-death generators run on the spectral propagator
             ["simulate", "--thermal", d, "--x0", x, "--schedule", sched, "--dt", "0.2"],
+            # zero-temperature ones on their cached series
+            ["simulate", "--zero-temp", "3", "--x0", x, "--schedule", sched, "--dt", "0.2"],
+            ["synthesize", "--zero-temp", "3", "--target", y, "--x0", x],
             ["bound", "--x0", x, "--alpha", "0.5", "--samples", "20"],
         ]
         commands = [argv + ["--out", out] for argv in commands]

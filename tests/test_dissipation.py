@@ -339,18 +339,99 @@ class TestSpectralPropagator:
                 flow(gen, d, 3.0)
         assert expm_calls == []
 
+    def test_zero_temperature_generators_never_call_expm(self, expm_calls):
+        # at n = 1, B0 = 0 is also birth-death and runs on the spectral route
+        for n in range(2, 9):
+            gen = b0_from_rates(zero_temperature_rates(n))
+            assert gen._spectral is None and gen._ladder is not None
+            propagator(gen, 0.5)
+            propagator(gen, np.array([0.1, 2.0]))
+            flow(gen, np.eye(n)[-1], 3.0)
+        assert expm_calls == []
+
     def test_other_generators_call_expm(self, expm_calls):
         dense = Generator(3.0 * np.eye(3) - np.ones((3, 3)))
         gap = b0_from_rates(BathRates(n=4, a=[1.0, 0.0, 1.0], b=[1.0, 1.0, 1.0]))
         # a 40 T spread is beyond the spread the spectral route accepts
         steep = b0_from_rates(thermal_rates(gibbs_vector([0.0, 20.0, 40.0], 1.0)))
-        gens = [b0_from_rates(zero_temperature_rates(4)), local_generator(2, 2), gap, dense,
-                steep]
+        gens = [local_generator(2, 2), gap, dense, steep]
         for gen in gens:
-            assert gen._spectral is None
+            assert gen._spectral is None and gen._ladder is None
             p = propagator(gen, 0.5)
             assert np.array_equal(p, scipy.linalg.expm(-0.5 * gen.b0))
         assert expm_calls == [()] * len(gens)
+
+
+def _mp_expm(a, t):
+    """exp(t a) from mpmath at 30 digits, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist()) * t).tolist(), dtype=float)
+
+
+FORWARD_TIMES = (1e-6, 1e-2, 1.0, 16.0, 1024.0)
+BACKWARD_TIMES = (1e-6, 1e-2, 0.5, 4.0)
+
+
+class TestZeroTemperatureSeries:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_mpmath(self, n):
+        gen = b0_from_rates(zero_temperature_rates(n))
+        b0, (forward, backward) = gen.b0, gen._ladder
+        for t in FORWARD_TIMES:
+            assert np.max(np.abs(forward.full(t) - _mp_expm(b0, -t))) <= 1e-14
+        for t in BACKWARD_TIMES:
+            ref = _mp_expm(b0, t)
+            err = np.abs(backward.full(t) - ref).sum(axis=0).max()
+            assert err <= 1e-13 * np.abs(ref).sum(axis=0).max()
+
+    def test_leading_blocks_match_mpmath(self):
+        gen = b0_from_rates(zero_temperature_rates(8))
+        b0, backward = gen.b0, gen._ladder[1]
+        for m in range(1, 8):
+            ref = _mp_expm(b0[:m, :m], 1.0)
+            err = np.abs(backward.block(m)(1.0) - ref).sum(axis=0).max()
+            assert err <= 1e-13 * np.abs(ref).sum(axis=0).max()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_forward_columns_are_stochastic(self, n):
+        gen = b0_from_rates(zero_temperature_rates(n))
+        for t in np.r_[0.0, np.geomspace(1e-9, 1e4, 27)]:
+            p = propagator(gen, t)
+            assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-15
+            assert p.min() >= -1e-15
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_time_zero_is_the_identity(self, n):
+        gen = b0_from_rates(zero_temperature_rates(n))
+        assert np.array_equal(propagator(gen, 0.0), np.eye(n))
+        assert np.array_equal(gen._ladder[1].full(0.0), np.eye(n))
+
+    def test_stack_slices_equal_scalar_calls(self):
+        rng = np.random.default_rng(59)
+        for n in range(1, 9):
+            gen = b0_from_rates(zero_temperature_rates(n))
+            t = np.r_[FORWARD_TIMES, rng.uniform(0, 5, 4), 0.0]
+            stack = propagator(gen, t)
+            assert stack.shape == (t.size, n, n)
+            for k, tk in enumerate(t):
+                assert np.array_equal(stack[k], propagator(gen, float(tk)))
+            assert propagator(gen, np.array([])).shape == (0, n, n)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
+    def test_rejects_non_finite_product(self, bad):
+        gen = b0_from_rates(zero_temperature_rates(4))
+        with pytest.raises(ValueError, match="finite"):
+            propagator(gen, bad)
+        with pytest.raises(ValueError, match="finite"):
+            propagator(gen, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            gen._ladder[1].block(3)(bad)
+
+    def test_backward_overflow_raises(self):
+        backward = b0_from_rates(zero_temperature_rates(4))._ladder[1]
+        with pytest.raises(ValueError, match="overflows"):
+            backward.full(200.0)
 
 
 @pytest.fixture
@@ -436,6 +517,22 @@ class TestZeroTemperatureCheck:
     def test_rejects_thermal_rates(self):
         with pytest.raises(ValueError, match=self.MESSAGE):
             check_zero_temperature(b0_from_rates(thermal_rates(equidistant_d(0.5, 4))))
+
+    def test_level_cap(self):
+        cap = dmajor.dissipation.MAX_BATH_DIM
+        gen = b0_from_rates(zero_temperature_rates(cap))
+        check_zero_temperature(gen)
+        assert gen._ladder is not None
+        # one level more, built by hand: no series, and synthesis refuses it
+        b0 = np.zeros((cap + 1, cap + 1))
+        b0[:cap, :cap] = gen.b0
+        b0[cap - 1, cap], b0[cap, cap] = -1.0, 1.0
+        big = Generator(b0)
+        assert big._ladder is None
+        with pytest.raises(ValueError, match=f"MAX_BATH_DIM = {cap}"):
+            check_zero_temperature(big)
+        with pytest.raises(ValueError, match=f"MAX_BATH_DIM = {cap}"):
+            zero_temperature_rates(cap + 1)
 
     # -1e-14 lies within the column-sum tolerance, so B0 stays a valid Generator
     @pytest.mark.parametrize("i, j", [(1, 0), (3, 2), (2, 0), (3, 1)])

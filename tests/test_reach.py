@@ -6,7 +6,7 @@ import scipy.linalg
 
 import dmajor.dissipation
 import dmajor.reach
-from dmajor.dissipation import b0_from_rates, equidistant_d, flow, thermal_rates, \
+from dmajor.dissipation import b0_from_rates, equidistant_d, flow, propagator, thermal_rates, \
     zero_temperature_rates
 from dmajor.linalg import expm, perm_matrix
 from dmajor.majorize import majorizes
@@ -65,14 +65,14 @@ def _bisection_face_hit(b0, z):
     return tau, int(np.nonzero(wt <= np.min(wt) + 1e-13 * scale)[0][0])
 
 
-def _loop_face_hit(b0, z):
+def _loop_face_hit(b0, z, expo):
     """Reference: _first_face_hit with the guard grid checked one state at a
-    time, stopping at the first state below the face."""
+    time, stopping at the first state below the face; expo(t) = exp(t B0)."""
     scale = max(1.0, float(np.abs(z).sum()))
     if float(np.min(z)) <= 1e-12 * scale:
         return 0.0, int(np.argmin(z)), z.copy()
     t_hi = 1e-6
-    e = expm(b0, t_hi)
+    e = expo(t_hi)
     exact = True
     w_lo = z
     while True:
@@ -80,7 +80,7 @@ def _loop_face_hit(b0, z):
         if not np.min(w_hi) > 0.0:
             if exact:
                 break
-            e = expm(b0, t_hi)
+            e = expo(t_hi)
             exact = True
             continue
         w_lo = w_hi
@@ -104,7 +104,7 @@ def _loop_face_hit(b0, z):
                 if lo < newton < hi and 2.0 * abs(newton - t) <= move_before:
                     probe = newton
             move_before, move = move, abs(probe - t)
-            t, wt = probe, expm(b0, probe) @ z
+            t, wt = probe, expo(probe) @ z
             at_lo = bool(np.min(wt) > 0.0)
             if at_lo:
                 lo = t
@@ -112,7 +112,7 @@ def _loop_face_hit(b0, z):
                 hi, w_hi = t, wt
         tau, w_tau = hi, w_hi
         h = (tau - t_lo) / 32.0
-        step = expm(b0, h)
+        step = expo(h)
         v = w_lo
         for k in range(1, 32):
             v = step @ v
@@ -127,7 +127,7 @@ def _loop_face_hit(b0, z):
 
 # rotating (b0, z) pairs, not generators, whose first bracket holds an earlier
 # crossing than the one the Newton and bisection steps find: the guard grid
-# moves the bracket
+# moves the bracket.  They have no cached series, so expm evaluates them
 _SKIPPED_CROSSINGS = [
     (np.array([[-0.1, -0.30262018940639035, 3.1588265459827496, -6.140176616045918],
                [0.30262018940639035, -0.1, -2.4062495063544427, 3.43847493769642],
@@ -142,12 +142,12 @@ _SKIPPED_CROSSINGS = [
 ]
 
 
-def _exact_relax_time(b0, apply, x, target, budget):
-    """Reference: the first t = 1, 2, 4, ... whose exact exponential brings
+def _exact_relax_time(gen, apply, x, target, budget):
+    """Reference: the first t = 1, 2, 4, ... whose exact propagator brings
     x within budget of target; None where the error stops falling first."""
     t, last = 1.0, np.inf
     while True:
-        err = np.abs(apply(expm(b0, -t), x) - target).sum()
+        err = np.abs(apply(propagator(gen, t), x) - target).sum()
         if err < budget:
             return t
         if not err < last:
@@ -155,26 +155,28 @@ def _exact_relax_time(b0, apply, x, target, budget):
         t, last = 2.0 * t, err
 
 
-def _relax_or_none(b0, apply, x, target, budget):
+def _relax_or_none(gen, apply, x, target, budget):
     """_relax_time as (t, state), or (None, None) where it raises."""
     try:
-        return dmajor.reach._relax_time(b0, apply, x, target, budget, "no")
+        return dmajor.reach._relax_time(gen, apply, x, target, budget, "no")
     except SimplexViolationError:
         return None, None
 
 
 @pytest.fixture(scope="module")
 def faces():
-    """Seeded (B0 block, state) pairs as synthesize_from_ground meets them:
-    n = 2..8, leading m x m block, Dirichlet states of three concentrations."""
+    """Seeded (B0 block, state, evaluator) triples as synthesize_from_ground
+    meets them: n = 2..8, leading m x m block with the backward series of
+    that block, Dirichlet states of three concentrations."""
     rng = np.random.default_rng(11)
     out = []
     for n in range(2, 9):
-        b0 = _gen(n).b0
+        gen = _gen(n)
         for conc in (0.3, 1.0, 3.0):
             for _ in range(25):
                 m = int(rng.integers(2, n + 1))
-                out.append((b0[:m, :m], rng.dirichlet(np.full(m, conc))))
+                out.append((gen.b0[:m, :m], rng.dirichlet(np.full(m, conc)),
+                            gen._ladder[1].block(m)))
     return out
 
 
@@ -580,39 +582,38 @@ class TestGroundSynthesis:
 class TestFirstFaceHit:
     def test_matches_bisection_reference(self, faces):
         assert len(faces) >= 500
-        for b0, z in faces:
-            tau, j, _ = dmajor.reach._first_face_hit(b0, z)
+        for b0, z, expo in faces:
+            tau, j, _ = dmajor.reach._first_face_hit(b0, z, expo)
             tau_ref, j_ref = _bisection_face_hit(b0, z)
             # the stopping rule is 1e-12 * max(1, t), so compare on that scale
             assert abs(tau - tau_ref) <= 1e-10 * max(1.0, tau_ref)
             assert j == j_ref
 
     def test_matches_state_by_state_grid(self, faces):
-        for b0, z in faces + _SKIPPED_CROSSINGS:
-            tau, j, w = dmajor.reach._first_face_hit(b0, z)
-            tau_ref, j_ref, w_ref = _loop_face_hit(b0, z)
+        skipped = [(b0, z, lambda t, b0=b0: expm(b0, t)) for b0, z in _SKIPPED_CROSSINGS]
+        for b0, z, expo in faces + skipped:
+            tau, j, w = dmajor.reach._first_face_hit(b0, z, expo)
+            tau_ref, j_ref, w_ref = _loop_face_hit(b0, z, expo)
             assert (tau, j) == (tau_ref, j_ref)
             assert np.array_equal(w, w_ref)
 
-    def test_few_exponentials_per_face(self, faces, monkeypatch):
+    def test_few_exponentials_per_face(self, faces):
         calls = []
-        real = dmajor.reach.expm
-
-        def counting(a, t=1.0):
-            calls.append(t)
-            return real(a, t)
-
-        monkeypatch.setattr(dmajor.reach, "expm", counting)
         worst = 0
-        for b0, z in faces:
+        for b0, z, expo in faces:
             calls.clear()
-            dmajor.reach._first_face_hit(b0, z)
+
+            def counting(t, expo=expo):
+                calls.append(t)
+                return expo(t)
+
+            dmajor.reach._first_face_hit(b0, z, counting)
             worst = max(worst, len(calls))
         assert worst <= 15
 
     def test_returns_the_state_at_the_hit(self, faces):
-        for b0, z in faces[::7]:
-            tau, j, w = dmajor.reach._first_face_hit(b0, z)
+        for b0, z, expo in faces[::7]:
+            tau, j, w = dmajor.reach._first_face_hit(b0, z, expo)
             assert np.max(np.abs(w - scipy.linalg.expm(tau * b0) @ z)) <= 1e-12
             assert abs(w[j]) <= 1e-10
             assert w.min() >= -1e-10
@@ -659,31 +660,51 @@ class TestFullSynthesis:
                 assert err <= eps / 2 + 1e-10
 
     def test_eps_below_rounding_floor_raises(self):
-        # a 3-level flow stops lowering the error at rounding level; the
-        # doubling search gives up there instead of running t into overflow
+        # the total of x0 rounds to 1 - 2^-53, so the flow's error stops at
+        # 1.1e-16; the doubling search gives up there instead of running t
+        # into overflow
+        x0 = np.array([0.7, 0.2, 0.1])
+        assert x0.sum() < 1.0
         with pytest.raises(SimplexViolationError, match="cooling"):
-            synthesize(_gen(3), [0.1, 0.2, 0.7], [0.1, 0.6, 0.3], eps=1e-17)
-        x0, target = np.random.default_rng(29).dirichlet(np.ones(9), size=2)
+            synthesize(_gen(3), x0, [0.1, 0.6, 0.3], eps=1e-17)
         with pytest.raises(SimplexViolationError, match="relaxation"):
-            synthesize_local(3, 2, x0, target, 1e-17)
+            dmajor.reach._relax_time(_gen(3), np.matmul, x0, np.eye(3)[0], 5e-18,
+                                     "relaxation budget not reachable")
+
+    def test_exact_total_cools_onto_the_ground_state(self):
+        # the forward flow's columns sum to 1 exactly, so an x0 whose total
+        # rounds to 1 puts all of it on e_1 and the rest decays below any
+        # eps; the ground schedule's own error is what is left
+        gen, x0, target = _gen(3), np.array([0.1, 0.2, 0.7]), np.array([0.1, 0.6, 0.3])
+        assert x0.sum() == 1.0
+        sched = synthesize(gen, x0, target, eps=1e-17)
+        assert sched.segments[0].duration == 32.0
+        cooled = propagator(gen, 32.0) @ x0
+        assert cooled[0] == 1.0 and cooled[1:].sum() < 0.5e-17
+        assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-11
+        rng = np.random.default_rng(29)
+        for n, m in [(2, 2), (3, 2), (2, 3)] * 20:
+            x0, target = rng.dirichlet(np.ones(n ** m), size=2)
+            sched = synthesize_local(n, m, x0, target, 1e-17)
+            assert np.abs(endpoint(local_generator(n, m), x0, sched) - target).sum() <= 1e-11
 
     def test_cooling_time_matches_exact_doubling(self):
         rng = np.random.default_rng(37)
         for n in range(2, 9):
-            b0 = _gen(n).b0
+            gen = _gen(n)
             e1 = np.eye(n)[0]
             for x0 in rng.dirichlet(np.full(n, 0.5), size=4):
                 for eps in [10.0 ** -k for k in range(2, 13)] + [1e-17, 1e-300]:
-                    t, state = _relax_or_none(b0, np.matmul, x0, e1, eps / 2)
-                    assert t == _exact_relax_time(b0, np.matmul, x0, e1, eps / 2)
+                    t, state = _relax_or_none(gen, np.matmul, x0, e1, eps / 2)
+                    assert t == _exact_relax_time(gen, np.matmul, x0, e1, eps / 2)
                     if t is not None:
-                        assert np.array_equal(state, expm(b0, -t) @ x0)
+                        assert np.array_equal(state, propagator(gen, t) @ x0)
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     def test_relaxation_rounds_match_exact_doubling(self, n, m):
         rng = np.random.default_rng(53)
         total, n_blocks = n ** m, n ** (m - 1)
-        b0 = _gen(n).b0
+        gen = _gen(n)
 
         def apply(step, state):
             return (step @ state.reshape(n_blocks, n).T).T.reshape(total)
@@ -695,9 +716,9 @@ class TestFullSynthesis:
                     collapsed = np.zeros(total)
                     collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
                     budget = eps / (2 * m)
-                    t, state = _relax_or_none(b0, apply, cur, collapsed, budget)
-                    assert t == _exact_relax_time(b0, apply, cur, collapsed, budget)
-                    assert np.array_equal(state, apply(expm(b0, -t), cur))
+                    t, state = _relax_or_none(gen, apply, cur, collapsed, budget)
+                    assert t == _exact_relax_time(gen, apply, cur, collapsed, budget)
+                    assert np.array_equal(state, apply(propagator(gen, t), cur))
                     heads = n * np.arange(n ** (m - r))
                     gather = dmajor.reach._placement(np.arange(heads.size), heads, total)
                     cur = dmajor.reach._clamp_simplex(state)[gather]
