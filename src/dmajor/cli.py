@@ -105,7 +105,7 @@ def _write(args, text: str) -> None:
 
 
 def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, indent=2))
+    _write(args, json.dumps(payload))    # no indent: json then runs its C encoder
 
 
 def _emit_csv(args, header: str, rows: list[str]) -> None:

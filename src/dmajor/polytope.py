@@ -43,10 +43,11 @@ def constraint_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _permutations(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))))
+def _permutations(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    tuples = tuple(itertools.permutations(range(n)))
+    perms = np.array(tuples)
     perms.setflags(write=False)
-    return perms
+    return perms, tuples
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class HPolytope:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.b.shape != (2 ** self.n,):
             raise ValueError("b must have length 2^n")
-        if abs(self.b[-2] + self.b[-1]) > 1e-12 * max(1.0, abs(self.b[-2])):
-            raise ValueError("trace entries of b must be opposite")
+        if not abs(self.b[-2] + self.b[-1]) <= 1e-12 * max(1.0, abs(self.b[-2])):
+            raise ValueError("trace entries of b must be finite and opposite")
 
     @property
     def trace(self) -> float:
@@ -103,8 +104,9 @@ def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:
     b_by_mask = np.zeros(2 ** poly.n)
     b_by_mask[_row_masks(poly.n)] = poly.b[:-1]
     cum = b_by_mask[np.cumsum(1 << perms, axis=1)]
+    cum[:, 1:] -= cum[:, :-1]                           # prefix bounds to entries
     x = np.empty(perms.shape)
-    np.put_along_axis(x, perms, np.diff(cum, axis=1, prepend=0.0), axis=1)
+    x[np.arange(perms.shape[0])[:, None], perms] = cum
     return x
 
 
@@ -134,31 +136,33 @@ def _first_within(pts: np.ndarray, tol: float) -> np.ndarray:
     """Each row's kept row, greedy in row order: a row joins the first earlier
     kept row within tol in the 1-norm, or is kept.
 
-    Rows in one cell of the grid of width tol/n lie within tol of each other.
-    As |w.(p - q)| <= ||p - q||_1 for ||w||_inf <= 1, rows of two cells lie
-    within tol only if the cells' projections on w lie within 2n cell widths
-    (one more absorbs rounding); a window over the sorted projections finds
-    every such pair.  An unpaired cell keeps its first row; the rows of paired
-    cells, rare in practice, are merged one kept row at a time.
+    As |w.(p - q)| <= ||p - q||_1 for ||w||_inf <= 1, rows within tol project
+    within reach (tol plus a rounding margin) on w = 1/sqrt(i + 2) and on
+    w2 = (-1)^i w.  A row whose sorted w-neighbours both lie farther keeps
+    itself.  The rest run the greedy, each kept row comparing only the
+    unmerged rows of its w-window that w2 leaves.  Memory is O(k n).
     """
-    n = pts.shape[1]
-    cells = np.floor(pts * (n / tol))
-    proj = cells @ (1.0 / np.sqrt(np.arange(n) + 2.0))
+    k, n = pts.shape
+    w = 1.0 / np.sqrt(np.arange(n) + 2.0)
+    proj = pts @ w
     order = np.argsort(proj, kind="stable")
-    cells, proj = cells[order], proj[order]
-    cell = np.cumsum(np.r_[True, np.any(cells[1:] != cells[:-1], axis=1)]) - 1
-    start = np.flatnonzero(np.diff(cell, prepend=-1))   # runs of one cell, rows ascending
-    width = np.searchsorted(proj[start], proj[start] + 2 * n + 1) - np.arange(start.size) - 1
-    lo = np.repeat(np.arange(start.size), width)
-    hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(width) - width, width)
-    paired = np.bincount(np.r_[lo, hi], minlength=start.size) > 0
-    owner = order[start][cell][np.argsort(order)]
-    rows = np.sort(order[paired[cell]])
-    while rows.size:
-        # the first unmerged row has no kept row within tol before it
-        near = np.abs(pts[rows] - pts[rows[0]]).sum(axis=1) <= tol
-        owner[rows[near]] = rows[0]
-        rows = rows[~near]
+    proj = proj[order]
+    reach = tol + 4 * n * np.finfo(float).eps * float(np.abs(pts).sum(axis=1).max())
+    apart = np.ones(k + 1, dtype=bool)                  # sorted neighbours beyond reach
+    apart[1:-1] = proj[1:] - proj[:-1] > reach
+    todo = ~(apart[:-1] & apart[1:])                    # by sorted position
+    owner = np.arange(k)
+    if not todo.any():
+        return owner
+    proj2 = pts[order] @ (w * (-1.0) ** np.arange(n))
+    at = np.flatnonzero(todo)[np.argsort(order[todo])]  # in row order
+    lo, hi = np.searchsorted(proj, proj[at] + [[-reach], [reach]])
+    for i, a, b in zip(at.tolist(), lo.tolist(), hi.tolist()):
+        if todo[i]:                                     # unmerged rows all come later
+            near = a + np.flatnonzero(todo[a:b] & (np.abs(proj2[a:b] - proj2[i]) <= reach))
+            near = near[np.abs(pts[order[near]] - pts[order[i]]).sum(axis=1) <= tol]
+            owner[order[near]] = order[i]
+            todo[near] = False
     return owner
 
 
@@ -167,28 +171,28 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     array pass and deduplicated greedily in permutation order: each corner
     joins the first kept corner within dedup_tol * max(1, ||y||_1) in the
     1-norm, else it is kept, so kept points lie farther apart than that.
+    Only corners that crowd in a sorted projection are compared (_first_within).
     Permutations sharing one corner (ratio ties) are recorded together;
     points appear in order of their first generating permutation.
     """
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    n = y.size
     if not dedup_tol > 0:
         raise ValueError("dedup_tol must be positive")
-    poly = halfspace_bounds(y, d)
-    pts = _corners(_permutations(n), poly)
-    scale = max(1.0, float(np.abs(y).sum()))
-    kept, slot = np.unique(_first_within(pts, dedup_tol * scale), return_inverse=True)
-    gen: list[list[tuple[int, ...]]] = [[] for _ in kept]
-    for perm, s in zip(map(tuple, _permutations(n).tolist()), slot.tolist()):
+    poly = halfspace_bounds(y, d)                       # validates y and d
+    perms, perm_tuples = _permutations(poly.n)
+    pts = _corners(perms, poly)
+    scale = max(1.0, float(np.abs(np.asarray(y, dtype=float)).sum()))
+    owner = _first_within(pts, dedup_tol * scale)
+    kept = owner == np.arange(owner.size)
+    gen: list[list[tuple[int, ...]]] = [[] for _ in range(int(kept.sum()))]
+    for perm, s in zip(perm_tuples, (np.cumsum(kept) - 1)[owner].tolist()):
         gen[s].append(perm)
     points = pts[kept]
     # in blocks of points: one (2^n, k) slack array is ~140 MB at n = 8
     for lo in range(0, len(points), 1024):
-        slack = constraint_matrix(n) @ points[lo:lo + 1024].T - poly.b[:, None]
+        slack = constraint_matrix(poly.n) @ points[lo:lo + 1024].T - poly.b[:, None]
         if float(slack.max()) > 1e-9 * scale:
             raise RuntimeError("enumerated corner violates the half-space system")
-    return VertexSet(points=points, perms=tuple(tuple(g) for g in gen))
+    return VertexSet(points=points, perms=tuple(map(tuple, gen)))
 
 
 def max_corner(y, d) -> np.ndarray:
@@ -199,6 +203,8 @@ def max_corner(y, d) -> np.ndarray:
     """
     y = as_vector(y)
     d = as_weight_vector(d)
+    if y.size != d.size:
+        raise ValueError("y and d must have equal length")
     if np.min(y) < 0:
         raise ValueError("max_corner requires y >= 0 entrywise")
     perm = np.argsort(-d, kind="stable")
@@ -206,7 +212,11 @@ def max_corner(y, d) -> np.ndarray:
     if np.all(ratios[:-1] >= ratios[1:]):
         # y/d sorted like d: y is its own maximal corner, exactly
         return y.copy()
-    return _corners(perm[None, :], halfspace_bounds(y, d))[0]
+    cum = np.interp(np.cumsum(d[perm]), *_elbows(y, d))  # the curve at d's prefix sums
+    cum[1:] -= cum[:-1]
+    z = np.empty_like(y)
+    z[perm] = cum
+    return z
 
 
 def _point_sets(p, q) -> tuple[np.ndarray, np.ndarray]:

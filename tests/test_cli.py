@@ -185,6 +185,17 @@ class TestPolytope:
         data = json.loads(out)["data"]
         assert data["b"] == [5, 3, 2, 5, 6, 4, 4, -4]
 
+    def test_near_tie_n8_exits_zero(self, tmp_path, capture):
+        # crowded corners: the dedup once held every nearby pair (~460 MB)
+        rng = np.random.default_rng(8)
+        d = rng.uniform(0.2, 2.0, size=8)
+        y = d * (1 + 3e-9 * rng.standard_normal(8))
+        code, out, _ = capture(["polytope", write(tmp_path, "y.json", y.tolist()),
+                                "--d", write(tmp_path, "d.json", d.tolist())])
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["vertices"] == dmajor.polytope.vertices(y, d).points.tolist()
+
     def test_dimension_above_the_cap_exits_input(self, tmp_path, capture):
         y = write(tmp_path, "y.json", list(range(9)))
         d = write(tmp_path, "d.json", [1] * 9)

@@ -133,6 +133,12 @@ class TestHalfspaceBounds:
         assert poly.b.shape == (2 ** 8,)
 
     @pytest.mark.parametrize("build", [halfspace_bounds, vertices])
+    def test_rejects_overflowing_trace(self, build):
+        # e^T y overflows to inf; the trace rows would compare inf with -inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            build([1e308, 1e308, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("build", [halfspace_bounds, vertices])
     def test_rejects_dimension_above_the_cap(self, build):
         with pytest.raises(ValueError):
             build(np.ones(9), np.ones(9))
@@ -219,7 +225,8 @@ class TestVertexKernel:
         rng = np.random.default_rng(11)
         for n in range(1, 7):
             poly = halfspace_bounds(rng.standard_normal(n), rng.uniform(0.2, 2.0, size=n))
-            perms = polytope._permutations(n)
+            perms, tuples = polytope._permutations(n)
+            assert tuples == tuple(itertools.permutations(range(n)))
             assert perms.shape == (math.factorial(n), n)
             rows = polytope._corners(perms, poly)
             for perm, row in zip(perms, rows):
@@ -233,9 +240,9 @@ class TestVertexKernel:
         assert np.allclose(verts.points[0], 2.5 * d)
 
     def test_merge_across_a_cell_edge(self):
-        # the dedup grid has cells of width tol / n: corners closer than tol
-        # merge even when they straddle a cell edge, and corners farther apart
-        # stay separate even when no coordinate differs by tol
+        # corners closer than tol merge even when they straddle an edge of
+        # the grid of width tol / n, and corners farther apart stay separate
+        # even when no coordinate differs by tol
         tol = 1e-9
         edge = 5 * tol / 3
         assert np.floor((edge - 0.2 * tol) * 3 / tol) != np.floor((edge + 0.2 * tol) * 3 / tol)
@@ -246,6 +253,21 @@ class TestVertexKernel:
             ([0.05 * tol] * 3, [0.5 * tol] * 3, [0, 1]),
         ):
             assert polytope._first_within(np.array([p, q]), tol).tolist() == owners
+
+    def test_projection_rounding_far_from_origin(self):
+        # rows ~1e15 with tol = 1 differ by a few ulps: their projections
+        # carry rounding of the order of tol, which the window must absorb
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            n = int(rng.integers(2, 9))
+            base = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(14, 16)
+            pts = base + 0.25 * rng.integers(-4, 5, size=(6, n)) * rng.integers(0, 2, size=(6, n))
+            owner, kept = [], []
+            for r, p in enumerate(pts):
+                owner.append(next((k for k in kept if np.abs(p - pts[k]).sum() <= 1.0), r))
+                if owner[-1] == r:
+                    kept.append(r)
+            assert polytope._first_within(pts, 1.0).tolist() == owner
 
     def test_matches_greedy_reference(self):
         rng = np.random.default_rng(12)
@@ -263,6 +285,47 @@ class TestVertexKernel:
             points, perms = _greedy_vertices(y, d)
             assert verts.perms == perms
             assert np.array_equal(verts.points, points)
+
+    def test_near_tie_chains_match_greedy_reference(self):
+        # ratios of y to d on a chain f * tol / e^T d apart put neighbouring
+        # corners ~f * tol apart, so the greedy merges some and keeps others
+        rng = np.random.default_rng(18)
+        sizes = set()
+        for trial in range(48):
+            n = 6 if trial % 8 == 0 else 3 + trial % 3
+            f = (0.3, 1.0, 3.0)[trial % 3]
+            d = rng.uniform(0.2, 2.0, size=n)
+            scale = 10.0 ** rng.integers(-3, 4)
+            tol = 1e-9 * max(1.0, scale * d.sum())
+            y = scale * d + f * tol / d.sum() * d * rng.integers(0, n, size=n)
+            verts = vertices(y, d)
+            points, perms = _greedy_vertices(y, d)
+            assert verts.perms == perms
+            assert np.array_equal(verts.points, points)
+            sizes.add((len(verts) == 1, len(verts) == math.factorial(n)))
+        assert sizes >= {(True, False), (False, False)}
+
+    def test_near_tie_n8_memory(self):
+        # corners of y = d (1 + 3e-9 g) crowd within a few tol of each other;
+        # a dedup holding every nearby pair needed ~460 MB here
+        rng = np.random.default_rng(8)
+        d = rng.uniform(0.2, 2.0, size=8)
+        y = d * (1 + 3e-9 * rng.standard_normal(8))
+        tracemalloc.start()
+        try:
+            verts = vertices(y, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        tol = 1e-9 * np.abs(y).sum()
+        assert 1 < len(verts) < math.factorial(8)
+        gaps = np.abs(verts.points[:, None, :] - verts.points[None, :, :]).sum(axis=2)
+        assert np.all(gaps[~np.eye(len(verts), dtype=bool)] > tol)
+        poly = halfspace_bounds(y, d)
+        for point, group in zip(verts.points, verts.perms):
+            corners = polytope._corners(np.array(group), poly)
+            assert np.abs(corners - point).sum(axis=1).max() <= tol
 
     def test_generic_n8_memory(self):
         # the half-space check runs in blocks of points; checked all at once
@@ -460,6 +523,31 @@ class TestMaxCorner:
             for _ in range(20):
                 w = rng.dirichlet(np.ones(len(verts)))
                 assert majorizes(w @ verts.points, z)
+
+    def test_matches_corner_of_sorting_permutation(self):
+        # the closed form (curve at d's prefix sums) against the corner built
+        # from all 2^n bounds, at n = 1..8 and scales 1e-6..1e6
+        rng = np.random.default_rng(19)
+        eps = np.finfo(float).eps
+        weights = (lambda n: rng.uniform(0.2, 2.0, size=n),
+                   lambda n: np.exp(-rng.uniform(0.0, 30.0, size=n)),
+                   lambda n: rng.integers(1, 4, size=n).astype(float))
+        exact = 0
+        for n in range(1, 9):
+            for k in range(-6, 7):
+                for draw in weights:
+                    d = draw(n)
+                    y = rng.dirichlet(np.ones(n)) * 10.0 ** (k + rng.uniform(-1, 1, size=n))
+                    z = max_corner(y, d)
+                    poly = halfspace_bounds(y, d)
+                    ref = vertex_for_permutation(np.argsort(-d, kind="stable"), poly)
+                    assert np.abs(z - ref).max() <= 4 * eps * np.abs(y).sum()
+                    exact += np.array_equal(z, y)
+        assert 0 < exact < 8 * 13 * 3
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError):
+            max_corner([1.0], [1.0, 1.0])
 
     def test_negative_y_rejected(self):
         with pytest.raises(ValueError):
