@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,31 +84,48 @@ class _Series:
     def block(self, m: int) -> Callable[[float], np.ndarray]:
         """t -> exp(t (N - mu I)) of the leading m x m block.  Raises
         ValueError when t*N or the result is not finite."""
+        walk = self._walk(m)
+        return lambda t: next(walk(t))[1]
+
+    def doublings(self) -> Iterator[tuple[float, np.ndarray]]:
+        """(t, self.full(t)) for t = 1, 2, 4, ..., bit for bit, one squaring each."""
+        return self._walk(self.terms.shape[1])(1.0)
+
+    def _walk(self, m: int) -> Callable[[float], Iterator[tuple[float, np.ndarray]]]:
         flat = self.terms[:, :m, :m].reshape(_SERIES_DEGREE + 1, m * m)
         norm, mu, complement = float(self.norms[m - 1]), self.mu, self.complement
 
-        def expo(t: float) -> np.ndarray:
-            if not t * norm < np.inf:  # a nan or an overflow on the way
-                raise ValueError("exponential expects finite t and a finite product t*B0")
-            # s squarings of the step h = t / 2^s, h ||N||_1 <= 1/2
-            s = max(0, math.frexp(t * norm)[1] + 1)
-            h = math.ldexp(t, -s)
-            e = (h ** _SERIES_POWERS @ flat).reshape(m, m)
-            if mu:
-                e *= math.exp(-h * mu)
-            # entries stay below e^(t ||N||_1), so only past e^700 can they
-            # overflow, which is then reported below and not warned about
-            with (np.errstate(over="ignore", invalid="ignore") if t * norm > 700.0
-                  else contextlib.nullcontext()):
-                for _ in range(s):
-                    e = e @ e
-            if complement:
-                e[0] = 1.0 - e[1:].sum(axis=0)
-            elif not np.isfinite(e).all():
-                raise ValueError("matrix exponential overflows")
-            return e
+        def walk(t: float) -> Iterator[tuple[float, np.ndarray]]:
+            s = 0
+            while True:
+                if not t * norm < np.inf:  # a nan or an overflow on the way
+                    raise ValueError("exponential expects finite t and a finite product t*B0")
+                if s:
+                    # doubling t ||N||_1 adds one squaring of the same h (at N = 0, e = I)
+                    s = 1
+                else:
+                    # s squarings of the step h = t / 2^s, h ||N||_1 <= 1/2
+                    s = max(0, math.frexp(t * norm)[1] + 1)
+                    h = math.ldexp(t, -s)
+                    e = (h ** _SERIES_POWERS @ flat).reshape(m, m)
+                    if mu:
+                        e *= math.exp(-h * mu)
+                # entries stay below e^(t ||N||_1), so only past e^700 can they
+                # overflow, which is then reported below and not warned about
+                with (np.errstate(over="ignore", invalid="ignore") if t * norm > 700.0
+                      else contextlib.nullcontext()):
+                    for _ in range(s):
+                        e = e @ e
+                # row 0 of the triangular e feeds no other row, so the next
+                # squaring may start from the complement
+                if complement:
+                    e[0] = 1.0 - e[1:].sum(axis=0)
+                elif not np.isfinite(e).all():
+                    raise ValueError("matrix exponential overflows")
+                yield t, e
+                t *= 2.0
 
-        return expo
+        return walk
 
 
 @dataclass(frozen=True)

@@ -278,45 +278,29 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     return Schedule(segments)
 
 
-def _relax_time(gen: Generator, apply, x, target, budget: float,
+def _relax_time(gen: Generator, x, target, budget: float,
                 what: str) -> tuple[float, np.ndarray]:
-    """First t = 1, 2, 4, ... with ||apply(exp(-t B0), x) - target||_1 < budget,
-    and apply(exp(-t B0), x) at that t, for a zero-temperature generator.
+    """First t = 1, 2, 4, ... with ||exp(-t B0) x - target||_1 < budget,
+    and exp(-t B0) x at that t, for a zero-temperature generator.  x and
+    target are one state, or one state per column.
 
     The exact error falls with t.  The forward series' columns sum to 1
     exactly, so the computed error falls to the gap between the rounded
     totals of the relaxed state and of target, which is zero when they round
     alike.  Once a doubling no longer lowers it, the budget is out of reach
-    and SimplexViolationError(what) is raised.
-
-    Doubling squares exp(-t B0) instead of recomputing it.  The rounding of
-    the squares moves an error by far less than slack, so a decision that
-    the squared error leaves open is taken on exact exponentials: an error
-    within slack of the budget is recomputed at the same t, and one within
-    slack of the previous error restarts the search without squaring.  The
-    returned t and the raise are those of exact doubling.
+    and SimplexViolationError(what) is raised.  The exponentials come from
+    the series' doubling chain, one squaring each, and equal
+    propagator(gen, t) bit for bit.
     """
-    squaring = True
-    t, last, e, exact = 1.0, np.inf, propagator(gen, 1.0), True
-    while True:
-        state = apply(e, x)
+    last = np.inf
+    for t, e in gen._ladder[0].doublings():
+        state = e @ x
         err = np.abs(state - target).sum()
-        if not exact:
-            # ~45 n t ulps; measured gaps stay below 0.7 n t ulps
-            slack = 1e-14 * gen.n * t
-            if not err < last - 2.0 * slack:
-                squaring = False
-                t, last, e, exact = 1.0, np.inf, propagator(gen, 1.0), True
-                continue
-            if err < budget + slack:
-                e, exact = propagator(gen, t), True
-                continue
         if err < budget:
             return t, state
         if not err < last:
             raise SimplexViolationError(what)
-        t, last = 2.0 * t, err
-        e, exact = (e @ e, False) if squaring else (propagator(gen, t), True)
+        last = err
 
 
 def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
@@ -343,8 +327,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     if np.abs(x0 - e1).sum() <= target_err:
         cool_t = 0.0
     else:
-        cool_t, _ = _relax_time(gen, np.matmul, x0, e1, target_err,
-                                "cooling did not converge")
+        cool_t, _ = _relax_time(gen, x0, e1, target_err, "cooling did not converge")
     ground = synthesize_from_ground(gen, x)
     return Schedule([Segment(tuple(range(n)), cool_t)] + ground.segments)
 
@@ -415,7 +398,8 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     """Steering for the chain of m n-level systems with local noise.
 
     Step 1 collapses the state onto e_1 in m relax-and-gather rounds, each
-    within eps / (2m).  Step 2 splits the target block masses down the
+    within eps / (2m); a round relaxes the n^(m-1) blocks together, as the
+    columns of one matrix, on the n-level block's doubling chain.  Step 2 splits the target block masses down the
     block-head hierarchy and finishes with per-block ground schedules run in
     parallel.  Its maps are 1-norm contractions, so the endpoint error is at
     most eps/2 plus the ground schedules' own error, which grows with n
@@ -435,11 +419,6 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
         raise ValueError("states must live on the n^m simplex")
     n_blocks = n ** (m - 1)
 
-    def block_apply(step: np.ndarray, state: np.ndarray) -> np.ndarray:
-        # the full generator is block-diagonal with identical blocks, so one
-        # small exponential propagates every block at once
-        return (step @ state.reshape(n_blocks, n).T).T.reshape(total)
-
     segments: list[Segment] = []
     cur = np.maximum(x0, 0.0)
     cur = cur / cur.sum()
@@ -450,10 +429,11 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     for r in range(1, m + 1):
         collapsed = np.zeros(total)
         collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
-        t_relax, relaxed = _relax_time(gen_block, block_apply, cur, collapsed, round_budget,
+        t_relax, relaxed = _relax_time(gen_block, cur.reshape(n_blocks, n).T,
+                                       collapsed.reshape(n_blocks, n).T, round_budget,
                                        "relaxation budget not reachable")
         segments.append(Segment(tuple(range(total)), t_relax))
-        cur = _clamp_simplex(relaxed)
+        cur = _clamp_simplex(relaxed.T.reshape(total))
         heads = n * np.arange(n ** (m - r))
         gather = _placement(np.arange(heads.size), heads, total)
         segments.append(Segment(tuple(gather), 0.0))
@@ -506,7 +486,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     """Envelope vertex z bounding the reachable set of the thermal model.
 
     Requires n <= MAX_ENVELOPE_DIM, constant neighbour ratios of d
-    (equidistant energy levels), x0 >= 0 and sample_count <= MAX_SAMPLE_COUNT.
+    (equidistant energy levels), x0 >= 0 with a finite positive total and
+    sample_count <= MAX_SAMPLE_COUNT.
     z is the maximal corner of the d-majorization polytope of x0.  The report
     checks, without raising, that (a) x0 is majorized by z, (b) {x < z} is
     invariant under dx/dt = -B0 x and (c) no sampled schedule (seeds seed,
@@ -539,7 +520,11 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
 
     n = d.size
     x0 = np.maximum(x0, 0.0)
-    x0 = x0 / x0.sum()
+    with np.errstate(over="ignore"):
+        total = float(x0.sum())
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"x0 must have a finite positive total, got {total}")
+    x0 = x0 / total
     z = max_corner(x0, d)
     gen = b0_from_rates(thermal_rates(d))
 

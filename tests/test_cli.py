@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dmajor
+import dmajor.cnr
 import dmajor.dissipation
 import dmajor.polytope
 from dmajor.cli import main
@@ -462,6 +464,17 @@ class TestBound:
         assert out == ""
         assert "exceeds the cap 8" in err
 
+    @pytest.mark.parametrize("x0, total", [([1e308, 1e308, 1.0], "inf"), ([0.0, 0.0, 0.0], "0.0")],
+                             ids=["overflowing", "zero"])
+    def test_total_not_finite_and_positive_exits_input(self, tmp_path, capture, x0, total):
+        path = write(tmp_path, "x0.json", x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = capture(["bound", "--x0", path, "--alpha", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert f"x0 must have a finite positive total, got {total}" in err
+
     def test_missing_weights_named(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
         code, out, err = capture(["bound", "--x0", x0])
@@ -515,6 +528,25 @@ class TestCnr:
         _, out2, _ = capture(["--seed", "7", "cnr", "--c", c, "--t", t,
                               "--count", "50"])
         assert out1 == out2
+
+    def test_sample_cap_exits_input(self, tmp_path, capture, monkeypatch):
+        # at the cap the draw is reached (a stub returns one unitary), one
+        # step above it the CLI exits 2 before drawing
+        draws = []
+
+        def draw(n, count, rng):
+            draws.append(count)
+            return np.eye(n, dtype=complex)[None]
+
+        monkeypatch.setattr(dmajor.cnr, "haar_unitaries", draw)
+        cap = dmajor.cnr.MAX_SAMPLE_ENTRIES // 4
+        c = write(tmp_path, "c.json", [[1.0, 0.0], [0.0, -1.0]])
+        code, out, _ = capture(["cnr", "--c", c, "--t", c, "--count", str(cap)])
+        assert code == 0 and draws == [cap]
+        assert out.splitlines()[1:] == ["2.0,0.0"]
+        code, out, err = capture(["cnr", "--c", c, "--t", c, "--count", str(cap + 1)])
+        assert code == 2 and out == "" and draws == [cap]
+        assert f"MAX_SAMPLE_ENTRIES = {dmajor.cnr.MAX_SAMPLE_ENTRIES}" in err
 
 
 class TestReportRoundtrip:

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import dmajor.cnr
 from dmajor.cnr import (
+    MAX_SAMPLE_ENTRIES,
     c_numerical_range_sample,
     c_spectrum,
     haar_unitaries,
@@ -170,3 +172,22 @@ class TestHaarSampling:
         cloud = np.column_stack([samples.real, samples.imag])
         hull = Delaunay(cloud)
         assert hull.find_simplex([center.real, center.imag]) >= 0
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_sample_cap(self, monkeypatch, n):
+        # the check runs before any stack is drawn: at the cap the draw is
+        # reached, one step above it nothing is
+        class Reached(Exception):
+            pass
+
+        def draw(n_, count, rng):
+            raise Reached(count)
+
+        monkeypatch.setattr(dmajor.cnr, "haar_unitaries", draw)
+        c = np.eye(n)
+        cap = MAX_SAMPLE_ENTRIES // n ** 2
+        assert cap * n ** 2 == MAX_SAMPLE_ENTRIES
+        with pytest.raises(Reached):
+            c_numerical_range_sample(c, c, cap)
+        with pytest.raises(ValueError, match=f"exceeds the cap MAX_SAMPLE_ENTRIES = {MAX_SAMPLE_ENTRIES}"):
+            c_numerical_range_sample(c, c, cap + 1)

@@ -418,6 +418,29 @@ class TestZeroTemperatureSeries:
                 assert np.array_equal(stack[k], propagator(gen, float(tk)))
             assert propagator(gen, np.array([])).shape == (0, n, n)
 
+    @pytest.mark.parametrize("n", [*range(1, 9), 16, 64, 256])
+    def test_doublings_equal_the_propagator(self, n):
+        # at t = 2^k, t ||N||_1 is exact, so the series keeps its step h and
+        # squares once more per doubling; at n = 1, N = 0 and s stays put
+        gen = b0_from_rates(zero_temperature_rates(n))
+        assert (float(gen._ladder[0].norms[-1]) == 0.0) == (n == 1)
+        chain = gen._ladder[0].doublings()
+        for k in range(14):
+            t, e = next(chain)
+            assert t == 2.0 ** k
+            assert np.array_equal(e, propagator(gen, t))
+
+    def test_doublings_restart_below_half_norm(self):
+        # while t ||N||_1 < 1/2 no squaring is taken and the step is t
+        # itself, so the chain evaluates each such t afresh
+        gen = b0_from_rates(BathRates(4, np.full(3, 0.1), np.zeros(3)))
+        assert float(gen._ladder[0].norms[-1]) < 0.5 / 4
+        chain = gen._ladder[0].doublings()
+        for k in range(10):
+            t, e = next(chain)
+            assert t == 2.0 ** k
+            assert np.array_equal(e, propagator(gen, t))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
     def test_rejects_non_finite_product(self, bad):
         gen = b0_from_rates(zero_temperature_rates(4))

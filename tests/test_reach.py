@@ -142,12 +142,12 @@ _SKIPPED_CROSSINGS = [
 ]
 
 
-def _exact_relax_time(gen, apply, x, target, budget):
+def _exact_relax_time(gen, x, target, budget):
     """Reference: the first t = 1, 2, 4, ... whose exact propagator brings
     x within budget of target; None where the error stops falling first."""
     t, last = 1.0, np.inf
     while True:
-        err = np.abs(apply(propagator(gen, t), x) - target).sum()
+        err = np.abs(propagator(gen, t) @ x - target).sum()
         if err < budget:
             return t
         if not err < last:
@@ -155,10 +155,10 @@ def _exact_relax_time(gen, apply, x, target, budget):
         t, last = 2.0 * t, err
 
 
-def _relax_or_none(gen, apply, x, target, budget):
+def _relax_or_none(gen, x, target, budget):
     """_relax_time as (t, state), or (None, None) where it raises."""
     try:
-        return dmajor.reach._relax_time(gen, apply, x, target, budget, "no")
+        return dmajor.reach._relax_time(gen, x, target, budget, "no")
     except SimplexViolationError:
         return None, None
 
@@ -668,7 +668,7 @@ class TestFullSynthesis:
         with pytest.raises(SimplexViolationError, match="cooling"):
             synthesize(_gen(3), x0, [0.1, 0.6, 0.3], eps=1e-17)
         with pytest.raises(SimplexViolationError, match="relaxation"):
-            dmajor.reach._relax_time(_gen(3), np.matmul, x0, np.eye(3)[0], 5e-18,
+            dmajor.reach._relax_time(_gen(3), x0, np.eye(3)[0], 5e-18,
                                      "relaxation budget not reachable")
 
     def test_exact_total_cools_onto_the_ground_state(self):
@@ -695,8 +695,8 @@ class TestFullSynthesis:
             e1 = np.eye(n)[0]
             for x0 in rng.dirichlet(np.full(n, 0.5), size=4):
                 for eps in [10.0 ** -k for k in range(2, 13)] + [1e-17, 1e-300]:
-                    t, state = _relax_or_none(gen, np.matmul, x0, e1, eps / 2)
-                    assert t == _exact_relax_time(gen, np.matmul, x0, e1, eps / 2)
+                    t, state = _relax_or_none(gen, x0, e1, eps / 2)
+                    assert t == _exact_relax_time(gen, x0, e1, eps / 2)
                     if t is not None:
                         assert np.array_equal(state, propagator(gen, t) @ x0)
 
@@ -705,10 +705,6 @@ class TestFullSynthesis:
         rng = np.random.default_rng(53)
         total, n_blocks = n ** m, n ** (m - 1)
         gen = _gen(n)
-
-        def apply(step, state):
-            return (step @ state.reshape(n_blocks, n).T).T.reshape(total)
-
         for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
             for _ in range(4):
                 cur = rng.dirichlet(np.full(total, rng.choice([0.3, 1.0, 3.0])))
@@ -716,12 +712,14 @@ class TestFullSynthesis:
                     collapsed = np.zeros(total)
                     collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
                     budget = eps / (2 * m)
-                    t, state = _relax_or_none(gen, apply, cur, collapsed, budget)
-                    assert t == _exact_relax_time(gen, apply, cur, collapsed, budget)
-                    assert np.array_equal(state, apply(propagator(gen, t), cur))
+                    # every block a column, as synthesize_local relaxes them
+                    x, target = cur.reshape(n_blocks, n).T, collapsed.reshape(n_blocks, n).T
+                    t, state = _relax_or_none(gen, x, target, budget)
+                    assert t == _exact_relax_time(gen, x, target, budget)
+                    assert np.array_equal(state, propagator(gen, t) @ x)
                     heads = n * np.arange(n ** (m - r))
                     gather = dmajor.reach._placement(np.arange(heads.size), heads, total)
-                    cur = dmajor.reach._clamp_simplex(state)[gather]
+                    cur = dmajor.reach._clamp_simplex(state.T.reshape(total))[gather]
 
     def test_matches_doubling_loop_reference(self):
         rng = np.random.default_rng(31)
