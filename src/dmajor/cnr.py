@@ -4,7 +4,6 @@ C-numerical range {tr(C U* A U)} over Haar-random unitaries."""
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,7 @@ def c_spectrum(c, t, dedup_tol: float = 1e-10) -> np.ndarray:
     n = c.shape[0]
     if c.shape != t.shape:
         raise ValueError("C and T must have equal size")
-    if math.factorial(n) > 5040:
+    if n > MAX_SPECTRUM_DIM:
         raise ValueError(f"c_spectrum capped at n = {MAX_SPECTRUM_DIM}")
     lc = np.linalg.eigvals(c)
     lt = np.linalg.eigvals(t)

@@ -79,19 +79,14 @@ class _Series:
         # a leading block's columns are N's, cut above the zeros below the
         # diagonal, so its 1-norm is the largest of N's first m column sums
         self.norms = np.maximum.accumulate(np.abs(n_mat).sum(axis=0))
-        self.full = self.block(n_mat.shape[0])
+        walk = self.walk(n_mat.shape[0])
+        self.full = lambda t: next(walk(t))[1]
 
-    def block(self, m: int) -> Callable[[float], np.ndarray]:
-        """t -> exp(t (N - mu I)) of the leading m x m block.  Raises
-        ValueError when t*N or the result is not finite."""
-        walk = self._walk(m)
-        return lambda t: next(walk(t))[1]
-
-    def doublings(self) -> Iterator[tuple[float, np.ndarray]]:
-        """(t, self.full(t)) for t = 1, 2, 4, ..., bit for bit, one squaring each."""
-        return self._walk(self.terms.shape[1])(1.0)
-
-    def _walk(self, m: int) -> Callable[[float], Iterator[tuple[float, np.ndarray]]]:
+    def walk(self, m: int) -> Callable[[float], Iterator[tuple[float, np.ndarray]]]:
+        """t -> the pairs (u, exp(u (N - mu I))) of the leading m x m block
+        for u = t, 2t, 4t, ...  Each u is evaluated afresh while u ||N||_1 <
+        1/2 and then by one squaring, equal bit for bit to a walk started at
+        u.  Raises ValueError when u*N or the result is not finite."""
         flat = self.terms[:, :m, :m].reshape(_SERIES_DEGREE + 1, m * m)
         norm, mu, complement = float(self.norms[m - 1]), self.mu, self.complement
 

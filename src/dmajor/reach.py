@@ -10,7 +10,7 @@ of reachable points.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,49 +162,42 @@ def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _first_face_hit(b0: np.ndarray, z: np.ndarray,
-                    expo: Callable[[float], np.ndarray]) -> tuple[float, int, np.ndarray]:
+                    walk: Callable[[float], Iterator[tuple[float, np.ndarray]]]
+                    ) -> tuple[float, int, np.ndarray]:
     """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate,
-    where expo(t) evaluates exp(t B0).
+    where walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t, ...
 
-    Brackets the hit by doubling the duration from 1e-6, squaring the
-    propagator instead of recomputing it, and confirms the bracket end with
-    one exact exponential.  Safeguarded Newton steps toward the earliest
-    crossing of a falling coordinate then shrink the bracket to 1e-12
-    relative; a 31-point grid, stepped by one propagator, guards against
-    skipping an earlier crossing.  Returns (time, index, w(time)) with ties
-    resolved toward the lowest index.
+    The bracket ends at the first state of walk(t_first) that leaves the
+    open simplex, t_first being the last 1e-6 * 2^k with t_first ||B0||_1 <=
+    1/2, from where the series walks by squaring.  Safeguarded Newton steps
+    toward the earliest crossing of a falling coordinate then shrink the
+    bracket to 2e-15 * max(1, t), a few ulps of t; a 31-point grid, stepped
+    by one exponential, guards against skipping an earlier crossing.  Each
+    probe and the grid step take the first value of a walk.  Returns (time,
+    index, w(time)) with ties resolved toward the lowest index.
     """
     scale = max(1.0, float(np.abs(z).sum()))
     if float(z.min()) <= 1e-12 * scale:
         return 0.0, int(np.argmin(z)), z.copy()
 
-    # doubling by squaring: exp(2t B0) = exp(t B0)^2; a sign change seen
-    # through the rounding of repeated squares is confirmed exactly
-    t_hi = 1e-6
-    e = expo(t_hi)
-    exact = True
-    w_lo = z
-    while True:
+    norm = float(np.abs(b0).sum(axis=0).max())
+    t_first = 1e-6
+    while 2.0 * t_first * norm <= 0.5:
+        t_first *= 2.0
+    t_lo, w_lo = 0.0, z
+    for t_hi, e in walk(t_first):
         w_hi = e @ z
         if not w_hi.min() > 0.0:
-            if exact:
-                break
-            e = expo(t_hi)
-            exact = True
-            continue
-        w_lo = w_hi
-        t_hi *= 2.0
-        if t_hi > 2.0 ** 60:
+            break
+        if t_hi > 2.0 ** 59:
             raise SimplexViolationError("backward flow never hits a face")
-        e = e @ e
-        exact = False
-    t_lo = 0.0 if t_hi == 1e-6 else t_hi / 2.0
+        t_lo, w_lo = t_hi, w_hi
 
     for _ in range(4):
         lo, hi = t_lo, t_hi
         t, wt, at_lo = lo, w_lo, True
         move_before = move = hi - lo
-        while hi - lo > 1e-12 * max(1.0, hi):
+        while hi - lo > 2e-15 * max(1.0, hi):
             # Newton toward the earliest crossing of a falling coordinate
             # (d/dt w = B0 w), landing a quarter tolerance past it so that
             # both ends close in; bisect when that leaves the bracket or
@@ -214,11 +207,11 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
             probe = 0.5 * (lo + hi)
             if falling.any():
                 newton = float(np.min(t - wt[falling] / slope[falling]))
-                newton += (0.25e-12 if at_lo else -0.25e-12) * max(1.0, hi)
+                newton += (0.5e-15 if at_lo else -0.5e-15) * max(1.0, hi)
                 if lo < newton < hi and 2.0 * abs(newton - t) <= move_before:
                     probe = newton
             move_before, move = move, abs(probe - t)
-            t, wt = probe, expo(probe) @ z
+            t, wt = probe, next(walk(probe))[1] @ z
             at_lo = bool(wt.min() > 0.0)
             if at_lo:
                 lo = t
@@ -226,7 +219,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
                 hi, w_hi = t, wt
         tau, w_tau = hi, w_hi
         h = (tau - t_lo) / 32.0
-        step = expo(h)
+        step = next(walk(h))[1]
         grid = np.empty((31, z.size))
         v = w_lo
         for k in range(31):
@@ -264,7 +257,7 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
             m -= 1
         if m == 1:
             break
-        tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m], series.block(m))
+        tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m], series.walk(m))
         w = np.maximum(w, 0.0)
         w = w / w.sum() * z[:m].sum()
         # a transposition is its own inverse, so the forward segment reuses it
@@ -293,7 +286,7 @@ def _relax_time(gen: Generator, x, target, budget: float,
     propagator(gen, t) bit for bit.
     """
     last = np.inf
-    for t, e in gen._ladder[0].doublings():
+    for t, e in gen._ladder[0].walk(gen.n)(1.0):
         state = e @ x
         err = np.abs(state - target).sum()
         if err < budget:
@@ -308,9 +301,9 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
 
     Every later step is a 1-norm contraction, so the cooling error (< eps/2)
     carries through unchanged.  The ground schedule adds its own error: each
-    face hit is located to 1e-12 * max(1, tau) in time and the state is
-    renormalized onto the face, leaving ~3e-11 (1-norm) at n = 8, ~1e-9 at
-    64 and ~1e-8 at 256 on seeded Dirichlet states.  The endpoint error is at
+    face hit is located to 2e-15 * max(1, tau) in time, a few ulps, and the
+    state is renormalized onto the face, leaving ~6e-14 (1-norm) at n = 8,
+    ~2e-12 at 64 and ~3e-11 at 256 on seeded Dirichlet states.  The endpoint error is at
     most eps/2 plus that, and a smaller eps is not met; measure it with endpoint.
     The cooling flow's columns sum to 1 exactly, so it reaches e_1 up to the
     rounding of x0's total: SimplexViolationError is raised only when eps/2

@@ -1,0 +1,80 @@
+"""Input caps named by a constant: one step above each is refused, and at
+each, where that runs in well under a second, the call works."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dmajor import cnr, polytope, reach
+from dmajor.dissipation import b0_from_rates, equidistant_d, thermal_rates
+
+
+def test_local_dim_above_the_cap():
+    # at the cap, local_generator(4, 6) is built in test_dissipation
+    cap = reach.MAX_LOCAL_DIM
+    state = np.full(cap + 1, 1.0 / (cap + 1))
+    with pytest.raises(ValueError, match=rf"n\^m = {cap + 1} exceeds the cap {cap}"):
+        reach.local_generator(cap + 1, 1)
+    with pytest.raises(ValueError, match=rf"n\^m = {cap + 1} exceeds the cap {cap}"):
+        reach.synthesize_local(cap + 1, 1, state, state, 1e-3)
+
+
+def test_sample_depth():
+    cap = reach.MAX_SAMPLE_DEPTH
+    d = equidistant_d(0.5, 3)
+    gen, x0 = b0_from_rates(thermal_rates(d)), np.array([0.2, 0.3, 0.5])
+    assert len(reach.random_schedule(3, cap, seed=0)) == cap
+    assert reach.reachable_sample(gen, x0, depth=cap, seed=0).shape == (cap + 1, 3)
+    _, report = reach.majorization_envelope(x0, d, sample_count=8, sample_depth=cap)
+    assert (report.samples_checked, report.sampled_violations) == (8, 0)
+    above = rf"depth must lie in \[0, {cap}\], got {cap + 1}"
+    with pytest.raises(ValueError, match=above):
+        reach.random_schedule(3, cap + 1, seed=0)
+    with pytest.raises(ValueError, match=above):
+        reach.reachable_sample(gen, x0, depth=cap + 1, seed=0)
+    with pytest.raises(ValueError, match="sample_" + above):
+        reach.majorization_envelope(x0, d, sample_count=8, sample_depth=cap + 1)
+
+
+def test_envelope_dim():
+    cap = reach.MAX_ENVELOPE_DIM
+    d = equidistant_d(0.5, cap)
+    _, report = reach.majorization_envelope(d[::-1], d, sample_count=0)
+    assert report.initial_majorized and report.tangential_ok
+    d = equidistant_d(0.5, cap + 1)
+    with pytest.raises(ValueError, match=f"n = {cap + 1} exceeds the cap {cap}"):
+        reach.majorization_envelope(d, d, sample_count=0)
+
+
+def test_vertex_dim():
+    cap = polytope.MAX_VERTEX_DIM
+    rng = np.random.default_rng(8)
+    y, d = rng.standard_normal(cap), rng.uniform(0.5, 2.0, cap)
+    assert polytope.constraint_matrix(cap).shape == (2 ** cap, cap)
+    poly, points = polytope.halfspace_bounds(y, d), polytope.vertices(y, d).points
+    assert points.shape[1] == cap
+    assert all(polytope.contains(p, poly) for p in points[:50])
+    above = f"dimension must lie in 1..{cap}, got {cap + 1}"
+    with pytest.raises(ValueError, match=above):
+        polytope.constraint_matrix(cap + 1)
+    for build in (polytope.halfspace_bounds, polytope.vertices):
+        with pytest.raises(ValueError, match=above):
+            build(np.ones(cap + 1), np.ones(cap + 1))
+
+
+def test_lipschitz_dim():
+    cap = polytope.MAX_LIPSCHITZ_DIM
+    assert polytope.lipschitz_constant(cap) >= cap
+    with pytest.raises(ValueError, match=f"capped at n = {cap}"):
+        polytope.lipschitz_constant(cap + 1)
+
+
+def test_spectrum_dim():
+    cap = cnr.MAX_SPECTRUM_DIM
+    rng = np.random.default_rng(7)
+    c, t = np.diag(rng.standard_normal(cap)), np.diag(rng.standard_normal(cap))
+    # generic spectra give one distinct sum per permutation
+    assert cnr.c_spectrum(c, t).size == math.factorial(cap)
+    with pytest.raises(ValueError, match=f"capped at n = {cap}"):
+        cnr.c_spectrum(np.eye(cap + 1), np.eye(cap + 1))

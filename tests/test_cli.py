@@ -320,6 +320,17 @@ class TestSimulateSynthesize:
         assert report["data"]["segments"][0]["duration"] == 32.0
         assert "exceeds eps" in report["diagnostics"][1]
 
+    def test_synthesize_meets_eps_at_128_levels(self, tmp_path, capture):
+        # the ground schedule's own error stays near 4e-12 here, far below eps
+        x0, target = np.random.default_rng(128).dirichlet(np.ones(128), size=2)
+        code, out, _ = capture(["synthesize", "--zero-temp", "128",
+                                "--x0", write(tmp_path, "x0.json", x0.tolist()),
+                                "--target", write(tmp_path, "t.json", target.tolist()),
+                                "--eps", "1e-9"])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert len(diagnostics) == 1 and diagnostics[0].startswith("endpoint 1-norm error")
+
     def test_synthesize_above_the_level_cap_exits_input(self, tmp_path, capture):
         n = dmajor.dissipation.MAX_BATH_DIM + 1
         target = write(tmp_path, "t.json", np.eye(n)[0].tolist())

@@ -390,7 +390,7 @@ class TestZeroTemperatureSeries:
         b0, backward = gen.b0, gen._ladder[1]
         for m in range(1, 8):
             ref = _mp_expm(b0[:m, :m], 1.0)
-            err = np.abs(backward.block(m)(1.0) - ref).sum(axis=0).max()
+            err = np.abs(next(backward.walk(m)(1.0))[1] - ref).sum(axis=0).max()
             assert err <= 1e-13 * np.abs(ref).sum(axis=0).max()
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -424,7 +424,7 @@ class TestZeroTemperatureSeries:
         # squares once more per doubling; at n = 1, N = 0 and s stays put
         gen = b0_from_rates(zero_temperature_rates(n))
         assert (float(gen._ladder[0].norms[-1]) == 0.0) == (n == 1)
-        chain = gen._ladder[0].doublings()
+        chain = gen._ladder[0].walk(n)(1.0)
         for k in range(14):
             t, e = next(chain)
             assert t == 2.0 ** k
@@ -435,11 +435,24 @@ class TestZeroTemperatureSeries:
         # itself, so the chain evaluates each such t afresh
         gen = b0_from_rates(BathRates(4, np.full(3, 0.1), np.zeros(3)))
         assert float(gen._ladder[0].norms[-1]) < 0.5 / 4
-        chain = gen._ladder[0].doublings()
+        chain = gen._ladder[0].walk(4)(1.0)
         for k in range(10):
             t, e = next(chain)
             assert t == 2.0 ** k
             assert np.array_equal(e, propagator(gen, t))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 64])
+    def test_backward_walks_equal_fresh_starts(self, n):
+        # the face hit walks each leading block from t = 1e-6 * 2^k: every
+        # doubling must equal the first value of a walk started there
+        backward = b0_from_rates(zero_temperature_rates(n))._ladder[1]
+        for m in {2, (n + 2) // 2, n}:
+            walk = backward.walk(m)
+            for k in (0, 9, 17):
+                for u, e in walk(1e-6 * 2.0 ** k):
+                    assert np.array_equal(e, next(walk(u))[1])
+                    if u * backward.norms[m - 1] > 100.0:
+                        break
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
     def test_rejects_non_finite_product(self, bad):
@@ -449,7 +462,7 @@ class TestZeroTemperatureSeries:
         with pytest.raises(ValueError, match="finite"):
             propagator(gen, np.array([0.5, bad, 1.0]))
         with pytest.raises(ValueError, match="finite"):
-            gen._ladder[1].block(3)(bad)
+            next(gen._ladder[1].walk(3)(bad))
 
     def test_backward_overflow_raises(self):
         backward = b0_from_rates(zero_temperature_rates(4))._ladder[1]
