@@ -7,7 +7,7 @@ error.
 
 File formats: vectors are JSON arrays; real matrices are arrays of row
 arrays; complex matrices use [re, im] entry pairs; schedules are
-{"segments": [{"perm": [...], "duration": t}]}.
+{"segments": [{"perm": [...], "duration": t}]} with integer perm entries.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, n
 
 def check_permutation(images) -> np.ndarray:
     """Validate and normalize a permutation given as zero-based image array."""
-    p = np.asarray(images, dtype=int)
+    p = np.asarray(images)
     n = p.size
-    if p.ndim != 1 or n == 0:
+    if p.ndim != 1 or n == 0 or p.dtype.kind not in "iu":
         raise ValueError("permutation must be a non-empty 1-d integer array")
     if not np.array_equal(np.sort(p), np.arange(n)):
         raise ValueError(f"{list(images)} is not a permutation of 0..{n - 1}")

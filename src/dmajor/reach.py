@@ -64,7 +64,7 @@ class Segment:
 
     def __post_init__(self):
         p = check_permutation(self.perm)
-        object.__setattr__(self, "perm", tuple(int(i) for i in p))
+        object.__setattr__(self, "perm", tuple(p.tolist()))
         object.__setattr__(self, "duration", float(self.duration))
         if not (self.duration >= 0.0 and np.isfinite(self.duration)):
             raise ValueError("segment duration must be finite and nonnegative")
@@ -88,7 +88,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        return cls([Segment(tuple(seg["perm"]), float(seg["duration"]))
+        return cls([Segment(seg["perm"], float(seg["duration"]))
                     for seg in data["segments"]])
 
 
@@ -267,8 +267,7 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
         z = z[swap]
         backward.append((swap, tau))
         m -= 1
-    segments = [Segment(tuple(p), t) for p, t in reversed(backward)]
-    return Schedule(segments)
+    return Schedule([Segment(p, t) for p, t in reversed(backward)])
 
 
 def _relax_time(gen: Generator, x, target, budget: float,
@@ -322,7 +321,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     else:
         cool_t, _ = _relax_time(gen, x0, e1, target_err, "cooling did not converge")
     ground = synthesize_from_ground(gen, x)
-    return Schedule([Segment(tuple(range(n)), cool_t)] + ground.segments)
+    return Schedule([Segment(np.arange(n), cool_t)] + ground.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +347,17 @@ def _placement(slots, sources, total: int) -> np.ndarray:
     return images
 
 
-def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int) -> list[Segment]:
+def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int,
+                    first: np.ndarray) -> list[Segment]:
     """Interleave per-block n-level schedules acting on disjoint blocks.
 
     Blocks are aligned to finish together: the longest starts immediately,
     shorter ones are delayed (their masses rest at flow-invariant block
-    heads until they start).
-    """
-    if not block_schedules:
-        return []
+    heads until they start).  One segment per event time applies the
+    permutations due then, after first for the earliest, and flows until the
+    next event or the end."""
     events: list[tuple[float, int, tuple[int, ...]]] = []
-    t_max = max(s.total_duration for s in block_schedules.values())
+    t_max = max((s.total_duration for s in block_schedules.values()), default=0.0)
     for blk in sorted(block_schedules):
         sched = block_schedules[blk]
         t_local = t_max - sched.total_duration
@@ -366,24 +365,22 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int) ->
             events.append((t_local, blk, seg.perm))
             t_local += seg.duration
     events.sort(key=lambda e: (e[0], e[1]))
+    if not events:
+        return [Segment(first, 0.0)]
     segments: list[Segment] = []
-    clock = 0.0
+    combined = first.copy()
     i = 0
     while i < len(events):
-        t_evt = events[i][0]
-        if t_evt > clock + 1e-15:
-            segments.append(Segment(tuple(range(total)), t_evt - clock))
-            clock = t_evt
+        clock = events[i][0]
         # events due together apply in schedule order, each on its block
-        combined = np.arange(total)
         while i < len(events) and events[i][0] <= clock + 1e-15:
             _, blk, perm_n = events[i]
             sl = slice(blk * n, (blk + 1) * n)
             combined[sl] = combined[sl][list(perm_n)]
             i += 1
-        segments.append(Segment(tuple(combined), 0.0))
-    if t_max > clock:
-        segments.append(Segment(tuple(range(total)), t_max - clock))
+        until = events[i][0] if i < len(events) else t_max
+        segments.append(Segment(combined, max(until - clock, 0.0)))
+        combined = np.arange(total)
     return segments
 
 
@@ -398,7 +395,8 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     most eps/2 plus the ground schedules' own error, which grows with n
     (see synthesize).  Each round's flow carries every block onto its head up
     to the rounding of the block's total, so SimplexViolationError is raised
-    only when a round's budget lies below that rounding.
+    only when a round's budget lies below that rounding.  One segment per
+    event time: each gather and scatter rides on the next one.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -413,6 +411,7 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     n_blocks = n ** (m - 1)
 
     segments: list[Segment] = []
+    pending = np.arange(total)      # permutation riding on the next segment
     cur = np.maximum(x0, 0.0)
     cur = cur / cur.sum()
 
@@ -425,12 +424,11 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
         t_relax, relaxed = _relax_time(gen_block, cur.reshape(n_blocks, n).T,
                                        collapsed.reshape(n_blocks, n).T, round_budget,
                                        "relaxation budget not reachable")
-        segments.append(Segment(tuple(range(total)), t_relax))
+        segments.append(Segment(pending, t_relax))
         cur = _clamp_simplex(relaxed.T.reshape(total))
         heads = n * np.arange(n ** (m - r))
-        gather = _placement(np.arange(heads.size), heads, total)
-        segments.append(Segment(tuple(gather), 0.0))
-        cur = cur[gather]
+        pending = _placement(np.arange(heads.size), heads, total)
+        cur = cur[pending]
 
     # Step 2: planned on the ideal collapsed state e_1; all remaining maps
     # are 1-norm contractions so the step-1 error rides along unchanged.
@@ -444,16 +442,15 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
         child_masses = block_mass.reshape(-1, n, span // n).sum(axis=2)
         steer = {k * span: synthesize_from_ground(gen_block, c / c.sum())
                  for k, c in enumerate(child_masses) if c.sum() > 1e-15}
-        segments.extend(_merge_parallel(steer, n, total))
+        segments.extend(_merge_parallel(steer, n, total, pending))
         # scatter the split masses from block slots to the child head positions
         parents = (span * n * np.arange(n ** (level - 1)))[:, None]
-        scatter = _placement((parents + span * np.arange(n)).ravel(),
+        pending = _placement((parents + span * np.arange(n)).ravel(),
                              (parents + np.arange(n)).ravel(), total)
-        segments.append(Segment(tuple(scatter), 0.0))
 
     final = {k: synthesize_from_ground(gen_block, b / mass)
              for k, (b, mass) in enumerate(zip(blocks, block_mass)) if mass > 1e-15}
-    segments.extend(_merge_parallel(final, n, total))
+    segments.extend(_merge_parallel(final, n, total, pending))
     return Schedule(segments)
 
 
@@ -606,7 +603,7 @@ def random_schedule(n: int, depth: int, seed: int) -> Schedule:
     """Deterministic pseudo-random schedule: Fisher-Yates permutations and
     log-uniform durations on [1e-3, 1e2]."""
     perms, durations = _draw(n, depth, seed)
-    return Schedule([Segment(tuple(p), t) for p, t in zip(perms.tolist(), durations.tolist())])
+    return Schedule([Segment(p, t) for p, t in zip(perms, durations.tolist())])
 
 
 def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:

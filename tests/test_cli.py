@@ -403,6 +403,16 @@ class TestSimulateSynthesize:
         assert out == ""
         assert "lengths" in err
 
+    def test_simulate_rejects_permutation_that_is_not_integer(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [0.5, 1.2, 2.7],
+                                                          "duration": 0.5}]})
+        code, out, err = capture(["simulate", "--zero-temp", "3", "--x0", x0,
+                                  "--schedule", sched, "--dt", "0.25"])
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
     def test_roundtrip_csv_floats(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [1 / 3, 1 / 3, 1 / 3])
         sched = write(tmp_path, "s.json",

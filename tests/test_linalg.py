@@ -163,3 +163,10 @@ class TestPermutations:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             perm_matrix([0, 0, 2])
+
+    @pytest.mark.parametrize("images", [[0.5, 1.2, 2.7], [0.0, 1.0, 2.0], ["2", "1", "0"],
+                                        [True, False], []])
+    def test_rejects_entries_that_are_not_integers(self, images):
+        # a cast to int would truncate [0.5, 1.2, 2.7] to the identity
+        with pytest.raises(ValueError, match="non-empty 1-d integer array"):
+            perm_matrix(images)

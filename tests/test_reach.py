@@ -397,6 +397,23 @@ def _assert_same_schedule(got, want):
     assert [s.duration for s in got.segments] == [s.duration for s in want.segments]
 
 
+def _steps(schedule):
+    """(composite permutation, duration) of each flow, the permutations of
+    zero-duration segments composed into the flow after them; a composite
+    left after the last flow ends the list with duration 0."""
+    steps, pending = [], None
+    for seg in schedule.segments:
+        p = np.array(seg.perm) if pending is None else pending[list(seg.perm)]
+        if seg.duration > 0:
+            steps.append((tuple(p.tolist()), seg.duration))
+            pending = None
+        else:
+            pending = p
+    if pending is not None:
+        steps.append((tuple(pending.tolist()), 0.0))
+    return steps
+
+
 @pytest.fixture(scope="module")
 def local_cases():
     """Seeded (n, m, x0, target, eps): every fifth target has half its
@@ -765,7 +782,8 @@ class TestLocalSynthesis:
     def test_round_one_collapse(self):
         x0 = np.array([0.1, 0.2, 0.3, 0.4])
         sched = synthesize_local(2, 2, x0, np.full(4, 0.25), eps=1e-6)
-        prefix = Schedule(sched.segments[:2])
+        # round one's gather rides on round two's flow
+        prefix = Schedule([sched.segments[0], Segment(sched.segments[1].perm, 0.0)])
         state = endpoint(local_generator(2, 2), x0, prefix)
         assert np.abs(state - np.array([0.3, 0.7, 0.0, 0.0])).sum() <= 1e-6
 
@@ -806,13 +824,21 @@ class TestLocalSynthesis:
 
     def test_matches_loop_reference(self, local_cases):
         for n, m, x0, target, eps in local_cases:
-            _assert_same_schedule(synthesize_local(n, m, x0, target, eps),
-                                  _reference_synthesize_local(n, m, x0, target, eps))
+            assert _steps(synthesize_local(n, m, x0, target, eps)) == \
+                _steps(_reference_synthesize_local(n, m, x0, target, eps))
+
+    def test_no_zero_duration_segment_before_an_identity(self, local_cases):
+        # a permutation rides on the next flow, not on a segment of its own
+        for n, m, x0, target, eps in local_cases:
+            segments = synthesize_local(n, m, x0, target, eps).segments
+            identity = tuple(range(n ** m))
+            assert not any(a.duration == 0.0 and b.perm == identity
+                           for a, b in zip(segments, segments[1:]))
 
     def test_merge_applies_simultaneous_events_in_schedule_order(self):
         sched = Schedule([Segment((1, 0, 2), 0.0), Segment((0, 2, 1), 0.0),
                           Segment((0, 1, 2), 1.0)])
-        merged = Schedule(dmajor.reach._merge_parallel({0: sched}, 3, 3))
+        merged = Schedule(dmajor.reach._merge_parallel({0: sched}, 3, 3, np.arange(3)))
         gen = _gen(3)
         x = np.array([0.5, 0.3, 0.2])
         assert np.abs(endpoint(gen, x, merged) - endpoint(gen, x, sched)).sum() <= 1e-15
