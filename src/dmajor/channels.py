@@ -109,14 +109,18 @@ def choi(t: SuperOperator) -> np.ndarray:
     return t.action.reshape(k, k, n, n).transpose(3, 1, 2, 0).reshape(n * k, n * k)
 
 
+def _psd(w: np.ndarray, tol: float) -> bool:
+    """Eigenvalues w of a PSD matrix: min w >= -tol * max(1, max |w|)."""
+    return bool(w.min() >= -tol * max(1.0, float(np.abs(w).max())))
+
+
 def is_cp(t: SuperOperator, tol: float = 1e-9) -> bool:
     """Completely positive iff the Choi matrix is positive semi-definite."""
     c = choi(t)
     scale = max(1.0, float(np.max(np.abs(c))))
     if float(np.max(np.abs(c - c.conj().T))) > tol * scale:
         return False
-    w = np.linalg.eigvalsh((c + c.conj().T) / 2)
-    return bool(w.min() >= -tol * max(1.0, float(np.abs(w).max())))
+    return _psd(np.linalg.eigvalsh((c + c.conj().T) / 2), tol)
 
 
 def is_tp(t: SuperOperator, tol: float = 1e-9) -> bool:
@@ -228,11 +232,9 @@ def matrix_majorizes(a, b, tol: float = 1e-9) -> bool:
 
 def _psd_sqrt(a: np.ndarray, clamp: float) -> np.ndarray:
     w, u = hermitian_eig(a)
-    scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    if w.min() < -clamp * scale:
+    if not _psd(w, clamp):
         raise PositivityError(f"matrix has eigenvalue {w.min():.3e}, beyond the PSD clamp")
-    w = np.clip(w, 0.0, None)
-    return u @ np.diag(np.sqrt(w)) @ u.conj().T
+    return u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
 def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
@@ -281,8 +283,7 @@ def pure_state_reachable(rho, d, j: int, tol: float = 1e-9) -> bool:
     if w.min() < -tol or abs(np.trace(rho).real - 1.0) > tol:
         raise ValueError("rho must be a density matrix")
     test = np.diag(d).astype(complex) - d[j] * rho
-    wt = np.linalg.eigvalsh((test + test.conj().T) / 2)
-    return bool(wt.min() >= -tol * max(1.0, float(np.abs(wt).max())))
+    return _psd(np.linalg.eigvalsh((test + test.conj().T) / 2), tol)
 
 
 def identity_distance_witness(t: SuperOperator, tol: float = 1e-9):
@@ -308,13 +309,10 @@ def kraus_set(t: SuperOperator, tol: float = 1e-12) -> list[np.ndarray]:
     """Kraus operators from the Choi eigendecomposition (CP maps only)."""
     c = choi(t)
     w, vecs = hermitian_eig(c)
-    if w.min() < -1e-9 * max(1.0, float(np.abs(w).max())):
+    if not _psd(w, 1e-9):
         raise PositivityError("Choi matrix is not positive semi-definite")
-    ops = []
-    for i in range(w.size):
-        if w[i] > tol:
-            ops.append(np.sqrt(w[i]) * vecs[:, i].reshape(t.dim_in, t.dim_out).T)
-    return ops
+    return [np.sqrt(w[i]) * vecs[:, i].reshape(t.dim_in, t.dim_out).T
+            for i in range(w.size) if w[i] > tol]
 
 
 __all__ = [

@@ -8,7 +8,6 @@ a column-stochastic matrix with fixed point d mapping y to x.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -45,8 +44,8 @@ def _validated(x, y, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _scaled_tol(y: np.ndarray, tol: float) -> float:
-    # comparisons are stable under rescaling of the problem
-    return tol * max(1.0, float(np.abs(y).sum()))
+    """tol * ||y||_1, the one tolerance scaling: exact at y = 0."""
+    return tol * float(np.abs(y).sum())
 
 
 def ratio_order(y: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -134,9 +133,10 @@ def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
       norm          -- ||x - t d||_1 <= ||y - t d||_1 at all t in y/d at once
       positive_part -- sum (x - t d)_+ <= sum (y - t d)_+ at all t in x/d, y/d
       curve         -- thermomajorization-curve dominance at the elbows of x
-    All include the trace-equality requirement.  With equal totals
-    ||v||_1 = 2 sum v_+ - sum v, so a 1-norm gap is twice the positive-part
-    (and curve) gap; the norm route compares it against twice the tolerance.
+    All include the trace-equality requirement and compare within
+    tol * ||y||_1, exactly at y = 0.  With equal totals ||v||_1 =
+    2 sum v_+ - sum v, so a 1-norm gap is twice the positive-part (and
+    curve) gap; the norm route compares it against twice the tolerance.
     """
     x, y, d = _validated(x, y, d)
     if method not in D_MAJORIZE_METHODS:
@@ -191,8 +191,7 @@ class StochasticMatrix:
         if self.kind == "d-stochastic":
             if self.d is None:
                 raise ValueError("d-stochastic matrix must carry its weight vector")
-            # A d - d scales with d, so its bound does too
-            if np.abs(a @ self.d - self.d).sum() > sum_tol * max(1.0, float(self.d.sum())):
+            if np.abs(a @ self.d - self.d).sum() > _scaled_tol(self.d, sum_tol):
                 raise ValueError("weight vector is not a fixed point")
 
     @property
@@ -226,17 +225,21 @@ def _t_transform_chain(xs: list, ys: list, w: list, rows: list) -> tuple[list, i
     return a, m
 
 
-def _pieces(d: list, px: list, py: list, total: float) -> list[tuple[float, int, int]]:
-    """(width, i_x, i_y) of each piece of [0, total] cut at the ends of d laid
+def _pieces(d: list, px: list, py: list) -> list[tuple[float, int, int]]:
+    """(width, i_x, i_y) of each piece of [0, e^T d] cut at the ends of d laid
     out in the orders px and py, i_x and i_y being the entries whose intervals
-    hold it.  Equal ends give one cut, and no cut lies above total."""
-    ex, ey = list(accumulate(d[i] for i in px)), list(accumulate(d[i] for i in py))
-    ex[-1] = ey[-1] = total
-    out, start, i, j = [], 0.0, 0, 0
-    while i < len(d) and j < len(d):
-        end = min(ex[i], ey[j], total)
-        out.append((end - start, px[i], py[j]))
-        start, i, j = end, bisect_right(ex, end, i), bisect_right(ey, end, j)
+    hold it.  Laid out exactly on d scaled to integers, equal ends give one
+    cut, and every entry, however far below the rounding of e^T d, gets
+    pieces that sum to its weight; each width is rounded once."""
+    ratios = [v.as_integer_ratio() for v in d]
+    den = max(q for _, q in ratios)                     # a power of two
+    ex, ey = (list(accumulate(ratios[i][0] * (den // ratios[i][1]) for i in p))
+              for p in (px, py))
+    out, start, i, j = [], 0, 0, 0
+    while i < len(d):                                   # both layouts end at once
+        end = min(ex[i], ey[j])
+        out.append(((end - start) / den, px[i], py[j]))
+        start, i, j = end, i + (ex[i] == end), j + (ey[j] == end)
     return out
 
 
@@ -254,8 +257,7 @@ def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     xl, yl, dl = x.tolist(), y.tolist(), d.tolist()
     # both shortcuts and the chain's floor are relative to ||y||_1, so the
     # certificate of (s x, s y) is that of (x, y) for every power of two s
-    norm, total = float(np.abs(y).sum()), float(d.sum())
-    eps = 1e-3 * tol * norm
+    total, eps = float(d.sum()), _scaled_tol(y, 1e-3 * tol)
     if sum(abs(u - v) for u, v in zip(xl, yl)) <= eps:
         return StochasticMatrix(np.eye(n), "d-stochastic", d=d, n_t_transforms=0)
     mean = sum(yl) / total
@@ -263,7 +265,7 @@ def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
         return StochasticMatrix(np.outer(d, np.ones(n)) / total, "d-stochastic", d=d,
                                 n_t_transforms=0)
 
-    pieces = _pieces(dl, ratio_order(x, d).tolist(), ratio_order(y, d).tolist(), total)
+    pieces = _pieces(dl, ratio_order(x, d).tolist(), ratio_order(y, d).tolist())
     rows = [[0.0] * j + [w / dl[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
     rows, count = _t_transform_chain([xl[i] * w / dl[i] for w, i, _ in pieces],
                                      [row[j] * yl[j] for row, (_, _, j) in zip(rows, pieces)],
@@ -271,11 +273,11 @@ def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     a = np.zeros((n, n))
     np.add.at(a, [i for _, i, _ in pieces], rows)
     out = StochasticMatrix(a, "d-stochastic", d=d, n_t_transforms=count)
-    # column sums, and A d = d relative to e^T d (row sums at d = e), within 1e-8
+    # column sums and A d = d (row sums at d = e) within 1e-8, A y = x within tol
     out.validate(entry_tol=1e-8, sum_tol=1e-8)
-    residual = np.abs(a @ y - x).sum()
-    if residual > 1e-8 * max(1.0, norm):
-        raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds 1e-8")
+    residual, gate = np.abs(a @ y - x).sum(), max(tol, 1e-8)
+    if residual > _scaled_tol(y, gate):
+        raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds {gate:.0e}")
     return out
 
 
@@ -319,18 +321,18 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     (z_- + s_- e/n) / sum y_- where y_j < 0, and e/n where y_j = 0, with the
     slack s_+- = max(0, sum y_+- - sum z_+-) of each side taken on its own,
     so a side of tiny mass keeps unit column sums.  A y = z_+ - z_- = z
-    holds within 1e-9 of x.
+    holds within 1e-9 * ||y||_1 of x.
     """
     x = as_vector(x)
     y = as_vector(y)
     n = x.size
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    if abs(x.sum() - y.sum()) > 1e-10 * max(1.0, abs(y.sum())):
+    if abs(x.sum() - y.sum()) > _scaled_tol(y, 1e-10):
         raise ValueError("column_stochastic_transfer requires equal totals")
-    if np.abs(x).sum() > np.abs(y).sum() + 1e-10 * max(1.0, np.abs(y).sum()):
+    if np.abs(x).sum() > np.abs(y).sum() + _scaled_tol(y, 1e-10):
         raise ValueError("column_stochastic_transfer requires ||x||_1 <= ||y||_1")
-    if np.abs(x - y).sum() <= 1e-3 * tol * np.abs(y).sum():
+    if np.abs(x - y).sum() <= _scaled_tol(y, 1e-3 * tol):
         return StochasticMatrix(np.eye(n), "column")
 
     z = _within_norm(x, y)
@@ -380,7 +382,7 @@ def maximal_element(d, tol: float = 1e-12) -> MaximalElement:
     k = int(np.argmin(d))
     vec = np.zeros(d.size)
     vec[k] = d.sum()
-    unique = bool(np.sum(d <= d[k] + tol * max(1.0, d.sum())) == 1)
+    unique = bool(np.sum(d <= d[k] + _scaled_tol(d, tol)) == 1)
     return MaximalElement(index=k, vector=vec, unique=unique)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorize import _elbows, as_vector, as_weight_vector
+from .majorize import _elbows, _scaled_tol, as_vector, as_weight_vector
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -88,15 +88,14 @@ def halfspace_bounds(y, d) -> HPolytope:
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
-    """Componentwise test M x <= b + tol * max(1, ||y||_1), the tolerance of
-    d_majorizes.  The curve peaks at the subset row of y's positive entries,
-    so ||y||_1 = 2 max(0, max b[:-1]) - e^T y."""
+    """Componentwise test M x <= b + tol * ||y||_1, the tolerance of
+    d_majorizes, exact at y = 0.  The curve peaks at the subset row of y's
+    positive entries, so ||y||_1 = 2 max(0, max b[:-1]) - e^T y."""
     x = as_vector(x)
     if x.size != poly.n:
         raise ValueError("dimension mismatch")
     y1 = 2.0 * max(0.0, float(poly.b[:-1].max())) - poly.trace
-    sums = constraint_matrix(poly.n) @ x
-    return bool(np.all(sums <= poly.b + tol * max(1.0, y1)))
+    return bool(np.all(constraint_matrix(poly.n) @ x <= poly.b + tol * y1))
 
 
 def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:
@@ -169,8 +168,8 @@ def _first_within(pts: np.ndarray, tol: float) -> np.ndarray:
 def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     """All polytope corners over the n! permutations, computed in one (n!, n)
     array pass and deduplicated greedily in permutation order: each corner
-    joins the first kept corner within dedup_tol * max(1, ||y||_1) in the
-    1-norm, else it is kept, so kept points lie farther apart than that.
+    joins the first kept corner within dedup_tol * ||y||_1 in the 1-norm,
+    else it is kept, so kept points lie farther apart than that.
     Only corners that crowd in a sorted projection are compared (_first_within).
     Permutations sharing one corner (ratio ties) are recorded together;
     points appear in order of their first generating permutation.
@@ -180,8 +179,8 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     poly = halfspace_bounds(y, d)                       # validates y and d
     perms, perm_tuples = _permutations(poly.n)
     pts = _corners(perms, poly)
-    scale = max(1.0, float(np.abs(np.asarray(y, dtype=float)).sum()))
-    owner = _first_within(pts, dedup_tol * scale)
+    y = as_vector(y)
+    owner = _first_within(pts, _scaled_tol(y, dedup_tol))
     kept = owner == np.arange(owner.size)
     gen: list[list[tuple[int, ...]]] = [[] for _ in range(int(kept.sum()))]
     for perm, s in zip(perm_tuples, (np.cumsum(kept) - 1)[owner].tolist()):
@@ -190,7 +189,7 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     # in blocks of points: one (2^n, k) slack array is ~140 MB at n = 8
     for lo in range(0, len(points), 1024):
         slack = constraint_matrix(poly.n) @ points[lo:lo + 1024].T - poly.b[:, None]
-        if float(slack.max()) > 1e-9 * scale:
+        if float(slack.max()) > _scaled_tol(y, 1e-9):
             raise RuntimeError("enumerated corner violates the half-space system")
     return VertexSet(points=points, perms=tuple(map(tuple, gen)))
 

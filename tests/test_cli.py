@@ -109,6 +109,32 @@ class TestCheck:
         assert report["data"]["certificate_kind"] == "doubly"
         assert "certificate transfer 1-norm error 1.800e-09" in report["diagnostics"]
 
+    def test_certificate_gate_follows_tol(self, tmp_path, capture):
+        # a verdict inside --tol 1e-6 gets a certificate within 1e-6 ||y||_1;
+        # a gate fixed at 1e-8 refused its residual 8e-7 (exit 3)
+        x, y = [0.5 + 4e-7, 0.3 - 4e-7, 0.2], [0.5, 0.3, 0.2]
+        code, out, _ = capture(["--tol", "1e-6", "check", write(tmp_path, "x.json", x),
+                                write(tmp_path, "y.json", y), "--certificate"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] is True
+        transfer = report["diagnostics"][0]
+        assert transfer.startswith("certificate transfer 1-norm error ")
+        assert float(transfer.rsplit(" ", 1)[1]) <= 1e-6 * sum(map(abs, y))
+
+    def test_certificate_for_a_weight_below_rounding(self, tmp_path, capture):
+        # 1e-20 vanishes in e^T d; its entry still gets a piece of the
+        # layout, so its column of the certificate sums to 1
+        d, x, y = np.array([1.0, 1e-20, 1.0]), [0.55, 0.0, 0.45], [0.6, 0.0, 0.4]
+        code, out, _ = capture(["check", write(tmp_path, "x.json", x),
+                                write(tmp_path, "y.json", y),
+                                "--d", write(tmp_path, "d.json", list(d)), "--certificate"])
+        assert code == 0
+        a = np.array(json.loads(out)["data"]["certificate"])
+        assert a.min() >= -1e-8 and np.abs(a.sum(axis=0) - 1.0).max() <= 1e-8
+        assert np.abs(a @ d - d).sum() <= 1e-8 * d.sum()
+        assert np.abs(a @ y - x).sum() <= 1e-8 * sum(y)
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_certificate_at_a_small_scale(self, tmp_path, capture, weighted):
         # at 2^-40 the certificate is the one at scale 1, not the identity

@@ -1,3 +1,7 @@
+from bisect import bisect_right
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -47,7 +51,7 @@ class TestMajorizes:
 
     def test_rows_agree_with_single_calls(self):
         def reference(x, y, tol=1e-9):
-            eps = tol * max(1.0, float(np.abs(y).sum()))
+            eps = tol * float(np.abs(y).sum())
             if abs(x.sum() - y.sum()) > eps:
                 return False
             xs = np.cumsum(np.sort(x)[::-1])
@@ -81,7 +85,7 @@ class TestMajorizes:
 def _loop_verdict(x, y, d, method, tol=1e-9):
     """d_majorizes as one loop step per critical t, before the array routes:
     the reference for their verdicts."""
-    eps = tol * max(1.0, float(np.abs(y).sum()))
+    eps = tol * float(np.abs(y).sum())
     if abs(x.sum() - y.sum()) > eps:
         return False
     if method == "norm":
@@ -153,7 +157,7 @@ def _weighted_cases(seed):
                 x = corner * (1.0 + rng.choice([-1e-12, 1e-12], size=n))
             elif kind == 3:
                 x = corner.copy()
-                push = rng.uniform(0.0, 2.0) * 1e-9 * max(1.0, np.abs(y).sum())
+                push = rng.uniform(0.0, 2.0) * 1e-9 * np.abs(y).sum()
                 i, j = rng.integers(0, n, size=2)
                 x[i] += push
                 x[j] -= push
@@ -387,7 +391,7 @@ class TestDoublyStochasticTransfer:
         positives = 0
         for trial, (x, y) in enumerate(_classical_cases(23, 900)):
             n = y.size
-            eps = 1e-9 * max(1.0, float(np.abs(y).sum()))
+            eps = 1e-9 * float(np.abs(y).sum())
             order = np.argsort(-x, kind="stable")
             # more mass on the largest entry raises every partial sum
             push = rng.uniform(0.0, 3.0) * eps
@@ -488,12 +492,12 @@ class TestColumnStochasticTransfer:
             y = rng.dirichlet(np.ones(n)) * 10.0 ** rng.integers(-3, 4)
             x = rng.dirichlet(np.ones(n)) * y.sum()
             k, el = rng.choice(n, size=2, replace=False)
-            delta = 10.0 ** rng.uniform(-13, np.log10(4e-11)) * max(1.0, y.sum())
+            delta = 10.0 ** rng.uniform(-13, np.log10(4e-11)) * y.sum()
             x[el] += x[k] + delta
             x[k] = -delta
             out = column_stochastic_transfer(x, y)
             out.validate()
-            assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * max(1.0, y.sum())
+            assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * y.sum()
 
     def test_tolerance_level_total_gap(self):
         # nonnegative x whose total differs from y's by less than the accepted
@@ -508,11 +512,11 @@ class TestColumnStochasticTransfer:
             n = int(rng.integers(2, 7))
             y = rng.dirichlet(np.ones(n)) * 10.0 ** rng.integers(-3, 4)
             x = rng.dirichlet(np.ones(n)) * y.sum()
-            gap = 10.0 ** rng.uniform(-14, np.log10(9e-11)) * max(1.0, y.sum())
+            gap = 10.0 ** rng.uniform(-14, np.log10(9e-11)) * y.sum()
             x[rng.integers(n)] += gap * rng.choice([-1.0, 1.0])
             out = column_stochastic_transfer(x, y)
             out.validate()
-            assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * max(1.0, y.sum())
+            assert np.abs(out.matrix @ y - x).sum() <= 1e-9 * y.sum()
 
 
 def _check_column_transfer(x, y, rng):
@@ -521,7 +525,7 @@ def _check_column_transfer(x, y, rng):
     out = column_stochastic_transfer(x, y)
     out.validate()
     a = out.matrix
-    assert np.abs(a @ y - x).sum() <= 1e-9 * max(1.0, np.abs(y).sum())
+    assert np.abs(a @ y - x).sum() <= 1e-9 * np.abs(y).sum()
     for z in rng.standard_normal((5, y.size)):
         assert np.abs(a @ z).sum() <= np.abs(z).sum() * (1.0 + 1e-12)
     return a
@@ -566,8 +570,8 @@ class TestColumnStochasticClosedForm:
             if n == 1:
                 continue
             # tolerance-level excess of the norm, and a gap between the totals
-            bound = 1e-10 * max(1.0, np.abs(y).sum())
-            delta = 10.0 ** rng.uniform(-15, -10.5) * max(1.0, np.abs(y).sum())
+            bound = 1e-10 * np.abs(y).sum()
+            delta = 10.0 ** rng.uniform(-15, -10.5) * np.abs(y).sum()
             i, j = rng.choice(n, size=2, replace=False)
             # x_i away from zero, x_j toward or past it: equal totals
             over = x.copy()
@@ -575,7 +579,7 @@ class TestColumnStochasticClosedForm:
             if np.abs(over).sum() <= np.abs(y).sum() + bound:
                 _check_column_transfer(over, y, rng)
             gap = x.copy()
-            gap[i] += rng.choice([-1.0, 1.0]) * min(delta, 9e-11 * max(1.0, abs(y.sum())))
+            gap[i] += rng.choice([-1.0, 1.0]) * min(delta, 9e-11 * np.abs(y).sum())
             if np.abs(gap).sum() <= np.abs(y).sum() + bound:
                 _check_column_transfer(gap, y, rng)
 
@@ -632,6 +636,84 @@ class TestCertificateScaleInvariance:
                   d_stochastic_transfer(x, y, [0.5, 0.3, 0.2]).matrix,
                   column_stochastic_transfer(x, y).matrix):
             assert np.abs(a @ y - x).sum() <= 1e-14 * np.abs(y).sum()
+
+
+def _passes_gate(a, x, y, d):
+    """The certificate gate in plain numpy: entries, column sums, A d = d
+    relative to e^T d and A y = x relative to ||y||_1, each within 1e-8."""
+    return bool(a.min() >= -1e-8 and np.abs(a.sum(axis=0) - 1.0).max() <= 1e-8
+                and np.abs(a @ d - d).sum() <= 1e-8 * d.sum()
+                and np.abs(a @ y - x).sum() <= 1e-8 * np.abs(y).sum())
+
+
+def _route_verdicts(x, y, d):
+    """The verdicts of the three d_majorizes routes and of contains."""
+    return ([d_majorizes(x, y, d, method=m) for m in D_MAJORIZE_METHODS]
+            + [contains(x, halfspace_bounds(y, d))])
+
+
+def _scale_cases(seed):
+    """Seeded (x, y, d) at scale 1, n = 2..6, one- and mixed-signed y:
+    d-stochastic images of y, polytope corners, corners pushed out of the
+    polytope by half and by twice the tolerance, and equal-total draws."""
+    rng = np.random.default_rng(seed)
+    for trial in range(60):
+        n = 2 + trial % 5
+        d = rng.uniform(0.2, 2.0, n)
+        y = rng.dirichlet(np.ones(n)) if trial % 2 else rng.standard_normal(n)
+        perm = rng.permutation(n)
+        x = vertex_for_permutation(perm, halfspace_bounds(y, d))
+        kind = trial % 5
+        if kind == 0:
+            x = random_d_stochastic(d, rng) @ y
+        elif kind in (2, 3):
+            # mass from the last entry of perm to its first raises every
+            # tight prefix sum of the corner by push
+            push = (0.5 if kind == 2 else 2.0) * 1e-9 * np.abs(y).sum()
+            x[perm[0]] += push
+            x[perm[-1]] -= push
+        elif kind == 4:
+            x = rng.standard_normal(n)
+            x += (y.sum() - x.sum()) / n
+        yield x, y, d
+
+
+class TestScaleCampaign:
+    SCALES = [2.0 ** k for k in range(-40, 41)] + [1e-6, 1e6]
+
+    def test_verdicts_and_certificates_at_every_scale(self):
+        # x <=_d y is homogeneous: every route gives its scale-1 verdict at
+        # every scale, and every positive gets a certificate inside the gate
+        verdicts = {True: 0, False: 0}
+        for x, y, d in _scale_cases(61):
+            base = _route_verdicts(x, y, d)
+            assert len(set(base)) == 1, (base, x, y, d)
+            verdicts[base[0]] += 1
+            for s in self.SCALES:
+                assert _route_verdicts(s * x, s * y, d) == base, (s, x, y, d)
+                if base[0]:
+                    a = d_stochastic_transfer(s * x, s * y, d).matrix
+                    assert _passes_gate(a, s * x, s * y, d), (s, x, y, d)
+        assert min(verdicts.values()) >= 20, verdicts
+
+    def test_zero_y_compares_exactly(self):
+        # at ||y||_1 = 0 the tolerance is 0: only x = 0 is majorized by 0
+        d = np.array([0.5, 0.3, 0.2])
+        zero = np.zeros(3)
+        assert _route_verdicts(zero, zero, d) == [True] * 4
+        assert majorizes(zero, zero)
+        assert np.array_equal(d_stochastic_transfer(zero, zero, d).matrix, np.eye(3))
+        for x in ([1e-12, -1e-12, 0.0], [1.0, -1.0, 0.0], [1e-300, 0.0, 0.0]):
+            assert _route_verdicts(np.array(x), zero, d) == [False] * 4
+            assert not majorizes(x, zero)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3])
+    def test_reproducer_is_negative_at_every_scale(self, s):
+        # x leaves y's polytope by 1e-3 * ||y||_1; an absolute floor of 1e-9
+        # accepted it at s = 1e-6
+        x, y = s * np.array([0.501, 0.3, 0.199]), s * np.array([0.5, 0.3, 0.2])
+        assert _route_verdicts(x, y, np.ones(3)) == [False] * 4
+        assert not majorizes(x, y)
 
 
 class TestDStochasticTransfer:
@@ -794,16 +876,14 @@ class TestDStochasticTransfer:
 def _union_layout(d, px, py):
     """The refinement as laid out before the two-pointer merge: the union of
     both layouts' ends, each piece's entries found by binary search.  The
-    ends are clipped to e^T d here; unclipped, a weight below the rounding
-    of e^T d that came last in both layouts left an end above e^T d, and the
-    search indexed past the last entry (IndexError)."""
-    ends_x = np.minimum(np.cumsum(d[px]), d.sum())
-    ends_y = np.minimum(np.cumsum(d[py]), d.sum())
-    ends_x[-1] = ends_y[-1] = d.sum()
-    cuts = np.union1d(ends_x, ends_y)
-    starts = np.concatenate(([0.0], cuts[:-1]))
-    return (cuts - starts, px[np.searchsorted(ends_x, starts, side="right")],
-            py[np.searchsorted(ends_y, starts, side="right")])
+    ends are exact fractions here; as rounded cumulative sums, a weight below
+    the rounding of e^T d got a width of zero or of an ulp, far from its own,
+    and its column of the certificate did not sum to 1."""
+    ends = [list(accumulate(Fraction(v) for v in d[p])) for p in (px, py)]
+    cuts = sorted(set(ends[0]) | set(ends[1]))
+    starts = [Fraction(0)] + cuts[:-1]
+    ix, iy = (p[[bisect_right(e, s) for s in starts]] for p, e in zip((px, py), ends))
+    return np.array([float(c - s) for c, s in zip(cuts, starts)]), ix, iy
 
 
 def _product_certificate(x, y, d, tol=1e-9):
@@ -857,31 +937,28 @@ class TestRefinement:
         for x, y, d, _ in _refinement_cases(71):
             px, py = ratio_order(x, d), ratio_order(y, d)
             w, ix, iy = _union_layout(d, px, py)
-            pieces = _pieces(d.tolist(), px.tolist(), py.tolist(), float(d.sum()))
+            pieces = _pieces(d.tolist(), px.tolist(), py.tolist())
             assert pieces == list(zip(w.tolist(), ix.tolist(), iy.tolist()))
 
     def test_certificate_matches_products(self):
         # the row chain stays within 1e-14 of merge @ chain @ split, and
         # returns the certificate of (x, y) at every (2^k x, 2^k y).  A weight
-        # below the rounding of e^T d that comes last in y's layout gets no
-        # piece: its column is zero in both, and the certificate is refused
-        positives = refused = 0
+        # below the rounding of e^T d gets a zero-width piece of its own
+        # weight, so its column sums to 1 and the certificate passes the gate
+        positives = tiny = 0
         for x, y, d, s in _refinement_cases(72):
-            # decided at scale 1: below it the verdict's floor is absolute
-            if not d_majorizes(x / s, y / s, d):
+            verdict = d_majorizes(x, y, d)
+            assert d_majorizes(x / s, y / s, d) == verdict
+            if not verdict:
                 continue
             positives += 1
+            tiny += d.min() < 1e-16 * d.sum()
             ref = _product_certificate(x, y, d)
-            if np.abs(ref.sum(axis=0) - 1.0).max() > 1e-8:
-                refused += 1
-                assert d.min() < 1e-16 * d.sum()
-                with pytest.raises(ValueError, match="column sums"):
-                    d_stochastic_transfer(x, y, d)
-                continue
+            assert np.abs(ref.sum(axis=0) - 1.0).max() <= 1e-8
             a = d_stochastic_transfer(x, y, d).matrix
             assert np.abs(a - ref).max() <= 1e-14
             assert np.array_equal(d_stochastic_transfer(x / s, y / s, d).matrix, a)
-        assert positives >= 400 and refused < positives // 4
+        assert positives >= 400 and tiny >= 47
 
     def test_bit_identical_at_uniform_weights(self):
         # at d = e the certificate is the sorted assembly's, at every scale

@@ -57,9 +57,9 @@ def _loop_corner(perm, poly):
 
 def _greedy_vertices(y, d, tol=1e-9):
     """Reference dedup: each corner, in permutation order, joins the first
-    kept corner within tol * max(1, ||y||_1), or is kept."""
+    kept corner within tol * ||y||_1, or is kept."""
     poly = halfspace_bounds(y, d)
-    eps = tol * max(1.0, float(np.abs(np.asarray(y, dtype=float)).sum()))
+    eps = tol * float(np.abs(np.asarray(y, dtype=float)).sum())
     kept, groups = [], []
     for perm in itertools.permutations(range(poly.n)):
         v = _loop_corner(perm, poly)
@@ -296,7 +296,7 @@ class TestVertexKernel:
             f = (0.3, 1.0, 3.0)[trial % 3]
             d = rng.uniform(0.2, 2.0, size=n)
             scale = 10.0 ** rng.integers(-3, 4)
-            tol = 1e-9 * max(1.0, scale * d.sum())
+            tol = 1e-9 * scale * d.sum()
             y = scale * d + f * tol / d.sum() * d * rng.integers(0, n, size=n)
             verts = vertices(y, d)
             points, perms = _greedy_vertices(y, d)
