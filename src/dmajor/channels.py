@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_square, hermitian_eig
-from .majorize import _within_norm, as_weight_vector, column_stochastic_transfer, majorizes
+from .majorize import (_scaled_tol, _within_norm, as_weight_vector, column_stochastic_transfer,
+                       majorizes)
 
 
 # channel_between's action has n^4 complex entries: 16 MB at the cap
@@ -110,15 +111,14 @@ def choi(t: SuperOperator) -> np.ndarray:
 
 
 def _psd(w: np.ndarray, tol: float) -> bool:
-    """Eigenvalues w of a PSD matrix: min w >= -tol * max(1, max |w|)."""
-    return bool(w.min() >= -tol * max(1.0, float(np.abs(w).max())))
+    """Eigenvalues w of a PSD matrix: min w >= -tol * max |w|."""
+    return bool(w.min() >= -tol * float(np.abs(w).max()))
 
 
 def is_cp(t: SuperOperator, tol: float = 1e-9) -> bool:
     """Completely positive iff the Choi matrix is positive semi-definite."""
     c = choi(t)
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if float(np.max(np.abs(c - c.conj().T))) > tol * scale:
+    if np.abs(c - c.conj().T).max() > tol * np.abs(c).max():
         return False
     return _psd(np.linalg.eigvalsh((c + c.conj().T) / 2), tol)
 
@@ -137,11 +137,13 @@ def is_unital(t: SuperOperator, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(img - np.eye(t.dim_out))) <= tol)
 
 
+def _unit_image(t: SuperOperator) -> np.ndarray:
+    return check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
+
+
 def is_strictly_positive(t: SuperOperator, tol: float = 1e-9) -> bool:
     """For a positive map (caller-asserted): strictly positive iff T(1) > 0."""
-    img = check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
-    w = np.linalg.eigvalsh(img)
-    return bool(w.min() > tol)
+    return bool(np.linalg.eigvalsh(_unit_image(t)).min() > tol)
 
 
 def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
@@ -153,8 +155,7 @@ def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
     the input was not actually positive.
     """
     k = t.dim_out
-    img = check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
-    w, u = hermitian_eig(img)
+    w, u = hermitian_eig(_unit_image(t))
     m = int(np.sum(w < tol))
     proj = u[:, :k - m] @ u[:, :k - m].conj().T
     images = t.action.T.reshape(-1, k, k).transpose(0, 2, 1)     # T(E_jl), stacked
@@ -180,12 +181,12 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
                     tol: float = 1e-9) -> SuperOperator:
     """A quantum channel T with T(b) = a.
 
-    Exists iff tr(a) = tr(b) and ||a||_1 <= ||b||_1.  Construction:
-    eigendecompose both sides, transfer the eigenvalue vectors by a
-    column-stochastic matrix, lift it to a pinching channel, and conjugate
-    with the eigenbasis unitaries.  Where b has a zero eigenvalue the image
-    of that eigendirection is a free choice; the default is the maximally
-    mixed state, override with null_state.
+    Exists iff tr(a) = tr(b) and ||a||_1 <= ||b||_1, read off the spectra
+    within tol * ||b||_1.  Construction: eigendecompose both sides, transfer
+    the eigenvalue vectors by a column-stochastic matrix, lift it to a
+    pinching channel, and conjugate with the eigenbasis unitaries.  An
+    eigendirection of b whose eigenvalue lies within tol * ||b||_1 of zero
+    goes to null_state (default: the maximally mixed state).
     """
     a = check_square(a, "A", 1e-10)
     b = check_square(b, "B", 1e-10)
@@ -195,24 +196,22 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     if n > MAX_CHANNEL_DIM:
         raise ValueError(f"channel_between handles n <= MAX_CHANNEL_DIM = {MAX_CHANNEL_DIM}, "
                          f"got n = {n}")
-    scale = max(1.0, trace_norm(b))
-    if abs(np.trace(a).real - np.trace(b).real) > tol * scale:
-        raise ValueError("channel_between requires tr(A) = tr(B)")
-    if trace_norm(a) > trace_norm(b) + tol * scale:
-        raise ValueError("channel_between requires ||A||_1 <= ||B||_1")
-
     x, u = hermitian_eig(a)
     y, v = hermitian_eig(b)
-    # absorb the trace and norm slack this function accepts (tol, wider than
-    # the 1e-10 that column_stochastic_transfer accepts); moves the spectrum
-    # of A by O(tol * scale) in 1-norm
+    eps = _scaled_tol(y, tol)
+    if abs(x.sum() - y.sum()) > eps:
+        raise ValueError("channel_between requires tr(A) = tr(B)")
+    if np.abs(x).sum() > np.abs(y).sum() + eps:
+        raise ValueError("channel_between requires ||A||_1 <= ||B||_1")
+    # absorb the slack accepted above (tol, wider than the 1e-10 that
+    # column_stochastic_transfer accepts); A's spectrum moves O(eps) in 1-norm
     x = _within_norm(x, y)
     m = column_stochastic_transfer(x, y).matrix
 
     # T(v_j v_j*) = U diag(M[:, j]) U*, or omega where y_j vanishes; each
     # column is kron(conj(U), U) on the diagonal units, applied to M
     cols = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n) @ m
-    null = np.abs(y) <= tol * scale
+    null = np.abs(y) <= eps
     cols[:, null] = vec(np.eye(n) / n if null_state is None else null_state)[:, None]
     # row j reads the coefficient of v_j v_j* in X: vec(v_j v_j*)^* vec(X)
     rows = (v.T[:, :, None] * v.conj().T[:, None, :]).reshape(n, n * n)
@@ -232,9 +231,15 @@ def matrix_majorizes(a, b, tol: float = 1e-9) -> bool:
 
 def _psd_sqrt(a: np.ndarray, clamp: float) -> np.ndarray:
     w, u = hermitian_eig(a)
-    if not _psd(w, clamp):
+    if w.min() < -clamp:
         raise PositivityError(f"matrix has eigenvalue {w.min():.3e}, beyond the PSD clamp")
     return u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+
+
+def _rank_one_sqrt(p: np.ndarray) -> np.ndarray:
+    """sqrt(P) = P / sqrt(tr P) for a PSD P of rank at most one."""
+    tr = np.trace(p).real
+    return p / np.sqrt(tr) if tr > 0 else np.zeros_like(p)
 
 
 def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
@@ -253,19 +258,18 @@ def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
         raise ValueError("d_matrix_majorizes_2x2 handles 2x2 inputs only")
     d = as_weight_vector(d)
     dm = np.diag(d).astype(complex)
-    eps = tol * max(1.0, trace_norm(b))
+    eps = tol * trace_norm(b)
     if abs(np.trace(a).real - np.trace(b).real) > eps:
         return False
 
     dis = np.diag(d ** -0.5)
-    spec, _ = hermitian_eig(dis @ b @ dis)
-    b1, b2 = float(spec.min()), float(spec.max())
-    for t in (b1, b2):
-        if trace_norm(a - t * dm) > trace_norm(b - t * dm) + eps:
-            return False
+    b2, b1 = hermitian_eig(dis @ b @ dis)[0]
+    if any(trace_norm(a - t * dm) > trace_norm(b - t * dm) + eps for t in (b1, b2)):
+        return False
 
-    fid_a = trace_norm(_psd_sqrt(a - b1 * dm, 1e-10) @ _psd_sqrt(b2 * dm - a, 1e-10))
-    fid_b = trace_norm(_psd_sqrt(b - b1 * dm, 1e-10) @ _psd_sqrt(b2 * dm - b, 1e-10))
+    # the norm tests bound a's negative parts by eps; b's factors have rank one
+    fid_a = trace_norm(_psd_sqrt(a - b1 * dm, eps) @ _psd_sqrt(b2 * dm - a, eps))
+    fid_b = trace_norm(_rank_one_sqrt(b - b1 * dm) @ _rank_one_sqrt(b2 * dm - b))
     return fid_a >= fid_b - eps
 
 
@@ -295,14 +299,12 @@ def identity_distance_witness(t: SuperOperator, tol: float = 1e-9):
     """
     if t.dim_in != t.dim_out:
         raise ValueError("witness construction requires equal dimensions")
-    img = check_square(t.apply(np.eye(t.dim_in, dtype=complex)), "T(1)", 1e-9)
-    if np.linalg.eigvalsh(img).min() > tol:
+    m, u, _ = kernel_block_form(t, tol)
+    if m == 0:
         raise ValueError("T(1) is nonsingular; the map is strictly positive")
-    _, u, _ = kernel_block_form(t, tol)
     psi = u[:, -1]
     proj = np.outer(psi, psi.conj())
-    value = trace_norm(t.apply(proj) - proj)
-    return psi, float(value)
+    return psi, trace_norm(t.apply(proj) - proj)
 
 
 def kraus_set(t: SuperOperator, tol: float = 1e-12) -> list[np.ndarray]:

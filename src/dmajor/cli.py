@@ -289,7 +289,7 @@ def _cmd_bound(args) -> int:
 def _cmd_channel(args) -> int:
     a = _load_complex_matrix(args.a)
     b = _load_complex_matrix(args.b)
-    t = channel_between(a, b)
+    t = channel_between(a, b, tol=args.tol)
     residual = trace_norm(t.apply(b) - a)
     data = {
         "superoperator": _complex_matrix_json(t.action),
@@ -299,7 +299,7 @@ def _cmd_channel(args) -> int:
     }
     if args.kraus:
         data["kraus"] = [_complex_matrix_json(k) for k in kraus_set(t)]
-    verdict = data["cp"] and data["tp"] and residual <= 1e-8
+    verdict = data["cp"] and data["tp"] and residual <= max(args.tol, 1e-8) * trace_norm(b)
     _emit(args, _report("channel", verdict=verdict, data=data))
     return EXIT_TRUE if verdict else EXIT_FALSE
 

@@ -19,9 +19,8 @@ MAX_SAMPLE_ENTRIES = 2 ** 21
 
 def _check_normal(a, name: str, tol: float = 1e-9) -> np.ndarray:
     a = check_square(a, name)
-    scale = max(1.0, float(np.max(np.abs(a))) ** 2)
     comm = a @ a.conj().T - a.conj().T @ a
-    if float(np.max(np.abs(comm))) > tol * scale:
+    if np.abs(comm).max(initial=0.0) > tol * np.abs(a).max(initial=0.0) ** 2:
         raise ValueError(f"{name} is not normal within tolerance")
     return a
 

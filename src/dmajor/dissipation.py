@@ -139,7 +139,7 @@ class Generator:
         hi, lo = float(b0.max()), float(b0.min())
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError("entries of B0 must be finite")
-        scale = max(1.0, hi, -lo)
+        scale = max(hi, -lo)
         if np.max(np.abs(b0.sum(axis=0))) > 1e-12 * scale:
             raise ValueError("columns of B0 must sum to zero")
         n = b0.shape[0]
@@ -346,7 +346,7 @@ def steady_state(gen: Generator, tol: float = 1e-9) -> np.ndarray:
         p = np.square(s / s.max())
         return p / p.sum()
     _, sv, vt = np.linalg.svd(gen.b0)
-    null_dim = int(np.sum(sv <= tol * max(sv[0], 1.0)))
+    null_dim = int(np.sum(sv <= tol * sv[0]))
     if null_dim != 1:
         raise ValueError(f"B0 kernel is {null_dim}-dimensional; flow is not relaxing")
     v = vt[-1]

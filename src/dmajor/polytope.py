@@ -64,7 +64,7 @@ class HPolytope:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.b.shape != (2 ** self.n,):
             raise ValueError("b must have length 2^n")
-        if not abs(self.b[-2] + self.b[-1]) <= 1e-12 * max(1.0, abs(self.b[-2])):
+        if not abs(self.b[-2] + self.b[-1]) <= 1e-12 * abs(self.b[-2]):
             raise ValueError("trace entries of b must be finite and opposite")
 
     @property

@@ -73,9 +73,8 @@ def composed_channel(a, b, null_state=None, tol=1e-9):
     y, v = hermitian_eig(b)
     m = column_stochastic_transfer(_within_norm(x, y), y).matrix
     omega = np.eye(n) / n if null_state is None else null_state
-    scale = max(1.0, trace_norm(b))
     pinch = pinching_superoperator(m)
-    for j in np.flatnonzero(np.abs(y) <= tol * scale):
+    for j in np.flatnonzero(np.abs(y) <= tol * np.abs(y).sum()):
         pinch.action[:, j + j * n] = vec(u.conj().T @ omega @ u)
     into_v = SuperOperator(n, n, np.kron(v.T, v.conj().T))
     out_u = SuperOperator(n, n, np.kron(u.conj(), u))
@@ -552,6 +551,21 @@ class TestIdentityDistanceWitness:
         psi, value = identity_distance_witness(qutrit_corner_map())
         assert abs(value - 2.0) <= 1e-8
 
-    def test_rejects_strictly_positive_map(self):
-        with pytest.raises(ValueError):
+    def test_rejects_strictly_positive_map(self, monkeypatch):
+        # the kernel dimension of kernel_block_form decides: no further
+        # eigenvalue solve of T(1)
+        def refuse(*args, **kwargs):
+            raise AssertionError("T(1) decomposed a second time")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(ValueError, match="T\\(1\\) is nonsingular"):
             identity_distance_witness(SuperOperator.identity(2))
+
+
+def test_unit_image_hermiticity_is_checked_once_for_all():
+    # T(X) = X K with K non-Hermitian has T(1) = K: each T(1) consumer refuses it
+    k = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    t = SuperOperator.from_function(lambda x: x @ k, 2, 2)
+    for check in (is_strictly_positive, kernel_block_form, identity_distance_witness):
+        with pytest.raises(ValueError, match="T\\(1\\) is not Hermitian"):
+            check(t)

@@ -556,6 +556,45 @@ class TestChannel:
         code, out, _ = capture(["channel", "--a", a, "--b", b])
         assert code == 0
 
+    @staticmethod
+    def _seeded_pair(seed=4, n=4):
+        """A Hermitian pair with tr A = tr B and ||A||_1 <= ||B||_1 = 1."""
+        rng = np.random.default_rng(seed)
+        b, a = ((m + m.conj().T) / 2 for m in rng.standard_normal((2, n, n, 2)) @ [1, 1j])
+        a += (np.trace(b).real - np.trace(a).real) / n * np.eye(n)
+        trace_norm = dmajor.channels.trace_norm
+        while trace_norm(a) > trace_norm(b):
+            a = 0.7 * a + 0.3 * np.trace(b).real / n * np.eye(n)
+        return a / trace_norm(b), b / trace_norm(b)
+
+    @pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+    def test_verdict_and_residual_are_relative(self, tmp_path, capture, s):
+        # at 1e-9 every eigenvalue of s·B once counted as null, and an absolute
+        # gate passed a channel missing s·A by percents; at 1e9 an exact
+        # channel failed that gate
+        a, b = self._seeded_pair()
+        fa = write(tmp_path, "a.json", np.stack(((s * a).real, (s * a).imag), -1).tolist())
+        fb = write(tmp_path, "b.json", np.stack(((s * b).real, (s * b).imag), -1).tolist())
+        code, out, _ = capture(["channel", "--a", fa, "--b", fb])
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] is True
+        norm_b = dmajor.channels.trace_norm(s * b)
+        assert report["data"]["residual_trace_norm"] <= 1e-8 * norm_b
+
+    def test_tol_reaches_the_preconditions(self, tmp_path, capture):
+        # a trace gap of 1e-7 ||B||_1 is refused at the default tol and
+        # absorbed under --tol 1e-6, whose gate then widens to 1e-6 ||B||_1
+        a, b = self._seeded_pair()
+        a = a + 1e-7 * dmajor.channels.trace_norm(b) / 4 * np.eye(4)
+        fa = write(tmp_path, "a.json", np.stack((a.real, a.imag), -1).tolist())
+        fb = write(tmp_path, "b.json", np.stack((b.real, b.imag), -1).tolist())
+        code, _, err = capture(["channel", "--a", fa, "--b", fb])
+        assert code == 2 and "tr(A) = tr(B)" in err
+        code, out, _ = capture(["--tol", "1e-6", "channel", "--a", fa, "--b", fb])
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] is True
+        assert 1e-8 < report["data"]["residual_trace_norm"] <= 1e-6 * dmajor.channels.trace_norm(b)
+
     def test_dimension_cap_is_an_input_error(self, tmp_path, capture):
         n = dmajor.channels.MAX_CHANNEL_DIM + 1
         a = write(tmp_path, "a.json", (np.eye(n) / n).tolist())
