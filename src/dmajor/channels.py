@@ -86,9 +86,9 @@ class SuperOperator:
     def from_kraus(cls, ops) -> "SuperOperator":
         ops = [np.asarray(k, dtype=complex) for k in ops]
         rows, cols = ops[0].shape
-        action = np.zeros((rows ** 2, cols ** 2), dtype=complex)
-        for k in ops:
-            action += np.kron(k.conj(), k)
+        # the sum of kron(conj(K), K)
+        action = sum((k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(rows ** 2, -1)
+                     for k in ops)
         return cls(cols, rows, action)
 
     @classmethod
@@ -142,24 +142,25 @@ def _unit_image(t: SuperOperator) -> np.ndarray:
 
 
 def is_strictly_positive(t: SuperOperator, tol: float = 1e-9) -> bool:
-    """For a positive map (caller-asserted): strictly positive iff T(1) > 0."""
-    return bool(np.linalg.eigvalsh(_unit_image(t)).min() > tol)
+    """For a positive map (caller-asserted): strictly positive iff T(1) > 0 within tol relative."""
+    w = np.linalg.eigvalsh(_unit_image(t))
+    return bool(w.min() > tol * np.abs(w).max())
 
 
 def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
     """Kernel data of a positive map: (m, U, projector).
 
-    m is the kernel dimension of T(1); U is unitary with the kernel spanned
-    by its last m columns; the projector pi = U diag(1,..,1,0,..,0) U^dagger
-    compresses every image: pi T(A) pi = T(A).  A compression failure means
-    the input was not actually positive.
+    m counts T(1)'s eigenvalues within tol * ||T(1)|| of 0; U is unitary with
+    the kernel spanned by its last m columns; pi = U diag(1,..,1,0,..,0) U^*
+    compresses every image, pi T(A) pi = T(A) within 1e-8 relative.  A
+    compression failure means the input was not actually positive.
     """
     k = t.dim_out
-    w, u = hermitian_eig(_unit_image(t))
-    m = int(np.sum(w < tol))
+    w, u = hermitian_eig(_unit_image(t), herm_tol=None)
+    m = int(np.sum(w <= tol * np.abs(w).max()))
     proj = u[:, :k - m] @ u[:, :k - m].conj().T
     images = t.action.T.reshape(-1, k, k).transpose(0, 2, 1)     # T(E_jl), stacked
-    if float(np.max(np.abs(proj @ images @ proj - images))) > 1e-8:
+    if np.abs(proj @ images @ proj - images).max() > 1e-8 * np.abs(images).max():
         raise PositivityError(
             "projector compression failed on a matrix unit; the map is not positive"
         )
@@ -196,8 +197,8 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     if n > MAX_CHANNEL_DIM:
         raise ValueError(f"channel_between handles n <= MAX_CHANNEL_DIM = {MAX_CHANNEL_DIM}, "
                          f"got n = {n}")
-    x, u = hermitian_eig(a)
-    y, v = hermitian_eig(b)
+    x, u = hermitian_eig(a, herm_tol=None)
+    y, v = hermitian_eig(b, herm_tol=None)
     eps = _scaled_tol(y, tol)
     if abs(x.sum() - y.sum()) > eps:
         raise ValueError("channel_between requires tr(A) = tr(B)")
@@ -224,13 +225,13 @@ def matrix_majorizes(a, b, tol: float = 1e-9) -> bool:
     b = check_square(b, "B", 1e-10)
     if a.shape != b.shape:
         raise ValueError("A and B must have equal size")
-    wa, _ = hermitian_eig(a)
-    wb, _ = hermitian_eig(b)
+    wa, _ = hermitian_eig(a, herm_tol=None)
+    wb, _ = hermitian_eig(b, herm_tol=None)
     return majorizes(wa, wb, tol)
 
 
 def _psd_sqrt(a: np.ndarray, clamp: float) -> np.ndarray:
-    w, u = hermitian_eig(a)
+    w, u = hermitian_eig(a, herm_tol=None)
     if w.min() < -clamp:
         raise PositivityError(f"matrix has eigenvalue {w.min():.3e}, beyond the PSD clamp")
     return u @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
@@ -263,7 +264,7 @@ def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
         return False
 
     dis = np.diag(d ** -0.5)
-    b2, b1 = hermitian_eig(dis @ b @ dis)[0]
+    b2, b1 = hermitian_eig(dis @ b @ dis, herm_tol=None)[0]
     if any(trace_norm(a - t * dm) > trace_norm(b - t * dm) + eps for t in (b1, b2)):
         return False
 

@@ -234,7 +234,7 @@ def _cmd_simulate(args) -> int:
     x0 = _load_vector(args.x0)
     sched = reach.Schedule.from_dict(_load_json(args.schedule))
     traj = reach.simulate(gen, x0, sched, dt=args.dt)
-    header = "t," + ",".join(f"x{i}" for i in range(gen.n))
+    header = "t," + ",".join(f"x{i}" for i in range(traj.states.shape[1]))
     rows = [
         repr(float(t)) + "," + ",".join(repr(float(v)) for v in state)
         for t, state in zip(traj.times, traj.states)

@@ -134,8 +134,7 @@ class Generator:
         object.__setattr__(self, "b0", b0)
         if b0.ndim != 2 or b0.shape[0] != b0.shape[1]:
             raise ValueError("B0 must be square")
-        # reductions and strided views only: no n x n temporaries, since a
-        # local generator may be 4096 x 4096
+        # reductions and strided views only: no n x n temporaries for a large B0
         hi, lo = float(b0.max()), float(b0.min())
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError("entries of B0 must be finite")
@@ -163,7 +162,7 @@ class Generator:
         up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
         if not ((up > 0).all() and (down >= 0).all()):
             return None
-        # count only: a local generator may be 4096 x 4096
+        # count only: no n x n temporaries for a large B0
         if np.count_nonzero(b0) != (np.count_nonzero(np.diagonal(b0)) + up.size
                                     + np.count_nonzero(down)):
             return None
@@ -293,13 +292,14 @@ def equidistant_d(alpha: float, n: int) -> np.ndarray:
 
 
 def flow(gen: Generator, x, t: float) -> np.ndarray:
-    """Propagate x for time t >= 0: exp(-t B0) x."""
+    """Propagate x for time t >= 0: exp(-t B0) x, or for k copies of the n
+    levels (k n entries) (I_k (x) exp(-t B0)) x, applied blockwise."""
     if t < 0:
         raise ValueError("flow requires t >= 0")
     x = as_vector(x)
-    if x.size != gen.n:
-        raise ValueError("state dimension mismatch")
-    return propagator(gen, t) @ x
+    if x.size % gen.n:
+        raise ValueError(f"state length must be a multiple of the generator's {gen.n} levels")
+    return (x.reshape(-1, gen.n) @ propagator(gen, t).T).reshape(-1)
 
 
 def propagator(gen: Generator, t: float | np.ndarray) -> np.ndarray:

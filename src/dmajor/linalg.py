@@ -51,7 +51,7 @@ def check_square(a, name: str = "matrix", herm_tol: float | None = None) -> np.n
 
 
 def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (herm_tol=None: checked by the caller).
 
     Returns (w, u) with eigenvalues w sorted non-increasingly (ties keep the
     ascending-solver order, so the result is deterministic) and unitary u

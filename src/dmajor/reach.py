@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dissipation import Generator, b0_from_rates, check_zero_temperature, propagator, \
+from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
     thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
 from .majorize import _majorized_rows, as_vector, as_weight_vector, majorizes
@@ -23,6 +23,8 @@ from .polytope import max_corner
 
 MAX_LOCAL_DIM = 4096
 MAX_TRAJECTORY_ROWS = 10 ** 6
+# rows times state length held by simulate: the row cap at 8 levels, 64 MB
+MAX_TRAJECTORY_ENTRIES = 8 * 10 ** 6
 MAX_SAMPLE_DEPTH = 12
 # schedules per envelope: 21 s, 63 MB max RSS at n = 8, depth 12 (2-core VM)
 MAX_SAMPLE_COUNT = 100_000
@@ -102,59 +104,67 @@ class Trajectory:
         return self.states[-1]
 
 
-def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
-    """Run the schedule from x0, sampling the dissipative stretches every dt.
-
-    Segment endpoints come from a single matrix exponential each, so the
-    final state matches the closed-form product of permutation matrices and
-    flow exponentials to machine precision.  Raises ValueError before any
-    step when x0 or a permutation does not have length gen.n, or when the
-    trajectory would exceed MAX_TRAJECTORY_ROWS rows.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
+           max_entries: float) -> Iterator[tuple[float, np.ndarray]]:
+    """(time, state) rows of the run from x0 sampled every dt: x0, then per
+    segment the permuted state, the flow's samples and its end.  x0 may hold
+    k copies of the n = gen.n levels, each flowing under exp(-t B0) (see
+    flow).  Raises ValueError before the first row when x0's length is not a
+    multiple of n, a permutation's length differs from x0's, or the rows
+    would exceed MAX_TRAJECTORY_ROWS or max_entries entries."""
     x = _check_simplex(x0)
-    if x.size != gen.n or any(len(seg.perm) != gen.n for seg in schedule.segments):
-        raise ValueError("state and permutation lengths must match the generator")
+    n = gen.n
+    if x.size % n or any(len(seg.perm) != x.size for seg in schedule.segments):
+        raise ValueError(f"state and permutation lengths must be equal multiples of {n}")
     # one row per permutation, plus the dt samples and the end of each flow
     rows = 1.0 + sum(2.0 + seg.duration // dt if seg.duration > 0 else 1.0
                      for seg in schedule.segments)
     if rows > MAX_TRAJECTORY_ROWS:
-        raise ValueError(f"trajectory would have {rows:.3g} rows; the cap is "
-                         f"{MAX_TRAJECTORY_ROWS}")
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    step = None
+        raise ValueError(f"trajectory of {rows:.3g} rows exceeds the cap {MAX_TRAJECTORY_ROWS}")
+    if rows * x.size > max_entries:
+        raise ValueError(f"trajectory of {rows * x.size:.3g} entries exceeds the cap {max_entries}")
+    t, step = 0.0, None
+    yield t, x.copy()
     for seg in schedule.segments:
         x = x[list(seg.perm)]
-        times.append(t)
-        states.append(x.copy())
+        yield t, x
         if seg.duration > 0:
             n_steps = int(seg.duration // dt)
             if n_steps >= 1:
-                # the unclamped state is propagated; its samples are clamped
-                # together
+                # the unclamped state is propagated; its samples are clamped together
                 if step is None:
-                    step = propagator(gen, dt)
+                    step = propagator(gen, dt).T
                 samples = np.empty((n_steps, x.size))
-                xs = x
+                xs = x.reshape(-1, n)
                 for k in range(n_steps):
-                    xs = step @ xs
-                    samples[k] = xs
-                times.extend(t + k * dt for k in range(1, n_steps + 1))
-                states.extend(_clamp_simplex(samples))
-            x = _clamp_simplex(propagator(gen, seg.duration) @ x)
+                    xs = xs @ step
+                    samples[k] = xs.reshape(-1)
+                for k, row in enumerate(_clamp_simplex(samples), 1):
+                    yield t + k * dt, row
+            x = _clamp_simplex(flow(gen, x, seg.duration))
             t += seg.duration
-            times.append(t)
-            states.append(x.copy())
+            yield t, x
+
+
+def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
+    """Run the schedule from x0, sampling the dissipative stretches every dt.
+
+    Segment endpoints come from one matrix exponential each, matching the
+    closed-form product of permutations and flows to machine precision.  See
+    _steps for x0, which may hold k copies of the n levels, and for the checks
+    made before any step; MAX_TRAJECTORY_ENTRIES caps the trajectory's entries."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    times, states = zip(*_steps(gen, x0, schedule, dt, MAX_TRAJECTORY_ENTRIES))
     return Trajectory(times=np.array(times), states=np.array(states))
 
 
 def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
-    """Final state of a schedule: the endpoint of simulate with no
-    intermediate sampling, under the same checks and row cap."""
-    return simulate(gen, x0, schedule, np.inf).endpoint
+    """Final state of a schedule: the last state of simulate with no sampling,
+    under the same checks and row cap, holding one state at a time."""
+    for _, x in _steps(gen, x0, schedule, np.inf, np.inf):
+        pass
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +338,6 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
 # local (tensor-chain) synthesis
 # ---------------------------------------------------------------------------
 
-def local_generator(n: int, m: int) -> Generator:
-    """Block-diagonal generator for a chain of m n-level systems with the
-    bath on one: n^{m-1} copies of the zero-temperature rate matrix."""
-    total = n ** m
-    if total > MAX_LOCAL_DIM:
-        raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
-    block = b0_from_rates(zero_temperature_rates(n)).b0
-    return Generator(np.kron(np.eye(n ** (m - 1)), block))
-
-
 def _placement(slots, sources, total: int) -> np.ndarray:
     """Permutation whose action moves old coordinate sources[k] to slot
     slots[k]; the other coordinates fill the free slots in ascending order."""
@@ -476,8 +476,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     """Envelope vertex z bounding the reachable set of the thermal model.
 
     Requires n <= MAX_ENVELOPE_DIM, constant neighbour ratios of d
-    (equidistant energy levels), x0 >= 0 with a finite positive total and
-    sample_count <= MAX_SAMPLE_COUNT.
+    (equidistant energy levels), x0 >= 0 within 1e-12 of its positive part's
+    finite positive total, and sample_count <= MAX_SAMPLE_COUNT.
     z is the maximal corner of the d-majorization polytope of x0.  The report
     checks, without raising, that (a) x0 is majorized by z, (b) {x < z} is
     invariant under dx/dt = -B0 x and (c) no sampled schedule (seeds seed,
@@ -496,7 +496,9 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
         raise ValueError("x0 and d must have equal length")
     if x0.size > MAX_ENVELOPE_DIM:
         raise ValueError(f"n = {x0.size} exceeds the cap {MAX_ENVELOPE_DIM}")
-    if np.min(x0) < -1e-12:
+    with np.errstate(over="ignore"):
+        total = float(np.maximum(x0, 0.0).sum())
+    if np.min(x0) < -1e-12 * total:
         raise ValueError("x0 must be entrywise nonnegative")
     if not 0 <= sample_count <= MAX_SAMPLE_COUNT:
         raise ValueError("sample_count must be nonnegative and at most MAX_SAMPLE_COUNT = "
@@ -509,12 +511,9 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
             raise ValueError("d must have constant neighbour ratios (equidistant levels)")
 
     n = d.size
-    x0 = np.maximum(x0, 0.0)
-    with np.errstate(over="ignore"):
-        total = float(x0.sum())
     if not 0.0 < total < np.inf:
         raise ValueError(f"x0 must have a finite positive total, got {total}")
-    x0 = x0 / total
+    x0 = np.maximum(x0, 0.0) / total
     z = max_corner(x0, d)
     gen = b0_from_rates(thermal_rates(d))
 
@@ -641,7 +640,6 @@ __all__ = [
     "SplitMix64",
     "Trajectory",
     "endpoint",
-    "local_generator",
     "majorization_envelope",
     "random_schedule",
     "reachable_sample",

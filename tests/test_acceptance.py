@@ -44,7 +44,6 @@ from dmajor.polytope import (
 )
 from dmajor.reach import (
     endpoint,
-    local_generator,
     majorization_envelope,
     random_schedule,
     synthesize,
@@ -179,7 +178,7 @@ def test_criterion_5_global_synthesis():
 def test_criterion_6_local_synthesis():
     start = time.time()
     rng = np.random.default_rng(12)
-    gen = local_generator(2, 2)
+    gen = b0_from_rates(zero_temperature_rates(2))
     for _ in range(50):
         x0 = rng.dirichlet(np.ones(4))
         target = rng.dirichlet(np.ones(4))

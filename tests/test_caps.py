@@ -7,34 +7,27 @@ import numpy as np
 import pytest
 
 from dmajor import cnr, polytope, reach
-from dmajor.dissipation import b0_from_rates, equidistant_d, propagator, thermal_rates, \
-    zero_temperature_rates
+from dmajor.dissipation import b0_from_rates, equidistant_d, thermal_rates, zero_temperature_rates
 
 
 def test_local_dim_above_the_cap():
     cap = reach.MAX_LOCAL_DIM
     state = np.full(cap + 1, 1.0 / (cap + 1))
     with pytest.raises(ValueError, match=rf"n\^m = {cap + 1} exceeds the cap {cap}"):
-        reach.local_generator(cap + 1, 1)
-    with pytest.raises(ValueError, match=rf"n\^m = {cap + 1} exceeds the cap {cap}"):
         reach.synthesize_local(cap + 1, 1, state, state, 1e-3)
 
 
 @pytest.mark.parametrize("x0", ["uniform", "dirichlet"])
 def test_local_synthesis_at_the_cap(x0):
-    # local_generator(4, 6) itself is built in test_dissipation; the endpoint
-    # is taken blockwise, on the 4-level block's propagator
+    # the endpoint runs on the 4-level block, applied to each of the 1024 copies
     n, m = 4, 6
     assert n ** m == reach.MAX_LOCAL_DIM
     x0 = (np.full(n ** m, n ** -m) if x0 == "uniform"
           else np.random.default_rng(46).dirichlet(np.ones(n ** m)))
     target = np.eye(n ** m)[0]
+    sched = reach.synthesize_local(n, m, x0, target, 1e-3)
     block = b0_from_rates(zero_temperature_rates(n))
-    x = x0
-    for seg in reach.synthesize_local(n, m, x0, target, 1e-3).segments:
-        x = x[list(seg.perm)]
-        x = (propagator(block, seg.duration) @ x.reshape(-1, n).T).T.reshape(-1)
-    assert np.abs(x - target).sum() <= 1e-3
+    assert np.abs(reach.endpoint(block, x0, sched) - target).sum() <= 1e-3
 
 
 def test_sample_depth():

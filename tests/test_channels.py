@@ -172,12 +172,14 @@ def _unit_images(t):
 
 def _kernel_projector_by_units(t, tol=1e-9):
     """kernel_block_form's projector, with the compression checked one matrix
-    unit at a time."""
+    unit at a time, relative to the largest entry of any image."""
     w, u = hermitian_eig(t.apply(np.eye(t.dim_in)), herm_tol=1e-9)
-    keep = t.dim_out - int(np.sum(w < tol))
+    keep = t.dim_out - int(np.sum(w <= tol * np.abs(w).max()))
     proj = u[:, :keep] @ u[:, :keep].conj().T
-    for _, _, img in _unit_images(t):
-        if np.max(np.abs(proj @ img @ proj - img)) > 1e-8:
+    images = [img for _, _, img in _unit_images(t)]
+    scale = max(np.abs(img).max() for img in images)
+    for img in images:
+        if np.max(np.abs(proj @ img @ proj - img)) > 1e-8 * scale:
             raise PositivityError("compression failed")
     return proj
 

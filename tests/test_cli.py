@@ -315,6 +315,18 @@ class TestSimulateSynthesize:
         assert np.isclose(last[0], 0.5)
         assert np.isclose(last[1] + last[2], 1.0)
 
+    def test_simulate_chain_of_copies(self, tmp_path, capture):
+        # two copies of the two levels: one column per entry of the state
+        x0 = write(tmp_path, "x0.json", [0.1, 0.4, 0.2, 0.3])
+        sched = write(tmp_path, "s.json",
+                      {"segments": [{"perm": [1, 0, 2, 3], "duration": 40.0}]})
+        code, out, _ = capture(["simulate", "--zero-temp", "2", "--x0", x0,
+                                "--schedule", sched, "--dt", "inf"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "t,x0,x1,x2,x3"
+        assert np.allclose([float(v) for v in lines[-1].split(",")], [40.0, 0.5, 0.0, 0.5, 0.0])
+
     def test_synthesize_exits_numeric_when_eps_is_missed(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
@@ -521,6 +533,12 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert f"x0 must have a finite positive total, got {total}" in err
+
+    @pytest.mark.parametrize("scale", [1.0, 16.0, 2.0 ** 30])
+    def test_negative_dust_accepted_at_every_scale(self, tmp_path, capture, scale):
+        x0 = write(tmp_path, "x0.json", [0.6 * scale, (0.4 + 5e-13) * scale, -5e-13 * scale])
+        code, out, err = capture(["bound", "--x0", x0, "--alpha", "0.5", "--samples", "3"])
+        assert code == 0, err
 
     def test_missing_weights_named(self, tmp_path, capture):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

@@ -22,7 +22,6 @@ from dmajor.dissipation import (
     thermal_rates,
     zero_temperature_rates,
 )
-from dmajor.reach import local_generator
 
 
 class TestB0FromRates:
@@ -117,9 +116,10 @@ class TestGenerator:
 
     def test_largest_local_generator_validates_without_full_size_temporaries(self):
         # the 4096 x 4096 matrix itself is 134 MB; validation adds vectors only
+        block = b0_from_rates(zero_temperature_rates(4)).b0
         tracemalloc.start()
         try:
-            gen = local_generator(4, 6)
+            gen = Generator(np.kron(np.eye(4 ** 5), block))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,7 +354,8 @@ class TestSpectralPropagator:
         gap = b0_from_rates(BathRates(n=4, a=[1.0, 0.0, 1.0], b=[1.0, 1.0, 1.0]))
         # a 40 T spread is beyond the spread the spectral route accepts
         steep = b0_from_rates(thermal_rates(gibbs_vector([0.0, 20.0, 40.0], 1.0)))
-        gens = [local_generator(2, 2), gap, dense, steep]
+        chain = Generator(np.kron(np.eye(2), b0_from_rates(zero_temperature_rates(2)).b0))
+        gens = [chain, gap, dense, steep]
         for gen in gens:
             assert gen._spectral is None and gen._ladder is None
             p = propagator(gen, 0.5)

@@ -11,7 +11,9 @@ from dmajor.channels import (
     channel_between,
     d_matrix_majorizes_2x2,
     is_cp,
+    is_strictly_positive,
     is_tp,
+    kernel_block_form,
     matrix_majorizes,
     pure_state_reachable,
     trace_norm,
@@ -171,6 +173,29 @@ class TestSpectralVerdicts:
                                               s * np.diag([0.6, 0.4]), (0.6, 0.4))
 
 
+def test_hermiticity_within_the_input_tolerance_is_checked_once():
+    # a skew part of 1e-11 relative passes the 1e-10 input check, and no
+    # later eigendecomposition refuses it at a tighter tolerance
+    rng = np.random.default_rng(96)
+    cases = []
+    for n in (2, 3, 4):
+        h, k = rand_hermitian(rng, n), rng.standard_normal((n, n))
+        cases.append((h + 1e-11 * np.abs(h).max() * (k - k.T),))
+
+    def verdict(s, a):
+        t = channel_between(s * a, s * a)
+        assert trace_norm(t.apply(s * a) - s * a) <= 1e-8 * trace_norm(s * a)
+        verdicts = [matrix_majorizes(s * a, s * a)]
+        if a.shape == (2, 2):
+            verdicts.append(d_matrix_majorizes_2x2(s * a, s * a, (0.6, 0.4)))
+        return verdicts
+
+    assert same_at_every_scale(verdict, *cases) == [[True, True], [True], [True]]
+    # T(X) = X K with K = I up to such a skew part: T(1) = K, no kernel
+    k = np.eye(2) + 1e-11 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert kernel_block_form(SuperOperator.from_function(lambda x: x @ k, 2, 2))[0] == 0
+
+
 def test_diagonal_2x2_agrees_with_d_majorizes_near_vertices():
     # for commuting (diagonal) inputs the matrix test is d_majorizes; corners
     # of B's polytope, and corners moved by 4e-10 inside the tolerance
@@ -206,6 +231,19 @@ class TestChecks:
         base = same_at_every_scale(
             lambda s, action, dim: is_cp(SuperOperator(dim, dim, s * action)), *cases)
         assert base == [True, True, False, False, False, True]
+
+    def test_strict_positivity_and_kernel(self):
+        # s·I is strictly positive with no kernel at every scale; the trace
+        # projection onto diag(1, 0) has T(1) = diag(2, 0), a kernel of one
+        cases = [(np.eye(4), 0), (SuperOperator.trace_projection(np.diag([1.0, 0.0])).action, 1)]
+
+        def verdict(s, action, _):
+            t = SuperOperator(2, 2, s * action)
+            return is_strictly_positive(t), kernel_block_form(t)[0]
+
+        assert same_at_every_scale(verdict, *cases) == [(True, 0), (False, 1)]
+        for s in (1e-12, 1e-6, 1.0):
+            assert verdict(s, *cases[0]) == (True, 0)
 
     def test_check_square(self):
         rng = np.random.default_rng(98)

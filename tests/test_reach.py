@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import scipy.linalg
 
 import dmajor.dissipation
 import dmajor.reach
-from dmajor.dissipation import b0_from_rates, equidistant_d, flow, propagator, thermal_rates, \
-    zero_temperature_rates
+from dmajor.dissipation import BathRates, Generator, b0_from_rates, equidistant_d, flow, \
+    propagator, thermal_rates, zero_temperature_rates
 from dmajor.linalg import expm, perm_matrix
 from dmajor.majorize import majorizes
 from dmajor.reach import (
@@ -17,7 +19,6 @@ from dmajor.reach import (
     SimplexViolationError,
     SplitMix64,
     endpoint,
-    local_generator,
     majorization_envelope,
     random_schedule,
     reachable_sample,
@@ -384,12 +385,12 @@ def _reference_synthesize_local(n, m, x0, x, eps):
 
 def _steer_global(rng):
     gen = _gen(int(rng.integers(3, 7)))
-    return gen, lambda x0, target, eps: synthesize(gen, x0, target, eps=eps)
+    return gen, gen.n, lambda x0, target, eps: synthesize(gen, x0, target, eps=eps)
 
 
 def _steer_local(rng):
     n, m = [(2, 2), (3, 2), (2, 3)][int(rng.integers(3))]
-    return local_generator(n, m), lambda x0, target, eps: synthesize_local(n, m, x0, target, eps)
+    return _gen(n), n ** m, lambda x0, target, eps: synthesize_local(n, m, x0, target, eps)
 
 
 def _assert_same_schedule(got, want):
@@ -545,6 +546,34 @@ class TestSimulate:
             for dt in (0.05, 1.0, np.inf):
                 assert np.array_equal(out, simulate(gen, x0, sched, dt).states[-1])
 
+    def test_entry_cap(self, monkeypatch):
+        gen = _gen(2)
+        x0 = np.full(6, 1 / 6)
+        sched = Schedule([Segment((1, 0, 2, 3, 5, 4), 1.0)])
+        # x0, the permuted state, three samples and the flow's end
+        states = simulate(gen, x0, sched, dt=0.3).states
+        entries = states.size
+        assert entries == 6 * 6
+        monkeypatch.setattr(dmajor.reach, "MAX_TRAJECTORY_ENTRIES", entries)
+        simulate(gen, x0, sched, dt=0.3)
+        monkeypatch.setattr(dmajor.reach, "MAX_TRAJECTORY_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match="36 entries exceeds the cap 35"):
+            simulate(gen, x0, sched, dt=0.3)
+        # endpoint holds one state, so only the row cap bounds it
+        monkeypatch.setattr(dmajor.reach, "MAX_TRAJECTORY_ENTRIES", 1)
+        assert np.array_equal(endpoint(gen, x0, sched), states[-1])
+
+    def test_entry_cap_refuses_before_any_step(self):
+        # one row above the cap for 256 levels; refused without a step
+        cap, n = dmajor.reach.MAX_TRAJECTORY_ENTRIES, 256
+        rows = cap // n + 1
+        sched = Schedule([Segment(np.arange(n), float(rows - 3))])
+        assert (rows - 1) * n <= cap < rows * n
+        above = re.escape(f"{rows * n:.3g} entries exceeds the cap {cap}")
+        with pytest.raises(ValueError, match=above):
+            simulate(_gen(n), np.eye(n)[0], sched, dt=1.0)
+        assert np.abs(endpoint(_gen(n), np.eye(n)[0], sched) - np.eye(n)[0]).sum() <= 1e-15
+
     def test_endpoint_shares_the_row_cap(self, monkeypatch):
         gen = _gen(3)
         x0 = np.full(3, 1 / 3)
@@ -697,9 +726,9 @@ class TestFullSynthesis:
         rng = np.random.default_rng(23)
         for eps in (1e-6, 1e-9, 1e-12):
             for _ in range(25):
-                gen, run = steer(rng)
-                x0 = rng.dirichlet(np.ones(gen.n))
-                target = rng.dirichlet(np.full(gen.n, rng.choice([0.3, 1.0, 3.0])))
+                gen, size, run = steer(rng)
+                x0 = rng.dirichlet(np.ones(size))
+                target = rng.dirichlet(np.full(size, rng.choice([0.3, 1.0, 3.0])))
                 sched = run(x0, target, eps)
                 err = np.abs(endpoint(gen, x0, sched) - target).sum()
                 assert err <= eps / 2 + 1e-10
@@ -731,7 +760,7 @@ class TestFullSynthesis:
         for n, m in [(2, 2), (3, 2), (2, 3)] * 20:
             x0, target = rng.dirichlet(np.ones(n ** m), size=2)
             sched = synthesize_local(n, m, x0, target, 1e-17)
-            assert np.abs(endpoint(local_generator(n, m), x0, sched) - target).sum() <= 1e-11
+            assert np.abs(endpoint(_gen(n), x0, sched) - target).sum() <= 1e-11
 
     def test_cooling_time_matches_exact_doubling(self):
         rng = np.random.default_rng(37)
@@ -784,17 +813,17 @@ class TestLocalSynthesis:
         sched = synthesize_local(2, 2, x0, np.full(4, 0.25), eps=1e-6)
         # round one's gather rides on round two's flow
         prefix = Schedule([sched.segments[0], Segment(sched.segments[1].perm, 0.0)])
-        state = endpoint(local_generator(2, 2), x0, prefix)
+        state = endpoint(_gen(2), x0, prefix)
         assert np.abs(state - np.array([0.3, 0.7, 0.0, 0.0])).sum() <= 1e-6
 
     def test_target_ground_state(self):
-        gen = local_generator(2, 2)
+        gen = _gen(2)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         sched = synthesize_local(2, 2, e1, e1, eps=1e-6)
         assert np.abs(endpoint(gen, e1, sched) - e1).sum() <= 1e-6
 
     def test_random_targets(self):
-        gen = local_generator(2, 2)
+        gen = _gen(2)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x0 = rng.dirichlet(np.ones(4))
@@ -803,7 +832,7 @@ class TestLocalSynthesis:
             assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-5
 
     def test_three_level_blocks(self):
-        gen = local_generator(3, 2)
+        gen = _gen(3)
         rng = np.random.default_rng(5)
         x0 = rng.dirichlet(np.ones(9))
         target = rng.dirichlet(np.ones(9))
@@ -811,16 +840,46 @@ class TestLocalSynthesis:
         assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-5
 
     def test_block_generator_consistency(self):
-        # simulating with the block generator equals stitching per-block flows
-        gen = local_generator(2, 2)
+        # the block's flow on a chain state equals stitching per-block flows
         blk = _gen(2)
         x0 = np.array([0.4, 0.1, 0.3, 0.2])
         t = 0.8
-        from dmajor.dissipation import flow
-        full = flow(gen, x0, t)
+        full = flow(blk, x0, t)
         parts = np.concatenate([flow(blk, x0[:2] / 0.5, t) * 0.5,
                                 flow(blk, x0[2:] / 0.5, t) * 0.5])
         assert np.max(np.abs(full - parts)) <= 1e-12
+
+    def test_eps_checked_by_endpoint_at_4_to_the_5(self):
+        # one 4 x 4 exponential per flowing segment, applied to the 256 copies
+        n, m, eps = 4, 5, 1e-6
+        x0, target = np.random.default_rng(45).dirichlet(np.ones(n ** m), size=2)
+        sched = synthesize_local(n, m, x0, target, eps)
+        start = time.perf_counter()
+        assert np.abs(endpoint(_gen(n), x0, sched) - target).sum() <= eps
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 3)])
+    def test_block_runs_match_the_dense_chain_generator(self, n, m):
+        # against I_k (x) B0 built densely, whose flows go through scipy's
+        # expm: within 1e-15 for a block that takes that route too (pure
+        # raising); the zero-temperature block runs on its Taylor series,
+        # which differs from expm by up to ~1e-14 in 1-norm here, at k = 1
+        # as at k > 1
+        rng = np.random.default_rng(n * 10 + m)
+        raising = b0_from_rates(BathRates(n=n, a=np.zeros(n - 1), b=np.ones(n - 1)))
+        blocks = [(raising, 1e-15), (_gen(n), 2e-14)]
+        for blk, bound in blocks:
+            dense = Generator(np.kron(np.eye(n ** (m - 1)), blk.b0))
+            for _ in range(5):
+                x0, target = rng.dirichlet(np.ones(n ** m), size=2)
+                sched = synthesize_local(n, m, x0, target, 1e-6)
+                assert np.abs(endpoint(blk, x0, sched) - endpoint(dense, x0, sched)).sum() <= bound
+                t = float(rng.uniform(0.0, 3.0))
+                assert np.abs(flow(blk, x0, t) - flow(dense, x0, t)).sum() <= bound
+                sched = Schedule(sched.segments[:4])
+                got, want = simulate(blk, x0, sched, 0.5), simulate(dense, x0, sched, 0.5)
+                assert np.array_equal(got.times, want.times)
+                assert np.abs(got.states - want.states).sum(axis=1).max() <= bound
 
     def test_matches_loop_reference(self, local_cases):
         for n, m, x0, target, eps in local_cases:
@@ -970,6 +1029,19 @@ class TestEnvelope:
         d = equidistant_d(0.5, 3)
         with pytest.raises(ValueError, match=f"at most MAX_SAMPLE_COUNT = {cap}, got {cap + 1}"):
             majorization_envelope([0.2, 0.3, 0.5], d, sample_count=cap + 1)
+
+    def test_negative_dust_is_judged_relative_to_x0(self):
+        # negative dust is measured against x0's total: 5e-13 of it passes
+        # at every scale and 5e-12 fails
+        d = equidistant_d(0.5, 3)
+        z_one, _ = majorization_envelope([0.6, 0.4 + 5e-13, -5e-13], d, sample_count=0)
+        for s in [2.0 ** k for k in range(-40, 41)]:
+            z, report = majorization_envelope(s * np.array([0.6, 0.4 + 5e-13, -5e-13]), d,
+                                              sample_count=0)
+            assert np.abs(z - z_one).sum() <= 1e-15 and report.initial_majorized
+            with pytest.raises(ValueError, match="x0 must be entrywise nonnegative"):
+                majorization_envelope(s * np.array([0.6, 0.4 + 5e-12, -5e-12]), d,
+                                      sample_count=0)
 
     def test_rejects_negative_sample_count(self):
         d = equidistant_d(0.5, 3)
