@@ -340,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     generator = argparse.ArgumentParser(add_help=False)
-    generator.add_argument("--zero-temp", type=int, default=None, metavar="N")
-    generator.add_argument("--thermal", default=None, metavar="D_FILE")
-    generator.add_argument("--b0", default=None, metavar="B0_FILE")
+    g = generator.add_mutually_exclusive_group()
+    g.add_argument("--zero-temp", type=int, default=None, metavar="N")
+    g.add_argument("--thermal", default=None, metavar="D_FILE")
+    g.add_argument("--b0", default=None, metavar="B0_FILE")
 
     p = add_command("check", help="decide (d-)majorization between two vectors")
     p.add_argument("x")
@@ -365,11 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = add_command("bath", help="bath-coupling rates and rate matrix")
-    p.add_argument("--zero-temp", type=int, default=None, metavar="N")
-    p.add_argument("--thermal", default=None, metavar="D_FILE")
-    p.add_argument("--gibbs", default=None, metavar="E_FILE")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--zero-temp", type=int, default=None, metavar="N")
+    g.add_argument("--thermal", default=None, metavar="D_FILE")
+    g.add_argument("--gibbs", default=None, metavar="E_FILE")
+    g.add_argument("--equidistant", nargs=2, default=None, metavar=("ALPHA", "N"))
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--equidistant", nargs=2, default=None, metavar=("ALPHA", "N"))
     p.set_defaults(func=_cmd_bath)
 
     p = add_command("simulate", generator, help="simulate a schedule, emit trajectory CSV")
@@ -387,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("bound", help="majorization envelope for the thermal model")
     p.add_argument("--x0", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--d", default=None)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--alpha", type=float, default=None)
+    g.add_argument("--d", default=None)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--depth", type=int, default=4)
     p.set_defaults(func=_cmd_bound)

@@ -32,6 +32,14 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def parse_error(capsys, argv) -> str:
+    """The stderr of a command line that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 @pytest.fixture
 def capture(capsys):
     def run(argv):
@@ -279,6 +287,13 @@ class TestBath:
         code, _, err = capture(["bath"])
         assert code == 2
 
+    def test_two_modes_exit_input(self, tmp_path, capsys):
+        d = write(tmp_path, "d.json", [0.5577, 0.4343, 0.0080])
+        err = parse_error(capsys, ["bath", "--zero-temp", "3", "--equidistant", "0.5", "3"])
+        assert "argument --equidistant: not allowed with argument --zero-temp" in err
+        err = parse_error(capsys, ["bath", "--thermal", d, "--gibbs", d])
+        assert "argument --gibbs: not allowed with argument --thermal" in err
+
     @pytest.mark.parametrize("mode", [["--zero-temp"], ["--equidistant", "0.5"]])
     def test_level_cap(self, capture, mode):
         cap = dmajor.dissipation.MAX_BATH_DIM
@@ -293,6 +308,18 @@ class TestBath:
 
 
 class TestSimulateSynthesize:
+    @pytest.mark.parametrize("command", ["simulate", "synthesize"])
+    def test_two_generators_exit_input(self, tmp_path, capsys, command):
+        x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
+        d = write(tmp_path, "d.json", [0.5577, 0.4343, 0.0080])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [2, 0, 1], "duration": 0.7}]})
+        rest = (["--x0", x, "--schedule", sched] if command == "simulate"
+                else ["--target", x])
+        err = parse_error(capsys, [command, "--zero-temp", "3", "--thermal", d, *rest])
+        assert "argument --thermal: not allowed with argument --zero-temp" in err
+        err = parse_error(capsys, [command, "--b0", d, "--thermal", d, *rest])
+        assert "argument --thermal: not allowed with argument --b0" in err
+
     def test_synthesize_two_level(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.75, 0.25])
         code, out, _ = capture(["synthesize", "--zero-temp", "2", "--target", target])
@@ -487,7 +514,9 @@ class TestBound:
         data = report["data"]
         assert data["tangential_ok"] is False
         assert data["tangential_margin"] > 1e9
-        assert data["tangential_witness"] == [3, 2, 0, 1]
+        # [3, 2, 0, 1] reaches the same largest flux, 0.2, bit for bit; the
+        # facet pass meets [3, 2, 1, 0] first
+        assert data["tangential_witness"] == [3, 2, 1, 0]
         assert data["initial_majorized"] is True
         assert 0 < data["sampled_violations"] <= data["samples_checked"] == 20
 
@@ -553,6 +582,70 @@ class TestBound:
         d = write(tmp_path, "d.json", [0.5577, 0.4343, 0.0080])
         code, _, err = capture(["bound", "--x0", x0, "--d", d])
         assert code == 2
+
+    def test_alpha_and_d_together_exit_input(self, tmp_path, capsys):
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        d = write(tmp_path, "d.json", [0.5577, 0.4343, 0.0080])
+        err = parse_error(capsys, ["bound", "--x0", x0, "--alpha", "0.5", "--d", d])
+        assert "argument --d: not allowed with argument --alpha" in err
+
+    def test_single_level(self, tmp_path, capture):
+        x0 = write(tmp_path, "x0.json", [3.0])
+        code, out, _ = capture(["bound", "--x0", x0, "--alpha", "0.5", "--samples", "5"])
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["z"] == [1.0]
+        assert (data["tangential_margin"], data["tangential_witness"]) == (0.0, [0])
+        assert (data["sampled_violations"], data["samples_checked"]) == (0, 5)
+
+    def test_exit_code_campaign(self, tmp_path, capsys):
+        # malformed inputs each exit 0-3 within 2 s, and 1 only with a
+        # negative verdict
+        rng = np.random.default_rng(26)
+        x0_texts = ["[NaN, 0.5, 0.5]", "[Infinity, 1, 1]", "[-Infinity, 1, 1]",
+                    "[1e300, 1e300, 1]", "[1e300, 1, 1]", "[5e-324, 5e-324, 5e-324]",
+                    "[5e-324, 0.5, 0.5]", "[2.2e-308, 1e-310, 1]", "[-0.1, 0.6, 0.5]",
+                    "[0, 0, 0]", "[]", "[[0.2, 0.8]]", "[[0.2], [0.8]]", '["a", "b"]',
+                    '"0.5"', "[true, false]", "true", '{"x": 1}', '[{"a": 1}]', "null",
+                    "0.5", "not json", "[0.2, 0.3", "[0.2, 0.3, 0.5]", "[1.0, 0, 0]",
+                    json.dumps(rng.dirichlet(np.ones(8)).tolist()),
+                    json.dumps([0.0] * 7 + [1.0]),
+                    json.dumps(rng.dirichlet(np.ones(9)).tolist())]
+        paths = []
+        for i, text in enumerate(x0_texts):
+            paths.append(tmp_path / f"x0_{i}.json")
+            paths[-1].write_text(text)
+        d_files = [write(tmp_path, f"d_{i}.json", d) for i, d in enumerate(
+            [[0.5577, 0.4343, 0.0080], [0.0, 0.0, 0.0], [-1.0, 0.5, 0.25],
+             [4 / 7, 2 / 7, 1 / 7], [0.5, 0.5]])]
+        (tmp_path / "d_nan.json").write_text("[NaN, 0.5, 0.25]")
+        d_files.append(str(tmp_path / "d_nan.json"))
+        cases = [["--x0", str(p), "--alpha", a] for p in paths for a in ("0.5", "0.9")]
+        good = str(paths[x0_texts.index("[0.2, 0.3, 0.5]")])
+        eight = str(paths[-3])
+        for x0 in (good, eight):
+            cases += [["--x0", x0, "--alpha", a]
+                      for a in ("0", "1", "nan", "-0.5", "1e-300", "inf", "0.999999")]
+            cases += [["--x0", x0, "--d", d] for d in d_files]
+        cap_samples, cap_depth = dmajor.reach.MAX_SAMPLE_COUNT, dmajor.reach.MAX_SAMPLE_DEPTH
+        cases += [["--x0", good, "--alpha", "0.5", "--samples", str(k), "--depth", str(n)]
+                  for k, n in [(cap_samples, 0), (cap_samples + 1, 0), (-1, 0), (10 ** 18, 0),
+                               (20, cap_depth), (20, cap_depth + 1), (20, -1), (20, 10 ** 18),
+                               (0, cap_depth + 1)]]
+        codes = []
+        for argv in cases:
+            start = time.perf_counter()
+            try:
+                code = main(["bound", *argv])
+            except SystemExit as exc:
+                code = exc.code
+            elapsed = time.perf_counter() - start
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2, 3) and elapsed < 2.0, (argv, code, elapsed)
+            if code == 1:
+                assert json.loads(out)["verdict"] is False, argv
+            codes.append(code)
+        assert len(cases) == 91 and {0, 2} <= set(codes)
 
 
 class TestChannel:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import dmajor.dissipation
+import dmajor.polytope
 import dmajor.reach
 from dmajor.dissipation import BathRates, Generator, b0_from_rates, equidistant_d, flow, \
     propagator, thermal_rates, zero_temperature_rates
@@ -243,6 +244,28 @@ def _per_point_envelope(x0, d, sample_count, depth, seed):
                          for p in _per_point_sample(b0, x0, depth, seed + s))
                      for s in range(sample_count))
     return z, EnvelopeReport(_scalar_majorizes(x0, z), margin, witness, violations, sample_count)
+
+
+def _assert_tangent_matches(z, b0, report):
+    """The facet pass against the vertex reference: the same verdict, the
+    worst flux (margin times bound) within 1e-12 ||B0||_1 ||z||_1, and a
+    witness vertex that reaches the reference maximum within that."""
+    worst, bound = _tangent_partials(z, b0)
+    top = max(worst.values())
+    tol = 1e-12 * np.abs(b0).sum(axis=0).max() * np.abs(z).sum()
+    assert report.tangential_ok == ((top / bound if top > 0 else 0.0) <= 1.0)
+    assert abs(report.tangential_margin * bound - top) <= tol
+    assert worst[report.tangential_witness] >= top - tol
+
+
+def _assert_matches_reference(x0, d, count, depth, seed, z, report):
+    """z and every count exactly as the per-point reference, the tangent
+    test as the vertex reference."""
+    z_ref, report_ref = _per_point_envelope(x0, d, count, depth, seed)
+    assert np.array_equal(z, z_ref)
+    exact = ("initial_majorized", "tangential_ok", "sampled_violations", "samples_checked")
+    assert [getattr(report, f) for f in exact] == [getattr(report_ref, f) for f in exact]
+    _assert_tangent_matches(z, b0_from_rates(thermal_rates(d)).b0, report)
 
 
 def _leaves_after_short_flow(b0, pz, z):
@@ -930,9 +953,7 @@ class TestEnvelope:
     def test_matches_per_point_loop(self, envelope_cases):
         for x0, d, count, depth, seed in envelope_cases:
             z, report = majorization_envelope(x0, d, count, depth, seed)
-            z_ref, report_ref = _per_point_envelope(x0, d, count, depth, seed)
-            assert np.array_equal(z, z_ref)
-            assert report == report_ref
+            _assert_matches_reference(x0, d, count, depth, seed, z, report)
 
     def test_one_stacked_exponential_per_block(self, monkeypatch):
         calls = []
@@ -956,18 +977,14 @@ class TestEnvelope:
         calls.clear()
         z, report = majorization_envelope(x0, d, sample_count=20, sample_depth=2, seed=5)
         assert calls == [(16,), (16,), (8,)]
-        z_ref, report_ref = _per_point_envelope(x0, d, 20, 2, 5)
-        assert np.array_equal(z, z_ref)
-        assert report == report_ref
+        _assert_matches_reference(x0, d, 20, 2, 5, z, report)
 
     def test_dimension_cap(self):
         x0 = np.arange(1.0, 9.0) / 36.0
         d = equidistant_d(0.5, 8)
         z, report = majorization_envelope(x0, d, sample_count=0)
         assert report.initial_majorized
-        z_ref, report_ref = _per_point_envelope(x0, d, 0, 4, 0)
-        assert np.array_equal(z, z_ref)
-        assert report == report_ref
+        _assert_matches_reference(x0, d, 0, 4, 0, z, report)
         # x0 = d is its own maximal corner, so no polytope code sees n
         d = equidistant_d(0.5, 9)
         with pytest.raises(ValueError, match="n = 9 exceeds the cap 8"):
@@ -990,8 +1007,7 @@ class TestEnvelope:
         d = equidistant_d(0.5, 4)
         z, report = majorization_envelope(x0, d, sample_count=200, seed=3)
         assert not report.tangential_ok
-        z_ref, report_ref = _per_point_envelope(x0, d, 200, 4, 3)
-        assert report == report_ref
+        _assert_matches_reference(x0, d, 200, 4, 3, z, report)
         assert report.tangential_margin > 1e9
         assert 0 < report.sampled_violations <= report.samples_checked == 200
         b0 = b0_from_rates(thermal_rates(d)).b0
@@ -1017,6 +1033,30 @@ class TestEnvelope:
                 assert report.tangential_ok == (not any(fails.values()))
         assert vertices == 30 * (6 + 24 + 120)
         assert 0 < failed < vertices
+
+    def test_facet_pass_matches_vertex_pass(self, monkeypatch):
+        # n = 2..8: maximal corners, corners perturbed by 1e-6 and random z
+        rng = np.random.default_rng(2026)
+        corners = {}
+        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: corners["z"])
+        verdicts = []
+        for n in range(2, 9):
+            for _ in range({7: 4, 8: 1}.get(n, 20)):
+                d = equidistant_d(rng.uniform(0.1, 0.9), n)
+                corner = dmajor.polytope.max_corner(rng.dirichlet(np.ones(n)), d)
+                perturbed = corner * (1.0 + 1e-6 * rng.standard_normal(n))
+                for z in (corner, perturbed / perturbed.sum(), rng.dirichlet(np.ones(n))):
+                    corners["z"] = z
+                    _, report = majorization_envelope(np.full(n, 1.0 / n), d, sample_count=0)
+                    _assert_tangent_matches(z, b0_from_rates(thermal_rates(d)).b0, report)
+                    verdicts.append(report.tangential_ok)
+        assert 0 < sum(verdicts) < len(verdicts) == 3 * (5 * 20 + 4 + 1)
+
+    def test_single_level(self):
+        # no proper subset at n = 1: the empty set's 0 is the only flux
+        z, report = majorization_envelope([2.5], [1.0], sample_count=5, sample_depth=3)
+        assert z.tolist() == [1.0]
+        assert report == EnvelopeReport(True, 0.0, (0,), 0, 5)
 
     def test_sample_count_cap(self, monkeypatch):
         cap = dmajor.reach.MAX_SAMPLE_COUNT
