@@ -167,17 +167,6 @@ def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
     return m, u, proj
 
 
-def pinching_superoperator(m_stochastic: np.ndarray) -> SuperOperator:
-    """Diagonal-to-diagonal channel: E_jj -> sum_k M_kj E_kk, off-diagonal
-    units -> 0."""
-    m_stochastic = np.asarray(m_stochastic, dtype=float)
-    n = m_stochastic.shape[0]
-    action = np.zeros((n ** 2, n ** 2), dtype=complex)
-    diag = np.arange(n) * (n + 1)              # vec positions of the E_jj
-    action[np.ix_(diag, diag)] = m_stochastic
-    return SuperOperator(n, n, action)
-
-
 def channel_between(a, b, null_state: np.ndarray | None = None,
                     tol: float = 1e-9) -> SuperOperator:
     """A quantum channel T with T(b) = a.
@@ -333,7 +322,6 @@ __all__ = [
     "kernel_block_form",
     "kraus_set",
     "matrix_majorizes",
-    "pinching_superoperator",
     "pure_state_reachable",
     "trace_norm",
     "unvec",

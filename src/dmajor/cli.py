@@ -20,11 +20,9 @@ import traceback
 
 import numpy as np
 
-from . import dissipation, majorize, polytope, reach
-from .channels import channel_between, is_cp, is_tp, kraus_set, trace_norm
-from .cnr import c_numerical_range_sample
-from .majorize import TransferSynthesisError
-from .reach import SimplexViolationError
+# each handler imports the modules it runs, so a cold start loads only those
+from . import majorize
+from .majorize import SimplexViolationError, TransferSynthesisError
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -56,31 +54,39 @@ def _load_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}")
 
 
-def _load_vector(path: str) -> np.ndarray:
+def _has_bool(data) -> bool:
+    return isinstance(data, bool) or isinstance(data, list) and any(map(_has_bool, data))
+
+
+def _load_numbers(path: str) -> np.ndarray:
+    """A JSON array of numbers as floats.  JSON true and false are refused
+    even among numbers, where numpy would read them as 1 and 0."""
     data = _load_json(path)
     try:
-        return majorize.as_vector(data)
-    except (ValueError, TypeError) as exc:
+        arr = majorize.as_real_array(data)
+    except ValueError as exc:
+        raise _InputError(f"{path}: {exc}")
+    if _has_bool(data):     # after the conversion, which caps the nesting at 64
+        raise _InputError(f"{path}: expected numbers, got a boolean")
+    return arr
+
+
+def _load_vector(path: str) -> np.ndarray:
+    try:
+        return majorize.as_vector(_load_numbers(path))
+    except ValueError as exc:
         raise _InputError(f"{path}: {exc}")
 
 
 def _load_real_matrix(path: str) -> np.ndarray:
-    data = _load_json(path)
-    try:
-        m = np.asarray(data, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise _InputError(f"{path}: {exc}")
+    m = _load_numbers(path)
     if m.ndim != 2:
         raise _InputError(f"{path}: expected a matrix (array of rows)")
     return m
 
 
 def _load_complex_matrix(path: str) -> np.ndarray:
-    data = _load_json(path)
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise _InputError(f"{path}: {exc}")
+    arr = _load_numbers(path)
     if arr.ndim == 2:  # plain real matrix
         return arr.astype(complex)
     if arr.ndim == 3 and arr.shape[2] == 2:
@@ -121,7 +127,9 @@ def _report(command: str, verdict=None, data=None, diagnostics=None) -> dict:
     return out
 
 
-def _generator_from_args(args) -> dissipation.Generator:
+def _generator_from_args(args):
+    from . import dissipation
+
     if args.zero_temp is not None:
         return dissipation.b0_from_rates(
             dissipation.zero_temperature_rates(args.zero_temp))
@@ -171,6 +179,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
+    from . import polytope
+
     y = _load_vector(args.y)
     d = _load_vector(args.d)
     poly = polytope.halfspace_bounds(y, d)
@@ -205,6 +215,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_bath(args) -> int:
+    from . import dissipation
+
     data: dict = {}
     d = None
     if args.gibbs is not None:
@@ -230,6 +242,8 @@ def _cmd_bath(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import reach
+
     gen = _generator_from_args(args)
     x0 = _load_vector(args.x0)
     sched = reach.Schedule.from_dict(_load_json(args.schedule))
@@ -244,6 +258,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from . import reach
+
     gen = _generator_from_args(args)
     target = _load_vector(args.target)
     if args.x0 is None:
@@ -263,6 +279,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import dissipation, reach
+
     x0 = _load_vector(args.x0)
     if args.alpha is not None:
         d = dissipation.equidistant_d(args.alpha, x0.size)
@@ -287,6 +305,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_channel(args) -> int:
+    from .channels import channel_between, is_cp, is_tp, kraus_set, trace_norm
+
     a = _load_complex_matrix(args.a)
     b = _load_complex_matrix(args.b)
     t = channel_between(a, b, tol=args.tol)
@@ -305,6 +325,8 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_cnr(args) -> int:
+    from .cnr import c_numerical_range_sample
+
     c = _load_complex_matrix(args.c)
     a = _load_complex_matrix(args.t)
     samples = c_numerical_range_sample(c, a, count=args.count, seed=args.seed)

@@ -251,12 +251,6 @@ def zero_temperature_rates(n: int) -> BathRates:
     return BathRates(n=n, a=np.sqrt(j * (n - j)), b=np.zeros(n - 1))
 
 
-def thermal_angles(d) -> np.ndarray:
-    """Mixing angles theta_j = arccos((1 + d_{j+1}/d_j)^{-1/2})."""
-    d = as_weight_vector(d)
-    return np.arccos((1.0 + d[1:] / d[:-1]) ** -0.5)
-
-
 def thermal_rates(d) -> BathRates:
     """Rates making d the fixed point of the induced flow:
     a_j = sqrt(j(n-j) d_j / (d_j + d_{j+1})), b_j likewise with d_{j+1}."""
@@ -403,7 +397,6 @@ __all__ = [
     "propagator",
     "sigma_plus",
     "steady_state",
-    "thermal_angles",
     "thermal_rates",
     "zero_temperature_rates",
 ]

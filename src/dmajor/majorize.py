@@ -20,8 +20,23 @@ class TransferSynthesisError(Exception):
     """A transfer matrix could not be synthesized despite a valid precondition."""
 
 
+class SimplexViolationError(Exception):
+    """A state left the simplex beyond numerical tolerance."""
+
+
+def as_real_array(x) -> np.ndarray:
+    """x as a float array.  Strings, booleans, objects and complex numbers
+    are refused, though float() would take "0.5" and True."""
+    v = np.asarray(x)
+    if v.dtype != np.float64:
+        if v.dtype.kind not in "iuf":
+            raise ValueError(f"expected real numbers, got entries of dtype {v.dtype}")
+        v = v.astype(float)
+    return v
+
+
 def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    v = as_real_array(x)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-d real vector")
     if not np.isfinite(v).all():
@@ -89,22 +104,6 @@ def thermo_curve(y, d) -> ThermoCurve:
     if y.size != d.size:
         raise ValueError("y and d must have equal length")
     return ThermoCurve(*_elbows(y, d))
-
-
-def curve_minimum_form(y: np.ndarray, d: np.ndarray, c) -> np.ndarray | float:
-    """Evaluate min_i [ e^T (y - (y_i/d_i) d)_+ + (y_i/d_i) c ] directly.
-
-    Independent of thermo_curve's sorting route; the two agree everywhere on
-    [0, e^T d].
-    """
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    r = y / d
-    offsets = np.array([np.clip(y - ri * d, 0.0, None).sum() for ri in r])
-    c = np.asarray(c, dtype=float)
-    return np.min(offsets[:, None] + r[:, None] * c[None, :], axis=0) if c.ndim else float(
-        np.min(offsets + r * float(c))
-    )
 
 
 def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
@@ -386,45 +385,23 @@ def maximal_element(d, tol: float = 1e-12) -> MaximalElement:
     return MaximalElement(index=k, vector=vec, unique=unique)
 
 
-def random_d_stochastic(d, rng: np.random.Generator) -> np.ndarray:
-    """A random d-stochastic matrix (for tests): a convex mixture of the
-    identity, the rank-one projection onto d, and pairwise d-moves."""
-    d = as_weight_vector(d)
-    n = d.size
-    parts = [np.eye(n), np.outer(d, np.ones(n)) / d.sum()]
-    for _ in range(2 * n):
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        k, l = (i, j) if d[i] <= d[j] else (j, i)
-        a = np.eye(n)
-        # moves mass from e_l toward e_k while fixing d (d_k <= d_l)
-        a[k, l] = d[k] / d[l]
-        a[l, l] = 1.0 - d[k] / d[l]
-        a[l, k] = 1.0
-        a[k, k] = 0.0
-        parts.append(a)
-    weights = rng.dirichlet(np.ones(len(parts)))
-    return sum(w * p for w, p in zip(weights, parts))
-
-
 __all__ = [
     "D_MAJORIZE_METHODS",
     "MaximalElement",
     "StochasticMatrix",
+    "SimplexViolationError",
     "ThermoCurve",
     "TransferSynthesisError",
+    "as_real_array",
     "as_vector",
     "as_weight_vector",
     "column_stochastic_transfer",
-    "curve_minimum_form",
     "d_majorizes",
     "d_stochastic_transfer",
     "doubly_stochastic_transfer",
     "majorizes",
     "maximal_element",
     "minimal_element",
-    "random_d_stochastic",
     "ratio_order",
     "thermo_curve",
 ]

@@ -17,7 +17,8 @@ import numpy as np
 from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
     thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
-from .majorize import _majorized_rows, as_vector, as_weight_vector, majorizes
+from .majorize import SimplexViolationError, _majorized_rows, as_vector, as_weight_vector, \
+    majorizes
 from .polytope import constraint_matrix, max_corner
 
 MAX_LOCAL_DIM = 4096
@@ -31,10 +32,6 @@ MAX_SAMPLE_COUNT = 100_000
 MAX_ENVELOPE_DIM = 8
 # schedules propagated together; bounds the (block, depth, n, n) propagator stack
 _SAMPLE_BLOCK = 1024
-
-
-class SimplexViolationError(Exception):
-    """A state left the simplex beyond numerical tolerance."""
 
 
 def _check_simplex(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:

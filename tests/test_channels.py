@@ -17,7 +17,6 @@ from dmajor.channels import (
     kernel_block_form,
     kraus_set,
     matrix_majorizes,
-    pinching_superoperator,
     pure_state_reachable,
     trace_norm,
     unvec,
@@ -25,6 +24,7 @@ from dmajor.channels import (
 )
 from dmajor.linalg import hermitian_eig
 from dmajor.majorize import _within_norm, column_stochastic_transfer, d_majorizes
+from helpers import pinching_superoperator
 
 
 def rand_hermitian(rng, n):

@@ -49,6 +49,66 @@ def capture(capsys):
     return run
 
 
+# vector files that are not JSON arrays of finite reals, or hold entries
+# the decision procedures must survive; each is 3 long where it parses
+MALFORMED_VECTORS = ["[NaN, 0.5, 0.5]", "[Infinity, 1, 1]", "[-Infinity, 1, 1]",
+                     "[1e300, 1e300, 1]", "[1e300, 1, 1]", "[5e-324, 0.5, 0.5]",
+                     "[-0.1, 0.6, 0.5]", "[0, 0, 0]", "[]", "[[0.2, 0.3, 0.5]]",
+                     "[[0.2], [0.3], [0.5]]", '["0.2", "0.3", "0.5"]', '"0.5"',
+                     "[true, false, false]", "[1, true, 0]", "[0.5, 0.5, false]", "true",
+                     "null", "[null, 0.5, 0.5]", '{"x": 1}', '[{"a": 1}, 0, 0]', "0.5",
+                     "not json", "[0.2, 0.3", "[0.5, 0.5]", "[0.25, 0.25, 0.25, 0.25]",
+                     "[" * 900 + "1" + "]" * 900]
+# strings and booleans, alone or among numbers, are refused with exit 2
+NON_REAL_VECTORS = ['["0.2", "0.3", "0.5"]', "[true, false, false]", "[1, true, 0]",
+                    "[0.5, 0.5, false]"]
+BAD_TOLERANCES = ["nan", "-1", "inf", "-inf", "abc", "1e300", "0", "5e-324"]
+
+
+def malformed_files(tmp_path) -> dict[str, str]:
+    """The path of a file holding each text of MALFORMED_VECTORS."""
+    files = {}
+    for i, text in enumerate(MALFORMED_VECTORS):
+        files[text] = str(tmp_path / f"bad_{i}.json")
+        Path(files[text]).write_text(text)
+    return files
+
+
+def run_campaign(capsys, cases, refused=frozenset()) -> list[int]:
+    """Run each command line through main: each exits 0-3 within 2 s, 1 only
+    with a negative verdict, and 2 where it names a path in ``refused``.
+    Returns the exit codes."""
+    codes = []
+    for argv in cases:
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3) and elapsed < 2.0, (argv, code, elapsed)
+        if code == 1:
+            assert json.loads(out)["verdict"] is False, argv
+        if refused & set(argv):
+            assert code == 2, argv
+        codes.append(code)
+    return codes
+
+
+def y_d_campaign(tmp_path, capsys, command) -> list[int]:
+    """`command Y --d D` with each malformed file as Y and as D, and with
+    each bad tolerance."""
+    files = malformed_files(tmp_path)
+    y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+    d = write(tmp_path, "d.json", [0.2, 0.3, 0.5])
+    cases = []
+    for bad in files.values():
+        cases += [[command, bad, "--d", d], [command, y, "--d", bad, "--format", "csv"]]
+    cases += [["--tol", tol, command, y, "--d", d] for tol in BAD_TOLERANCES]
+    return run_campaign(capsys, cases, {files[text] for text in NON_REAL_VECTORS})
+
+
 class TestCheck:
     def test_two_cycle_both_directions(self, tmp_path, capture):
         x = write(tmp_path, "x.json", [1, 0, 0])
@@ -193,8 +253,27 @@ class TestCheck:
                 f"certificate fixed-point 1-norm error {np.abs(a @ d - d).sum():.3e}")
         assert report["diagnostics"] == expected
 
+    def test_exit_code_campaign(self, tmp_path, capsys):
+        files = malformed_files(tmp_path)
+        x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        cases = []
+        for bad in files.values():
+            cases += [["check", bad, y], ["check", x, bad, "--certificate"],
+                      ["check", bad, y, "--d", y, "--certificate"]]
+            cases += [["check", x, y, "--d", bad, "--method", method]
+                      for method in ("norm", "positive_part", "curve")]
+        cases += [["--tol", tol, "check", a, b, "--d", y, "--certificate"]
+                  for tol in BAD_TOLERANCES for a, b in ((x, y), (y, x))]
+        codes = run_campaign(capsys, cases, {files[text] for text in NON_REAL_VECTORS})
+        assert {0, 1, 2} <= set(codes)
+
 
 class TestPolytope:
+    def test_exit_code_campaign(self, tmp_path, capsys):
+        codes = y_d_campaign(tmp_path, capsys, "polytope")
+        assert 1 not in codes and {0, 2} <= set(codes)
+
     def test_vertex_csv_sorted(self, tmp_path, capture):
         y = write(tmp_path, "y.json", [4, -2, 2])
         d = write(tmp_path, "d.json", [4, 2, 1])
@@ -241,6 +320,10 @@ class TestPolytope:
 
 
 class TestCurve:
+    def test_exit_code_campaign(self, tmp_path, capsys):
+        codes = y_d_campaign(tmp_path, capsys, "curve")
+        assert 1 not in codes and {0, 2} <= set(codes)
+
     def test_elbows(self, tmp_path, capture):
         y = write(tmp_path, "y.json", [1, 2])
         d = write(tmp_path, "d.json", [2, 1])
@@ -632,23 +715,21 @@ class TestBound:
                   for k, n in [(cap_samples, 0), (cap_samples + 1, 0), (-1, 0), (10 ** 18, 0),
                                (20, cap_depth), (20, cap_depth + 1), (20, -1), (20, 10 ** 18),
                                (0, cap_depth + 1)]]
-        codes = []
-        for argv in cases:
-            start = time.perf_counter()
-            try:
-                code = main(["bound", *argv])
-            except SystemExit as exc:
-                code = exc.code
-            elapsed = time.perf_counter() - start
-            out = capsys.readouterr().out
-            assert code in (0, 1, 2, 3) and elapsed < 2.0, (argv, code, elapsed)
-            if code == 1:
-                assert json.loads(out)["verdict"] is False, argv
-            codes.append(code)
+        refused = {str(paths[x0_texts.index(text)]) for text in ('["a", "b"]', "[true, false]")}
+        codes = run_campaign(capsys, [["bound", *argv] for argv in cases], refused)
         assert len(cases) == 91 and {0, 2} <= set(codes)
 
 
 class TestChannel:
+    @pytest.mark.parametrize("entry", ["true", '"0.4"', "null"])
+    def test_non_number_matrix_entry_exits_input(self, tmp_path, capture, entry):
+        a = tmp_path / "a.json"
+        a.write_text(f"[[0.6, 0.0], [0.0, {entry}]]")
+        b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
+        code, out, err = capture(["channel", "--a", str(a), "--b", b])
+        assert code == 2 and out == ""
+        assert f"{a}: expected" in err
+
     def test_diagonal_pair(self, tmp_path, capture):
         a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
         b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
@@ -828,9 +909,110 @@ class TestExitContract:
         assert json.loads(out)["verdict"] is True
 
 
+# the names `from dmajor import ...` has served, by defining module
+PACKAGE_EXPORTS = {
+    "channels": ["SuperOperator", "channel_between", "choi", "d_matrix_majorizes_2x2",
+                 "identity_distance_witness", "is_cp", "is_strictly_positive", "is_tp",
+                 "is_unital", "kernel_block_form", "kraus_set", "matrix_majorizes",
+                 "pure_state_reachable", "trace_norm"],
+    "cnr": ["c_numerical_range_sample", "c_spectrum", "unitary_orbit_extrema"],
+    "dissipation": ["BathRates", "Generator", "apply_gamma", "b0_from_rates", "equidistant_d",
+                    "flow", "gibbs_vector", "steady_state", "thermal_rates",
+                    "zero_temperature_rates"],
+    "linalg": ["expm", "hermitian_eig", "perm_matrix"],
+    "majorize": ["MaximalElement", "StochasticMatrix", "ThermoCurve",
+                 "column_stochastic_transfer", "d_majorizes", "d_stochastic_transfer",
+                 "doubly_stochastic_transfer", "majorizes", "maximal_element",
+                 "minimal_element", "thermo_curve"],
+    "polytope": ["HPolytope", "VertexSet", "constraint_matrix", "contains", "halfspace_bounds",
+                 "hausdorff", "lipschitz_constant", "max_corner", "vertex_for_permutation",
+                 "vertices"],
+    "reach": ["Schedule", "Segment", "Trajectory", "majorization_envelope", "reachable_sample",
+              "simulate", "synthesize", "synthesize_from_ground", "synthesize_local"],
+}
+
+# the dmajor modules a cold start of each subcommand loads, besides dmajor.cli
+SUBCOMMAND_MODULES = {
+    "check": ["majorize"],
+    "curve": ["majorize"],
+    "polytope": ["linalg", "majorize", "polytope"],
+    "cnr": ["cnr", "linalg", "majorize"],
+    "bath": ["dissipation", "linalg", "majorize"],
+    "channel": ["channels", "linalg", "majorize"],
+    "simulate": ["dissipation", "linalg", "majorize", "polytope", "reach"],
+    "synthesize": ["dissipation", "linalg", "majorize", "polytope", "reach"],
+    "bound": ["dissipation", "linalg", "majorize", "polytope", "reach"],
+}
+
+
 class TestImportHygiene:
     """scipy is loaded only where expm, cdist and linprog run; birth-death
-    and zero-temperature flows do not call expm."""
+    and zero-temperature flows do not call expm.  ``import dmajor`` loads no
+    submodule, and each subcommand loads only the modules it runs."""
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = run_fresh("import sys, dmajor\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('dmajor')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['dmajor']"
+
+    def test_package_names_resolve_to_their_modules(self):
+        # in a fresh process, so the first lookup of each name is the lazy one
+        proc = run_fresh("import json, sys, dmajor\n"
+                         f"exports = {PACKAGE_EXPORTS!r}\n"
+                         "names = {n: getattr(dmajor, n) for ns in exports.values() for n in ns}\n"
+                         "mods = {m: getattr(dmajor, m) for m in exports}\n"
+                         "print(json.dumps([[m, n] for m, ns in exports.items() for n in ns\n"
+                         "                  if names[n] is not getattr(mods[m], n)\n"
+                         "                  or mods[m] is not sys.modules['dmajor.' + m]]))\n"
+                         "print(dmajor.reach.SimplexViolationError is\n"
+                         "      dmajor.majorize.SimplexViolationError)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "True"]
+
+    def test_submodule_attribute_after_bare_import(self):
+        proc = run_fresh("import dmajor\n"
+                         "print(dmajor.reach.MAX_LOCAL_DIM,\n"
+                         "      dmajor.Schedule is dmajor.reach.Schedule)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(dmajor.reach.MAX_LOCAL_DIM), "True"]
+
+    def test_dir_and_star_import_keep_every_name(self):
+        names = {n for names in PACKAGE_EXPORTS.values() for n in names} | set(PACKAGE_EXPORTS)
+        assert names | {"__version__"} <= set(dir(dmajor))
+        namespace: dict = {}
+        exec("from dmajor import *", namespace)
+        assert names <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            dmajor.no_such_name  # noqa: B018
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_MODULES))
+    def test_subcommand_loads_only_its_modules(self, tmp_path, command):
+        x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
+        b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [2, 0, 1], "duration": 0.7}]})
+        argv = {
+            "check": ["check", x, y],
+            "curve": ["curve", y, "--d", y],
+            "polytope": ["polytope", y, "--d", y],
+            "cnr": ["cnr", "--c", a, "--t", b, "--count", "5"],
+            "bath": ["bath", "--zero-temp", "3"],
+            "channel": ["channel", "--a", a, "--b", b],
+            "simulate": ["simulate", "--zero-temp", "3", "--x0", x, "--schedule", sched],
+            "synthesize": ["synthesize", "--zero-temp", "3", "--target", y, "--x0", x],
+            "bound": ["bound", "--x0", x, "--alpha", "0.5", "--samples", "5"],
+        }[command] + ["--out", str(tmp_path / "out.txt")]
+        proc = run_fresh("import sys\n"
+                         "from dmajor.cli import main\n"
+                         f"code = main({argv!r})\n"
+                         "print(code, sorted(m[7:] for m in sys.modules\n"
+                         "                   if m.startswith('dmajor.') and m != 'dmajor.cli'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"0 {SUBCOMMAND_MODULES[command]}"
 
     def test_import_leaves_scipy_unloaded(self):
         proc = run_fresh("import sys, dmajor, dmajor.cli\n"

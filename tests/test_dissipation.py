@@ -18,10 +18,10 @@ from dmajor.dissipation import (
     propagator,
     sigma_plus,
     steady_state,
-    thermal_angles,
     thermal_rates,
     zero_temperature_rates,
 )
+from helpers import thermal_angles
 
 
 class TestB0FromRates:

@@ -14,18 +14,17 @@ from dmajor.majorize import (
     _pieces,
     _t_transform_chain,
     column_stochastic_transfer,
-    curve_minimum_form,
     d_majorizes,
     d_stochastic_transfer,
     doubly_stochastic_transfer,
     majorizes,
     maximal_element,
     minimal_element,
-    random_d_stochastic,
     ratio_order,
     thermo_curve,
 )
 from dmajor.polytope import contains, halfspace_bounds, vertex_for_permutation
+from helpers import curve_minimum_form, random_d_stochastic
 
 
 class TestMajorizes:
@@ -48,6 +47,16 @@ class TestMajorizes:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             majorizes([1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("x", [["0.5", "0.5"], [True, False], np.array([0.5, None]),
+                                   np.array([0.5 + 0j, 0.5]), "0.5"])
+    def test_non_real_entries_refused(self, x):
+        # float() takes "0.5" and True; a real vector holds neither
+        with pytest.raises(ValueError, match="expected real numbers"):
+            majorizes(x, [0.9, 0.1])
+
+    def test_integer_entries_accepted(self):
+        assert majorizes(np.array([1, 1], dtype=np.uint8), [2, 0])
 
     def test_rows_agree_with_single_calls(self):
         def reference(x, y, tol=1e-9):

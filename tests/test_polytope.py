@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dmajor import polytope
-from dmajor.majorize import d_majorizes, majorizes, random_d_stochastic
+from dmajor.majorize import d_majorizes, majorizes
 from dmajor.polytope import (
     HPolytope,
     constraint_matrix,
@@ -19,6 +19,7 @@ from dmajor.polytope import (
     vertex_for_permutation,
     vertices,
 )
+from helpers import random_d_stochastic
 
 D421 = np.array([4.0, 2.0, 1.0])
 Y421 = np.array([4.0, -2.0, 2.0])
