@@ -246,7 +246,11 @@ def _cmd_simulate(args) -> int:
 
     gen = _generator_from_args(args)
     x0 = _load_vector(args.x0)
-    sched = reach.Schedule.from_dict(_load_json(args.schedule))
+    doc = _load_json(args.schedule)
+    sched = reach.Schedule.from_dict(doc)
+    # after the conversion, which leaves each perm flat: numpy reads true as 1
+    if _has_bool([seg["perm"] for seg in doc["segments"]]):
+        raise _InputError(f"{args.schedule}: expected integer perm entries, got a boolean")
     traj = reach.simulate(gen, x0, sched, dt=args.dt)
     header = "t," + ",".join(f"x{i}" for i in range(traj.states.shape[1]))
     rows = [

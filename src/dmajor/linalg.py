@@ -69,7 +69,7 @@ def check_permutation(images) -> np.ndarray:
     if p.ndim != 1 or n == 0 or p.dtype.kind not in "iu":
         raise ValueError("permutation must be a non-empty 1-d integer array")
     if not np.array_equal(np.sort(p), np.arange(n)):
-        raise ValueError(f"{list(images)} is not a permutation of 0..{n - 1}")
+        raise ValueError(f"the {n} entries are not a permutation of 0..{n - 1}")
     return p
 
 

@@ -8,6 +8,7 @@ a column-stochastic matrix with fixed point d mapping y to x.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -46,16 +47,28 @@ def as_vector(x) -> np.ndarray:
 
 def as_weight_vector(d) -> np.ndarray:
     v = as_vector(d)
-    if (v <= 0).any():
+    if min(v.tolist()) <= 0:
         raise ValueError("weight vector entries must be strictly positive")
     return v
 
 
-def _validated(x, y, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, y, d = as_vector(x), as_vector(y), as_weight_vector(d)
-    if not (x.size == y.size == d.size):
-        raise ValueError("x, y, d must have equal length")
-    return x, y, d
+def _validated(*vectors) -> tuple[np.ndarray, ...]:
+    """Real vectors of one length, the last a weight vector d, whose ratios
+    v / d and rows t d of the criteria stay finite: 2 n max|v| max(d) / min(d)
+    and 2 n max(d) lie within the float range.  One scalar test, no warning."""
+    *vs, d = vectors
+    vs, d = [as_vector(v) for v in vs], as_weight_vector(d)
+    # Python floats overflow to inf without a warning, and beat numpy at n <= 8
+    top = 0.0
+    for v in vs:
+        if v.size != d.size:
+            raise ValueError("vectors and weights d must have equal length")
+        top = max(top, max(map(abs, v.tolist())))
+    weights = d.tolist()
+    if not 2 * len(weights) * max(top / min(weights), 1.0) * max(weights) <= sys.float_info.max:
+        raise ValueError(f"entries up to {top:.3g} over weights d in [{min(weights):.3g}, "
+                         f"{max(weights):.3g}] must stay finite")
+    return (*vs, d)
 
 
 def _scaled_tol(y: np.ndarray, tol: float) -> float:
@@ -99,11 +112,7 @@ def _elbows(y: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def thermo_curve(y, d) -> ThermoCurve:
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    if y.size != d.size:
-        raise ValueError("y and d must have equal length")
-    return ThermoCurve(*_elbows(y, d))
+    return ThermoCurve(*_elbows(*_validated(y, d)))
 
 
 def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:

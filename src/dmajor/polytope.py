@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorize import _elbows, _scaled_tol, as_vector, as_weight_vector
+from .majorize import _elbows, _scaled_tol, _validated, as_vector
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -78,10 +78,7 @@ def halfspace_bounds(y, d) -> HPolytope:
     Every subset row bound is the thermomajorization curve of (y, d)
     evaluated at the subset's d-weight; the trace rows carry +-e^T y.
     """
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    if y.size != d.size:
-        raise ValueError("y and d must have equal length")
+    y, d = _validated(y, d)
     n = y.size
     weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
     return HPolytope(n=n, b=np.append(np.interp(weights, *_elbows(y, d)), (y.sum(), -y.sum())))
@@ -200,10 +197,7 @@ def max_corner(y, d) -> np.ndarray:
     It is generated by any permutation sorting d non-increasingly; ties are
     broken by index.  Unique up to permutation of its entries.
     """
-    y = as_vector(y)
-    d = as_weight_vector(d)
-    if y.size != d.size:
-        raise ValueError("y and d must have equal length")
+    y, d = _validated(y, d)
     if np.min(y) < 0:
         raise ValueError("max_corner requires y >= 0 entrywise")
     perm = np.argsort(-d, kind="stable")

@@ -17,8 +17,8 @@ import numpy as np
 from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
     thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
-from .majorize import SimplexViolationError, _majorized_rows, as_vector, as_weight_vector, \
-    majorizes
+from .majorize import SimplexViolationError, _majorized_rows, as_real_array, as_vector, \
+    as_weight_vector, majorizes
 from .polytope import constraint_matrix, max_corner
 
 MAX_LOCAL_DIM = 4096
@@ -52,20 +52,28 @@ def _clamp_simplex(x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return y / y.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """One control step: apply the permutation instantaneously, then dissipate
-    for the given duration."""
+    for the given duration.  perm is an owned, read-only integer array, and
+    segments compare by value; they are unhashable."""
 
-    perm: tuple[int, ...]
+    perm: np.ndarray
     duration: float
 
     def __post_init__(self):
-        p = check_permutation(self.perm)
-        object.__setattr__(self, "perm", tuple(p.tolist()))
-        object.__setattr__(self, "duration", float(self.duration))
-        if not (self.duration >= 0.0 and np.isfinite(self.duration)):
-            raise ValueError("segment duration must be finite and nonnegative")
+        p = check_permutation(np.array(self.perm))
+        p.setflags(write=False)
+        object.__setattr__(self, "perm", p)
+        t = as_real_array(self.duration)
+        if not (t.ndim == 0 and 0.0 <= t < np.inf):
+            raise ValueError("segment duration must be a finite nonnegative number")
+        object.__setattr__(self, "duration", float(t))
+
+    def __eq__(self, other):
+        if not isinstance(other, Segment):
+            return NotImplemented
+        return self.duration == other.duration and np.array_equal(self.perm, other.perm)
 
 
 @dataclass
@@ -81,12 +89,12 @@ class Schedule:
 
     def to_dict(self) -> dict:
         return {"segments": [
-            {"perm": list(s.perm), "duration": s.duration} for s in self.segments
+            {"perm": s.perm.tolist(), "duration": s.duration} for s in self.segments
         ]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        return cls([Segment(seg["perm"], float(seg["duration"]))
+        return cls([Segment(seg["perm"], seg["duration"])
                     for seg in data["segments"]])
 
 
@@ -122,7 +130,7 @@ def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
     t, step = 0.0, None
     yield t, x.copy()
     for seg in schedule.segments:
-        x = x[list(seg.perm)]
+        x = x[seg.perm]
         yield t, x
         if seg.duration > 0:
             n_steps = int(seg.duration // dt)
@@ -319,6 +327,8 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     check_zero_temperature(gen)
     n = gen.n
     x0 = _check_simplex(x0)
+    if x0.size != n:
+        raise ValueError("initial state dimension does not match the generator")
     e1 = np.zeros(n)
     e1[0] = 1.0
     target_err = eps / 2.0
@@ -352,7 +362,7 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int,
     heads until they start).  One segment per event time applies the
     permutations due then, after first for the earliest, and flows until the
     next event or the end."""
-    events: list[tuple[float, int, tuple[int, ...]]] = []
+    events: list[tuple[float, int, np.ndarray]] = []
     t_max = max((s.total_duration for s in block_schedules.values()), default=0.0)
     for blk in sorted(block_schedules):
         sched = block_schedules[blk]
@@ -372,7 +382,7 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int,
         while i < len(events) and events[i][0] <= clock + 1e-15:
             _, blk, perm_n = events[i]
             sl = slice(blk * n, (blk + 1) * n)
-            combined[sl] = combined[sl][list(perm_n)]
+            combined[sl] = combined[sl][perm_n]
             i += 1
         until = events[i][0] if i < len(events) else t_max
         segments.append(Segment(combined, max(until - clock, 0.0)))
@@ -501,8 +511,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
                          f"{MAX_SAMPLE_COUNT}, got {sample_count}")
     if not 0 <= sample_depth <= MAX_SAMPLE_DEPTH:
         raise ValueError(f"sample_depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {sample_depth}")
-    ratios = d[1:] / d[:-1]
-    if np.any(np.abs(ratios - ratios[:1]) > 1e-10):
+    steps = np.diff(np.log(d))      # log neighbour ratios: no overflow
+    if np.any(np.abs(steps - steps[:1]) > 1e-10):
         raise ValueError("d must have constant neighbour ratios (equidistant levels)")
 
     n = d.size

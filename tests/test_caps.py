@@ -2,12 +2,19 @@
 each, where that runs in well under a second, the call works."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dmajor import cnr, polytope, reach
 from dmajor.dissipation import b0_from_rates, equidistant_d, thermal_rates, zero_temperature_rates
+
+# the checkout's src/ directory, so a fresh interpreter imports this dmajor
+SRC_DIR = str(Path(reach.__file__).resolve().parents[1])
 
 
 def test_local_dim_above_the_cap():
@@ -26,8 +33,32 @@ def test_local_synthesis_at_the_cap(x0):
           else np.random.default_rng(46).dirichlet(np.ones(n ** m)))
     target = np.eye(n ** m)[0]
     sched = reach.synthesize_local(n, m, x0, target, 1e-3)
+    assert all(seg.perm.shape == (n ** m,) and not seg.perm.flags.writeable
+               for seg in sched.segments)
     block = b0_from_rates(zero_temperature_rates(n))
     assert np.abs(reach.endpoint(block, x0, sched) - target).sum() <= 1e-3
+
+
+def test_local_synthesis_at_the_cap_memory():
+    # a fresh interpreter, so the peak is this run's alone; schedule
+    # permutations held as tuples of Python ints peaked at 650 MB
+    code = """if True:
+        import resource, sys
+        import numpy as np
+        from dmajor import reach
+        from dmajor.dissipation import b0_from_rates, zero_temperature_rates
+        x0, x = np.random.default_rng(46).dirichlet(np.ones(4 ** 6), size=2)
+        sched = reach.synthesize_local(4, 6, x0, x, 1e-6)
+        reach.endpoint(b0_from_rates(zero_temperature_rates(4)), x0, sched)
+        unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10   # ru_maxrss in bytes or KiB
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 250.0
 
 
 def test_sample_depth():

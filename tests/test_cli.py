@@ -63,6 +63,12 @@ MALFORMED_VECTORS = ["[NaN, 0.5, 0.5]", "[Infinity, 1, 1]", "[-Infinity, 1, 1]",
 NON_REAL_VECTORS = ['["0.2", "0.3", "0.5"]', "[true, false, false]", "[1, true, 0]",
                     "[0.5, 0.5, false]"]
 BAD_TOLERANCES = ["nan", "-1", "inf", "-inf", "abc", "1e300", "0", "5e-324"]
+# weights whose ratios y / d overflow: refused with exit 2 wherever they are d
+SUBNORMAL_WEIGHTS = [[5e-324, 0.5, 0.5], [1e-320, 0.5, 0.5]]
+
+
+def subnormal_weight_files(tmp_path) -> list[str]:
+    return [write(tmp_path, f"d_subnormal_{i}.json", d) for i, d in enumerate(SUBNORMAL_WEIGHTS)]
 
 
 def malformed_files(tmp_path) -> dict[str, str]:
@@ -106,7 +112,9 @@ def y_d_campaign(tmp_path, capsys, command) -> list[int]:
     for bad in files.values():
         cases += [[command, bad, "--d", d], [command, y, "--d", bad, "--format", "csv"]]
     cases += [["--tol", tol, command, y, "--d", d] for tol in BAD_TOLERANCES]
-    return run_campaign(capsys, cases, {files[text] for text in NON_REAL_VECTORS})
+    weights = subnormal_weight_files(tmp_path)
+    cases += [[command, y, "--d", w] for w in weights]
+    return run_campaign(capsys, cases, {files[text] for text in NON_REAL_VECTORS} | set(weights))
 
 
 class TestCheck:
@@ -265,8 +273,25 @@ class TestCheck:
                       for method in ("norm", "positive_part", "curve")]
         cases += [["--tol", tol, "check", a, b, "--d", y, "--certificate"]
                   for tol in BAD_TOLERANCES for a, b in ((x, y), (y, x))]
-        codes = run_campaign(capsys, cases, {files[text] for text in NON_REAL_VECTORS})
+        weights = subnormal_weight_files(tmp_path)
+        cases += [["check", x, y, "--d", w, "--method", method]
+                  for w in weights for method in ("norm", "positive_part", "curve")]
+        codes = run_campaign(capsys, cases,
+                             {files[text] for text in NON_REAL_VECTORS} | set(weights))
         assert {0, 1, 2} <= set(codes)
+
+    def test_overflowing_weight_ratios_exit_input(self, tmp_path, capture):
+        # x is a permutation of y, so the verdict is True; at d = 1e-10 e the
+        # ratios y / d overflow, and the curve route once answered False
+        x = write(tmp_path, "x.json", [2e300, 1e300])
+        y = write(tmp_path, "y.json", [1e300, 2e300])
+        unit = write(tmp_path, "unit.json", [1, 1])
+        tiny = write(tmp_path, "tiny.json", [1e-10, 1e-10])
+        for method in ("norm", "positive_part", "curve"):
+            assert capture(["check", x, y, "--d", unit, "--method", method])[0] == 0
+            code, out, err = capture(["check", x, y, "--d", tiny, "--method", method])
+            assert (code, out) == (2, "") and "finite" in err
+        assert capture(["curve", y, "--d", tiny])[0] == 2
 
 
 class TestPolytope:
@@ -402,6 +427,57 @@ class TestSimulateSynthesize:
         assert "argument --thermal: not allowed with argument --zero-temp" in err
         err = parse_error(capsys, [command, "--b0", d, "--thermal", d, *rest])
         assert "argument --thermal: not allowed with argument --b0" in err
+
+    def test_exit_code_campaign(self, tmp_path, capsys):
+        files = malformed_files(tmp_path)
+        x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
+        t = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
+        good = write(tmp_path, "s.json", {"segments": [{"perm": [2, 0, 1], "duration": 0.7}]})
+        three = ["--zero-temp", "3"]
+        cases = []
+        for bad in files.values():
+            cases += [["simulate", *three, "--x0", bad, "--schedule", good],
+                      ["synthesize", *three, "--target", bad],
+                      ["synthesize", *three, "--target", bad, "--x0", x],
+                      ["synthesize", *three, "--target", t, "--x0", bad]]
+        # schedule documents; strings and booleans are refused with exit 2
+        non_numbers = [{"perm": [2, 0, 1], "duration": v} for v in ("0.5", "1e3", True, "nan")]
+        non_numbers += [{"perm": [0, True, 2], "duration": 0.5},
+                        {"perm": ["2", "0", "1"], "duration": 0.5}]
+        segments = [{"perm": p, "duration": 0.5} for p in (
+            [2.0, 0.0, 1.0], [0.5, 1.2, 2.7], [0, 1, 3], [-1, 0, 1], [0, 0, 1], [0, 1, 2 ** 64],
+            [0, 1, 2 ** 63], [[2, 0, 1]], [], [1, 0], [0, 1, 2, 3], None)]
+        segments += [{"perm": [2, 0, 1], "duration": v}
+                     for v in (None, -1.0, 1e308, float("nan"), float("inf"), [0.5], 0)]
+        segments += [{"perm": [2, 0, 1]}, {"duration": 0.5}, {}, [[2, 0, 1], 0.5], 5, "a"]
+        docs = [{"segments": [seg]} for seg in segments + non_numbers]
+        docs += [{}, {"segments": []}, {"segments": None}, {"segments": "ab"}, [], "s", None]
+        schedules = [write(tmp_path, f"sched_{i}.json", doc) for i, doc in enumerate(docs)]
+        cases += [["simulate", *three, "--x0", x, "--schedule", s] for s in schedules]
+        cases += [["simulate", *three, "--x0", x, "--schedule", good, "--dt", dt]
+                  for dt in ("0", "-1", "nan", "inf", "1e-300")]
+        cases += [["synthesize", *three, "--target", t, "--x0", x, "--eps", eps]
+                  for eps in ("0", "nan", "inf", "1e-300")]
+        # generators: the level cap, one above it, and a B0 that is not zero-temperature
+        cap = dmajor.dissipation.MAX_BATH_DIM
+        rng = np.random.default_rng(28)
+        for n in (cap, cap + 1):
+            state = write(tmp_path, f"t{n}.json", rng.dirichlet(np.ones(n)).tolist())
+            flip = write(tmp_path, f"s{n}.json",
+                         {"segments": [{"perm": list(range(n))[::-1], "duration": 0.5}]})
+            cases += [["synthesize", "--zero-temp", str(n), "--target", state],
+                      ["simulate", "--zero-temp", str(n), "--x0", state, "--schedule", flip]]
+        thermal = write(tmp_path, "b0.json", [[0.5, -0.5], [-0.5, 0.5]])
+        half = write(tmp_path, "half.json", [0.5, 0.5])
+        cases += [["synthesize", "--b0", thermal, "--target", half],
+                  ["synthesize", "--b0", thermal, "--target", half, "--x0", half],
+                  ["simulate", "--b0", thermal, "--x0", half,
+                   "--schedule", write(tmp_path, "s2.json", {"segments": [{"perm": [1, 0],
+                                                                           "duration": 1}]})]]
+        refused = {files[text] for text in NON_REAL_VECTORS}
+        refused |= set(schedules[len(segments):len(segments) + len(non_numbers)])
+        codes = run_campaign(capsys, cases, refused)
+        assert 1 not in codes and {0, 2, 3} <= set(codes)
 
     def test_synthesize_two_level(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.75, 0.25])
@@ -703,6 +779,8 @@ class TestBound:
              [4 / 7, 2 / 7, 1 / 7], [0.5, 0.5]])]
         (tmp_path / "d_nan.json").write_text("[NaN, 0.5, 0.25]")
         d_files.append(str(tmp_path / "d_nan.json"))
+        weights = subnormal_weight_files(tmp_path)
+        d_files += weights
         cases = [["--x0", str(p), "--alpha", a] for p in paths for a in ("0.5", "0.9")]
         good = str(paths[x0_texts.index("[0.2, 0.3, 0.5]")])
         eight = str(paths[-3])
@@ -716,8 +794,8 @@ class TestBound:
                                (20, cap_depth), (20, cap_depth + 1), (20, -1), (20, 10 ** 18),
                                (0, cap_depth + 1)]]
         refused = {str(paths[x0_texts.index(text)]) for text in ('["a", "b"]', "[true, false]")}
-        codes = run_campaign(capsys, [["bound", *argv] for argv in cases], refused)
-        assert len(cases) == 91 and {0, 2} <= set(codes)
+        codes = run_campaign(capsys, [["bound", *argv] for argv in cases], refused | set(weights))
+        assert len(cases) == 95 and {0, 2} <= set(codes)
 
 
 class TestChannel:

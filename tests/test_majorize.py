@@ -725,6 +725,42 @@ class TestScaleCampaign:
         assert not majorizes(x, y)
 
 
+class TestRatioOverflow:
+    # x is a permutation of y, so x <=_d y holds for every d; at d = 1e-10 e
+    # the ratios y / d overflow to inf, and the curve route once broke their
+    # tie by index and answered False
+    X, Y = np.array([2e300, 1e300]), np.array([1e300, 2e300])
+
+    def test_permuted_pair_holds_where_the_ratios_fit(self):
+        assert _route_verdicts(self.X, self.Y, np.ones(2)) == [True] * 4
+
+    @pytest.mark.parametrize("method", D_MAJORIZE_METHODS)
+    def test_overflowing_ratios_are_refused(self, method):
+        with pytest.raises(ValueError, match="finite"):
+            d_majorizes(self.X, self.Y, [1e-10, 1e-10], method=method)
+        with pytest.raises(ValueError, match="finite"):
+            thermo_curve(self.Y, [1e-10, 1e-10])
+
+    @pytest.mark.parametrize("d", [[5e-324, 0.5, 0.5], [1e-320, 0.5, 0.5]])
+    def test_subnormal_weight_is_refused_everywhere(self, d):
+        from dmajor.polytope import max_corner, vertices
+        from dmajor.reach import majorization_envelope
+
+        x, y = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+        for call in (lambda: d_majorizes(x, y, d), lambda: d_stochastic_transfer(x, y, d),
+                     lambda: thermo_curve(y, d), lambda: halfspace_bounds(y, d),
+                     lambda: vertices(y, d), lambda: max_corner(y, d),
+                     lambda: majorization_envelope(x, d, sample_count=0)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_large_entries_within_the_range_pass(self):
+        d = np.array([0.2, 0.3, 0.5])
+        y = np.array([1e300, 1e300, 1.0])
+        assert thermo_curve(y, d).f[-1] == y.sum()
+        assert d_majorizes(y[::-1], y, np.ones(3))
+
+
 class TestDStochasticTransfer:
     def test_identity_case(self):
         y = np.array([0.3, 0.4])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import time
 
@@ -417,7 +418,7 @@ def _steer_local(rng):
 
 
 def _assert_same_schedule(got, want):
-    assert [s.perm for s in got.segments] == [s.perm for s in want.segments]
+    assert [s.perm.tolist() for s in got.segments] == [s.perm.tolist() for s in want.segments]
     assert [s.duration for s in got.segments] == [s.duration for s in want.segments]
 
 
@@ -614,6 +615,51 @@ class TestSimulate:
         assert again.segments == sched.segments
 
 
+class TestSegment:
+    def test_perm_is_a_read_only_int_array(self):
+        seg = Segment([2, 0, 1], 0.5)
+        assert isinstance(seg.perm, np.ndarray) and seg.perm.dtype.kind == "i"
+        assert not seg.perm.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            seg.perm[0] = 1
+
+    def test_perm_is_a_copy_of_the_source(self):
+        source = np.array([2, 0, 1])
+        seg = Segment(source, 0.5)
+        source[:] = [0, 1, 2]
+        assert seg.perm.tolist() == [2, 0, 1]
+        assert source.flags.writeable
+
+    def test_value_equality(self):
+        assert Segment((1, 0), 0.5) == Segment(np.array([1, 0]), 0.5)
+        assert Segment((1, 0), 0.5) != Segment((0, 1), 0.5)
+        assert Segment((1, 0), 0.5) != Segment((1, 0), 0.25)
+        assert Segment((1, 0), 0.5) != Segment((1, 0, 2), 0.5)
+        assert Segment((1, 0), 0.5) != ((1, 0), 0.5)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Segment((1, 0), 0.5))
+
+    def test_to_dict_is_json(self):
+        sched = Schedule([Segment(np.array([1, 0, 2]), 0.5), Segment((0, 1, 2), 2)])
+        assert json.dumps(sched.to_dict()) == \
+            '{"segments": [{"perm": [1, 0, 2], "duration": 0.5}, ' \
+            '{"perm": [0, 1, 2], "duration": 2.0}]}'
+
+    @pytest.mark.parametrize("perm", [[0.0, 1.0], [True, False], ["0", "1"], [[0, 1]], [],
+                                      [0, 0], [1, 2], [-1, 0], [0, 2 ** 64]])
+    def test_refuses_a_perm_that_is_not_an_integer_permutation(self, perm):
+        with pytest.raises(ValueError):
+            Segment(perm, 0.5)
+
+    @pytest.mark.parametrize("duration", ["0.5", "1e3", True, None, 1j, [0.5], {"t": 1},
+                                          -1.0, float("nan"), float("inf")])
+    def test_refuses_a_duration_that_is_not_a_finite_nonnegative_number(self, duration):
+        with pytest.raises(ValueError, match="real numbers|finite nonnegative"):
+            Segment((1, 0), duration)
+
+
 class TestGroundSynthesis:
     def test_ground_state_gives_empty_schedule(self):
         sched = synthesize_from_ground(_gen(3), [1.0, 0.0, 0.0])
@@ -622,7 +668,7 @@ class TestGroundSynthesis:
     def test_two_level_closed_form(self):
         sched = synthesize_from_ground(_gen(2), [0.75, 0.25])
         assert len(sched) == 1
-        assert sched.segments[0].perm == (1, 0)
+        assert tuple(sched.segments[0].perm) == (1, 0)
         assert abs(sched.segments[0].duration - np.log(4)) <= 1e-9
         out = endpoint(_gen(2), [1.0, 0.0], sched)
         assert np.abs(out - np.array([0.75, 0.25])).sum() <= 1e-8
@@ -914,7 +960,7 @@ class TestLocalSynthesis:
         for n, m, x0, target, eps in local_cases:
             segments = synthesize_local(n, m, x0, target, eps).segments
             identity = tuple(range(n ** m))
-            assert not any(a.duration == 0.0 and b.perm == identity
+            assert not any(a.duration == 0.0 and tuple(b.perm) == identity
                            for a, b in zip(segments, segments[1:]))
 
     def test_merge_applies_simultaneous_events_in_schedule_order(self):
