@@ -47,28 +47,31 @@ def _default_tol() -> float:
 
 
 def _load_json(path: str):
+    """The JSON document in path.  JSON true and false are refused anywhere
+    in it, since numpy reads them as 1 and 0 among numbers."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
-
-
-def _has_bool(data) -> bool:
-    return isinstance(data, bool) or isinstance(data, list) and any(map(_has_bool, data))
+    todo = [[data]]     # the arrays and objects left to search, without recursion
+    while todo:
+        items = todo.pop()
+        items = list(items.values()) if isinstance(items, dict) else items
+        kinds = set(map(type, items))
+        if bool in kinds:
+            raise _InputError(f"{path}: expected numbers, got a boolean")
+        if list in kinds or dict in kinds:
+            todo += [v for v in items if type(v) in (list, dict)]
+    return data
 
 
 def _load_numbers(path: str) -> np.ndarray:
-    """A JSON array of numbers as floats.  JSON true and false are refused
-    even among numbers, where numpy would read them as 1 and 0."""
-    data = _load_json(path)
+    """A JSON array of numbers as floats."""
     try:
-        arr = majorize.as_real_array(data)
+        return majorize.as_real_array(_load_json(path))
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}")
-    if _has_bool(data):     # after the conversion, which caps the nesting at 64
-        raise _InputError(f"{path}: expected numbers, got a boolean")
-    return arr
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -76,13 +79,6 @@ def _load_vector(path: str) -> np.ndarray:
         return majorize.as_vector(_load_numbers(path))
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}")
-
-
-def _load_real_matrix(path: str) -> np.ndarray:
-    m = _load_numbers(path)
-    if m.ndim != 2:
-        raise _InputError(f"{path}: expected a matrix (array of rows)")
-    return m
 
 
 def _load_complex_matrix(path: str) -> np.ndarray:
@@ -136,9 +132,7 @@ def _generator_from_args(args):
     if args.thermal is not None:
         d = _load_vector(args.thermal)
         return dissipation.b0_from_rates(dissipation.thermal_rates(d))
-    if args.b0 is not None:
-        return dissipation.Generator(_load_real_matrix(args.b0))
-    raise _InputError("specify a generator via --zero-temp, --thermal, or --b0")
+    return dissipation.Generator(_load_numbers(args.b0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +212,16 @@ def _cmd_bath(args) -> int:
     from . import dissipation
 
     data: dict = {}
-    d = None
-    if args.gibbs is not None:
-        d = dissipation.gibbs_vector(_load_vector(args.gibbs), args.temperature)
-    elif args.equidistant is not None:
-        alpha, n = args.equidistant
-        d = dissipation.equidistant_d(float(alpha), int(n))
-    elif args.thermal is not None:
-        d = _load_vector(args.thermal)
-    elif args.zero_temp is None:
-        raise _InputError("specify --zero-temp, --thermal, --gibbs, or --equidistant")
-    if d is None:
+    if args.zero_temp is not None:
         rates = dissipation.zero_temperature_rates(args.zero_temp)
     else:
+        if args.gibbs is not None:
+            d = dissipation.gibbs_vector(_load_vector(args.gibbs), args.temperature)
+        elif args.equidistant is not None:
+            alpha, n = args.equidistant
+            d = dissipation.equidistant_d(float(alpha), int(n))
+        else:
+            d = _load_vector(args.thermal)
         rates = dissipation.thermal_rates(d)
         data["d"] = _real_json(d)
     gen = dissipation.b0_from_rates(rates)
@@ -246,11 +237,7 @@ def _cmd_simulate(args) -> int:
 
     gen = _generator_from_args(args)
     x0 = _load_vector(args.x0)
-    doc = _load_json(args.schedule)
-    sched = reach.Schedule.from_dict(doc)
-    # after the conversion, which leaves each perm flat: numpy reads true as 1
-    if _has_bool([seg["perm"] for seg in doc["segments"]]):
-        raise _InputError(f"{args.schedule}: expected integer perm entries, got a boolean")
+    sched = reach.Schedule.from_dict(_load_json(args.schedule))
     traj = reach.simulate(gen, x0, sched, dt=args.dt)
     header = "t," + ",".join(f"x{i}" for i in range(traj.states.shape[1]))
     rows = [
@@ -288,10 +275,8 @@ def _cmd_bound(args) -> int:
     x0 = _load_vector(args.x0)
     if args.alpha is not None:
         d = dissipation.equidistant_d(args.alpha, x0.size)
-    elif args.d is not None:
-        d = _load_vector(args.d)
     else:
-        raise _InputError("specify the weights via --alpha or --d")
+        d = _load_vector(args.d)
     z, report = reach.majorization_envelope(
         x0, d, sample_count=args.samples, sample_depth=args.depth, seed=args.seed)
     data = {
@@ -366,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     generator = argparse.ArgumentParser(add_help=False)
-    g = generator.add_mutually_exclusive_group()
+    g = generator.add_mutually_exclusive_group(required=True)
     g.add_argument("--zero-temp", type=int, default=None, metavar="N")
     g.add_argument("--thermal", default=None, metavar="D_FILE")
     g.add_argument("--b0", default=None, metavar="B0_FILE")
@@ -392,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = add_command("bath", help="bath-coupling rates and rate matrix")
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--zero-temp", type=int, default=None, metavar="N")
     g.add_argument("--thermal", default=None, metavar="D_FILE")
     g.add_argument("--gibbs", default=None, metavar="E_FILE")
@@ -415,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("bound", help="majorization envelope for the thermal model")
     p.add_argument("--x0", required=True)
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--alpha", type=float, default=None)
     g.add_argument("--d", default=None)
     p.add_argument("--samples", type=int, default=100)

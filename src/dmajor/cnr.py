@@ -86,7 +86,8 @@ def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def c_numerical_range_sample(c, a, count: int, seed: int = 0) -> np.ndarray:
     """count samples of tr(C U* A U) at Haar-random unitaries (seeded);
-    count * n^2 is capped at MAX_SAMPLE_ENTRIES."""
+    count * n^2 is capped at MAX_SAMPLE_ENTRIES, and a sample beyond the
+    float range raises ValueError."""
     c = check_square(c, "C")
     a = check_square(a, "A")
     if c.shape != a.shape:
@@ -96,8 +97,11 @@ def c_numerical_range_sample(c, a, count: int, seed: int = 0) -> np.ndarray:
                          f"MAX_SAMPLE_ENTRIES = {MAX_SAMPLE_ENTRIES}")
     rng = np.random.default_rng(seed)
     us = haar_unitaries(c.shape[0], count, rng)
-    conj = np.swapaxes(us.conj(), 1, 2) @ a @ us       # U* A U
-    return np.einsum("ab,kba->k", c, conj)
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        samples = np.einsum("ab,kba->k", c, np.swapaxes(us.conj(), 1, 2) @ a @ us)
+    if not np.isfinite(samples).all():
+        raise ValueError("samples of tr(C U* A U) overflow the float range")
+    return samples
 
 
 __all__ = [

@@ -253,8 +253,11 @@ def zero_temperature_rates(n: int) -> BathRates:
 
 def thermal_rates(d) -> BathRates:
     """Rates making d the fixed point of the induced flow:
-    a_j = sqrt(j(n-j) d_j / (d_j + d_{j+1})), b_j likewise with d_{j+1}."""
+    a_j = sqrt(j(n-j) d_j / (d_j + d_{j+1})), b_j likewise with d_{j+1}.
+    The rates depend on the ratios of d alone; d is scaled by a power of two
+    to a largest entry in [1/2, 1), exactly, so that no sum overflows."""
     d = as_weight_vector(d)
+    d = np.ldexp(d, -math.frexp(float(d.max()))[1])
     n = d.size
     j = np.arange(1, n)
     w = j * (n - j)
@@ -265,11 +268,13 @@ def thermal_rates(d) -> BathRates:
 
 def gibbs_vector(energies, temperature: float) -> np.ndarray:
     """Boltzmann weights exp(-E_j/T), normalized.  Energies are shifted by
-    their minimum before exponentiating (overflow-safe, same distribution)."""
+    their minimum before exponentiating (overflow-safe, same distribution);
+    a gap (E_j - min E)/T beyond the float range gives the weight 0."""
     e = as_vector(energies)
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    w = np.exp(-(e - e.min()) / temperature)
+    with np.errstate(over="ignore"):
+        w = np.exp(-(e - e.min()) / temperature)
     return w / w.sum()
 
 

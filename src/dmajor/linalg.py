@@ -39,11 +39,13 @@ def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
 
 
 def check_square(a, name: str = "matrix", herm_tol: float | None = None) -> np.ndarray:
-    """a as a complex square matrix; with herm_tol, also Hermitian within
-    herm_tol * max |a_ij|."""
+    """a as a finite complex square matrix; with herm_tol, also Hermitian
+    within herm_tol * max |a_ij|."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"entries of {name} must be finite")
     if herm_tol is not None:
         if np.abs(a - a.conj().T).max(initial=0.0) > herm_tol * np.abs(a).max(initial=0.0):
             raise ValueError(f"{name} is not Hermitian within tolerance")

@@ -271,15 +271,9 @@ def lipschitz_constant(n: int) -> float:
     if not 1 <= n <= MAX_LIPSCHITZ_DIM:
         raise ValueError(f"lipschitz_constant capped at n = {MAX_LIPSCHITZ_DIM}")
     m = constraint_matrix(n)
-    best = 0.0
-    for comb in itertools.combinations(range(m.shape[0]), n):
-        sub = m[list(comb)]
-        det = np.linalg.det(sub)
-        if abs(det) < 1e-12:
-            continue
-        inv = np.linalg.inv(sub)
-        best = max(best, float(np.abs(inv).sum(axis=0).max()))
-    return best
+    subs = m[np.array(list(itertools.combinations(range(m.shape[0]), n)))]
+    subs = subs[np.abs(np.linalg.det(subs)) >= 1e-12]
+    return float(np.abs(np.linalg.inv(subs)).sum(axis=1).max())
 
 
 __all__ = [

@@ -34,10 +34,16 @@ MAX_ENVELOPE_DIM = 8
 _SAMPLE_BLOCK = 1024
 
 
-def _check_simplex(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _check_simplex(x, size: int | None = None, tol: float = 1e-9) -> np.ndarray:
+    """x as a state: a finite vector of the given size (any size for None),
+    entries >= -tol and total within tol of 1; ValueError otherwise."""
     x = as_vector(x)
-    if abs(x.sum() - 1.0) > tol or np.min(x) < -tol:
-        raise SimplexViolationError(f"state is outside the simplex beyond {tol}")
+    if size is not None and x.size != size:
+        raise ValueError(f"state of length {x.size} where {size} is needed")
+    with np.errstate(over="ignore"):    # an overflowing total is refused below
+        total = x.sum()
+    if abs(total - 1.0) > tol or np.min(x) < -tol:
+        raise ValueError(f"state is outside the simplex beyond {tol}")
     return x
 
 
@@ -113,9 +119,10 @@ def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
     """(time, state) rows of the run from x0 sampled every dt: x0, then per
     segment the permuted state, the flow's samples and its end.  x0 may hold
     k copies of the n = gen.n levels, each flowing under exp(-t B0) (see
-    flow).  Raises ValueError before the first row when x0's length is not a
-    multiple of n, a permutation's length differs from x0's, or the rows
-    would exceed MAX_TRAJECTORY_ROWS or max_entries entries."""
+    flow).  Raises ValueError before the first row when x0 is not a state
+    (_check_simplex), its length is not a multiple of n, a permutation's
+    length differs from x0's, or the rows would exceed MAX_TRAJECTORY_ROWS or
+    max_entries entries."""
     x = _check_simplex(x0)
     n = gen.n
     if x.size % n or any(len(seg.perm) != x.size for seg in schedule.segments):
@@ -258,9 +265,7 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     check_zero_temperature(gen)
     series = gen._ladder[1]
     n = gen.n
-    x = _check_simplex(x)
-    if x.size != n:
-        raise ValueError("target dimension does not match the generator")
+    x = _check_simplex(x, n)
     z = np.maximum(x, 0.0)
     z = z / z.sum()
     backward: list[tuple[np.ndarray, float]] = []
@@ -326,9 +331,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
         raise ValueError("eps must be positive")
     check_zero_temperature(gen)
     n = gen.n
-    x0 = _check_simplex(x0)
-    if x0.size != n:
-        raise ValueError("initial state dimension does not match the generator")
+    x0 = _check_simplex(x0, n)
     e1 = np.zeros(n)
     e1[0] = 1.0
     target_err = eps / 2.0
@@ -410,10 +413,8 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     if total > MAX_LOCAL_DIM:
         raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
     gen_block = b0_from_rates(zero_temperature_rates(n))
-    x0 = _check_simplex(x0)
-    x = _check_simplex(x)
-    if x0.size != total or x.size != total:
-        raise ValueError("states must live on the n^m simplex")
+    x0 = _check_simplex(x0, total)
+    x = _check_simplex(x, total)
     n_blocks = n ** (m - 1)
 
     segments: list[Segment] = []
@@ -617,7 +618,7 @@ def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:
     schedules then advance one segment at a time, by one matvec per schedule
     as a single schedule would.
     """
-    x = _check_simplex(x0)
+    x = _check_simplex(x0, gen.n)
     drawn = [_draw(gen.n, depth, s) for s in seeds]
     k = len(drawn)
     perms = np.array([p for p, _ in drawn], dtype=int).reshape(k, depth, gen.n)

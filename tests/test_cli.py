@@ -33,11 +33,14 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 
 
 def parse_error(capsys, argv) -> str:
-    """The stderr of a command line that argparse refuses with exit 2."""
+    """The stderr of a command line that argparse refuses with exit 2 and
+    no output."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    return capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == ""
+    return out.err
 
 
 @pytest.fixture
@@ -391,9 +394,9 @@ class TestBath:
         data = json.loads(out)["data"]
         assert np.allclose(data["d"], [4 / 7, 2 / 7, 1 / 7])
 
-    def test_missing_mode(self, capture):
-        code, _, err = capture(["bath"])
-        assert code == 2
+    def test_missing_mode(self, capsys):
+        err = parse_error(capsys, ["bath"])
+        assert "one of the arguments --zero-temp --thermal --gibbs --equidistant is required" in err
 
     def test_two_modes_exit_input(self, tmp_path, capsys):
         d = write(tmp_path, "d.json", [0.5577, 0.4343, 0.0080])
@@ -427,6 +430,15 @@ class TestSimulateSynthesize:
         assert "argument --thermal: not allowed with argument --zero-temp" in err
         err = parse_error(capsys, [command, "--b0", d, "--thermal", d, *rest])
         assert "argument --thermal: not allowed with argument --b0" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "synthesize"])
+    def test_missing_generator_named(self, tmp_path, capsys, command):
+        x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [2, 0, 1], "duration": 0.7}]})
+        rest = (["--x0", x, "--schedule", sched] if command == "simulate"
+                else ["--target", x])
+        err = parse_error(capsys, [command, *rest])
+        assert "one of the arguments --zero-temp --thermal --b0 is required" in err
 
     def test_exit_code_campaign(self, tmp_path, capsys):
         files = malformed_files(tmp_path)
@@ -474,7 +486,10 @@ class TestSimulateSynthesize:
                   ["simulate", "--b0", thermal, "--x0", half,
                    "--schedule", write(tmp_path, "s2.json", {"segments": [{"perm": [1, 0],
                                                                            "duration": 1}]})]]
-        refused = {files[text] for text in NON_REAL_VECTORS}
+        # every malformed vector but the subnormal state is not a state of the
+        # 3 levels: outside the simplex (or not finite, not numbers, the wrong
+        # shape or length), refused with exit 2 as x0 and as target
+        refused = {path for text, path in files.items() if text != "[5e-324, 0.5, 0.5]"}
         refused |= set(schedules[len(segments):len(segments) + len(non_numbers)])
         codes = run_campaign(capsys, cases, refused)
         assert 1 not in codes and {0, 2, 3} <= set(codes)
@@ -615,6 +630,14 @@ class TestSimulateSynthesize:
         assert out == ""
         assert "entries of B0 must be finite" in err
 
+    @pytest.mark.parametrize("b0", [[0.0, 0.0], [[0.0, 0.0]], [[[0.0]]], 0.0])
+    def test_rate_matrix_that_is_not_square_exits_input(self, tmp_path, capture, b0):
+        b0 = write(tmp_path, "b0.json", b0)
+        x = write(tmp_path, "x.json", [0.5, 0.5])
+        code, out, err = capture(["synthesize", "--b0", b0, "--target", x])
+        assert code == 2 and out == ""
+        assert "B0 must be square" in err
+
     @pytest.mark.parametrize("perm, duration", [([1, 0], 0.0), ([1, 0], 0.5),
                                                 ([0, 2, 1, 3], 0.0), ([0, 2, 1, 3], 0.5)])
     def test_simulate_rejects_permutation_of_wrong_length(self, tmp_path, capture, perm,
@@ -728,11 +751,9 @@ class TestBound:
         code, out, err = capture(["bound", "--x0", x0, "--alpha", "0.5", "--samples", "3"])
         assert code == 0, err
 
-    def test_missing_weights_named(self, tmp_path, capture):
+    def test_missing_weights_named(self, tmp_path, capsys):
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
-        code, out, err = capture(["bound", "--x0", x0])
-        assert code == 2
-        assert out == ""
+        err = parse_error(capsys, ["bound", "--x0", x0])
         assert "--alpha" in err and "--d" in err
         assert "NoneType" not in err
 
@@ -985,6 +1006,58 @@ class TestExitContract:
         code, out, _ = capture(["check", x, x, "--tol", "0"])
         assert code == 0
         assert json.loads(out)["verdict"] is True
+
+    def test_bath_channel_cnr_campaign(self, tmp_path, capsys):
+        # the malformed vectors as bath weights and energies, and malformed
+        # matrices as channel and cnr inputs, each in every position, plus
+        # extreme temperatures, levels, counts and tolerances
+        vectors = malformed_files(tmp_path)
+        huge = write(tmp_path, "huge.json", [1.7e308, 1.7e308, 1.0])
+        matrix_texts = {
+            "[[NaN, 0], [0, 0.5]]": True, "[[Infinity, 0], [0, 1]]": True,
+            "[[1, 0], [0, -Infinity]]": True, "[[[1, 0], [0, NaN]], [[0, 0], [1, 0]]]": True,
+            '[["1", 0], [0, 0]]': True, '[[[1, "0"], [0, 0]], [[0, 0], [1, 0]]]': True,
+            "[[true, false], [false, true]]": True, "[[1, 0], [0, true]]": True,
+            "[[[1, 0], [0, false]], [[0, 0], [1, 0]]]": True,
+            "[[1e300, 0], [0, 1e300]]": False, "[[1e308, 1e308], [1e308, 1e308]]": False,
+            "[[5e-324, 0], [0, 1]]": False, "[[1, 2], [3, 4]]": False, "[[1, 0]]": False,
+            "[[1, 0], [0]]": False, "[[[1, 0, 0]]]": False, "[[null, 0], [0, 1]]": False,
+            "[]": False, "[[]]": False, "1": False, '{"a": [[1]]}': False, "not json": False,
+            "[" * 5000 + "1" + "]" * 5000: False,
+            json.dumps(np.eye(dmajor.channels.MAX_CHANNEL_DIM + 1).tolist()): False,
+        }
+        matrices = {}
+        for i, text in enumerate(matrix_texts):
+            matrices[text] = str(tmp_path / f"m_{i}.json")
+            Path(matrices[text]).write_text(text)
+        good = write(tmp_path, "good.json", [[0.6, 0.0], [0.0, 0.4]])
+        pure = write(tmp_path, "pure.json", [[1.0, 0.0], [0.0, 0.0]])
+        cap = dmajor.dissipation.MAX_BATH_DIM
+        cases = [["bath", "--thermal", v] for v in [huge, *vectors.values()]]
+        cases += [["bath", "--gibbs", v] for v in vectors.values()]
+        cases += [["bath", "--gibbs", vectors["[1e300, 1e300, 1]"], "--temperature", t]
+                  for t in ("0", "-1", "nan", "inf", "1e-300", "1e300", "abc")]
+        cases += [["bath", "--equidistant", a, n]
+                  for a, n in [("0", "3"), ("1", "3"), ("nan", "3"), ("-0.5", "3"), ("inf", "3"),
+                               ("1e-300", "3"), ("0.999999", "3"), ("abc", "3"), ("0.5", "0"),
+                               ("0.5", "-1"), ("0.5", "2.5"), ("0.5", str(cap + 1)),
+                               ("0.5", str(10 ** 18))]]
+        cases += [["bath", "--zero-temp", n] for n in ("1", "0", "-1", str(cap + 1), "1e3")]
+        for m in matrices.values():
+            cases += [["channel", "--a", m, "--b", pure], ["channel", "--a", good, "--b", m],
+                      ["cnr", "--c", m, "--t", good, "--count", "5"],
+                      ["cnr", "--c", good, "--t", m, "--count", "5"]]
+        cases += [["--tol", tol, "channel", "--a", good, "--b", pure] for tol in BAD_TOLERANCES]
+        entries = dmajor.cnr.MAX_SAMPLE_ENTRIES
+        cases += [["cnr", "--c", good, "--t", pure, "--count", k]
+                  for k in ("0", "-1", str(entries // 4 + 1), str(10 ** 18), "2.5")]
+        refused = {vectors[text] for text in NON_REAL_VECTORS + ["[NaN, 0.5, 0.5]",
+                   "[Infinity, 1, 1]", "[-Infinity, 1, 1]"]}
+        refused |= {matrices[text] for text, bad in matrix_texts.items() if bad}
+        codes = run_campaign(capsys, cases, refused)
+        assert len(cases) == 189
+        # no negative verdict, and no numerical failure: every case succeeds or is refused
+        assert codes[0] == 0 and set(codes) == {0, 2}
 
 
 # the names `from dmajor import ...` has served, by defining module

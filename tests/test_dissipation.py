@@ -155,6 +155,17 @@ class TestThermalRates:
             gen = b0_from_rates(thermal_rates(d))
             assert np.abs(gen.b0 @ d).sum() <= 1e-12 * max(1.0, d.sum())
 
+    @pytest.mark.parametrize("top", [1.7e308, np.finfo(float).max])
+    def test_weights_near_the_float_range(self, top):
+        # the rates depend on neighbour ratios alone, so weights whose sums
+        # overflow give the rates of the same weights scaled by 2^-1024,
+        # bit for bit and without an overflow warning
+        d = np.array([top, top, 2.0 ** 1000])
+        rates, scaled = thermal_rates(d), thermal_rates(np.ldexp(d, -1024))
+        assert np.array_equal(rates.a, scaled.a) and np.array_equal(rates.b, scaled.b)
+        p = np.ldexp(d, -1024)
+        assert np.allclose(steady_state(b0_from_rates(rates)), p / p.sum(), rtol=1e-12)
+
     def test_angles(self):
         d = np.array([0.7, 0.2, 0.1])
         theta = thermal_angles(d)

@@ -512,7 +512,7 @@ class TestSimulate:
         assert np.max(np.abs(traj.endpoint - mat @ x0)) <= 1e-10
 
     def test_rejects_states_outside_simplex(self):
-        with pytest.raises(SimplexViolationError):
+        with pytest.raises(ValueError, match="outside the simplex"):
             simulate(_gen(2), [0.9, 0.4], Schedule([]), dt=0.1)
 
     # plain indexing would truncate the state with a short permutation
