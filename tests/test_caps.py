@@ -39,6 +39,16 @@ def test_local_synthesis_at_the_cap(x0):
     assert np.abs(reach.endpoint(block, x0, sched) - target).sum() <= 1e-3
 
 
+def test_qubit_chain_at_the_cap():
+    # twelve qubits: 4,095 two-level face hits, each in closed form
+    n, m, eps = 2, 12, 1e-6
+    assert n ** m == reach.MAX_LOCAL_DIM
+    x0, target = np.random.default_rng(212).dirichlet(np.ones(n ** m), size=2)
+    sched = reach.synthesize_local(n, m, x0, target, eps)
+    block = b0_from_rates(zero_temperature_rates(n))
+    assert np.abs(reach.endpoint(block, x0, sched) - target).sum() <= eps
+
+
 def test_local_synthesis_at_the_cap_memory():
     # a fresh interpreter, so the peak is this run's alone; schedule
     # permutations held as tuples of Python ints peaked at 650 MB

@@ -547,6 +547,17 @@ class TestSimulateSynthesize:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_synthesize_face_never_hit_exits_numeric(self, tmp_path, capture):
+        # b11 < b00 inside the column-sum tolerance: from [0.6, 0.4] the
+        # backward flow of the leading 2 x 2 block never reaches a face
+        b0 = write(tmp_path, "b0.json", [[2e-13, -1e-13, 0], [0, 1e-13, -1], [0, 0, 1]])
+        target = write(tmp_path, "t.json", [0.6, 0.4, 0.0])
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        code, out, err = capture(["synthesize", "--b0", b0, "--target", target,
+                                  "--x0", x0, "--eps", "1e-6"])
+        assert (code, out) == (3, "")
+        assert "never hits a face" in err
+
     def test_synthesize_eps_below_ground_error_exits_numeric(self, tmp_path, capture):
         # an exact total cools onto e_1, so a schedule is built; its ground
         # schedule's error then exceeds eps, and the endpoint check says so

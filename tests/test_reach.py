@@ -186,6 +186,40 @@ def faces():
     return out
 
 
+# hand-made zero-temperature generators on three levels, (b00, b01, b11) of
+# the leading block, with b00 and b11 + b01 inside the column-sum tolerance
+_TOLERATED_BLOCKS = [(1e-13, -0.5, 0.5 + 3e-13), (3e-13, -0.7, 0.7 - 2e-13),
+                     (-2e-13, -0.3, 0.3), (0.0, -1e-3, 1e-3 + 5e-13)]
+
+
+def _tolerated_gen(b00, b01, b11):
+    return Generator(np.array([[b00, b01, 0.0], [0.0, b11, -1.0], [0.0, 0.0, 1.0]]))
+
+
+@pytest.fixture(scope="module")
+def two_level_faces():
+    """Seeded (B0 block, state, walk) triples at m = 2: for the leading block
+    of n = 2, 3, 4, 5, 8, 16 and 64, Dirichlet states of three
+    concentrations, ratios z0 / z1 from 1e-11 to 1e11 and both sides of the
+    zero-time exit; for the generators of _TOLERATED_BLOCKS, Dirichlet
+    states and the zero-time exits."""
+    rng = np.random.default_rng(13)
+    edge = 1e-12
+    above = np.nextafter(edge, 1.0)
+    exits = [np.array([t, 1.0 - t]) for t in (edge, above)]
+    exits += [z[::-1] for z in exits]
+    ratios = [np.array([r, 1.0]) / (1.0 + r) for r in 10.0 ** np.arange(-11.0, 11.5, 0.5)]
+    gens = [_gen(n) for n in (2, 3, 4, 5, 8, 16, 64)]
+    out = []
+    for gen in gens:
+        states = [rng.dirichlet(np.full(2, c)) for c in (0.3, 1.0, 3.0) for _ in range(30)]
+        out += [(gen.b0[:2, :2], z, gen._ladder[1].walk(2)) for z in states + ratios + exits]
+    for gen in map(_tolerated_gen, *zip(*_TOLERATED_BLOCKS)):
+        out += [(gen.b0[:2, :2], z, gen._ladder[1].walk(2))
+                for z in list(rng.dirichlet(np.ones(2), size=30)) + exits]
+    return out
+
+
 def _scalar_majorizes(x, y, tol=1e-9):
     eps = tol * max(1.0, float(np.abs(y).sum()))
     if abs(x.sum() - y.sum()) > eps:
@@ -669,7 +703,8 @@ class TestGroundSynthesis:
         sched = synthesize_from_ground(_gen(2), [0.75, 0.25])
         assert len(sched) == 1
         assert tuple(sched.segments[0].perm) == (1, 0)
-        assert abs(sched.segments[0].duration - np.log(4)) <= 1e-9
+        # log1p(0.75 / 0.25) at the unit rate
+        assert abs(sched.segments[0].duration - np.log(4)) <= 2 * np.spacing(np.log(4))
         out = endpoint(_gen(2), [1.0, 0.0], sched)
         assert np.abs(out - np.array([0.75, 0.25])).sum() <= 1e-8
 
@@ -764,6 +799,84 @@ class TestFirstFaceHit:
     def test_clamp_rejects_nan_states(self):
         with pytest.raises(SimplexViolationError):
             dmajor.reach._clamp_simplex(np.array([np.nan, 0.5, 0.5]))
+
+
+def _exact_two_level_root(b0, z):
+    """log1p(d z0 / (-b01 z1)) / d, d = b11 - b00, from the float entries at
+    40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        (b00, b01), (_, b11) = (map(mpmath.mpf, row) for row in b0.tolist())
+        z0, z1 = map(mpmath.mpf, z.tolist())
+        delta = b11 - b00
+        return float(mpmath.log1p(delta * z0 / (-b01 * z1)) / delta)
+
+
+class TestTwoLevelFaceHit:
+    def test_matches_the_search(self, two_level_faces):
+        # the search stops once its bracket is 2e-15 * max(1, tau) wide, as
+        # judged on rounded states: up to 2.2e-15 from the exact root here
+        assert len(two_level_faces) >= 1000
+        for b0, z, walk in two_level_faces:
+            tau, j, w = dmajor.reach._two_level_face_hit(b0, z)
+            tau_ref, j_ref, w_ref = dmajor.reach._first_face_hit(b0, z, walk)
+            assert j == j_ref
+            assert abs(tau - tau_ref) <= 2.5e-15 * max(1.0, tau_ref)
+            if tau_ref == 0.0:
+                assert tau == 0.0 and np.array_equal(w, w_ref)
+
+    def test_within_a_few_ulps_of_the_exact_root(self, two_level_faces):
+        for b0, z, _ in two_level_faces:
+            tau, _, _ = dmajor.reach._two_level_face_hit(b0, z)
+            if tau > 0.0:
+                assert abs(tau - _exact_two_level_root(b0, z)) <= 4 * np.spacing(tau)
+
+    def test_returns_the_state_at_the_hit(self, two_level_faces):
+        for b0, z, _ in two_level_faces[::5]:
+            tau, j, w = dmajor.reach._two_level_face_hit(b0, z)
+            if tau > 0.0:
+                assert w[j] == 0.0
+                assert np.max(np.abs(w - scipy.linalg.expm(tau * b0) @ z)) <= 1e-12
+
+    def test_refuses_a_flow_that_never_hits(self):
+        # b11 - b00 < 0 inside the column-sum tolerance: w0 tends to
+        # e^{b00 t} (z0 - z1), which vanishes only when z0 < z1
+        gen = _tolerated_gen(2e-13, -1e-13, 1e-13)
+        for z in ([0.6, 0.4], [0.5, 0.5]):
+            with pytest.raises(SimplexViolationError, match="never hits a face"):
+                dmajor.reach._two_level_face_hit(gen.b0[:2, :2], np.array(z))
+            with pytest.raises(SimplexViolationError, match="never hits a face"):
+                synthesize_from_ground(gen, z + [0.0])
+        z = np.array([0.3, 0.7])
+        tau, j, _ = dmajor.reach._two_level_face_hit(gen.b0[:2, :2], z)
+        assert j == 0
+        assert abs(tau - _exact_two_level_root(gen.b0[:2, :2], z)) <= 4 * np.spacing(tau)
+
+    def test_equal_diagonal_takes_the_limit(self):
+        # b11 = b00: w0(t) = e^{b00 t} (z0 + b01 z1 t) vanishes at z0 / (-b01 z1)
+        gen = _tolerated_gen(1e-13, -1e-13, 1e-13)
+        for z in np.array([[0.3, 0.7], [0.7, 0.3], [0.01, 0.99]]):
+            tau, j, _ = dmajor.reach._two_level_face_hit(gen.b0[:2, :2], z)
+            tau_ref, j_ref, _ = dmajor.reach._first_face_hit(gen.b0[:2, :2], z,
+                                                             gen._ladder[1].walk(2))
+            assert j == j_ref == 0
+            assert abs(tau - z[0] / (1e-13 * z[1])) <= 2 * np.spacing(tau)
+            assert abs(tau - tau_ref) <= 2.5e-15 * tau_ref
+
+    @pytest.mark.parametrize("block,z", [
+        # an upper rate of 1e-40 puts the face near 7e39, past the 2^59
+        # where the search gives up
+        ((0.0, -1e-40, 1e-40), [0.5, 0.5]),
+        # b00 = 5e-13 > 0 and b11 - b00 = 5e-16: the face comes at 4.8e15,
+        # where w1 = z1 e^{b11 tau} is beyond the float range
+        ((5e-13, -5e-13, 5.005e-13), [1.0 - 1e-4, 1e-4]),
+    ])
+    def test_refuses_a_hit_out_of_range(self, block, z):
+        gen = _tolerated_gen(*block)
+        with pytest.raises(SimplexViolationError, match="leaves range before it hits a face"):
+            dmajor.reach._two_level_face_hit(gen.b0[:2, :2], np.array(z))
+        with pytest.raises(SimplexViolationError, match="leaves range before it hits a face"):
+            synthesize_from_ground(gen, z + [0.0])
 
 
 class TestFullSynthesis:
