@@ -4,13 +4,20 @@ curves, and constructive stochastic transfer matrices.
 Conventions: majorizes(x, y) is True when x is *more mixed* than y, i.e. a
 doubly stochastic matrix maps y to x.  d_majorizes(x, y, d) likewise asks for
 a column-stochastic matrix with fixed point d mapping y to x.
+
+The d-majorization routes and the T-transform certificates run on lists of
+Python floats: at n <= 8 numpy's per-call overhead costs more than their
+arithmetic.  numpy builds the returned arrays and runs the batch kernels.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import isfinite
+from operator import add, mul
 
 import numpy as np
 
@@ -36,10 +43,21 @@ def as_real_array(x) -> np.ndarray:
     return v
 
 
-def as_vector(x) -> np.ndarray:
+def _real_vector(x) -> np.ndarray:
+    """x as a non-empty 1-d float array."""
     v = as_real_array(x)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-d real vector")
+    return v
+
+
+def _check_weights(d: list) -> None:
+    if min(d) <= 0:
+        raise ValueError("weight vector entries must be strictly positive")
+
+
+def as_vector(x) -> np.ndarray:
+    v = _real_vector(x)
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
@@ -47,38 +65,51 @@ def as_vector(x) -> np.ndarray:
 
 def as_weight_vector(d) -> np.ndarray:
     v = as_vector(d)
-    if min(v.tolist()) <= 0:
-        raise ValueError("weight vector entries must be strictly positive")
+    _check_weights(v.tolist())
     return v
 
 
-def _validated(*vectors) -> tuple[np.ndarray, ...]:
-    """Real vectors of one length, the last a weight vector d, whose ratios
-    v / d and rows t d of the criteria stay finite: 2 n max|v| max(d) / min(d)
-    and 2 n max(d) lie within the float range.  One scalar test, no warning."""
+def _validated(*vectors) -> tuple[list, ...]:
+    """The entries, as lists of floats, of real vectors of one length and,
+    last, of a weight vector d (None for e), whose ratios v / d and rows t d
+    of the criteria stay finite: 2 n max|v| max(d) / min(d) and 2 n max(d)
+    lie within the float range.  Scalar tests, no warning."""
     *vs, d = vectors
-    vs, d = [as_vector(v) for v in vs], as_weight_vector(d)
+    vs = [_real_vector(v).tolist() for v in vs]
+    n = len(vs[0])
+    weights = [1.0] * n if d is None else _real_vector(d).tolist()
+    # as_vector's test on the lists, one entry at a time: max over a list
+    # passes a NaN by unless it comes first
+    if not all(map(isfinite, chain(*vs, weights))):
+        raise ValueError("vector entries must be finite")
+    _check_weights(weights)
+    if any(len(v) != n for v in vs):
+        raise ValueError("x and y must have equal length")
+    if len(weights) != n:
+        raise ValueError("vectors and weights d must have equal length")
     # Python floats overflow to inf without a warning, and beat numpy at n <= 8
-    top = 0.0
-    for v in vs:
-        if v.size != d.size:
-            raise ValueError("vectors and weights d must have equal length")
-        top = max(top, max(map(abs, v.tolist())))
-    weights = d.tolist()
-    if not 2 * len(weights) * max(top / min(weights), 1.0) * max(weights) <= sys.float_info.max:
-        raise ValueError(f"entries up to {top:.3g} over weights d in [{min(weights):.3g}, "
-                         f"{max(weights):.3g}] must stay finite")
-    return (*vs, d)
+    top, low, high = max(map(abs, chain(*vs))), min(weights), max(weights)
+    if not 2 * n * max(top / low, 1.0) * high <= sys.float_info.max:
+        raise ValueError(f"entries up to {top:.3g} over weights d in [{low:.3g}, {high:.3g}] "
+                         "must stay finite")
+    return (*vs, weights)
 
 
-def _scaled_tol(y: np.ndarray, tol: float) -> float:
+def _scaled_tol(y, tol: float) -> float:
     """tol * ||y||_1, the one tolerance scaling: exact at y = 0."""
-    return tol * float(np.abs(y).sum())
+    return tol * sum(map(abs, y))
 
 
-def ratio_order(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _ratio_order(y: list, d: list) -> list[int]:
+    """Indices sorting y/d non-increasingly; the sort is stable, so ties
+    keep index order."""
+    ratios = [v / w for v, w in zip(y, d)]
+    return sorted(range(len(ratios)), key=ratios.__getitem__, reverse=True)
+
+
+def ratio_order(y, d) -> np.ndarray:
     """Permutation sorting y/d non-increasingly; ties broken by index."""
-    return np.argsort(-(y / d), kind="stable")
+    return np.array(_ratio_order(*_validated(y, d)), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -95,24 +126,27 @@ class ThermoCurve:
     def __call__(self, c) -> np.ndarray | float:
         return np.interp(c, self.c, self.f)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.c[-1])
 
-    @property
-    def total_value(self) -> float:
-        return float(self.f[-1])
+def _elbows(y: list, d: list, order: list[int] | None = None) -> tuple[list, list]:
+    """Elbows (c, f) of the thermomajorization curve of validated y and d:
+    the prefix sums of d and of y in the ratio order of y (given or sorted
+    here), from 0."""
+    if order is None:
+        order = _ratio_order(y, d)
+    return [0.0, *accumulate(d[i] for i in order)], [0.0, *accumulate(y[i] for i in order)]
 
 
-def _elbows(y: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elbows (c, f) of the thermomajorization curve of validated y and d."""
-    order = ratio_order(y, d)
-    return (np.concatenate(([0.0], np.cumsum(d[order]))),
-            np.concatenate(([0.0], np.cumsum(y[order]))))
+def _interp(c: float, cs: list, fs: list) -> float:
+    """np.interp(c, cs, fs) for 0 <= c and non-decreasing cs from 0: the same
+    segment, the same formula."""
+    j = bisect_right(cs, c) - 1
+    if j == len(cs) - 1 or cs[j] == c:
+        return fs[j]
+    return (fs[j + 1] - fs[j]) / (cs[j + 1] - cs[j]) * (c - cs[j]) + fs[j]
 
 
 def thermo_curve(y, d) -> ThermoCurve:
-    return ThermoCurve(*_elbows(*_validated(y, d)))
+    return ThermoCurve(*map(np.array, _elbows(*_validated(y, d))))
 
 
 def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
@@ -127,19 +161,17 @@ def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
 
 def majorizes(x, y, tol: float = 1e-9) -> bool:
     """True iff x is majorized by y (equal totals, dominated partial sums)."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
-    return bool(_majorized_rows(x, y, tol))
+    x, y, _ = _validated(x, y, None)
+    return bool(_majorized_rows(np.array(x), np.array(y), tol))
 
 
 def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
     """Decide x <=_d y, i.e. existence of a d-stochastic matrix mapping y to x.
 
-    Three equivalent criteria are implemented, each as one array pass:
-      norm          -- ||x - t d||_1 <= ||y - t d||_1 at all t in y/d at once
-      positive_part -- sum (x - t d)_+ <= sum (y - t d)_+ at all t in x/d, y/d
+    Three equivalent criteria are implemented, each on Python floats:
+      norm          -- ||x - t d||_1 <= ||y - t d||_1 at every t in y/d
+      positive_part -- sum (x - t d)_+ <= sum (y - t d)_+ at every t in x/d,
+                       y/d, as prefix sums in ratio order: one sorted sweep
       curve         -- thermomajorization-curve dominance at the elbows of x
     All include the trace-equality requirement and compare within
     tol * ||y||_1, exactly at y = 0.  With equal totals ||v||_1 =
@@ -152,26 +184,36 @@ def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
     return _d_majorizes(x, y, d, method, tol)
 
 
-def _d_majorizes(x, y, d, method: str, tol: float) -> bool:
+def _d_majorizes(x: list, y: list, d: list, method: str, tol: float) -> bool:
     """d_majorizes on validated vectors of equal length."""
     eps = _scaled_tol(y, tol)
-    if abs(x.sum() - y.sum()) > eps:
+    if abs(sum(x) - sum(y)) > eps:
         return False
+
+    if method == "norm":
+        xd, yd = list(zip(x, d)), list(zip(y, d))
+        return all(sum([abs(u - t * w) for u, w in xd])
+                   <= sum([abs(v - t * w) for v, w in yd]) + 2.0 * eps
+                   for t in [v / w for v, w in yd])
 
     if method == "curve":
         cx, fx = _elbows(x, d)
         cy, fy = _elbows(y, d)
         # dominance at the elbows of the lower curve suffices (concavity)
-        return bool((fx[1:-1] <= np.interp(cx[1:-1], cy, fy) + eps).all())
+        return all(f <= _interp(c, cy, fy) + eps for c, f in zip(cx[1:-1], fx[1:-1]))
 
-    # rows t d for every critical t; axis 0 of the reductions is (x, y)
-    xy = np.stack((x, y))[:, None, :]
-    if method == "norm":
-        norms = np.abs(xy - (y / d)[:, None] * d).sum(axis=2)
-        return bool((norms[0] <= norms[1] + 2.0 * eps).all())
-    ts = np.concatenate((x / d, y / d))[:, None] * d
-    parts = np.maximum(xy - ts, 0.0).sum(axis=2)
-    return bool((parts[0] <= parts[1] + eps).all())
+    # sum (v - t d)_+ = f_k - t c_k over the curve's first k elbows, those of
+    # the k ratios of v above t: one bisection into the negated ratios
+    sweeps = []
+    for v in (x, y):
+        order = _ratio_order(v, d)
+        sweeps.append(([-v[i] / d[i] for i in order], *_elbows(v, d, order)))
+    (kx, cx, fx), (ky, cy, fy) = sweeps
+    for u in kx + ky:                                   # u = -t
+        i, j = bisect_left(kx, u), bisect_left(ky, u)
+        if fx[i] + u * cx[i] > fy[j] + u * cy[j] + eps:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +231,21 @@ class StochasticMatrix:
     n_t_transforms: int | None = None
 
     def validate(self, entry_tol: float = 1e-12, sum_tol: float = 1e-10) -> None:
-        a = self.matrix
-        if np.min(a) < -entry_tol:
-            raise ValueError(f"negative entry {np.min(a):.3e} in stochastic matrix")
-        if np.max(np.abs(a.sum(axis=0) - 1.0)) > sum_tol:
+        # each test passes only what it bounds: a NaN entry fails its column
+        rows = self.matrix.tolist()
+        low = min(map(min, rows))
+        if low < -entry_tol:
+            raise ValueError(f"negative entry {low:.3e} in stochastic matrix")
+        if not all(abs(sum(col) - 1.0) <= sum_tol for col in zip(*rows)):
             raise ValueError("column sums deviate from 1")
-        if self.kind == "doubly" and np.max(np.abs(a.sum(axis=1) - 1.0)) > sum_tol:
+        if self.kind == "doubly" and not all(abs(sum(row) - 1.0) <= sum_tol for row in rows):
             raise ValueError("row sums deviate from 1")
         if self.kind == "d-stochastic":
             if self.d is None:
                 raise ValueError("d-stochastic matrix must carry its weight vector")
-            if np.abs(a @ self.d - self.d).sum() > _scaled_tol(self.d, sum_tol):
+            d = self.d.tolist()
+            if not sum(abs(sum(map(mul, row, d)) - w) for row, w in zip(rows, d)) <= \
+                    _scaled_tol(d, sum_tol):
                 raise ValueError("weight vector is not a fixed point")
 
     @property
@@ -241,8 +287,8 @@ def _pieces(d: list, px: list, py: list) -> list[tuple[float, int, int]]:
     pieces that sum to its weight; each width is rounded once."""
     ratios = [v.as_integer_ratio() for v in d]
     den = max(q for _, q in ratios)                     # a power of two
-    ex, ey = (list(accumulate(ratios[i][0] * (den // ratios[i][1]) for i in p))
-              for p in (px, py))
+    scaled = [p * (den // q) for p, q in ratios]
+    ex, ey = (list(accumulate(scaled[i] for i in p)) for p in (px, py))
     out, start, i, j = [], 0, 0, 0
     while i < len(d):                                   # both layouts end at once
         end = min(ex[i], ey[j])
@@ -251,8 +297,7 @@ def _pieces(d: list, px: list, py: list) -> list[tuple[float, int, int]]:
     return out
 
 
-def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
-                    tol: float) -> StochasticMatrix:
+def _chain_transfer(x: list, y: list, d: list, tol: float) -> StochasticMatrix:
     """d-stochastic A with A y = x, for validated x <=_d y.
 
     On the at most 2n-1 _pieces of the ratio orders of x and of y, of widths
@@ -261,29 +306,31 @@ def _chain_transfer(x: np.ndarray, y: np.ndarray, d: np.ndarray,
     masses to those of x, and the rows of the pieces of x_i sum to row i of
     A.  At d = e each piece is one entry, and A is the chain permuted.
     """
-    n = x.size
-    xl, yl, dl = x.tolist(), y.tolist(), d.tolist()
+    n, weights = len(x), np.array(d)
     # both shortcuts and the chain's floor are relative to ||y||_1, so the
     # certificate of (s x, s y) is that of (x, y) for every power of two s
-    total, eps = float(d.sum()), _scaled_tol(y, 1e-3 * tol)
-    if sum(abs(u - v) for u, v in zip(xl, yl)) <= eps:
-        return StochasticMatrix(np.eye(n), "d-stochastic", d=d, n_t_transforms=0)
-    mean = sum(yl) / total
-    if sum(abs(u - mean * v) for u, v in zip(xl, dl)) <= eps:
-        return StochasticMatrix(np.outer(d, np.ones(n)) / total, "d-stochastic", d=d,
-                                n_t_transforms=0)
+    eps = _scaled_tol(y, 1e-3 * tol)
+    if sum(abs(u - v) for u, v in zip(x, y)) <= eps:
+        return StochasticMatrix(np.eye(n), "d-stochastic", d=weights, n_t_transforms=0)
+    total = float(weights.sum())
+    mean = sum(y) / total
+    if sum(abs(u - mean * v) for u, v in zip(x, d)) <= eps:
+        return StochasticMatrix(np.outer(weights, np.ones(n)) / total, "d-stochastic",
+                                d=weights, n_t_transforms=0)
 
-    pieces = _pieces(dl, ratio_order(x, d).tolist(), ratio_order(y, d).tolist())
-    rows = [[0.0] * j + [w / dl[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
-    rows, count = _t_transform_chain([xl[i] * w / dl[i] for w, i, _ in pieces],
-                                     [row[j] * yl[j] for row, (_, _, j) in zip(rows, pieces)],
+    pieces = _pieces(d, _ratio_order(x, d), _ratio_order(y, d))
+    rows = [[0.0] * j + [w / d[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
+    rows, count = _t_transform_chain([x[i] * w / d[i] for w, i, _ in pieces],
+                                     [row[j] * y[j] for row, (_, _, j) in zip(rows, pieces)],
                                      [w for w, _, _ in pieces], rows)
-    a = np.zeros((n, n))
-    np.add.at(a, [i for _, i, _ in pieces], rows)
-    out = StochasticMatrix(a, "d-stochastic", d=d, n_t_transforms=count)
+    a = [[0.0] * n for _ in range(n)]
+    for (_, i, _), row in zip(pieces, rows):
+        a[i] = list(map(add, a[i], row))
+    out = StochasticMatrix(np.array(a), "d-stochastic", d=weights, n_t_transforms=count)
     # column sums and A d = d (row sums at d = e) within 1e-8, A y = x within tol
     out.validate(entry_tol=1e-8, sum_tol=1e-8)
-    residual, gate = np.abs(a @ y - x).sum(), max(tol, 1e-8)
+    residual = sum(abs(sum(map(mul, row, y)) - u) for row, u in zip(a, x))
+    gate = max(tol, 1e-8)
     if residual > _scaled_tol(y, gate):
         raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds {gate:.0e}")
     return out
@@ -294,13 +341,10 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     d = e, from at most n-1 T-transforms.  Requires majorizes(x, y); the
     minimal element (uniform mean) gets the averaging certificate e e^T / n.
     """
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
-    if not _majorized_rows(x, y, tol):
+    x, y, e = _validated(x, y, None)
+    if not _majorized_rows(np.array(x), np.array(y), tol):
         raise ValueError("doubly_stochastic_transfer requires x to be majorized by y")
-    out = _chain_transfer(x, y, np.ones(x.size), tol)
+    out = _chain_transfer(x, y, e, tol)
     return StochasticMatrix(out.matrix, "doubly", n_t_transforms=out.n_t_transforms)
 
 
@@ -331,11 +375,8 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     so a side of tiny mass keeps unit column sums.  A y = z_+ - z_- = z
     holds within 1e-9 * ||y||_1 of x.
     """
-    x = as_vector(x)
-    y = as_vector(y)
+    x, y = map(np.array, _validated(x, y, None)[:2])
     n = x.size
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
     if abs(x.sum() - y.sum()) > _scaled_tol(y, 1e-10):
         raise ValueError("column_stochastic_transfer requires equal totals")
     if np.abs(x).sum() > np.abs(y).sum() + _scaled_tol(y, 1e-10):

@@ -79,9 +79,10 @@ def halfspace_bounds(y, d) -> HPolytope:
     evaluated at the subset's d-weight; the trace rows carry +-e^T y.
     """
     y, d = _validated(y, d)
-    n = y.size
+    n = len(y)
     weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
-    return HPolytope(n=n, b=np.append(np.interp(weights, *_elbows(y, d)), (y.sum(), -y.sum())))
+    total = float(np.sum(y))
+    return HPolytope(n=n, b=np.append(np.interp(weights, *_elbows(y, d)), (total, -total)))
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
@@ -197,7 +198,8 @@ def max_corner(y, d) -> np.ndarray:
     It is generated by any permutation sorting d non-increasingly; ties are
     broken by index.  Unique up to permutation of its entries.
     """
-    y, d = _validated(y, d)
+    yl, dl = _validated(y, d)
+    y, d = np.array(yl), np.array(dl)
     if np.min(y) < 0:
         raise ValueError("max_corner requires y >= 0 entrywise")
     perm = np.argsort(-d, kind="stable")
@@ -205,7 +207,7 @@ def max_corner(y, d) -> np.ndarray:
     if np.all(ratios[:-1] >= ratios[1:]):
         # y/d sorted like d: y is its own maximal corner, exactly
         return y.copy()
-    cum = np.interp(np.cumsum(d[perm]), *_elbows(y, d))  # the curve at d's prefix sums
+    cum = np.interp(np.cumsum(d[perm]), *_elbows(yl, dl))  # the curve at d's prefix sums
     cum[1:] -= cum[:-1]
     z = np.empty_like(y)
     z[perm] = cum

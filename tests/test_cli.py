@@ -279,8 +279,12 @@ class TestCheck:
         weights = subnormal_weight_files(tmp_path)
         cases += [["check", x, y, "--d", w, "--method", method]
                   for w in weights for method in ("norm", "positive_part", "curve")]
+        # x < x, but its sums overflow: refused with or without --d, never False
+        big = write(tmp_path, "big.json", [1e308, 1e308])
+        cases += [["check", big, big], ["check", big, big, "--certificate"],
+                  ["check", big, big, "--d", write(tmp_path, "unit.json", [1, 1])]]
         codes = run_campaign(capsys, cases,
-                             {files[text] for text in NON_REAL_VECTORS} | set(weights))
+                             {files[text] for text in NON_REAL_VECTORS} | set(weights) | {big})
         assert {0, 1, 2} <= set(codes)
 
     def test_overflowing_weight_ratios_exit_input(self, tmp_path, capture):

@@ -278,8 +278,8 @@ class TestThermoCurve:
         d = rng.uniform(0.5, 2.0, size=4)
         curve = thermo_curve(y, d)
         assert curve.f[0] == 0.0
-        assert np.isclose(curve.total_weight, d.sum())
-        assert np.isclose(curve.total_value, y.sum())
+        assert np.isclose(curve.c[-1], d.sum())
+        assert np.isclose(curve.f[-1], y.sum())
 
     def test_frozen_elbows_match_min_formula(self):
         # derived via the direct min-formula oracle at c = 1 and c = 3
@@ -753,6 +753,41 @@ class TestRatioOverflow:
                      lambda: majorization_envelope(x, d, sample_count=0)):
             with pytest.raises(ValueError):
                 call()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_is_refused_at_every_position(self, bad):
+        # the guard reads lists, and max over a list passes a NaN by unless
+        # it comes first: each entry gets its own finiteness test
+        x, y, d = [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [1.0, 2.0, 3.0]
+        for i in range(3):
+            for which in range(3):
+                args = [list(v) for v in (x, y, d)]
+                args[which][i] = bad
+                for method in D_MAJORIZE_METHODS:
+                    with pytest.raises(ValueError, match="finite"):
+                        d_majorizes(*args, method=method)
+                with pytest.raises(ValueError, match="finite"):
+                    d_stochastic_transfer(*args)
+                with pytest.raises(ValueError, match="finite"):
+                    thermo_curve(*((args[which], d) if which < 2 else (y, args[2])))
+                if which < 2:
+                    for call in (majorizes, doubly_stochastic_transfer,
+                                 column_stochastic_transfer):
+                        with pytest.raises(ValueError, match="finite"):
+                            call(*args[:2])
+
+    def test_classical_routes_guard_the_range(self):
+        # x = y near the float range: x < x holds, but its sums overflow;
+        # the classical routes take the guard at d = e, as --d [1, 1] does
+        big = [1e308, 1e308]
+        for call in (majorizes, doubly_stochastic_transfer, column_stochastic_transfer):
+            with pytest.raises(ValueError, match="must stay finite"):
+                call(big, big)
+        with pytest.raises(ValueError, match="must stay finite"):
+            d_majorizes(big, big, [1.0, 1.0])
+        half = [v / 4 for v in big]
+        assert majorizes(half, half) and d_majorizes(half, half, [1.0, 1.0])
+        assert np.array_equal(doubly_stochastic_transfer(half, half).matrix, np.eye(2))
 
     def test_large_entries_within_the_range_pass(self):
         d = np.array([0.2, 0.3, 0.5])

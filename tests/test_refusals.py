@@ -9,12 +9,14 @@ from dmajor.cnr import c_numerical_range_sample, c_spectrum, unitary_orbit_extre
 from dmajor.dissipation import (BathRates, Generator, apply_gamma, b0_from_rates, equidistant_d,
                                 flow, propagator, zero_temperature_rates)
 from dmajor.majorize import (StochasticMatrix, column_stochastic_transfer, d_majorizes,
-                             doubly_stochastic_transfer)
+                             doubly_stochastic_transfer, majorizes)
 from dmajor.polytope import HPolytope, contains, halfspace_bounds, vertex_for_permutation
 from dmajor.reach import reachable_sample, synthesize_local
 
 I2, I3 = np.eye(2), np.eye(3)
 QUARTER = np.full(4, 0.25)
+# x < x holds, but the sums of x overflow: refused, not answered False
+BIG = [1e308, 1e308]
 
 
 def _zero_temp(n):
@@ -67,6 +69,10 @@ REFUSALS = {
                           "negative entry -5.000e-01 in stochastic matrix"),
     "validate-column-sums": (lambda: StochasticMatrix(np.full((2, 2), 0.6), "column").validate(),
                              "column sums deviate from 1"),
+    # every comparison with NaN is False, so a NaN entry must fail its column
+    "validate-nan": (lambda: StochasticMatrix(np.array([[1.0, 0.0], [0.0, np.nan]]),
+                                              "column").validate(),
+                     "column sums deviate from 1"),
     "validate-row-sums": (lambda: StochasticMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]),
                                                    "doubly").validate(),
                           "row sums deviate from 1"),
@@ -80,6 +86,9 @@ REFUSALS = {
                                "x and y must have equal length"),
     "doubly-transfer-total": (lambda: doubly_stochastic_transfer([0.5, 0.4], [0.5, 0.5]),
                               "doubly_stochastic_transfer requires x to be majorized by y"),
+    "majorizes-range": (lambda: majorizes(BIG, BIG), "must stay finite"),
+    "doubly-transfer-range": (lambda: doubly_stochastic_transfer(BIG, BIG), "must stay finite"),
+    "column-transfer-range": (lambda: column_stochastic_transfer(BIG, BIG), "must stay finite"),
     "column-transfer-length": (lambda: column_stochastic_transfer([1.0, 0.0], [1.0, 0.0, 0.0]),
                                "x and y must have equal length"),
     "column-transfer-total": (lambda: column_stochastic_transfer([0.5, 0.4], [0.5, 0.5]),
