@@ -39,7 +39,7 @@ _EXPORTS = {
         "thermal_rates",
         "zero_temperature_rates",
     ),
-    "linalg": ("expm", "hermitian_eig", "perm_matrix"),
+    "linalg": ("expm", "hermitian_eig"),
     "majorize": (
         "MaximalElement",
         "StochasticMatrix",

@@ -66,42 +66,6 @@ class SuperOperator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
-    def compose(self, other: "SuperOperator") -> "SuperOperator":
-        """self after other."""
-        if other.dim_out != self.dim_in:
-            raise ValueError("composition dimension mismatch")
-        return SuperOperator(other.dim_in, self.dim_out, self.action @ other.action)
-
-    @classmethod
-    def from_function(cls, f, dim_in: int, dim_out: int) -> "SuperOperator":
-        action = np.zeros((dim_out ** 2, dim_in ** 2), dtype=complex)
-        for j in range(dim_in):
-            for i in range(dim_in):
-                unit = np.zeros((dim_in, dim_in), dtype=complex)
-                unit[i, j] = 1.0
-                action[:, i + j * dim_in] = vec(np.asarray(f(unit), dtype=complex))
-        return cls(dim_in, dim_out, action)
-
-    @classmethod
-    def from_kraus(cls, ops) -> "SuperOperator":
-        ops = [np.asarray(k, dtype=complex) for k in ops]
-        rows, cols = ops[0].shape
-        # the sum of kron(conj(K), K)
-        action = sum((k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(rows ** 2, -1)
-                     for k in ops)
-        return cls(cols, rows, action)
-
-    @classmethod
-    def identity(cls, n: int) -> "SuperOperator":
-        return cls(n, n, np.eye(n ** 2, dtype=complex))
-
-    @classmethod
-    def trace_projection(cls, state: np.ndarray) -> "SuperOperator":
-        """X -> tr(X) * state."""
-        state = np.asarray(state, dtype=complex)
-        n = state.shape[0]
-        return cls(n, n, np.outer(vec(state), vec(np.eye(n))))
-
 
 def choi(t: SuperOperator) -> np.ndarray:
     """Block matrix (T(E_jk))_{j,k} of size dim_in*dim_out."""

@@ -73,11 +73,3 @@ def check_permutation(images) -> np.ndarray:
     if not np.array_equal(np.sort(p), np.arange(n)):
         raise ValueError(f"the {n} entries are not a permutation of 0..{n - 1}")
     return p
-
-
-def perm_matrix(images) -> np.ndarray:
-    """Permutation matrix P with (P x)_j = x_{images[j]}."""
-    p = check_permutation(images)
-    m = np.zeros((p.size, p.size))
-    m[np.arange(p.size), p] = 1.0
-    return m

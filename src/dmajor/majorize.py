@@ -32,15 +32,23 @@ class SimplexViolationError(Exception):
     """A state left the simplex beyond numerical tolerance."""
 
 
+def _holds_bool(x) -> bool:
+    """Whether x is a boolean or a list or tuple holding one, at any depth."""
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_))
+
+
 def as_real_array(x) -> np.ndarray:
     """x as a float array.  Strings, booleans, objects and complex numbers
-    are refused, though float() would take "0.5" and True."""
+    are refused, though float() would take "0.5" and True; so are booleans
+    among numbers in lists, which numpy would read as 0 and 1."""
     v = np.asarray(x)
-    if v.dtype != np.float64:
-        if v.dtype.kind not in "iuf":
-            raise ValueError(f"expected real numbers, got entries of dtype {v.dtype}")
-        v = v.astype(float)
-    return v
+    if v.dtype.kind not in "iuf":
+        raise ValueError(f"expected real numbers, got entries of dtype {v.dtype}")
+    if not isinstance(x, np.ndarray) and _holds_bool(x):
+        raise ValueError("expected real numbers, got a boolean")
+    return v if v.dtype == np.float64 else v.astype(float)
 
 
 def _real_vector(x) -> np.ndarray:

@@ -9,12 +9,15 @@ order, and so on) followed by the two trace rows +-e^T.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
+from typing import NamedTuple
 
 import numpy as np
 
-from .majorize import _elbows, _scaled_tol, _validated, as_vector
+from .majorize import _elbows, _interp, _scaled_tol, _validated, as_real_array, as_vector
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -42,12 +45,28 @@ def constraint_matrix(n: int) -> np.ndarray:
     return rows
 
 
+class _Tables(NamedTuple):
+    """What vertex enumeration needs at one n, whatever y and d are."""
+
+    perms: np.ndarray           # the n! permutations in lexicographic order, one per row
+    tuples: tuple[tuple[int, ...], ...]
+    prefixes: np.ndarray        # the subset mask of each prefix of each permutation
+    singletons: tuple[tuple[tuple[int, ...]], ...]   # the groups when every corner is distinct
+    projections: np.ndarray     # _first_within's w = 1/sqrt(i + 2) and w2 = (-1)^i w, as columns
+
+
 @lru_cache(maxsize=None)
-def _permutations(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+def _permutations(n: int) -> _Tables:
+    """The tables of n, built on the first call at n (never at import), then
+    reused."""
     tuples = tuple(itertools.permutations(range(n)))
     perms = np.array(tuples)
-    perms.setflags(write=False)
-    return perms, tuples
+    w = 1.0 / np.sqrt(np.arange(n) + 2.0)
+    tables = _Tables(perms, tuples, np.cumsum(1 << perms, axis=1), tuple((p,) for p in tuples),
+                     np.column_stack((w, w * (-1.0) ** np.arange(n))))
+    for table in (tables.perms, tables.prefixes, tables.projections):
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -78,11 +97,15 @@ def halfspace_bounds(y, d) -> HPolytope:
     Every subset row bound is the thermomajorization curve of (y, d)
     evaluated at the subset's d-weight; the trace rows carry +-e^T y.
     """
-    y, d = _validated(y, d)
+    return _bounds(*_validated(y, d))
+
+
+def _bounds(y: list, d: list) -> HPolytope:
+    """halfspace_bounds of validated y and d."""
     n = len(y)
     weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
-    total = float(np.sum(y))
-    return HPolytope(n=n, b=np.append(np.interp(weights, *_elbows(y, d)), (total, -total)))
+    total = float(np.add.reduce(y))               # np.sum's reduction, without its wrapper
+    return HPolytope(n=n, b=np.concatenate((np.interp(weights, *_elbows(y, d)), (total, -total))))
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
@@ -98,9 +121,14 @@ def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
 
 def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:
     """vertex_for_permutation for every row of perms, in one array pass."""
+    return _prefix_corners(perms, np.cumsum(1 << perms, axis=1), poly)
+
+
+def _prefix_corners(perms: np.ndarray, prefixes: np.ndarray, poly: HPolytope) -> np.ndarray:
+    """_corners, given the subset mask of each prefix of each row of perms."""
     b_by_mask = np.zeros(2 ** poly.n)
     b_by_mask[_row_masks(poly.n)] = poly.b[:-1]
-    cum = b_by_mask[np.cumsum(1 << perms, axis=1)]
+    cum = b_by_mask[prefixes]
     cum[:, 1:] -= cum[:, :-1]                           # prefix bounds to entries
     x = np.empty(perms.shape)
     x[np.arange(perms.shape[0])[:, None], perms] = cum
@@ -140,18 +168,17 @@ def _first_within(pts: np.ndarray, tol: float) -> np.ndarray:
     unmerged rows of its w-window that w2 leaves.  Memory is O(k n).
     """
     k, n = pts.shape
-    w = 1.0 / np.sqrt(np.arange(n) + 2.0)
-    proj = pts @ w
-    order = np.argsort(proj, kind="stable")
-    proj = proj[order]
-    reach = tol + 4 * n * np.finfo(float).eps * float(np.abs(pts).sum(axis=1).max())
-    apart = np.ones(k + 1, dtype=bool)                  # sorted neighbours beyond reach
-    apart[1:-1] = proj[1:] - proj[:-1] > reach
-    todo = ~(apart[:-1] & apart[1:])                    # by sorted position
+    both = pts @ _permutations(n).projections           # one matmul, (k, 2)
+    order = np.argsort(both[:, 0], kind="stable")
+    proj = both[order, 0]
+    reach = tol + 4 * n * sys.float_info.epsilon * float(np.abs(pts).sum(axis=1).max())
+    far = proj[1:] - proj[:-1] > reach                  # sorted neighbours beyond reach
     owner = np.arange(k)
-    if not todo.any():
+    if far.all():
         return owner
-    proj2 = pts[order] @ (w * (-1.0) ** np.arange(n))
+    apart = np.concatenate(([True], far, [True]))
+    todo = ~(apart[:-1] & apart[1:])                    # by sorted position
+    proj2 = both[order, 1]
     at = np.flatnonzero(todo)[np.argsort(order[todo])]  # in row order
     lo, hi = np.searchsorted(proj, proj[at] + [[-reach], [reach]])
     for i, a, b in zip(at.tolist(), lo.tolist(), hi.tolist()):
@@ -171,25 +198,33 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     Only corners that crowd in a sorted projection are compared (_first_within).
     Permutations sharing one corner (ratio ties) are recorded together;
     points appear in order of their first generating permutation.
+
+    y and d are validated once.  The tables that depend on n alone (the
+    permutations, their prefix masks, the projections of _first_within and
+    the one-permutation groups) are built on the first call at each n and
+    reused.
     """
     if not dedup_tol > 0:
         raise ValueError("dedup_tol must be positive")
-    poly = halfspace_bounds(y, d)                       # validates y and d
-    perms, perm_tuples = _permutations(poly.n)
-    pts = _corners(perms, poly)
-    y = as_vector(y)
+    y, d = _validated(y, d)
+    poly = _bounds(y, d)
+    tables = _permutations(poly.n)
+    pts = _prefix_corners(tables.perms, tables.prefixes, poly)
     owner = _first_within(pts, _scaled_tol(y, dedup_tol))
     kept = owner == np.arange(owner.size)
-    gen: list[list[tuple[int, ...]]] = [[] for _ in range(int(kept.sum()))]
-    for perm, s in zip(perm_tuples, (np.cumsum(kept) - 1)[owner].tolist()):
-        gen[s].append(perm)
-    points = pts[kept]
+    if kept.all():                                      # every corner distinct
+        points, perms = pts, tables.singletons
+    else:
+        gen: list[list[tuple[int, ...]]] = [[] for _ in range(int(kept.sum()))]
+        for perm, s in zip(tables.tuples, (np.cumsum(kept) - 1)[owner].tolist()):
+            gen[s].append(perm)
+        points, perms = pts[kept], tuple(map(tuple, gen))
     # in blocks of points: one (2^n, k) slack array is ~140 MB at n = 8
     for lo in range(0, len(points), 1024):
         slack = constraint_matrix(poly.n) @ points[lo:lo + 1024].T - poly.b[:, None]
         if float(slack.max()) > _scaled_tol(y, 1e-9):
             raise RuntimeError("enumerated corner violates the half-space system")
-    return VertexSet(points=points, perms=tuple(map(tuple, gen)))
+    return VertexSet(points=points, perms=perms)
 
 
 def max_corner(y, d) -> np.ndarray:
@@ -197,31 +232,40 @@ def max_corner(y, d) -> np.ndarray:
 
     It is generated by any permutation sorting d non-increasingly; ties are
     broken by index.  Unique up to permutation of its entries.
+
+    Runs on the validated lists of Python floats; numpy builds only the
+    returned array.
     """
-    yl, dl = _validated(y, d)
-    y, d = np.array(yl), np.array(dl)
-    if np.min(y) < 0:
+    y, d = _validated(y, d)
+    if min(y) < 0:
         raise ValueError("max_corner requires y >= 0 entrywise")
-    perm = np.argsort(-d, kind="stable")
-    ratios = (y / d)[perm]
-    if np.all(ratios[:-1] >= ratios[1:]):
+    perm = sorted(range(len(d)), key=d.__getitem__, reverse=True)   # stable: ties keep index order
+    ratios = [y[i] / d[i] for i in perm]
+    if all(map(ge, ratios, ratios[1:])):
         # y/d sorted like d: y is its own maximal corner, exactly
-        return y.copy()
-    cum = np.interp(np.cumsum(d[perm]), *_elbows(yl, dl))  # the curve at d's prefix sums
-    cum[1:] -= cum[:-1]
-    z = np.empty_like(y)
-    z[perm] = cum
-    return z
+        return np.array(y)
+    cs, fs = _elbows(y, d)
+    z, prev = [0.0] * len(y), 0.0
+    for i, c in zip(perm, itertools.accumulate(d[i] for i in perm)):
+        f = _interp(c, cs, fs)                          # the curve at d's prefix sums
+        z[i], prev = f - prev, f
+    return np.array(z)
 
 
 def _point_sets(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Two non-empty point sets of one dimension, one point per row."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
+    """Two non-empty point sets of one dimension, one point per row, with
+    finite real entries (as_real_array) whose 1-norm distances, at most
+    n (max|p| + max|q|), stay within the float range."""
+    p, q = np.atleast_2d(as_real_array(p)), np.atleast_2d(as_real_array(q))
     if p.size == 0 or q.size == 0:
         raise ValueError("Hausdorff distance requires non-empty point sets")
     if p.shape[1] != q.shape[1]:
         raise ValueError("point sets must share a dimension")
+    top = float(np.abs(p).max()) + float(np.abs(q).max())   # nan or inf past a bad entry
+    if not 2 * p.shape[1] * top <= sys.float_info.max:
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            raise ValueError("point entries must be finite")
+        raise ValueError(f"max|p| + max|q| = {top:.3g} puts distances beyond the float range")
     return p, q
 
 

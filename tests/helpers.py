@@ -1,11 +1,61 @@
 """Constructions the tests share that the library itself never calls:
 random d-stochastic matrices, an independent form of the thermomajorization
-curve, the thermal mixing angles and the pinching channel."""
+curve, the thermal mixing angles, permutation matrices, and superoperators:
+the identity, built from a function, from Kraus operators, by composition,
+and the pinching and trace-projection channels."""
 
 import numpy as np
 
-from dmajor.channels import SuperOperator
+from dmajor.channels import SuperOperator, vec
+from dmajor.linalg import check_permutation
 from dmajor.majorize import as_vector, as_weight_vector
+
+
+def perm_matrix(images) -> np.ndarray:
+    """Permutation matrix P with (P x)_j = x_{images[j]}."""
+    p = check_permutation(images)
+    m = np.zeros((p.size, p.size))
+    m[np.arange(p.size), p] = 1.0
+    return m
+
+
+def identity_superoperator(n: int) -> SuperOperator:
+    return SuperOperator(n, n, np.eye(n ** 2, dtype=complex))
+
+
+def compose(t: SuperOperator, s: SuperOperator) -> SuperOperator:
+    """t after s."""
+    if s.dim_out != t.dim_in:
+        raise ValueError("composition dimension mismatch")
+    return SuperOperator(s.dim_in, t.dim_out, t.action @ s.action)
+
+
+def from_function(f, dim_in: int, dim_out: int) -> SuperOperator:
+    """The superoperator of a linear map f, read off the matrix units."""
+    action = np.zeros((dim_out ** 2, dim_in ** 2), dtype=complex)
+    for j in range(dim_in):
+        for i in range(dim_in):
+            unit = np.zeros((dim_in, dim_in), dtype=complex)
+            unit[i, j] = 1.0
+            action[:, i + j * dim_in] = vec(np.asarray(f(unit), dtype=complex))
+    return SuperOperator(dim_in, dim_out, action)
+
+
+def from_kraus(ops) -> SuperOperator:
+    """X -> sum K X K^dagger."""
+    ops = [np.asarray(k, dtype=complex) for k in ops]
+    rows, cols = ops[0].shape
+    # the sum of kron(conj(K), K)
+    action = sum((k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(rows ** 2, -1)
+                 for k in ops)
+    return SuperOperator(cols, rows, action)
+
+
+def trace_projection(state: np.ndarray) -> SuperOperator:
+    """X -> tr(X) * state."""
+    state = np.asarray(state, dtype=complex)
+    n = state.shape[0]
+    return SuperOperator(n, n, np.outer(vec(state), vec(np.eye(n))))
 
 
 def random_d_stochastic(d, rng: np.random.Generator) -> np.ndarray:

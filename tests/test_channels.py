@@ -24,7 +24,8 @@ from dmajor.channels import (
 )
 from dmajor.linalg import hermitian_eig
 from dmajor.majorize import _within_norm, column_stochastic_transfer, d_majorizes
-from helpers import pinching_superoperator
+from helpers import (compose, from_function, from_kraus, identity_superoperator,
+                     pinching_superoperator, trace_projection)
 
 
 def rand_hermitian(rng, n):
@@ -78,7 +79,7 @@ def composed_channel(a, b, null_state=None, tol=1e-9):
         pinch.action[:, j + j * n] = vec(u.conj().T @ omega @ u)
     into_v = SuperOperator(n, n, np.kron(v.T, v.conj().T))
     out_u = SuperOperator(n, n, np.kron(u.conj(), u))
-    return out_u.compose(pinch).compose(into_v)
+    return compose(compose(out_u, pinch), into_v)
 
 
 # the qutrit map from the strict-positivity discussion: cptp, not sp, and
@@ -91,7 +92,7 @@ def qutrit_corner_map():
         out[1, 0] = -1j / np.sqrt(2) * (x[1, 0] + x[2, 0])
         out[1, 1] = x[1, 1] + x[2, 2]
         return out
-    return SuperOperator.from_function(f, 3, 3)
+    return from_function(f, 3, 3)
 
 
 class TestVec:
@@ -103,7 +104,7 @@ class TestVec:
 
 class TestChoi:
     def test_identity_is_rank_one(self):
-        c = choi(SuperOperator.identity(3))
+        c = choi(identity_superoperator(3))
         w = np.linalg.eigvalsh(c)
         assert np.sum(w > 1e-9) == 1
         assert np.isclose(w[-1], 3.0)
@@ -118,23 +119,23 @@ class TestChoi:
     def test_trace_projection(self):
         psi = np.array([1.0, 1j]) / np.sqrt(2)
         state = np.outer(psi, psi.conj())
-        c = choi(SuperOperator.trace_projection(state))
+        c = choi(trace_projection(state))
         assert np.allclose(c, np.kron(np.eye(2), state))
 
 
 class TestPredicates:
     def test_identity(self):
-        t = SuperOperator.identity(2)
+        t = identity_superoperator(2)
         assert is_cp(t) and is_tp(t) and is_unital(t) and is_strictly_positive(t)
 
     def test_transposition_not_cp(self):
-        t = SuperOperator.from_function(lambda x: x.T, 2, 2)
+        t = from_function(lambda x: x.T, 2, 2)
         assert not is_cp(t)
         assert is_strictly_positive(t)
 
     def test_trace_projection_cp_tp_not_sp(self):
         state = np.diag([1.0, 0.0]).astype(complex)
-        t = SuperOperator.trace_projection(state)
+        t = trace_projection(state)
         assert is_cp(t) and is_tp(t)
         assert not is_strictly_positive(t)
         assert not is_unital(t)
@@ -144,7 +145,7 @@ class TestPredicates:
         def f(x):
             return np.array([[x[0, 0] + x[1, 1] / 2, 0], [0, x[1, 1] / 2]],
                             dtype=complex)
-        t = SuperOperator.from_function(f, 2, 2)
+        t = from_function(f, 2, 2)
         assert is_cp(t) and is_tp(t) and is_strictly_positive(t)
 
     def test_sp_closed_under_composition(self):
@@ -154,10 +155,10 @@ class TestPredicates:
                   for _ in range(2)]
             k2 = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                   for _ in range(2)]
-            t1 = SuperOperator.from_kraus(k1)
-            t2 = SuperOperator.from_kraus(k2)
+            t1 = from_kraus(k1)
+            t2 = from_kraus(k2)
             if is_strictly_positive(t1) and is_strictly_positive(t2):
-                assert is_strictly_positive(t2.compose(t1))
+                assert is_strictly_positive(compose(t2, t1))
 
 
 def _unit_images(t):
@@ -203,12 +204,12 @@ class TestActionPredicates:
             elif trial % 3 == 1 and k > 1:
                 # a kernel for T(1): the last output row is zero
                 kraus = [np.vstack([op[:-1], np.zeros((1, n))]) for op in kraus]
-            t = SuperOperator.from_kraus(kraus)
+            t = from_kraus(kraus)
             if trial % 5 == 2:
                 t = SuperOperator(n, k, t.action + 1e-3 * rng.standard_normal(t.action.shape))
             elif trial % 5 == 4:
                 # Hermiticity preserving but not positive
-                t = SuperOperator(n, k, t.action - SuperOperator.from_kraus(kraus[:1]).action * 2)
+                t = SuperOperator(n, k, t.action - from_kraus(kraus[:1]).action * 2)
 
             ref = np.zeros((n * k, n * k), dtype=complex)
             tp = True
@@ -229,13 +230,13 @@ class TestActionPredicates:
                     assert np.array_equal(kernel_block_form(t)[2], want)
 
             state = rand_density(rng, n)
-            want = SuperOperator.from_function(lambda x: np.trace(x) * state, n, n)
-            assert np.array_equal(SuperOperator.trace_projection(state).action, want.action)
+            want = from_function(lambda x: np.trace(x) * state, n, n)
+            assert np.array_equal(trace_projection(state).action, want.action)
 
 
 class TestKernelBlockForm:
     def test_sp_map_has_trivial_kernel(self):
-        m, _, proj = kernel_block_form(SuperOperator.identity(3))
+        m, _, proj = kernel_block_form(identity_superoperator(3))
         assert m == 0
         assert np.allclose(proj, np.eye(3))
 
@@ -250,7 +251,7 @@ class TestKernelBlockForm:
         assert m == 1
 
     def test_qubit_trace_projection(self):
-        t = SuperOperator.trace_projection(np.diag([1.0, 0.0]).astype(complex))
+        t = trace_projection(np.diag([1.0, 0.0]).astype(complex))
         m, _, proj = kernel_block_form(t)
         assert m == 1
         assert np.allclose(proj, np.diag([1.0, 0.0]))
@@ -259,7 +260,7 @@ class TestKernelBlockForm:
         rng = np.random.default_rng(1)
         kraus = [np.vstack([rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
                             np.zeros((1, 3))]) for _ in range(3)]
-        t = SuperOperator.from_kraus(kraus)
+        t = from_kraus(kraus)
         m, u, proj = kernel_block_form(t)
         assert m >= 1
         assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
@@ -267,7 +268,7 @@ class TestKernelBlockForm:
     def test_non_positive_map_detected(self):
         def f(x):
             return np.array([[x[0, 0], 0], [0, -x[1, 1]]], dtype=complex)
-        t = SuperOperator.from_function(f, 2, 2)
+        t = from_function(f, 2, 2)
         with pytest.raises(PositivityError):
             kernel_block_form(t)
 
@@ -286,7 +287,7 @@ class TestChannelBetween:
         rho = rand_density(rng, 3)
         a = np.trace(b).real * rho
         if trace_norm(a) <= trace_norm(b):
-            t = SuperOperator.trace_projection(rho)
+            t = trace_projection(rho)
             assert trace_norm(t.apply(b) - a) <= 1e-9
 
     def test_random_pairs(self):
@@ -544,7 +545,7 @@ class TestPureStateReachable:
 
 class TestIdentityDistanceWitness:
     def test_qubit_trace_projection(self):
-        t = SuperOperator.trace_projection(np.diag([1.0, 0.0]).astype(complex))
+        t = trace_projection(np.diag([1.0, 0.0]).astype(complex))
         psi, value = identity_distance_witness(t)
         assert np.isclose(abs(psi[1]), 1.0)
         assert abs(value - 2.0) <= 1e-8
@@ -561,13 +562,13 @@ class TestIdentityDistanceWitness:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         with pytest.raises(ValueError, match="T\\(1\\) is nonsingular"):
-            identity_distance_witness(SuperOperator.identity(2))
+            identity_distance_witness(identity_superoperator(2))
 
 
 def test_unit_image_hermiticity_is_checked_once_for_all():
     # T(X) = X K with K non-Hermitian has T(1) = K: each T(1) consumer refuses it
     k = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    t = SuperOperator.from_function(lambda x: x @ k, 2, 2)
+    t = from_function(lambda x: x @ k, 2, 2)
     for check in (is_strictly_positive, kernel_block_form, identity_distance_witness):
         with pytest.raises(ValueError, match="T\\(1\\) is not Hermitian"):
             check(t)

@@ -1085,7 +1085,7 @@ PACKAGE_EXPORTS = {
     "dissipation": ["BathRates", "Generator", "apply_gamma", "b0_from_rates", "equidistant_d",
                     "flow", "gibbs_vector", "steady_state", "thermal_rates",
                     "zero_temperature_rates"],
-    "linalg": ["expm", "hermitian_eig", "perm_matrix"],
+    "linalg": ["expm", "hermitian_eig"],
     "majorize": ["MaximalElement", "StochasticMatrix", "ThermoCurve",
                  "column_stochastic_transfer", "d_majorizes", "d_stochastic_transfer",
                  "doubly_stochastic_transfer", "majorizes", "maximal_element",

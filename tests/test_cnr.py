@@ -11,8 +11,8 @@ from dmajor.cnr import (
     haar_unitaries,
     unitary_orbit_extrema,
 )
-from dmajor.linalg import perm_matrix
 from dmajor.majorize import majorizes
+from helpers import perm_matrix
 
 
 def rand_hermitian(rng, n):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmajor.linalg import check_square, expm, hermitian_eig, perm_matrix
+from dmajor.linalg import check_square, expm, hermitian_eig
+from helpers import perm_matrix
 
 
 def taylor_expm(a, t):

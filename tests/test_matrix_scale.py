@@ -23,6 +23,7 @@ from dmajor.dissipation import Generator, steady_state
 from dmajor.linalg import check_square
 from dmajor.majorize import d_majorizes
 from dmajor.polytope import HPolytope, halfspace_bounds, vertex_for_permutation
+from helpers import from_function, identity_superoperator, trace_projection
 
 SCALES = [2.0 ** k for k in range(-40, 41)] + [1e-9, 1e9]
 
@@ -193,7 +194,7 @@ def test_hermiticity_within_the_input_tolerance_is_checked_once():
     assert same_at_every_scale(verdict, *cases) == [[True, True], [True], [True]]
     # T(X) = X K with K = I up to such a skew part: T(1) = K, no kernel
     k = np.eye(2) + 1e-11 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert kernel_block_form(SuperOperator.from_function(lambda x: x @ k, 2, 2))[0] == 0
+    assert kernel_block_form(from_function(lambda x: x @ k, 2, 2))[0] == 0
 
 
 def test_diagonal_2x2_agrees_with_d_majorizes_near_vertices():
@@ -213,8 +214,8 @@ class TestChecks:
     def test_is_cp(self):
         rng = np.random.default_rng(97)
         n = 2
-        swap = SuperOperator.from_function(lambda x: x.T, n, n)
-        ident = SuperOperator.identity(n)
+        swap = from_function(lambda x: x.T, n, n)
+        ident = identity_superoperator(n)
         cases = []
         # identity mixed with the transpose: the Choi matrix has eigenvalue
         # -lam on the antisymmetric subspace
@@ -223,7 +224,7 @@ class TestChecks:
         # X -> X + 1e-6 tr(X) E_01 does not preserve Hermiticity
         unit = np.zeros((n, n), dtype=complex)
         unit[0, 1] = 1e-6
-        cases.append((SuperOperator.from_function(lambda x: x + np.trace(x) * unit, n, n).action,
+        cases.append((from_function(lambda x: x + np.trace(x) * unit, n, n).action,
                       n))
         a = rand_hermitian(rng, 3)
         cases.append((channel_between(a, a).action, 3))
@@ -235,7 +236,7 @@ class TestChecks:
     def test_strict_positivity_and_kernel(self):
         # s·I is strictly positive with no kernel at every scale; the trace
         # projection onto diag(1, 0) has T(1) = diag(2, 0), a kernel of one
-        cases = [(np.eye(4), 0), (SuperOperator.trace_projection(np.diag([1.0, 0.0])).action, 1)]
+        cases = [(np.eye(4), 0), (trace_projection(np.diag([1.0, 0.0])).action, 1)]
 
         def verdict(s, action, _):
             t = SuperOperator(2, 2, s * action)

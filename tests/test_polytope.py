@@ -226,7 +226,8 @@ class TestVertexKernel:
         rng = np.random.default_rng(11)
         for n in range(1, 7):
             poly = halfspace_bounds(rng.standard_normal(n), rng.uniform(0.2, 2.0, size=n))
-            perms, tuples = polytope._permutations(n)
+            tables = polytope._permutations(n)
+            perms, tuples = tables.perms, tables.tuples
             assert tuples == tuple(itertools.permutations(range(n)))
             assert perms.shape == (math.factorial(n), n)
             rows = polytope._corners(perms, poly)

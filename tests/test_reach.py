@@ -12,7 +12,7 @@ import dmajor.polytope
 import dmajor.reach
 from dmajor.dissipation import BathRates, Generator, b0_from_rates, equidistant_d, flow, \
     propagator, thermal_rates, zero_temperature_rates
-from dmajor.linalg import expm, perm_matrix
+from dmajor.linalg import expm
 from dmajor.majorize import majorizes
 from dmajor.reach import (
     EnvelopeReport,
@@ -29,6 +29,7 @@ from dmajor.reach import (
     synthesize_from_ground,
     synthesize_local,
 )
+from helpers import perm_matrix
 
 
 def _gen(n):

@@ -10,8 +10,10 @@ from dmajor.dissipation import (BathRates, Generator, apply_gamma, b0_from_rates
                                 flow, propagator, zero_temperature_rates)
 from dmajor.majorize import (StochasticMatrix, column_stochastic_transfer, d_majorizes,
                              doubly_stochastic_transfer, majorizes)
-from dmajor.polytope import HPolytope, contains, halfspace_bounds, vertex_for_permutation
+from dmajor.polytope import (HPolytope, contains, halfspace_bounds, hausdorff, hull_hausdorff,
+                             vertex_for_permutation)
 from dmajor.reach import reachable_sample, synthesize_local
+from helpers import compose, identity_superoperator
 
 I2, I3 = np.eye(2), np.eye(3)
 QUARTER = np.full(4, 0.25)
@@ -30,9 +32,10 @@ def _poly():
 REFUSALS = {
     "superoperator-shape": (lambda: SuperOperator(2, 2, I3),
                             "action matrix shape does not match the declared dimensions"),
-    "superoperator-apply": (lambda: SuperOperator.identity(2).apply(I3),
+    "superoperator-apply": (lambda: identity_superoperator(2).apply(I3),
                             "input dimension mismatch"),
-    "superoperator-compose": (lambda: SuperOperator.identity(2).compose(SuperOperator.identity(3)),
+    "superoperator-compose": (lambda: compose(identity_superoperator(2),
+                                              identity_superoperator(3)),
                               "composition dimension mismatch"),
     "channel-between-size": (lambda: channel_between(I2, I3), "A and B must have equal size"),
     "matrix-majorizes-size": (lambda: matrix_majorizes(I2, I3), "A and B must have equal size"),
@@ -98,6 +101,26 @@ REFUSALS = {
     "contains-dimension": (lambda: contains([0.2, 0.3, 0.5], _poly()), "dimension mismatch"),
     "vertex-permutation-length": (lambda: vertex_for_permutation([0, 1, 2], _poly()),
                                   "permutation length must equal the polytope dimension"),
+    # each once returned nan, inf or 1.0
+    "hausdorff-nan": (lambda: hausdorff([[np.nan, 0.0]], [[0.0, 0.0]]),
+                      "point entries must be finite"),
+    "hausdorff-inf": (lambda: hausdorff([[0.0, 0.0]], [[np.inf, 0.0]]),
+                      "point entries must be finite"),
+    "hausdorff-string": (lambda: hausdorff([["1", 0]], [[0.0, 0.0]]),
+                         "expected real numbers, got entries of dtype <U"),
+    "hausdorff-boolean": (lambda: hausdorff([[True, 0]], [[0.0, 0.0]]),
+                          "expected real numbers, got a boolean"),
+    "hausdorff-range": (lambda: hausdorff([[1e308, 0.0]], [[-1e308, 0.0]]),
+                        "beyond the float range"),
+    "hull-hausdorff-nan": (lambda: hull_hausdorff([[0.0, 0.0]], [[np.nan, 0.0]]),
+                           "point entries must be finite"),
+    "hull-hausdorff-boolean": (lambda: hull_hausdorff([[0.0, 0.0]], [[0.5, True]]),
+                               "expected real numbers, got a boolean"),
+    "hull-hausdorff-range": (lambda: hull_hausdorff([[1e308, 0.0]], [[-1e308, 0.0]]),
+                             "beyond the float range"),
+    # numpy reads a boolean among numbers as 0 or 1
+    "vector-boolean-among-numbers": (lambda: d_majorizes([0.5, 0.5], [1, True], [1.0, 1.0]),
+                                     "expected real numbers, got a boolean"),
     "local-synthesis-eps": (lambda: synthesize_local(2, 2, QUARTER, QUARTER, 0.0),
                             "eps must be positive"),
     "local-synthesis-size": (lambda: synthesize_local(2, 2, [0.5, 0.5], QUARTER, 1e-6),
