@@ -13,7 +13,7 @@ import contextlib
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class _Series:
         terms[0] = np.eye(n_mat.shape[0])
         for p in range(1, _SERIES_DEGREE + 1):
             terms[p] = terms[p - 1] @ n_mat / p
+        terms.setflags(write=False)     # shared by generators with the same B0
         self.terms, self.mu, self.complement = terms, mu, complement
         # a leading block's columns are N's, cut above the zeros below the
         # diagonal, so its 1-norm is the largest of N's first m column sums
@@ -86,7 +87,8 @@ class _Series:
         """t -> the pairs (u, exp(u (N - mu I))) of the leading m x m block
         for u = t, 2t, 4t, ...  Each u is evaluated afresh while u ||N||_1 <
         1/2 and then by one squaring, equal bit for bit to a walk started at
-        u.  Raises ValueError when u*N or the result is not finite."""
+        u.  Raises ValueError when u*N or the result is not finite, which is
+        tested where it can fail: past e^(u ||N||_1) = e^700, or at h^18 = inf."""
         flat = self.terms[:, :m, :m].reshape(_SERIES_DEGREE + 1, m * m)
         norm, mu, complement = float(self.norms[m - 1]), self.mu, self.complement
 
@@ -105,8 +107,7 @@ class _Series:
                     e = (h ** _SERIES_POWERS @ flat).reshape(m, m)
                     if mu:
                         e *= math.exp(-h * mu)
-                # entries stay below e^(t ||N||_1), so only past e^700 can they
-                # overflow, which is then reported below and not warned about
+                # past e^700 an overflow is reported below, not warned about
                 with (np.errstate(over="ignore", invalid="ignore") if t * norm > 700.0
                       else contextlib.nullcontext()):
                     for _ in range(s):
@@ -115,7 +116,7 @@ class _Series:
                 # squaring may start from the complement
                 if complement:
                     e[0] = 1.0 - e[1:].sum(axis=0)
-                elif not np.isfinite(e).all():
+                elif (t * norm > 700.0 or h > 2.0 ** 56) and not np.isfinite(e).all():
                     raise ValueError("matrix exponential overflows")
                 yield t, e
                 t *= 2.0
@@ -197,8 +198,9 @@ class Generator:
     @cached_property
     def _ladder(self) -> tuple[_Series, _Series] | None:
         """(forward, backward) series for exp(-t B0) and exp(t B0), for a
-        zero-temperature B0 of at most MAX_BATH_DIM levels; None for every
-        other generator.
+        zero-temperature B0 of at most MAX_BATH_DIM levels, shared by every
+        generator with the same B0 of at most 64 levels (_ladder_of, at most
+        10.2 MB); None for every other generator.
 
         B0 is upper bidiagonal with diagonal >= 0 and superdiagonal <= 0.  The
         forward flow is exp(-t B0) = e^{-t mu} exp(t (mu I - B0)), mu = max
@@ -209,9 +211,17 @@ class Generator:
         b0 = self.b0
         if self.n > MAX_BATH_DIM or self._balance is None or np.diagonal(b0, -1).any():
             return None
-        mu = float(np.diagonal(b0).max())
-        return (_Series(mu * np.eye(self.n) - b0, mu, complement=True),
-                _Series(b0, 0.0, complement=False))
+        return (_ladder_of if self.n <= 64 else _ladder_of.__wrapped__)(b0.tobytes(), self.n)
+
+
+# the last 8 ladders of at most 64 levels, by B0's bytes: 8 x (2 x 19 + 1) x 64^2 doubles,
+# 10.2 MB at most.  A build is 5-40 % of a synthesis at every n; one of 256 levels is 20 MB
+@lru_cache(maxsize=8)
+def _ladder_of(key: bytes, n: int) -> tuple[_Series, _Series]:
+    b0 = np.frombuffer(key).reshape(n, n)
+    mu = float(np.diagonal(b0).max())
+    return (_Series(mu * np.eye(n) - b0, mu, complement=True),
+            _Series(b0, 0.0, complement=False))
 
 
 def check_zero_temperature(gen: Generator) -> None:

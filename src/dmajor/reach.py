@@ -189,14 +189,17 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate,
     where walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t, ...
 
-    The bracket ends at the first state of walk(t_first) that leaves the
-    open simplex, t_first being the last 1e-6 * 2^k with t_first ||B0||_1 <=
-    1/2, from where the series walks by squaring.  Safeguarded Newton steps
-    toward the earliest crossing of a falling coordinate then shrink the
-    bracket to 2e-15 * max(1, t), a few ulps of t; a 31-point grid, stepped
-    by one exponential, guards against skipping an earlier crossing.  Each
-    probe and the grid step take the first value of a walk.  Returns (time,
-    index, w(time)) with ties resolved toward the lowest index.
+    B0 is a block of a zero-temperature generator: upper bidiagonal, with a
+    diagonal >= 0 and a superdiagonal < 0.  So w never re-enters the simplex
+    (at the highest J with w_J < 0, w_J' = b_JJ w_J + b_J,J+1 w_J+1 <= 0 until
+    a coordinate above J is negative), and min w > 0 holds on one interval
+    [0, tau).  The bracket ends at the first state of walk(t_first) outside
+    the open simplex, t_first being the last 1e-6 * 2^k with t_first ||B0||_1
+    <= 1/2, from where the series walks by squaring.  Safeguarded Newton
+    steps toward the earliest crossing of a falling coordinate, on Python
+    floats, then shrink it to 2e-15 * tau, a few ulps.  Each probe takes the
+    first value of a walk.  Returns (time, index, w(time)) with ties resolved
+    toward the lowest index.
     """
     scale = max(1.0, float(np.abs(z).sum()))
     if float(z.min()) <= 1e-12 * scale:
@@ -206,53 +209,45 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     t_first = 1e-6
     while 2.0 * t_first * norm <= 0.5:
         t_first *= 2.0
-    t_lo, w_lo = 0.0, z
-    for t_hi, e in walk(t_first):
+    lo, wt = 0.0, z.tolist()
+    for hi, e in walk(t_first):
         w_hi = e @ z
-        if not w_hi.min() > 0.0:
+        w = w_hi.tolist()
+        if not min(w) > 0.0:
             break
-        if t_hi > 2.0 ** 59:
+        if hi > 2.0 ** 59:
             raise SimplexViolationError("backward flow never hits a face")
-        t_lo, w_lo = t_hi, w_hi
+        lo, wt = hi, w
 
-    for _ in range(4):
-        lo, hi = t_lo, t_hi
-        t, wt, at_lo = lo, w_lo, True
-        move_before = move = hi - lo
-        while hi - lo > 2e-15 * max(1.0, hi):
-            # Newton toward the earliest crossing of a falling coordinate
-            # (d/dt w = B0 w), landing a quarter tolerance past it so that
-            # both ends close in; bisect when that leaves the bracket or
-            # fails to halve the step before last
-            slope = b0 @ wt
-            falling = slope < 0.0
-            probe = 0.5 * (lo + hi)
-            if falling.any():
-                newton = float(np.min(t - wt[falling] / slope[falling]))
-                newton += (0.5e-15 if at_lo else -0.5e-15) * max(1.0, hi)
-                if lo < newton < hi and 2.0 * abs(newton - t) <= move_before:
-                    probe = newton
-            move_before, move = move, abs(probe - t)
-            t, wt = probe, next(walk(probe))[1] @ z
-            at_lo = bool(wt.min() > 0.0)
-            if at_lo:
-                lo = t
-            else:
-                hi, w_hi = t, wt
-        tau, w_tau = hi, w_hi
-        h = (tau - t_lo) / 32.0
-        step = next(walk(h))[1]
-        grid = np.empty((31, z.size))
-        v = w_lo
-        for k in range(31):
-            v = grid[k] = step @ v
-        below = grid.min(axis=1) < -1e-13 * scale
-        if not below.any():
-            break
-        k = int(below.argmax())
-        t_hi, w_hi = t_lo + (k + 1) * h, grid[k]
-    hit = np.nonzero(w_tau <= w_tau.min() + 1e-13 * scale)[0]
-    return tau, int(hit[0]), w_tau
+    diag, upper = np.diagonal(b0).tolist(), np.diagonal(b0, 1).tolist() + [0.0]
+    t, at_lo, cross = lo, True, 0.25
+    move_before = move = hi - lo
+    while hi - lo > 2e-15 * hi:
+        # Newton toward the earliest crossing of a falling coordinate (w' = B0 w),
+        # landing a quarter of the stop past it so that both ends close in; from
+        # within the stop, by a share of it that doubles each time, to outgrow the
+        # rounding of w.  Bisect when that leaves the bracket or fails to halve
+        stop = 2e-15 * hi
+        probe = 0.5 * (lo + hi)
+        slope = [d * a + u * b for d, u, a, b in zip(diag, upper, wt, wt[1:] + [0.0])]
+        step = min((-a / s for a, s in zip(wt, slope) if s < 0.0), default=None)
+        if step is not None:
+            near = abs(step) <= stop
+            share = cross if near else 0.25
+            cross *= 2.0 if near else 1.0
+            newton = t + step + (share if at_lo else -share) * stop
+            if lo < newton < hi and (near or 2.0 * abs(newton - t) <= move_before):
+                probe = newton
+        move_before, move = move, abs(probe - t)
+        t, w_t = probe, next(walk(probe))[1] @ z
+        wt = w_t.tolist()
+        at_lo = min(wt) > 0.0
+        if at_lo:
+            lo = t
+        else:
+            hi, w_hi, w = t, w_t, wt
+    floor = min(w) + 1e-13 * scale
+    return hi, next(i for i, a in enumerate(w) if a <= floor), w_hi
 
 
 def _two_level_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarray]:
@@ -283,8 +278,14 @@ def _two_level_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.n
     return tau, 0, np.array([0.0, z1 * math.exp(b11 * tau)])
 
 
+def _ground_error_bound(x: np.ndarray) -> float:
+    """synthesize_from_ground's error bound, held against x itself."""
+    z = np.maximum(x, 0.0)
+    return 2.1e-12 * x.size + float(np.abs(z / z.sum() - x).sum())
+
+
 def synthesize_from_ground(gen: Generator, x) -> Schedule:
-    """Schedule of at most n-1 segments steering e_1 exactly to x.
+    """Schedule of at most n-1 segments steering e_1 to x.
 
     Built backwards: evolve x backward until a coordinate vanishes while the
     state stays in the simplex, permute that face into the last active slot,
@@ -292,7 +293,10 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     generator's cached series.  The last step, on the leading 2 x 2 block,
     has the closed form of _two_level_face_hit, within an ulp of the exact
     time, so every schedule ends without a search and an n = 2 generator
-    never searches.
+    never searches.  It lands within 2.1e-12 n of x' = max(x, 0) / its total
+    in the 1-norm: a step may take a coordinate up to 1e-12 for zero, at
+    twice its mass, and rounding adds at most 5e-16 n on seeded Dirichlet
+    targets at n = 2..256 (1.4e-15 at n = 3, 1.2e-14 at 256).
     """
     check_zero_temperature(gen)
     series = gen._ladder[1]
@@ -354,11 +358,11 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
 
     Every later step is a 1-norm contraction, so the cooling error (< eps/2)
     carries through unchanged.  The ground schedule adds its own error: each
-    face hit is located to 2e-15 * max(1, tau) in time, a few ulps (the last,
-    two-level one to an ulp, in closed form), and the state is renormalized
-    onto the face, leaving ~6e-14 (1-norm) at n = 8, ~2e-12 at 64 and ~3e-11
-    at 256 on seeded Dirichlet states.  The endpoint error is at most eps/2
-    plus that, and a smaller eps is not met; measure it with endpoint.
+    face hit is located to 2e-15 tau, a few ulps (the last, two-level one to
+    an ulp, in closed form), and the state is renormalized onto the face,
+    leaving ~2e-15 (1-norm) at n = 8 and ~1.2e-14 at 256 on seeded Dirichlet
+    states (synthesize_from_ground states a bound).  The endpoint error is at
+    most eps/2 plus that, and a smaller eps is not met; measure it with endpoint.
     The cooling flow's columns sum to 1 exactly, so it reaches e_1 up to the
     rounding of x0's total: SimplexViolationError is raised only when eps/2
     lies below that, as for an x0 whose total does not round to 1.

@@ -13,6 +13,7 @@ import dmajor
 import dmajor.cnr
 import dmajor.dissipation
 import dmajor.polytope
+import dmajor.reach
 from dmajor.cli import main
 
 # the checkout's src/ directory, so a fresh interpreter imports this dmajor
@@ -591,6 +592,40 @@ class TestSimulateSynthesize:
         code, _, err = capture(["synthesize", "--zero-temp", str(n), "--target", target])
         assert code == 2
         assert f"exceeds the cap MAX_BATH_DIM = {n - 1}" in err
+
+    def test_synthesize_from_ground_in_a_fast_time_unit(self, tmp_path, capture):
+        # B0 * 1e6 once reported 3.9e-9 and exited 0, unchecked
+        b0 = np.array(dmajor.dissipation.b0_from_rates(
+            dmajor.dissipation.zero_temperature_rates(4)).b0) * 1e6
+        code, out, _ = capture(["synthesize", "--b0", write(tmp_path, "b0.json", b0.tolist()),
+                                "--target", write(tmp_path, "t.json", [0.1, 0.2, 0.3, 0.4])])
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert len(diagnostics) == 1
+        assert float(diagnostics[0].rsplit(" ", 1)[1]) <= 1e-14
+
+    def test_synthesize_from_ground_exits_numeric_past_its_bound(self, tmp_path, capture,
+                                                                 monkeypatch):
+        # a ground schedule that misses on purpose: its first duration off by
+        # 1e-9 relative, far past the 2.1e-12 n the route states
+        real = dmajor.reach.synthesize_from_ground
+
+        def missing(gen, x):
+            sched = real(gen, x)
+            first = sched.segments[0]
+            sched.segments[0] = dmajor.reach.Segment(first.perm, first.duration * (1 + 1e-9))
+            return sched
+
+        monkeypatch.setattr(dmajor.reach, "synthesize_from_ground", missing)
+        target = write(tmp_path, "t.json", [0.1, 0.2, 0.3, 0.4])
+        code, out, _ = capture(["synthesize", "--zero-temp", "4", "--target", target])
+        assert code == 3
+        report = json.loads(out)
+        assert report["data"]["segments"]
+        assert report["diagnostics"][1] == "error exceeds the ground bound 8.400e-12"
+        monkeypatch.setattr(dmajor.reach, "synthesize_from_ground", real)
+        code, out, _ = capture(["synthesize", "--zero-temp", "4", "--target", target])
+        assert code == 0 and len(json.loads(out)["diagnostics"]) == 1
 
     def test_synthesize_within_eps_exits_zero(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])

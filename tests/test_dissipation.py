@@ -481,6 +481,57 @@ class TestZeroTemperatureSeries:
         with pytest.raises(ValueError, match="overflows"):
             backward.full(200.0)
 
+    def test_backward_overflow_of_the_step_powers_raises(self):
+        # at ||B0||_1 = 6e-20 the step h is t itself, and h^18 leaves the
+        # float range at t = 1e18, where t ||B0||_1 is far below e^700
+        backward = Generator(b0_from_rates(zero_temperature_rates(4)).b0 * 1e-20)._ladder[1]
+        assert float(backward.norms[-1]) * 1e18 < 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                backward.full(1e18)
+
+
+class TestLadderMemo:
+    def test_generators_with_the_same_b0_share_one_ladder(self):
+        for n in (1, 2, 5, 64):
+            first = b0_from_rates(zero_temperature_rates(n))._ladder
+            again = Generator(b0_from_rates(zero_temperature_rates(n)).b0.copy())._ladder
+            assert again is first
+
+    def test_terms_are_read_only(self):
+        forward, backward = b0_from_rates(zero_temperature_rates(4))._ladder
+        for series in (forward, backward):
+            with pytest.raises(ValueError):
+                series.terms[1, 0, 1] = 0.0
+
+    def test_a_hit_equals_a_fresh_build(self):
+        gen = b0_from_rates(BathRates(5, np.array([0.3, 2.0, 1.5, 0.7]), np.zeros(4)))
+        shared = gen._ladder
+        dmajor.dissipation._ladder_of.cache_clear()
+        fresh = Generator(gen.b0.copy())._ladder
+        assert fresh is not shared
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.terms, b.terms) and np.array_equal(a.norms, b.norms)
+            assert (a.mu, a.complement) == (b.mu, b.complement)
+            for t in (1e-3, 0.7, 9.0):
+                assert np.array_equal(a.full(t), b.full(t))
+
+    def test_keeps_only_built_ladders_of_at_most_64_levels(self):
+        memo = dmajor.dissipation._ladder_of
+        memo.cache_clear()
+        zero = b0_from_rates(zero_temperature_rates(3))._ladder
+        thermal = [b0_from_rates(thermal_rates(d)) for d in
+                   np.random.default_rng(3).dirichlet(np.ones(3), size=20)]
+        assert all(gen._ladder is None for gen in thermal)
+        assert memo.cache_info().currsize == 1
+        assert b0_from_rates(zero_temperature_rates(3))._ladder is zero
+        big = b0_from_rates(zero_temperature_rates(65))
+        assert big._ladder is not b0_from_rates(zero_temperature_rates(65))._ladder
+        assert memo.cache_info().currsize == 1
+        for n in range(2, 12):
+            b0_from_rates(zero_temperature_rates(n))._ladder
+        assert memo.cache_info().currsize == memo.cache_info().maxsize == 8
+
 
 @pytest.fixture
 def svd_calls(monkeypatch):

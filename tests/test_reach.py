@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import time
 
@@ -70,10 +71,12 @@ def _bisection_face_hit(b0, z):
 
 
 def _loop_face_hit(b0, z, walk):
-    """Reference: _first_face_hit with the guard grid checked one state at a
-    time, stopping at the first state below the face; walk(t) yields
-    (u, exp(u B0)) for u = t, 2t, 4t, ...  Also returns the number of
-    bracket passes, one more than the moves of the guard grid."""
+    """Reference: _first_face_hit with Newton slopes summed over every entry
+    of B0, and a guard grid against a skipped crossing checked one state at a
+    time: 31 states from the bracket's start to the hit, stepped by one
+    exponential, the bracket moved to the first below the face and searched
+    again.  walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t, ...  Also returns
+    the number of bracket passes, one more than the moves of the grid."""
     scale = max(1.0, float(np.abs(z).sum()))
     if float(np.min(z)) <= 1e-12 * scale:
         return 0.0, int(np.argmin(z)), z.copy(), 0
@@ -89,18 +92,27 @@ def _loop_face_hit(b0, z, walk):
         if t_hi > 2.0 ** 59:
             raise SimplexViolationError("backward flow never hits a face")
         t_lo, w_lo = t_hi, w_hi
+    rows = b0.tolist()
     for passes in range(1, 5):
         lo, hi = t_lo, t_hi
         t, wt, at_lo = lo, w_lo, True
         move_before = move = hi - lo
-        while hi - lo > 2e-15 * max(1.0, hi):
-            slope = b0 @ wt
-            falling = slope < 0.0
+        cross = 0.25
+        while hi - lo > 2e-15 * hi:
+            stop = 2e-15 * hi
+            w = wt.tolist()
+            slope = [math.fsum(r * a for r, a in zip(row, w)) for row in rows]
+            steps = [-a / s for a, s in zip(w, slope) if s < 0.0]
             probe = 0.5 * (lo + hi)
-            if falling.any():
-                newton = float(np.min(t - wt[falling] / slope[falling]))
-                newton += (0.5e-15 if at_lo else -0.5e-15) * max(1.0, hi)
-                if lo < newton < hi and 2.0 * abs(newton - t) <= move_before:
+            if steps:
+                step = min(steps)
+                if abs(step) <= stop:
+                    newton = t + step + (cross if at_lo else -cross) * stop
+                    cross *= 2.0
+                else:
+                    newton = t + step + (0.25 if at_lo else -0.25) * stop
+                if lo < newton < hi and (abs(step) <= stop
+                                         or 2.0 * abs(newton - t) <= move_before):
                     probe = newton
             move_before, move = move, abs(probe - t)
             t, wt = probe, next(walk(probe))[1] @ z
@@ -125,8 +137,9 @@ def _loop_face_hit(b0, z, walk):
 
 
 # rotating (b0, z) pairs, not generators, whose first bracket holds an earlier
-# crossing than the one the Newton and bisection steps find: the guard grid
-# moves the bracket.  They have no cached series, so _expm_walk evaluates them
+# crossing than the one the Newton and bisection steps find: the reference's
+# guard grid moves the bracket.  They have no cached series, so _expm_walk
+# evaluates them
 _SKIPPED_CROSSINGS = [
     (np.array([[-0.1, -0.30262018940639035, 3.1588265459827496, -6.140176616045918],
                [0.30262018940639035, -0.1, -2.4062495063544427, 3.43847493769642],
@@ -184,6 +197,26 @@ def faces():
                 m = int(rng.integers(2, n + 1))
                 out.append((gen.b0[:m, :m], rng.dirichlet(np.full(m, conc)),
                             gen._ladder[1].walk(m)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def rate_faces():
+    """Seeded (B0 block, state, walk) triples on pure-birth blocks of other
+    rates: the unit ladders of 12 to 64 levels and 30 ladders with rates
+    a_j = 10^U(-3, 3), 300 faces each, m = 3..n, Dirichlet states of three
+    concentrations."""
+    rng = np.random.default_rng(7)
+    gens = [_gen(n) for n in (12, 16, 24, 32, 48, 64)]
+    for _ in range(30):
+        n = int(rng.integers(3, 17))
+        gens.append(b0_from_rates(BathRates(n, 10.0 ** rng.uniform(-3, 3, n - 1), np.zeros(n - 1))))
+    out = []
+    for gen in gens:
+        for _ in range(300):
+            m = int(rng.integers(3, gen.n + 1))
+            out.append((gen.b0[:m, :m], rng.dirichlet(np.full(m, rng.choice([0.3, 1.0, 3.0]))),
+                        gen._ladder[1].walk(m)))
     return out
 
 
@@ -730,8 +763,9 @@ class TestGroundSynthesis:
     @pytest.mark.parametrize("n,count,bound", [(8, 20, 1e-12), (64, 4, 1e-11), (256, 2, 1e-10)])
     def test_seeded_ground_error(self, n, count, bound):
         # each face hit stops within a few ulps of its time, so what is left
-        # is the rounding of the flows; worst errors measured: 5e-14, 1.3e-12
-        # and 2.8e-11 over 40, 8 and 3 targets
+        # is the rounding of the flows; worst errors measured: 1.0e-15,
+        # 3.5e-15 and 5.3e-15 here (5e-14, 1.3e-12 and 2.8e-11 with a stop
+        # of 2e-15 * max(1, tau))
         gen = _gen(n)
         rng = np.random.default_rng(n)
         for _ in range(count):
@@ -744,6 +778,41 @@ class TestGroundSynthesis:
         with pytest.raises(ValueError):
             synthesize_from_ground(gen, [0.5, 0.3, 0.2])
 
+    @pytest.mark.parametrize("s", [1e3, 1e6])
+    def test_fast_time_units_keep_the_error(self, s):
+        # the face-hit stop is relative to tau, so s B0 with durations / s
+        # meets the target as B0 does (3.9e-12 and 3.9e-9 with a stop of
+        # 2e-15 * max(1, tau))
+        gen, target = Generator(_gen(4).b0 * s), np.array([0.1, 0.2, 0.3, 0.4])
+        sched = synthesize_from_ground(gen, target)
+        assert np.abs(endpoint(gen, np.eye(4)[0], sched) - target).sum() <= 1e-14
+
+    def test_within_the_stated_bound(self):
+        # 2.1e-12 n from x' = max(x, 0) / its total, measured against x
+        # itself; targets with entries near the 1e-12 zero-time exit are
+        # where the bound is spent
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 5, 8, 16, 64):
+            gen = _gen(n)
+            for k in range(12):
+                x = rng.dirichlet(np.full(n, (0.3, 1.0, 3.0)[k % 3]))
+                if k % 4 == 0:
+                    x[rng.integers(n)] = 9e-13
+                    x = x / x.sum()
+                x[rng.integers(n)] -= 1e-10 * (k % 2)    # within _check_simplex's tolerance
+                err = np.abs(endpoint(gen, np.eye(n)[0], synthesize_from_ground(gen, x)) - x).sum()
+                assert err <= dmajor.reach._ground_error_bound(x)
+
+    def test_schedules_equal_with_a_fresh_ladder(self):
+        # a ladder shared from an earlier generator gives the same schedule
+        # bit for bit as one built for this generator
+        rng = np.random.default_rng(43)
+        for n in (3, 6):
+            x0, x = rng.dirichlet(np.ones(n), size=2)
+            shared = synthesize(_gen(n), x0, x, 1e-9)
+            dmajor.dissipation._ladder_of.cache_clear()
+            _assert_same_schedule(synthesize(_gen(n), x0, x, 1e-9), shared)
+
 
 class TestFirstFaceHit:
     def test_matches_bisection_reference(self, faces):
@@ -755,26 +824,38 @@ class TestFirstFaceHit:
             assert abs(tau - tau_ref) <= 1e-10 * max(1.0, tau_ref)
             assert j == j_ref
 
-    def test_matches_state_by_state_grid(self, faces):
-        skipped = [(b0, z, _expm_walk(b0)) for b0, z in _SKIPPED_CROSSINGS]
-        for b0, z, walk in faces + skipped:
+    def test_matches_state_by_state_grid(self, faces, rate_faces):
+        # on pure-birth blocks the grid never moves the bracket, so the search
+        # without it returns the reference's hit bit for bit
+        assert len(rate_faces) >= 10000
+        for b0, z, walk in faces + rate_faces:
             tau, j, w = dmajor.reach._first_face_hit(b0, z, walk)
-            tau_ref, j_ref, w_ref, _ = _loop_face_hit(b0, z, walk)
+            tau_ref, j_ref, w_ref, passes = _loop_face_hit(b0, z, walk)
+            assert passes == 1 or tau_ref == 0.0
             assert (tau, j) == (tau_ref, j_ref)
             assert np.array_equal(w, w_ref)
+            # the hit state lies on the face to the rounding of w
+            assert w.min() >= -1e-13 * max(1.0, np.abs(z).sum())
 
-    def test_skipped_crossings_take_the_earlier_root(self):
-        # the first bracket of each holds two crossings; the guard grid moves
-        # the bracket onto the earlier one
-        roots = []
-        for b0, z in _SKIPPED_CROSSINGS:
+    def test_backward_flow_never_reenters_the_simplex(self, faces, rate_faces):
+        # the premise of the grid-free search: past the hit, the highest
+        # negative coordinate only falls
+        for b0, z, walk in faces[::5] + rate_faces[::40]:
+            tau, _, _ = dmajor.reach._first_face_hit(b0, z, walk)
+            for t in tau * np.linspace(1.0, 4.0, 13)[1:]:
+                assert (scipy.linalg.expm(t * b0) @ z).min() < 0.0
+
+    def test_grid_moves_on_blocks_outside_the_premise(self):
+        # rotating blocks, not pure-birth ones: the first bracket of each
+        # holds two crossings, and the reference's grid moves the bracket
+        # onto the earlier one, where the search alone may take the later
+        for (b0, z), (j_ref, root) in zip(_SKIPPED_CROSSINGS, [(3, 1.452367), (0, 0.664595)]):
             walk = _expm_walk(b0)
-            tau, j, _ = dmajor.reach._first_face_hit(b0, z, walk)
-            assert _loop_face_hit(b0, z, walk)[3] >= 2
-            roots.append((tau, j))
-        (tau0, j0), (tau1, j1) = roots
-        assert (j0, j1) == (3, 0)
-        assert abs(tau0 - 1.452367) <= 1e-6 and abs(tau1 - 0.664595) <= 1e-6
+            tau_ref, j, _, passes = _loop_face_hit(b0, z, walk)
+            assert passes >= 2
+            assert j == j_ref and abs(tau_ref - root) <= 1e-6
+        b0, z = _SKIPPED_CROSSINGS[1]
+        assert dmajor.reach._first_face_hit(b0, z, _expm_walk(b0))[0] > 1.0
 
     def test_few_exponentials_per_face(self, faces):
         starts = []
@@ -815,8 +896,8 @@ def _exact_two_level_root(b0, z):
 
 class TestTwoLevelFaceHit:
     def test_matches_the_search(self, two_level_faces):
-        # the search stops once its bracket is 2e-15 * max(1, tau) wide, as
-        # judged on rounded states: up to 2.2e-15 from the exact root here
+        # the search stops once its bracket is 2e-15 * tau wide, as judged
+        # on rounded states: up to 2.8e-15 * tau from the closed form here
         assert len(two_level_faces) >= 1000
         for b0, z, walk in two_level_faces:
             tau, j, w = dmajor.reach._two_level_face_hit(b0, z)
