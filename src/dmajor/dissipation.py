@@ -200,7 +200,8 @@ class Generator:
         """(forward, backward) series for exp(-t B0) and exp(t B0), for a
         zero-temperature B0 of at most MAX_BATH_DIM levels, shared by every
         generator with the same B0 of at most 64 levels (_ladder_of, at most
-        10.2 MB); None for every other generator.
+        10.2 MB, looked up before B0's form is checked); None for every other
+        generator.
 
         B0 is upper bidiagonal with diagonal >= 0 and superdiagonal <= 0.  The
         forward flow is exp(-t B0) = e^{-t mu} exp(t (mu I - B0)), mu = max
@@ -209,16 +210,23 @@ class Generator:
         which is the series of B0 itself, since B0 = D |B0| D.
         """
         b0 = self.b0
-        if self.n > MAX_BATH_DIM or self._balance is None or np.diagonal(b0, -1).any():
+        if self.n > MAX_BATH_DIM or np.diagonal(b0, -1).any():
             return None
-        return (_ladder_of if self.n <= 64 else _ladder_of.__wrapped__)(b0.tobytes(), self.n)
+        try:
+            return (_ladder_of if self.n <= 64 else _ladder_of.__wrapped__)(b0.tobytes(), self.n)
+        except LookupError:
+            return None
 
 
 # the last 8 ladders of at most 64 levels, by B0's bytes: 8 x (2 x 19 + 1) x 64^2 doubles,
 # 10.2 MB at most.  A build is 5-40 % of a synthesis at every n; one of 256 levels is 20 MB
 @lru_cache(maxsize=8)
 def _ladder_of(key: bytes, n: int) -> tuple[_Series, _Series]:
+    """The ladder of the B0 with these bytes and no lower rates; LookupError,
+    which lru_cache does not store, unless its upper rates are positive."""
     b0 = np.frombuffer(key).reshape(n, n)
+    if Generator(b0)._balance is None:
+        raise LookupError("B0 is not a zero-temperature ladder")
     mu = float(np.diagonal(b0).max())
     return (_Series(mu * np.eye(n) - b0, mu, complement=True),
             _Series(b0, 0.0, complement=False))
@@ -324,7 +332,8 @@ def propagator(gen: Generator, t: float | np.ndarray) -> np.ndarray:
     lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
     if lo < 0:
         raise ValueError("propagator requires t >= 0")
-    spectral, ladder = gen._spectral, gen._ladder
+    ladder = gen._ladder    # a memo hit skips _balance; a ladder has no spectral form
+    spectral = gen._spectral if ladder is None else None
     if spectral is None and ladder is None:
         return expm(gen.b0, -t)
     if t.ndim > 1:

@@ -27,7 +27,7 @@ MAX_TRAJECTORY_ROWS = 10 ** 6
 # rows times state length held by simulate: the row cap at 8 levels, 64 MB
 MAX_TRAJECTORY_ENTRIES = 8 * 10 ** 6
 MAX_SAMPLE_DEPTH = 12
-# schedules per envelope: 21 s, 63 MB max RSS at n = 8, depth 12 (2-core VM)
+# schedules per envelope: 3 s, 53 MB max RSS at n = 8, depth 12 (2-core VM)
 MAX_SAMPLE_COUNT = 100_000
 # the envelope reads its facets off polytope.constraint_matrix, capped at MAX_VERTEX_DIM
 MAX_ENVELOPE_DIM = 8
@@ -116,14 +116,22 @@ class Trajectory:
 
 
 def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
-           max_entries: float) -> Iterator[tuple[float, np.ndarray]]:
-    """(time, state) rows of the run from x0 sampled every dt: x0, then per
-    segment the permuted state, the flow's samples and its end.  x0 may hold
-    k copies of the n = gen.n levels, each flowing under exp(-t B0) (see
-    flow).  Raises ValueError before the first row when x0 is not a state
-    (_check_simplex), its length is not a multiple of n, a permutation's
-    length differs from x0's, or the rows would exceed MAX_TRAJECTORY_ROWS or
-    max_entries entries."""
+           max_entries: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (times, states) of the run from x0 sampled every dt: x0, then
+    per segment the permuted state, the flow's samples and its end.  x0 may
+    hold k copies of the n = gen.n levels, each flowing under exp(-t B0)
+    (see flow).  Raises ValueError before the first block when x0 is not a
+    state (_check_simplex), its length is not a multiple of n, a
+    permutation's length differs from x0's, or the rows would exceed
+    MAX_TRAJECTORY_ROWS or max_entries entries.
+
+    A flow's end is the clamped flow over its whole duration, as in
+    endpoint.  Its samples are the permuted state times P^j, P = exp(-dt
+    B0)^T, j = 1..K, formed by doubling (rows [m, 2m) are rows [0, m) times
+    P^m, P^m by repeated squaring: about 2 log2 K matmuls) and clamped
+    together.  Sample j lies within 4e-15 j (1-norm) of the clamped
+    propagator(gen, j dt) @ x: the rounding of P compounds over the j steps,
+    as it does one matvec at a time (n <= 8, j <= 1500, measured)."""
     x = _check_simplex(x0)
     n = gen.n
     if x.size % n or any(len(seg.perm) != x.size for seg in schedule.segments):
@@ -135,48 +143,52 @@ def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
         raise ValueError(f"trajectory of {rows:.3g} rows exceeds the cap {MAX_TRAJECTORY_ROWS}")
     if rows * x.size > max_entries:
         raise ValueError(f"trajectory of {rows * x.size:.3g} entries exceeds the cap {max_entries}")
-    t, step = 0.0, None
-    yield t, x.copy()
+    t, step, k = 0.0, None, x.size // n
+    yield np.zeros(1), x[None].copy()
     for seg in schedule.segments:
         x = x[seg.perm]
-        yield t, x
+        yield np.array([t]), x[None]
         if seg.duration > 0:
             n_steps = int(seg.duration // dt)
             if n_steps >= 1:
-                # the unclamped state is propagated; its samples are clamped together
+                # the unclamped state is propagated by doubling, in row blocks
+                # of the k copies; its samples are clamped together
                 if step is None:
                     step = propagator(gen, dt).T
-                samples = np.empty((n_steps, x.size))
-                xs = x.reshape(-1, n)
-                for k in range(n_steps):
-                    xs = xs @ step
-                    samples[k] = xs.reshape(-1)
-                for k, row in enumerate(_clamp_simplex(samples), 1):
-                    yield t + k * dt, row
+                samples = np.empty((n_steps * k, n))
+                samples[:k] = x.reshape(k, n) @ step
+                m, power = 1, step
+                while m < n_steps:
+                    samples[m * k:2 * m * k] = samples[:min(m, n_steps - m) * k] @ power
+                    m, power = 2 * m, power @ power
+                yield (t + np.arange(1.0, n_steps + 1.0) * dt,
+                       _clamp_simplex(samples.reshape(n_steps, x.size)))
             x = _clamp_simplex(flow(gen, x, seg.duration))
             t += seg.duration
-            yield t, x
+            yield np.array([t]), x[None]
 
 
 def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
     """Run the schedule from x0, sampling the dissipative stretches every dt.
 
     Segment endpoints come from one matrix exponential each, matching the
-    closed-form product of permutations and flows to machine precision.  See
-    _steps for x0, which may hold k copies of the n levels, and for the checks
-    made before any step; MAX_TRAJECTORY_ENTRIES caps the trajectory's entries."""
+    closed-form product of permutations and flows to machine precision.  The
+    dt samples between them are powers of one step, formed by doubling; the
+    j-th lies within 4e-15 j of its own exponential.  See _steps for these,
+    for x0, which may hold k copies of the n levels, and for the checks made
+    before any step; MAX_TRAJECTORY_ENTRIES caps the trajectory's entries."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     times, states = zip(*_steps(gen, x0, schedule, dt, MAX_TRAJECTORY_ENTRIES))
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(times=np.concatenate(times), states=np.concatenate(states))
 
 
 def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
     """Final state of a schedule: the last state of simulate with no sampling,
     under the same checks and row cap, holding one state at a time."""
-    for _, x in _steps(gen, x0, schedule, np.inf, np.inf):
+    for _, states in _steps(gen, x0, schedule, np.inf, np.inf):
         pass
-    return x
+    return states[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +612,7 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -609,7 +622,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -634,40 +647,66 @@ class SplitMix64:
         return np.array(p)
 
 
-def _draw(n: int, depth: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations (depth, n) and durations (depth,) of one random schedule."""
+def _draws(n: int, depth: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations (len(seeds), depth, n) and durations (len(seeds), depth)
+    of the random schedules of the given seeds, equal bit for bit to the
+    SplitMix64 streams: per segment, Fisher-Yates below n, n - 1, ..., 2,
+    then one uniform u, giving the duration exp(log 1e-3 + u log 1e5).
+
+    SplitMix64's state is a Weyl sequence, seed + j gamma mod 2^64, so the
+    j-th outputs of every seed are one uint64 array, mixed at once, and
+    Fisher-Yates swaps one column of every permutation at a time.  A draw
+    below b rejects the 2^64 mod b largest outputs (at most 4 of 2^64 for b
+    <= 8); a seed whose stream hits one is drawn by the class itself."""
     if not 0 <= depth <= MAX_SAMPLE_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {depth}")
-    rng = SplitMix64(seed)
-    perms = np.empty((depth, n), dtype=int)
-    u = np.empty(depth)
-    for i in range(depth):
-        perms[i] = rng.permutation(n)
-        u[i] = rng.uniform()
+    seeds = [s & _MASK64 for s in seeds]
+    k, width = len(seeds), max(n, 1)     # outputs per segment: n - 1 swaps, a uniform
+    z = np.array(seeds, dtype=np.uint64).reshape(k, 1) \
+        + np.arange(1, depth * width + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z = z.reshape(k, depth, width)
+    bounds = range(n, 1, -1)
+    below, u = z[..., :n - 1], (z[..., -1] >> np.uint64(11)) / float(1 << 53)
+    swaps = (below % np.array(bounds, dtype=np.uint64)).astype(np.intp)
+    perms = np.tile(np.arange(n), (k, depth, 1))
+    flat, rows = perms.reshape(k * depth, n), np.arange(k * depth)
+    for col, b in enumerate(bounds):
+        j = swaps[..., col].ravel()
+        flat[rows, b - 1], flat[rows, j] = flat[rows, j], flat[rows, b - 1]
+    top = np.array([_MASK64 - (_MASK64 + 1) % b for b in bounds], dtype=np.uint64)
+    for s in np.flatnonzero((below > top).any(axis=(1, 2))):
+        rng = SplitMix64(seeds[s])
+        for i in range(depth):
+            perms[s, i] = rng.permutation(n)
+            u[s, i] = rng.uniform()
     lo, hi = np.log(1e-3), np.log(1e2)
     return perms, np.exp(lo + u * (hi - lo))
 
 
 def random_schedule(n: int, depth: int, seed: int) -> Schedule:
     """Deterministic pseudo-random schedule: Fisher-Yates permutations and
-    log-uniform durations on [1e-3, 1e2]."""
-    perms, durations = _draw(n, depth, seed)
-    return Schedule([Segment(p, t) for p, t in zip(perms, durations.tolist())])
+    log-uniform durations on [1e-3, 1e2], drawn from SplitMix64(seed) bit
+    for bit (see _draws)."""
+    perms, durations = _draws(n, depth, [seed])
+    return Schedule([Segment(p, t) for p, t in zip(perms[0], durations[0].tolist())])
 
 
 def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:
     """States visited by the random schedules of the given seeds, x0 first:
     shape (len(seeds), depth + 1, n).
 
-    All propagators come from one stacked evaluation; the states of all
-    schedules then advance one segment at a time, by one matvec per schedule
-    as a single schedule would.
+    The schedules are drawn together (_draws) and all propagators come from
+    one stacked evaluation; the states of all schedules then advance one
+    segment at a time, by one matvec per schedule as a single schedule would.
     """
     x = _check_simplex(x0, gen.n)
-    drawn = [_draw(gen.n, depth, s) for s in seeds]
-    k = len(drawn)
-    perms = np.array([p for p, _ in drawn], dtype=int).reshape(k, depth, gen.n)
-    durations = np.array([t for _, t in drawn]).reshape(k, depth)
+    perms, durations = _draws(gen.n, depth, seeds)
+    k = len(perms)
     flows = propagator(gen, durations.ravel()).reshape(k, depth, gen.n, gen.n)
     out = np.empty((k, depth + 1, gen.n))
     out[:, 0] = x

@@ -532,6 +532,19 @@ class TestLadderMemo:
             b0_from_rates(zero_temperature_rates(n))._ladder
         assert memo.cache_info().currsize == memo.cache_info().maxsize == 8
 
+    def test_a_hit_skips_the_form_check_and_a_refusal_is_not_stored(self):
+        memo = dmajor.dissipation._ladder_of
+        shared = b0_from_rates(zero_temperature_rates(5))._ladder
+        gen = Generator(b0_from_rates(zero_temperature_rates(5)).b0.copy())
+        assert gen._ladder is shared and "_balance" not in vars(gen)
+        # no lower rates, but a vanishing upper one: refused at every call, never stored
+        before = memo.cache_info()
+        for _ in range(2):
+            gap = b0_from_rates(BathRates(4, np.array([1.0, 0.0, 2.0]), np.zeros(3)))
+            assert gap._ladder is None
+        after = memo.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses + 2)
+
 
 @pytest.fixture
 def svd_calls(monkeypatch):

@@ -280,6 +280,34 @@ def _per_point_sample(b0, x, depth, seed):
     return np.array(points)
 
 
+def _class_draws(n, depth, seed):
+    """Reference: one schedule's permutations and durations drawn from the
+    class, and the state the stream ends in."""
+    rng = SplitMix64(seed)
+    perms, u = np.empty((depth, n), dtype=int), np.empty(depth)
+    for i in range(depth):
+        perms[i] = rng.permutation(n)
+        u[i] = rng.uniform()
+    lo, hi = np.log(1e-3), np.log(1e2)
+    return perms, np.exp(lo + u * (hi - lo)), rng.state
+
+
+def _forged_seed(k, out):
+    """A seed whose k-th SplitMix64 output is out: the xor-shifts of the
+    mixer undone and its multipliers inverted, then k steps taken back."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(out, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return (unshift(z, 30) - k * 0x9E3779B97F4A7C15) & mask
+
+
 def _tangent_partials(z, b0):
     """Reference: the tangent test one vertex at a time.  For each
     permutation P, the largest partial sum (at least 0, the empty one) of
@@ -637,6 +665,46 @@ class TestSimulate:
             assert np.array_equal(out, stepwise(gen, x0, sched))
             for dt in (0.05, 1.0, np.inf):
                 assert np.array_equal(out, simulate(gen, x0, sched, dt).states[-1])
+
+    @pytest.mark.parametrize("route", ["spectral", "ladder", "copies"])
+    def test_samples_within_the_stated_bound(self, route):
+        # reference: each dt sample from its own propagator, each flow's end
+        # from flow, times summed as t + j*dt; sample j within 4e-15 j
+        # (1-norm; up to 1.7e-15 j measured), the rest bit for bit
+        rng = np.random.default_rng({"spectral": 71, "ladder": 72, "copies": 73}[route])
+        worst = 0.0
+        for n in range(2, 9):
+            if route == "spectral":
+                gen = b0_from_rates(thermal_rates(rng.uniform(0.2, 1.0, n)))
+                assert gen._spectral is not None
+            else:
+                gen = _gen(n)
+            size = n * (int(rng.integers(2, 4)) if route == "copies" else 1)
+            x = rng.dirichlet(np.ones(size))
+            durations = rng.uniform(0.2, 2.0, 3)
+            dt = float(durations.max()) / float(rng.integers(200, 1001))
+            sched = Schedule([Segment(rng.permutation(size), float(t)) for t in durations])
+            traj = simulate(gen, x, sched, dt)
+            t, row = 0.0, 1
+            assert np.array_equal(traj.states[0], x) and traj.times[0] == 0.0
+            for seg in sched.segments:
+                x = x[seg.perm]
+                assert np.array_equal(traj.states[row], x) and traj.times[row] == t
+                steps = int(seg.duration // dt)
+                ref = dmajor.reach._clamp_simplex(np.einsum(
+                    "kij,cj->kci", propagator(gen, dt * np.arange(1.0, steps + 1.0)),
+                    x.reshape(-1, n)).reshape(steps, size))
+                got = traj.states[row + 1:row + 1 + steps]
+                err = np.abs(got - ref).sum(axis=1) / np.arange(1.0, steps + 1.0)
+                worst = max(worst, float(err.max(initial=0.0)))
+                assert traj.times[row + 1:row + 1 + steps].tolist() == \
+                    [t + k * dt for k in range(1, steps + 1)]
+                x = dmajor.reach._clamp_simplex(flow(gen, x, seg.duration))
+                t += seg.duration
+                row += steps + 2
+                assert np.array_equal(traj.states[row - 1], x) and traj.times[row - 1] == t
+            assert row == len(traj.times)
+        assert worst <= 4e-15
 
     def test_entry_cap(self, monkeypatch):
         gen = _gen(2)
@@ -1393,6 +1461,46 @@ class TestSampling:
             pts = reachable_sample(gen, x0, depth, seed)
             assert pts.shape == (depth + 1, d.size)
             assert np.max(np.abs(pts - _per_point_sample(gen.b0, x0, depth, seed))) <= 1e-14
+
+    def test_draws_equal_the_class_streams(self):
+        seeds = [0, 1, 7, 2 ** 31 - 1, -1, -5, -2 ** 63, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+                 2 ** 70 + 5, 12345678901234567890]
+        for n in range(1, 9):
+            for depth in range(dmajor.reach.MAX_SAMPLE_DEPTH + 1):
+                perms, durations = dmajor.reach._draws(n, depth, seeds)
+                assert perms.shape == (len(seeds), depth, n)
+                assert durations.shape == (len(seeds), depth)
+                for s, seed in enumerate(seeds):
+                    want_perms, want_durations, _ = _class_draws(n, depth, seed)
+                    assert np.array_equal(perms[s], want_perms)
+                    assert np.array_equal(durations[s], want_durations)
+                sched = random_schedule(n, depth, seeds[-1])
+                assert [seg.perm.tolist() for seg in sched.segments] == perms[-1].tolist()
+                assert [seg.duration for seg in sched.segments] == durations[-1].tolist()
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    def test_draws_take_rejected_outputs_from_the_class(self, n):
+        # a seed whose k-th output is 2^64 - 1, which every draw below a bound
+        # other than a power of two rejects, at each such draw of 4 segments
+        depth, mask, gamma = 4, (1 << 64) - 1, dmajor.reach._GAMMA
+        for segment in range(depth):
+            for col, bound in enumerate(range(n, 1, -1)):
+                if (1 << 64) % bound == 0:
+                    continue
+                k = segment * n + col + 1
+                seed = _forged_seed(k, mask)
+                rng = SplitMix64(seed)
+                assert [rng.next_u64() for _ in range(k)][-1] == mask
+                want_perms, want_durations, state = _class_draws(n, depth, seed)
+                # the stream took one output more than n per segment
+                assert state == (seed + (depth * n + 1) * gamma) & mask
+                seeds = [3, seed, seed - 2 ** 64, seed + 2 ** 64, 4]
+                perms, durations = dmajor.reach._draws(n, depth, seeds)
+                for s in (1, 2, 3):
+                    assert np.array_equal(perms[s], want_perms)
+                    assert np.array_equal(durations[s], want_durations)
+                for s in (0, 4):
+                    assert np.array_equal(perms[s], _class_draws(n, depth, seeds[s])[0])
 
     def test_splitmix_reference_values(self):
         rng = SplitMix64(0)
