@@ -8,19 +8,24 @@ error.
 File formats: vectors are JSON arrays; real matrices are arrays of row
 arrays; complex matrices use [re, im] entry pairs; schedules are
 {"segments": [{"perm": [...], "duration": t}]} with integer perm entries.
+
+Start-up: the module loads the standard library and dmajor.majorize only,
+and each handler imports what it runs.  `check --d` (with or without
+--certificate) and `curve` read their vectors as lists of floats and run
+majorize's list kernels, so they finish without loading numpy; every other
+subcommand, and classical `check`, loads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import traceback
 
-import numpy as np
-
-# each handler imports the modules it runs, so a cold start loads only those
+# each handler imports the modules it runs, numpy included, so a cold start
+# loads only those
 from . import majorize
 from .majorize import SimplexViolationError, TransferSynthesisError
 
@@ -66,22 +71,30 @@ def _load_json(path: str):
     return data
 
 
-def _load_numbers(path: str) -> np.ndarray:
-    """A JSON array of numbers as floats."""
+def _load_numbers(path: str):
+    """A JSON array of numbers as a float array."""
     try:
         return majorize.as_real_array(_load_json(path))
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}")
 
 
-def _load_vector(path: str) -> np.ndarray:
+def _load_entries(path: str) -> list:
+    """A JSON array of finite numbers as a list of floats, without numpy."""
     try:
-        return majorize.as_vector(_load_numbers(path))
+        return majorize._finite_entries(_load_json(path))
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}")
 
 
-def _load_complex_matrix(path: str) -> np.ndarray:
+def _load_vector(path: str):
+    """A JSON array of finite numbers as a float array."""
+    import numpy as np
+
+    return np.array(_load_entries(path))
+
+
+def _load_complex_matrix(path: str):
     arr = _load_numbers(path)
     if arr.ndim == 2:  # plain real matrix
         return arr.astype(complex)
@@ -90,11 +103,15 @@ def _load_complex_matrix(path: str) -> np.ndarray:
     raise _InputError(f"{path}: expected a matrix of numbers or of [re, im] pairs")
 
 
-def _complex_matrix_json(m: np.ndarray) -> list:
+def _complex_matrix_json(m) -> list:
+    import numpy as np
+
     return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _real_json(a) -> list:
+    import numpy as np
+
     return np.asarray(a, float).tolist()
 
 
@@ -139,35 +156,39 @@ def _generator_from_args(args):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _certificate_residuals(a: np.ndarray, x, y, d=None) -> list[str]:
-    """Residual lines of a transfer certificate A with A y = x (and A d = d)."""
-    lines = [f"certificate transfer 1-norm error {np.abs(a @ y - x).sum():.3e}",
-             f"certificate column-sum error {np.abs(a.sum(axis=0) - 1.0).max():.3e}",
-             f"certificate min entry {a.min():.3e}"]
+def _certificate_residuals(a: list, x: list, y: list, d: list | None = None) -> list[str]:
+    """Residual lines of a transfer certificate, the rows a, with A y = x (and
+    A d = d)."""
+    lines = [f"certificate transfer 1-norm error {majorize._residual(a, y, x):.3e}",
+             f"certificate column-sum error {max(abs(sum(c) - 1.0) for c in zip(*a)):.3e}",
+             f"certificate min entry {min(map(min, a)):.3e}"]
     if d is not None:
-        lines.append(f"certificate fixed-point 1-norm error {np.abs(a @ d - d).sum():.3e}")
+        lines.append(f"certificate fixed-point 1-norm error {majorize._residual(a, d, d):.3e}")
     return lines
 
 
 def _cmd_check(args) -> int:
-    x = _load_vector(args.x)
-    y = _load_vector(args.y)
-    d = None
+    x = _load_entries(args.x)
+    y = _load_entries(args.y)
     if args.d is None:
+        d = None
         verdict = majorize.majorizes(x, y, tol=args.tol)
     else:
-        d = _load_vector(args.d)
-        verdict = majorize.d_majorizes(x, y, d, method=args.method, tol=args.tol)
+        # one validation and one run of the chosen route; the certificate
+        # then comes from the chain's list core, as d_stochastic_transfer's
+        x, y, d = majorize._validated(x, y, _load_entries(args.d))
+        verdict = majorize._d_majorizes(x, y, d, args.method, args.tol)
     data: dict = {}
     diagnostics = []
     if verdict and args.certificate:
         if d is None:
             cert = majorize.doubly_stochastic_transfer(x, y, tol=args.tol)
+            rows, kind = cert.matrix.tolist(), cert.kind
         else:
-            cert = majorize.d_stochastic_transfer(x, y, d, tol=args.tol)
-        data["certificate"] = _real_json(cert.matrix)
-        data["certificate_kind"] = cert.kind
-        diagnostics = _certificate_residuals(cert.matrix, x, y, d)
+            rows, kind = majorize._chain_rows(x, y, d, args.tol)[0], "d-stochastic"
+        data["certificate"] = rows
+        data["certificate_kind"] = kind
+        diagnostics = _certificate_residuals(rows, x, y, d)
     _emit(args, _report("check", verdict=verdict, data=data, diagnostics=diagnostics))
     return EXIT_TRUE if verdict else EXIT_FALSE
 
@@ -194,17 +215,13 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    y = _load_vector(args.y)
-    d = _load_vector(args.d)
-    curve = majorize.thermo_curve(y, d)
+    y = _load_entries(args.y)
+    d = _load_entries(args.d)
+    cs, fs = majorize._elbows(*majorize._validated(y, d))     # thermo_curve's elbows
     if args.format == "csv":
-        rows = [f"{repr(float(c))},{repr(float(f))}" for c, f in zip(curve.c, curve.f)]
-        _emit_csv(args, "c,f", rows)
+        _emit_csv(args, "c,f", [f"{c!r},{f!r}" for c, f in zip(cs, fs)])
     else:
-        _emit(args, _report("curve", data={
-            "elbows_c": _real_json(curve.c),
-            "elbows_f": _real_json(curve.f),
-        }))
+        _emit(args, _report("curve", data={"elbows_c": cs, "elbows_f": fs}))
     return EXIT_TRUE
 
 
@@ -249,6 +266,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    import numpy as np
+
     from . import reach
 
     gen = _generator_from_args(args)
@@ -433,7 +452,7 @@ def main(argv=None) -> int:
         args.tol = getattr(args, "tol", None)
         if args.tol is None:
             args.tol = _default_tol()
-        if not (np.isfinite(args.tol) and args.tol >= 0):
+        if not (math.isfinite(args.tol) and args.tol >= 0):
             raise _InputError(f"tolerance must be finite and nonnegative, got {args.tol}")
         return args.func(args)
     except (_InputError, ValueError, KeyError, TypeError) as exc:
@@ -444,6 +463,8 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except Exception as exc:
         # exit 1 is reserved for a negative verdict, so a defect exits 3
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

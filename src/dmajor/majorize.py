@@ -5,9 +5,11 @@ Conventions: majorizes(x, y) is True when x is *more mixed* than y, i.e. a
 doubly stochastic matrix maps y to x.  d_majorizes(x, y, d) likewise asks for
 a column-stochastic matrix with fixed point d mapping y to x.
 
-The d-majorization routes and the T-transform certificates run on lists of
-Python floats: at n <= 8 numpy's per-call overhead costs more than their
-arithmetic.  numpy builds the returned arrays and runs the batch kernels.
+The d-majorization routes, the curve elbows and the T-transform
+certificates run on lists of Python floats: at n <= 8 numpy's per-call
+overhead costs more than their arithmetic.  numpy builds the returned arrays
+and runs the batch kernels, and only the functions that do so import it, so
+the list kernels run in a process that never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isfinite
 from operator import add, mul
-
-import numpy as np
 
 D_MAJORIZE_METHODS = ("norm", "positive_part", "curve")
 
@@ -32,21 +32,24 @@ class SimplexViolationError(Exception):
     """A state left the simplex beyond numerical tolerance."""
 
 
-def _holds_bool(x) -> bool:
-    """Whether x is a boolean or a list or tuple holding one, at any depth."""
+def _holds_bool(x, kinds: tuple) -> bool:
+    """Whether x is one of the boolean types kinds or a list or tuple holding
+    one, at any depth."""
     if isinstance(x, (list, tuple)):
-        return any(map(_holds_bool, x))
-    return isinstance(x, (bool, np.bool_))
+        return any(_holds_bool(v, kinds) for v in x)
+    return isinstance(x, kinds)
 
 
 def as_real_array(x) -> np.ndarray:
     """x as a float array.  Strings, booleans, objects and complex numbers
     are refused, though float() would take "0.5" and True; so are booleans
     among numbers in lists, which numpy would read as 0 and 1."""
+    import numpy as np
+
     v = np.asarray(x)
     if v.dtype.kind not in "iuf":
         raise ValueError(f"expected real numbers, got entries of dtype {v.dtype}")
-    if not isinstance(x, np.ndarray) and _holds_bool(x):
+    if not isinstance(x, np.ndarray) and _holds_bool(x, (bool, np.bool_)):
         raise ValueError("expected real numbers, got a boolean")
     return v if v.dtype == np.float64 else v.astype(float)
 
@@ -64,7 +67,46 @@ def _check_weights(d: list) -> None:
         raise ValueError("weight vector entries must be strictly positive")
 
 
+def _plain(v) -> bool:
+    """Whether numpy reads v as a float64 or an int64 entry."""
+    return type(v) is float or (type(v) is int and -2 ** 63 <= v < 2 ** 63)
+
+
+def _entries(x) -> list:
+    """_real_vector(x).tolist(): the entries of a non-empty 1-d real vector as
+    floats, refused as _real_vector refuses them.  A list or tuple of floats
+    and int64-range ints is read entry by entry and an array through its
+    dtype, neither with a numpy call; anything else goes through
+    as_real_array, which loads numpy."""
+    if isinstance(x, (list, tuple)) and x and all(map(_plain, x)):
+        return [float(v) for v in x]
+    np = sys.modules.get("numpy")       # an array exists only once numpy is loaded
+    if np is None or not isinstance(x, np.ndarray):
+        x = as_real_array(x)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"expected real numbers, got entries of dtype {x.dtype}")
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("expected a non-empty 1-d real vector")
+    return x.tolist() if x.dtype.char == "d" else [float(v) for v in x.tolist()]
+
+
+def _check_finite(values) -> None:
+    # one entry at a time: max over a list passes a NaN by unless it comes first
+    if not all(map(isfinite, values)):
+        raise ValueError("vector entries must be finite")
+
+
+def _finite_entries(x) -> list:
+    """as_vector(x).tolist(), with its refusals, without loading numpy for a
+    list of numbers or an array."""
+    v = _entries(x)
+    _check_finite(v)
+    return v
+
+
 def as_vector(x) -> np.ndarray:
+    import numpy as np
+
     v = _real_vector(x)
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
@@ -83,13 +125,10 @@ def _validated(*vectors) -> tuple[list, ...]:
     of the criteria stay finite: 2 n max|v| max(d) / min(d) and 2 n max(d)
     lie within the float range.  Scalar tests, no warning."""
     *vs, d = vectors
-    vs = [_real_vector(v).tolist() for v in vs]
+    vs = [_entries(v) for v in vs]
     n = len(vs[0])
-    weights = [1.0] * n if d is None else _real_vector(d).tolist()
-    # as_vector's test on the lists, one entry at a time: max over a list
-    # passes a NaN by unless it comes first
-    if not all(map(isfinite, chain(*vs, weights))):
-        raise ValueError("vector entries must be finite")
+    weights = [1.0] * n if d is None else _entries(d)
+    _check_finite(chain(*vs, weights))
     _check_weights(weights)
     if any(len(v) != n for v in vs):
         raise ValueError("x and y must have equal length")
@@ -117,6 +156,8 @@ def _ratio_order(y: list, d: list) -> list[int]:
 
 def ratio_order(y, d) -> np.ndarray:
     """Permutation sorting y/d non-increasingly; ties broken by index."""
+    import numpy as np
+
     return np.array(_ratio_order(*_validated(y, d)), dtype=int)
 
 
@@ -132,6 +173,8 @@ class ThermoCurve:
     f: np.ndarray
 
     def __call__(self, c) -> np.ndarray | float:
+        import numpy as np
+
         return np.interp(c, self.c, self.f)
 
 
@@ -154,12 +197,16 @@ def _interp(c: float, cs: list, fs: list) -> float:
 
 
 def thermo_curve(y, d) -> ThermoCurve:
+    import numpy as np
+
     return ThermoCurve(*map(np.array, _elbows(*_validated(y, d))))
 
 
 def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     """majorizes(x, y, tol) for every vector x along the last axis of xs, in
     one array pass; the result has shape xs.shape[:-1]."""
+    import numpy as np
+
     eps = _scaled_tol(y, tol)
     totals = np.abs(xs.sum(axis=-1) - y.sum()) <= eps
     xc = np.cumsum(np.sort(xs, axis=-1)[..., ::-1], axis=-1)
@@ -169,6 +216,8 @@ def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
 
 def majorizes(x, y, tol: float = 1e-9) -> bool:
     """True iff x is majorized by y (equal totals, dominated partial sums)."""
+    import numpy as np
+
     x, y, _ = _validated(x, y, None)
     return bool(_majorized_rows(np.array(x), np.array(y), tol))
 
@@ -239,26 +288,35 @@ class StochasticMatrix:
     n_t_transforms: int | None = None
 
     def validate(self, entry_tol: float = 1e-12, sum_tol: float = 1e-10) -> None:
-        # each test passes only what it bounds: a NaN entry fails its column
-        rows = self.matrix.tolist()
-        low = min(map(min, rows))
-        if low < -entry_tol:
-            raise ValueError(f"negative entry {low:.3e} in stochastic matrix")
-        if not all(abs(sum(col) - 1.0) <= sum_tol for col in zip(*rows)):
-            raise ValueError("column sums deviate from 1")
-        if self.kind == "doubly" and not all(abs(sum(row) - 1.0) <= sum_tol for row in rows):
-            raise ValueError("row sums deviate from 1")
-        if self.kind == "d-stochastic":
-            if self.d is None:
-                raise ValueError("d-stochastic matrix must carry its weight vector")
-            d = self.d.tolist()
-            if not sum(abs(sum(map(mul, row, d)) - w) for row, w in zip(rows, d)) <= \
-                    _scaled_tol(d, sum_tol):
-                raise ValueError("weight vector is not a fixed point")
+        _check_stochastic(self.matrix.tolist(), self.kind,
+                          None if self.d is None else self.d.tolist(), entry_tol, sum_tol)
 
     @property
     def shape(self):
         return self.matrix.shape
+
+
+def _residual(rows: list, v: list, u: list) -> float:
+    """||A v - u||_1 for the matrix A of rows."""
+    return sum(abs(sum(map(mul, row, v)) - w) for row, w in zip(rows, u))
+
+
+def _check_stochastic(rows: list, kind: str, d: list | None, entry_tol: float,
+                      sum_tol: float) -> None:
+    """StochasticMatrix.validate on the rows of the matrix and the list d."""
+    # each test passes only what it bounds: a NaN entry fails its column
+    low = min(map(min, rows))
+    if low < -entry_tol:
+        raise ValueError(f"negative entry {low:.3e} in stochastic matrix")
+    if not all(abs(sum(col) - 1.0) <= sum_tol for col in zip(*rows)):
+        raise ValueError("column sums deviate from 1")
+    if kind == "doubly" and not all(abs(sum(row) - 1.0) <= sum_tol for row in rows):
+        raise ValueError("row sums deviate from 1")
+    if kind == "d-stochastic":
+        if d is None:
+            raise ValueError("d-stochastic matrix must carry its weight vector")
+        if not _residual(rows, d, d) <= _scaled_tol(d, sum_tol):
+            raise ValueError("weight vector is not a fixed point")
 
 
 def _t_transform_chain(xs: list, ys: list, w: list, rows: list) -> tuple[list, int]:
@@ -305,8 +363,9 @@ def _pieces(d: list, px: list, py: list) -> list[tuple[float, int, int]]:
     return out
 
 
-def _chain_transfer(x: list, y: list, d: list, tol: float) -> StochasticMatrix:
-    """d-stochastic A with A y = x, for validated x <=_d y.
+def _chain_rows(x: list, y: list, d: list, tol: float) -> tuple[list, int]:
+    """The rows of a d-stochastic A with A y = x, for validated x <=_d y, and
+    its count of T-transforms.
 
     On the at most 2n-1 _pieces of the ratio orders of x and of y, of widths
     w, x <=_d y is w-weighted majorization of the step densities.  A piece p
@@ -314,17 +373,16 @@ def _chain_transfer(x: list, y: list, d: list, tol: float) -> StochasticMatrix:
     masses to those of x, and the rows of the pieces of x_i sum to row i of
     A.  At d = e each piece is one entry, and A is the chain permuted.
     """
-    n, weights = len(x), np.array(d)
+    n = len(x)
     # both shortcuts and the chain's floor are relative to ||y||_1, so the
     # certificate of (s x, s y) is that of (x, y) for every power of two s
     eps = _scaled_tol(y, 1e-3 * tol)
     if sum(abs(u - v) for u, v in zip(x, y)) <= eps:
-        return StochasticMatrix(np.eye(n), "d-stochastic", d=weights, n_t_transforms=0)
-    total = float(weights.sum())
+        return [[float(i == j) for j in range(n)] for i in range(n)], 0
+    total = sum(d)
     mean = sum(y) / total
     if sum(abs(u - mean * v) for u, v in zip(x, d)) <= eps:
-        return StochasticMatrix(np.outer(weights, np.ones(n)) / total, "d-stochastic",
-                                d=weights, n_t_transforms=0)
+        return [[v / total] * n for v in d], 0
 
     pieces = _pieces(d, _ratio_order(x, d), _ratio_order(y, d))
     rows = [[0.0] * j + [w / d[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
@@ -334,14 +392,21 @@ def _chain_transfer(x: list, y: list, d: list, tol: float) -> StochasticMatrix:
     a = [[0.0] * n for _ in range(n)]
     for (_, i, _), row in zip(pieces, rows):
         a[i] = list(map(add, a[i], row))
-    out = StochasticMatrix(np.array(a), "d-stochastic", d=weights, n_t_transforms=count)
     # column sums and A d = d (row sums at d = e) within 1e-8, A y = x within tol
-    out.validate(entry_tol=1e-8, sum_tol=1e-8)
-    residual = sum(abs(sum(map(mul, row, y)) - u) for row, u in zip(a, x))
+    _check_stochastic(a, "d-stochastic", d, entry_tol=1e-8, sum_tol=1e-8)
+    residual = _residual(a, y, x)
     gate = max(tol, 1e-8)
     if residual > _scaled_tol(y, gate):
         raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds {gate:.0e}")
-    return out
+    return a, count
+
+
+def _chain_transfer(x: list, y: list, d: list, tol: float) -> StochasticMatrix:
+    """_chain_rows as a StochasticMatrix of arrays."""
+    import numpy as np
+
+    rows, count = _chain_rows(x, y, d, tol)
+    return StochasticMatrix(np.array(rows), "d-stochastic", d=np.array(d), n_t_transforms=count)
 
 
 def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
@@ -349,6 +414,8 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     d = e, from at most n-1 T-transforms.  Requires majorizes(x, y); the
     minimal element (uniform mean) gets the averaging certificate e e^T / n.
     """
+    import numpy as np
+
     x, y, e = _validated(x, y, None)
     if not _majorized_rows(np.array(x), np.array(y), tol):
         raise ValueError("doubly_stochastic_transfer requires x to be majorized by y")
@@ -364,6 +431,8 @@ def _within_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the two parts, so this moves x by exactly that excess: the smallest
     1-norm move into ||x||_1 <= ||y||_1.
     """
+    import numpy as np
+
     x = x + (y.sum() - x.sum()) / y.size
     parts = []
     for side in (1.0, -1.0):
@@ -383,6 +452,8 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     so a side of tiny mass keeps unit column sums.  A y = z_+ - z_- = z
     holds within 1e-9 * ||y||_1 of x.
     """
+    import numpy as np
+
     x, y = map(np.array, _validated(x, y, None)[:2])
     n = x.size
     if abs(x.sum() - y.sum()) > _scaled_tol(y, 1e-10):
@@ -435,6 +506,8 @@ class MaximalElement:
 def maximal_element(d, tol: float = 1e-12) -> MaximalElement:
     """(e^T d) e_k with d_k minimal (first such index); unique iff the minimal
     entry of d is simple."""
+    import numpy as np
+
     d = as_weight_vector(d)
     k = int(np.argmin(d))
     vec = np.zeros(d.size)

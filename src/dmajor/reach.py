@@ -206,12 +206,13 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     (at the highest J with w_J < 0, w_J' = b_JJ w_J + b_J,J+1 w_J+1 <= 0 until
     a coordinate above J is negative), and min w > 0 holds on one interval
     [0, tau).  The bracket ends at the first state of walk(t_first) outside
-    the open simplex, t_first being the last 1e-6 * 2^k with t_first ||B0||_1
-    <= 1/2, from where the series walks by squaring.  Safeguarded Newton
-    steps toward the earliest crossing of a falling coordinate, on Python
-    floats, then shrink it to 2e-15 * tau, a few ulps.  Each probe takes the
-    first value of a walk.  Returns (time, index, w(time)) with ties resolved
-    toward the lowest index.
+    the open simplex, t_first being the 1e-6 * 2^k, k of either sign, with
+    1/4 < t_first ||B0||_1 <= 1/2, from where the series walks by squaring;
+    so a power of two times B0 scales the search's times by its inverse.
+    Safeguarded Newton steps toward the earliest crossing of a falling
+    coordinate, on Python floats, then shrink it to 2e-15 * tau, a few ulps.
+    Each probe takes the first value of a walk.  Returns (time, index,
+    w(time)) with ties resolved toward the lowest index.
     """
     scale = max(1.0, float(np.abs(z).sum()))
     if float(z.min()) <= 1e-12 * scale:
@@ -221,6 +222,8 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     t_first = 1e-6
     while 2.0 * t_first * norm <= 0.5:
         t_first *= 2.0
+    while t_first * norm > 0.5:
+        t_first *= 0.5
     lo, wt = 0.0, z.tolist()
     for hi, e in walk(t_first):
         w_hi = e @ z

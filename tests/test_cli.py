@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import test_majorize
 
 import dmajor
 import dmajor.cnr
@@ -15,6 +17,7 @@ import dmajor.dissipation
 import dmajor.polytope
 import dmajor.reach
 from dmajor.cli import main
+from dmajor.majorize import _residual
 
 # the checkout's src/ directory, so a fresh interpreter imports this dmajor
 SRC_DIR = str(Path(dmajor.__file__).resolve().parents[1])
@@ -256,13 +259,16 @@ class TestCheck:
         code, out, _ = capture(argv)
         assert code == 0
         report = json.loads(out)
-        a = np.array(report["data"]["certificate"])
-        expected = [f"certificate transfer 1-norm error {np.abs(a @ y - x).sum():.3e}",
-                    f"certificate column-sum error {np.abs(a.sum(axis=0) - 1.0).max():.3e}",
-                    f"certificate min entry {a.min():.3e}"]
+        # the residuals of the emitted rows, summed on Python floats as the
+        # chain's own gate sums them
+        a = report["data"]["certificate"]
+        x, y, d = x.tolist(), y.tolist(), d.tolist()
+        expected = [f"certificate transfer 1-norm error {_residual(a, y, x):.3e}",
+                    f"certificate column-sum error "
+                    f"{max(abs(sum(col) - 1.0) for col in zip(*a)):.3e}",
+                    f"certificate min entry {np.min(a):.3e}"]
         if weighted:
-            expected.append(
-                f"certificate fixed-point 1-norm error {np.abs(a @ d - d).sum():.3e}")
+            expected.append(f"certificate fixed-point 1-norm error {_residual(a, d, d):.3e}")
         assert report["diagnostics"] == expected
 
     def test_exit_code_campaign(self, tmp_path, capsys):
@@ -300,6 +306,71 @@ class TestCheck:
             code, out, err = capture(["check", x, y, "--d", tiny, "--method", method])
             assert (code, out) == (2, "") and "finite" in err
         assert capture(["curve", y, "--d", tiny])[0] == 2
+
+
+# the diagnostics of a d-stochastic certificate, in order
+CERTIFICATE_LINES = [r"certificate transfer 1-norm error \d\.\d{3}e[+-]\d\d",
+                     r"certificate column-sum error \d\.\d{3}e[+-]\d\d",
+                     r"certificate min entry -?\d\.\d{3}e[+-]\d\d",
+                     r"certificate fixed-point 1-norm error \d\.\d{3}e[+-]\d\d"]
+
+
+class TestListKernels:
+    """`check --d` and `curve` run majorize's list kernels: one validation,
+    one run of the chosen route, and the certificate and elbows of the
+    public numpy API bit for bit."""
+
+    @pytest.mark.parametrize("method", dmajor.majorize.D_MAJORIZE_METHODS)
+    def test_one_validation_and_one_route(self, tmp_path, capture, monkeypatch, method):
+        calls = {"_validated": 0, "_d_majorizes": 0, "_chain_rows": 0}
+        for name in calls:
+            def counting(*args, real=getattr(dmajor.majorize, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(dmajor.majorize, name, counting)
+        x = write(tmp_path, "x.json", [0.3, 0.3, 0.4])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        d = write(tmp_path, "d.json", [1.0, 2.0, 3.0])
+        code, out, _ = capture(["check", x, y, "--d", d, "--method", method, "--certificate"])
+        assert code == 0 and "certificate" in json.loads(out)["data"]
+        assert calls == {"_validated": 1, "_d_majorizes": 1, "_chain_rows": 1}
+
+    def _assert_parity(self, tmp_path, capture, x, y, d):
+        fx, fy, fd = (write(tmp_path, f"{k}.json", v.tolist()) for k, v in zip("xyd", (x, y, d)))
+        code, out, err = capture(["check", fx, fy, "--d", fd, "--certificate"])
+        verdict = dmajor.d_majorizes(x, y, d)
+        try:
+            cert = dmajor.d_stochastic_transfer(x, y, d) if verdict else None
+        except dmajor.majorize.TransferSynthesisError:
+            assert (code, out) == (3, "") and "certificate residual" in err
+            return
+        assert code == (0 if verdict else 1)
+        report = json.loads(out)
+        assert report["verdict"] is verdict
+        if verdict:
+            assert report["data"]["certificate"] == cert.matrix.tolist()
+            assert report["data"]["certificate_kind"] == "d-stochastic"
+            assert len(report["diagnostics"]) == len(CERTIFICATE_LINES)
+            for line, pattern in zip(report["diagnostics"], CERTIFICATE_LINES):
+                assert re.fullmatch(pattern, line), line
+        else:
+            assert report["data"] == {} and report["diagnostics"] == []
+        code, out, _ = capture(["curve", fy, "--d", fd])
+        curve, data = dmajor.thermo_curve(y, d), json.loads(out)["data"]
+        assert code == 0
+        assert (data["elbows_c"], data["elbows_f"]) == (curve.c.tolist(), curve.f.tolist())
+
+    def test_seeded_certify_pairs(self, tmp_path, capture):
+        record = json.loads((Path(__file__).parent / "data" / "seeded_certify.json").read_text())
+        for item in record:
+            self._assert_parity(tmp_path, capture, *(np.array(item[k]) for k in "xyd"))
+
+    def test_scale_campaign(self, tmp_path, capture):
+        # every scale of the campaign, each case at a twentieth of them
+        scales = test_majorize.TestScaleCampaign.SCALES
+        for i, (x, y, d) in enumerate(test_majorize._scale_cases(61)):
+            for s in scales[i % 20::20]:
+                self._assert_parity(tmp_path, capture, s * x, s * y, d)
 
 
 class TestPolytope:
@@ -1214,6 +1285,27 @@ class TestImportHygiene:
                          "                   if m.startswith('dmajor.') and m != 'dmajor.cli'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"0 {SUBCOMMAND_MODULES[command]}"
+
+    @pytest.mark.parametrize("argv", [["check", "x", "y", "--d", "d"],
+                                      ["check", "x", "y", "--d", "d", "--certificate"],
+                                      ["check", "x", "y", "--d", "d", "--method", "curve",
+                                       "--certificate"],
+                                      ["curve", "y", "--d", "d"],
+                                      ["--format", "csv", "curve", "y", "--d", "d"]])
+    def test_list_kernel_subcommands_leave_numpy_unloaded(self, tmp_path, argv):
+        # a positive verdict, so --certificate builds its certificate
+        files = {"x": write(tmp_path, "x.json", [0.3, 0.3, 0.4]),
+                 "y": write(tmp_path, "y.json", [0.5, 0.3, 0.2]),
+                 "d": write(tmp_path, "d.json", [1, 2, 3])}
+        argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.txt")]
+        proc = run_fresh("import sys\n"
+                         "from dmajor.cli import main\n"
+                         f"code = main({argv!r})\n"
+                         "print(code, 'numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        if "--certificate" in argv:
+            assert "certificate" in json.loads((tmp_path / "out.txt").read_text())["data"]
 
     def test_import_leaves_scipy_unloaded(self):
         proc = run_fresh("import sys, dmajor, dmajor.cli\n"

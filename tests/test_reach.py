@@ -84,6 +84,8 @@ def _loop_face_hit(b0, z, walk):
     t_first = 1e-6
     while 2.0 * t_first * norm <= 0.5:
         t_first *= 2.0
+    while t_first * norm > 0.5:
+        t_first *= 0.5
     t_lo, w_lo = 0.0, z
     for t_hi, e in walk(t_first):
         w_hi = e @ z
@@ -853,6 +855,22 @@ class TestGroundSynthesis:
         # 2e-15 * max(1, tau))
         gen, target = Generator(_gen(4).b0 * s), np.array([0.1, 0.2, 0.3, 0.4])
         sched = synthesize_from_ground(gen, target)
+        assert np.abs(endpoint(gen, np.eye(4)[0], sched) - target).sum() <= 1e-14
+
+    @pytest.mark.parametrize("k", [-60, -30, 0, 20, 30, 40, 50])
+    def test_power_of_two_time_units_scale_the_schedule(self, k):
+        # the search's first bracket starts at 1e-6 2^j with
+        # 1/4 < t ||B0||_1 <= 1/2 for j of either sign, so 2^k B0 gets the
+        # schedule of B0 with durations 2^-k times as long, bit for bit; at
+        # k = 30 a start that only doubled from 1e-6 overflowed the
+        # exponential
+        target = np.array([0.1, 0.2, 0.3, 0.4])
+        ref = synthesize_from_ground(_gen(4), target)
+        gen = Generator(_gen(4).b0 * 2.0 ** k)
+        sched = synthesize_from_ground(gen, target)
+        assert [tuple(s.perm) for s in sched.segments] == [tuple(s.perm) for s in ref.segments]
+        assert [s.duration * 2.0 ** k for s in sched.segments] == \
+            [s.duration for s in ref.segments]
         assert np.abs(endpoint(gen, np.eye(4)[0], sched) - target).sum() <= 1e-14
 
     def test_within_the_stated_bound(self):
