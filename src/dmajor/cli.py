@@ -2,8 +2,9 @@
 
 Subcommands wrap the library operations and emit machine-readable reports:
 JSON to stdout (or --out), CSV for tabular data.  Exit codes: 0 = true/ok,
-1 = negative verdict, 2 = input error, 3 = numerical failure or internal
-error.
+1 = negative verdict, 2 = input error (an --out that cannot be written
+included), 3 = numerical failure or internal error, 141 = stdout closed by
+its reader.
 
 File formats: vectors are JSON arrays; real matrices are arrays of row
 arrays; complex matrices use [re, im] entry pairs; schedules are
@@ -14,11 +15,19 @@ and each handler imports what it runs.  `check --d` (with or without
 --certificate) and `curve` read their vectors as lists of floats and run
 majorize's list kernels, so they finish without loading numpy; every other
 subcommand, and classical `check`, loads it.
+
+Exit: `python -m dmajor.cli` and the `dmajor` script end through `run()`,
+which freezes the heap once `main()` returns.  The interpreter's shutdown
+collections do not scan frozen objects, so the process skips a full pass
+over what numpy created; module teardown, atexit handlers and the flushing
+of stdout and stderr still run.  In-process callers use `main()`, which
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -33,6 +42,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141     # 128 + SIGPIPE, as a shell reports a tool whose reader went away
 
 TOL_ENV_VAR = "DMAJOR_TOL"
 
@@ -117,8 +127,11 @@ def _real_json(a) -> list:
 
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.out}: {exc}")
     else:
         print(text)
 
@@ -461,6 +474,8 @@ def main(argv=None) -> int:
     except (TransferSynthesisError, SimplexViolationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        raise       # the reader of stdout went away; nothing internal failed
     except Exception as exc:
         # exit 1 is reserved for a negative verdict, so a defect exits 3
         import traceback
@@ -470,5 +485,25 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
+def run() -> None:
+    """The process entry: main's exit code, with the heap frozen before the
+    interpreter shuts down, and exit 141 without a traceback when stdout's
+    reader has gone away."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:       # argparse's exit after --help or a usage error
+            code = exc.code
+        sys.stdout.flush()      # here, so a closed pipe raises where it is caught
+    except BrokenPipeError:
+        # the shutdown flush must not raise again (Python's signal docs,
+        # "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

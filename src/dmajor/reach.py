@@ -20,7 +20,6 @@ from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow,
 from .linalg import check_permutation
 from .majorize import SimplexViolationError, _majorized_rows, as_real_array, as_vector, \
     as_weight_vector, majorizes
-from .polytope import constraint_matrix, max_corner
 
 MAX_LOCAL_DIM = 4096
 MAX_TRAJECTORY_ROWS = 10 ** 6
@@ -557,6 +556,9 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     <= 8 n u ||B0||_1 ||z||_1, u the unit roundoff; tangential_margin is it
     over that bound (<= 1 passes), at the vertex z[tangential_witness].
     """
+    # here, so simulate and synthesize start without loading polytope
+    from .polytope import constraint_matrix, max_corner
+
     x0 = as_vector(x0)
     d = as_weight_vector(d)
     if x0.size != d.size:

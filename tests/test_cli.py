@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import os
 import re
@@ -29,10 +31,15 @@ def write(tmp_path, name, obj):
     return str(path)
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this dmajor."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -808,7 +815,7 @@ class TestBound:
 
     def test_non_invariant_corner_exits_false(self, tmp_path, capture, monkeypatch):
         # the sorted x0 is no maximal corner: the flow lifts its top entries
-        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: np.sort(x0))
+        monkeypatch.setattr(dmajor.polytope, "max_corner", lambda x0, d: np.sort(x0))
         x0 = write(tmp_path, "x0.json", [0.1, 0.2, 0.3, 0.4])
         code, out, _ = capture(["bound", "--x0", x0, "--alpha", "0.5", "--samples", "20"])
         assert code == 1
@@ -1066,6 +1073,16 @@ class TestReportRoundtrip:
         assert out == ""
         assert json.loads(out_file.read_text())["verdict"] is True
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_input(self, tmp_path, capture, where):
+        x = write(tmp_path, "x.json", [0.5, 0.5])
+        target = {"missing directory": str(tmp_path / "no" / "dir" / "o.json"),
+                  "directory": str(tmp_path)}[where]
+        code, out, err = capture(["check", x, x, "--out", target])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_env_tolerance_override(self, tmp_path, capture, monkeypatch):
         monkeypatch.setenv("DMAJOR_TOL", "0.5")
         x = write(tmp_path, "x.json", [0.62, 0.38])
@@ -1181,6 +1198,84 @@ class TestExitContract:
         assert codes[0] == 0 and set(codes) == {0, 2}
 
 
+class TestProcessEntry:
+    """`python -m dmajor.cli` and the `dmajor` script end through run()."""
+
+    def test_fresh_process_matches_main(self, tmp_path, capsys, monkeypatch):
+        # exit 0, 1, 2 (bad input and a usage error), 3 and --help, with the
+        # same stdout and stderr in a fresh process as in-process
+        monkeypatch.setenv("COLUMNS", "80")     # argparse's help width, both sides
+        x = write(tmp_path, "x.json", [0.3, 0.3, 0.4])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        t = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        cases = [(0, ["check", x, y, "--certificate"]), (1, ["check", y, x]),
+                 (2, ["check", str(bad), y]), (2, ["check", x]),
+                 (3, ["synthesize", "--zero-temp", "3", "--target", t, "--x0", y,
+                      "--eps", "1e-300"]),
+                 (0, ["--help"])]
+        for code, argv in cases:
+            try:
+                in_process = main(argv)
+            except SystemExit as exc:
+                in_process = exc.code
+            out = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "dmajor.cli", *argv], env=fresh_env(),
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (in_process, out.out, out.err)
+            assert in_process == code, argv
+
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capture):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        x = write(tmp_path, "x.json", [0.3, 0.3, 0.4])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        assert capture(["check", x, y])[0] == 0
+        with pytest.raises(SystemExit):
+            capture(["check", x])
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_run_freezes_on_a_usage_error(self, tmp_path):
+        x = write(tmp_path, "x.json", [0.3, 0.3, 0.4])
+        proc = run_fresh("import gc, sys\n"
+                         "from dmajor.cli import run\n"
+                         f"sys.argv = ['dmajor', 'check', {x!r}]\n"
+                         "try:\n"
+                         "    run()\n"
+                         "except SystemExit as exc:\n"
+                         "    print(exc.code, gc.get_freeze_count() > 0)")
+        assert proc.stdout.split() == ["2", "True"], proc.stderr
+
+    def test_console_script_names_run(self):
+        # read as text: Python 3.10 has no tomllib
+        text = (Path(SRC_DIR).parent / "pyproject.toml").read_text()
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'dmajor = "dmajor.cli:run"'
+        module, name = scripts.split('"')[1].split(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+    @pytest.mark.parametrize("read", [100, 0])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, read):
+        # 20000 rows of CSV fill the pipe long before a reader of 100 bytes
+        # leaves; with none read, the reader leaves before the first write,
+        # and the short report waits in stdout's buffer for run()'s flush
+        c = write(tmp_path, "c.json", [[0.6, 0.0], [0.0, 0.4]])
+        t = write(tmp_path, "t.json", [[1.0, 0.0], [0.0, 0.0]])
+        count = "20000" if read else "5"
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)      # stdout block-buffered, as in a shell pipe
+        proc = subprocess.Popen([sys.executable, "-m", "dmajor.cli", "cnr", "--c", c, "--t", t,
+                                 "--count", count], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(read)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert head[:6] == b"re,im\n"[:read]
+        assert (code, err) == (141, b"")
+
+
 # the names `from dmajor import ...` has served, by defining module
 PACKAGE_EXPORTS = {
     "channels": ["SuperOperator", "channel_between", "choi", "d_matrix_majorizes_2x2",
@@ -1211,8 +1306,8 @@ SUBCOMMAND_MODULES = {
     "cnr": ["cnr", "linalg", "majorize"],
     "bath": ["dissipation", "linalg", "majorize"],
     "channel": ["channels", "linalg", "majorize"],
-    "simulate": ["dissipation", "linalg", "majorize", "polytope", "reach"],
-    "synthesize": ["dissipation", "linalg", "majorize", "polytope", "reach"],
+    "simulate": ["dissipation", "linalg", "majorize", "reach"],
+    "synthesize": ["dissipation", "linalg", "majorize", "reach"],
     "bound": ["dissipation", "linalg", "majorize", "polytope", "reach"],
 }
 

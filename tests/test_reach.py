@@ -334,7 +334,7 @@ def _per_point_envelope(x0, d, sample_count, depth, seed):
     at a time and one scalar majorization test per sampled point."""
     x0 = np.maximum(x0, 0.0)
     x0 = x0 / x0.sum()
-    z = dmajor.reach.max_corner(x0, d)
+    z = dmajor.polytope.max_corner(x0, d)
     b0 = b0_from_rates(thermal_rates(d)).b0
     worst, bound = _tangent_partials(z, b0)
     witness = max(worst, key=worst.get)
@@ -1329,7 +1329,7 @@ class TestEnvelope:
 
     def test_non_invariant_corner_fails(self, monkeypatch):
         # the sorted x0 is no maximal corner: the flow lifts its top entries
-        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: np.sort(x0))
+        monkeypatch.setattr(dmajor.polytope, "max_corner", lambda x0, d: np.sort(x0))
         x0 = np.array([0.1, 0.2, 0.3, 0.4])
         d = equidistant_d(0.5, 4)
         z, report = majorization_envelope(x0, d, sample_count=200, seed=3)
@@ -1343,7 +1343,7 @@ class TestEnvelope:
     def test_tangent_test_matches_short_flow(self, monkeypatch):
         rng = np.random.default_rng(1606)
         corners = {}
-        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: corners["z"])
+        monkeypatch.setattr(dmajor.polytope, "max_corner", lambda x0, d: corners["z"])
         vertices = failed = 0
         for n in (3, 4, 5):
             for _ in range(30):
@@ -1365,12 +1365,13 @@ class TestEnvelope:
         # n = 2..8: maximal corners, corners perturbed by 1e-6 and random z
         rng = np.random.default_rng(2026)
         corners = {}
-        monkeypatch.setattr(dmajor.reach, "max_corner", lambda x0, d: corners["z"])
+        max_corner = dmajor.polytope.max_corner
+        monkeypatch.setattr(dmajor.polytope, "max_corner", lambda x0, d: corners["z"])
         verdicts = []
         for n in range(2, 9):
             for _ in range({7: 4, 8: 1}.get(n, 20)):
                 d = equidistant_d(rng.uniform(0.1, 0.9), n)
-                corner = dmajor.polytope.max_corner(rng.dirichlet(np.ones(n)), d)
+                corner = max_corner(rng.dirichlet(np.ones(n)), d)
                 perturbed = corner * (1.0 + 1e-6 * rng.standard_normal(n))
                 for z in (corner, perturbed / perturbed.sum(), rng.dirichlet(np.ones(n))):
                     corners["z"] = z
@@ -1392,7 +1393,7 @@ class TestEnvelope:
             raise AssertionError("drawn before the cap was checked")
 
         monkeypatch.setattr(dmajor.reach, "_sample_paths", refuse)
-        monkeypatch.setattr(dmajor.reach, "max_corner", refuse)
+        monkeypatch.setattr(dmajor.polytope, "max_corner", refuse)
         d = equidistant_d(0.5, 3)
         with pytest.raises(ValueError, match=f"at most MAX_SAMPLE_COUNT = {cap}, got {cap + 1}"):
             majorization_envelope([0.2, 0.3, 0.5], d, sample_count=cap + 1)
