@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import check_square, hermitian_eig
-from .majorize import (_scaled_tol, _within_norm, as_weight_vector, column_stochastic_transfer,
-                       majorizes)
+from .majorize import (_numbers, _scaled_tol, _within_norm, as_real_array, as_weight_vector,
+                       column_stochastic_transfer, majorizes)
 
 
 # channel_between's action has n^4 complex entries: 16 MB at the cap
@@ -40,7 +40,8 @@ def unvec(v: np.ndarray, rows: int | None = None) -> np.ndarray:
 
 def trace_norm(a) -> float:
     """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
+    a = _numbers(a, "iufc").astype(complex, copy=False)
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 @dataclass
@@ -53,12 +54,12 @@ class SuperOperator:
     action: np.ndarray
 
     def __post_init__(self):
-        self.action = np.asarray(self.action, dtype=complex)
+        self.action = _numbers(self.action, "iufc").astype(complex, copy=False)
         if self.action.shape != (self.dim_out ** 2, self.dim_in ** 2):
             raise ValueError("action matrix shape does not match the declared dimensions")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
+        x = _numbers(x, "iufc").astype(complex, copy=False)
         if x.shape != (self.dim_in, self.dim_in):
             raise ValueError("input dimension mismatch")
         return unvec(self.action @ vec(x), self.dim_out)
@@ -203,11 +204,11 @@ def d_matrix_majorizes_2x2(a, b, d, tol: float = 1e-9) -> bool:
     """
     a = check_square(a, "A", 1e-10)
     b = check_square(b, "B", 1e-10)
-    d = np.asarray(d, dtype=float)
+    d = as_real_array(d)
     if d.ndim == 2:
         if (d != np.diag(np.diag(d))).any():  # also true for a NaN entry
             raise ValueError("D must be diagonal")
-        d = np.diag(d).real
+        d = np.diag(d)
     if a.shape != (2, 2) or b.shape != (2, 2) or d.shape != (2,):
         raise ValueError("d_matrix_majorizes_2x2 handles 2x2 inputs only")
     d = as_weight_vector(d)

@@ -62,23 +62,13 @@ def _default_tol() -> float:
 
 
 def _load_json(path: str):
-    """The JSON document in path.  JSON true and false are refused anywhere
-    in it, since numpy reads them as 1 and 0 among numbers."""
+    """The JSON document in path.  Where a handler reads numbers from it, the
+    library's gate (majorize._numbers) refuses JSON true and false."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
-    todo = [[data]]     # the arrays and objects left to search, without recursion
-    while todo:
-        items = todo.pop()
-        items = list(items.values()) if isinstance(items, dict) else items
-        kinds = set(map(type, items))
-        if bool in kinds:
-            raise _InputError(f"{path}: expected numbers, got a boolean")
-        if list in kinds or dict in kinds:
-            todo += [v for v in items if type(v) in (list, dict)]
-    return data
 
 
 def _load_numbers(path: str):

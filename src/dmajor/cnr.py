@@ -67,8 +67,8 @@ def unitary_orbit_extrema(c, t) -> OrbitExtrema:
     attained at permutations: sup pairs both spectra sorted alike, inf pairs
     them oppositely.
     """
-    wc, _ = hermitian_eig(np.asarray(c, dtype=complex))
-    wt, _ = hermitian_eig(np.asarray(t, dtype=complex))
+    wc, _ = hermitian_eig(c)
+    wt, _ = hermitian_eig(t)
     if wc.shape != wt.shape:
         raise ValueError("C and T must have equal size")
     return OrbitExtrema(sup=float(wc @ wt), inf=float(wc @ wt[::-1]))

@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import expm
-from .majorize import as_vector, as_weight_vector
+from .linalg import check_square, expm
+from .majorize import as_real_array, as_vector, as_weight_vector
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class BathRates:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "a", as_real_array(self.a))
+        object.__setattr__(self, "b", as_real_array(self.b))
         if self.a.shape != (self.n - 1,) or self.b.shape != (self.n - 1,):
             raise ValueError("rate arrays must have length n-1")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
@@ -53,14 +53,21 @@ _SERIES_POWERS = np.arange(_SERIES_DEGREE + 1.0)
 
 
 def _check_levels(n: int) -> None:
+    """Refuse n unless it is a level count: an integer in 1..MAX_BATH_DIM."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > MAX_BATH_DIM:
         raise ValueError(f"n = {n} exceeds the cap MAX_BATH_DIM = {MAX_BATH_DIM}")
 
 
 class _Series:
     """exp(t (N - mu I)) for an upper triangular N whose entries are all
-    >= 0, or all of the sign (-1)^(i+j), from the cached terms N^p / p!,
-    p = 0..18.
+    >= 0, or all of the sign (-1)^(i+j), from the cached terms (N / nu)^p / p!,
+    p = 0..18, nu the power of two just above ||N||_1, at the powers (h nu)^p
+    <= 1 of a step h: both lie in the float range at every time unit of N,
+    and each product is h^p N^p / p! bit for bit.
 
     Every term of an entry then has one sign, so the scaled sum and
     its squarings are accurate entry by entry (Xue & Ye, Math. Comp. 2013).
@@ -71,15 +78,18 @@ class _Series:
     """
 
     def __init__(self, n_mat: np.ndarray, mu: float, complement: bool):
-        terms = np.empty((_SERIES_DEGREE + 1,) + n_mat.shape)
-        terms[0] = np.eye(n_mat.shape[0])
-        for p in range(1, _SERIES_DEGREE + 1):
-            terms[p] = terms[p - 1] @ n_mat / p
-        terms.setflags(write=False)     # shared by generators with the same B0
-        self.terms, self.mu, self.complement = terms, mu, complement
         # a leading block's columns are N's, cut above the zeros below the
         # diagonal, so its 1-norm is the largest of N's first m column sums
         self.norms = np.maximum.accumulate(np.abs(n_mat).sum(axis=0))
+        # nu = 2^k, at most 2^1023 so that it is finite
+        k = min(math.frexp(float(self.norms[-1]))[1], 1023)
+        self.nu, scaled = math.ldexp(1.0, k), np.ldexp(n_mat, -k)
+        terms = np.empty((_SERIES_DEGREE + 1,) + n_mat.shape)
+        terms[0] = np.eye(n_mat.shape[0])
+        for p in range(1, _SERIES_DEGREE + 1):
+            terms[p] = terms[p - 1] @ scaled / p
+        terms.setflags(write=False)     # shared by generators with the same B0
+        self.terms, self.mu, self.complement = terms, mu, complement
         walk = self.walk(n_mat.shape[0])
         self.full = lambda t: next(walk(t))[1]
 
@@ -88,9 +98,10 @@ class _Series:
         for u = t, 2t, 4t, ...  Each u is evaluated afresh while u ||N||_1 <
         1/2 and then by one squaring, equal bit for bit to a walk started at
         u.  Raises ValueError when u*N or the result is not finite, which is
-        tested where it can fail: past e^(u ||N||_1) = e^700, or at h^18 = inf."""
+        tested where it can fail: past e^(u ||N||_1) = e^700, or at (h nu)^18
+        = inf, which only a block of a norm far below nu reaches."""
         flat = self.terms[:, :m, :m].reshape(_SERIES_DEGREE + 1, m * m)
-        norm, mu, complement = float(self.norms[m - 1]), self.mu, self.complement
+        norm, mu, complement, nu = float(self.norms[m - 1]), self.mu, self.complement, self.nu
 
         def walk(t: float) -> Iterator[tuple[float, np.ndarray]]:
             s = 0
@@ -104,7 +115,8 @@ class _Series:
                     # s squarings of the step h = t / 2^s, h ||N||_1 <= 1/2
                     s = max(0, math.frexp(t * norm)[1] + 1)
                     h = math.ldexp(t, -s)
-                    e = (h ** _SERIES_POWERS @ flat).reshape(m, m)
+                    # a block with N = 0 (one level, a first block) sums no power of h
+                    e = ((h * nu if norm else 0.0) ** _SERIES_POWERS @ flat).reshape(m, m)
                     if mu:
                         e *= math.exp(-h * mu)
                 # past e^700 an overflow is reported below, not warned about
@@ -116,7 +128,7 @@ class _Series:
                 # squaring may start from the complement
                 if complement:
                     e[0] = 1.0 - e[1:].sum(axis=0)
-                elif (t * norm > 700.0 or h > 2.0 ** 56) and not np.isfinite(e).all():
+                elif (t * norm > 700.0 or h * nu > 2.0 ** 56) and not np.isfinite(e).all():
                     raise ValueError("matrix exponential overflows")
                 yield t, e
                 t *= 2.0
@@ -131,7 +143,7 @@ class Generator:
     b0: np.ndarray
 
     def __post_init__(self):
-        b0 = np.asarray(self.b0, dtype=float)
+        b0 = as_real_array(self.b0)
         object.__setattr__(self, "b0", b0)
         if b0.ndim != 2 or b0.shape[0] != b0.shape[1]:
             raise ValueError("B0 must be square")
@@ -262,8 +274,6 @@ def b0_from_rates(rates: BathRates) -> Generator:
 
 def zero_temperature_rates(n: int) -> BathRates:
     """Pure lowering at ladder weights: a_j = sqrt(j(n-j)), b = 0."""
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_levels(n)
     j = np.arange(1, n)
     return BathRates(n=n, a=np.sqrt(j * (n - j)), b=np.zeros(n - 1))
@@ -301,8 +311,6 @@ def equidistant_d(alpha: float, n: int) -> np.ndarray:
     the Gibbs vector of an equidistant energy ladder, normalized to total 1."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be positive")
     _check_levels(n)
     d = alpha ** np.arange(n)
     return (1.0 - alpha) / (1.0 - alpha ** n) * d
@@ -328,7 +336,7 @@ def propagator(gen: Generator, t: float | np.ndarray) -> np.ndarray:
     exactly; every other one calls linalg.expm.  Raises ValueError when t*B0
     is not finite.
     """
-    t = np.asarray(t, dtype=float)
+    t = as_real_array(t)
     lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
     if lo < 0:
         raise ValueError("propagator requires t >= 0")
@@ -386,21 +394,18 @@ def lowering_raising_ops(rates: BathRates) -> list[np.ndarray]:
 
 
 def sigma_plus(n: int) -> np.ndarray:
-    """Spin lowering ladder sum_j sqrt(j(n-j)) |e_j><e_{j+1}|."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Spin lowering ladder sum_j sqrt(j(n-j)) |e_j><e_{j+1}| of n <= MAX_BATH_DIM levels."""
+    _check_levels(n)
     j = np.arange(1, n)
     return np.diag(np.sqrt(j * (n - j)), 1).astype(complex)
 
 
 def apply_gamma(ops, rho: np.ndarray) -> np.ndarray:
     """GKSL dissipator value sum_j [ (V_j^*V_j rho + rho V_j^*V_j)/2 - V_j rho V_j^* ]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho must be square")
+    rho = check_square(rho, "rho")
     out = np.zeros_like(rho)
     for v in ops:
-        v = np.asarray(v, dtype=complex)
+        v = check_square(v, "Lindblad operator")
         if v.shape != rho.shape:
             raise ValueError("Lindblad operator dimension mismatch")
         vv = v.conj().T @ v

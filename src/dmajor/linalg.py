@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .majorize import _numbers, as_real_array
+
 
 def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Return exp(t*a) for a square matrix a.
@@ -20,10 +22,10 @@ def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     """
     import scipy.linalg  # loaded on first use: most subcommands never need it
 
-    a = np.asarray(a)
+    a = _numbers(a, "iufc")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
-    t = np.asarray(t, dtype=float)
+    t = as_real_array(t)
     if t.ndim == 1:
         t = t[:, None, None]
     elif t.ndim != 0:
@@ -41,7 +43,7 @@ def expm(a: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
 def check_square(a, name: str = "matrix", herm_tol: float | None = None) -> np.ndarray:
     """a as a finite complex square matrix; with herm_tol, also Hermitian
     within herm_tol * max |a_ij|."""
-    a = np.asarray(a, dtype=complex)
+    a = _numbers(a, "iufc").astype(complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -66,10 +68,12 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, n
 
 def check_permutation(images) -> np.ndarray:
     """Validate and normalize a permutation given as zero-based image array."""
-    p = np.asarray(images)
-    n = p.size
-    if p.ndim != 1 or n == 0 or p.dtype.kind not in "iu":
+    try:
+        p = _numbers(images, "iu")
+    except ValueError:
+        p = None
+    if p is None or p.ndim != 1 or p.size == 0:
         raise ValueError("permutation must be a non-empty 1-d integer array")
-    if not np.array_equal(np.sort(p), np.arange(n)):
-        raise ValueError(f"the {n} entries are not a permutation of 0..{n - 1}")
+    if not np.array_equal(np.sort(p), np.arange(p.size)):
+        raise ValueError(f"the {p.size} entries are not a permutation of 0..{p.size - 1}")
     return p

@@ -40,26 +40,28 @@ def _holds_bool(x, kinds: tuple) -> bool:
     return isinstance(x, kinds)
 
 
-def as_real_array(x) -> np.ndarray:
-    """x as a float array.  Strings, booleans, objects and complex numbers
-    are refused, though float() would take "0.5" and True; so are booleans
-    among numbers in lists, which numpy would read as 0 and 1."""
+# the dtype kinds a reader of caller data accepts, with the name its refusals use
+_KIND_NAMES = {"iuf": "real numbers", "iu": "integers", "iufc": "real or complex numbers"}
+
+
+def _numbers(x, kinds: str) -> np.ndarray:
+    """np.asarray(x), refused unless its dtype is one of kinds: "iuf" (real),
+    "iu" (integer) or "iufc" (real or complex); every reader of caller arrays
+    asks here.  So strings, booleans and objects are refused, though float()
+    would take "0.5" and True, and so are booleans among numbers in lists."""
     import numpy as np
 
     v = np.asarray(x)
-    if v.dtype.kind not in "iuf":
-        raise ValueError(f"expected real numbers, got entries of dtype {v.dtype}")
+    if v.dtype.kind not in kinds:
+        raise ValueError(f"expected {_KIND_NAMES[kinds]}, got entries of dtype {v.dtype}")
     if not isinstance(x, np.ndarray) and _holds_bool(x, (bool, np.bool_)):
-        raise ValueError("expected real numbers, got a boolean")
-    return v if v.dtype == np.float64 else v.astype(float)
-
-
-def _real_vector(x) -> np.ndarray:
-    """x as a non-empty 1-d float array."""
-    v = as_real_array(x)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-d real vector")
+        raise ValueError(f"expected {_KIND_NAMES[kinds]}, got a boolean")
     return v
+
+
+def as_real_array(x) -> np.ndarray:
+    """x as a float array, refused as _numbers refuses non-real entries."""
+    return _numbers(x, "iuf").astype(float, copy=False)
 
 
 def _check_weights(d: list) -> None:
@@ -73,21 +75,15 @@ def _plain(v) -> bool:
 
 
 def _entries(x) -> list:
-    """_real_vector(x).tolist(): the entries of a non-empty 1-d real vector as
-    floats, refused as _real_vector refuses them.  A list or tuple of floats
-    and int64-range ints is read entry by entry and an array through its
-    dtype, neither with a numpy call; anything else goes through
-    as_real_array, which loads numpy."""
+    """The entries of a non-empty 1-d real vector as floats, their finiteness
+    left to the caller.  A list or tuple of floats and int64-range ints is
+    read entry by entry, without numpy; anything else through the gate."""
     if isinstance(x, (list, tuple)) and x and all(map(_plain, x)):
         return [float(v) for v in x]
-    np = sys.modules.get("numpy")       # an array exists only once numpy is loaded
-    if np is None or not isinstance(x, np.ndarray):
-        x = as_real_array(x)
-    if x.dtype.kind not in "iuf":
-        raise ValueError(f"expected real numbers, got entries of dtype {x.dtype}")
-    if x.ndim != 1 or x.size == 0:
+    v = as_real_array(x)
+    if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-d real vector")
-    return x.tolist() if x.dtype.char == "d" else [float(v) for v in x.tolist()]
+    return v.tolist()
 
 
 def _check_finite(values) -> None:
@@ -98,16 +94,19 @@ def _check_finite(values) -> None:
 
 def _finite_entries(x) -> list:
     """as_vector(x).tolist(), with its refusals, without loading numpy for a
-    list of numbers or an array."""
+    list of numbers."""
     v = _entries(x)
     _check_finite(v)
     return v
 
 
 def as_vector(x) -> np.ndarray:
+    """x as a non-empty 1-d array of finite floats."""
     import numpy as np
 
-    v = _real_vector(x)
+    v = as_real_array(x)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a non-empty 1-d real vector")
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v

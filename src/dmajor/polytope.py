@@ -80,7 +80,7 @@ class HPolytope:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "b", as_real_array(self.b))
         if self.b.shape != (2 ** self.n,):
             raise ValueError("b must have length 2^n")
         if not abs(self.b[-2] + self.b[-1]) <= 1e-12 * abs(self.b[-2]):

@@ -68,7 +68,7 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        p = check_permutation(np.array(self.perm))
+        p = np.array(check_permutation(self.perm))      # a copy the segment owns
         p.setflags(write=False)
         object.__setattr__(self, "perm", p)
         t = as_real_array(self.duration)

@@ -1128,7 +1128,8 @@ class TestExitContract:
             capture(["--jobs", "2", "bath", "--zero-temp", "3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag, env", [("-1", None), ("nan", None), (None, "-1")])
+    @pytest.mark.parametrize("flag, env", [("-1", None), ("nan", None), (None, "-1"),
+                                           (None, "abc")])
     def test_bad_tolerance_exits_input(self, tmp_path, capture, monkeypatch, flag, env):
         if env is not None:
             monkeypatch.setenv("DMAJOR_TOL", env)
@@ -1137,7 +1138,10 @@ class TestExitContract:
         code, out, err = capture(argv)
         assert code == 2
         assert out == ""
-        assert "tolerance must be finite and nonnegative" in err
+        if env == "abc":
+            assert "cannot parse DMAJOR_TOL='abc' as a float" in err
+        else:
+            assert "tolerance must be finite and nonnegative" in err
 
     def test_zero_tolerance_allowed(self, tmp_path, capture):
         x = write(tmp_path, "x.json", [0.5, 0.3, 0.2])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -481,14 +482,33 @@ class TestZeroTemperatureSeries:
         with pytest.raises(ValueError, match="overflows"):
             backward.full(200.0)
 
-    def test_backward_overflow_of_the_step_powers_raises(self):
-        # at ||B0||_1 = 6e-20 the step h is t itself, and h^18 leaves the
-        # float range at t = 1e18, where t ||B0||_1 is far below e^700
-        backward = Generator(b0_from_rates(zero_temperature_rates(4)).b0 * 1e-20)._ladder[1]
-        assert float(backward.norms[-1]) * 1e18 < 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="overflows"):
-                backward.full(1e18)
+    def test_blocks_without_rates_take_any_step(self):
+        # N = 0 at one level and in the backward series' first block: h^18
+        # once overflowed at t = 1e300 into a NaN that the complement row
+        # hid, with a RuntimeWarning (an error under this suite's filter)
+        assert np.array_equal(propagator(b0_from_rates(zero_temperature_rates(1)), 1e300),
+                              np.eye(1))
+        backward = b0_from_rates(zero_temperature_rates(4))._ladder[1]
+        assert np.array_equal(next(backward.walk(1)(1e300))[1], np.eye(1))
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 64])
+    def test_power_of_two_time_units_change_no_exponential(self, n):
+        # 2^k B0 at the times 2^-k t gives the exponentials of B0 at t, bit
+        # for bit: the terms hold N / nu and the steps h nu, dimensionless.
+        # With the terms N^p / p! and the powers h^p, h^18 overflowed at
+        # k <= -64 and the terms at k >= 60, into NaN matrices
+        gen = b0_from_rates(zero_temperature_rates(n))
+        x = np.random.default_rng(n).dirichlet(np.ones(n))
+        forward = {t: (propagator(gen, t), flow(gen, x, t)) for t in (0.0, 1e-3, 1.0, 100.0)}
+        norm = float(gen._ladder[1].norms[-1])
+        backward = {t: gen._ladder[1].full(t) for t in (1e-3 / norm, 0.3 / norm, 2.0 / norm)}
+        for k in range(-200, 201):
+            scaled = Generator(np.ldexp(gen.b0, k))
+            for t, (p, f) in forward.items():
+                assert np.array_equal(propagator(scaled, math.ldexp(t, -k)), p)
+                assert np.array_equal(flow(scaled, x, math.ldexp(t, -k)), f)
+            for t, e in backward.items():
+                assert np.array_equal(scaled._ladder[1].full(math.ldexp(t, -k)), e)
 
 
 class TestLadderMemo:

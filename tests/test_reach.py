@@ -857,13 +857,13 @@ class TestGroundSynthesis:
         sched = synthesize_from_ground(gen, target)
         assert np.abs(endpoint(gen, np.eye(4)[0], sched) - target).sum() <= 1e-14
 
-    @pytest.mark.parametrize("k", [-60, -30, 0, 20, 30, 40, 50])
+    @pytest.mark.parametrize("k", [-60, -30, 0, 20, 30, 40, 50, 60, 100, 200])
     def test_power_of_two_time_units_scale_the_schedule(self, k):
         # the search's first bracket starts at 1e-6 2^j with
         # 1/4 < t ||B0||_1 <= 1/2 for j of either sign, so 2^k B0 gets the
         # schedule of B0 with durations 2^-k times as long, bit for bit; at
         # k = 30 a start that only doubled from 1e-6 overflowed the
-        # exponential
+        # exponential, and from k = 60 the unscaled series terms did
         target = np.array([0.1, 0.2, 0.3, 0.4])
         ref = synthesize_from_ground(_gen(4), target)
         gen = Generator(_gen(4).b0 * 2.0 ** k)

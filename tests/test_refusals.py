@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from dmajor.channels import (SuperOperator, channel_between, identity_distance_witness,
-                             matrix_majorizes, pure_state_reachable)
+from dmajor.channels import (SuperOperator, channel_between, d_matrix_majorizes_2x2,
+                             identity_distance_witness, matrix_majorizes, pure_state_reachable,
+                             trace_norm)
 from dmajor.cnr import c_numerical_range_sample, c_spectrum, unitary_orbit_extrema
-from dmajor.dissipation import (BathRates, Generator, apply_gamma, b0_from_rates, equidistant_d,
-                                flow, propagator, zero_temperature_rates)
+from dmajor.dissipation import (MAX_BATH_DIM, BathRates, Generator, apply_gamma, b0_from_rates,
+                                equidistant_d, flow, propagator, sigma_plus,
+                                zero_temperature_rates)
+from dmajor.linalg import check_permutation, check_square, expm, hermitian_eig
 from dmajor.majorize import (StochasticMatrix, column_stochastic_transfer, d_majorizes,
                              doubly_stochastic_transfer, majorizes)
 from dmajor.polytope import (HPolytope, contains, halfspace_bounds, hausdorff, hull_hausdorff,
                              vertex_for_permutation)
-from dmajor.reach import reachable_sample, synthesize_local
+from dmajor.reach import Segment, reachable_sample, synthesize_local
 from helpers import compose, identity_superoperator
 
 I2, I3 = np.eye(2), np.eye(3)
@@ -27,6 +30,67 @@ def _zero_temp(n):
 
 def _poly():
     return halfspace_bounds([0.5, 0.5], [1.0, 1.0])
+
+
+def _poly3():
+    return halfspace_bounds([0.2, 0.3, 0.5], [1.0, 1.0, 1.0])
+
+
+# each reader of caller arrays refuses a numeric string and a boolean, alone
+# or among numbers, which np.asarray(x, dtype=float) would take as 0.5 or 1
+REAL = "expected real numbers, got entries of dtype <U"
+BOOL = "expected real numbers, got a boolean"
+NUMBER = "expected real or complex numbers, got entries of dtype"
+NUMBER_BOOL = "expected real or complex numbers, got a boolean"
+PERMUTATION = "permutation must be a non-empty 1-d integer array"
+NON_NUMBERS = {
+    "check-square-string": (lambda: check_square([["1", 0], [0, 1]]), NUMBER),
+    "check-square-boolean": (lambda: check_square([[True, 0], [0, 1]]), NUMBER_BOOL),
+    "hermitian-eig-string": (lambda: hermitian_eig([["0.5"]]), NUMBER),
+    "hermitian-eig-boolean": (lambda: hermitian_eig([[1.0, 0.0], [0.0, True]]), NUMBER_BOOL),
+    "check-permutation-string": (lambda: check_permutation(["1", "0"]), PERMUTATION),
+    "check-permutation-boolean": (lambda: check_permutation([0, True, 2]), PERMUTATION),
+    "expm-string": (lambda: expm([["1"]]), NUMBER),
+    "expm-boolean": (lambda: expm([[1, True], [0, 1]]), NUMBER_BOOL),
+    "expm-time-string": (lambda: expm(I2, "0.5"), REAL),
+    "expm-time-boolean": (lambda: expm(I2, True),
+                          "expected real numbers, got entries of dtype bool"),
+    "bath-rates-string": (lambda: BathRates(3, ["1", "1"], [0, 0]), REAL),
+    "bath-rates-boolean": (lambda: BathRates(3, [1.0, 1.0], [0, True]), BOOL),
+    "generator-string": (lambda: Generator([["1", "-1"], ["-1", "1"]]), REAL),
+    "generator-boolean": (lambda: Generator([[True, -1], [-1, 1]]), BOOL),
+    "propagator-time-string": (lambda: propagator(_zero_temp(3), "0.5"), REAL),
+    "propagator-time-boolean": (lambda: propagator(_zero_temp(3), [0.5, True]), BOOL),
+    "gamma-rho-string": (lambda: apply_gamma([], [["0.5", 0], [0, 0.5]]), NUMBER),
+    "gamma-rho-boolean": (lambda: apply_gamma([], [[True, 0], [0, 0]]), NUMBER_BOOL),
+    "gamma-operator-string": (lambda: apply_gamma([[["0", 1], [0, 0]]], I2), NUMBER),
+    "gamma-operator-boolean": (lambda: apply_gamma([[[0, True], [0, 0]]], I2), NUMBER_BOOL),
+    "hpolytope-string": (lambda: HPolytope(1, ["1", "-1"]), REAL),
+    "hpolytope-boolean": (lambda: HPolytope(1, [True, -1]), BOOL),
+    "trace-norm-string": (lambda: trace_norm([["1", 0]]), NUMBER),
+    "trace-norm-boolean": (lambda: trace_norm([[1, True]]), NUMBER_BOOL),
+    "superoperator-string": (lambda: SuperOperator(1, 1, [["1"]]), NUMBER),
+    "superoperator-boolean": (lambda: SuperOperator(1, 1, [[True]]), NUMBER),
+    "superoperator-apply-string": (lambda: SuperOperator(1, 1, [[1.0]]).apply([["1"]]), NUMBER),
+    "superoperator-apply-boolean": (lambda: SuperOperator(1, 1, [[1.0]]).apply([[True]]),
+                                    NUMBER),
+    "d-matrix-weights-string": (lambda: d_matrix_majorizes_2x2(I2 / 2, I2 / 2, ["1", "1"]),
+                                REAL),
+    "d-matrix-weights-boolean": (lambda: d_matrix_majorizes_2x2(I2 / 2, I2 / 2, [1, True]), BOOL),
+    "orbit-extrema-string": (lambda: unitary_orbit_extrema([["1", 0], [0, 1]], I2), NUMBER),
+    "orbit-extrema-boolean": (lambda: unitary_orbit_extrema(I2, [[1, 0], [0, True]]),
+                              NUMBER_BOOL),
+    "channel-between-string": (lambda: channel_between([["0.5", 0], [0, 0.5]], I2 / 2), NUMBER),
+    "channel-between-boolean": (lambda: channel_between(I2 / 2, [[True, 0], [0, 0]]),
+                                NUMBER_BOOL),
+    "matrix-majorizes-string": (lambda: matrix_majorizes(I2 / 2, [["1", 0], [0, 0]]), NUMBER),
+    "matrix-majorizes-boolean": (lambda: matrix_majorizes([[True, 0], [0, 0]], I2 / 2),
+                                 NUMBER_BOOL),
+    # a boolean among integers was read as the identity's 1
+    "segment-permutation-boolean": (lambda: Segment([0, True, 2], 0.5), PERMUTATION),
+    "vertex-permutation-boolean": (lambda: vertex_for_permutation([0, True, 2], _poly3()),
+                                   PERMUTATION),
+}
 
 
 REFUSALS = {
@@ -58,6 +122,16 @@ REFUSALS = {
     "generator-square": (lambda: Generator(np.zeros((2, 3))), "B0 must be square"),
     "zero-temperature-levels": (lambda: zero_temperature_rates(0), "n must be positive"),
     "equidistant-levels": (lambda: equidistant_d(0.5, 0), "n must be positive"),
+    # a fractional level count once gave 3 weights summing to 1.063
+    "equidistant-fractional-levels": (lambda: equidistant_d(0.5, 2.5),
+                                      "n must be an integer, got 2.5"),
+    "zero-temperature-fractional-levels": (lambda: zero_temperature_rates(2.5),
+                                           "n must be an integer, got 2.5"),
+    "zero-temperature-boolean-levels": (lambda: zero_temperature_rates(True),
+                                        "n must be an integer, got True"),
+    "sigma-plus-levels": (lambda: sigma_plus(0), "n must be positive"),
+    "sigma-plus-fractional-levels": (lambda: sigma_plus(2.5), "n must be an integer, got 2.5"),
+    "sigma-plus-cap": (lambda: sigma_plus(MAX_BATH_DIM + 1), "exceeds the cap MAX_BATH_DIM"),
     "flow-length": (lambda: flow(_zero_temp(3), [0.5, 0.5], 1.0),
                     "state length must be a multiple of the generator's 3 levels"),
     "propagator-negative-time": (lambda: propagator(_zero_temp(3), -1.0),
@@ -99,6 +173,8 @@ REFUSALS = {
     "hpolytope-b-length": (lambda: HPolytope(2, np.array([1.0, 1.0, -1.0])),
                            r"b must have length 2\^n"),
     "contains-dimension": (lambda: contains([0.2, 0.3, 0.5], _poly()), "dimension mismatch"),
+    "contains-matrix": (lambda: contains([[0.2, 0.3, 0.5]], _poly3()),
+                        "expected a non-empty 1-d real vector"),
     "vertex-permutation-length": (lambda: vertex_for_permutation([0, 1, 2], _poly()),
                                   "permutation length must equal the polytope dimension"),
     # each once returned nan, inf or 1.0
@@ -128,6 +204,7 @@ REFUSALS = {
     # a length-1 state once broadcast over the 3 levels
     "reachable-sample-size": (lambda: reachable_sample(_zero_temp(3), [1.0], 2, 0),
                               "state of length 1 where 3 is needed"),
+    **NON_NUMBERS,
 }
 
 
