@@ -14,11 +14,13 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 
 from .linalg import check_square, expm
-from .majorize import as_real_array, as_vector, as_weight_vector
+from .majorize import _real_number, as_real_array, as_vector, as_weight_vector
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class BathRates:
         object.__setattr__(self, "b", as_real_array(self.b))
         if self.a.shape != (self.n - 1,) or self.b.shape != (self.n - 1,):
             raise ValueError("rate arrays must have length n-1")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
             raise ValueError("rates must be finite")
 
 
@@ -149,10 +151,10 @@ class Generator:
             raise ValueError("B0 must be square")
         # reductions and strided views only: no n x n temporaries for a large B0
         hi, lo = float(b0.max()), float(b0.min())
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ValueError("entries of B0 must be finite")
         scale = max(hi, -lo)
-        if np.max(np.abs(b0.sum(axis=0))) > 1e-12 * scale:
+        if np.abs(b0.sum(axis=0)).max() > 1e-12 * scale:
             raise ValueError("columns of B0 must sum to zero")
         n = b0.shape[0]
         # in row-major order, the entries after (0, 0) come in runs of n
@@ -172,15 +174,18 @@ class Generator:
         zero lower rate cuts pi off above it: at zero temperature s = e_1);
         None for every other generator."""
         b0 = self.b0
-        up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
+        up, down = -b0.diagonal(1), -b0.diagonal(-1)
         if not ((up > 0).all() and (down >= 0).all()):
             return None
         # count only: no n x n temporaries for a large B0
-        if np.count_nonzero(b0) != (np.count_nonzero(np.diagonal(b0)) + up.size
+        if np.count_nonzero(b0) != (np.count_nonzero(b0.diagonal()) + up.size
                                     + np.count_nonzero(down)):
             return None
-        with np.errstate(all="ignore"):
-            s = np.cumprod(np.r_[1.0, np.sqrt(down) / np.sqrt(up)])
+        # the cumulative product of sqrt(down) / sqrt(up) from 1, on Python
+        # floats, where a ratio or a product past the float range is inf
+        # without a warning (np.cumprod's order, so the same bits)
+        ratios = map(truediv, map(math.sqrt, down.tolist()), map(math.sqrt, up.tolist()))
+        s = np.array(list(accumulate(ratios, mul, initial=1.0)))
         return s if np.isfinite(s).all() else None
 
     @cached_property
@@ -198,8 +203,8 @@ class Generator:
         # also false for a zero entry of s, where the spread is infinite
         if s is None or not s.max() <= _MAX_SPECTRAL_SPREAD * s.min():
             return None
-        off = -np.sqrt(-np.diagonal(b0, 1)) * np.sqrt(-np.diagonal(b0, -1))
-        w, q = np.linalg.eigh(np.diag(np.diagonal(b0)) + np.diag(off, 1) + np.diag(off, -1))
+        off = -np.sqrt(-b0.diagonal(1)) * np.sqrt(-b0.diagonal(-1))
+        w, q = np.linalg.eigh(np.diag(b0.diagonal()) + np.diag(off, 1) + np.diag(off, -1))
         # B0 has zero column sums and nonpositive off-diagonal entries, so its
         # spectrum lies in [0, inf) and holds 0; pinning the smallest
         # eigenvalue there makes long flows end on the fixed point
@@ -222,7 +227,7 @@ class Generator:
         which is the series of B0 itself, since B0 = D |B0| D.
         """
         b0 = self.b0
-        if self.n > MAX_BATH_DIM or np.diagonal(b0, -1).any():
+        if self.n > MAX_BATH_DIM or b0.diagonal(-1).any():
             return None
         try:
             return (_ladder_of if self.n <= 64 else _ladder_of.__wrapped__)(b0.tobytes(), self.n)
@@ -239,7 +244,7 @@ def _ladder_of(key: bytes, n: int) -> tuple[_Series, _Series]:
     b0 = np.frombuffer(key).reshape(n, n)
     if Generator(b0)._balance is None:
         raise LookupError("B0 is not a zero-temperature ladder")
-    mu = float(np.diagonal(b0).max())
+    mu = float(b0.diagonal().max())
     return (_Series(mu * np.eye(n) - b0, mu, complement=True),
             _Series(b0, 0.0, complement=False))
 
@@ -288,9 +293,9 @@ def thermal_rates(d) -> BathRates:
     d = np.ldexp(d, -math.frexp(float(d.max()))[1])
     n = d.size
     j = np.arange(1, n)
-    w = j * (n - j)
-    a = np.sqrt(w * d[:-1] / (d[:-1] + d[1:]))
-    b = np.sqrt(w * d[1:] / (d[:-1] + d[1:]))
+    w, pair = j * (n - j), d[:-1] + d[1:]
+    a = np.sqrt(w * d[:-1] / pair)
+    b = np.sqrt(w * d[1:] / pair)
     return BathRates(n=n, a=a, b=b)
 
 
@@ -299,6 +304,7 @@ def gibbs_vector(energies, temperature: float) -> np.ndarray:
     their minimum before exponentiating (overflow-safe, same distribution);
     a gap (E_j - min E)/T beyond the float range gives the weight 0."""
     e = as_vector(energies)
+    temperature = _real_number(temperature, "temperature must be a real number")
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     with np.errstate(over="ignore"):
@@ -336,8 +342,12 @@ def propagator(gen: Generator, t: float | np.ndarray) -> np.ndarray:
     exactly; every other one calls linalg.expm.  Raises ValueError when t*B0
     is not finite.
     """
-    t = as_real_array(t)
-    lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
+    if type(t) is float:    # a Python float passes the gate, and is its own bounds
+        lo = hi = t
+        t = np.array(t)
+    else:
+        t = as_real_array(t)
+        lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
     if lo < 0:
         raise ValueError("propagator requires t >= 0")
     ladder = gen._ladder    # a memo hit skips _balance; a ladder has no spectral form

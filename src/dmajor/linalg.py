@@ -74,6 +74,6 @@ def check_permutation(images) -> np.ndarray:
         p = None
     if p is None or p.ndim != 1 or p.size == 0:
         raise ValueError("permutation must be a non-empty 1-d integer array")
-    if not np.array_equal(np.sort(p), np.arange(p.size)):
+    if not (np.sort(p) == np.arange(p.size)).all():
         raise ValueError(f"the {p.size} entries are not a permutation of 0..{p.size - 1}")
     return p

@@ -64,6 +64,22 @@ def as_real_array(x) -> np.ndarray:
     return _numbers(x, "iuf").astype(float, copy=False)
 
 
+# a tolerance that is not one number, such as an array of them
+_TOL_REFUSAL = "tol must be a real number"
+
+
+def _real_number(x, message: str) -> float:
+    """x as one Python float, by the gate's rule: a float is taken as it is,
+    without numpy, and anything else goes through as_real_array, so True and
+    "0.5" are refused; ValueError(message) unless the result is 0-d."""
+    if type(x) is float:
+        return x
+    v = as_real_array(x)
+    if v.ndim:
+        raise ValueError(message)
+    return float(v)
+
+
 def _check_weights(d: list) -> None:
     if min(d) <= 0:
         raise ValueError("weight vector entries must be strictly positive")
@@ -218,6 +234,7 @@ def majorizes(x, y, tol: float = 1e-9) -> bool:
     import numpy as np
 
     x, y, _ = _validated(x, y, None)
+    tol = _real_number(tol, _TOL_REFUSAL)
     return bool(_majorized_rows(np.array(x), np.array(y), tol))
 
 
@@ -237,7 +254,7 @@ def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
     x, y, d = _validated(x, y, d)
     if method not in D_MAJORIZE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {D_MAJORIZE_METHODS}")
-    return _d_majorizes(x, y, d, method, tol)
+    return _d_majorizes(x, y, d, method, _real_number(tol, _TOL_REFUSAL))
 
 
 def _d_majorizes(x: list, y: list, d: list, method: str, tol: float) -> bool:
@@ -416,6 +433,7 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     import numpy as np
 
     x, y, e = _validated(x, y, None)
+    tol = _real_number(tol, _TOL_REFUSAL)
     if not _majorized_rows(np.array(x), np.array(y), tol):
         raise ValueError("doubly_stochastic_transfer requires x to be majorized by y")
     out = _chain_transfer(x, y, e, tol)
@@ -454,6 +472,7 @@ def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     import numpy as np
 
     x, y = map(np.array, _validated(x, y, None)[:2])
+    tol = _real_number(tol, _TOL_REFUSAL)
     n = x.size
     if abs(x.sum() - y.sum()) > _scaled_tol(y, 1e-10):
         raise ValueError("column_stochastic_transfer requires equal totals")
@@ -480,6 +499,7 @@ def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:
     from at most 2n-2 weighted T-transforms.  Requires d_majorizes(x, y, d).
     """
     x, y, d = _validated(x, y, d)
+    tol = _real_number(tol, _TOL_REFUSAL)
     if not _d_majorizes(x, y, d, "norm", tol):
         raise ValueError("d_stochastic_transfer requires d_majorizes(x, y, d)")
     return _chain_transfer(x, y, d, tol)
@@ -492,7 +512,7 @@ def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:
 def minimal_element(trace: float, d) -> np.ndarray:
     """The unique minimal element of the trace hyperplane: (trace / e^T d) d."""
     d = as_weight_vector(d)
-    return (trace / d.sum()) * d
+    return (_real_number(trace, "trace must be a real number") / d.sum()) * d
 
 
 @dataclass(frozen=True)
@@ -508,6 +528,7 @@ def maximal_element(d, tol: float = 1e-12) -> MaximalElement:
     import numpy as np
 
     d = as_weight_vector(d)
+    tol = _real_number(tol, _TOL_REFUSAL)
     k = int(np.argmin(d))
     vec = np.zeros(d.size)
     vec[k] = d.sum()

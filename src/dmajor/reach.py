@@ -18,7 +18,7 @@ import numpy as np
 from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
     thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
-from .majorize import SimplexViolationError, _majorized_rows, as_real_array, as_vector, \
+from .majorize import SimplexViolationError, _majorized_rows, _real_number, as_vector, \
     as_weight_vector, majorizes
 
 MAX_LOCAL_DIM = 4096
@@ -36,20 +36,29 @@ _SAMPLE_BLOCK = 1024
 
 def _check_simplex(x, size: int | None = None, tol: float = 1e-9) -> np.ndarray:
     """x as a state: a finite vector of the given size (any size for None),
-    entries >= -tol and total within tol of 1; ValueError otherwise."""
+    entries >= -tol and total within tol of 1; ValueError otherwise.
+
+    An accepted state has no entry above 1 + n tol, up to the rounding of its
+    total, so an entry above twice that is refused before the total is
+    formed: the sum of entries in [-tol, 2 (1 + n tol)] cannot overflow."""
     x = as_vector(x)
     if size is not None and x.size != size:
         raise ValueError(f"state of length {x.size} where {size} is needed")
-    with np.errstate(over="ignore"):    # an overflowing total is refused below
-        total = x.sum()
-    if abs(total - 1.0) > tol or np.min(x) < -tol:
+    if not (x.min() >= -tol and x.max() <= 2.0 * (1.0 + x.size * tol)) \
+            or abs(x.sum() - 1.0) > tol:
         raise ValueError(f"state is outside the simplex beyond {tol}")
     return x
 
 
 def _clamp_simplex(x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Clamp numerical dust to zero and renormalize each state (the last
-    axis of x); raise on real violations."""
+    axis of x); raise on real violations.
+
+    Without a negative entry there is nothing to clamp, and x + 0.0 is
+    max(x, 0) bit for bit (it turns a -0.0 into 0.0), so x is normalized as
+    it is; a NaN entry fails that test and is refused below."""
+    if x.min() >= 0.0:
+        return (x + 0.0) / x.sum(axis=-1, keepdims=True)
     deficit = -np.minimum(x, 0.0).sum(axis=-1)
     if not (deficit <= tol).all():  # a NaN entry makes the deficit NaN
         raise SimplexViolationError(
@@ -58,11 +67,16 @@ def _clamp_simplex(x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return y / y.sum(axis=-1, keepdims=True)
 
 
+_DURATION_REFUSAL = "segment duration must be a finite nonnegative number"
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """One control step: apply the permutation instantaneously, then dissipate
     for the given duration.  perm is an owned, read-only integer array, and
-    segments compare by value; they are unhashable."""
+    segments compare by value; they are unhashable.  The duration is read by
+    the number rule (a Python float as it is, anything else as a 0-d real
+    array) and stored as a finite nonnegative Python float."""
 
     perm: np.ndarray
     duration: float
@@ -71,10 +85,10 @@ class Segment:
         p = np.array(check_permutation(self.perm))      # a copy the segment owns
         p.setflags(write=False)
         object.__setattr__(self, "perm", p)
-        t = as_real_array(self.duration)
-        if not (t.ndim == 0 and 0.0 <= t < np.inf):
-            raise ValueError("segment duration must be a finite nonnegative number")
-        object.__setattr__(self, "duration", float(t))
+        t = _real_number(self.duration, _DURATION_REFUSAL)
+        if not 0.0 <= t < math.inf:
+            raise ValueError(_DURATION_REFUSAL)
+        object.__setattr__(self, "duration", t)
 
     def __eq__(self, other):
         if not isinstance(other, Segment):
@@ -233,7 +247,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
             raise SimplexViolationError("backward flow never hits a face")
         lo, wt = hi, w
 
-    diag, upper = np.diagonal(b0).tolist(), np.diagonal(b0, 1).tolist() + [0.0]
+    diag, upper = b0.diagonal().tolist(), b0.diagonal(1).tolist() + [0.0]
     t, at_lo, cross = lo, True, 0.25
     move_before = move = hi - lo
     while hi - lo > 2e-15 * hi:
@@ -381,6 +395,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     rounding of x0's total: SimplexViolationError is raised only when eps/2
     lies below that, as for an x0 whose total does not round to 1.
     """
+    eps = _real_number(eps, "eps must be a real number")
     if not eps > 0:
         raise ValueError("eps must be positive")
     check_zero_temperature(gen)
@@ -466,6 +481,7 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     that rounding.  One segment per event time: each gather and scatter
     rides on the next one.
     """
+    eps = _real_number(eps, "eps must be a real number")
     if not eps > 0:
         raise ValueError("eps must be positive")
     total = n ** m
@@ -567,7 +583,7 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
         raise ValueError(f"n = {x0.size} exceeds the cap {MAX_ENVELOPE_DIM}")
     with np.errstate(over="ignore"):
         total = float(np.maximum(x0, 0.0).sum())
-    if np.min(x0) < -1e-12 * total:
+    if x0.min() < -1e-12 * total:
         raise ValueError("x0 must be entrywise nonnegative")
     if not 0 <= sample_count <= MAX_SAMPLE_COUNT:
         raise ValueError("sample_count must be nonnegative and at most MAX_SAMPLE_COUNT = "
@@ -575,7 +591,7 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     if not 0 <= sample_depth <= MAX_SAMPLE_DEPTH:
         raise ValueError(f"sample_depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {sample_depth}")
     steps = np.diff(np.log(d))      # log neighbour ratios: no overflow
-    if np.any(np.abs(steps - steps[:1]) > 1e-10):
+    if (np.abs(steps - steps[:1]) > 1e-10).any():
         raise ValueError("d must have constant neighbour ratios (equidistant levels)")
 
     n = d.size

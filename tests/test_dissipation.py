@@ -327,6 +327,8 @@ class TestSpectralPropagator:
             assert stack.shape == (t.size, gen.n, gen.n)
             for k, tk in enumerate(t):
                 assert np.array_equal(stack[k], propagator(gen, float(tk)))
+                # a Python float and a numpy scalar, read through the gate, agree
+                assert propagator(gen, float(tk)).tobytes() == propagator(gen, tk).tobytes()
         assert propagator(gen, np.array([])).shape == (0, gen.n, gen.n)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
@@ -429,6 +431,7 @@ class TestZeroTemperatureSeries:
             assert stack.shape == (t.size, n, n)
             for k, tk in enumerate(t):
                 assert np.array_equal(stack[k], propagator(gen, float(tk)))
+                assert propagator(gen, float(tk)).tobytes() == propagator(gen, tk).tobytes()
             assert propagator(gen, np.array([])).shape == (0, n, n)
 
     @pytest.mark.parametrize("n", [*range(1, 9), 16, 64, 256])
@@ -632,6 +635,28 @@ class TestSteadyState:
         assert abs(p.sum() - 1.0) <= 1e-15
         assert np.max(np.abs(gen.b0 @ p)) <= 1e-15
         assert svd_calls == []
+
+    def test_balance_is_the_cumulative_product_of_the_rate_ratios(self):
+        # bit for bit np.cumprod's, and None without a warning where a
+        # product leaves the float range; B0's entries span 1e-150..1e150
+        rng = np.random.default_rng(31)
+        kept = 0
+        for n in (1, 2, 3, 4, 8, 64, 256):
+            for k in range(12):
+                a = 10.0 ** rng.uniform(-75, 75, n - 1) if k % 3 else rng.uniform(0.1, 2, n - 1)
+                b = 10.0 ** rng.uniform(-75, 75, n - 1) if k % 3 else rng.uniform(0.1, 2, n - 1)
+                b[rng.random(n - 1) < 0.2 * (k % 2)] = 0.0
+                b0 = b0_from_rates(BathRates(n=n, a=a, b=b)).b0
+                with np.errstate(all="ignore"):
+                    up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
+                    want = np.cumprod(np.r_[1.0, np.sqrt(down) / np.sqrt(up)])
+                got = Generator(b0)._balance
+                if not np.isfinite(want).all():
+                    assert got is None
+                else:
+                    assert got.tobytes() == want.tobytes()
+                    kept += 1
+        assert 30 <= kept < 84
 
     def test_dense_generator_uses_the_svd(self, svd_calls):
         gen = Generator(3.0 * np.eye(3) - np.ones((3, 3)))

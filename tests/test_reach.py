@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -796,6 +797,103 @@ class TestSegment:
     def test_refuses_a_duration_that_is_not_a_finite_nonnegative_number(self, duration):
         with pytest.raises(ValueError, match="real numbers|finite nonnegative"):
             Segment((1, 0), duration)
+
+    @pytest.mark.parametrize("duration", [0.5, np.float64(0.5), 2, np.int64(3), True, "0.5",
+                                          float("nan"), float("inf"), -0.0, 0.0, -1e-300,
+                                          np.array(0.25), [0.5]])
+    def test_duration_reads_as_a_zero_d_real_array(self, duration):
+        # a Python float is read as it is: accepted, refused and stored exactly
+        # as the gate's 0-d array read of every duration
+        try:
+            t = dmajor.majorize.as_real_array(duration)
+            want = float(t) if t.ndim == 0 and 0.0 <= t < np.inf else None
+        except ValueError:
+            want = None
+        if want is None:
+            with pytest.raises(ValueError):
+                Segment((1, 0), duration)
+        else:
+            got = Segment((1, 0), duration).duration
+            assert type(got) is float and got.hex() == want.hex()
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _reference_check_simplex(x, tol=1e-9):
+    """_check_simplex's acceptance as the total under errstate decides it."""
+    x = dmajor.majorize.as_vector(x)
+    with np.errstate(over="ignore"):
+        total = x.sum()
+    return not (abs(total - 1.0) > tol or np.min(x) < -tol)
+
+
+def _reference_clamp(x, tol=1e-10):
+    deficit = -np.minimum(x, 0.0).sum(axis=-1)
+    assert (deficit <= tol).all()
+    y = np.maximum(x, 0.0)
+    return y / y.sum(axis=-1, keepdims=True)
+
+
+class TestStateChecks:
+    @pytest.mark.parametrize("x", [[1 + 1.5e-9, -0.9e-9, 0.0], [1 + 3e-9, -1e-9, -1e-9]])
+    def test_accepts_states_at_the_tolerance(self, x):
+        assert _reference_check_simplex(x)
+        assert dmajor.reach._check_simplex(x, 3).tolist() == x
+
+    @pytest.mark.parametrize("x", [[1e308, 1e308, 0.0], [-1e308, -1e308, 1.0], [1e308, -1e308, 1.0]])
+    def test_refuses_a_total_past_the_float_range_without_a_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"state is outside the simplex beyond 1e-09"):
+                dmajor.reach._check_simplex(x)
+
+    def test_accepts_exactly_the_states_the_total_accepts(self):
+        # states near every edge of the test: entries near -tol, totals near
+        # 1 +- tol, one large entry offset by negative dust, and huge entries
+        rng = np.random.default_rng(39)
+        accepted = 0
+        for n in (1, 2, 3, 5, 8, 64):
+            for k in range(400):
+                x = rng.dirichlet(np.ones(n))
+                x[rng.integers(n)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.5e-9)
+                if k % 4 == 1:
+                    x[rng.integers(n)] = -rng.uniform(0.5e-9, 1.5e-9)
+                if k % 4 == 2:
+                    x[:] = -1e-9
+                    x[0] = 1.0 + (n - 1) * 1e-9 + rng.uniform(-2e-9, 2e-9)
+                if k % 8 == 3:
+                    x[rng.integers(n)] = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(0, 308)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        dmajor.reach._check_simplex(x)
+                        got = True
+                    except ValueError:
+                        got = False
+                assert got == _reference_check_simplex(x), x.tolist()
+                accepted += got
+        assert 0.2 * 2400 < accepted < 0.8 * 2400
+
+    @pytest.mark.parametrize("shape", [(5,), (30, 5), (1, 8)])
+    def test_clamp_of_a_nonnegative_block_equals_maximum_then_normalize(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        x = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1] or None)
+        x[..., 1] = -0.0
+        x[..., -1] = 0.0
+        got = dmajor.reach._clamp_simplex(x)
+        assert got.tobytes() == _reference_clamp(x).tobytes()
+        assert not np.signbit(got).any()
+
+    def test_clamp_of_a_block_with_one_dusty_row(self):
+        rng = np.random.default_rng(40)
+        x = rng.dirichlet(np.ones(5), size=30)
+        x[17, 2] = -3e-11
+        got = dmajor.reach._clamp_simplex(x)
+        assert got.tobytes() == _reference_clamp(x).tobytes()
+        assert got[17, 2] == 0.0 and got.min() >= 0.0
+
+    def test_clamp_refuses_negative_mass(self):
+        with pytest.raises(SimplexViolationError, match="negative mass 1.000e-09 exceeds"):
+            dmajor.reach._clamp_simplex(np.array([[0.5, 0.5], [1.0 + 1e-9, -1e-9]]))
 
 
 class TestGroundSynthesis:

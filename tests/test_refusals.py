@@ -8,14 +8,15 @@ from dmajor.channels import (SuperOperator, channel_between, d_matrix_majorizes_
                              trace_norm)
 from dmajor.cnr import c_numerical_range_sample, c_spectrum, unitary_orbit_extrema
 from dmajor.dissipation import (MAX_BATH_DIM, BathRates, Generator, apply_gamma, b0_from_rates,
-                                equidistant_d, flow, propagator, sigma_plus,
+                                equidistant_d, flow, gibbs_vector, propagator, sigma_plus,
                                 zero_temperature_rates)
 from dmajor.linalg import check_permutation, check_square, expm, hermitian_eig
 from dmajor.majorize import (StochasticMatrix, column_stochastic_transfer, d_majorizes,
-                             doubly_stochastic_transfer, majorizes)
+                             d_stochastic_transfer, doubly_stochastic_transfer, majorizes,
+                             maximal_element, minimal_element)
 from dmajor.polytope import (HPolytope, contains, halfspace_bounds, hausdorff, hull_hausdorff,
                              vertex_for_permutation)
-from dmajor.reach import Segment, reachable_sample, synthesize_local
+from dmajor.reach import Segment, reachable_sample, synthesize, synthesize_local
 from helpers import compose, identity_superoperator
 
 I2, I3 = np.eye(2), np.eye(3)
@@ -90,6 +91,33 @@ NON_NUMBERS = {
     "segment-permutation-boolean": (lambda: Segment([0, True, 2], 0.5), PERMUTATION),
     "vertex-permutation-boolean": (lambda: vertex_for_permutation([0, True, 2], _poly3()),
                                    PERMUTATION),
+}
+
+# scalar parameters are read by the same rule: True once ran as 1 and "1"
+# raised TypeError from a comparison
+BOOL_DTYPE = "expected real numbers, got entries of dtype bool"
+SCALARS = {
+    "gibbs-temperature-boolean": (lambda: gibbs_vector([0.0, 1.0], True), BOOL_DTYPE),
+    "gibbs-temperature-string": (lambda: gibbs_vector([0.0, 1.0], "1"), REAL),
+    "synthesize-eps-boolean": (lambda: synthesize(_zero_temp(2), [0.5, 0.5], [0.5, 0.5], True),
+                               BOOL_DTYPE),
+    "local-synthesis-eps-boolean": (lambda: synthesize_local(2, 2, QUARTER, QUARTER, True),
+                                    BOOL_DTYPE),
+    "local-synthesis-eps-array": (lambda: synthesize_local(2, 2, QUARTER, QUARTER, [1e-6, 1e-6]),
+                                  "eps must be a real number"),
+    "majorizes-tol-boolean": (lambda: majorizes([0.5, 0.5], [0.5, 0.5], tol=True), BOOL_DTYPE),
+    "d-majorizes-tol-boolean": (lambda: d_majorizes([0.5, 0.5], [0.5, 0.5], [1.0, 1.0],
+                                                    tol=True), BOOL_DTYPE),
+    "d-majorizes-tol-array": (lambda: d_majorizes([0.5, 0.5], [0.5, 0.5], [1.0, 1.0],
+                                                  tol=[1e-9, 1e-9]), "tol must be a real number"),
+    "doubly-transfer-tol-boolean": (lambda: doubly_stochastic_transfer([0.5, 0.5], [0.5, 0.5],
+                                                                       tol=True), BOOL_DTYPE),
+    "column-transfer-tol-boolean": (lambda: column_stochastic_transfer([0.5, 0.5], [0.5, 0.5],
+                                                                       tol=True), BOOL_DTYPE),
+    "d-transfer-tol-boolean": (lambda: d_stochastic_transfer([0.5, 0.5], [0.5, 0.5], [1.0, 1.0],
+                                                             tol=True), BOOL_DTYPE),
+    "maximal-element-tol-boolean": (lambda: maximal_element([1.0, 2.0], tol=True), BOOL_DTYPE),
+    "minimal-element-trace-boolean": (lambda: minimal_element(True, [1.0, 2.0]), BOOL_DTYPE),
 }
 
 
@@ -205,6 +233,7 @@ REFUSALS = {
     "reachable-sample-size": (lambda: reachable_sample(_zero_temp(3), [1.0], 2, 0),
                               "state of length 1 where 3 is needed"),
     **NON_NUMBERS,
+    **SCALARS,
 }
 
 
