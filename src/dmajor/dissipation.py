@@ -315,6 +315,7 @@ def gibbs_vector(energies, temperature: float) -> np.ndarray:
 def equidistant_d(alpha: float, n: int) -> np.ndarray:
     """Geometric weight vector (1-alpha)/(1-alpha^n) * (1, alpha, ..., alpha^{n-1});
     the Gibbs vector of an equidistant energy ladder, normalized to total 1."""
+    alpha = _real_number(alpha, "alpha must be a real number")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     _check_levels(n)

@@ -80,6 +80,18 @@ def _real_number(x, message: str) -> float:
     return float(v)
 
 
+def _integer(x, message: str) -> int:
+    """x as one Python int, by the same rule: an int is taken as it is, and
+    anything else goes through _numbers(x, "iu"), so True, "3" and 3.0 are
+    refused; ValueError(message) unless the result is 0-d."""
+    if type(x) is int:
+        return x
+    v = _numbers(x, "iu")
+    if v.ndim:
+        raise ValueError(message)
+    return int(v)
+
+
 def _check_weights(d: list) -> None:
     if min(d) <= 0:
         raise ValueError("weight vector entries must be strictly positive")

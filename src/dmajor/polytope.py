@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .majorize import _elbows, _interp, _scaled_tol, _validated, as_real_array, as_vector
+from .majorize import _TOL_REFUSAL, _elbows, _interp, _real_number, _scaled_tol, _validated, \
+    as_real_array, as_vector
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -50,9 +51,23 @@ class _Tables(NamedTuple):
 
     perms: np.ndarray           # the n! permutations in lexicographic order, one per row
     tuples: tuple[tuple[int, ...], ...]
-    prefixes: np.ndarray        # the subset mask of each prefix of each permutation
+    rows: np.ndarray            # per coordinate, the b row of the prefix it ends (_gather)
+    prev_rows: np.ndarray       # and of the prefix just before, 2^n for the empty one
     singletons: tuple[tuple[tuple[int, ...]], ...]   # the groups when every corner is distinct
     projections: np.ndarray     # _first_within's w = 1/sqrt(i + 2) and w2 = (-1)^i w, as columns
+
+
+def _gather(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices _prefix_corners reads, shaped like perms: at [r, i], the b
+    row of the subset of the prefix of perms[r] that ends with i, and the b
+    row of that subset without i (2^n for the empty set, which no b row
+    holds)."""
+    n = perms.shape[1]
+    row_of = np.empty(2 ** n, dtype=np.intp)            # subset mask -> b row
+    row_of[_row_masks(n)] = np.arange(2 ** n - 1)
+    row_of[0] = 2 ** n
+    ends = np.take_along_axis(np.cumsum(1 << perms, axis=1), np.argsort(perms, axis=1), axis=1)
+    return row_of[ends], row_of[ends - (1 << np.arange(n))]
 
 
 @lru_cache(maxsize=None)
@@ -62,9 +77,9 @@ def _permutations(n: int) -> _Tables:
     tuples = tuple(itertools.permutations(range(n)))
     perms = np.array(tuples)
     w = 1.0 / np.sqrt(np.arange(n) + 2.0)
-    tables = _Tables(perms, tuples, np.cumsum(1 << perms, axis=1), tuple((p,) for p in tuples),
+    tables = _Tables(perms, tuples, *_gather(perms), tuple((p,) for p in tuples),
                      np.column_stack((w, w * (-1.0) ** np.arange(n))))
-    for table in (tables.perms, tables.prefixes, tables.projections):
+    for table in (tables.perms, tables.rows, tables.prev_rows, tables.projections):
         table.setflags(write=False)
     return tables
 
@@ -104,14 +119,18 @@ def _bounds(y: list, d: list) -> HPolytope:
     """halfspace_bounds of validated y and d."""
     n = len(y)
     weights = constraint_matrix(n)[:-2] @ d       # of the proper subsets
-    total = float(np.add.reduce(y))               # np.sum's reduction, without its wrapper
-    return HPolytope(n=n, b=np.concatenate((np.interp(weights, *_elbows(y, d)), (total, -total))))
+    b = np.empty(2 ** n)
+    b[:-2] = np.interp(weights, *_elbows(y, d))
+    b[-2] = np.add.reduce(y)                            # np.sum's reduction, without its wrapper
+    b[-1] = -b[-2]
+    return HPolytope(n=n, b=b)
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
     """Componentwise test M x <= b + tol * ||y||_1, the tolerance of
     d_majorizes, exact at y = 0.  The curve peaks at the subset row of y's
     positive entries, so ||y||_1 = 2 max(0, max b[:-1]) - e^T y."""
+    tol = _real_number(tol, _TOL_REFUSAL)
     x = as_vector(x)
     if x.size != poly.n:
         raise ValueError("dimension mismatch")
@@ -121,18 +140,17 @@ def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
 
 def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:
     """vertex_for_permutation for every row of perms, in one array pass."""
-    return _prefix_corners(perms, np.cumsum(1 << perms, axis=1), poly)
+    return _prefix_corners(*_gather(perms), poly)
 
 
-def _prefix_corners(perms: np.ndarray, prefixes: np.ndarray, poly: HPolytope) -> np.ndarray:
-    """_corners, given the subset mask of each prefix of each row of perms."""
-    b_by_mask = np.zeros(2 ** poly.n)
-    b_by_mask[_row_masks(poly.n)] = poly.b[:-1]
-    cum = b_by_mask[prefixes]
-    cum[:, 1:] -= cum[:, :-1]                           # prefix bounds to entries
-    x = np.empty(perms.shape)
-    x[np.arange(perms.shape[0])[:, None], perms] = cum
-    return x
+def _prefix_corners(rows: np.ndarray, prev_rows: np.ndarray, poly: HPolytope) -> np.ndarray:
+    """_corners, given _gather's indices: each entry is the bound of the
+    prefix it ends minus the bound of the prefix before (0 for the empty
+    one), by two gathers from b and one subtraction."""
+    bounds = np.empty(poly.b.size + 1)
+    bounds[:-1] = poly.b
+    bounds[-1] = 0.0                                    # the empty prefix
+    return bounds[rows] - bounds[prev_rows]
 
 
 def vertex_for_permutation(perm, poly: HPolytope) -> np.ndarray:
@@ -163,22 +181,35 @@ def _first_within(pts: np.ndarray, tol: float) -> np.ndarray:
 
     As |w.(p - q)| <= ||p - q||_1 for ||w||_inf <= 1, rows within tol project
     within reach (tol plus a rounding margin) on w = 1/sqrt(i + 2) and on
-    w2 = (-1)^i w.  A row whose sorted w-neighbours both lie farther keeps
-    itself.  The rest run the greedy, each kept row comparing only the
-    unmerged rows of its w-window that w2 leaves.  Memory is O(k n).
+    w2 = (-1)^i w.  Sorted w-neighbours farther apart than reach split the
+    rows into runs, and no row merges with a row of another run, so each run
+    is a greedy of its own.  A run of one row keeps it.  In a run of two the
+    later row joins the earlier if it lies within tol; all such runs are
+    resolved in one array pass.  Longer runs run the greedy, each kept row
+    comparing only the unmerged rows of its w-window that w2 leaves.
+    Memory is O(k n).
     """
     k, n = pts.shape
     both = pts @ _permutations(n).projections           # one matmul, (k, 2)
-    order = np.argsort(both[:, 0], kind="stable")
-    proj = both[order, 0]
-    reach = tol + 4 * n * sys.float_info.epsilon * float(np.abs(pts).sum(axis=1).max())
+    order = both[:, 0].argsort(kind="stable")
+    proj = both[:, 0][order]
+    # n max|p| bounds every row's 1-norm
+    reach = tol + 4 * n * n * sys.float_info.epsilon * float(np.abs(pts).max())
     far = proj[1:] - proj[:-1] > reach                  # sorted neighbours beyond reach
     owner = np.arange(k)
-    if far.all():
+    links = k - 1 - np.count_nonzero(far)               # sorted neighbours within reach
+    if not links:
         return owner
-    apart = np.concatenate(([True], far, [True]))
+    apart = np.concatenate(([True], far, [True]))       # a run starts at each True
+    two = np.flatnonzero(apart[:-2] & ~apart[1:-1] & apart[2:])
+    p, q = order[two], order[two + 1]
+    close = np.abs(pts[p] - pts[q]).sum(axis=1) <= tol
+    owner[np.maximum(p, q)[close]] = np.minimum(p, q)[close]
+    if two.size == links:                               # no run is longer than two
+        return owner
     todo = ~(apart[:-1] & apart[1:])                    # by sorted position
-    proj2 = both[order, 1]
+    todo[two] = todo[two + 1] = False
+    proj2 = both[:, 1][order]
     at = np.flatnonzero(todo)[np.argsort(order[todo])]  # in row order
     lo, hi = np.searchsorted(proj, proj[at] + [[-reach], [reach]])
     for i, a, b in zip(at.tolist(), lo.tolist(), hi.tolist()):
@@ -196,32 +227,41 @@ def vertices(y, d, dedup_tol: float = 1e-9) -> VertexSet:
     joins the first kept corner within dedup_tol * ||y||_1 in the 1-norm,
     else it is kept, so kept points lie farther apart than that.
     Only corners that crowd in a sorted projection are compared (_first_within).
-    Permutations sharing one corner (ratio ties) are recorded together;
-    points appear in order of their first generating permutation.
+    Permutations sharing one corner (ratio ties) are recorded together, in
+    permutation order; points appear in order of their first generating
+    permutation.  Groups are built from the merged rows alone, so a call
+    with few merges makes few Python steps.
 
     y and d are validated once.  The tables that depend on n alone (the
-    permutations, their prefix masks, the projections of _first_within and
-    the one-permutation groups) are built on the first call at each n and
-    reused.
+    permutations, the two b rows of each corner entry that _prefix_corners
+    gathers, the projections of _first_within and the one-permutation
+    groups) are built on the first call at each n and reused.
     """
+    dedup_tol = _real_number(dedup_tol, "dedup_tol must be a real number")
     if not dedup_tol > 0:
         raise ValueError("dedup_tol must be positive")
     y, d = _validated(y, d)
     poly = _bounds(y, d)
     tables = _permutations(poly.n)
-    pts = _prefix_corners(tables.perms, tables.prefixes, poly)
+    pts = _prefix_corners(tables.rows, tables.prev_rows, poly)
     owner = _first_within(pts, _scaled_tol(y, dedup_tol))
     kept = owner == np.arange(owner.size)
     if kept.all():                                      # every corner distinct
         points, perms = pts, tables.singletons
     else:
-        gen: list[list[tuple[int, ...]]] = [[] for _ in range(int(kept.sum()))]
-        for perm, s in zip(tables.tuples, (np.cumsum(kept) - 1)[owner].tolist()):
-            gen[s].append(perm)
-        points, perms = pts[kept], tuple(map(tuple, gen))
+        # each owner precedes the rows it gains, which come in row order
+        gen: dict[int, list[tuple[int, ...]]] = {}
+        merged = np.flatnonzero(~kept)
+        for r, o in zip(merged.tolist(), owner[merged].tolist()):
+            gen.setdefault(o, [tables.tuples[o]]).append(tables.tuples[r])
+        groups = list(tables.singletons)
+        for o, g in gen.items():
+            groups[o] = tuple(g)
+        points, perms = pts[kept], tuple(map(groups.__getitem__, np.flatnonzero(kept).tolist()))
     # in blocks of points: one (2^n, k) slack array is ~140 MB at n = 8
     for lo in range(0, len(points), 1024):
-        slack = constraint_matrix(poly.n) @ points[lo:lo + 1024].T - poly.b[:, None]
+        slack = constraint_matrix(poly.n) @ points[lo:lo + 1024].T
+        slack -= poly.b[:, None]
         if float(slack.max()) > _scaled_tol(y, 1e-9):
             raise RuntimeError("enumerated corner violates the half-space system")
     return VertexSet(points=points, perms=perms)

@@ -18,7 +18,7 @@ import numpy as np
 from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
     thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
-from .majorize import SimplexViolationError, _majorized_rows, _real_number, as_vector, \
+from .majorize import SimplexViolationError, _integer, _majorized_rows, _real_number, as_vector, \
     as_weight_vector, majorizes
 
 MAX_LOCAL_DIM = 4096
@@ -190,6 +190,7 @@ def simulate(gen: Generator, x0, schedule: Schedule, dt: float) -> Trajectory:
     j-th lies within 4e-15 j of its own exponential.  See _steps for these,
     for x0, which may hold k copies of the n levels, and for the checks made
     before any step; MAX_TRAJECTORY_ENTRIES caps the trajectory's entries."""
+    dt = _real_number(dt, "dt must be a real number")
     if not dt > 0:
         raise ValueError("dt must be positive")
     times, states = zip(*_steps(gen, x0, schedule, dt, MAX_TRAJECTORY_ENTRIES))
@@ -585,6 +586,9 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
         total = float(np.maximum(x0, 0.0).sum())
     if x0.min() < -1e-12 * total:
         raise ValueError("x0 must be entrywise nonnegative")
+    sample_count = _integer(sample_count, "sample_count must be an integer")
+    sample_depth = _integer(sample_depth, "sample_depth must be an integer")
+    seed = _integer(seed, "seed must be an integer")
     if not 0 <= sample_count <= MAX_SAMPLE_COUNT:
         raise ValueError("sample_count must be nonnegative and at most MAX_SAMPLE_COUNT = "
                          f"{MAX_SAMPLE_COUNT}, got {sample_count}")

@@ -56,6 +56,29 @@ def _loop_corner(perm, poly):
     return x
 
 
+def _scatter_corners(perms, poly):
+    """Reference corners by the scatter form: the bound of each prefix by its
+    subset mask, differences along each row, each put at its coordinate."""
+    b_by_mask = np.zeros(2 ** poly.n)
+    b_by_mask[polytope._row_masks(poly.n)] = poly.b[:-1]
+    cum = b_by_mask[np.cumsum(1 << perms, axis=1)]
+    cum[:, 1:] -= cum[:, :-1]
+    x = np.empty(perms.shape)
+    x[np.arange(perms.shape[0])[:, None], perms] = cum
+    return x
+
+
+def _greedy_owner(pts, tol):
+    """Reference _first_within: each row, in order, joins the first kept row
+    within tol in the 1-norm, or is kept."""
+    owner, kept = [], []
+    for r, p in enumerate(pts):
+        owner.append(next((k for k in kept if np.abs(p - pts[k]).sum() <= tol), r))
+        if owner[-1] == r:
+            kept.append(r)
+    return owner
+
+
 def _greedy_vertices(y, d, tol=1e-9):
     """Reference dedup: each corner, in permutation order, joins the first
     kept corner within tol * ||y||_1, or is kept."""
@@ -234,6 +257,19 @@ class TestVertexKernel:
             for perm, row in zip(perms, rows):
                 assert np.array_equal(row, _loop_corner(perm, poly))
 
+    def test_gather_matches_scatter_form(self):
+        # the two gathers and one subtraction give the scatter form's bytes
+        rng = np.random.default_rng(40)
+        for n in range(1, 9):
+            tables = polytope._permutations(n)
+            rows = np.arange(len(tables.perms)) if n <= 6 else rng.choice(len(tables.perms), 500)
+            for y in (rng.standard_normal(n), rng.dirichlet(np.ones(n)), np.zeros(n)):
+                poly = halfspace_bounds(y, rng.uniform(0.2, 2.0, size=n))
+                want = _scatter_corners(tables.perms[rows], poly).tobytes()
+                assert polytope._corners(tables.perms[rows], poly).tobytes() == want
+                assert polytope._prefix_corners(tables.rows[rows], tables.prev_rows[rows],
+                                                poly).tobytes() == want
+
     def test_y_proportional_to_d_is_one_vertex(self):
         d = np.array([0.3, 1.7, 0.9, 2.2, 0.5, 1.1, 1.4, 0.8])
         verts = vertices(2.5 * d, d)
@@ -264,12 +300,28 @@ class TestVertexKernel:
             n = int(rng.integers(2, 9))
             base = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(14, 16)
             pts = base + 0.25 * rng.integers(-4, 5, size=(6, n)) * rng.integers(0, 2, size=(6, n))
-            owner, kept = [], []
-            for r, p in enumerate(pts):
-                owner.append(next((k for k in kept if np.abs(p - pts[k]).sum() <= 1.0), r))
-                if owner[-1] == r:
-                    kept.append(r)
-            assert polytope._first_within(pts, 1.0).tolist() == owner
+            assert polytope._first_within(pts, 1.0).tolist() == _greedy_owner(pts, 1.0)
+
+    @pytest.mark.parametrize("scale, tol", [(1.0, 1e-9), (1e15, 1.0)])
+    def test_runs_match_greedy_reference(self, scale, tol):
+        # clusters of one to four rows about tol apart, far from each other,
+        # in shuffled order: pairs that merge and pairs that stay apart are
+        # resolved in one array pass, longer runs by the window greedy
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            sizes = rng.choice([1, 2, 2, 3, 4], size=int(rng.integers(1, 10)))
+            clusters = []
+            for size in sizes:
+                center = rng.uniform(-1.0, 1.0, size=n) * scale
+                spread = tol * rng.choice([0.3, 1.0, 3.0]) / n
+                clusters.append(center + spread * rng.uniform(-1.0, 1.0, size=(size, n)))
+                gaps = np.abs(clusters[-1][:, None] - clusters[-1][None]).sum(axis=2)
+                seen.add((int(size), bool((gaps[np.triu_indices(size, 1)] <= tol).any())))
+            pts = np.concatenate(clusters)[rng.permutation(int(sizes.sum()))]
+            assert polytope._first_within(pts, tol).tolist() == _greedy_owner(pts, tol)
+        assert seen >= {(2, True), (2, False), (3, True), (4, True)}
 
     def test_matches_greedy_reference(self):
         rng = np.random.default_rng(12)
@@ -306,6 +358,20 @@ class TestVertexKernel:
             assert np.array_equal(verts.points, points)
             sizes.add((len(verts) == 1, len(verts) == math.factorial(n)))
         assert sizes >= {(True, False), (False, False)}
+
+    def test_groups_in_permutation_order(self):
+        # near ties at the cap: every group lists its permutations in row
+        # order, the groups partition the rows, and points come in order of
+        # their first permutation
+        rng = np.random.default_rng(8)
+        d = rng.uniform(0.2, 2.0, size=8)
+        verts = vertices(d * (1 + 3e-9 * rng.standard_normal(8)), d)
+        index = {p: i for i, p in enumerate(itertools.permutations(range(8)))}
+        rows = [[index[p] for p in group] for group in verts.perms]
+        assert all(r == sorted(r) for r in rows)
+        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+        assert sorted(i for r in rows for i in r) == list(range(math.factorial(8)))
+        assert max(map(len, rows)) > 2
 
     def test_near_tie_n8_memory(self):
         # corners of y = d (1 + 3e-9 g) crowd within a few tol of each other;

@@ -15,8 +15,9 @@ from dmajor.majorize import (StochasticMatrix, column_stochastic_transfer, d_maj
                              d_stochastic_transfer, doubly_stochastic_transfer, majorizes,
                              maximal_element, minimal_element)
 from dmajor.polytope import (HPolytope, contains, halfspace_bounds, hausdorff, hull_hausdorff,
-                             vertex_for_permutation)
-from dmajor.reach import Segment, reachable_sample, synthesize, synthesize_local
+                             vertex_for_permutation, vertices)
+from dmajor.reach import (Schedule, Segment, majorization_envelope, reachable_sample, simulate,
+                          synthesize, synthesize_local)
 from helpers import compose, identity_superoperator
 
 I2, I3 = np.eye(2), np.eye(3)
@@ -96,6 +97,9 @@ NON_NUMBERS = {
 # scalar parameters are read by the same rule: True once ran as 1 and "1"
 # raised TypeError from a comparison
 BOOL_DTYPE = "expected real numbers, got entries of dtype bool"
+INTEGER = "expected integers, got entries of dtype <U"
+INTEGER_BOOL = "expected integers, got entries of dtype bool"
+ENVELOPE_X0, ENVELOPE_D = [0.5, 0.3, 0.2], [4 / 7, 2 / 7, 1 / 7]
 SCALARS = {
     "gibbs-temperature-boolean": (lambda: gibbs_vector([0.0, 1.0], True), BOOL_DTYPE),
     "gibbs-temperature-string": (lambda: gibbs_vector([0.0, 1.0], "1"), REAL),
@@ -118,6 +122,32 @@ SCALARS = {
                                                              tol=True), BOOL_DTYPE),
     "maximal-element-tol-boolean": (lambda: maximal_element([1.0, 2.0], tol=True), BOOL_DTYPE),
     "minimal-element-trace-boolean": (lambda: minimal_element(True, [1.0, 2.0]), BOOL_DTYPE),
+    # vertices ran at tol 1, two corners for six distinct ones
+    "vertices-dedup-tol-boolean": (lambda: vertices([0.5, 0.3, 0.2], [0.2, 0.3, 0.5],
+                                                    dedup_tol=True), BOOL_DTYPE),
+    "vertices-dedup-tol-string": (lambda: vertices([0.5, 0.3, 0.2], [0.2, 0.3, 0.5],
+                                                   dedup_tol="1e-9"), REAL),
+    "contains-tol-boolean": (lambda: contains([0.5, 0.5], _poly(), tol=True), BOOL_DTYPE),
+    "contains-tol-string": (lambda: contains([0.5, 0.5], _poly(), tol="1"), REAL),
+    # no segment lasts a full dt, so no propagator call saw it
+    "simulate-dt-boolean": (lambda: simulate(_zero_temp(2), [0.5, 0.5],
+                                             Schedule([Segment((1, 0), 0.5)]), dt=True),
+                            BOOL_DTYPE),
+    "equidistant-alpha-string": (lambda: equidistant_d("0.5", 3), REAL),
+    # True drew one schedule, or ran as seed 1
+    "envelope-sample-count-boolean": (lambda: majorization_envelope(ENVELOPE_X0, ENVELOPE_D,
+                                                                    sample_count=True),
+                                      INTEGER_BOOL),
+    "envelope-sample-count-string": (lambda: majorization_envelope(ENVELOPE_X0, ENVELOPE_D,
+                                                                   sample_count="3"), INTEGER),
+    "envelope-sample-depth-boolean": (lambda: majorization_envelope(ENVELOPE_X0, ENVELOPE_D,
+                                                                    sample_depth=True),
+                                      INTEGER_BOOL),
+    "envelope-seed-boolean": (lambda: majorization_envelope(ENVELOPE_X0, ENVELOPE_D, seed=True),
+                              INTEGER_BOOL),
+    "envelope-sample-count-array": (lambda: majorization_envelope(ENVELOPE_X0, ENVELOPE_D,
+                                                                  sample_count=[3]),
+                                    "sample_count must be an integer"),
 }
 
 
