@@ -9,7 +9,6 @@ zero raising part relax everything into the first basis vector.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -121,9 +120,17 @@ class _Series:
                     e = ((h * nu if norm else 0.0) ** _SERIES_POWERS @ flat).reshape(m, m)
                     if mu:
                         e *= math.exp(-h * mu)
-                # past e^700 an overflow is reported below, not warned about
-                with (np.errstate(over="ignore", invalid="ignore") if t * norm > 700.0
-                      else contextlib.nullcontext()):
+                    if complement:
+                        # row 0 of the triangular e feeds no other row and is
+                        # set below, so it is not squared: its rounding would
+                        # grow as (1 + u)^(2^s), to inf and then NaN
+                        e[0] = 0.0
+                if t * norm > 700.0:
+                    # an overflow is reported below, not warned about
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        for _ in range(s):
+                            e = e @ e
+                else:
                     for _ in range(s):
                         e = e @ e
                 # row 0 of the triangular e feeds no other row, so the next

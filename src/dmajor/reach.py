@@ -96,6 +96,18 @@ class Segment:
         return self.duration == other.duration and np.array_equal(self.perm, other.perm)
 
 
+def _segment(perm: np.ndarray, duration: float) -> Segment:
+    """Segment(perm, duration) for a permutation the library built (a swap,
+    an arange, a _placement or a composition of these) and a finite,
+    nonnegative Python float, without the checks: perm is handed over, marked
+    read-only and stored without a copy or a second sort."""
+    seg = object.__new__(Segment)
+    perm.setflags(write=False)
+    object.__setattr__(seg, "perm", perm)
+    object.__setattr__(seg, "duration", duration)
+    return seg
+
+
 @dataclass
 class Schedule:
     segments: list[Segment] = field(default_factory=list)
@@ -279,22 +291,22 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     return hi, next(i for i, a in enumerate(w) if a <= floor), w_hi
 
 
-def _two_level_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """_first_face_hit on an upper triangular 2 x 2 block [[b00, b01], [0, b11]]
-    with b01 < 0, in closed form, with the same zero-time exit.
+def _two_level_face_hit(b0: list[list[float]], z0: float, z1: float) -> tuple[float, int]:
+    """_first_face_hit's (time, index) on an upper triangular 2 x 2 block
+    b0 = [[b00, b01], [0, b11]] with b01 < 0, in closed form on Python floats,
+    with the same zero-time exit.
 
     The backward flow is w1(t) = z1 e^{b11 t} and w0(t) = e^{b00 t} (z0 + b01
     z1 (e^{d t} - 1) / d), d = b11 - b00, so only w0 can fall, and it vanishes
     at tau = log1p(x) / d, x = d z0 / (-b01 z1).  A flow that never reaches
     the face (x <= -1, possible only for d < 0), reaches it beyond 2^59,
-    where the search gives up, or overflows on the way raises
+    where the search gives up, or overflows w1 on the way raises
     SimplexViolationError.
     """
-    scale = max(1.0, float(np.abs(z).sum()))
-    if float(z.min()) <= 1e-12 * scale:
-        return 0.0, int(np.argmin(z)), z.copy()
-    (b00, b01), (_, b11) = b0.tolist()
-    z0, z1 = z.tolist()
+    # np.abs(z).sum(), z.min() and z.argmin() of the pair, bit for bit
+    if min(z0, z1) <= 1e-12 * max(1.0, abs(z0) + abs(z1)):
+        return 0.0, 0 if z0 <= z1 else 1
+    (b00, b01), (_, b11) = b0
     delta = b11 - b00
     ratio = z0 / z1
     # d / -b01 is exactly 1 for b0_from_rates, where then x = z0 / z1
@@ -304,13 +316,64 @@ def _two_level_face_hit(b0: np.ndarray, z: np.ndarray) -> tuple[float, int, np.n
     tau = math.log1p(x) / delta if x else ratio / -b01
     if not (tau <= 2.0 ** 59 and b11 * tau < 700.0):
         raise SimplexViolationError("backward flow leaves range before it hits a face")
-    return tau, 0, np.array([0.0, z1 * math.exp(b11 * tau)])
+    return tau, 0
 
 
 def _ground_error_bound(x: np.ndarray) -> float:
     """synthesize_from_ground's error bound, held against x itself."""
     z = np.maximum(x, 0.0)
     return 2.1e-12 * x.size + float(np.abs(z / z.sum() - x).sum())
+
+
+def _swap(j: int, k: int, n: int) -> np.ndarray:
+    """The transposition of j and k among n coordinates, a new array."""
+    swap = np.arange(n)
+    swap[j], swap[k] = k, j
+    return swap
+
+
+def _ground_steps(gen: Generator, z: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """The forward (swap, tau) steps of synthesize_from_ground for a state z
+    of gen.n levels with no negative entry and total 1, which it overwrites;
+    each swap is a new array."""
+    n, series = gen.n, gen._ladder[1]
+    backward: list[tuple[np.ndarray, float]] = []
+    m = n
+    while True:
+        while m > 1 and z[m - 1] <= 1e-13:
+            m -= 1
+        if m < 3:
+            break
+        tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m], series.walk(m))
+        w = np.maximum(w, 0.0)
+        w = w / w.sum() * z[:m].sum()
+        # a transposition is its own inverse, so the forward step reuses it
+        swap = _swap(j, m - 1, n)
+        z[:m] = w
+        z = z[swap]
+        backward.append((swap, tau))
+        m -= 1
+    if m == 2:
+        tau, j = _two_level_face_hit(gen.b0[:2, :2].tolist(), *z[:2].tolist())
+        backward.append((_swap(j, 1, n), tau))
+    return backward[::-1]
+
+
+def _block_steps(gen: Generator, c: np.ndarray, mass: float) -> list[tuple[np.ndarray, float]]:
+    """The forward (swap, tau) steps from e_1 to c / mass clamped to its
+    nonnegative part and normalized, for a zero-temperature gen, without
+    checks.  A two-level block runs on Python floats, in the order of
+    operations of the arrays, to the same bits."""
+    if gen.n != 2:
+        z = np.maximum(c / mass, 0.0)
+        return _ground_steps(gen, z / z.sum())
+    z0, z1 = (max(v / mass, 0.0) for v in c.tolist())
+    total = z0 + z1
+    z0, z1 = z0 / total, z1 / total
+    if z1 <= 1e-13:
+        return []
+    tau, j = _two_level_face_hit(gen.b0.tolist(), z0, z1)
+    return [(_swap(j, 1, 2), tau)]
 
 
 def synthesize_from_ground(gen: Generator, x) -> Schedule:
@@ -328,33 +391,8 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     targets at n = 2..256 (1.4e-15 at n = 3, 1.2e-14 at 256).
     """
     check_zero_temperature(gen)
-    series = gen._ladder[1]
-    n = gen.n
-    x = _check_simplex(x, n)
-    z = np.maximum(x, 0.0)
-    z = z / z.sum()
-    backward: list[tuple[np.ndarray, float]] = []
-    m = n
-    ztol = 1e-13
-    while m > 1:
-        while m > 1 and z[m - 1] <= ztol:
-            m -= 1
-        if m == 1:
-            break
-        if m == 2:
-            tau, j, w = _two_level_face_hit(gen.b0[:2, :2], z[:2])
-        else:
-            tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m], series.walk(m))
-        w = np.maximum(w, 0.0)
-        w = w / w.sum() * z[:m].sum()
-        # a transposition is its own inverse, so the forward segment reuses it
-        swap = np.arange(n)
-        swap[j], swap[m - 1] = m - 1, j
-        z[:m] = w
-        z = z[swap]
-        backward.append((swap, tau))
-        m -= 1
-    return Schedule([Segment(p, t) for p, t in reversed(backward)])
+    steps = _block_steps(gen, _check_simplex(x, gen.n), 1.0)
+    return Schedule([_segment(p, t) for p, t in steps])
 
 
 def _relax_time(gen: Generator, x, target, budget: float,
@@ -410,7 +448,7 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     else:
         cool_t, _ = _relax_time(gen, x0, e1, target_err, "cooling did not converge")
     ground = synthesize_from_ground(gen, x)
-    return Schedule([Segment(np.arange(n), cool_t)] + ground.segments)
+    return Schedule([_segment(np.arange(n), cool_t)] + ground.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +466,30 @@ def _placement(slots, sources, total: int) -> np.ndarray:
     return images
 
 
-def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int,
-                    first: np.ndarray) -> list[Segment]:
-    """Interleave per-block n-level schedules acting on disjoint blocks.
+def _merge_parallel(block_steps: dict[int, list[tuple[np.ndarray, float]]], n: int,
+                    total: int, first: np.ndarray) -> list[Segment]:
+    """Interleave the (perm, duration) steps of n-level schedules acting on
+    disjoint blocks.
 
     Blocks are aligned to finish together: the longest starts immediately,
     shorter ones are delayed (their masses rest at flow-invariant block
     heads until they start).  One segment per event time applies the
     permutations due then, after first for the earliest, and flows until the
-    next event or the end."""
+    next event or the end; first is handed over to the first segment.  A
+    block's length is summed as Schedule.total_duration sums it."""
     events: list[tuple[float, int, np.ndarray]] = []
-    t_max = max((s.total_duration for s in block_schedules.values()), default=0.0)
-    for blk in sorted(block_schedules):
-        sched = block_schedules[blk]
-        t_local = t_max - sched.total_duration
-        for seg in sched.segments:
-            events.append((t_local, blk, seg.perm))
-            t_local += seg.duration
+    lengths = {blk: sum(t for _, t in steps) for blk, steps in block_steps.items()}
+    t_max = max(lengths.values(), default=0.0)
+    for blk in sorted(block_steps):
+        t_local = t_max - lengths[blk]
+        for perm, t in block_steps[blk]:
+            events.append((t_local, blk, perm))
+            t_local += t
     events.sort(key=lambda e: (e[0], e[1]))
     if not events:
-        return [Segment(first, 0.0)]
+        return [_segment(first, 0.0)]
     segments: list[Segment] = []
-    combined = first.copy()
+    combined = first
     i = 0
     while i < len(events):
         clock = events[i][0]
@@ -460,7 +500,7 @@ def _merge_parallel(block_schedules: dict[int, Schedule], n: int, total: int,
             combined[sl] = combined[sl][perm_n]
             i += 1
         until = events[i][0] if i < len(events) else t_max
-        segments.append(Segment(combined, max(until - clock, 0.0)))
+        segments.append(_segment(combined, max(until - clock, 0.0)))
         combined = np.arange(total)
     return segments
 
@@ -470,16 +510,18 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
 
     Step 1 collapses the state onto e_1 in m relax-and-gather rounds, each
     within eps / (2m); a round relaxes the n^(m-1) blocks together, as the
-    columns of one matrix, on the n-level block's doubling chain.  Step 2 splits the target block masses down the
-    block-head hierarchy and finishes with per-block ground schedules run in
-    parallel.  Its maps are 1-norm contractions, so the endpoint error is at
-    most eps/2 plus the ground schedules' own error, which grows with n
-    (see synthesize); at eps = 1e-12 on seeded Dirichlet states the endpoint
-    error measured 3e-14 at 2^6, 8e-14 at 2^12 and 1.2e-14 at 4^6.  For
-    n = 2 every face hit is in closed form.  Each round's flow carries every
-    block onto its head up to the rounding of the block's total, so
-    SimplexViolationError is raised only when a round's budget lies below
-    that rounding.  One segment per event time: each gather and scatter
+    columns of one matrix, on the n-level block's doubling chain.  Step 2
+    splits the target block masses down the block-head hierarchy and
+    finishes with the ground steps of every block (the steps of
+    synthesize_from_ground) run in parallel.  Its maps are 1-norm
+    contractions, so the endpoint error is at most eps/2 plus the ground
+    steps' own error, which grows with n (see synthesize); at eps = 1e-12 on
+    seeded Dirichlet states the endpoint error measured 3e-14 at 2^6, 8e-14
+    at 2^12 and 1.2e-14 at 4^6.  For n = 2 every face hit is in closed form,
+    on Python floats.  Each round's flow carries every block onto its head up
+    to the rounding of the block's total, so SimplexViolationError is raised
+    only when a round's budget lies below that rounding.  x0 and x are
+    checked once, here.  One segment per event time: each gather and scatter
     rides on the next one.
     """
     eps = _real_number(eps, "eps must be a real number")
@@ -507,7 +549,7 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
         t_relax, relaxed = _relax_time(gen_block, cur.reshape(n_blocks, n).T,
                                        collapsed.reshape(n_blocks, n).T, round_budget,
                                        "relaxation budget not reachable")
-        segments.append(Segment(pending, t_relax))
+        segments.append(_segment(pending, t_relax))
         cur = _clamp_simplex(relaxed.T.reshape(total))
         heads = n * np.arange(n ** (m - r))
         pending = _placement(np.arange(heads.size), heads, total)
@@ -523,16 +565,17 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
         # parent k sits at coordinate k * span * n, i.e. at block k * span;
         # its i-th child subtree holds span / n consecutive fine blocks
         child_masses = block_mass.reshape(-1, n, span // n).sum(axis=2)
-        steer = {k * span: synthesize_from_ground(gen_block, c / c.sum())
-                 for k, c in enumerate(child_masses) if c.sum() > 1e-15}
+        parent_mass = child_masses.sum(axis=1).tolist()
+        steer = {k * span: _block_steps(gen_block, c, mass)
+                 for k, (c, mass) in enumerate(zip(child_masses, parent_mass)) if mass > 1e-15}
         segments.extend(_merge_parallel(steer, n, total, pending))
         # scatter the split masses from block slots to the child head positions
         parents = (span * n * np.arange(n ** (level - 1)))[:, None]
         pending = _placement((parents + span * np.arange(n)).ravel(),
                              (parents + np.arange(n)).ravel(), total)
 
-    final = {k: synthesize_from_ground(gen_block, b / mass)
-             for k, (b, mass) in enumerate(zip(blocks, block_mass)) if mass > 1e-15}
+    final = {k: _block_steps(gen_block, b, mass)
+             for k, (b, mass) in enumerate(zip(blocks, block_mass.tolist())) if mass > 1e-15}
     segments.extend(_merge_parallel(final, n, total, pending))
     return Schedule(segments)
 
@@ -716,7 +759,10 @@ def _draws(n: int, depth: int, seeds) -> tuple[np.ndarray, np.ndarray]:
 def random_schedule(n: int, depth: int, seed: int) -> Schedule:
     """Deterministic pseudo-random schedule: Fisher-Yates permutations and
     log-uniform durations on [1e-3, 1e2], drawn from SplitMix64(seed) bit
-    for bit (see _draws)."""
+    for bit (see _draws).  n, depth and seed are read by the number rule."""
+    n = _integer(n, "n must be an integer")
+    depth = _integer(depth, "depth must be an integer")
+    seed = _integer(seed, "seed must be an integer")
     perms, durations = _draws(n, depth, [seed])
     return Schedule([Segment(p, t) for p, t in zip(perms[0], durations[0].tolist())])
 
@@ -735,14 +781,18 @@ def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:
     flows = propagator(gen, durations.ravel()).reshape(k, depth, gen.n, gen.n)
     out = np.empty((k, depth + 1, gen.n))
     out[:, 0] = x
+    rows = np.arange(k)[:, None]
     for j in range(depth):
-        permuted = np.take_along_axis(out[:, j], perms[:, j], axis=1)
+        permuted = out[:, j][rows, perms[:, j]]
         out[:, j + 1] = _clamp_simplex(np.matmul(flows[:, j], permuted[:, :, None])[:, :, 0])
     return out
 
 
 def reachable_sample(gen: Generator, x0, depth: int, seed: int) -> np.ndarray:
-    """States visited by one random schedule, including x0 (depth+1 points)."""
+    """States visited by one random schedule, including x0 (depth+1 points).
+    depth and seed are read by the number rule."""
+    depth = _integer(depth, "depth must be an integer")
+    seed = _integer(seed, "seed must be an integer")
     return _sample_paths(gen, x0, depth, [seed])[0]
 
 

@@ -611,6 +611,17 @@ class TestSimulateSynthesize:
         assert lines[0] == "t,x0,x1,x2,x3"
         assert np.allclose([float(v) for v in lines[-1].split(",")], [40.0, 0.5, 0.0, 0.5, 0.0])
 
+    def test_simulate_long_zero_temperature_flow_ends_on_the_ground(self, tmp_path, capture):
+        # the propagator at t = 2^61 was NaN, refused as "negative mass nan"
+        x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [2, 0, 1],
+                                                          "duration": 2.0 ** 61}]})
+        code, out, err = capture(["simulate", "--zero-temp", "3", "--x0", x0,
+                                  "--schedule", sched, "--dt", str(2.0 ** 61)])
+        assert code == 0, err
+        last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
+        assert last == [2.0 ** 61, 1.0, 0.0, 0.0]
+
     def test_synthesize_exits_numeric_when_eps_is_missed(self, tmp_path, capture):
         target = write(tmp_path, "t.json", [0.1, 0.6, 0.3])
         x0 = write(tmp_path, "x0.json", [0.2, 0.3, 0.5])

@@ -480,6 +480,28 @@ class TestZeroTemperatureSeries:
         with pytest.raises(ValueError, match="finite"):
             next(gen._ladder[1].walk(3)(bad))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_long_flows_end_on_the_ground(self, n):
+        # a fresh t = 2^k once squared row 0 of the first term sum, 1 + 2e-16
+        # at (0, 0), into NaN from k = 57..61 on; now every k gives e_1 1^T
+        # from k = 10 on, or refuses t ||N||_1 past the float range
+        gen = b0_from_rates(zero_temperature_rates(n))
+        norm = float(gen._ladder[0].norms[-1])
+        ground = np.zeros((n, n))
+        ground[0] = 1.0
+        for k in range(1024):
+            t = 2.0 ** k
+            if not t * norm < np.inf:
+                with pytest.raises(ValueError, match="finite"):
+                    propagator(gen, t)
+                continue
+            p = propagator(gen, t)
+            if k >= 10:
+                assert np.array_equal(p, ground)
+            else:
+                assert np.isfinite(p).all() and p.min() >= 0.0
+                assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-15
+
     def test_backward_overflow_raises(self):
         backward = b0_from_rates(zero_temperature_rates(4))._ladder[1]
         with pytest.raises(ValueError, match="overflows"):

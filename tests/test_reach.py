@@ -818,6 +818,32 @@ class TestSegment:
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+class TestPrivateSegment:
+    def test_equals_the_checked_segment(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 5, 64):
+            for t in (0.0, 0.5, float(rng.exponential()), 1e300):
+                p = rng.permutation(n)
+                seg, want = dmajor.reach._segment(p.copy(), t), Segment(p, t)
+                assert seg == want and type(seg) is Segment
+                assert seg.perm.dtype == want.perm.dtype and seg.duration == want.duration
+                assert not seg.perm.flags.writeable
+
+    def test_library_schedules_own_their_perms(self, local_cases):
+        # every perm is read-only and owns its memory, so no segment shares
+        # it with another segment or with the synthesis' working arrays
+        scheds = [synthesize_local(n, m, x0, target, eps)
+                  for n, m, x0, target, eps in local_cases[::3]]
+        rng = np.random.default_rng(18)
+        for n in (2, 3, 6):
+            x0, x = rng.dirichlet(np.ones(n), size=2)
+            scheds += [synthesize(_gen(n), x0, x, 1e-9), synthesize_from_ground(_gen(n), x)]
+        for sched in scheds:
+            perms = [seg.perm for seg in sched.segments]
+            assert all(p.base is None and not p.flags.writeable for p in perms)
+            assert len({id(p) for p in perms}) == len(perms)
+
+
 def _reference_check_simplex(x, tol=1e-9):
     """_check_simplex's acceptance as the total under errstate decides it."""
     x = dmajor.majorize.as_vector(x)
@@ -1078,31 +1104,35 @@ def _exact_two_level_root(b0, z):
         return float(mpmath.log1p(delta * z0 / (-b01 * z1)) / delta)
 
 
+def _two_level_hit(b0, z):
+    """_two_level_face_hit on a 2 x 2 array block and a 2-vector."""
+    return dmajor.reach._two_level_face_hit(np.asarray(b0).tolist(), *np.asarray(z).tolist())
+
+
 class TestTwoLevelFaceHit:
     def test_matches_the_search(self, two_level_faces):
         # the search stops once its bracket is 2e-15 * tau wide, as judged
         # on rounded states: up to 2.8e-15 * tau from the closed form here
         assert len(two_level_faces) >= 1000
         for b0, z, walk in two_level_faces:
-            tau, j, w = dmajor.reach._two_level_face_hit(b0, z)
-            tau_ref, j_ref, w_ref = dmajor.reach._first_face_hit(b0, z, walk)
+            tau, j = _two_level_hit(b0, z)
+            tau_ref, j_ref, _ = dmajor.reach._first_face_hit(b0, z, walk)
             assert j == j_ref
             assert abs(tau - tau_ref) <= 2.5e-15 * max(1.0, tau_ref)
             if tau_ref == 0.0:
-                assert tau == 0.0 and np.array_equal(w, w_ref)
+                assert tau == 0.0
 
     def test_within_a_few_ulps_of_the_exact_root(self, two_level_faces):
         for b0, z, _ in two_level_faces:
-            tau, _, _ = dmajor.reach._two_level_face_hit(b0, z)
+            tau, _ = _two_level_hit(b0, z)
             if tau > 0.0:
                 assert abs(tau - _exact_two_level_root(b0, z)) <= 4 * np.spacing(tau)
 
-    def test_returns_the_state_at_the_hit(self, two_level_faces):
+    def test_hits_the_face(self, two_level_faces):
         for b0, z, _ in two_level_faces[::5]:
-            tau, j, w = dmajor.reach._two_level_face_hit(b0, z)
+            tau, j = _two_level_hit(b0, z)
             if tau > 0.0:
-                assert w[j] == 0.0
-                assert np.max(np.abs(w - scipy.linalg.expm(tau * b0) @ z)) <= 1e-12
+                assert abs((scipy.linalg.expm(tau * b0) @ z)[j]) <= 1e-12
 
     def test_refuses_a_flow_that_never_hits(self):
         # b11 - b00 < 0 inside the column-sum tolerance: w0 tends to
@@ -1110,11 +1140,11 @@ class TestTwoLevelFaceHit:
         gen = _tolerated_gen(2e-13, -1e-13, 1e-13)
         for z in ([0.6, 0.4], [0.5, 0.5]):
             with pytest.raises(SimplexViolationError, match="never hits a face"):
-                dmajor.reach._two_level_face_hit(gen.b0[:2, :2], np.array(z))
+                _two_level_hit(gen.b0[:2, :2], z)
             with pytest.raises(SimplexViolationError, match="never hits a face"):
                 synthesize_from_ground(gen, z + [0.0])
         z = np.array([0.3, 0.7])
-        tau, j, _ = dmajor.reach._two_level_face_hit(gen.b0[:2, :2], z)
+        tau, j = _two_level_hit(gen.b0[:2, :2], z)
         assert j == 0
         assert abs(tau - _exact_two_level_root(gen.b0[:2, :2], z)) <= 4 * np.spacing(tau)
 
@@ -1122,7 +1152,7 @@ class TestTwoLevelFaceHit:
         # b11 = b00: w0(t) = e^{b00 t} (z0 + b01 z1 t) vanishes at z0 / (-b01 z1)
         gen = _tolerated_gen(1e-13, -1e-13, 1e-13)
         for z in np.array([[0.3, 0.7], [0.7, 0.3], [0.01, 0.99]]):
-            tau, j, _ = dmajor.reach._two_level_face_hit(gen.b0[:2, :2], z)
+            tau, j = _two_level_hit(gen.b0[:2, :2], z)
             tau_ref, j_ref, _ = dmajor.reach._first_face_hit(gen.b0[:2, :2], z,
                                                              gen._ladder[1].walk(2))
             assert j == j_ref == 0
@@ -1140,7 +1170,7 @@ class TestTwoLevelFaceHit:
     def test_refuses_a_hit_out_of_range(self, block, z):
         gen = _tolerated_gen(*block)
         with pytest.raises(SimplexViolationError, match="leaves range before it hits a face"):
-            dmajor.reach._two_level_face_hit(gen.b0[:2, :2], np.array(z))
+            _two_level_hit(gen.b0[:2, :2], z)
         with pytest.raises(SimplexViolationError, match="leaves range before it hits a face"):
             synthesize_from_ground(gen, z + [0.0])
 
@@ -1342,10 +1372,61 @@ class TestLocalSynthesis:
             assert not any(a.duration == 0.0 and tuple(b.perm) == identity
                            for a, b in zip(segments, segments[1:]))
 
+    @pytest.mark.parametrize("n,m", [(2, 12), (4, 6)])
+    def test_checks_each_state_once_and_no_permutation(self, n, m, monkeypatch):
+        calls = {"check_permutation": 0, "_check_simplex": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(dmajor.reach, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(dmajor.reach, name, counted)
+        x0, x = np.random.default_rng(46).dirichlet(np.ones(n ** m), size=2)
+        synthesize_local(n, m, x0, x, 1e-6)
+        assert calls == {"check_permutation": 0, "_check_simplex": 2}
+
+    def test_qubit_blocks_match_the_array_path(self):
+        # the float path against the clamp, the normalizations and the
+        # zero-time exit on arrays, at zero and signed-zero entries, small
+        # negative ones, and entries at and next to the 1e-13 and 1e-12
+        # thresholds, for block masses from 1e-15 up
+        gen = _gen(2)
+
+        def array_steps(c, mass):
+            z = np.maximum(c / mass, 0.0)
+            z = z / z.sum()
+            if z[1] <= 1e-13:
+                return []
+            if z.min() <= 1e-12 * max(1.0, float(np.abs(z).sum())):
+                tau, j = 0.0, int(np.argmin(z))
+            else:
+                tau, j = dmajor.reach._two_level_face_hit(gen.b0.tolist(), *z.tolist())
+            swap = np.arange(2)
+            swap[j], swap[1] = 1, j
+            return [(swap, tau)]
+
+        rng = np.random.default_rng(22)
+        edges = [0.0, -0.0, 1e-13, 1e-12, 2e-13, 5e-13, -1e-10]
+        edges += [np.nextafter(e, d) for e in (1e-13, 1e-12) for d in (0.0, 1.0)]
+        cases = 0
+        for _ in range(4000):
+            c = rng.dirichlet(np.full(2, rng.choice([0.1, 1.0, 10.0])))
+            if rng.random() < 0.5:
+                c[rng.integers(2)] = rng.choice(edges)
+            c = c * 10.0 ** rng.uniform(-14.9, 0.0)
+            mass = float(c.sum())
+            if mass <= 1e-15:
+                continue
+            cases += 1
+            got, want = dmajor.reach._block_steps(gen, c, mass), array_steps(c, mass)
+            assert [(p.tolist(), t.hex()) for p, t in got] == \
+                [(p.tolist(), t.hex()) for p, t in want]
+        assert cases >= 3800
+
     def test_merge_applies_simultaneous_events_in_schedule_order(self):
         sched = Schedule([Segment((1, 0, 2), 0.0), Segment((0, 2, 1), 0.0),
                           Segment((0, 1, 2), 1.0)])
-        merged = Schedule(dmajor.reach._merge_parallel({0: sched}, 3, 3, np.arange(3)))
+        steps = [(seg.perm, seg.duration) for seg in sched.segments]
+        merged = Schedule(dmajor.reach._merge_parallel({0: steps}, 3, 3, np.arange(3)))
         gen = _gen(3)
         x = np.array([0.5, 0.3, 0.2])
         assert np.abs(endpoint(gen, x, merged) - endpoint(gen, x, sched)).sum() <= 1e-15

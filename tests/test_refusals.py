@@ -16,8 +16,8 @@ from dmajor.majorize import (StochasticMatrix, column_stochastic_transfer, d_maj
                              maximal_element, minimal_element)
 from dmajor.polytope import (HPolytope, contains, halfspace_bounds, hausdorff, hull_hausdorff,
                              vertex_for_permutation, vertices)
-from dmajor.reach import (Schedule, Segment, majorization_envelope, reachable_sample, simulate,
-                          synthesize, synthesize_local)
+from dmajor.reach import (Schedule, Segment, majorization_envelope, random_schedule,
+                          reachable_sample, simulate, synthesize, synthesize_local)
 from helpers import compose, identity_superoperator
 
 I2, I3 = np.eye(2), np.eye(3)
@@ -148,6 +148,16 @@ SCALARS = {
     "envelope-sample-count-array": (lambda: majorization_envelope(ENVELOPE_X0, ENVELOPE_D,
                                                                   sample_count=[3]),
                                     "sample_count must be an integer"),
+    # True ran as seed 1 or as depth 1, and "2" raised TypeError
+    "random-schedule-seed-boolean": (lambda: random_schedule(3, 2, True), INTEGER_BOOL),
+    "random-schedule-depth-boolean": (lambda: random_schedule(3, True, 0), INTEGER_BOOL),
+    "random-schedule-depth-string": (lambda: random_schedule(3, "2", 0), INTEGER),
+    "random-schedule-levels-boolean": (lambda: random_schedule(True, 2, 0), INTEGER_BOOL),
+    "random-schedule-seed-array": (lambda: random_schedule(3, 2, [1]), "seed must be an integer"),
+    "reachable-sample-seed-boolean": (lambda: reachable_sample(_zero_temp(3), ENVELOPE_X0, 2,
+                                                               True), INTEGER_BOOL),
+    "reachable-sample-depth-string": (lambda: reachable_sample(_zero_temp(3), ENVELOPE_X0, "2",
+                                                               0), INTEGER),
 }
 
 
