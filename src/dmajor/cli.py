@@ -11,10 +11,10 @@ arrays; complex matrices use [re, im] entry pairs; schedules are
 {"segments": [{"perm": [...], "duration": t}]} with integer perm entries.
 
 Start-up: the module loads the standard library and dmajor.majorize only,
-and each handler imports what it runs.  `check --d` (with or without
---certificate) and `curve` read their vectors as lists of floats and run
-majorize's list kernels, so they finish without loading numpy; every other
-subcommand, and classical `check`, loads it.
+and each handler imports what it runs.  `check` (classical or with --d,
+with or without --certificate) and `curve` read their vectors as lists of
+floats and run majorize's list kernels, so they finish without loading
+numpy; every other subcommand loads it.
 
 Exit: `python -m dmajor.cli` and the `dmajor` script end through `run()`,
 which freezes the heap once `main()` returns.  The interpreter's shutdown
@@ -171,26 +171,19 @@ def _certificate_residuals(a: list, x: list, y: list, d: list | None = None) -> 
 
 
 def _cmd_check(args) -> int:
-    x = _load_entries(args.x)
-    y = _load_entries(args.y)
-    if args.d is None:
-        d = None
-        verdict = majorize.majorizes(x, y, tol=args.tol)
-    else:
-        # one validation and one run of the chosen route; the certificate
-        # then comes from the chain's list core, as d_stochastic_transfer's
-        x, y, d = majorize._validated(x, y, _load_entries(args.d))
-        verdict = majorize._d_majorizes(x, y, d, args.method, args.tol)
+    # one validation and one run of the route, classical check being the
+    # curve route at d = e as in majorizes; the certificate then comes from
+    # the chain's list core, as the transfer functions'
+    x, y = _load_entries(args.x), _load_entries(args.y)
+    d = None if args.d is None else _load_entries(args.d)
+    x, y, e = majorize._validated(x, y, d)
+    verdict = majorize._d_majorizes(x, y, e, "curve" if d is None else args.method, args.tol)
     data: dict = {}
     diagnostics = []
     if verdict and args.certificate:
-        if d is None:
-            cert = majorize.doubly_stochastic_transfer(x, y, tol=args.tol)
-            rows, kind = cert.matrix.tolist(), cert.kind
-        else:
-            rows, kind = majorize._chain_rows(x, y, d, args.tol)[0], "d-stochastic"
+        rows = majorize._chain_rows(x, y, e, args.tol)[0]
         data["certificate"] = rows
-        data["certificate_kind"] = kind
+        data["certificate_kind"] = "doubly" if d is None else "d-stochastic"
         diagnostics = _certificate_residuals(rows, x, y, d)
     _emit(args, _report("check", verdict=verdict, data=data, diagnostics=diagnostics))
     return EXIT_TRUE if verdict else EXIT_FALSE

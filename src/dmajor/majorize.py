@@ -7,9 +7,10 @@ a column-stochastic matrix with fixed point d mapping y to x.
 
 The d-majorization routes, the curve elbows and the T-transform
 certificates run on lists of Python floats: at n <= 8 numpy's per-call
-overhead costs more than their arithmetic.  numpy builds the returned arrays
-and runs the batch kernels, and only the functions that do so import it, so
-the list kernels run in a process that never loads numpy.
+overhead costs more than their arithmetic.  Classical majorization is
+d-majorization at d = e and runs on the same kernels.  numpy builds the
+returned arrays, and only the functions that do so import it, so the list
+kernels run in a process that never loads numpy.
 """
 
 from __future__ import annotations
@@ -229,25 +230,11 @@ def thermo_curve(y, d) -> ThermoCurve:
     return ThermoCurve(*map(np.array, _elbows(*_validated(y, d))))
 
 
-def _majorized_rows(xs: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """majorizes(x, y, tol) for every vector x along the last axis of xs, in
-    one array pass; the result has shape xs.shape[:-1]."""
-    import numpy as np
-
-    eps = _scaled_tol(y, tol)
-    totals = np.abs(xs.sum(axis=-1) - y.sum()) <= eps
-    xc = np.cumsum(np.sort(xs, axis=-1)[..., ::-1], axis=-1)
-    yc = np.cumsum(np.sort(y)[::-1])
-    return totals & np.all(xc[..., :-1] <= yc[:-1] + eps, axis=-1)
-
-
 def majorizes(x, y, tol: float = 1e-9) -> bool:
-    """True iff x is majorized by y (equal totals, dominated partial sums)."""
-    import numpy as np
-
-    x, y, _ = _validated(x, y, None)
-    tol = _real_number(tol, _TOL_REFUSAL)
-    return bool(_majorized_rows(np.array(x), np.array(y), tol))
+    """True iff x is majorized by y (equal totals, dominated partial sums):
+    d-majorization at d = e, on the curve route, whose elbows are then the
+    partial sums of the sorted entries."""
+    return _d_majorizes(*_validated(x, y, None), "curve", _real_number(tol, _TOL_REFUSAL))
 
 
 def d_majorizes(x, y, d, method: str = "norm", tol: float = 1e-9) -> bool:
@@ -442,11 +429,9 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     d = e, from at most n-1 T-transforms.  Requires majorizes(x, y); the
     minimal element (uniform mean) gets the averaging certificate e e^T / n.
     """
-    import numpy as np
-
     x, y, e = _validated(x, y, None)
     tol = _real_number(tol, _TOL_REFUSAL)
-    if not _majorized_rows(np.array(x), np.array(y), tol):
+    if not _d_majorizes(x, y, e, "curve", tol):
         raise ValueError("doubly_stochastic_transfer requires x to be majorized by y")
     out = _chain_transfer(x, y, e, tol)
     return StochasticMatrix(out.matrix, "doubly", n_t_transforms=out.n_t_transforms)

@@ -278,6 +278,24 @@ class TestCheck:
             expected.append(f"certificate fixed-point 1-norm error {_residual(a, d, d):.3e}")
         assert report["diagnostics"] == expected
 
+    def test_classical_certificate_output_is_pinned(self, tmp_path, capture):
+        # classical check --certificate on a fixed pair, byte for byte: the
+        # "doubly" kind and three residual lines, two of them nonzero
+        argv = ["check", write(tmp_path, "x.json", [0.21, 0.27, 0.19, 0.33]),
+                write(tmp_path, "y.json", [0.07, 0.41, 0.13, 0.39]), "--certificate"]
+        expected = (
+            '{"command": "check", "verdict": true, "data": {"certificate": '
+            '[[0.0, 0.0, 0.6923076923076923, 0.30769230769230765], '
+            '[0.1666666666666666, 0.0, 0.2564102564102564, 0.576923076923077], '
+            '[0.6111111111111112, 0.26666666666666655, 0.03760683760683759, 0.08461538461538459], '
+            '[0.22222222222222213, 0.7333333333333334, 0.013675213675213661, '
+            '0.030769230769230743]], "certificate_kind": "doubly"}, "diagnostics": '
+            '["certificate transfer 1-norm error 5.551e-17", '
+            '"certificate column-sum error 1.110e-16", "certificate min entry 0.000e+00"]}\n')
+        # --method is the d-routes' choice; classical check ignores it
+        for method in ([], ["--method", "norm"], ["--method", "positive_part"]):
+            assert capture(argv + method) == (0, expected, "")
+
     def test_exit_code_campaign(self, tmp_path, capsys):
         files = malformed_files(tmp_path)
         x = write(tmp_path, "x.json", [0.2, 0.3, 0.5])
@@ -1401,7 +1419,9 @@ class TestImportHygiene:
                                       ["check", "x", "y", "--d", "d", "--method", "curve",
                                        "--certificate"],
                                       ["curve", "y", "--d", "d"],
-                                      ["--format", "csv", "curve", "y", "--d", "d"]])
+                                      ["--format", "csv", "curve", "y", "--d", "d"],
+                                      ["check", "x", "y"],
+                                      ["check", "x", "y", "--certificate"]])
     def test_list_kernel_subcommands_leave_numpy_unloaded(self, tmp_path, argv):
         # a positive verdict, so --certificate builds its certificate
         files = {"x": write(tmp_path, "x.json", [0.3, 0.3, 0.4]),

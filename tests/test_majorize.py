@@ -10,7 +10,6 @@ from dmajor.majorize import (
     D_MAJORIZE_METHODS,
     StochasticMatrix,
     TransferSynthesisError,
-    _majorized_rows,
     _pieces,
     _t_transform_chain,
     column_stochastic_transfer,
@@ -59,36 +58,51 @@ class TestMajorizes:
         assert majorizes(np.array([1, 1], dtype=np.uint8), [2, 0])
 
     def test_rows_agree_with_single_calls(self):
-        def reference(x, y, tol=1e-9):
-            eps = tol * float(np.abs(y).sum())
-            if abs(x.sum() - y.sum()) > eps:
-                return False
-            xs = np.cumsum(np.sort(x)[::-1])
-            ys = np.cumsum(np.sort(y)[::-1])
-            return bool(np.all(xs[:-1] <= ys[:-1] + eps))
-
+        # a seeded slice of the verdict campaign: n = 1..12, scales 1e-6..1e6,
+        # mixtures of permutations (majorized), permutations and quarter-grid
+        # ties, vectors moved to y's total (mostly not), unequal totals, and
+        # moves across the tolerance edge on both sides of it
         rng = np.random.default_rng(31)
-        for n in range(1, 7):
-            for _ in range(20):
-                y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
-                # mixtures of permutations of y (majorized), other vectors
-                # rescaled to y's total (mostly not), and unequal totals
-                mixed = np.array([rng.dirichlet(np.ones(4)) @ np.array(
-                    [rng.permutation(y) for _ in range(4)]) for _ in range(5)])
-                other = rng.standard_normal((5, n))
+        verdicts = []
+        for n in range(1, 13):
+            for scale in 10.0 ** np.arange(-6, 7, 2):
+                y = rng.standard_normal(n) * scale
+                if rng.random() < 0.3:
+                    y = rng.integers(-4, 5, n) * (scale / 4)        # quarter-grid ties
+                eps = 1e-9 * float(np.abs(y).sum())
+                perms = np.array([rng.permutation(y) for _ in range(4)])
+                mixed = rng.dirichlet(np.ones(4), size=6) @ perms
+                other = rng.standard_normal((4, n)) * scale
                 other += (y.sum() - other.sum(axis=1, keepdims=True)) / n
-                off = mixed + rng.choice([-1.0, 1.0], size=(5, 1)) * 1e-3 * (1.0 + np.abs(y).sum())
-                xs = np.concatenate((mixed, other, off, y[None, :]))
-                rows = _majorized_rows(xs, y, 1e-9)
-                assert rows.shape == (xs.shape[0],)
-                expected = [reference(x, y) for x in xs]
-                assert rows.tolist() == expected
+                # top-k sums of a permutation of y lifted, and totals moved, by
+                # a multiple of the tolerance
+                lift = perms[:2]
+                top, low = lift.argmax(axis=1), lift.argmin(axis=1)
+                edges = []
+                for c in (0.5, 0.999, 1.001, 2.0):
+                    moved = lift.copy()
+                    moved[[0, 1], top] += c * eps
+                    moved[[0, 1], low] -= c * eps
+                    edges += [moved, lift + rng.choice([-1.0, 1.0]) * c * eps * np.eye(n)[top]]
+                xs = np.concatenate((mixed, perms, other, *edges,
+                                     mixed[:2] + rng.uniform(1e-3, 1.0) * scale))
+                expected = _sort_cumsum_rows(xs, y).tolist()
                 assert [majorizes(x, y) for x in xs] == expected
-                assert not any(rows[10:15])
-                assert rows[-1]
-                stacked = _majorized_rows(xs.reshape(4, 4, n), y, 1e-9)
-                assert np.array_equal(stacked, rows.reshape(4, 4))
-        assert _majorized_rows(np.empty((0, 3)), np.ones(3), 1e-9).shape == (0,)
+                assert [majorizes(list(x), list(y)) for x in xs] == expected
+                assert all(expected[:10])       # the mixtures and permutations
+                verdicts += expected
+        assert 0.3 < np.mean(verdicts) < 0.8
+
+
+def _sort_cumsum_rows(xs, y, tol=1e-9):
+    """majorizes(x, y, tol) for every row x of xs, as the batch kernel that
+    classical majorization once ran on decided it: sort, cumsum, compare.
+    The reference for majorizes' verdicts."""
+    eps = tol * sum(map(abs, y))
+    totals = np.abs(xs.sum(axis=-1) - y.sum()) <= eps
+    xc = np.cumsum(np.sort(xs, axis=-1)[..., ::-1], axis=-1)
+    yc = np.cumsum(np.sort(y)[::-1])
+    return totals & np.all(xc[..., :-1] <= yc[:-1] + eps, axis=-1)
 
 
 def _loop_verdict(x, y, d, method, tol=1e-9):

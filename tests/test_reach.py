@@ -1461,6 +1461,19 @@ class TestEnvelope:
             z, report = majorization_envelope(x0, d, count, depth, seed)
             _assert_matches_reference(x0, d, count, depth, seed, z, report)
 
+    def test_sweep_slice_matches_per_point_loop(self):
+        # a seeded slice of the sweep over n = 1..8, alpha and the Dirichlet
+        # concentration of x0, with schedules of the sampler's full depth
+        rng, depth = np.random.default_rng(196), dmajor.reach.MAX_SAMPLE_DEPTH
+        for n in range(1, 9):
+            for _ in range(2 if n < 8 else 1):
+                d = equidistant_d(rng.choice([0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]), n)
+                x0 = rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0, 10.0])))
+                seed = int(rng.integers(0, 2 ** 40))
+                z, report = majorization_envelope(x0, d, 8, depth, seed)
+                _assert_matches_reference(x0, d, 8, depth, seed, z, report)
+                assert report.initial_majorized and report.sampled_violations == 0
+
     def test_one_stacked_exponential_per_block(self, monkeypatch):
         calls = []
         real = dmajor.reach.propagator

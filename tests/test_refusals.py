@@ -272,6 +272,10 @@ REFUSALS = {
     # a length-1 state once broadcast over the 3 levels
     "reachable-sample-size": (lambda: reachable_sample(_zero_temp(3), [1.0], 2, 0),
                               "state of length 1 where 3 is needed"),
+    # both once named a permutation argument the caller never passed
+    "random-schedule-no-levels": (lambda: random_schedule(0, 2, 0), "n must be at least 1, got 0"),
+    "random-schedule-negative-levels": (lambda: random_schedule(-1, 2, 0),
+                                        "n must be at least 1, got -1"),
     **NON_NUMBERS,
     **SCALARS,
 }
