@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import isfinite
-from operator import add, mul
+from operator import add, mul, sub
 
 D_MAJORIZE_METHODS = ("norm", "positive_part", "curve")
 
@@ -93,22 +93,20 @@ def _integer(x, message: str) -> int:
     return int(v)
 
 
-def _check_weights(d: list) -> None:
-    if min(d) <= 0:
-        raise ValueError("weight vector entries must be strictly positive")
-
-
 def _plain(v) -> bool:
     """Whether numpy reads v as a float64 or an int64 entry."""
     return type(v) is float or (type(v) is int and -2 ** 63 <= v < 2 ** 63)
 
 
 def _entries(x) -> list:
-    """The entries of a non-empty 1-d real vector as floats, their finiteness
-    left to the caller.  A list or tuple of floats and int64-range ints is
-    read entry by entry, without numpy; anything else through the gate."""
+    """The entries of a non-empty 1-d real vector as floats, finite or not: a
+    list or tuple of floats and int64-range ints one by one, without numpy,
+    a 1-d float64 array (which the gate passes) by tolist, else the gate."""
     if isinstance(x, (list, tuple)) and x and all(map(_plain, x)):
         return [float(v) for v in x]
+    import numpy as np
+    if type(x) is np.ndarray and x.dtype.char == "d" and x.ndim == 1 and x.size:
+        return x.tolist()
     v = as_real_array(x)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-d real vector")
@@ -143,7 +141,8 @@ def as_vector(x) -> np.ndarray:
 
 def as_weight_vector(d) -> np.ndarray:
     v = as_vector(d)
-    _check_weights(v.tolist())
+    if min(v.tolist()) <= 0:
+        raise ValueError("weight vector entries must be strictly positive")
     return v
 
 
@@ -156,17 +155,21 @@ def _validated(*vectors) -> tuple[list, ...]:
     vs = [_entries(v) for v in vs]
     n = len(vs[0])
     weights = [1.0] * n if d is None else _entries(d)
-    _check_finite(chain(*vs, weights))
-    _check_weights(weights)
-    if any(len(v) != n for v in vs):
-        raise ValueError("x and y must have equal length")
-    if len(weights) != n:
-        raise ValueError("vectors and weights d must have equal length")
     # Python floats overflow to inf without a warning, and beat numpy at n <= 8
     top, low, high = max(map(abs, chain(*vs))), min(weights), max(weights)
-    if not 2 * n * max(top / low, 1.0) * high <= sys.float_info.max:
-        raise ValueError(f"entries up to {top:.3g} over weights d in [{low:.3g}, {high:.3g}] "
-                         "must stay finite")
+    fits = low > 0 and 2 * n * max(top / low, 1.0) * high <= sys.float_info.max
+    # valid input passes one test (a sum is finite only if every entry is)
+    if not (fits and isfinite(sum(chain(*vs, weights))) and {*map(len, vs), len(weights)} == {n}):
+        _check_finite(chain(*vs, weights))
+        if low <= 0:
+            raise ValueError("weight vector entries must be strictly positive")
+        if any(len(v) != n for v in vs):
+            raise ValueError("x and y must have equal length")
+        if len(weights) != n:
+            raise ValueError("vectors and weights d must have equal length")
+        if not fits:
+            raise ValueError(f"entries up to {top:.3g} over weights d in [{low:.3g}, "
+                             f"{high:.3g}] must stay finite")
     return (*vs, weights)
 
 
@@ -313,7 +316,7 @@ class StochasticMatrix:
 
 def _residual(rows: list, v: list, u: list) -> float:
     """||A v - u||_1 for the matrix A of rows."""
-    return sum(abs(sum(map(mul, row, v)) - w) for row, w in zip(rows, u))
+    return sum(map(abs, map(sub, [sum(map(mul, row, v)) for row in rows], u)))
 
 
 def _check_stochastic(rows: list, kind: str, d: list | None, entry_tol: float,
@@ -345,11 +348,14 @@ def _t_transform_chain(xs: list, ys: list, w: list, rows: list) -> tuple[list, i
     diff = [yi - xi for yi, xi in zip(y, xs)]
     small = 1e-13 * sum(map(abs, ys))
     for count in range(m):
-        # largest j with x_j < y_j, then the smallest k > j with x_k > y_k;
-        # without such a j there is no k
-        j = next((i for i in reversed(range(m)) if diff[i] > small), m)
-        k = next((i for i in range(j + 1, m) if diff[i] < -small), None)
-        if k is None:
+        # largest j with x_j < y_j, then the smallest k > j with x_k > y_k
+        j = m - 1
+        while j >= 0 and not diff[j] > small:
+            j -= 1
+        k = j + 1
+        while k < m and not diff[k] < -small:
+            k += 1
+        if j < 0 or k == m:
             return a, count
         lam = min(diff[j], -diff[k]) / (y[j] * w[k] - y[k] * w[j])
         t00, t01, t10, t11 = 1.0 - lam * w[k], lam * w[j], lam * w[k], 1.0 - lam * w[j]
@@ -372,9 +378,10 @@ def _pieces(d: list, px: list, py: list) -> list[tuple[float, int, int]]:
     ex, ey = (list(accumulate(scaled[i] for i in p)) for p in (px, py))
     out, start, i, j = [], 0, 0, 0
     while i < len(d):                                   # both layouts end at once
-        end = min(ex[i], ey[j])
+        u, v = ex[i], ey[j]
+        end = v if v < u else u
         out.append(((end - start) / den, px[i], py[j]))
-        start, i, j = end, i + (ex[i] == end), j + (ey[j] == end)
+        start, i, j = end, i + (u == end), j + (v == end)
     return out
 
 
@@ -392,20 +399,22 @@ def _chain_rows(x: list, y: list, d: list, tol: float) -> tuple[list, int]:
     # both shortcuts and the chain's floor are relative to ||y||_1, so the
     # certificate of (s x, s y) is that of (x, y) for every power of two s
     eps = _scaled_tol(y, 1e-3 * tol)
-    if sum(abs(u - v) for u, v in zip(x, y)) <= eps:
+    if sum(map(abs, map(sub, x, y))) <= eps:
         return [[float(i == j) for j in range(n)] for i in range(n)], 0
     total = sum(d)
     mean = sum(y) / total
-    if sum(abs(u - mean * v) for u, v in zip(x, d)) <= eps:
+    if sum(map(abs, map(sub, x, [mean * v for v in d]))) <= eps:
         return [[v / total] * n for v in d], 0
 
-    pieces = _pieces(d, _ratio_order(x, d), _ratio_order(y, d))
-    rows = [[0.0] * j + [w / d[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
-    rows, count = _t_transform_chain([x[i] * w / d[i] for w, i, _ in pieces],
-                                     [row[j] * y[j] for row, (_, _, j) in zip(rows, pieces)],
-                                     [w for w, _, _ in pieces], rows)
+    pieces = []                                         # (row, masses of x and y, width, i)
+    for w, i, j in _pieces(d, _ratio_order(x, d), _ratio_order(y, d)):
+        row = [0.0] * n
+        row[j] = w / d[j]
+        pieces.append((row, x[i] * w / d[i], row[j] * y[j], w, i))
+    rows, xs, ys, ws, owners = zip(*pieces)
+    rows, count = _t_transform_chain(xs, ys, ws, rows)
     a = [[0.0] * n for _ in range(n)]
-    for (_, i, _), row in zip(pieces, rows):
+    for i, row in zip(owners, rows):
         a[i] = list(map(add, a[i], row))
     # column sums and A d = d (row sums at d = e) within 1e-8, A y = x within tol
     _check_stochastic(a, "d-stochastic", d, entry_tol=1e-8, sum_tol=1e-8)

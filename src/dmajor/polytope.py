@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .majorize import _TOL_REFUSAL, _elbows, _interp, _real_number, _scaled_tol, _validated, \
-    as_real_array, as_vector
+from .majorize import _TOL_REFUSAL, _elbows, _finite_entries, _interp, _real_number, _scaled_tol, \
+    _validated, as_real_array
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -123,7 +123,9 @@ def _bounds(y: list, d: list) -> HPolytope:
     b[:-2] = np.interp(weights, *_elbows(y, d))
     b[-2] = np.add.reduce(y)                            # np.sum's reduction, without its wrapper
     b[-1] = -b[-2]
-    return HPolytope(n=n, b=b)
+    poly = object.__new__(HPolytope)                    # b is built right: no __post_init__
+    poly.__dict__.update(n=n, b=b)
+    return poly
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
@@ -131,22 +133,17 @@ def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:
     d_majorizes, exact at y = 0.  The curve peaks at the subset row of y's
     positive entries, so ||y||_1 = 2 max(0, max b[:-1]) - e^T y."""
     tol = _real_number(tol, _TOL_REFUSAL)
-    x = as_vector(x)
-    if x.size != poly.n:
+    x = _finite_entries(x)
+    if len(x) != poly.n:
         raise ValueError("dimension mismatch")
     y1 = 2.0 * max(0.0, float(poly.b[:-1].max())) - poly.trace
-    return bool(np.all(constraint_matrix(poly.n) @ x <= poly.b + tol * y1))
-
-
-def _corners(perms: np.ndarray, poly: HPolytope) -> np.ndarray:
-    """vertex_for_permutation for every row of perms, in one array pass."""
-    return _prefix_corners(*_gather(perms), poly)
+    return bool((constraint_matrix(poly.n) @ x <= poly.b + tol * y1).all())
 
 
 def _prefix_corners(rows: np.ndarray, prev_rows: np.ndarray, poly: HPolytope) -> np.ndarray:
-    """_corners, given _gather's indices: each entry is the bound of the
-    prefix it ends minus the bound of the prefix before (0 for the empty
-    one), by two gathers from b and one subtraction."""
+    """The corners of the permutations _gather read, in one array pass: each
+    entry is the bound of the prefix it ends minus the bound of the prefix
+    before (0 for the empty one), by two gathers from b and one subtraction."""
     bounds = np.empty(poly.b.size + 1)
     bounds[:-1] = poly.b
     bounds[-1] = 0.0                                    # the empty prefix
@@ -163,7 +160,7 @@ def vertex_for_permutation(perm, poly: HPolytope) -> np.ndarray:
     p = check_permutation(perm)
     if p.size != poly.n:
         raise ValueError("permutation length must equal the polytope dimension")
-    return _corners(p[None, :], poly)[0]
+    return _prefix_corners(*_gather(p[None, :]), poly)[0]
 
 
 @dataclass(frozen=True)

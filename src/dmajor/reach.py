@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -505,6 +506,14 @@ def _merge_parallel(block_steps: dict[int, list[tuple[np.ndarray, float]]], n: i
     return segments
 
 
+@lru_cache(maxsize=8)
+def _block_gen(n: int) -> Generator:
+    """synthesize_local's block generator, once per n <= 64, B0 read-only."""
+    gen = b0_from_rates(zero_temperature_rates(n))
+    gen.b0.setflags(write=False)
+    return gen
+
+
 def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     """Steering for the chain of m n-level systems with local noise.
 
@@ -530,7 +539,7 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     total = n ** m
     if total > MAX_LOCAL_DIM:
         raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
-    gen_block = b0_from_rates(zero_temperature_rates(n))
+    gen_block = (_block_gen if type(n) is int and n <= 64 else _block_gen.__wrapped__)(n)
     x0 = _check_simplex(x0, total)
     x = _check_simplex(x, total)
     n_blocks = n ** (m - 1)

@@ -1069,6 +1069,238 @@ class TestRefinement:
         assert compared >= 200
 
 
+def _parent_pieces(d, px, py):
+    """_pieces as it merged its layouts with min: the reference for the
+    explicit comparisons."""
+    ratios = [v.as_integer_ratio() for v in d]
+    den = max(q for _, q in ratios)
+    scaled = [p * (den // q) for p, q in ratios]
+    ex, ey = (list(accumulate(scaled[i] for i in p)) for p in (px, py))
+    out, start, i, j = [], 0, 0, 0
+    while i < len(d):
+        end = min(ex[i], ey[j])
+        out.append(((end - start) / den, px[i], py[j]))
+        start, i, j = end, i + (ex[i] == end), j + (ey[j] == end)
+    return out
+
+
+def _parent_t_transform_chain(xs, ys, w, rows):
+    """_t_transform_chain as it found j and k with next(genexpr)."""
+    m = len(xs)
+    a, y = list(rows), list(ys)
+    diff = [yi - xi for yi, xi in zip(y, xs)]
+    small = 1e-13 * sum(map(abs, ys))
+    for count in range(m):
+        j = next((i for i in reversed(range(m)) if diff[i] > small), m)
+        k = next((i for i in range(j + 1, m) if diff[i] < -small), None)
+        if k is None:
+            return a, count
+        lam = min(diff[j], -diff[k]) / (y[j] * w[k] - y[k] * w[j])
+        t00, t01, t10, t11 = 1.0 - lam * w[k], lam * w[j], lam * w[k], 1.0 - lam * w[j]
+        a[j], a[k] = ([t00 * u + t01 * v for u, v in zip(a[j], a[k])],
+                      [t10 * u + t11 * v for u, v in zip(a[j], a[k])])
+        y[j], y[k] = t00 * y[j] + t01 * y[k], t10 * y[j] + t11 * y[k]
+        diff[j], diff[k] = y[j] - xs[j], y[k] - xs[k]
+    return a, m
+
+
+def _parent_residual(rows, v, u):
+    return sum(abs(sum(r * s for r, s in zip(row, v)) - w) for row, w in zip(rows, u))
+
+
+def _parent_chain_rows(x, y, d, tol):
+    """_chain_rows as it built its pieces' rows, masses and widths in three
+    comprehensions: the reference for its rows, count and refusals."""
+    n = len(x)
+    eps = tol * 1e-3 * sum(map(abs, y))
+    if sum(abs(u - v) for u, v in zip(x, y)) <= eps:
+        return [[float(i == j) for j in range(n)] for i in range(n)], 0
+    total = sum(d)
+    mean = sum(y) / total
+    if sum(abs(u - mean * v) for u, v in zip(x, d)) <= eps:
+        return [[v / total] * n for v in d], 0
+    pieces = _parent_pieces(d, majorize._ratio_order(x, d), majorize._ratio_order(y, d))
+    rows = [[0.0] * j + [w / d[j]] + [0.0] * (n - 1 - j) for w, _, j in pieces]
+    rows, count = _parent_t_transform_chain(
+        [x[i] * w / d[i] for w, i, _ in pieces],
+        [row[j] * y[j] for row, (_, _, j) in zip(rows, pieces)], [w for w, _, _ in pieces], rows)
+    a = [[0.0] * n for _ in range(n)]
+    for (_, i, _), row in zip(pieces, rows):
+        a[i] = [u + v for u, v in zip(a[i], row)]
+    majorize._check_stochastic(a, "d-stochastic", d, entry_tol=1e-8, sum_tol=1e-8)
+    residual = _parent_residual(a, y, x)
+    gate = max(tol, 1e-8)
+    if residual > gate * sum(map(abs, y)):
+        raise TransferSynthesisError(f"certificate residual {residual:.3e} exceeds {gate:.0e}")
+    return a, count
+
+
+def _outcome(kernel, *args):
+    """The rows (as bytes, so signs of zeros count) and count of a chain
+    kernel, or the class and message of its refusal."""
+    try:
+        rows, count = kernel(*args)
+    except Exception as exc:                            # compared, not swallowed
+        return type(exc), str(exc)
+    return np.array(rows).tobytes(), count
+
+
+def _kernel_cases(seed):
+    """Seeded validated (x, y, d) at n = 1..8 and scales 1e-6..1e6: d = e,
+    random weights and one weight below the rounding of e^T d; x a
+    d-stochastic image of y, y itself (identity shortcut), the minimal
+    element, a mixture with it, or a free draw of y's total."""
+    rng = np.random.default_rng(seed)
+    for trial in range(1200):
+        n = 1 + trial % 8
+        kind = trial // 8 % 3
+        d = np.ones(n) if kind == 0 else rng.uniform(0.2, 2.0, n)
+        if kind == 2:
+            d[rng.integers(n)] = 1e-20 * d.sum()
+        y = rng.dirichlet(np.ones(n)) * 10.0 ** int(rng.integers(-6, 7))
+        if trial % 13 == 0:
+            y = y - y.mean()
+        pick = trial % 5
+        if pick == 0:
+            x = y.copy()
+        elif pick == 1:
+            x = (y.sum() / d.sum()) * d
+        elif pick == 2:
+            x = 0.5 * y + 0.5 * (y.sum() / d.sum()) * d
+        elif pick == 3:
+            x = random_d_stochastic(d, rng) @ y
+        else:
+            x = rng.dirichlet(np.ones(n)) * y.sum()
+        yield majorize._validated(x, y, d)
+
+
+class TestCertificateKernels:
+    def test_pieces_match_the_parent_merge(self):
+        for x, y, d in _kernel_cases(81):
+            px, py = majorize._ratio_order(x, d), majorize._ratio_order(y, d)
+            assert _pieces(d, px, py) == _parent_pieces(d, px, py)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_chain_rows_match_the_parent_kernel(self, tol):
+        # every positive and negative of the campaign: equal bytes and
+        # counts, or the same refusal
+        outcomes = set()
+        for x, y, d in _kernel_cases(82):
+            ref = _outcome(_parent_chain_rows, x, y, d, tol)
+            assert _outcome(majorize._chain_rows, x, y, d, tol) == ref
+            outcomes.add("raised" if isinstance(ref[0], type) else ref[1] > 0)
+        assert outcomes == {"raised", True, False}
+
+    def test_chain_matches_the_parent_chain(self):
+        for x, y, d in _kernel_cases(83):
+            n = len(x)
+            rows = [[float(i == j) for j in range(n)] for i in range(n)]
+            args = (x, y, d, rows)
+            ref = _outcome(_parent_t_transform_chain, *args)
+            assert _outcome(_t_transform_chain, *args) == ref
+
+
+def _parent_entries(x):
+    if isinstance(x, (list, tuple)) and x and all(map(majorize._plain, x)):
+        return [float(v) for v in x]
+    v = majorize.as_real_array(x)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a non-empty 1-d real vector")
+    return v.tolist()
+
+
+def _parent_validated(*vectors):
+    """_validated as it ran its tests one after another: the reference for
+    the precedence of its refusals."""
+    *vs, d = vectors
+    vs = [_parent_entries(v) for v in vs]
+    n = len(vs[0])
+    weights = [1.0] * n if d is None else _parent_entries(d)
+    majorize._check_finite([v for u in (*vs, weights) for v in u])
+    if min(weights) <= 0:
+        raise ValueError("weight vector entries must be strictly positive")
+    if any(len(v) != n for v in vs):
+        raise ValueError("x and y must have equal length")
+    if len(weights) != n:
+        raise ValueError("vectors and weights d must have equal length")
+    top = max(abs(v) for u in vs for v in u)
+    low, high = min(weights), max(weights)
+    if not 2 * n * max(top / low, 1.0) * high <= 1.7976931348623157e308:
+        raise ValueError(f"entries up to {top:.3g} over weights d in [{low:.3g}, {high:.3g}] "
+                         "must stay finite")
+    return (*vs, weights)
+
+
+NAN, INF, TINY = float("nan"), float("inf"), 5e-324
+# (x, y, d), d None for e, and the start of the parent's message (None: accepted)
+REFUSALS = {
+    "nan-and-wrong-length": (([NAN, 1.0, 2.0], [1.0, 2.0], [1.0, 1.0, 1.0]), "vector entries"),
+    "nan-late-and-zero-weight": (([1.0, NAN], [1.0, 1.0], [0.0, 1.0]), "vector entries"),
+    "inf-weight": (([1.0, 1.0], [1.0, 1.0], [1.0, INF]), "vector entries"),
+    "zero-weight-and-wrong-length": (([1.0, 1.0], [1.0], [0.0, 1.0]), "weight vector"),
+    "wrong-length": (([1.0, 1.0], [1.0, 1.0, 0.0], None), "x and y"),
+    "wrong-weight-length": (([1.0, 1.0], [1.0, 1.0], [1.0]), "vectors and weights"),
+    "subnormal-weight-overflow": (([1.0, 0.0], [0.5, 0.5], [TINY, 1.0]), "entries up to"),
+    "subnormal-weight-zero-vectors": (([0.0, -0.0], [0.0, 0.0], [TINY, 1.0]), None),
+    "overflow-bound": (([1e308, 0.0], [1e308, 0.0], None), "entries up to"),
+    "overflow-by-weights": (([1.0, 1.0], [1.0, 1.0], [1e307, 1e308]), "entries up to"),
+    "below-the-bound": (([4e307, 0.0], [4e307, 0.0], None), None),
+    "sum-past-the-range": (([4e307, 4e307], [4e307, 4e307], None), None),
+    "weights-sum-past-the-range": (([1.0, 1.0], [1.0, 1.0], [2e307, 2e307]), None),
+    "boolean": (([True, False], [0.5, 0.5], None), "expected real numbers"),
+    "boolean-weight": (([1.0, 0.0], [0.5, 0.5], [True, True]), "expected real numbers"),
+    # an array of them is a float array
+    "boolean-among-floats": (([True, 0.0], [0.5, 0.5], None),
+                             {"list": "expected real numbers", "tuple": "expected real numbers"}),
+    "float32": ((np.array([0.25, 0.75], np.float32), [0.5, 0.5], [1.0, 3.0]), None),
+    "float32-nan": ((np.array([NAN, 0.75], np.float32), [0.5], [1.0, 3.0]), "vector entries"),
+    "int": (([1, 3], [2, 2], [1, 2]), None),
+    "int-beyond-int64": (([2 ** 70, 0], [2 ** 70, 0], None), "expected real numbers"),
+    "two-d": (([[0.5, 0.5]], [0.5, 0.5], None), "expected a non-empty 1-d"),
+    "two-d-weights": (([0.5, 0.5], [0.5, 0.5], [[1.0, 1.0]]), "expected a non-empty 1-d"),
+    "empty": (([], [], None), "expected a non-empty 1-d"),
+    "big-endian": ((np.array([0.25, 0.75], ">f8"), [0.5, 0.5], None), None),
+}
+
+
+def _as(form, v):
+    if v is None or isinstance(v, np.ndarray) and form != "ndarray":
+        return v
+    return {"list": list, "tuple": tuple, "ndarray": np.array}[form](v)
+
+
+def _validation(fn, args):
+    try:
+        return fn(*args)
+    except Exception as exc:                            # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestValidatedPrecedence:
+    @pytest.mark.parametrize("form", ["list", "tuple", "ndarray"])
+    @pytest.mark.parametrize("name", list(REFUSALS))
+    def test_refusal_matches_the_parent(self, name, form):
+        vectors, message = REFUSALS[name]
+        if isinstance(message, dict):
+            message = message.get(form)
+        args = [_as(form, v) for v in vectors]
+        got = _validation(majorize._validated, args)
+        assert got == _validation(_parent_validated, args)
+        if message is None:
+            assert all(type(v) is float for u in got for v in u)
+        else:
+            assert got[0] is ValueError and got[1].startswith(message)
+
+    def test_float64_arrays_read_as_lists(self):
+        rng = np.random.default_rng(84)
+        for n in range(1, 9):
+            x, y, d = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.1, 2.0, n)
+            for args in ((x, y, d), (x, y, None), (y, d)):
+                got = majorize._validated(*args)
+                assert got == _parent_validated(*args)
+                assert all(type(v) is float for u in got for v in u)
+
+
 class TestDefinitionalOracle:
     def test_verdicts_match_lp_feasibility(self):
         # definitional oracle: a verdict is positive iff the transfer system

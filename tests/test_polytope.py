@@ -253,7 +253,7 @@ class TestVertexKernel:
             perms, tuples = tables.perms, tables.tuples
             assert tuples == tuple(itertools.permutations(range(n)))
             assert perms.shape == (math.factorial(n), n)
-            rows = polytope._corners(perms, poly)
+            rows = polytope._prefix_corners(*polytope._gather(perms), poly)
             for perm, row in zip(perms, rows):
                 assert np.array_equal(row, _loop_corner(perm, poly))
 
@@ -266,7 +266,8 @@ class TestVertexKernel:
             for y in (rng.standard_normal(n), rng.dirichlet(np.ones(n)), np.zeros(n)):
                 poly = halfspace_bounds(y, rng.uniform(0.2, 2.0, size=n))
                 want = _scatter_corners(tables.perms[rows], poly).tobytes()
-                assert polytope._corners(tables.perms[rows], poly).tobytes() == want
+                got = polytope._prefix_corners(*polytope._gather(tables.perms[rows]), poly)
+                assert got.tobytes() == want
                 assert polytope._prefix_corners(tables.rows[rows], tables.prev_rows[rows],
                                                 poly).tobytes() == want
 
@@ -392,7 +393,7 @@ class TestVertexKernel:
         assert np.all(gaps[~np.eye(len(verts), dtype=bool)] > tol)
         poly = halfspace_bounds(y, d)
         for point, group in zip(verts.points, verts.perms):
-            corners = polytope._corners(np.array(group), poly)
+            corners = polytope._prefix_corners(*polytope._gather(np.array(group)), poly)
             assert np.abs(corners - point).sum(axis=1).max() <= tol
 
     def test_generic_n8_memory(self):

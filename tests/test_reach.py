@@ -1317,7 +1317,7 @@ class TestLocalSynthesis:
         sched = synthesize_local(3, 2, x0, target, eps=1e-5)
         assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-5
 
-    def test_block_generator_consistency(self):
+    def test_block_gen_consistency(self):
         # the block's flow on a chain state equals stitching per-block flows
         blk = _gen(2)
         x0 = np.array([0.4, 0.1, 0.3, 0.2])
@@ -1383,6 +1383,28 @@ class TestLocalSynthesis:
         x0, x = np.random.default_rng(46).dirichlet(np.ones(n ** m), size=2)
         synthesize_local(n, m, x0, x, 1e-6)
         assert calls == {"check_permutation": 0, "_check_simplex": 2}
+
+    def test_block_gen_is_built_once_per_n(self, monkeypatch):
+        # plain ints up to 64 share one generator with a read-only B0; the
+        # schedule is that of a fresh generator; other n keep the checked path
+        built = []
+        real = dmajor.reach.b0_from_rates
+        monkeypatch.setattr(dmajor.reach, "b0_from_rates", lambda r: built.append(r.n) or real(r))
+        dmajor.reach._block_gen.cache_clear()
+        x0, x = np.random.default_rng(47).dirichlet(np.ones(9), size=2)
+        runs = [synthesize_local(3, 2, x0, x, 1e-6) for _ in range(3)]
+        assert built == [3]
+        gen = dmajor.reach._block_gen(3)
+        assert not gen.b0.flags.writeable
+        assert np.array_equal(gen.b0, real(zero_temperature_rates(3)).b0)
+        for run in runs[1:]:
+            assert [(s.perm.tolist(), s.duration.hex()) for s in run.segments] == \
+                [(s.perm.tolist(), s.duration.hex()) for s in runs[0].segments]
+        synthesize_local(np.int64(3), 2, x0, x, 1e-6)
+        assert built == [3, 3]
+        for n in (True, 3.0):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                synthesize_local(n, 2, x0, x, 1e-6)
 
     def test_qubit_blocks_match_the_array_path(self):
         # the float path against the clamp, the normalizations and the
