@@ -1317,7 +1317,7 @@ class TestLocalSynthesis:
         sched = synthesize_local(3, 2, x0, target, eps=1e-5)
         assert np.abs(endpoint(gen, x0, sched) - target).sum() <= 1e-5
 
-    def test_block_gen_consistency(self):
+    def test_block_generator_consistency(self):
         # the block's flow on a chain state equals stitching per-block flows
         blk = _gen(2)
         x0 = np.array([0.4, 0.1, 0.3, 0.2])
@@ -1384,7 +1384,7 @@ class TestLocalSynthesis:
         synthesize_local(n, m, x0, x, 1e-6)
         assert calls == {"check_permutation": 0, "_check_simplex": 2}
 
-    def test_block_gen_is_built_once_per_n(self, monkeypatch):
+    def test_block_generator_is_built_once_per_n(self, monkeypatch):
         # plain ints up to 64 share one generator with a read-only B0; the
         # schedule is that of a fresh generator; other n keep the checked path
         built = []
