@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from operator import mul, truediv
 
@@ -51,6 +51,7 @@ _MAX_SPECTRAL_SPREAD = 16.0
 # h ||N||_1 <= 1/2, where the first omitted term is below 2^-19 / 19! ~ 2e-23
 _SERIES_DEGREE = 18
 _SERIES_POWERS = np.arange(_SERIES_DEGREE + 1.0)
+_CHAIN_CAP = 16     # entries kept per doubling chain; a walk that needs more squares on
 
 
 def _check_levels(n: int) -> None:
@@ -92,20 +93,24 @@ class _Series:
         terms.setflags(write=False)     # shared by generators with the same B0
         self.terms, self.mu, self.complement = terms, mu, complement
         walk = self.walk(n_mat.shape[0])
+        del walk.chain      # which refers to the series: no cycle keeps it alive
         self.full = lambda t: next(walk(t))[1]
+        self.chains: dict[int, list] = {}       # block m -> [start, times, stack]
+        self.room = terms.size if n_mat.shape[0] <= 64 else 0   # doubles left for chains
 
-    def walk(self, m: int) -> Callable[[float], Iterator[tuple[float, np.ndarray]]]:
-        """t -> the pairs (u, exp(u (N - mu I))) of the leading m x m block
-        for u = t, 2t, 4t, ...  Each u is evaluated afresh while u ||N||_1 <
-        1/2 and then by one squaring, equal bit for bit to a walk started at
-        u.  Raises ValueError when u*N or the result is not finite, which is
-        tested where it can fail: past e^(u ||N||_1) = e^700, or at (h nu)^18
-        = inf, which only a block of a norm far below nu reaches."""
+    def walk(self, m: int) -> Callable[..., Iterator[tuple[float, np.ndarray]]]:
+        """(t, e) -> the pairs (u, exp(u (N - mu I))) of the leading m x m block for
+        u = t, 2t, 4t, ..., squared on from e, the matrix at t / 2, if given.  Each u
+        is evaluated afresh while u ||N||_1 < 1/2 and then by one squaring, equal bit
+        for bit to a walk started at u.  Raises ValueError when u*N or the result is
+        not finite, tested where it can fail: past e^(u ||N||_1) = e^700, or at
+        (h nu)^18 = inf, which only a block of a norm far below nu reaches."""
         flat = self.terms[:, :m, :m].reshape(_SERIES_DEGREE + 1, m * m)
         norm, mu, complement, nu = float(self.norms[m - 1]), self.mu, self.complement, self.nu
 
-        def walk(t: float) -> Iterator[tuple[float, np.ndarray]]:
-            s = 0
+        def walk(t: float, e: np.ndarray | None = None) -> Iterator[tuple[float, np.ndarray]]:
+            s = 0 if e is None else max(0, math.frexp(0.5 * t * norm)[1] + 1)
+            h = math.ldexp(0.5 * t, -s)        # the step of a walk that reached t / 2
             while True:
                 if not t * norm < np.inf:  # a nan or an overflow on the way
                     raise ValueError("exponential expects finite t and a finite product t*B0")
@@ -142,7 +147,30 @@ class _Series:
                 yield t, e
                 t *= 2.0
 
+        walk.chain = partial(self.chain, m)
         return walk
+
+    def chain(self, m: int, t: float, walk=None) -> Iterator[tuple[list[float], np.ndarray]]:
+        """walk(t) as stretches (times, stack of the exponentials), bit for bit,
+        walk being walk(m) unless given.  Block m keeps, read-only, up to _CHAIN_CAP
+        entries that walks from its first t build while its series' chains hold
+        fewer doubles than the terms (none past 64 levels), and yields them as one
+        stretch; then the walk squares on.  An entry that raises is not kept."""
+        kept = self.chains.get(m)
+        if kept is None and self.room >= m * m:
+            kept = self.chains[m] = [t, [], np.empty((0, m, m))]
+        times, stack = kept[1:] if kept is not None and kept[0] == t else ([], None)
+        i = len(times)
+        if i:
+            yield times[:], stack
+        for u, e in (walk or self.walk(m))(2.0 * times[-1] if i else t, stack[-1] if i else None):
+            if stack is not None and len(times) == i < _CHAIN_CAP and self.room >= m * m:
+                times.append(u)
+                kept[2] = stack = np.concatenate((stack, e[None]))
+                stack.setflags(write=False)
+                self.room -= m * m
+            i += 1
+            yield [u], e[None]
 
 
 @dataclass(frozen=True)
@@ -224,7 +252,7 @@ class Generator:
         """(forward, backward) series for exp(-t B0) and exp(t B0), for a
         zero-temperature B0 of at most MAX_BATH_DIM levels, shared by every
         generator with the same B0 of at most 64 levels (_ladder_of, at most
-        10.2 MB, looked up before B0's form is checked); None for every other
+        20.2 MB, looked up before B0's form is checked); None for every other
         generator.
 
         B0 is upper bidiagonal with diagonal >= 0 and superdiagonal <= 0.  The
@@ -242,8 +270,8 @@ class Generator:
             return None
 
 
-# the last 8 ladders of at most 64 levels, by B0's bytes: 8 x (2 x 19 + 1) x 64^2 doubles,
-# 10.2 MB at most.  A build is 5-40 % of a synthesis at every n; one of 256 levels is 20 MB
+# the last 8 ladders of at most 64 levels, by B0's bytes, with chains: 8 x (4 x 19 + 1) x 64^2
+# doubles, 20.2 MB.  A build is 5-40 % of a synthesis at every n; one of 256 levels is 20 MB
 @lru_cache(maxsize=8)
 def _ladder_of(key: bytes, n: int) -> tuple[_Series, _Series]:
     """The ladder of the B0 with these bytes and no lower rates; LookupError,

@@ -154,7 +154,7 @@ def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
     A flow's end is the clamped flow over its whole duration, as in
     endpoint.  Its samples are the permuted state times P^j, P = exp(-dt
     B0)^T, j = 1..K, formed by doubling (rows [m, 2m) are rows [0, m) times
-    P^m, P^m by repeated squaring: about 2 log2 K matmuls) and clamped
+    P^m, P^m squared once per run: about log2 K matmuls) and clamped
     together.  Sample j lies within 4e-15 j (1-norm) of the clamped
     propagator(gen, j dt) @ x: the rounding of P compounds over the j steps,
     as it does one matvec at a time (n <= 8, j <= 1500, measured)."""
@@ -169,7 +169,7 @@ def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
         raise ValueError(f"trajectory of {rows:.3g} rows exceeds the cap {MAX_TRAJECTORY_ROWS}")
     if rows * x.size > max_entries:
         raise ValueError(f"trajectory of {rows * x.size:.3g} entries exceeds the cap {max_entries}")
-    t, step, k = 0.0, None, x.size // n
+    t, powers, k = 0.0, [], x.size // n     # powers: P^(2^j), squared once per run
     yield np.zeros(1), x[None].copy()
     for seg in schedule.segments:
         x = x[seg.perm]
@@ -179,14 +179,14 @@ def _steps(gen: Generator, x0, schedule: Schedule, dt: float,
             if n_steps >= 1:
                 # the unclamped state is propagated by doubling, in row blocks
                 # of the k copies; its samples are clamped together
-                if step is None:
-                    step = propagator(gen, dt).T
+                powers = powers or [propagator(gen, dt).T]
                 samples = np.empty((n_steps * k, n))
-                samples[:k] = x.reshape(k, n) @ step
-                m, power = 1, step
-                while m < n_steps:
-                    samples[m * k:2 * m * k] = samples[:min(m, n_steps - m) * k] @ power
-                    m, power = 2 * m, power @ power
+                samples[:k] = x.reshape(k, n) @ powers[0]
+                for j in range((n_steps - 1).bit_length()):     # m = 2^j < n_steps
+                    m = 1 << j
+                    if j == len(powers):
+                        powers.append(powers[-1] @ powers[-1])
+                    samples[m * k:2 * m * k] = samples[:min(m, n_steps - m) * k] @ powers[j]
                 yield (t + np.arange(1.0, n_steps + 1.0) * dt,
                        _clamp_simplex(samples.reshape(n_steps, x.size)))
             x = _clamp_simplex(flow(gen, x, seg.duration))
@@ -226,7 +226,8 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
                     walk: Callable[[float], Iterator[tuple[float, np.ndarray]]]
                     ) -> tuple[float, int, np.ndarray]:
     """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate,
-    where walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t, ...
+    where walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t, ...; the bracket
+    reads walk.chain(t_first, walk) (_Series.chain), or else walks from t_first.
 
     B0 is a block of a zero-temperature generator: upper bidiagonal, with a
     diagonal >= 0 and a superdiagonal < 0.  So w never re-enters the simplex
@@ -251,9 +252,9 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
         t_first *= 2.0
     while t_first * norm > 0.5:
         t_first *= 0.5
+    chain = getattr(walk, "chain", lambda t, walk: (([u], e[None]) for u, e in walk(t)))
     lo, wt = 0.0, z.tolist()
-    for hi, e in walk(t_first):
-        w_hi = e @ z
+    for hi, w_hi in ((u, w) for ts, stack in chain(t_first, walk) for u, w in zip(ts, stack @ z)):
         w = w_hi.tolist()
         if not min(w) > 0.0:
             break
@@ -406,19 +407,20 @@ def _relax_time(gen: Generator, x, target, budget: float,
     exactly, so the computed error falls to the gap between the rounded
     totals of the relaxed state and of target, which is zero when they round
     alike.  Once a doubling no longer lowers it, the budget is out of reach
-    and SimplexViolationError(what) is raised.  The exponentials come from
-    the series' doubling chain, one squaring each, and equal
-    propagator(gen, t) bit for bit.
+    and SimplexViolationError(what) is raised.  The exponentials are the
+    forward series' chain from t = 1 (_Series.chain), propagator(gen, t) bit
+    for bit; a stretch of it is evaluated as stack @ x, errors in one reduction.
     """
     last = np.inf
-    for t, e in gen._ladder[0].walk(gen.n)(1.0):
-        state = e @ x
-        err = np.abs(state - target).sum()
-        if err < budget:
-            return t, state
-        if not err < last:
-            raise SimplexViolationError(what)
-        last = err
+    for times, stack in gen._ladder[0].chain(gen.n, 1.0):
+        states = stack @ x
+        errs = np.abs(states - target).reshape(len(times), -1).sum(axis=1).tolist()
+        for t, state, err in zip(times, states, errs):
+            if err < budget:
+                return t, state
+            if not err < last:
+                raise SimplexViolationError(what)
+            last = err
 
 
 def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:

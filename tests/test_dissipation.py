@@ -1,11 +1,15 @@
+import gc
+import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import dmajor.dissipation
+import dmajor.reach
 from dmajor.dissipation import (
     BathRates,
     Generator,
@@ -22,6 +26,7 @@ from dmajor.dissipation import (
     thermal_rates,
     zero_temperature_rates,
 )
+from dmajor.reach import synthesize
 from helpers import thermal_angles
 
 
@@ -470,6 +475,30 @@ class TestZeroTemperatureSeries:
                     if u * backward.norms[m - 1] > 100.0:
                         break
 
+    @pytest.mark.parametrize("rates", [(), (1e-40, 1.0, 1e3), (1e-3, 1e3, 1e-3, 10.0)])
+    def test_squaring_on_from_a_matrix_equals_a_fresh_start(self, rates):
+        # a chain goes on from its last kept matrix: the next pairs, or the
+        # error, equal those of a walk started at their time, on both
+        # series, every leading block and times from 2^-40 to 2^120 (a fresh
+        # start of a block far below nu warns of (h nu)^18 = inf, then raises)
+        def first(pairs):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return [(u, e.tobytes()) for u, e in itertools.islice(pairs, 3)]
+            except ValueError as exc:
+                return str(exc)
+
+        gen = b0_from_rates(BathRates(len(rates) + 1, np.sqrt(rates), np.zeros(len(rates)))
+                            if rates else zero_temperature_rates(5))
+        for series in gen._ladder:
+            for m in range(1, gen.n + 1):
+                walk = series.walk(m)
+                for k in range(-40, 121, 8):
+                    start = first(walk(2.0 ** k))
+                    if isinstance(start, list):
+                        e = np.frombuffer(start[0][1]).reshape(m, m)
+                        assert first(walk(2.0 ** (k + 1), e)) == first(walk(2.0 ** (k + 1)))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])
     def test_rejects_non_finite_product(self, bad):
         gen = b0_from_rates(zero_temperature_rates(4))
@@ -589,6 +618,78 @@ class TestLadderMemo:
             assert gap._ladder is None
         after = memo.cache_info()
         assert (after.currsize, after.misses) == (before.currsize, before.misses + 2)
+
+
+def _kept_bytes(series):
+    return sum(stack.nbytes for _, _, stack in series.chains.values())
+
+
+class TestChains:
+
+    def test_at_most_double_the_memo(self):
+        # 8 ladders of 64 levels, each after a synthesize: the chains hold at
+        # most as many doubles as the terms, so the memo stays within
+        # 8 x (4 x 19 + 1) x 64^2 doubles, 20.2 MB
+        memo = dmajor.dissipation._ladder_of
+        memo.cache_clear()
+        rng = np.random.default_rng(97)
+        b0 = b0_from_rates(zero_temperature_rates(64)).b0
+        gens = [Generator(np.ldexp(b0, k)) for k in range(8)]
+        for gen in gens:
+            for x0, x in rng.dirichlet(np.ones(64), size=(2, 2)):
+                synthesize(gen, x0, x, 1e-9)
+        assert memo.cache_info().currsize == 8
+        series = [s for gen in gens for s in gen._ladder]
+        terms = sum(s.terms.nbytes for s in series)
+        assert terms == 8 * 2 * 19 * 64 ** 2 * 8
+        assert all(0 < _kept_bytes(s) <= s.terms.nbytes for s in series)
+        assert terms + sum(map(_kept_bytes, series)) + 8 * b0.nbytes <= 20.2e6
+
+    def test_entries_are_read_only_and_equal_the_walk(self):
+        gen = b0_from_rates(zero_temperature_rates(5))
+        x0, x = np.random.default_rng(5).dirichlet(np.ones(5), size=2)
+        synthesize(gen, x0, x, 1e-9)
+        for series in gen._ladder:
+            for m, (start, times, stack) in series.chains.items():
+                assert len(times) == len(stack) <= dmajor.dissipation._CHAIN_CAP
+                assert not stack.flags.writeable
+                for (u, e), v, kept in zip(series.walk(m)(start), times, stack):
+                    assert u == v and e.tobytes() == kept.tobytes()
+
+    def test_cache_clear_drops_the_chains(self):
+        gen = b0_from_rates(zero_temperature_rates(5))
+        x0, x = np.random.default_rng(6).dirichlet(np.ones(5), size=2)
+        synthesize(gen, x0, x, 1e-9)
+        assert sum(map(_kept_bytes, gen._ladder)) > 0
+        dmajor.dissipation._ladder_of.cache_clear()
+        fresh = Generator(gen.b0.copy())._ladder
+        assert fresh is not gen._ladder and sum(map(_kept_bytes, fresh)) == 0
+        assert all(series.room == series.terms.size for series in fresh)
+
+    def test_a_ladder_goes_with_its_last_generator(self):
+        # a walk's chain refers to its series, and the series keeps no walk
+        # that has one: a ladder outside the memo is freed by reference
+        # counting, not left to the cycle collector
+        rng = np.random.default_rng(8)
+        gc.disable()
+        try:
+            gen = b0_from_rates(zero_temperature_rates(70))
+            ladder = [weakref.ref(series) for series in gen._ladder]
+            synthesize(gen, *rng.dirichlet(np.ones(70), size=2), 1e-6)
+            del gen
+            assert all(ref() is None for ref in ladder)
+        finally:
+            gc.enable()
+
+    def test_no_chain_past_the_memo(self):
+        # a 256-level ladder is not memoized, and keeps no chain between calls
+        gen = b0_from_rates(zero_temperature_rates(256))
+        rng = np.random.default_rng(7)
+        dmajor.reach._relax_time(gen, rng.dirichlet(np.ones(256)), np.eye(256)[0], 1e-6, "no")
+        for m in (256, 40, 3):
+            dmajor.reach._first_face_hit(gen.b0[:m, :m], rng.dirichlet(np.ones(m)),
+                                         gen._ladder[1].walk(m))
+        assert all(series.room == 0 and not series.chains for series in gen._ladder)
 
 
 @pytest.fixture

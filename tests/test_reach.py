@@ -186,6 +186,78 @@ def _relax_or_none(gen, x, target, budget):
         return None, None
 
 
+def _walk_relax_time(gen, x, target, budget, what):
+    """Reference: _relax_time one exponential at a time, on the forward
+    series' walk from t = 1, each error reduced on its own."""
+    last = np.inf
+    for t, e in gen._ladder[0].walk(gen.n)(1.0):
+        state = e @ x
+        err = np.abs(state - target).sum()
+        if err < budget:
+            return t, state
+        if not err < last:
+            raise SimplexViolationError(what)
+        last = err
+
+
+def _walk_face_hit(b0, z, walk):
+    """Reference: _first_face_hit with its bracket on walk(t_first), one
+    exponential at a time, squared on by the walk itself."""
+    scale = max(1.0, float(np.abs(z).sum()))
+    if float(z.min()) <= 1e-12 * scale:
+        return 0.0, int(np.argmin(z)), z.copy()
+    norm = float(np.abs(b0).sum(axis=0).max())
+    t_first = 1e-6
+    while 2.0 * t_first * norm <= 0.5:
+        t_first *= 2.0
+    while t_first * norm > 0.5:
+        t_first *= 0.5
+    lo, wt = 0.0, z.tolist()
+    for hi, e in walk(t_first):
+        w_hi = e @ z
+        w = w_hi.tolist()
+        if not min(w) > 0.0:
+            break
+        if hi > 2.0 ** 59:
+            raise SimplexViolationError("backward flow never hits a face")
+        lo, wt = hi, w
+    diag, upper = b0.diagonal().tolist(), b0.diagonal(1).tolist() + [0.0]
+    t, at_lo, cross = lo, True, 0.25
+    move_before = move = hi - lo
+    while hi - lo > 2e-15 * hi:
+        stop = 2e-15 * hi
+        probe = 0.5 * (lo + hi)
+        slope = [d * a + u * b for d, u, a, b in zip(diag, upper, wt, wt[1:] + [0.0])]
+        step = min((-a / s for a, s in zip(wt, slope) if s < 0.0), default=None)
+        if step is not None:
+            near = abs(step) <= stop
+            share = cross if near else 0.25
+            cross *= 2.0 if near else 1.0
+            newton = t + step + (share if at_lo else -share) * stop
+            if lo < newton < hi and (near or 2.0 * abs(newton - t) <= move_before):
+                probe = newton
+        move_before, move = move, abs(probe - t)
+        t, w_t = probe, next(walk(probe))[1] @ z
+        wt = w_t.tolist()
+        at_lo = min(wt) > 0.0
+        if at_lo:
+            lo = t
+        else:
+            hi, w_hi, w = t, w_t, wt
+    floor = min(w) + 1e-13 * scale
+    return hi, next(i for i, a in enumerate(w) if a <= floor), w_hi
+
+
+def _outcome(fn, *args):
+    """fn(*args) as ("ok", its values as bytes or floats), or the class and
+    message of what it raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, SimplexViolationError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", [v.tobytes() if isinstance(v, np.ndarray) else v for v in out]
+
+
 @pytest.fixture(scope="module")
 def faces():
     """Seeded (B0 block, state, walk) triples as synthesize_from_ground
@@ -538,6 +610,36 @@ def _steps(schedule):
     return steps
 
 
+def _segment_doubling_simulate(gen, x0, schedule, dt):
+    """Reference: simulate's times and states with the powers P^(2^j) of
+    the step squared anew in every segment."""
+    x, n = np.asarray(x0, dtype=float), gen.n
+    t, step, k = 0.0, None, x.size // n
+    times, states = [np.zeros(1)], [x[None].copy()]
+    for seg in schedule.segments:
+        x = x[seg.perm]
+        times.append(np.array([t]))
+        states.append(x[None])
+        if seg.duration > 0:
+            n_steps = int(seg.duration // dt)
+            if n_steps >= 1:
+                if step is None:
+                    step = propagator(gen, dt).T
+                samples = np.empty((n_steps * k, n))
+                samples[:k] = x.reshape(k, n) @ step
+                m, power = 1, step
+                while m < n_steps:
+                    samples[m * k:2 * m * k] = samples[:min(m, n_steps - m) * k] @ power
+                    m, power = 2 * m, power @ power
+                times.append(t + np.arange(1.0, n_steps + 1.0) * dt)
+                states.append(dmajor.reach._clamp_simplex(samples.reshape(n_steps, x.size)))
+            x = dmajor.reach._clamp_simplex(flow(gen, x, seg.duration))
+            t += seg.duration
+            times.append(np.array([t]))
+            states.append(x[None])
+    return np.concatenate(times), np.concatenate(states)
+
+
 @pytest.fixture(scope="module")
 def local_cases():
     """Seeded (n, m, x0, target, eps): every fifth target has half its
@@ -708,6 +810,35 @@ class TestSimulate:
                 assert np.array_equal(traj.states[row - 1], x) and traj.times[row - 1] == t
             assert row == len(traj.times)
         assert worst <= 4e-15
+
+    @pytest.mark.parametrize("route", ["spectral", "ladder", "expm"])
+    def test_matches_per_segment_doubling_reference(self, route):
+        # the powers of the step are squared once per run and shared by its
+        # segments: times and states equal those of the per-segment doubling
+        # bit for bit, with k copies, 1 to 5 segments, zero durations and dt
+        # past a duration
+        rng = np.random.default_rng({"spectral": 74, "ladder": 75, "expm": 76}[route])
+        for case in range(45):
+            n = int(rng.integers(2, 7))
+            if route == "spectral":
+                gen = b0_from_rates(thermal_rates(rng.uniform(0.2, 1.0, n)))
+            elif route == "ladder":
+                gen = _gen(n)
+            else:
+                b0 = -rng.uniform(0.0, 1.0, (n, n))
+                np.fill_diagonal(b0, 0.0)
+                np.fill_diagonal(b0, -b0.sum(axis=0))
+                gen = Generator(b0)
+            size = n * (1 + case % 3)
+            durations = rng.uniform(0.0, 2.0, 1 + case % 5)
+            durations[rng.random(durations.size) < 0.3] = 0.0
+            dt = float(rng.choice([0.013, 0.05, 0.3, 2.5]))
+            sched = Schedule([Segment(rng.permutation(size), float(t)) for t in durations])
+            x0 = rng.dirichlet(np.ones(size))
+            traj = simulate(gen, x0, sched, dt)
+            times, states = _segment_doubling_simulate(gen, x0, sched, dt)
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.states.tobytes() == states.tobytes()
 
     def test_entry_cap(self, monkeypatch):
         gen = _gen(2)
@@ -1067,19 +1198,74 @@ class TestFirstFaceHit:
         b0, z = _SKIPPED_CROSSINGS[1]
         assert dmajor.reach._first_face_hit(b0, z, _expm_walk(b0))[0] > 1.0
 
-    def test_few_exponentials_per_face(self, faces):
-        starts = []
+    def test_few_exponentials_per_face(self, monkeypatch):
+        # exponentials evaluated per face: one per Newton probe, plus the
+        # bracket's chain entries that the face builds (a kept entry is
+        # read, not built).  The faces are those of the faces fixture, on
+        # fresh ladders, whose chains start empty
+        built = []
+        series_walk = dmajor.dissipation._Series.walk
+
+        def counted(series, m):
+            walk = series_walk(series, m)
+
+            def counting(t, e=None):
+                for pair in walk(t, e):
+                    built.append(t)
+                    yield pair
+
+            counting.chain = walk.chain
+            return counting
+
+        monkeypatch.setattr(dmajor.dissipation._Series, "walk", counted)
+        rng = np.random.default_rng(11)
         worst = 0
-        for b0, z, walk in faces:
-            starts.clear()
-
-            def counting(t, walk=walk):
-                starts.append(t)
-                return walk(t)
-
-            dmajor.reach._first_face_hit(b0, z, counting)
-            worst = max(worst, len(starts))
+        for n in range(2, 9):
+            gen = _gen(n)
+            backward = dmajor.dissipation._ladder_of.__wrapped__(gen.b0.tobytes(), n)[1]
+            for conc in (0.3, 1.0, 3.0):
+                for _ in range(25):
+                    m = int(rng.integers(2, n + 1))
+                    z = rng.dirichlet(np.full(m, conc))
+                    built.clear()
+                    dmajor.reach._first_face_hit(gen.b0[:m, :m], z, backward.walk(m))
+                    worst = max(worst, len(built))
         assert worst <= 15
+
+    def test_matches_the_walk_reference(self, faces, rate_faces):
+        # the bracket reads the block's kept chain: the hit equals that of
+        # the walk one exponential at a time, bit for bit, on a warm chain
+        # and on a walk without one
+        for b0, z, walk in faces + rate_faces:
+            want = _outcome(_walk_face_hit, b0, z, walk)
+            assert _outcome(dmajor.reach._first_face_hit, b0, z, walk) == want
+            assert _outcome(dmajor.reach._first_face_hit, b0, z, lambda t: walk(t)) == want
+
+    def test_matches_the_walk_reference_from_cold_chains(self):
+        # fresh ladders, in time units 2^-3 .. 2^3 of the unit ones: the
+        # first face on a block builds its chain, later ones read and extend it
+        rng = np.random.default_rng(79)
+        for n in range(3, 9):
+            for k in (-3, 0, 3):
+                gen = Generator(np.ldexp(_gen(n).b0, k))
+                backward = dmajor.dissipation._ladder_of.__wrapped__(gen.b0.tobytes(), n)[1]
+                for m in rng.integers(3, n + 1, 12):
+                    z = rng.dirichlet(np.full(m, rng.choice([0.1, 1.0, 3.0])))
+                    b0, walk = gen.b0[:m, :m], backward.walk(m)
+                    assert _outcome(dmajor.reach._first_face_hit, b0, z, walk) == \
+                        _outcome(_walk_face_hit, b0, z, walk)
+                assert backward.chains and all(c[1] for c in backward.chains.values())
+
+    def test_gives_up_where_the_walk_does(self):
+        # tiny upper rates put the face past 2^59: the bracket raises there,
+        # on a cold chain and on the kept one
+        gen = b0_from_rates(BathRates(4, np.full(3, 1e-20), np.zeros(3)))
+        backward = dmajor.dissipation._ladder_of.__wrapped__(gen.b0.tobytes(), 4)[1]
+        for z in ([0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
+            z = np.array(z)
+            got = _outcome(dmajor.reach._first_face_hit, gen.b0[:3, :3], z, backward.walk(3))
+            assert got == _outcome(_walk_face_hit, gen.b0[:3, :3], z, backward.walk(3))
+            assert got == ("SimplexViolationError", "backward flow never hits a face")
 
     def test_returns_the_state_at_the_hit(self, faces):
         for b0, z, walk in faces[::7]:
@@ -1272,6 +1458,52 @@ class TestFullSynthesis:
                     heads = n * np.arange(n ** (m - r))
                     gather = dmajor.reach._placement(np.arange(heads.size), heads, total)
                     cur = dmajor.reach._clamp_simplex(state.T.reshape(total))[gather]
+
+    def test_relaxation_matches_the_walk_reference(self):
+        # the kept stretch of the chain is relaxed as one stacked product
+        # with one reduction: the same t, state and refusal as the walk one
+        # exponential at a time, on the memo's ladders and on fresh ones in
+        # other time units
+        rng = np.random.default_rng(83)
+        for n in range(2, 9):
+            for gen in (_gen(n), Generator(np.ldexp(_gen(n).b0, int(rng.integers(-4, 5))))):
+                e1 = np.eye(n)[0]
+                for x0 in rng.dirichlet(np.full(n, 0.5), size=3):
+                    for eps in [10.0 ** -k for k in range(2, 13)] + [1e-17, 1e-300]:
+                        args = (gen, x0, e1, eps / 2, "no")
+                        assert _outcome(dmajor.reach._relax_time, *args) == \
+                            _outcome(_walk_relax_time, *args)
+
+    @pytest.mark.parametrize("n,m", [(4, 6), (2, 12)])
+    def test_column_blocks_match_the_walk_reference(self, n, m):
+        # one round of synthesize_local at its caps: every block a column
+        rng = np.random.default_rng(89)
+        total, n_blocks = n ** m, n ** (m - 1)
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12, 1e-17):
+            cur = rng.dirichlet(np.full(total, rng.choice([0.3, 1.0, 3.0])))
+            collapsed = np.zeros(total)
+            collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)
+            args = (_gen(n), cur.reshape(n_blocks, n).T, collapsed.reshape(n_blocks, n).T,
+                    eps / (2 * m), "no")
+            assert _outcome(dmajor.reach._relax_time, *args) == _outcome(_walk_relax_time, *args)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_entries_past_the_return_raise_nothing(self, n):
+        # at 2^k B0, k = 1015..1018, the forward walk raises within 8
+        # doublings: the relaxation returns at t = 1 before that entry, and
+        # raises where the walk one exponential at a time does, cold and warm
+        x0 = np.random.default_rng(n).dirichlet(np.ones(n))
+        e1 = np.eye(n)[0]
+        for k in range(1015, 1019):
+            gen = Generator(np.ldexp(_gen(n).b0, k))
+            with pytest.raises(ValueError, match="finite"):
+                for _ in itertools.islice(gen._ladder[0].walk(n)(1.0), 9):
+                    pass
+            for budget in (1e-6, 1e-6, 0.0, 0.0):
+                args = (gen, x0, e1, budget, "no")
+                assert _outcome(dmajor.reach._relax_time, *args) == \
+                    _outcome(_walk_relax_time, *args)
+            assert dmajor.reach._relax_time(gen, x0, e1, 1e-6, "no")[0] == 1.0
 
     def test_matches_doubling_loop_reference(self):
         rng = np.random.default_rng(31)
