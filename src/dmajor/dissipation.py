@@ -14,12 +14,12 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate
-from operator import mul, truediv
+from operator import add, mul, neg, truediv
 
 import numpy as np
 
 from .linalg import check_square, expm
-from .majorize import _real_number, as_real_array, as_vector, as_weight_vector
+from .majorize import _finite_entries, _real_number, _unchecked, as_real_array, as_vector
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,8 @@ class _Series:
             terms[p] = terms[p - 1] @ scaled / p
         terms.setflags(write=False)     # shared by generators with the same B0
         self.terms, self.mu, self.complement = terms, mu, complement
-        walk = self.walk(n_mat.shape[0])
-        del walk.chain      # which refers to the series: no cycle keeps it alive
-        self.full = lambda t: next(walk(t))[1]
+        # the walk's chain refers to the series, at does not: no cycle keeps it alive
+        self.full = self.walk(n_mat.shape[0]).at
         self.chains: dict[int, list] = {}       # block m -> [start, times, stack]
         self.room = terms.size if n_mat.shape[0] <= 64 else 0   # doubles left for chains
 
@@ -102,52 +101,63 @@ class _Series:
         """(t, e) -> the pairs (u, exp(u (N - mu I))) of the leading m x m block for
         u = t, 2t, 4t, ..., squared on from e, the matrix at t / 2, if given.  Each u
         is evaluated afresh while u ||N||_1 < 1/2 and then by one squaring, equal bit
-        for bit to a walk started at u.  Raises ValueError when u*N or the result is
-        not finite, tested where it can fail: past e^(u ||N||_1) = e^700, or at
-        (h nu)^18 = inf, which only a block of a norm far below nu reaches."""
+        for bit to a walk started at u, whose first value walk.at(u) gives by the same
+        code; walk.norm is ||N||_1.  Raises ValueError when u*N is not finite, or past
+        e^(u ||N||_1) = e^700 when the result is not.  Where (h nu)^18 overflows, a block
+        far below nu sums the terms of its own series."""
         flat = self.terms[:, :m, :m].reshape(_SERIES_DEGREE + 1, m * m)
         norm, mu, complement, nu = float(self.norms[m - 1]), self.mu, self.complement, self.nu
+        if norm and nu > 2.0 ** 57 * norm:  # h nu may pass 2^56: N's block, exactly, on its own
+            own = _Series(np.ldexp(self.terms[1, :m, :m], math.frexp(nu)[1] - 1), mu, complement)
 
-        def walk(t: float, e: np.ndarray | None = None) -> Iterator[tuple[float, np.ndarray]]:
-            s = 0 if e is None else max(0, math.frexp(0.5 * t * norm)[1] + 1)
-            h = math.ldexp(0.5 * t, -s)        # the step of a walk that reached t / 2
-            while True:
-                if not t * norm < np.inf:  # a nan or an overflow on the way
-                    raise ValueError("exponential expects finite t and a finite product t*B0")
-                if s:
-                    # doubling t ||N||_1 adds one squaring of the same h (at N = 0, e = I)
-                    s = 1
-                else:
-                    # s squarings of the step h = t / 2^s, h ||N||_1 <= 1/2
-                    s = max(0, math.frexp(t * norm)[1] + 1)
-                    h = math.ldexp(t, -s)
-                    # a block with N = 0 (one level, a first block) sums no power of h
-                    e = ((h * nu if norm else 0.0) ** _SERIES_POWERS @ flat).reshape(m, m)
-                    if mu:
-                        e *= math.exp(-h * mu)
-                    if complement:
-                        # row 0 of the triangular e feeds no other row and is
-                        # set below, so it is not squared: its rounding would
-                        # grow as (1 + u)^(2^s), to inf and then NaN
-                        e[0] = 0.0
-                if t * norm > 700.0:
-                    # an overflow is reported below, not warned about
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        for _ in range(s):
-                            e = e @ e
-                else:
+        def step(t: float, s: int, e: np.ndarray | None) -> tuple[int, np.ndarray]:
+            # (s, exp at t): e squared s times, or the sum at h = t / 2^s squared s times
+            if not t * norm < np.inf:  # a nan or an overflow on the way
+                raise ValueError("exponential expects finite t and a finite product t*B0")
+            if e is None:
+                s = max(0, math.frexp(t * norm)[1] + 1)
+                h = math.ldexp(t, -s)
+                # a block with N = 0 (one level, a first block) sums no power of h
+                x = h * nu if norm else 0.0
+                if x > 2.0 ** 56:
+                    with np.errstate(over="ignore"):
+                        far = not (x ** _SERIES_POWERS)[-1] < np.inf
+                    if far:
+                        return s, own.full(t)
+                e = (x ** _SERIES_POWERS @ flat).reshape(m, m)
+                if mu:
+                    e *= math.exp(-h * mu)
+                if complement:
+                    # row 0 of the triangular e feeds no other row and is
+                    # set below, so it is not squared: its rounding would
+                    # grow as (1 + u)^(2^s), to inf and then NaN
+                    e[0] = 0.0
+            if t * norm > 700.0:
+                # an overflow is reported below, not warned about
+                with np.errstate(over="ignore", invalid="ignore"):
                     for _ in range(s):
                         e = e @ e
-                # row 0 of the triangular e feeds no other row, so the next
-                # squaring may start from the complement
-                if complement:
-                    e[0] = 1.0 - e[1:].sum(axis=0)
-                elif (t * norm > 700.0 or h * nu > 2.0 ** 56) and not np.isfinite(e).all():
-                    raise ValueError("matrix exponential overflows")
+            else:
+                for _ in range(s):
+                    e = e @ e
+            # row 0 of the triangular e feeds no other row, so the next
+            # squaring may start from the complement
+            if complement:
+                e[0] = 1.0 - e[1:].sum(axis=0)
+            elif t * norm > 700.0 and not np.isfinite(e).all():
+                raise ValueError("matrix exponential overflows")
+            return s, e
+
+        def walk(t: float, e: np.ndarray | None = None) -> Iterator[tuple[float, np.ndarray]]:
+            # s > 0: a walk that reached t / 2 squared its step, as e was
+            s = 0 if e is None else max(0, math.frexp(0.5 * t * norm)[1] + 1)
+            while True:
+                # doubling t ||N||_1 adds one squaring of the same h (at N = 0, e = I)
+                s, e = step(t, min(s, 1), e if s else None)
                 yield t, e
                 t *= 2.0
 
-        walk.chain = partial(self.chain, m)
+        walk.at, walk.norm, walk.chain = lambda t: step(t, 0, None)[1], norm, partial(self.chain, m)
         return walk
 
     def chain(self, m: int, t: float, walk=None) -> Iterator[tuple[list[float], np.ndarray]]:
@@ -209,19 +219,19 @@ class Generator:
         zero lower rate cuts pi off above it: at zero temperature s = e_1);
         None for every other generator."""
         b0 = self.b0
-        up, down = -b0.diagonal(1), -b0.diagonal(-1)
-        if not ((up > 0).all() and (down >= 0).all()):
+        diag, sup, sub = b0.diagonal().tolist(), b0.diagonal(1).tolist(), b0.diagonal(-1).tolist()
+        if sup and not (max(sup) < 0.0 and max(sub) <= 0.0):
             return None
-        # count only: no n x n temporaries for a large B0
-        if np.count_nonzero(b0) != (np.count_nonzero(b0.diagonal()) + up.size
-                                    + np.count_nonzero(down)):
+        # one count: no n x n temporaries for a large B0
+        if np.count_nonzero(b0) != (len(diag) - diag.count(0.0) + len(sup)
+                                    + len(sub) - sub.count(0.0)):
             return None
-        # the cumulative product of sqrt(down) / sqrt(up) from 1, on Python
-        # floats, where a ratio or a product past the float range is inf
-        # without a warning (np.cumprod's order, so the same bits)
-        ratios = map(truediv, map(math.sqrt, down.tolist()), map(math.sqrt, up.tolist()))
-        s = np.array(list(accumulate(ratios, mul, initial=1.0)))
-        return s if np.isfinite(s).all() else None
+        # the cumulative product of sqrt(-sub) / sqrt(-sup) from 1, on Python floats, in
+        # np.cumprod's order (the same bits); past the float range a ratio or product is
+        # inf without a warning, and no ratio is NaN, so s is finite if its last entry is
+        ratios = map(truediv, map(math.sqrt, map(neg, sub)), map(math.sqrt, map(neg, sup)))
+        s = list(accumulate(ratios, mul, initial=1.0))
+        return np.array(s) if math.isfinite(s[-1]) else None
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
@@ -236,16 +246,21 @@ class Generator:
         """
         s, b0 = self._balance, self.b0
         # also false for a zero entry of s, where the spread is infinite
-        if s is None or not s.max() <= _MAX_SPECTRAL_SPREAD * s.min():
+        if s is None or not max(spread := s.tolist()) <= _MAX_SPECTRAL_SPREAD * min(spread):
             return None
-        off = -np.sqrt(-b0.diagonal(1)) * np.sqrt(-b0.diagonal(-1))
-        w, q = np.linalg.eigh(np.diag(b0.diagonal()) + np.diag(off, 1) + np.diag(off, -1))
+        diag, sup, sub = b0.diagonal().tolist(), b0.diagonal(1).tolist(), b0.diagonal(-1).tolist()
+        n = len(diag)
+        sym = np.zeros(n * n)     # filled in place, + 0.0 as in a sum of np.diag matrices
+        sym[::n + 1] = [v + 0.0 for v in diag]
+        sym[1::n + 1] = sym[n::n + 1] = [-math.sqrt(-u) * math.sqrt(-v)
+                                         for u, v in zip(sup, sub)]
+        w, q = np.linalg.eigh(sym.reshape(n, n))
         # B0 has zero column sums and nonpositive off-diagonal entries, so its
         # spectrum lies in [0, inf) and holds 0; pinning the smallest
         # eigenvalue there makes long flows end on the fixed point
         w = np.maximum(w, 0.0)
         w[0] = 0.0
-        return s[:, None] * q, w, q.T / s, max(float(b0.max()), -float(b0.min()))
+        return s[:, None] * q, w, q.T / s, max(map(abs, diag + sup + sub))
 
     @cached_property
     def _ladder(self) -> tuple[_Series, _Series] | None:
@@ -295,43 +310,50 @@ def check_zero_temperature(gen: Generator) -> None:
 
 def b0_from_rates(rates: BathRates) -> Generator:
     """Tridiagonal rate matrix: sum_j a_j^2 |e_{j+1}-e_j><e_{j+1}|
-    + b_j^2 |e_j-e_{j+1}><e_j|.  Column sums vanish exactly.  Raises
-    ValueError above MAX_BATH_DIM levels."""
+    + b_j^2 |e_j-e_{j+1}><e_j|.  Each column sums to within an ulp of its diagonal
+    entry, by rounding: Generator's checks but finiteness hold by construction.
+    Raises ValueError above MAX_BATH_DIM levels or for an entry past the float range."""
     n = rates.n
     _check_levels(n)
     # float_power squares by pow, as a scalar a_j ** 2 does; a ** 2 runs a * a,
     # which can differ in the last bit
-    a2, b2 = np.float_power(rates.a, 2), np.float_power(rates.b, 2)
+    a2, b2 = np.float_power(rates.a, 2).tolist(), np.float_power(rates.b, 2).tolist()
+    diag = list(map(add, [0.0] + a2, b2 + [0.0]))   # a2 before b2, as sums onto zeros
+    if not max(diag) < math.inf:
+        raise ValueError("entries of B0 must be finite")
     b0 = np.zeros((n, n))
     flat = b0.reshape(-1)
-    # the diagonal gets a2 before b2; subtracting keeps +0.0 at a zero rate
-    flat[n + 1::n + 1] += a2
-    flat[:-1:n + 1] += b2
-    flat[1::n + 1] -= a2
-    flat[n::n + 1] -= b2
-    return Generator(b0)
+    flat[::n + 1] = diag
+    # subtracting from 0.0 keeps +0.0 at a zero rate
+    flat[1::n + 1] = [0.0 - v for v in a2]
+    flat[n::n + 1] = [0.0 - v for v in b2]
+    return _unchecked(Generator, b0=b0)
 
 
 def zero_temperature_rates(n: int) -> BathRates:
     """Pure lowering at ladder weights: a_j = sqrt(j(n-j)), b = 0."""
     _check_levels(n)
-    j = np.arange(1, n)
-    return BathRates(n=n, a=np.sqrt(j * (n - j)), b=np.zeros(n - 1))
+    a = [math.sqrt(j * (n - j)) for j in range(1, n)]
+    return _unchecked(BathRates, n=n, a=np.array(a), b=np.zeros(n - 1))
 
 
 def thermal_rates(d) -> BathRates:
-    """Rates making d the fixed point of the induced flow:
-    a_j = sqrt(j(n-j) d_j / (d_j + d_{j+1})), b_j likewise with d_{j+1}.
-    The rates depend on the ratios of d alone; d is scaled by a power of two
+    """Rates making d the fixed point of the induced flow, on Python floats (which
+    round as numpy does): a_j = sqrt(j(n-j) d_j / (d_j + d_{j+1})), b_j likewise with
+    d_{j+1}.  The rates depend on the ratios of d alone; d is scaled by a power of two
     to a largest entry in [1/2, 1), exactly, so that no sum overflows."""
-    d = as_weight_vector(d)
-    d = np.ldexp(d, -math.frexp(float(d.max()))[1])
-    n = d.size
-    j = np.arange(1, n)
-    w, pair = j * (n - j), d[:-1] + d[1:]
-    a = np.sqrt(w * d[:-1] / pair)
-    b = np.sqrt(w * d[1:] / pair)
-    return BathRates(n=n, a=a, b=b)
+    d = _finite_entries(d)      # as_weight_vector(d).tolist(), with its refusals
+    if min(d) <= 0:
+        raise ValueError("weight vector entries must be strictly positive")
+    k = math.frexp(max(d))[1]
+    d = [math.ldexp(v, -k) for v in d]
+    n = len(d)
+    a, b = [], []
+    for j, lo, hi in zip(range(1, n), d, d[1:]):
+        w, pair = j * (n - j), lo + hi
+        a.append(math.sqrt(w * lo / pair))
+        b.append(math.sqrt(w * hi / pair))
+    return _unchecked(BathRates, n=n, a=np.array(a), b=np.array(b))
 
 
 def gibbs_vector(energies, temperature: float) -> np.ndarray:

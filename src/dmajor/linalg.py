@@ -67,7 +67,11 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, n
 
 
 def check_permutation(images) -> np.ndarray:
-    """Validate and normalize a permutation given as zero-based image array."""
+    """Validate and normalize a permutation given as zero-based image array.
+    A list or tuple of Python ints holding 0..n-1 once each passes one test."""
+    if isinstance(images, (list, tuple)) and {*map(type, images)} == {int} \
+            and sorted(images) == list(range(len(images))):
+        return np.array(images)
     try:
         p = _numbers(images, "iu")
     except ValueError:

@@ -45,6 +45,13 @@ def _holds_bool(x, kinds: tuple) -> bool:
 _KIND_NAMES = {"iuf": "real numbers", "iu": "integers", "iufc": "real or complex numbers"}
 
 
+def _unchecked(cls, **fields):
+    """cls(**fields) without __post_init__, for fields built to pass its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _numbers(x, kinds: str) -> np.ndarray:
     """np.asarray(x), refused unless its dtype is one of kinds: "iuf" (real),
     "iu" (integer) or "iufc" (real or complex); every reader of caller arrays
@@ -128,10 +135,11 @@ def _finite_entries(x) -> list:
 
 
 def as_vector(x) -> np.ndarray:
-    """x as a non-empty 1-d array of finite floats."""
+    """x as a non-empty 1-d array of finite floats; a native float64 one as it is."""
     import numpy as np
 
-    v = as_real_array(x)
+    native = type(x) is np.ndarray and x.dtype.char == "d" and x.dtype.isnative
+    v = x if native else as_real_array(x)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-d real vector")
     if not np.isfinite(v).all():

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .majorize import _TOL_REFUSAL, _elbows, _finite_entries, _interp, _real_number, _scaled_tol, \
-    _validated, as_real_array
+    _unchecked, _validated, as_real_array
 from .linalg import check_permutation
 
 MAX_VERTEX_DIM = 8
@@ -123,9 +123,7 @@ def _bounds(y: list, d: list) -> HPolytope:
     b[:-2] = np.interp(weights, *_elbows(y, d))
     b[-2] = np.add.reduce(y)                            # np.sum's reduction, without its wrapper
     b[-1] = -b[-2]
-    poly = object.__new__(HPolytope)                    # b is built right: no __post_init__
-    poly.__dict__.update(n=n, b=b)
-    return poly
+    return _unchecked(HPolytope, n=n, b=b)              # b is built right
 
 
 def contains(x, poly: HPolytope, tol: float = 1e-9) -> bool:

@@ -19,8 +19,8 @@ import numpy as np
 from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
     thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
-from .majorize import SimplexViolationError, _integer, _real_number, _scaled_tol, as_vector, \
-    as_weight_vector, majorizes
+from .majorize import SimplexViolationError, _integer, _real_number, _scaled_tol, _unchecked, \
+    as_vector, as_weight_vector, majorizes
 
 MAX_LOCAL_DIM = 4096
 MAX_TRAJECTORY_ROWS = 10 ** 6
@@ -102,11 +102,8 @@ def _segment(perm: np.ndarray, duration: float) -> Segment:
     an arange, a _placement or a composition of these) and a finite,
     nonnegative Python float, without the checks: perm is handed over, marked
     read-only and stored without a copy or a second sort."""
-    seg = object.__new__(Segment)
     perm.setflags(write=False)
-    object.__setattr__(seg, "perm", perm)
-    object.__setattr__(seg, "duration", duration)
-    return seg
+    return _unchecked(Segment, perm=perm, duration=duration)
 
 
 @dataclass
@@ -239,21 +236,22 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     so a power of two times B0 scales the search's times by its inverse.
     Safeguarded Newton steps toward the earliest crossing of a falling
     coordinate, on Python floats, then shrink it to 2e-15 * tau, a few ulps.
-    Each probe takes the first value of a walk.  Returns (time, index,
-    w(time)) with ties resolved toward the lowest index.
+    Each probe takes the first value of a walk (walk.at; ||B0||_1 is walk.norm,
+    where given).  Returns (time, index, w(time)), ties toward the lowest index.
     """
-    scale = max(1.0, float(np.abs(z).sum()))
-    if float(z.min()) <= 1e-12 * scale:
-        return 0.0, int(np.argmin(z)), z.copy()
+    scale = max(1.0, float(np.add.reduce(np.abs(z))))
+    lo, wt = 0.0, z.tolist()
+    if min(wt) <= 1e-12 * scale:
+        return 0.0, wt.index(min(wt)), z.copy()
 
-    norm = float(np.abs(b0).sum(axis=0).max())
+    norm = getattr(walk, "norm", 0.0) or float(np.abs(b0).sum(axis=0).max())
     t_first = 1e-6
     while 2.0 * t_first * norm <= 0.5:
         t_first *= 2.0
     while t_first * norm > 0.5:
         t_first *= 0.5
     chain = getattr(walk, "chain", lambda t, walk: (([u], e[None]) for u, e in walk(t)))
-    lo, wt = 0.0, z.tolist()
+    at = getattr(walk, "at", lambda t: next(walk(t))[1])
     for hi, w_hi in ((u, w) for ts, stack in chain(t_first, walk) for u, w in zip(ts, stack @ z)):
         w = w_hi.tolist()
         if not min(w) > 0.0:
@@ -282,7 +280,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
             if lo < newton < hi and (near or 2.0 * abs(newton - t) <= move_before):
                 probe = newton
         move_before, move = move, abs(probe - t)
-        t, w_t = probe, next(walk(probe))[1] @ z
+        t, w_t = probe, at(probe) @ z
         wt = w_t.tolist()
         at_lo = min(wt) > 0.0
         if at_lo:
@@ -348,12 +346,10 @@ def _ground_steps(gen: Generator, z: np.ndarray) -> list[tuple[np.ndarray, float
             break
         tau, j, w = _first_face_hit(gen.b0[:m, :m], z[:m], series.walk(m))
         w = np.maximum(w, 0.0)
-        w = w / w.sum() * z[:m].sum()
+        z[:m] = w / np.add.reduce(w) * np.add.reduce(z[:m])
+        z[j], z[m - 1] = z[m - 1], z[j]
         # a transposition is its own inverse, so the forward step reuses it
-        swap = _swap(j, m - 1, n)
-        z[:m] = w
-        z = z[swap]
-        backward.append((swap, tau))
+        backward.append((_swap(j, m - 1, n), tau))
         m -= 1
     if m == 2:
         tau, j = _two_level_face_hit(gen.b0[:2, :2].tolist(), *z[:2].tolist())
@@ -509,11 +505,12 @@ def _merge_parallel(block_steps: dict[int, list[tuple[np.ndarray, float]]], n: i
 
 
 @lru_cache(maxsize=8)
-def _block_gen(n: int) -> Generator:
-    """synthesize_local's block generator, once per n <= 64, B0 read-only."""
-    gen = b0_from_rates(zero_temperature_rates(n))
-    gen.b0.setflags(write=False)
-    return gen
+def _block_b0(n: int) -> np.ndarray:
+    """synthesize_local's block B0, read-only, once per plain int n <= 64.  A
+    new Generator wraps it on each call, so its ladder lives in _ladder_of only."""
+    b0 = b0_from_rates(zero_temperature_rates(n)).b0
+    b0.setflags(write=False)
+    return b0
 
 
 def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
@@ -541,7 +538,8 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     total = n ** m
     if total > MAX_LOCAL_DIM:
         raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
-    gen_block = (_block_gen if type(n) is int and n <= 64 else _block_gen.__wrapped__)(n)
+    gen_block = _unchecked(Generator, b0=_block_b0(n)) if type(n) is int and n <= 64 else \
+        b0_from_rates(zero_temperature_rates(n))
     x0 = _check_simplex(x0, total)
     x = _check_simplex(x, total)
     n_blocks = n ** (m - 1)

@@ -8,7 +8,7 @@ import numpy as np
 
 from dmajor.channels import SuperOperator, vec
 from dmajor.linalg import check_permutation
-from dmajor.majorize import as_vector, as_weight_vector
+from dmajor.majorize import as_real_array, as_vector, as_weight_vector
 
 
 def perm_matrix(images) -> np.ndarray:
@@ -111,3 +111,24 @@ def pinching_superoperator(m_stochastic: np.ndarray) -> SuperOperator:
     diag = np.arange(n) * (n + 1)              # vec positions of the E_jj
     action[np.ix_(diag, diag)] = m_stochastic
     return SuperOperator(n, n, action)
+
+
+def array_as_vector(x) -> np.ndarray:
+    """Reference: as_vector with every input through the dtype gate, before
+    a native float64 vector was taken as it is."""
+    v = as_real_array(x)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a non-empty 1-d real vector")
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
+    return v
+
+
+def reader_outcome(fn, x):
+    """fn(x) as its dtype, bytes and whether it is x itself, or the class and
+    message of its refusal."""
+    try:
+        v = fn(x)
+    except Exception as exc:                            # compared, not swallowed
+        return type(exc), str(exc)
+    return v.dtype.str, v.shape, v.tobytes(), v is x

@@ -3,6 +3,8 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from dmajor.dissipation import (
     thermal_rates,
     zero_temperature_rates,
 )
-from dmajor.reach import synthesize
-from helpers import thermal_angles
+from dmajor.reach import synthesize, synthesize_local
+from helpers import array_as_vector, thermal_angles
 
 
 class TestB0FromRates:
@@ -82,6 +84,207 @@ class TestB0FromRates:
             assert [op.dtype for op in ops] == [np.complex128] * 2
             assert ops[0].tobytes() == n_plus.tobytes()
             assert ops[1].tobytes() == n_minus.tobytes()
+
+
+    def test_column_sums_stay_within_an_ulp_of_the_diagonal(self):
+        # column j sums to the rounding of its diagonal a_{j-1}^2 + b_j^2 and
+        # of the sum itself, at most an ulp of the diagonal entry: not zero in
+        # general, and far inside Generator's 1e-12 gate
+        rng = np.random.default_rng(44)
+        nonzero = 0
+        for case in range(2000):
+            n = case % 7 + 2
+            d = rng.uniform(0.01, 1.0, n) * 2.0 ** float(rng.integers(-30, 31))
+            b0 = b0_from_rates(thermal_rates(d)).b0
+            sums = b0.sum(axis=0)
+            assert (np.abs(sums) <= np.spacing(b0.diagonal())).all()
+            nonzero += np.count_nonzero(sums)
+        assert nonzero > 1000
+
+
+def _array_thermal_rates(d):
+    """Reference: thermal_rates on numpy arrays."""
+    d = array_as_vector(d)
+    if min(d.tolist()) <= 0:
+        raise ValueError("weight vector entries must be strictly positive")
+    d = np.ldexp(d, -math.frexp(float(d.max()))[1])
+    n = d.size
+    j = np.arange(1, n)
+    w, pair = j * (n - j), d[:-1] + d[1:]
+    return BathRates(n=n, a=np.sqrt(w * d[:-1] / pair), b=np.sqrt(w * d[1:] / pair))
+
+
+def _array_zero_temperature_rates(n):
+    """Reference: zero_temperature_rates on numpy arrays."""
+    dmajor.dissipation._check_levels(n)
+    j = np.arange(1, n)
+    return BathRates(n=n, a=np.sqrt(j * (n - j)), b=np.zeros(n - 1))
+
+
+def _array_b0_from_rates(rates):
+    """Reference: b0_from_rates by in-place sums on numpy arrays, checked by
+    Generator; a diagonal sum past the float range is refused there, without
+    numpy's warning."""
+    n = rates.n
+    dmajor.dissipation._check_levels(n)
+    a2, b2 = np.float_power(rates.a, 2), np.float_power(rates.b, 2)
+    with np.errstate(over="ignore"):
+        b0 = np.zeros((n, n))
+        flat = b0.reshape(-1)
+        flat[n + 1::n + 1] += a2
+        flat[:-1:n + 1] += b2
+        flat[1::n + 1] -= a2
+        flat[n::n + 1] -= b2
+    return Generator(b0)
+
+
+def _array_balance(b0):
+    """Reference: Generator._balance on numpy arrays."""
+    up, down = -b0.diagonal(1), -b0.diagonal(-1)
+    if not ((up > 0).all() and (down >= 0).all()):
+        return None
+    if np.count_nonzero(b0) != (np.count_nonzero(b0.diagonal()) + up.size
+                                + np.count_nonzero(down)):
+        return None
+    ratios = map(truediv, map(math.sqrt, down.tolist()), map(math.sqrt, up.tolist()))
+    s = np.array(list(accumulate(ratios, mul, initial=1.0)))
+    return s if np.isfinite(s).all() else None
+
+
+def _array_spectral(b0):
+    """Reference: Generator._spectral with its matrix a sum of np.diag ones."""
+    s = _array_balance(b0)
+    if s is None or not s.max() <= 16.0 * s.min():
+        return None
+    off = -np.sqrt(-b0.diagonal(1)) * np.sqrt(-b0.diagonal(-1))
+    w, q = np.linalg.eigh(np.diag(b0.diagonal()) + np.diag(off, 1) + np.diag(off, -1))
+    w = np.maximum(w, 0.0)
+    w[0] = 0.0
+    return s[:, None] * q, w, q.T / s, max(float(b0.max()), -float(b0.min()))
+
+
+def _bytes(value):
+    """Arrays, rates and generators as bytes (signs of zeros count), tuples
+    entry by entry."""
+    if isinstance(value, Generator):
+        return value.b0.tobytes()
+    if isinstance(value, BathRates):
+        return type(value.n), value.n, value.a.tobytes(), value.b.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(_bytes, value))
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+def _built(fn, *args):
+    """fn(*args) as _bytes, or the class and message of its refusal."""
+    try:
+        return "ok", _bytes(fn(*args))
+    except Exception as exc:                            # compared, not swallowed
+        return type(exc), str(exc)
+
+
+_LEVELS = [*range(1, 10), 16, 64, 256]
+
+
+def _weight_cases(seed):
+    """Weight vectors at every level count of _LEVELS: random, with a spread of
+    sqrt(d) just below, at and past 16, geometric, with one tiny entry, and
+    each scaled by 2^k, k from -1060 to 1000."""
+    rng = np.random.default_rng(seed)
+    for n in _LEVELS:
+        ramp = np.linspace(0.0, 1.0, n)
+        shapes = [rng.uniform(0.2, 1.0, n), 256.0 ** ramp, 256.0 ** ramp * (1 + 1e-15),
+                  256.0 ** ramp * (1 - 1e-15), 300.0 ** ramp, 1e4 ** ramp,
+                  0.5 ** np.arange(n), np.where(ramp == 1.0, 1e-300, 1.0)]
+        for d, k in itertools.product(shapes, (0, -1060, -30, 30, 1000)):
+            yield np.ldexp(d, k)
+
+
+class TestArrayReferences:
+    def test_thermal_generators_match(self):
+        for d in _weight_cases(45):
+            got = _built(thermal_rates, d)
+            assert got == _built(_array_thermal_rates, d)
+            if got[0] != "ok":      # an entry that 2^-1060 takes to 0
+                continue
+            rates = thermal_rates(d)
+            gen = b0_from_rates(rates)
+            assert gen.b0.tobytes() == _array_b0_from_rates(rates).b0.tobytes()
+            assert _built(lambda: gen._balance) == _built(_array_balance, gen.b0)
+            assert _built(lambda: gen._spectral) == _built(_array_spectral, gen.b0)
+
+    @pytest.mark.parametrize("n", _LEVELS)
+    def test_zero_temperature_generators_match(self, n):
+        for levels in (n, np.int64(n)):
+            rates = zero_temperature_rates(levels)
+            assert _bytes(rates) == _bytes(_array_zero_temperature_rates(levels))
+            gen = b0_from_rates(rates)
+            assert gen.b0.tobytes() == _array_b0_from_rates(rates).b0.tobytes()
+            assert _bytes(gen._balance) == _bytes(_array_balance(gen.b0))
+            assert _bytes(gen._spectral) == _bytes(_array_spectral(gen.b0))
+
+    def test_rates_with_zeros_and_signs_match(self):
+        # zero, negative, tiny and huge rates, in every mix of upper and lower
+        rng = np.random.default_rng(46)
+        values = np.array([0.0, -0.0, 1e-170, 1e-30, 0.3, -2.0, 7.0, 1e30, 1e150])
+        # balance products past the float range from the third and at the last level
+        drawn = [BathRates(4, [1e-150] * 3, [1e150] * 3),
+                 BathRates(4, [1.0, 1.0, 1e-160], [1.0, 1.0, 1e150])]
+        for n in _LEVELS:
+            for _ in range(12):
+                drawn.append(BathRates(n, rng.choice(values, n - 1), rng.choice(values, n - 1)))
+        for rates in drawn:
+            assert _built(b0_from_rates, rates) == _built(_array_b0_from_rates, rates)
+            gen = b0_from_rates(rates)
+            assert _built(lambda: gen._balance) == _built(_array_balance, gen.b0)
+            assert _built(lambda: gen._spectral) == _built(_array_spectral, gen.b0)
+
+    def test_checked_generators_match(self):
+        # public generators: dense, signed zeros, tolerated positive entries,
+        # a cut lower band, one level
+        b0s = [[[0.0]], [[-0.0]], [[1.0, -1.0], [-1.0, 1.0]], [[-0.0, -1.0], [0.0, 1.0]],
+               [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
+               [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]],
+               [[1.0, -1.0, 0.0], [-1.0, 1.0, -1e-13], [0.0, 0.0, 1e-13]],
+               [[1.0, -1.0, 0.0], [-1.0, 1.0, 1e-13], [0.0, 0.0, -1e-13]],
+               [[1e-300, -1.0, 0.0], [-1e-300, 2.0, -1.0], [0.0, -1.0, 1.0]],
+               [[-0.0, -1e-300, 0.0], [-1e-300, 1.0, -1.0], [0.0, -1.0, 1.0]]]
+        for b0 in b0s:
+            gen = Generator(b0)
+            assert _built(lambda: gen._balance) == _built(_array_balance, gen.b0)
+            assert _built(lambda: gen._spectral) == _built(_array_spectral, gen.b0)
+
+    @pytest.mark.parametrize("d", [
+        [True, 1.0], [1, 2, 3], np.array([1, 2]), np.array([0.5, 0.25], ">f8"),
+        np.array([0.5, 0.25], np.float32), [1.0, float("nan")], [float("inf"), 1.0],
+        [0.0, 1.0], [1.0, -1.0], [-0.0], [5e-324, 1.0], [], [[1.0, 2.0]], np.ones((1, 2)),
+        [2 ** 70, 1], "1.0", 1.0, np.array(2.0), [1.0, 1.0, 1.0],
+    ], ids=repr)
+    def test_thermal_rates_refuse_as_the_reference(self, d):
+        assert _built(thermal_rates, d) == _built(_array_thermal_rates, d)
+
+    @pytest.mark.parametrize("rates", [
+        BathRates(2, [1e155], [0.0]), BathRates(2, [0.0], [-1e155]),
+        BathRates(3, [1.2e154, 0.0], [0.0, 1.2e154]), BathRates(3, [1.3e154, 1.0], [1.3e154, 1.0]),
+        BathRates(1, [], []), BathRates(True, [], []), BathRates(257, np.ones(256), np.ones(256)),
+        BathRates(np.int64(3), [1.0, 2.0], [0.5, 0.0]),
+    ], ids=repr)
+    def test_b0_from_rates_refuses_as_the_reference(self, rates):
+        assert _built(b0_from_rates, rates) == _built(_array_b0_from_rates, rates)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 3.0, np.int64(3), np.int32(2), 257, "3", None])
+    def test_zero_temperature_rates_refuse_as_the_reference(self, n):
+        assert _built(zero_temperature_rates, n) == _built(_array_zero_temperature_rates, n)
+
+    def test_public_rates_and_generators_keep_their_checks(self):
+        with pytest.raises(ValueError, match="finite"):
+            BathRates(2, [np.inf], [0.0])
+        with pytest.raises(ValueError, match="length n-1"):
+            BathRates(3, [1.0], [1.0])
+        with pytest.raises(ValueError, match="sum to zero"):
+            Generator([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="nonpositive"):
+            Generator([[-1.0, 1.0], [1.0, -1.0]])
 
 
 class TestGenerator:
@@ -393,6 +596,22 @@ FORWARD_TIMES = (1e-6, 1e-2, 1.0, 16.0, 1024.0)
 BACKWARD_TIMES = (1e-6, 1e-2, 0.5, 4.0)
 
 
+def _shared_sum(series, m, t):
+    """A backward walk's first exponential of block m at t on the shared
+    terms, as a walk sums it below the overflow of (h nu)^18; None past it."""
+    norm = float(series.norms[m - 1])
+    s = max(0, math.frexp(t * norm)[1] + 1)
+    h = math.ldexp(t, -s)
+    with np.errstate(over="ignore"):
+        powers = (h * series.nu) ** dmajor.dissipation._SERIES_POWERS
+    if not powers[-1] < np.inf:
+        return None
+    e = (powers @ series.terms[:, :m, :m].reshape(-1, m * m)).reshape(m, m)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 class TestZeroTemperatureSeries:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_mpmath(self, n):
@@ -530,6 +749,44 @@ class TestZeroTemperatureSeries:
             else:
                 assert np.isfinite(p).all() and p.min() >= 0.0
                 assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-15
+
+    def test_a_block_far_below_nu_sums_terms_of_its_own(self):
+        # rates 1e-40, 1e-40 and 1e30: nu is near 2^100 and the leading
+        # 3-level block's norm near 2^-132, so (h nu)^18 overflows where the
+        # block's flow is still near I.  Such a block sums terms of its own,
+        # without a warning (an error under this suite's filter); every
+        # evaluation whose shared powers are finite keeps its bits
+        gen = b0_from_rates(BathRates(4, np.sqrt([1e-40, 1e-40, 1e30]), np.zeros(3)))
+        backward = gen._ladder[1]
+        walk = backward.walk(3)
+        for t in [1e-20, 1e-14, 1e-12, 1.0, 1e30, 1e39, 1e40, 2e40, 1e41]:
+            got = next(walk(t))[1]
+            assert got.tobytes() == walk.at(t).tobytes()
+            want = scipy.linalg.expm(t * gen.b0[:3, :3])
+            assert np.abs(got - want).sum(axis=0).max() <= 1e-13 * np.abs(want).sum(axis=0).max()
+            shared = _shared_sum(backward, 3, t)
+            if shared is not None:
+                assert shared.tobytes() == got.tobytes()
+        assert _shared_sum(backward, 3, 1e-14) is not None
+        assert _shared_sum(backward, 3, 1e39) is None
+
+    @pytest.mark.parametrize("gap", [52, 56, 57, 58, 60, 80, 200])
+    def test_own_terms_only_where_the_shared_powers_overflow(self, gap):
+        # a block 2^gap below the ladder's norm, at steps across the point
+        # where (h nu)^18 leaves the float range
+        rates = BathRates(4, np.sqrt([1.0, 1.0, 2.0 ** gap]), np.zeros(3))
+        gen = b0_from_rates(rates)
+        backward = gen._ladder[1]
+        walk = backward.walk(3)
+        norm = float(backward.norms[2])
+        # the steps h nu = 2^56.5, inside the float range to the 18th power, and 2^56.95, past it
+        edges = [2.0 ** 56.5 / backward.nu, 2.0 ** 56.95 / backward.nu]
+        for t in [*np.geomspace(1e-3, 50.0, 31) / norm, *edges]:
+            got = walk.at(t)
+            want = _mp_expm(gen.b0[:3, :3], t)
+            assert np.abs(got - want).sum(axis=0).max() <= 1e-13 * np.abs(want).sum(axis=0).max()
+            shared = _shared_sum(backward, 3, t)
+            assert shared is None or shared.tobytes() == got.tobytes()
 
     def test_backward_overflow_raises(self):
         backward = b0_from_rates(zero_temperature_rates(4))._ladder[1]
@@ -680,6 +937,30 @@ class TestChains:
             assert all(ref() is None for ref in ladder)
         finally:
             gc.enable()
+
+    def test_no_ladder_outlives_the_memo(self):
+        # the block generators of synthesize_local at n = 2..9, then 8 other
+        # B0s of 64 levels: once collected, only the memo's 8 ladders live
+        created = []
+        real_init = dmajor.dissipation._Series.__init__
+
+        def recording(series, *args, **kwargs):
+            real_init(series, *args, **kwargs)
+            created.append(weakref.ref(series))
+
+        rng = np.random.default_rng(48)
+        b0 = b0_from_rates(zero_temperature_rates(64)).b0
+        dmajor.dissipation._ladder_of.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dmajor.dissipation._Series, "__init__", recording)
+            for n in range(2, 10):
+                synthesize_local(n, 2, *rng.dirichlet(np.ones(n * n), size=2), 1e-6)
+            for k in range(1, 9):
+                synthesize(Generator(np.ldexp(b0, k)), *rng.dirichlet(np.ones(64), size=2), 1e-9)
+        gc.collect()
+        alive = [ref() for ref in created if ref() is not None]
+        assert len(created) == 2 * 16 and len(alive) == 16
+        assert all(series.terms.shape[1] == 64 for series in alive)
 
     def test_no_chain_past_the_memo(self):
         # a 256-level ladder is not memoized, and keeps no chain between calls

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dmajor.linalg import check_square, expm, hermitian_eig
-from helpers import perm_matrix
+from dmajor.linalg import check_permutation, check_square, expm, hermitian_eig
+from dmajor.majorize import _numbers
+from helpers import perm_matrix, reader_outcome
 
 
 def taylor_expm(a, t):
@@ -134,7 +135,45 @@ class TestCheckSquare:
             check_square(h, "B", herm_tol=1e-12)
 
 
+def _array_check_permutation(images):
+    """Reference: check_permutation with every input through the dtype gate."""
+    try:
+        p = _numbers(images, "iu")
+    except ValueError:
+        p = None
+    if p is None or p.ndim != 1 or p.size == 0:
+        raise ValueError("permutation must be a non-empty 1-d integer array")
+    if not (np.sort(p) == np.arange(p.size)).all():
+        raise ValueError(f"the {p.size} entries are not a permutation of 0..{p.size - 1}")
+    return p
+
+
+# images in every form a caller may pass; lists and tuples of Python ints
+# holding 0..n-1 take one test, everything else the gate
+PERMUTATIONS = [
+    [0], [2, 0, 1, 4, 3], (1, 0), list(range(9))[::-1], tuple(range(16)),
+    np.array([1, 0, 2]), np.array([1, 0], np.int32), np.array([2, 0, 1], np.uint8), range(3),
+    [True, False], [0, True], (False,), [np.int64(1), np.int64(0)], [np.uint64(0)],
+    [1.0, 0.0], [0, 1.0], np.array([0.0, 1.0]), [2 ** 70, 0], [0, 2 ** 63], [[0, 1]], [[0], [1]],
+    [], (), np.array([], int), [0, 0], [1, 2], [-1, 0], (0, 2, 2), [0, float("nan")],
+    [float("inf"), 0], ["1", "0"], "01", None, 0, np.zeros((2, 2), int),
+]
+
+
 class TestPermutations:
+    @pytest.mark.parametrize("images", PERMUTATIONS, ids=repr)
+    def test_matches_the_array_reference(self, images):
+        # the same array (dtype and bytes) or the same refusal, message included
+        assert reader_outcome(check_permutation, images) == \
+            reader_outcome(_array_check_permutation, images)
+
+    def test_result_is_a_new_array_for_a_list(self):
+        images = [1, 2, 0]
+        p = check_permutation(images)
+        assert p.dtype == np.int64 and p.tolist() == images
+        p[0] = 2
+        assert images == [1, 2, 0]
+
     def test_identity(self):
         assert np.array_equal(perm_matrix([0, 1, 2]), np.eye(3))
 

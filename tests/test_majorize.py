@@ -12,6 +12,7 @@ from dmajor.majorize import (
     TransferSynthesisError,
     _pieces,
     _t_transform_chain,
+    as_vector,
     column_stochastic_transfer,
     d_majorizes,
     d_stochastic_transfer,
@@ -23,7 +24,7 @@ from dmajor.majorize import (
     thermo_curve,
 )
 from dmajor.polytope import contains, halfspace_bounds, vertex_for_permutation
-from helpers import curve_minimum_form, random_d_stochastic
+from helpers import array_as_vector, curve_minimum_form, random_d_stochastic, reader_outcome
 
 
 class TestMajorizes:
@@ -1274,6 +1275,31 @@ def _validation(fn, args):
         return fn(*args)
     except Exception as exc:                            # compared, not swallowed
         return type(exc), str(exc)
+
+
+# vectors in every form a caller may pass: a native float64 vector is taken
+# as it is, everything else goes through the gate
+VECTORS = [
+    np.array([0.25, 0.75]), np.arange(5.0)[::2], np.ones(1), np.array([0.5, 0.5], ">f8"),
+    np.array([0.5, 0.5], np.float32), np.array([1, 2]), np.array([True, False]),
+    np.array([[0.5, 0.5]]), np.array([]), np.array(0.5), np.array([NAN, 1.0]),
+    np.array([1.0, INF]), np.array([-0.0, 1e308]), np.array([TINY, -TINY]),
+    [0.25, 0.75], (1, 2), [1, 2.5], [True, 0.5], [2 ** 70, 1], [[0.5]], [], [NAN], [1.0, -INF],
+    np.array([1 + 0j]), ["0.5"], "0.5", 0.5, None,
+]
+
+
+class TestAsVector:
+    @pytest.mark.parametrize("x", VECTORS, ids=repr)
+    def test_matches_the_array_reference(self, x):
+        # the same array (dtype, bytes and identity) or the same refusal
+        assert reader_outcome(as_vector, x) == reader_outcome(array_as_vector, x)
+
+    def test_read_only_and_strided_arrays_pass_as_they_are(self):
+        x = np.arange(8.0)[1::3]
+        x.setflags(write=False)
+        assert as_vector(x) is x
+        assert as_vector(x[::-1]).base is x.base
 
 
 class TestValidatedPrecedence:

@@ -1154,6 +1154,59 @@ class TestGroundSynthesis:
             dmajor.dissipation._ladder_of.cache_clear()
             _assert_same_schedule(synthesize(_gen(n), x0, x, 1e-9), shared)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 16, 64])
+    def test_ground_steps_match_the_array_reference(self, n, monkeypatch):
+        # the schedules bit for bit, on seeded Dirichlet targets of every
+        # concentration, with and without entries at the 1e-13 floor
+        rng = np.random.default_rng(n + 60)
+        gen = _gen(n)
+        targets = [rng.dirichlet(np.full(n, c)) for c in (0.2, 1.0, 5.0) for _ in range(4)]
+        targets += [np.where(np.arange(n) == n - 2, 0.0, 1.0 / (n - 1)), np.eye(n)[n - 1]]
+        got = [synthesize_from_ground(gen, x) for x in targets]
+        monkeypatch.setattr(dmajor.reach, "_ground_steps", _array_ground_steps)
+        want = [synthesize_from_ground(gen, x) for x in targets]
+        assert [_schedule_bytes(s) for s in got] == [_schedule_bytes(s) for s in want]
+
+    @pytest.mark.parametrize("n,m", [(4, 6), (2, 12), (3, 4)])
+    def test_local_ground_steps_match_the_array_reference(self, n, m, monkeypatch):
+        x0, x = np.random.default_rng(n * m).dirichlet(np.ones(n ** m), size=2)
+        got = synthesize_local(n, m, x0, x, 1e-6)
+        monkeypatch.setattr(dmajor.reach, "_ground_steps", _array_ground_steps)
+        assert _schedule_bytes(got) == _schedule_bytes(synthesize_local(n, m, x0, x, 1e-6))
+
+
+def _array_ground_steps(gen, z):
+    """Reference: _ground_steps with a face hit whose probes each start a
+    walk and whose norm is summed from the block, renormalized and swapped
+    by array operations."""
+    n, series = gen.n, gen._ladder[1]
+    backward = []
+    m = n
+    while True:
+        while m > 1 and z[m - 1] <= 1e-13:
+            m -= 1
+        if m < 3:
+            break
+        tau, j, w = _walk_face_hit(gen.b0[:m, :m], z[:m], series.walk(m))
+        w = np.maximum(w, 0.0)
+        w = w / w.sum() * z[:m].sum()
+        swap = np.arange(n)
+        swap[j], swap[m - 1] = m - 1, j
+        z[:m] = w
+        z = z[swap]
+        backward.append((swap, tau))
+        m -= 1
+    if m == 2:
+        tau, j = dmajor.reach._two_level_face_hit(gen.b0[:2, :2].tolist(), *z[:2].tolist())
+        swap = np.arange(n)
+        swap[j], swap[1] = 1, j
+        backward.append((swap, tau))
+    return backward[::-1]
+
+
+def _schedule_bytes(schedule):
+    return [(s.perm.dtype.str, s.perm.tobytes(), s.duration.hex()) for s in schedule.segments]
+
 
 class TestFirstFaceHit:
     def test_matches_bisection_reference(self, faces):
@@ -1214,7 +1267,8 @@ class TestFirstFaceHit:
                     built.append(t)
                     yield pair
 
-            counting.chain = walk.chain
+            counting.chain, counting.norm = walk.chain, walk.norm
+            counting.at = lambda t: next(counting(t))[1]
             return counting
 
         monkeypatch.setattr(dmajor.dissipation._Series, "walk", counted)
@@ -1617,18 +1671,18 @@ class TestLocalSynthesis:
         assert calls == {"check_permutation": 0, "_check_simplex": 2}
 
     def test_block_generator_is_built_once_per_n(self, monkeypatch):
-        # plain ints up to 64 share one generator with a read-only B0; the
-        # schedule is that of a fresh generator; other n keep the checked path
+        # plain ints up to 64 share one read-only B0; the schedule is that of
+        # a fresh generator; other n keep the checked path
         built = []
         real = dmajor.reach.b0_from_rates
         monkeypatch.setattr(dmajor.reach, "b0_from_rates", lambda r: built.append(r.n) or real(r))
-        dmajor.reach._block_gen.cache_clear()
+        dmajor.reach._block_b0.cache_clear()
         x0, x = np.random.default_rng(47).dirichlet(np.ones(9), size=2)
         runs = [synthesize_local(3, 2, x0, x, 1e-6) for _ in range(3)]
         assert built == [3]
-        gen = dmajor.reach._block_gen(3)
-        assert not gen.b0.flags.writeable
-        assert np.array_equal(gen.b0, real(zero_temperature_rates(3)).b0)
+        b0 = dmajor.reach._block_b0(3)
+        assert not b0.flags.writeable
+        assert np.array_equal(b0, real(zero_temperature_rates(3)).b0)
         for run in runs[1:]:
             assert [(s.perm.tolist(), s.duration.hex()) for s in run.segments] == \
                 [(s.perm.tolist(), s.duration.hex()) for s in runs[0].segments]
