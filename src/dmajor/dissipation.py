@@ -163,9 +163,10 @@ class _Series:
     def chain(self, m: int, t: float, walk=None) -> Iterator[tuple[list[float], np.ndarray]]:
         """walk(t) as stretches (times, stack of the exponentials), bit for bit,
         walk being walk(m) unless given.  Block m keeps, read-only, up to _CHAIN_CAP
-        entries that walks from its first t build while its series' chains hold
-        fewer doubles than the terms (none past 64 levels), and yields them as one
-        stretch; then the walk squares on.  An entry that raises is not kept."""
+        entries that walks from its first t (a search's start, reach._doubling) build
+        while its series' chains hold fewer doubles than the terms (none past 64
+        levels), and yields them as one stretch; then the walk squares on.  An entry
+        that raises is not kept."""
         kept = self.chains.get(m)
         if kept is None and self.room >= m * m:
             kept = self.chains[m] = [t, [], np.empty((0, m, m))]
@@ -181,6 +182,26 @@ class _Series:
                 self.room -= m * m
             i += 1
             yield [u], e[None]
+
+
+def _balance(b0: np.ndarray) -> np.ndarray | None:
+    """s = sqrt(pi) for a tridiagonal B0 with positive upper rates, which is
+    in detailed balance with pi_{j+1} / pi_j = B0[j+1, j] / B0[j, j+1] (a
+    zero lower rate cuts pi off above it: at zero temperature s = e_1);
+    None for every other generator."""
+    diag, sup, sub = b0.diagonal().tolist(), b0.diagonal(1).tolist(), b0.diagonal(-1).tolist()
+    if sup and not (max(sup) < 0.0 and max(sub) <= 0.0):
+        return None
+    # one count: no n x n temporaries for a large B0
+    if np.count_nonzero(b0) != (len(diag) - diag.count(0.0) + len(sup)
+                                + len(sub) - sub.count(0.0)):
+        return None
+    # the cumulative product of sqrt(-sub) / sqrt(-sup) from 1, on Python floats, in
+    # np.cumprod's order (the same bits); past the float range a ratio or product is
+    # inf without a warning, and no ratio is NaN, so s is finite if its last entry is
+    ratios = map(truediv, map(math.sqrt, map(neg, sub)), map(math.sqrt, map(neg, sup)))
+    s = list(accumulate(ratios, mul, initial=1.0))
+    return np.array(s) if math.isfinite(s[-1]) else None
 
 
 @dataclass(frozen=True)
@@ -213,38 +234,17 @@ class Generator:
         return self.b0.shape[0]
 
     @cached_property
-    def _balance(self) -> np.ndarray | None:
-        """s = sqrt(pi) for a tridiagonal B0 with positive upper rates, which is
-        in detailed balance with pi_{j+1} / pi_j = B0[j+1, j] / B0[j, j+1] (a
-        zero lower rate cuts pi off above it: at zero temperature s = e_1);
-        None for every other generator."""
-        b0 = self.b0
-        diag, sup, sub = b0.diagonal().tolist(), b0.diagonal(1).tolist(), b0.diagonal(-1).tolist()
-        if sup and not (max(sup) < 0.0 and max(sub) <= 0.0):
-            return None
-        # one count: no n x n temporaries for a large B0
-        if np.count_nonzero(b0) != (len(diag) - diag.count(0.0) + len(sup)
-                                    + len(sub) - sub.count(0.0)):
-            return None
-        # the cumulative product of sqrt(-sub) / sqrt(-sup) from 1, on Python floats, in
-        # np.cumprod's order (the same bits); past the float range a ratio or product is
-        # inf without a warning, and no ratio is NaN, so s is finite if its last entry is
-        ratios = map(truediv, map(math.sqrt, map(neg, sub)), map(math.sqrt, map(neg, sup)))
-        s = list(accumulate(ratios, mul, initial=1.0))
-        return np.array(s) if math.isfinite(s[-1]) else None
-
-    @cached_property
     def _spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
         """(s Q, w, Q^T / s, max |B0_ij|) with exp(-t B0) = (s Q) diag(exp(-t w)) (Q^T / s),
         for a birth-death B0; None for every other generator.
 
-        With s from _balance, diag(1/s) B0 diag(s) is the symmetric tridiagonal
+        With s = _balance(B0), diag(1/s) B0 diag(s) is the symmetric tridiagonal
         matrix with the same diagonal and off-diagonal -sqrt(B0[j, j+1]
         B0[j+1, j]), and one eigh of it gives every exponential.  Its rounding
         is amplified up to the spread max(s) / min(s), so the factors are kept
         only when that spread is at most _MAX_SPECTRAL_SPREAD.
         """
-        s, b0 = self._balance, self.b0
+        s, b0 = _balance(self.b0), self.b0
         # also false for a zero entry of s, where the spread is infinite
         if s is None or not max(spread := s.tolist()) <= _MAX_SPECTRAL_SPREAD * min(spread):
             return None
@@ -292,7 +292,7 @@ def _ladder_of(key: bytes, n: int) -> tuple[_Series, _Series]:
     """The ladder of the B0 with these bytes and no lower rates; LookupError,
     which lru_cache does not store, unless its upper rates are positive."""
     b0 = np.frombuffer(key).reshape(n, n)
-    if Generator(b0)._balance is None:
+    if _balance(b0) is None:
         raise LookupError("B0 is not a zero-temperature ladder")
     mu = float(b0.diagonal().max())
     return (_Series(mu * np.eye(n) - b0, mu, complement=True),
@@ -435,7 +435,7 @@ def steady_state(gen: Generator, tol: float = 1e-9) -> np.ndarray:
     its detailed-balance vector (exactly e_1 at zero temperature); for every
     other generator it is extracted from an SVD and must be one-dimensional.
     """
-    s = gen._balance
+    s = _balance(gen.b0)
     if s is not None:
         p = np.square(s / s.max())
         return p / p.sum()

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dissipation import Generator, b0_from_rates, check_zero_temperature, flow, propagator, \
-    thermal_rates, zero_temperature_rates
+from .dissipation import Generator, _check_levels, b0_from_rates, check_zero_temperature, flow, \
+    propagator, thermal_rates, zero_temperature_rates
 from .linalg import check_permutation
 from .majorize import SimplexViolationError, _integer, _real_number, _scaled_tol, _unchecked, \
     as_vector, as_weight_vector, majorizes
@@ -33,6 +33,7 @@ MAX_SAMPLE_COUNT = 100_000
 MAX_ENVELOPE_DIM = 8
 # schedules propagated together; bounds the (block, depth, n, n) propagator stack
 _SAMPLE_BLOCK = 1024
+_GIVE_UP = 2.0 ** 59     # t ||N||_1 past which a doubling search gives up (_doubling)
 
 
 def _check_simplex(x, size: int | None = None, tol: float = 1e-9) -> np.ndarray:
@@ -83,7 +84,8 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        p = np.array(check_permutation(self.perm))      # a copy the segment owns
+        p = check_permutation(self.perm)    # copied where it is the caller's array or a view
+        p = p.copy() if p is self.perm or not p.flags.owndata else p
         p.setflags(write=False)
         object.__setattr__(self, "perm", p)
         t = _real_number(self.duration, _DURATION_REFUSAL)
@@ -219,51 +221,50 @@ def endpoint(gen: Generator, x0, schedule: Schedule) -> np.ndarray:
 # zero-temperature synthesis
 # ---------------------------------------------------------------------------
 
+def _doubling(norm: float, seed: float) -> tuple[float, float]:
+    """The time rule of every doubling search over the walk of a block N, ||N||_1 = norm:
+    (start, limit), t = seed 2^k with 1/4 < t norm <= 1/2 (k of either sign) and _GIVE_UP
+    / norm, or (seed, inf) at N = 0.  2^j N searches N's times over 2^j, bit for bit."""
+    frac, k = math.frexp(seed * norm)
+    return math.ldexp(seed, -k - (frac > 0.5)), _GIVE_UP / norm if norm else math.inf
+
+
 def _first_face_hit(b0: np.ndarray, z: np.ndarray,
                     walk: Callable[[float], Iterator[tuple[float, np.ndarray]]]
                     ) -> tuple[float, int, np.ndarray]:
     """First time the backward flow w(t) = exp(t B0) z hits a vanishing coordinate,
-    where walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t, ...; the bracket
-    reads walk.chain(t_first, walk) (_Series.chain), or else walks from t_first.
+    where walk is a _Series.walk: walk(t) yields (u, exp(u B0)) for u = t, 2t, 4t,
+    ..., with walk.norm = ||B0||_1, walk.chain(t, walk) and walk.at(t).
 
     B0 is a block of a zero-temperature generator: upper bidiagonal, with a
     diagonal >= 0 and a superdiagonal < 0.  So w never re-enters the simplex
     (at the highest J with w_J < 0, w_J' = b_JJ w_J + b_J,J+1 w_J+1 <= 0 until
     a coordinate above J is negative), and min w > 0 holds on one interval
-    [0, tau).  The bracket ends at the first state of walk(t_first) outside
-    the open simplex, t_first being the 1e-6 * 2^k, k of either sign, with
-    1/4 < t_first ||B0||_1 <= 1/2, from where the series walks by squaring;
-    so a power of two times B0 scales the search's times by its inverse.
-    Safeguarded Newton steps toward the earliest crossing of a falling
-    coordinate, on Python floats, then shrink it to 2e-15 * tau, a few ulps.
-    Each probe takes the first value of a walk (walk.at; ||B0||_1 is walk.norm,
-    where given).  Returns (time, index, w(time)), ties toward the lowest index.
+    [0, tau).  The bracket ends at the first state of the doubling search
+    from the seed 1e-6 (_doubling) outside the open simplex.  Safeguarded
+    Newton steps toward the earliest crossing of a falling coordinate, on
+    Python floats, each probe a walk.at, then shrink it to 2e-15 * tau, a
+    few ulps.  Returns (time, index, w(time)), ties toward the lowest index.
     """
     scale = max(1.0, float(np.add.reduce(np.abs(z))))
     lo, wt = 0.0, z.tolist()
     if min(wt) <= 1e-12 * scale:
         return 0.0, wt.index(min(wt)), z.copy()
 
-    norm = getattr(walk, "norm", 0.0) or float(np.abs(b0).sum(axis=0).max())
-    t_first = 1e-6
-    while 2.0 * t_first * norm <= 0.5:
-        t_first *= 2.0
-    while t_first * norm > 0.5:
-        t_first *= 0.5
-    chain = getattr(walk, "chain", lambda t, walk: (([u], e[None]) for u, e in walk(t)))
-    at = getattr(walk, "at", lambda t: next(walk(t))[1])
-    for hi, w_hi in ((u, w) for ts, stack in chain(t_first, walk) for u, w in zip(ts, stack @ z)):
+    start, limit = _doubling(walk.norm, 1e-6)
+    for hi, w_hi in ((u, w) for ts, e in walk.chain(start, walk) for u, w in zip(ts, e @ z)):
+        if hi > limit:
+            raise SimplexViolationError("backward flow never hits a face")
         w = w_hi.tolist()
         if not min(w) > 0.0:
             break
-        if hi > 2.0 ** 59:
-            raise SimplexViolationError("backward flow never hits a face")
         lo, wt = hi, w
 
     diag, upper = b0.diagonal().tolist(), b0.diagonal(1).tolist() + [0.0]
     t, at_lo, cross = lo, True, 0.25
     move_before = move = hi - lo
-    while hi - lo > 2e-15 * hi:
+    # the midpoint test ends a bracket of subnormal times, where 2e-15 * hi rounds to 0
+    while hi - lo > 2e-15 * hi and lo < lo + 0.5 * (hi - lo) < hi:
         # Newton toward the earliest crossing of a falling coordinate (w' = B0 w),
         # landing a quarter of the stop past it so that both ends close in; from
         # within the stop, by a share of it that doubles each time, to outgrow the
@@ -280,7 +281,7 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
             if lo < newton < hi and (near or 2.0 * abs(newton - t) <= move_before):
                 probe = newton
         move_before, move = move, abs(probe - t)
-        t, w_t = probe, at(probe) @ z
+        t, w_t = probe, walk.at(probe) @ z
         wt = w_t.tolist()
         at_lo = min(wt) > 0.0
         if at_lo:
@@ -299,9 +300,8 @@ def _two_level_face_hit(b0: list[list[float]], z0: float, z1: float) -> tuple[fl
     The backward flow is w1(t) = z1 e^{b11 t} and w0(t) = e^{b00 t} (z0 + b01
     z1 (e^{d t} - 1) / d), d = b11 - b00, so only w0 can fall, and it vanishes
     at tau = log1p(x) / d, x = d z0 / (-b01 z1).  A flow that never reaches
-    the face (x <= -1, possible only for d < 0), reaches it beyond 2^59,
-    where the search gives up, or overflows w1 on the way raises
-    SimplexViolationError.
+    the face (x <= -1, possible only for d < 0), reaches it once the search
+    gives up (tau ||b0||_1 > _GIVE_UP) or overflows w1 raises SimplexViolationError.
     """
     # np.abs(z).sum(), z.min() and z.argmin() of the pair, bit for bit
     if min(z0, z1) <= 1e-12 * max(1.0, abs(z0) + abs(z1)):
@@ -314,7 +314,7 @@ def _two_level_face_hit(b0: list[list[float]], z0: float, z1: float) -> tuple[fl
     if not x > -1.0:
         raise SimplexViolationError("backward flow never hits a face")
     tau = math.log1p(x) / delta if x else ratio / -b01
-    if not (tau <= 2.0 ** 59 and b11 * tau < 700.0):
+    if not (tau * max(abs(b00), abs(b01) + abs(b11)) <= _GIVE_UP and b11 * tau < 700.0):
         raise SimplexViolationError("backward flow leaves range before it hits a face")
     return tau, 0
 
@@ -386,7 +386,9 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     never searches.  It lands within 2.1e-12 n of x' = max(x, 0) / its total
     in the 1-norm: a step may take a coordinate up to 1e-12 for zero, at
     twice its mass, and rounding adds at most 5e-16 n on seeded Dirichlet
-    targets at n = 2..256 (1.4e-15 at n = 3, 1.2e-14 at 256).
+    targets at n = 2..256 (1.4e-15 at n = 3, 1.2e-14 at 256).  The searches
+    read time in units of 1 / ||B0||_1 (_doubling): 2^k B0 gets this schedule
+    with durations over 2^k, bit for bit (k = -200..200 tested).
     """
     check_zero_temperature(gen)
     steps = _block_steps(gen, _check_simplex(x, gen.n), 1.0)
@@ -395,20 +397,24 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
 
 def _relax_time(gen: Generator, x, target, budget: float,
                 what: str) -> tuple[float, np.ndarray]:
-    """First t = 1, 2, 4, ... with ||exp(-t B0) x - target||_1 < budget,
-    and exp(-t B0) x at that t, for a zero-temperature generator.  x and
-    target are one state, or one state per column.
+    """First t of the doubling search from the seed 1 (_doubling) on the
+    forward series' N = mu I - B0 with ||exp(-t B0) x - target||_1 < budget,
+    and exp(-t B0) x at that t, for a zero-temperature generator; x and
+    target are one state, or one per column.
 
     The exact error falls with t.  The forward series' columns sum to 1
     exactly, so the computed error falls to the gap between the rounded
     totals of the relaxed state and of target, which is zero when they round
-    alike.  Once a doubling no longer lowers it, the budget is out of reach
-    and SimplexViolationError(what) is raised.  The exponentials are the
-    forward series' chain from t = 1 (_Series.chain), propagator(gen, t) bit
-    for bit; a stretch of it is evaluated as stack @ x, errors in one reduction.
+    alike.  Once a doubling no longer lowers it, or the search gives up, the
+    budget is out of reach and SimplexViolationError(what) is raised.  The
+    forward chain (_Series.chain) gives propagator(gen, t) bit for bit, a
+    stretch of it as stack @ x with its errors in one reduction.
     """
-    last = np.inf
-    for times, stack in gen._ladder[0].chain(gen.n, 1.0):
+    series, last = gen._ladder[0], np.inf
+    start, limit = _doubling(float(series.norms[-1]), 1.0)
+    for times, stack in series.chain(gen.n, start):
+        if times[-1] > limit:
+            raise SimplexViolationError(what)
         states = stack @ x
         errs = np.abs(states - target).reshape(len(times), -1).sum(axis=1).tolist()
         for t, state, err in zip(times, states, errs):
@@ -431,23 +437,18 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     most eps/2 plus that, and a smaller eps is not met; measure it with endpoint.
     The cooling flow's columns sum to 1 exactly, so it reaches e_1 up to the
     rounding of x0's total: SimplexViolationError is raised only when eps/2
-    lies below that, as for an x0 whose total does not round to 1.
+    lies below that, as for an x0 whose total does not round to 1.  Cooling
+    searches by the time rule of the ground schedule, so 2^k B0 scales it too.
     """
     eps = _real_number(eps, "eps must be a real number")
     if not eps > 0:
         raise ValueError("eps must be positive")
     check_zero_temperature(gen)
     n = gen.n
-    x0 = _check_simplex(x0, n)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    target_err = eps / 2.0
-    if np.abs(x0 - e1).sum() <= target_err:
-        cool_t = 0.0
-    else:
-        cool_t, _ = _relax_time(gen, x0, e1, target_err, "cooling did not converge")
-    ground = synthesize_from_ground(gen, x)
-    return Schedule([_segment(np.arange(n), cool_t)] + ground.segments)
+    x0, e1 = _check_simplex(x0, n), np.eye(1, n)[0]
+    cool_t = 0.0 if np.abs(x0 - e1).sum() <= eps / 2.0 else \
+        _relax_time(gen, x0, e1, eps / 2.0, "cooling did not converge")[0]
+    return Schedule([_segment(np.arange(n), cool_t)] + synthesize_from_ground(gen, x).segments)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +536,10 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
     eps = _real_number(eps, "eps must be a real number")
     if not eps > 0:
         raise ValueError("eps must be positive")
+    _check_levels(n)
+    m = _integer(m, "m must be an integer")
+    if not 1 <= m <= 12:    # MAX_LOCAL_DIM = 2^12: no chain of more systems fits
+        raise ValueError(f"m must lie in 1..12, got {m}")
     total = n ** m
     if total > MAX_LOCAL_DIM:
         raise ValueError(f"n^m = {total} exceeds the cap {MAX_LOCAL_DIM}")
@@ -551,7 +556,7 @@ def synthesize_local(n: int, m: int, x0, x, eps: float) -> Schedule:
 
     # Step 1: m rounds of (relax every block to its head, gather the heads
     # of the still-active blocks into the leading coordinates).
-    round_budget = eps / (2.0 * max(m, 1))
+    round_budget = eps / (2.0 * m)
     for r in range(1, m + 1):
         collapsed = np.zeros(total)
         collapsed[::n] = cur.reshape(n_blocks, n).sum(axis=1)

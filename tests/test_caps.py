@@ -20,8 +20,11 @@ SRC_DIR = str(Path(reach.__file__).resolve().parents[1])
 def test_local_dim_above_the_cap():
     cap = reach.MAX_LOCAL_DIM
     state = np.full(cap + 1, 1.0 / (cap + 1))
-    with pytest.raises(ValueError, match=rf"n\^m = {cap + 1} exceeds the cap {cap}"):
+    # n is read as a level count before n^m is formed
+    with pytest.raises(ValueError, match=rf"n = {cap + 1} exceeds the cap MAX_BATH_DIM"):
         reach.synthesize_local(cap + 1, 1, state, state, 1e-3)
+    with pytest.raises(ValueError, match=rf"n\^m = {65 ** 2} exceeds the cap {cap}"):
+        reach.synthesize_local(65, 2, state, state, 1e-3)
 
 
 @pytest.mark.parametrize("x0", ["uniform", "dirichlet"])

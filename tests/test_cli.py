@@ -711,6 +711,31 @@ class TestSimulateSynthesize:
         assert len(diagnostics) == 1
         assert float(diagnostics[0].rsplit(" ", 1)[1]) <= 1e-14
 
+    @pytest.mark.parametrize("s", [2.0 ** -60, 1e-20], ids=["2^-60", "1e-20"])
+    def test_steering_in_a_slow_time_unit_exits_zero(self, tmp_path, capture, s):
+        # the doubling searches start and give up in units of 1 / ||B0||_1:
+        # absolute rules refused both routes here (exit 3); the synthesized
+        # schedule then runs through simulate to the target
+        b0 = np.array(dmajor.dissipation.b0_from_rates(
+            dmajor.dissipation.zero_temperature_rates(4)).b0) * s
+        b0 = write(tmp_path, "b0.json", b0.tolist())
+        target = [0.1, 0.2, 0.3, 0.4]
+        files = ["--b0", b0, "--target", write(tmp_path, "t.json", target), "--eps", "1e-9"]
+        x0 = write(tmp_path, "x0.json", [0.25] * 4)
+        for extra, start in (([], [1.0, 0.0, 0.0, 0.0]), (["--x0", x0], [0.25] * 4)):
+            code, out, err = capture(["synthesize", *files, *extra])
+            assert (code, err) == (0, ""), extra
+            segments = json.loads(out)["data"]["segments"]
+            total = sum(seg["duration"] for seg in segments)
+            code, out, err = capture(["simulate", "--b0", b0,
+                                      "--x0", write(tmp_path, "s0.json", start),
+                                      "--schedule", write(tmp_path, "s.json",
+                                                          {"segments": segments}),
+                                      "--dt", repr(total / 8)])
+            assert (code, err) == (0, ""), extra
+            last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
+            assert np.abs(np.array(last[1:]) - target).sum() <= 1e-9
+
     def test_synthesize_from_ground_exits_numeric_past_its_bound(self, tmp_path, capture,
                                                                  monkeypatch):
         # a ground schedule that misses on purpose: its first duration off by

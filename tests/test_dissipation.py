@@ -15,6 +15,7 @@ import dmajor.reach
 from dmajor.dissipation import (
     BathRates,
     Generator,
+    _balance,
     apply_gamma,
     b0_from_rates,
     check_zero_temperature,
@@ -139,7 +140,7 @@ def _array_b0_from_rates(rates):
 
 
 def _array_balance(b0):
-    """Reference: Generator._balance on numpy arrays."""
+    """Reference: dissipation._balance on numpy arrays."""
     up, down = -b0.diagonal(1), -b0.diagonal(-1)
     if not ((up > 0).all() and (down >= 0).all()):
         return None
@@ -210,7 +211,7 @@ class TestArrayReferences:
             rates = thermal_rates(d)
             gen = b0_from_rates(rates)
             assert gen.b0.tobytes() == _array_b0_from_rates(rates).b0.tobytes()
-            assert _built(lambda: gen._balance) == _built(_array_balance, gen.b0)
+            assert _built(_balance, gen.b0) == _built(_array_balance, gen.b0)
             assert _built(lambda: gen._spectral) == _built(_array_spectral, gen.b0)
 
     @pytest.mark.parametrize("n", _LEVELS)
@@ -220,7 +221,7 @@ class TestArrayReferences:
             assert _bytes(rates) == _bytes(_array_zero_temperature_rates(levels))
             gen = b0_from_rates(rates)
             assert gen.b0.tobytes() == _array_b0_from_rates(rates).b0.tobytes()
-            assert _bytes(gen._balance) == _bytes(_array_balance(gen.b0))
+            assert _bytes(_balance(gen.b0)) == _bytes(_array_balance(gen.b0))
             assert _bytes(gen._spectral) == _bytes(_array_spectral(gen.b0))
 
     def test_rates_with_zeros_and_signs_match(self):
@@ -236,7 +237,7 @@ class TestArrayReferences:
         for rates in drawn:
             assert _built(b0_from_rates, rates) == _built(_array_b0_from_rates, rates)
             gen = b0_from_rates(rates)
-            assert _built(lambda: gen._balance) == _built(_array_balance, gen.b0)
+            assert _built(_balance, gen.b0) == _built(_array_balance, gen.b0)
             assert _built(lambda: gen._spectral) == _built(_array_spectral, gen.b0)
 
     def test_checked_generators_match(self):
@@ -251,7 +252,7 @@ class TestArrayReferences:
                [[-0.0, -1e-300, 0.0], [-1e-300, 1.0, -1.0], [0.0, -1.0, 1.0]]]
         for b0 in b0s:
             gen = Generator(b0)
-            assert _built(lambda: gen._balance) == _built(_array_balance, gen.b0)
+            assert _built(_balance, gen.b0) == _built(_array_balance, gen.b0)
             assert _built(lambda: gen._spectral) == _built(_array_spectral, gen.b0)
 
     @pytest.mark.parametrize("d", [
@@ -863,18 +864,22 @@ class TestLadderMemo:
             b0_from_rates(zero_temperature_rates(n))._ladder
         assert memo.cache_info().currsize == memo.cache_info().maxsize == 8
 
-    def test_a_hit_skips_the_form_check_and_a_refusal_is_not_stored(self):
+    def test_a_hit_skips_the_form_check_and_a_refusal_is_not_stored(self, monkeypatch):
         memo = dmajor.dissipation._ladder_of
         shared = b0_from_rates(zero_temperature_rates(5))._ladder
         gen = Generator(b0_from_rates(zero_temperature_rates(5)).b0.copy())
-        assert gen._ladder is shared and "_balance" not in vars(gen)
+        read = []
+        monkeypatch.setattr(dmajor.dissipation, "_balance",
+                            lambda b0: read.append(b0) or _balance(b0))
+        assert gen._ladder is shared and read == []
         # no lower rates, but a vanishing upper one: refused at every call, never stored
         before = memo.cache_info()
         for _ in range(2):
             gap = b0_from_rates(BathRates(4, np.array([1.0, 0.0, 2.0]), np.zeros(3)))
             assert gap._ladder is None
         after = memo.cache_info()
-        assert (after.currsize, after.misses) == (before.currsize, before.misses + 2)
+        assert (after.currsize, after.misses, len(read)) == \
+            (before.currsize, before.misses + 2, 2)
 
 
 def _kept_bytes(series):
@@ -1054,7 +1059,7 @@ class TestSteadyState:
                 with np.errstate(all="ignore"):
                     up, down = -np.diagonal(b0, 1), -np.diagonal(b0, -1)
                     want = np.cumprod(np.r_[1.0, np.sqrt(down) / np.sqrt(up)])
-                got = Generator(b0)._balance
+                got = _balance(b0)
                 if not np.isfinite(want).all():
                     assert got is None
                 else:

@@ -71,6 +71,17 @@ def _bisection_face_hit(b0, z):
     return tau, int(np.nonzero(wt <= np.min(wt) + 1e-13 * scale)[0][0])
 
 
+def _search_start(seed, norm):
+    """Reference: where a doubling search over the walk of a block of 1-norm
+    norm starts, seed 2^k with 1/4 < t norm <= 1/2, by doubling and halving."""
+    t = seed
+    while 2.0 * t * norm <= 0.5:
+        t *= 2.0
+    while t * norm > 0.5:
+        t *= 0.5
+    return t
+
+
 def _loop_face_hit(b0, z, walk):
     """Reference: _first_face_hit with Newton slopes summed over every entry
     of B0, and a guard grid against a skipped crossing checked one state at a
@@ -82,18 +93,13 @@ def _loop_face_hit(b0, z, walk):
     if float(np.min(z)) <= 1e-12 * scale:
         return 0.0, int(np.argmin(z)), z.copy(), 0
     norm = float(np.abs(b0).sum(axis=0).max())
-    t_first = 1e-6
-    while 2.0 * t_first * norm <= 0.5:
-        t_first *= 2.0
-    while t_first * norm > 0.5:
-        t_first *= 0.5
     t_lo, w_lo = 0.0, z
-    for t_hi, e in walk(t_first):
+    for t_hi, e in walk(_search_start(1e-6, norm)):
+        if t_hi * norm > 2.0 ** 59:
+            raise SimplexViolationError("backward flow never hits a face")
         w_hi = e @ z
         if not np.min(w_hi) > 0.0:
             break
-        if t_hi > 2.0 ** 59:
-            raise SimplexViolationError("backward flow never hits a face")
         t_lo, w_lo = t_hi, w_hi
     rows = b0.tolist()
     for passes in range(1, 5):
@@ -158,24 +164,36 @@ _SKIPPED_CROSSINGS = [
 
 
 def _expm_walk(b0):
-    """walk(t) for a B0 without a series: (u, expm(u B0)) for u = t, 2t, 4t, ..."""
+    """walk(t) for a B0 without a series: (u, expm(u B0)) for u = t, 2t, 4t, ...,
+    with the norm, chain and first value of _Series.walk's walks."""
     def walk(t):
         for k in itertools.count():
             yield t * 2.0 ** k, expm(b0, t * 2.0 ** k)
+    walk.norm = float(np.abs(b0).sum(axis=0).max())
+    walk.chain = lambda t, walk: (([u], e[None]) for u, e in walk(t))
+    walk.at = lambda t: next(walk(t))[1]
     return walk
 
 
+def _relax_norm(gen):
+    """||mu I - B0||_1, mu = max diag B0: the norm of the forward series' N."""
+    return float(np.abs(gen.b0.diagonal().max() * np.eye(gen.n) - gen.b0).sum(axis=0).max())
+
+
 def _exact_relax_time(gen, x, target, budget):
-    """Reference: the first t = 1, 2, 4, ... whose exact propagator brings
-    x within budget of target; None where the error stops falling first."""
-    t, last = 1.0, np.inf
-    while True:
+    """Reference: the first t of the doubling search from the seed 1 whose
+    exact propagator brings x within budget of target; None where the error
+    stops falling first or t ||N||_1 passes 2^59."""
+    norm, last = _relax_norm(gen), np.inf
+    t = _search_start(1.0, norm)
+    while t * norm <= 2.0 ** 59:
         err = np.abs(propagator(gen, t) @ x - target).sum()
         if err < budget:
             return t
         if not err < last:
             return None
         t, last = 2.0 * t, err
+    return None
 
 
 def _relax_or_none(gen, x, target, budget):
@@ -188,9 +206,11 @@ def _relax_or_none(gen, x, target, budget):
 
 def _walk_relax_time(gen, x, target, budget, what):
     """Reference: _relax_time one exponential at a time, on the forward
-    series' walk from t = 1, each error reduced on its own."""
-    last = np.inf
-    for t, e in gen._ladder[0].walk(gen.n)(1.0):
+    series' walk from the search's start, each error reduced on its own."""
+    norm, last = _relax_norm(gen), np.inf
+    for t, e in gen._ladder[0].walk(gen.n)(_search_start(1.0, norm)):
+        if t * norm > 2.0 ** 59:
+            raise SimplexViolationError(what)
         state = e @ x
         err = np.abs(state - target).sum()
         if err < budget:
@@ -207,19 +227,14 @@ def _walk_face_hit(b0, z, walk):
     if float(z.min()) <= 1e-12 * scale:
         return 0.0, int(np.argmin(z)), z.copy()
     norm = float(np.abs(b0).sum(axis=0).max())
-    t_first = 1e-6
-    while 2.0 * t_first * norm <= 0.5:
-        t_first *= 2.0
-    while t_first * norm > 0.5:
-        t_first *= 0.5
     lo, wt = 0.0, z.tolist()
-    for hi, e in walk(t_first):
+    for hi, e in walk(_search_start(1e-6, norm)):
+        if hi * norm > 2.0 ** 59:
+            raise SimplexViolationError("backward flow never hits a face")
         w_hi = e @ z
         w = w_hi.tolist()
         if not min(w) > 0.0:
             break
-        if hi > 2.0 ** 59:
-            raise SimplexViolationError("backward flow never hits a face")
         lo, wt = hi, w
     diag, upper = b0.diagonal().tolist(), b0.diagonal(1).tolist() + [0.0]
     t, at_lo, cross = lo, True, 0.25
@@ -447,13 +462,14 @@ def _leaves_after_short_flow(b0, pz, z):
 
 
 def _reference_synthesize(gen, x0, x, eps):
-    """Reference: synthesize with the cooling time doubled in a bounded loop."""
+    """Reference: synthesize with the cooling time doubled in a bounded loop
+    from the search's start."""
     n = gen.n
     x0 = np.asarray(x0, dtype=float)
     e1 = np.eye(n)[0]
     cool_t = 0.0
     if np.abs(x0 - e1).sum() > eps / 2.0:
-        cool_t = 1.0
+        cool_t = _search_start(1.0, _relax_norm(gen))
         for _ in range(2 ** 16):
             if np.abs(flow(gen, x0, cool_t) - e1).sum() < eps / 2.0:
                 break
@@ -511,7 +527,8 @@ def _reference_merge_parallel(block_schedules, n, total):
 
 def _reference_synthesize_local(n, m, x0, x, eps):
     """Reference: synthesize_local with per-block loops, the fill loop for
-    the scatter and a bounded doubling loop for each relaxation."""
+    the scatter and a bounded doubling loop from the search's start for each
+    relaxation."""
     total = n ** m
     gen_block = _gen(n)
     x = np.asarray(x, dtype=float)
@@ -529,7 +546,7 @@ def _reference_synthesize_local(n, m, x0, x, eps):
         collapsed = np.zeros(total)
         for k in range(n_blocks):
             collapsed[k * n] = cur[k * n:(k + 1) * n].sum()
-        t_relax = 1.0
+        t_relax = _search_start(1.0, _relax_norm(gen_block))
         for _ in range(2 ** 16):
             if np.abs(block_flow(cur, t_relax) - collapsed).sum() < round_budget:
                 break
@@ -899,6 +916,23 @@ class TestSegment:
         source[:] = [0, 1, 2]
         assert seg.perm.tolist() == [2, 0, 1]
         assert source.flags.writeable
+
+    def test_owns_its_perm_and_builds_one_array_from_a_sequence(self, monkeypatch):
+        # an array of the caller's, a view of one or a buffer it shares is
+        # copied; a list or tuple is made into one array, which is kept
+        base = np.array([9, 2, 0, 1])
+        for source in (np.array([2, 0, 1]), base[1:], memoryview(np.array([2, 0, 1]))):
+            seg = Segment(source, 0.5)
+            assert seg.perm.flags.owndata and not np.shares_memory(seg.perm, np.asarray(source))
+        made = []
+        real = dmajor.reach.check_permutation
+        monkeypatch.setattr(dmajor.reach, "check_permutation",
+                            lambda p: made.append(real(p)) or made[-1])
+        for source in ([2, 0, 1], (2, 0, 1), [np.int64(2), 0, 1]):
+            seg = Segment(source, 0.5)
+            assert seg.perm is made[-1] and seg.perm.tolist() == [2, 0, 1]
+            assert _schedule_bytes(Schedule([seg])) == \
+                _schedule_bytes(Schedule([Segment(np.array(source), 0.5)]))
 
     def test_value_equality(self):
         assert Segment((1, 0), 0.5) == Segment(np.array([1, 0]), 0.5)
@@ -1288,12 +1322,10 @@ class TestFirstFaceHit:
 
     def test_matches_the_walk_reference(self, faces, rate_faces):
         # the bracket reads the block's kept chain: the hit equals that of
-        # the walk one exponential at a time, bit for bit, on a warm chain
-        # and on a walk without one
+        # the walk one exponential at a time, bit for bit
         for b0, z, walk in faces + rate_faces:
-            want = _outcome(_walk_face_hit, b0, z, walk)
-            assert _outcome(dmajor.reach._first_face_hit, b0, z, walk) == want
-            assert _outcome(dmajor.reach._first_face_hit, b0, z, lambda t: walk(t)) == want
+            assert _outcome(dmajor.reach._first_face_hit, b0, z, walk) == \
+                _outcome(_walk_face_hit, b0, z, walk)
 
     def test_matches_the_walk_reference_from_cold_chains(self):
         # fresh ladders, in time units 2^-3 .. 2^3 of the unit ones: the
@@ -1310,16 +1342,23 @@ class TestFirstFaceHit:
                         _outcome(_walk_face_hit, b0, z, walk)
                 assert backward.chains and all(c[1] for c in backward.chains.values())
 
-    def test_gives_up_where_the_walk_does(self):
-        # tiny upper rates put the face past 2^59: the bracket raises there,
-        # on a cold chain and on the kept one
+    def test_hits_the_face_at_tiny_rates(self):
+        # upper rates of 1e-20 put the face near 1e40, which the search,
+        # read in units of 1 / ||B0||_1, reaches as at unit rates (an absolute
+        # give-up at t = 2^59 refused it): the walk's hit on a cold chain and
+        # on the kept one, on the face of the exact exponential
         gen = b0_from_rates(BathRates(4, np.full(3, 1e-20), np.zeros(3)))
         backward = dmajor.dissipation._ladder_of.__wrapped__(gen.b0.tobytes(), 4)[1]
+        b0 = gen.b0[:3, :3]
         for z in ([0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
             z = np.array(z)
-            got = _outcome(dmajor.reach._first_face_hit, gen.b0[:3, :3], z, backward.walk(3))
-            assert got == _outcome(_walk_face_hit, gen.b0[:3, :3], z, backward.walk(3))
-            assert got == ("SimplexViolationError", "backward flow never hits a face")
+            got = _outcome(dmajor.reach._first_face_hit, b0, z, backward.walk(3))
+            assert got == _outcome(_walk_face_hit, b0, z, backward.walk(3))
+            tau, j, w = dmajor.reach._first_face_hit(b0, z, backward.walk(3))
+            assert 1e39 < tau < 1e41
+            exact = scipy.linalg.expm(tau * b0) @ z
+            assert abs(exact[j]) <= 1e-12 and exact.min() >= -1e-12
+            assert np.max(np.abs(w - exact)) <= 1e-12
 
     def test_returns_the_state_at_the_hit(self, faces):
         for b0, z, walk in faces[::7]:
@@ -1399,10 +1438,18 @@ class TestTwoLevelFaceHit:
             assert abs(tau - z[0] / (1e-13 * z[1])) <= 2 * np.spacing(tau)
             assert abs(tau - tau_ref) <= 2.5e-15 * tau_ref
 
+    def test_hits_the_face_at_a_tiny_rate(self):
+        # an upper rate of 1e-40 puts the face near 7e39, at tau ||b0||_1
+        # = 2 log 2, far below the 2^59 where the search gives up (an
+        # absolute give-up at t = 2^59 refused it): the closed-form root
+        gen, z = _tolerated_gen(0.0, -1e-40, 1e-40), np.array([0.5, 0.5])
+        tau, j = _two_level_hit(gen.b0[:2, :2], z)
+        assert j == 0
+        assert abs(tau - _exact_two_level_root(gen.b0[:2, :2], z)) <= 4 * np.spacing(tau)
+        sched = synthesize_from_ground(gen, [0.5, 0.5, 0.0])
+        assert [(s.perm.tolist(), s.duration) for s in sched.segments] == [([1, 0, 2], tau)]
+
     @pytest.mark.parametrize("block,z", [
-        # an upper rate of 1e-40 puts the face near 7e39, past the 2^59
-        # where the search gives up
-        ((0.0, -1e-40, 1e-40), [0.5, 0.5]),
         # b00 = 5e-13 > 0 and b11 - b00 = 5e-16: the face comes at 4.8e15,
         # where w1 = z1 e^{b11 tau} is beyond the float range
         ((5e-13, -5e-13, 5.005e-13), [1.0 - 1e-4, 1e-4]),
@@ -1543,11 +1590,13 @@ class TestFullSynthesis:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_entries_past_the_return_raise_nothing(self, n):
-        # at 2^k B0, k = 1015..1018, the forward walk raises within 8
-        # doublings: the relaxation returns at t = 1 before that entry, and
-        # raises where the walk one exponential at a time does, cold and warm
+        # at 2^k B0, k = 1015..1018, the forward walk from t = 1 raises within
+        # 8 doublings: the relaxation starts at 1/4 < t ||N||_1 <= 1/2 and
+        # returns B0's time over 2^k, and raises where the walk one
+        # exponential at a time does, cold and warm
         x0 = np.random.default_rng(n).dirichlet(np.ones(n))
         e1 = np.eye(n)[0]
+        unit = dmajor.reach._relax_time(_gen(n), x0, e1, 1e-6, "no")[0]
         for k in range(1015, 1019):
             gen = Generator(np.ldexp(_gen(n).b0, k))
             with pytest.raises(ValueError, match="finite"):
@@ -1557,7 +1606,7 @@ class TestFullSynthesis:
                 args = (gen, x0, e1, budget, "no")
                 assert _outcome(dmajor.reach._relax_time, *args) == \
                     _outcome(_walk_relax_time, *args)
-            assert dmajor.reach._relax_time(gen, x0, e1, 1e-6, "no")[0] == 1.0
+            assert dmajor.reach._relax_time(gen, x0, e1, 1e-6, "no")[0] == math.ldexp(unit, -k)
 
     def test_matches_doubling_loop_reference(self):
         rng = np.random.default_rng(31)
@@ -1571,7 +1620,85 @@ class TestFullSynthesis:
                                       _reference_synthesize(gen, x0, target, eps))
 
 
+def _unit_pairs(sizes):
+    """Seeded (n, x0, target) at each n: two Dirichlet pairs below 64
+    levels, one from there."""
+    for n in sizes:
+        rng = np.random.default_rng(n + 97)
+        for _ in range(2 if n < 64 else 1):
+            yield (n, *rng.dirichlet(np.full(n, rng.choice([0.3, 1.0, 3.0])), size=2))
+
+
+def _unit_schedules(gen, x0, x):
+    """(route, schedule, start, bound): synthesize_from_ground from e_1 and
+    synthesize from x0 at eps 1e-6 and 1e-12, each with its endpoint bound."""
+    e1 = np.eye(gen.n)[0]
+    yield "ground", synthesize_from_ground(gen, x), e1, dmajor.reach._ground_error_bound(x)
+    for eps in (1e-6, 1e-12):
+        yield eps, synthesize(gen, x0, x, eps), x0, eps
+
+
+class TestTimeUnitCampaign:
+    """The reachable set of exp(-t s B0) does not depend on s: synthesis in
+    the time unit s gives B0's schedule with its durations over s."""
+
+    POWERS = list(range(-200, 201, 5))
+
+    @pytest.mark.parametrize("sizes,powers", [(range(2, 9), POWERS), ((64, 256), [-60, 60])],
+                             ids=["n2-8", "n64-256"])
+    def test_powers_of_two_scale_every_duration_bit_for_bit(self, sizes, powers):
+        # the searches start at 1/4 < t ||N||_1 <= 1/2 and give up at
+        # t ||N||_1 > 2^59, so 2^k B0 gets B0's permutations and durations
+        # 2^-k times as long, bit for bit; with absolute rules the routes
+        # failed from k = -60 (ground) and k = -50 (cooling)
+        for n, x0, x in _unit_pairs(sizes):
+            b0 = _gen(n).b0
+            want = [(route, [(seg.perm.tolist(), seg.duration) for seg in sched.segments])
+                    for route, sched, _, _ in _unit_schedules(Generator(b0), x0, x)]
+            for k in powers:
+                gen = Generator(np.ldexp(b0, k))
+                got = []
+                for route, sched, start, bound in _unit_schedules(gen, x0, x):
+                    got.append((route, [(seg.perm.tolist(), math.ldexp(seg.duration, k))
+                                        for seg in sched.segments]))
+                    assert np.abs(endpoint(gen, start, sched) - x).sum() <= bound, (n, k, route)
+                assert got == want, (n, k)
+
+    def test_a_bracket_of_subnormal_times_ends(self):
+        # at 2^1020 B0 the face hits fall near 1e-309, where 2e-15 * hi rounds
+        # to 0: the bracket ends once its midpoint rounds to an end (the
+        # relative stop alone never ended it), with B0's permutations and
+        # durations within the subnormals' rounding of B0's over 2^1020
+        b0 = _gen(4).b0
+        x = np.random.default_rng(4).dirichlet(np.ones(4))
+        want = synthesize_from_ground(Generator(b0), x).segments
+        got = synthesize_from_ground(Generator(np.ldexp(b0, 1020)), x).segments
+        assert [s.perm.tolist() for s in got] == [s.perm.tolist() for s in want]
+        for g, w in zip(got, want):
+            assert 1e-310 < g.duration < 1e-307
+            assert abs(math.ldexp(g.duration, 1020) - w.duration) <= 1e-14 * w.duration
+
+    @pytest.mark.parametrize("s", [1e-40, 1e-20, 1e-12, 1e12, 1e20])
+    def test_other_time_units_meet_the_bound(self, s):
+        # not a power of two: the search's times fall elsewhere on the
+        # doubling grid, and every endpoint still meets its bound
+        for n, x0, x in _unit_pairs(range(2, 9)):
+            gen = Generator(_gen(n).b0 * s)
+            for route, sched, start, bound in _unit_schedules(gen, x0, x):
+                assert np.abs(endpoint(gen, start, sched) - x).sum() <= bound, (n, s, route)
+
+
 class TestLocalSynthesis:
+    def test_one_level_blocks_relax_at_the_seed(self):
+        # N = 0 at one level: the search starts at its seed 1 and has no
+        # give-up time (2^59 / ||N||_1 would divide by zero); a budget out of
+        # reach still stops once a doubling no longer lowers the error
+        for m in (1, 3):
+            sched = synthesize_local(1, m, [1.0], [1.0], 1e-6)
+            assert [s.duration for s in sched.segments] == [1.0] * m + [0.0] * m
+        with pytest.raises(SimplexViolationError, match="cooling did not converge"):
+            synthesize(_gen(1), [1.0 + 1e-10], [1.0], 1e-12)
+
     def test_round_one_collapse(self):
         x0 = np.array([0.1, 0.2, 0.3, 0.4])
         sched = synthesize_local(2, 2, x0, np.full(4, 0.25), eps=1e-6)

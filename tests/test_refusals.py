@@ -269,6 +269,23 @@ REFUSALS = {
                             "eps must be positive"),
     "local-synthesis-size": (lambda: synthesize_local(2, 2, [0.5, 0.5], QUARTER, 1e-6),
                              "state of length 2 where 4 is needed"),
+    # m = True once ran as 1, m = 3.0, m = 0 and n = "2" raised TypeError,
+    # and m = -1 asked for a state of length 0.5
+    "local-synthesis-m-boolean": (lambda: synthesize_local(2, True, [0.5, 0.5], [0.3, 0.7], 1e-6),
+                                  INTEGER_BOOL),
+    "local-synthesis-m-float": (lambda: synthesize_local(2, 3.0, QUARTER, QUARTER, 1e-6),
+                                "expected integers, got entries of dtype float64"),
+    "local-synthesis-m-zero": (lambda: synthesize_local(2, 0, [1.0], [1.0], 1e-6),
+                               "m must lie in 1..12, got 0"),
+    "local-synthesis-m-negative": (lambda: synthesize_local(2, -1, [0.5], [0.5], 1e-6),
+                                   "m must lie in 1..12, got -1"),
+    # n^m is formed only for m <= 12: at n >= 2 a larger m is past MAX_LOCAL_DIM = 2^12
+    "local-synthesis-m-past-the-cap": (lambda: synthesize_local(1, 13, [1.0], [1.0], 1e-6),
+                                       "m must lie in 1..12, got 13"),
+    "local-synthesis-n-string": (lambda: synthesize_local("2", 2, QUARTER, QUARTER, 1e-6),
+                                 "n must be an integer, got '2'"),
+    "local-synthesis-n-zero": (lambda: synthesize_local(0, 2, [1.0], [1.0], 1e-6),
+                               "n must be positive"),
     # a length-1 state once broadcast over the 3 levels
     "reachable-sample-size": (lambda: reachable_sample(_zero_temp(3), [1.0], 2, 0),
                               "state of length 1 where 3 is needed"),
