@@ -11,12 +11,13 @@ majorization relative to a positive definite fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
-from .linalg import check_square, hermitian_eig
-from .majorize import (_numbers, _scaled_tol, _within_norm, as_real_array, as_weight_vector,
-                       column_stochastic_transfer, majorizes)
+from .linalg import _eigh, check_square, hermitian_eig
+from .majorize import (_column_rows, _np_sum, _numbers, _scaled_tol, _within_norm, as_real_array,
+                       as_weight_vector, majorizes)
 
 
 # channel_between's action has n^4 complex entries: 16 MB at the cap
@@ -121,7 +122,7 @@ def kernel_block_form(t: SuperOperator, tol: float = 1e-9):
     compression failure means the input was not actually positive.
     """
     k = t.dim_out
-    w, u = hermitian_eig(_unit_image(t), herm_tol=None)
+    w, u = _eigh(_unit_image(t))
     m = int(np.sum(w <= tol * np.abs(w).max()))
     proj = u[:, :k - m] @ u[:, :k - m].conj().T
     images = t.action.T.reshape(-1, k, k).transpose(0, 2, 1)     # T(E_jl), stacked
@@ -141,7 +142,10 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     the eigenvalue vectors by a column-stochastic matrix, lift it to a
     pinching channel, and conjugate with the eigenbasis unitaries.  An
     eigendirection of b whose eigenvalue lies within tol * ||b||_1 of zero
-    goes to null_state (default: the maximally mixed state).
+    goes to null_state (default: the maximally mixed state).  The spectra
+    are checked and transferred as lists of floats by the kernel of
+    column_stochastic_transfer, with A's spectrum first moved into ||b||_1
+    (_within_norm), and each matrix is validated once.
     """
     a = check_square(a, "A", 1e-10)
     b = check_square(b, "B", 1e-10)
@@ -151,17 +155,18 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     if n > MAX_CHANNEL_DIM:
         raise ValueError(f"channel_between handles n <= MAX_CHANNEL_DIM = {MAX_CHANNEL_DIM}, "
                          f"got n = {n}")
-    x, u = hermitian_eig(a, herm_tol=None)
-    y, v = hermitian_eig(b, herm_tol=None)
-    eps = _scaled_tol(y, tol)
-    if abs(x.sum() - y.sum()) > eps:
+    x, u = _eigh(a)
+    y, v = _eigh(b)
+    xs, ys = x.tolist(), y.tolist()
+    eps = _scaled_tol(ys, tol)
+    if abs(_np_sum(xs) - _np_sum(ys)) > eps:
         raise ValueError("channel_between requires tr(A) = tr(B)")
-    if np.abs(x).sum() > np.abs(y).sum() + eps:
+    if _np_sum(list(map(abs, xs))) > _np_sum(list(map(abs, ys))) + eps:
         raise ValueError("channel_between requires ||A||_1 <= ||B||_1")
     # absorb the slack accepted above (tol, wider than the 1e-10 that
     # column_stochastic_transfer accepts); A's spectrum moves O(eps) in 1-norm
-    x = _within_norm(x, y)
-    m = column_stochastic_transfer(x, y).matrix
+    (p, _), (q, _) = _within_norm(xs, ys)
+    m = np.array(_column_rows(list(map(sub, p, q)), ys, 1e-9))
 
     # T(v_j v_j*) = U diag(M[:, j]) U*, or omega where y_j vanishes; each
     # column is kron(conj(U), U) on the diagonal units, applied to M
@@ -179,9 +184,7 @@ def matrix_majorizes(a, b, tol: float = 1e-9) -> bool:
     b = check_square(b, "B", 1e-10)
     if a.shape != b.shape:
         raise ValueError("A and B must have equal size")
-    wa, _ = hermitian_eig(a, herm_tol=None)
-    wb, _ = hermitian_eig(b, herm_tol=None)
-    return majorizes(wa, wb, tol)
+    return majorizes(_eigh(a)[0], _eigh(b)[0], tol)
 
 
 def _psd_sqrt(a: np.ndarray, clamp: float) -> np.ndarray:
@@ -263,13 +266,15 @@ def identity_distance_witness(t: SuperOperator, tol: float = 1e-9):
 
 
 def kraus_set(t: SuperOperator, tol: float = 1e-12) -> list[np.ndarray]:
-    """Kraus operators from the Choi eigendecomposition (CP maps only)."""
-    c = choi(t)
-    w, vecs = hermitian_eig(c)
+    """Kraus operators from the Choi eigendecomposition (CP maps only): the
+    eigenvectors of the eigenvalues above tol, scaled by their square roots in
+    one product and read as dim_out x dim_in operators by one reshape."""
+    w, vecs = hermitian_eig(choi(t))
     if not _psd(w, 1e-9):
         raise PositivityError("Choi matrix is not positive semi-definite")
-    return [np.sqrt(w[i]) * vecs[:, i].reshape(t.dim_in, t.dim_out).T
-            for i in range(w.size) if w[i] > tol]
+    keep = w > tol
+    scaled = (vecs[:, keep] * np.sqrt(w[keep])).T
+    return list(scaled.reshape(-1, t.dim_in, t.dim_out).transpose(0, 2, 1))
 
 
 __all__ = [

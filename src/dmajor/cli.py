@@ -322,11 +322,17 @@ def _cmd_channel(args) -> int:
         "tp": is_tp(t),
         "residual_trace_norm": residual,
     }
+    gate = max(args.tol, 1e-8) * trace_norm(b)
+    # the first condition that fails, with its value and its gate (the
+    # tolerance of is_cp and is_tp, or the bound on the residual)
+    failed = ("cp", False, 1e-9) if not data["cp"] else ("tp", False, 1e-9) if not data["tp"] \
+        else None if residual <= gate else ("residual_trace_norm", residual, gate)
+    if failed:
+        data["failed"] = dict(zip(("condition", "value", "gate"), failed))
     if args.kraus:
         data["kraus"] = [_complex_matrix_json(k) for k in kraus_set(t)]
-    verdict = data["cp"] and data["tp"] and residual <= max(args.tol, 1e-8) * trace_norm(b)
-    _emit(args, _report("channel", verdict=verdict, data=data))
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    _emit(args, _report("channel", verdict=failed is None, data=data))
+    return EXIT_FALSE if failed else EXIT_TRUE
 
 
 def _cmd_cnr(args) -> int:

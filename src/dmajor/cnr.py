@@ -12,8 +12,8 @@ from .linalg import check_square, hermitian_eig
 
 MAX_SPECTRUM_DIM = 7
 # count * n^2 of c_numerical_range_sample, whose (count, n, n) complex stacks
-# take 65-72 B per entry: at the cap, a 135-151 MB tracemalloc peak and
-# 0.4-1.4 s for n = 32..2 (2-core VM)
+# take 65-72 B per entry: at the cap, a 129-144 MiB tracemalloc peak (the
+# Haar draws) and about 0.3-0.5 s for n = 32..2 (2-core VM, one BLAS thread)
 MAX_SAMPLE_ENTRIES = 2 ** 21
 
 
@@ -85,9 +85,10 @@ def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def c_numerical_range_sample(c, a, count: int, seed: int = 0) -> np.ndarray:
-    """count samples of tr(C U* A U) at Haar-random unitaries (seeded);
-    count * n^2 is capped at MAX_SAMPLE_ENTRIES, and a sample beyond the
-    float range raises ValueError."""
+    """count samples of tr(C U* A U) at Haar-random unitaries (seeded), as
+    sum conj(U) o (A U C): each product is one matrix product over the whole
+    stack.  count * n^2 is capped at MAX_SAMPLE_ENTRIES, and a sample beyond
+    the float range raises ValueError."""
     c = check_square(c, "C")
     a = check_square(a, "A")
     if c.shape != a.shape:
@@ -95,10 +96,13 @@ def c_numerical_range_sample(c, a, count: int, seed: int = 0) -> np.ndarray:
     if count * c.size > MAX_SAMPLE_ENTRIES:
         raise ValueError(f"count * n^2 = {count * c.size} exceeds the cap "
                          f"MAX_SAMPLE_ENTRIES = {MAX_SAMPLE_ENTRIES}")
-    rng = np.random.default_rng(seed)
-    us = haar_unitaries(c.shape[0], count, rng)
+    us = haar_unitaries(c.shape[0], count, np.random.default_rng(seed))
+    k, n, _ = us.shape
+    t = us.transpose(1, 0, 2)
     with np.errstate(over="ignore", invalid="ignore"):    # refused below
-        samples = np.einsum("ab,kba->k", c, np.swapaxes(us.conj(), 1, 2) @ a @ us)
+        # A times the n x kn matrix [U_1 ... U_k], then its kn x n rows times C
+        w = ((a @ t.reshape(n, k * n)).reshape(k * n, n) @ c).reshape(t.shape)
+        samples = np.einsum("mkl,mkl->k", t.conj(), w)
     if not np.isfinite(samples).all():
         raise ValueError("samples of tr(C U* A U) overflow the float range")
     return samples

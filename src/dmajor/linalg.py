@@ -61,7 +61,12 @@ def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-12) -> tuple[np.ndarray, n
     ascending-solver order, so the result is deterministic) and unitary u
     such that h = u @ diag(w) @ u^dagger.
     """
-    w, u = np.linalg.eigh(check_square(h, herm_tol=herm_tol))
+    return _eigh(check_square(h, herm_tol=herm_tol))
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig of a matrix that check_square has passed."""
+    w, u = np.linalg.eigh(h)
     order = np.argsort(-w, kind="stable")
     return w[order], u[:, order]
 

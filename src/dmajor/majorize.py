@@ -5,12 +5,13 @@ Conventions: majorizes(x, y) is True when x is *more mixed* than y, i.e. a
 doubly stochastic matrix maps y to x.  d_majorizes(x, y, d) likewise asks for
 a column-stochastic matrix with fixed point d mapping y to x.
 
-The d-majorization routes, the curve elbows and the T-transform
-certificates run on lists of Python floats: at n <= 8 numpy's per-call
-overhead costs more than their arithmetic.  Classical majorization is
-d-majorization at d = e and runs on the same kernels.  numpy builds the
-returned arrays, and only the functions that do so import it, so the list
-kernels run in a process that never loads numpy.
+The d-majorization routes, the curve elbows, the T-transform certificates
+and the column-stochastic transfer run on lists of Python floats: at n <= 8
+numpy's per-call overhead costs more than their arithmetic.  Classical
+majorization is d-majorization at d = e and runs on the same kernels.  numpy
+builds the returned arrays and sums 8 or more entries for the column
+kernel, and only those functions import it, so the d-majorization kernels
+run in a process that never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
 from math import isfinite
 from operator import add, mul, sub
@@ -350,14 +352,16 @@ def _t_transform_chain(xs: list, ys: list, w: list, rows: list) -> tuple[list, i
     C w = w, for masses of non-increasing densities xs/w and ys/w, equal
     totals and sum xs[:m] <= sum ys[:m]; at w = e this is classical
     majorization.  Each of at most m-1 weighted T-transforms moves mass from
-    the last j with ys_j > xs_j to the first later k with ys_k < xs_k."""
+    the last j with ys_j > xs_j to the first later k with ys_k < xs_k.  A
+    transform changes only diff[j] and diff[k], so the next j is k if
+    diff[k] > small and otherwise no later than j: the scan resumes there."""
     m = len(xs)
     a, y = list(rows), list(ys)
     diff = [yi - xi for yi, xi in zip(y, xs)]
     small = 1e-13 * sum(map(abs, ys))
+    j = m - 1
     for count in range(m):
         # largest j with x_j < y_j, then the smallest k > j with x_k > y_k
-        j = m - 1
         while j >= 0 and not diff[j] > small:
             j -= 1
         k = j + 1
@@ -371,6 +375,8 @@ def _t_transform_chain(xs: list, ys: list, w: list, rows: list) -> tuple[list, i
                       [t10 * u + t11 * v for u, v in zip(a[j], a[k])])
         y[j], y[k] = t00 * y[j] + t01 * y[k], t10 * y[j] + t11 * y[k]
         diff[j], diff[k] = y[j] - xs[j], y[k] - xs[k]
+        if diff[k] > small:
+            j = k
     return a, m
 
 
@@ -454,58 +460,80 @@ def doubly_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     return StochasticMatrix(out.matrix, "doubly", n_t_transforms=out.n_t_transforms)
 
 
-def _within_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x shifted to the total of y, then x_+ scaled down to sum y_+ and x_-
-    to sum y_- where they exceed them.
+def _np_sum(v: list) -> float:
+    """np.sum(v), bit for bit: numpy adds fewer than 8 floats in order."""
+    if len(v) < 8:
+        return reduce(add, v, 0.0)
+    import numpy as np
+    return float(np.sum(v))
+
+
+def _within_norm(x: list, y: list) -> list:
+    """The parts [(z_+, sum y_+), (z_-, sum y_-)] of z: x shifted to the total
+    of y, then x_+ scaled down to sum y_+ and x_- to sum y_- where they exceed
+    them.  The sums run in numpy's order, so z is the array form's bit for bit.
 
     With equal totals an excess of ||x||_1 over ||y||_1 splits evenly between
     the two parts, so this moves x by exactly that excess: the smallest
     1-norm move into ||x||_1 <= ||y||_1.
     """
-    import numpy as np
-
-    x = x + (y.sum() - x.sum()) / y.size
-    parts = []
+    shift = (_np_sum(y) - _np_sum(x)) / len(y)
+    out = []
     for side in (1.0, -1.0):
-        part, bound = np.maximum(side * x, 0.0), np.maximum(side * y, 0.0).sum()
-        parts.append(part * (bound / part.sum()) if part.sum() > bound else part)
-    return parts[0] - parts[1]
+        # max(v, 0.0) keeps v = -0.0, as np.maximum does
+        part = [max(side * (u + shift), 0.0) for u in x]
+        bound, total = _np_sum([max(side * v, 0.0) for v in y]), _np_sum(part)
+        out.append(([v * (bound / total) for v in part] if total > bound else part, bound))
+    return out
+
+
+def _column_rows(x: list, y: list, tol: float) -> list:
+    """The rows of column_stochastic_transfer(x, y, tol) for validated x and y.
+
+    A has at most three distinct columns, one per sign of y_j, so each is
+    built and checked once; its sums run in numpy's order.
+    """
+    n = len(y)
+    eps = _scaled_tol(y, 1e-10)
+    if abs(_np_sum(x) - _np_sum(y)) > eps:
+        raise ValueError("column_stochastic_transfer requires equal totals")
+    if _np_sum(list(map(abs, x))) > _np_sum(list(map(abs, y))) + eps:
+        raise ValueError("column_stochastic_transfer requires ||x||_1 <= ||y||_1")
+    if _np_sum(list(map(abs, map(sub, x, y)))) <= _scaled_tol(y, 1e-3 * tol):
+        return [[float(i == j) for j in range(n)] for i in range(n)]
+
+    uniform = [1.0 / n] * n
+    columns = []
+    for part, total in _within_norm(x, y):
+        slack = max(0.0, total - _np_sum(part)) / n
+        columns.append([(v + slack) / total for v in part] if total > 0 else uniform)
+    pos, neg = columns
+    picked = [pos if v > 0 else neg if v < 0 else uniform for v in y]
+    used = {id(c): c for c in picked}.values()
+    _check_stochastic([*zip(*used)], "column", None, entry_tol=1e-12, sum_tol=1e-10)
+    rows = [*zip(*picked)]
+    if _residual(rows, y, x) > _scaled_tol(y, 1e-9):
+        raise TransferSynthesisError("column-stochastic transfer failed to map y to x")
+    return rows
 
 
 def column_stochastic_transfer(x, y, tol: float = 1e-9) -> StochasticMatrix:
     """Column-stochastic A with A y = x.
 
-    Exists iff e^T x = e^T y and ||x||_1 <= ||y||_1.  A tolerance-level gap
-    between the totals and excess of ||x||_1 over ||y||_1 are absorbed first,
-    giving z.  Column j is then (z_+ + s_+ e/n) / sum y_+ where y_j > 0,
+    Exists iff e^T x = e^T y and ||x||_1 <= ||y||_1, each checked within
+    1e-10 * ||y||_1.  x within 1e-3 * tol * ||y||_1 of y gets the identity.
+    Else a tolerance-level gap between the totals and excess of ||x||_1 over
+    ||y||_1 are absorbed first (_within_norm), giving z, and A has at most
+    three distinct columns: (z_+ + s_+ e/n) / sum y_+ where y_j > 0,
     (z_- + s_- e/n) / sum y_- where y_j < 0, and e/n where y_j = 0, with the
     slack s_+- = max(0, sum y_+- - sum z_+-) of each side taken on its own,
     so a side of tiny mass keeps unit column sums.  A y = z_+ - z_- = z
-    holds within 1e-9 * ||y||_1 of x.
+    holds within 1e-9 * ||y||_1 of x.  The kernel runs on Python floats.
     """
     import numpy as np
 
-    x, y = map(np.array, _validated(x, y, None)[:2])
-    tol = _real_number(tol, _TOL_REFUSAL)
-    n = x.size
-    if abs(x.sum() - y.sum()) > _scaled_tol(y, 1e-10):
-        raise ValueError("column_stochastic_transfer requires equal totals")
-    if np.abs(x).sum() > np.abs(y).sum() + _scaled_tol(y, 1e-10):
-        raise ValueError("column_stochastic_transfer requires ||x||_1 <= ||y||_1")
-    if np.abs(x - y).sum() <= _scaled_tol(y, 1e-3 * tol):
-        return StochasticMatrix(np.eye(n), "column")
-
-    z = _within_norm(x, y)
-    a = np.full((n, n), 1.0 / n)
-    for side in (1.0, -1.0):
-        part, total = np.maximum(side * z, 0.0), np.maximum(side * y, 0.0).sum()
-        if total > 0:
-            a[:, side * y > 0] = ((part + max(0.0, total - part.sum()) / n) / total)[:, None]
-    out = StochasticMatrix(a, "column")
-    out.validate()
-    if np.abs(a @ y - x).sum() > _scaled_tol(y, 1e-9):
-        raise TransferSynthesisError("column-stochastic transfer failed to map y to x")
-    return out
+    x, y = _validated(x, y, None)[:2]
+    return StochasticMatrix(np.array(_column_rows(x, y, _real_number(tol, _TOL_REFUSAL))), "column")
 
 
 def d_stochastic_transfer(x, y, d, tol: float = 1e-9) -> StochasticMatrix:

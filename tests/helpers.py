@@ -132,3 +132,53 @@ def reader_outcome(fn, x):
     except Exception as exc:                            # compared, not swallowed
         return type(exc), str(exc)
     return v.dtype.str, v.shape, v.tobytes(), v is x
+
+
+def array_within_norm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference: majorize._within_norm on arrays, as the library ran it
+    before the list kernel: x shifted to the total of y, then x_+ scaled down
+    to sum y_+ and x_- to sum y_- where they exceed them."""
+    x = x + (y.sum() - x.sum()) / y.size
+    parts = []
+    for side in (1.0, -1.0):
+        part, bound = np.maximum(side * x, 0.0), np.maximum(side * y, 0.0).sum()
+        parts.append(part * (bound / part.sum()) if part.sum() > bound else part)
+    return parts[0] - parts[1]
+
+
+def array_column_transfer(x, y, tol: float = 1e-9) -> np.ndarray:
+    """Reference: the matrix of column_stochastic_transfer(x, y, tol) as the
+    library built it in numpy before the list kernel, for valid x and y
+    (the refusals and the final checks left out)."""
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    n = x.size
+    if np.abs(x - y).sum() <= tol * 1e-3 * sum(map(abs, y)):
+        return np.eye(n)
+    z = array_within_norm(x, y)
+    a = np.full((n, n), 1.0 / n)
+    for side in (1.0, -1.0):
+        part, total = np.maximum(side * z, 0.0), np.maximum(side * y, 0.0).sum()
+        if total > 0:
+            a[:, side * y > 0] = ((part + max(0.0, total - part.sum()) / n) / total)[:, None]
+    return a
+
+
+def kraus_list(t: SuperOperator, tol: float = 1e-12) -> list:
+    """Reference: kraus_set as one scaled, reshaped eigenvector per kept
+    eigenvalue of the Choi matrix."""
+    from dmajor.channels import choi
+    from dmajor.linalg import hermitian_eig
+
+    w, vecs = hermitian_eig(choi(t))
+    return [np.sqrt(w[i]) * vecs[:, i].reshape(t.dim_in, t.dim_out).T
+            for i in range(w.size) if w[i] > tol]
+
+
+def stacked_trace_samples(c, a, count: int, seed: int = 0) -> np.ndarray:
+    """Reference: c_numerical_range_sample's tr(C U* A U) by two stacked
+    matmuls and an einsum, at the same Haar draws."""
+    from dmajor.cnr import haar_unitaries
+
+    c, a = np.asarray(c, dtype=complex), np.asarray(a, dtype=complex)
+    us = haar_unitaries(c.shape[0], count, np.random.default_rng(seed))
+    return np.einsum("ab,kba->k", c, np.swapaxes(us.conj(), 1, 2) @ a @ us)

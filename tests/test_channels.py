@@ -23,9 +23,9 @@ from dmajor.channels import (
     vec,
 )
 from dmajor.linalg import hermitian_eig
-from dmajor.majorize import _within_norm, column_stochastic_transfer, d_majorizes
-from helpers import (compose, from_function, from_kraus, identity_superoperator,
-                     pinching_superoperator, trace_projection)
+from dmajor.majorize import d_majorizes
+from helpers import (array_column_transfer, array_within_norm, compose, from_function, from_kraus,
+                     identity_superoperator, kraus_list, pinching_superoperator, trace_projection)
 
 
 def rand_hermitian(rng, n):
@@ -72,7 +72,7 @@ def composed_channel(a, b, null_state=None, tol=1e-9):
     n = a.shape[0]
     x, u = hermitian_eig(a)
     y, v = hermitian_eig(b)
-    m = column_stochastic_transfer(_within_norm(x, y), y).matrix
+    m = array_column_transfer(array_within_norm(x, y), y)
     omega = np.eye(n) / n if null_state is None else null_state
     pinch = pinching_superoperator(m)
     for j in np.flatnonzero(np.abs(y) <= tol * np.abs(y).sum()):
@@ -367,6 +367,33 @@ class TestChannelBetween:
                     assert np.max(np.abs(t.action - ref)) <= 1e-12
                     assert is_cp(t) and is_tp(t)
 
+    def test_validates_each_matrix_once(self, monkeypatch):
+        # check_square reads A and B once each; the eigendecompositions do
+        # not validate them again
+        from dmajor import linalg
+
+        seen = []
+        check = linalg.check_square
+
+        def counted(where):
+            return lambda *args, **kwargs: seen.append(where) or check(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "check_square", counted("channels"))
+        monkeypatch.setattr(linalg, "check_square", counted("linalg"))
+        a, b = hermitian_pair_with_precondition(np.random.default_rng(86), 3)
+        channel_between(a, b)
+        assert seen == ["channels", "channels"]
+
+    def test_matches_composed_superoperators_up_to_the_cap(self):
+        rng = np.random.default_rng(87)
+        for n in (5, 8, 16, MAX_CHANNEL_DIM):
+            a, b = hermitian_pair_with_precondition(rng, n)
+            ref = composed_channel(a, b).action
+            assert np.max(np.abs(channel_between(a, b).action - ref)) <= 1e-12
+            a, b = pair_with_singular_b(rng, n, n // 2)
+            ref = composed_channel(a, b).action
+            assert np.max(np.abs(channel_between(a, b).action - ref)) <= 1e-12
+
     def test_runs_without_the_chain(self, monkeypatch):
         # the column-stochastic transfer is closed form: no majorization
         # test, no doubly stochastic chain
@@ -422,6 +449,25 @@ class TestChannelBetween:
         x = rand_hermitian(rng, 3)
         rebuilt = sum(k @ x @ k.conj().T for k in ops)
         assert np.max(np.abs(rebuilt - t.apply(x))) <= 1e-9
+
+
+class TestKrausSet:
+    def test_matches_the_per_eigenvalue_list(self):
+        # one product and one reshape give the reference's operators bit for
+        # bit: channels, a map between unequal dimensions and the zero map
+        rng = np.random.default_rng(88)
+        maps = [SuperOperator(3, 3, np.zeros((9, 9))), identity_superoperator(2)]
+        for n in (2, 3, 4, 8):
+            maps.append(channel_between(*hermitian_pair_with_precondition(rng, n)))
+            maps.append(channel_between(*pair_with_singular_b(rng, n, 1)))
+        maps.append(from_kraus(rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))))
+        for t in maps:
+            got, ref = kraus_set(t), kraus_list(t)
+            assert len(got) == len(ref)
+            for k, r in zip(got, ref):
+                assert k.shape == r.shape == (t.dim_out, t.dim_in)
+                assert k.tobytes() == r.tobytes()
+        assert kraus_set(maps[0]) == []
 
 
 class TestMatrixMajorization:

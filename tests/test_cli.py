@@ -1021,6 +1021,36 @@ class TestChannel:
         assert data["residual_trace_norm"] <= 1e-8
         assert len(data["kraus"]) <= 4
 
+    @pytest.mark.parametrize("fail", ["cp", "tp", "residual_trace_norm"])
+    def test_negative_verdict_names_the_failed_condition(self, tmp_path, capture, monkeypatch,
+                                                         fail):
+        # the first of CP, TP and the residual that fails, with its value
+        # and its gate; the residual's gate is max(tol, 1e-8) * ||B||_1
+        monkeypatch.setattr(dmajor.channels, "is_cp", lambda t: fail != "cp")
+        monkeypatch.setattr(dmajor.channels, "is_tp", lambda t: fail != "tp")
+        if fail == "residual_trace_norm":
+            monkeypatch.setattr(dmajor.channels, "trace_norm", lambda m: 2.0)
+        a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
+        b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
+        code, out, _ = capture(["--tol", "1e-9", "channel", "--a", a, "--b", b])
+        report = json.loads(out)
+        assert code == 1 and report["verdict"] is False
+        gate = {"cp": 1e-9, "tp": 1e-9, "residual_trace_norm": 2e-8}[fail]
+        value = 2.0 if fail == "residual_trace_norm" else False
+        assert report["data"]["failed"] == {"condition": fail, "value": value, "gate": gate}
+        # with every condition failing, CP is named
+        monkeypatch.setattr(dmajor.channels, "is_cp", lambda t: False)
+        monkeypatch.setattr(dmajor.channels, "is_tp", lambda t: False)
+        monkeypatch.setattr(dmajor.channels, "trace_norm", lambda m: 2.0)
+        _, out, _ = capture(["channel", "--a", a, "--b", b])
+        assert json.loads(out)["data"]["failed"]["condition"] == "cp"
+
+    def test_positive_verdict_names_no_condition(self, tmp_path, capture):
+        a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
+        b = write(tmp_path, "b.json", [[1.0, 0.0], [0.0, 0.0]])
+        code, out, _ = capture(["channel", "--a", a, "--b", b])
+        assert code == 0 and "failed" not in json.loads(out)["data"]
+
     def test_complex_entries(self, tmp_path, capture):
         a = write(tmp_path, "a.json",
                   [[[0.5, 0.0], [0.0, -0.1]], [[0.0, 0.1], [0.5, 0.0]]])

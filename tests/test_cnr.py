@@ -12,7 +12,7 @@ from dmajor.cnr import (
     unitary_orbit_extrema,
 )
 from dmajor.majorize import majorizes
-from helpers import perm_matrix
+from helpers import perm_matrix, stacked_trace_samples
 
 
 def rand_hermitian(rng, n):
@@ -172,6 +172,34 @@ class TestHaarSampling:
         cloud = np.column_stack([samples.real, samples.imag])
         hull = Delaunay(cloud)
         assert hull.find_simplex([center.real, center.imag]) >= 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 32])
+    def test_trace_identity_matches_the_stacked_trace(self, n):
+        # sum conj(U) o (A U C) against the stacked U* A U and its einsum, at
+        # the same draws, for Hermitian and general pairs
+        rng = np.random.default_rng(40 + n)
+        for c, a in ((rand_hermitian(rng, n), rand_hermitian(rng, n)),
+                     rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))):
+            got = c_numerical_range_sample(c, a, 256, seed=n)
+            ref = stacked_trace_samples(c, a, 256, seed=n)
+            assert np.abs(got - ref).max() <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(a)
+            assert np.array_equal(got, c_numerical_range_sample(c, a, 256, seed=n))
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_memory_at_the_cap(self, n):
+        # the tracemalloc peak of a call at the cap, draws included, stays
+        # at most 150 MiB (144.1 and 129.1 MiB measured at n = 2 and 32)
+        import tracemalloc
+
+        c = np.diag(np.arange(n, dtype=float))
+        tracemalloc.start()
+        try:
+            samples = c_numerical_range_sample(c, c, MAX_SAMPLE_ENTRIES // n ** 2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (MAX_SAMPLE_ENTRIES // n ** 2,)
+        assert peak <= 150 * 2 ** 20, peak / 2 ** 20
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_sample_cap(self, monkeypatch, n):

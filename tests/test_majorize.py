@@ -24,7 +24,8 @@ from dmajor.majorize import (
     thermo_curve,
 )
 from dmajor.polytope import contains, halfspace_bounds, vertex_for_permutation
-from helpers import array_as_vector, curve_minimum_form, random_d_stochastic, reader_outcome
+from helpers import (array_as_vector, array_column_transfer, array_within_norm, curve_minimum_form,
+                     random_d_stochastic, reader_outcome)
 
 
 class TestMajorizes:
@@ -1086,7 +1087,8 @@ def _parent_pieces(d, px, py):
 
 
 def _parent_t_transform_chain(xs, ys, w, rows):
-    """_t_transform_chain as it found j and k with next(genexpr)."""
+    """_t_transform_chain as it rescanned for j from the end after every
+    T-transform, finding j and k with next(genexpr)."""
     m = len(xs)
     a, y = list(rows), list(ys)
     diff = [yi - xi for yi, xi in zip(y, xs)]
@@ -1199,6 +1201,133 @@ class TestCertificateKernels:
             args = (x, y, d, rows)
             ref = _outcome(_parent_t_transform_chain, *args)
             assert _outcome(_t_transform_chain, *args) == ref
+
+
+class TestResumingChain:
+    """_t_transform_chain resumes its scan for j at k or j; the rescanning
+    chain is the reference for every call the certificates make."""
+
+    def _compare_calls(self, monkeypatch):
+        chain, counts = majorize._t_transform_chain, []
+
+        def compared(*args):
+            ref = _outcome(_parent_t_transform_chain, *args)
+            got = chain(*args)
+            assert (np.array(got[0]).tobytes(), got[1]) == ref
+            counts.append(got[1])
+            return got
+
+        monkeypatch.setattr(majorize, "_t_transform_chain", compared)
+        return counts
+
+    def test_seeded_certify_record(self, monkeypatch):
+        import json
+        from pathlib import Path
+
+        counts = self._compare_calls(monkeypatch)
+        record = json.loads((Path(__file__).parent / "data" / "seeded_certify.json").read_text())
+        assert {item["n"] for item in record} == set(range(2, 9))
+        for item in record:
+            if item["certificate"] is not None:
+                d_stochastic_transfer(item["x"], item["y"], item["d"])
+            doubly_stochastic_transfer(item["xc"], item["y"])
+        assert len(counts) >= len(record) and max(counts) >= 8
+
+    def test_scale_campaign(self, monkeypatch):
+        counts = self._compare_calls(monkeypatch)
+        for x, y, d in _scale_cases(61):
+            if d_majorizes(x, y, d):
+                for s in TestScaleCampaign.SCALES:
+                    d_stochastic_transfer(s * x, s * y, d)
+        assert len(counts) > 1000 and max(counts) >= 5
+
+
+def _column_cases(seed):
+    """Seeded valid (x, y) at n = 2..32: y indefinite, definite of either
+    sign or with null entries; x an equal-total point inside ||y||_1, a
+    point 3e-11 * ||y||_1 past it, or y moved by 1e-14 of its norm."""
+    rng = np.random.default_rng(seed)
+    for trial in range(31 * 12):
+        n = 2 + trial % 31
+        y = rng.standard_normal(n)
+        kind = trial // 31 % 4
+        if kind == 1:
+            y = np.abs(y) * (1.0 if trial % 2 else -1.0)
+        elif kind == 2:
+            y[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+        x = rng.standard_normal(n)
+        x += (y.sum() - x.sum()) / n
+        while np.abs(x).sum() > np.abs(y).sum():
+            x = 0.7 * x + 0.3 * y.sum() / n
+        if trial // 124 == 1:
+            # a permutation of y with 1.5e-11 * ||y||_1 moved from its
+            # smallest entry (pushed below 0) to its largest
+            sign = 1.0 if y.sum() >= 0 else -1.0
+            x = sign * rng.permutation(y)
+            i, j = np.argmax(x), np.argmin(x)
+            move = max(0.0, x[j]) + 1.5e-11 * np.abs(y).sum()
+            x[i] += move
+            x[j] -= move
+            x *= sign
+        elif trial // 124 == 2:
+            x = y + 1e-14 * np.abs(y).sum() * rng.standard_normal(n)
+            x += (y.sum() - x.sum()) / n
+        yield x, y
+
+
+# the spectra of TestChannelBetween::test_tolerance_level_excess_over_definite_b
+_DEFINITE_EXCESS = (([0.7 + 4e-10, 0.3, -4e-10], [0.5, 0.3, 0.2]),
+                    ([-0.7 - 4e-10, -0.3, 4e-10], [-0.5, -0.3, -0.2]),
+                    ([1.5 + 2e-10, 0.5, -2e-10 - 1e-12], [1.0, 1.0, -1e-12]))
+
+
+def _within_ulps(got, ref, ulps=2):
+    return bool((np.abs(got - ref) <= ulps * np.spacing(np.abs(ref))).all())
+
+
+class TestColumnKernel:
+    """The list kernel of column_stochastic_transfer against the array form
+    it replaced (helpers.array_column_transfer and array_within_norm)."""
+
+    def test_np_sum_is_numpys(self):
+        rng = np.random.default_rng(71)
+        for n in list(range(1, 40)) + [127, 128, 129, 300]:
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            v[rng.random(n) < 0.2] = 0.0
+            assert majorize._np_sum(v.tolist()) == np.sum(v)
+            assert str(majorize._np_sum([-0.0] * n)) == str(np.sum(np.full(n, -0.0)))
+
+    def test_within_norm_matches_the_array_form(self):
+        for x, y in [*_column_cases(72), *map(lambda c: map(np.array, c), _DEFINITE_EXCESS)]:
+            (p, bound), (q, _) = majorize._within_norm(x.tolist(), y.tolist())
+            z = array_within_norm(x, y)
+            assert np.subtract(p, q).tobytes() == z.tobytes()
+            assert np.array(p).tobytes() == np.maximum(z, 0.0).tobytes()
+            assert bound == np.maximum(y, 0.0).sum()
+
+    def test_matrix_within_two_ulps(self):
+        kinds = set()
+        for x, y in _column_cases(73):
+            got = column_stochastic_transfer(x, y).matrix
+            assert _within_ulps(got, array_column_transfer(x, y)), (x, y)
+            kinds.add("I" if np.array_equal(got, np.eye(y.size)) else len({*map(tuple, got.T)}))
+        assert kinds == {1, 2, 3, "I"}, kinds
+
+    def test_channel_path_within_two_ulps(self):
+        # channel_between moves A's spectrum into ||B||_1 first, then calls
+        # the kernel: the array form applied the shift-and-scale twice
+        for x, y in [*_column_cases(74), *map(lambda c: map(np.array, c), _DEFINITE_EXCESS)]:
+            (p, _), (q, _) = majorize._within_norm(x.tolist(), y.tolist())
+            got = np.array(majorize._column_rows(np.subtract(p, q).tolist(), y.tolist(), 1e-9))
+            assert _within_ulps(got, array_column_transfer(array_within_norm(x, y), y)), (x, y)
+
+    def test_kernel_checks_each_distinct_column_once(self, monkeypatch):
+        seen = []
+        check = majorize._check_stochastic
+        monkeypatch.setattr(majorize, "_check_stochastic",
+                            lambda rows, *args, **kw: seen.append(len(rows[0])) or check(rows, *args, **kw))
+        column_stochastic_transfer([0.1, 0.1, 0.1, 0.1], [0.6, -0.4, 0.0, 0.2])
+        assert seen == [3]
 
 
 def _parent_entries(x):
