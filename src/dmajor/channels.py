@@ -142,7 +142,8 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     the eigenvalue vectors by a column-stochastic matrix, lift it to a
     pinching channel, and conjugate with the eigenbasis unitaries.  An
     eigendirection of b whose eigenvalue lies within tol * ||b||_1 of zero
-    goes to null_state (default: the maximally mixed state).  The spectra
+    goes to null_state (default: the maximally mixed state), an n x n
+    density matrix: Hermitian, PSD and of unit trace within tol.  The spectra
     are checked and transferred as lists of floats by the kernel of
     column_stochastic_transfer, with A's spectrum first moved into ||b||_1
     (_within_norm), and each matrix is validated once.
@@ -155,6 +156,11 @@ def channel_between(a, b, null_state: np.ndarray | None = None,
     if n > MAX_CHANNEL_DIM:
         raise ValueError(f"channel_between handles n <= MAX_CHANNEL_DIM = {MAX_CHANNEL_DIM}, "
                          f"got n = {n}")
+    if null_state is not None:
+        null_state = check_square(null_state, "null_state", tol)
+        if null_state.shape != a.shape or not _psd(np.linalg.eigvalsh(null_state), tol) \
+                or abs(np.trace(null_state).real - 1.0) > tol:
+            raise ValueError(f"null_state must be a density matrix of size {n} x {n} within tol")
     x, u = _eigh(a)
     y, v = _eigh(b)
     xs, ys = x.tolist(), y.tolist()
@@ -267,12 +273,13 @@ def identity_distance_witness(t: SuperOperator, tol: float = 1e-9):
 
 def kraus_set(t: SuperOperator, tol: float = 1e-12) -> list[np.ndarray]:
     """Kraus operators from the Choi eigendecomposition (CP maps only): the
-    eigenvectors of the eigenvalues above tol, scaled by their square roots in
-    one product and read as dim_out x dim_in operators by one reshape."""
+    eigenvectors of the eigenvalues above tol times the largest, scaled by
+    their square roots in one product and read as dim_out x dim_in operators
+    by one reshape."""
     w, vecs = hermitian_eig(choi(t))
     if not _psd(w, 1e-9):
         raise PositivityError("Choi matrix is not positive semi-definite")
-    keep = w > tol
+    keep = w > tol * w[0]
     scaled = (vecs[:, keep] * np.sqrt(w[keep])).T
     return list(scaled.reshape(-1, t.dim_in, t.dim_out).transpose(0, 2, 1))
 

@@ -29,8 +29,9 @@ def c_spectrum(c, t, dedup_tol: float = 1e-10) -> np.ndarray:
     """All sums sum_i lambda_i(C) lambda_{pi(i)}(T) over permutations pi.
 
     Both matrices must be normal.  The sums come in (real, imag) order, and
-    one within dedup_tol of an earlier kept sum is dropped.  These points are
-    attained in the C-numerical range by eigenbasis permutation unitaries.
+    one within dedup_tol * ||lambda(C)||_1 * max |lambda(T)| (a bound on every
+    sum, so rescaling keeps the count) of an earlier kept sum is dropped.  The
+    sums are attained in the C-numerical range by permutation unitaries.
     """
     c = _check_normal(c, "C")
     t = _check_normal(t, "T")
@@ -44,6 +45,7 @@ def c_spectrum(c, t, dedup_tol: float = 1e-10) -> np.ndarray:
     perms = np.array(list(itertools.permutations(range(n))))
     values = lt[perms] @ lc
     values = values[np.lexsort((values.imag, values.real))]
+    dedup_tol *= np.abs(lc).sum() * np.abs(lt).max()
     # kept sums within dedup_tol of v have real parts within it: a tail of out
     out = np.empty_like(values)
     k = 0

@@ -620,8 +620,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     finite positive total, and sample_count <= MAX_SAMPLE_COUNT.
     z is the maximal corner of the d-majorization polytope of x0.  The report
     checks, without raising, that (a) x0 is majorized by z, (b) {x < z} is
-    invariant under dx/dt = -B0 x and (c) no sampled schedule (seeds seed,
-    seed + 1, ..., one stacked propagator evaluation per 1024) leaves it,
+    invariant under dx/dt = -B0 x and (c) no sampled schedule (schedule i is
+    random_schedule's of seed + i; one propagator stack per 1024) leaves it,
     read off the half-space form of {x < z}, the d-majorization polytope of
     z at d = e, within majorizes' tolerance.
 
@@ -679,8 +679,8 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
     limit = halfspace_bounds(z, np.ones(n)).b + _scaled_tol(z, 1e-9)
     violations = 0
     for lo in range(0, sample_count, _SAMPLE_BLOCK):
-        seeds = range(seed + lo, seed + min(lo + _SAMPLE_BLOCK, sample_count))
-        pts = _sample_paths(gen, x0, sample_depth, seeds)
+        count = min(_SAMPLE_BLOCK, sample_count - lo)
+        pts = _sample_paths(gen, x0, sample_depth, seed + lo, count)
         violations += int(np.count_nonzero(~(pts @ facets <= limit).all(axis=(1, 2))))
 
     report = EnvelopeReport(
@@ -697,111 +697,55 @@ def majorization_envelope(x0, d, sample_count: int = 100, sample_depth: int = 4,
 # reproducible random sampling
 # ---------------------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-class SplitMix64:
-    """Tiny 64-bit PRNG (splitmix-style), reproducible across platforms."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
-
-    def below(self, bound: int) -> int:
-        # rejection sampling keeps the draw unbiased
-        limit = (_MASK64 + 1) - (_MASK64 + 1) % bound
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
-
-    def permutation(self, n: int) -> np.ndarray:
-        p = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
-            p[i], p[j] = p[j], p[i]
-        return np.array(p)
-
-
-def _draws(n: int, depth: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations (len(seeds), depth, n) and durations (len(seeds), depth)
-    of the random schedules of the given seeds, equal bit for bit to the
-    SplitMix64 streams: per segment, Fisher-Yates below n, n - 1, ..., 2,
-    then one uniform u, giving the duration exp(log 1e-3 + u log 1e5).
-
-    SplitMix64's state is a Weyl sequence, seed + j gamma mod 2^64, so the
-    j-th outputs of every seed are one uint64 array, mixed at once, and
-    Fisher-Yates swaps one column of every permutation at a time.  A draw
-    below b rejects the 2^64 mod b largest outputs (at most 4 of 2^64 for b
-    <= 8); a seed whose stream hits one is drawn by the class itself."""
+def _draws(n: int, depth: int, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations (count, depth, n) and durations (count, depth) of the
+    random schedules of the seeds seed, ..., seed + count - 1 (mod 2^64).
+    Seed s has the 64-bit splitmix stream mix(s + j gamma), j = 1, 2, ..., read
+    as uniforms (output >> 11) / 2^53, n + 1 per segment: the permutation is
+    the stable argsort of the first n, and the last u gives the duration
+    exp(log 1e-3 + u log 1e5).  The states s + j gamma of all seeds form one
+    uint64 array, mixed at once."""
     if not 0 <= depth <= MAX_SAMPLE_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_SAMPLE_DEPTH}], got {depth}")
-    seeds = [s & _MASK64 for s in seeds]
-    k, width = len(seeds), max(n, 1)     # outputs per segment: n - 1 swaps, a uniform
-    z = np.array(seeds, dtype=np.uint64).reshape(k, 1) \
-        + np.arange(1, depth * width + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (np.uint64(seed % 2 ** 64) + np.arange(count, dtype=np.uint64))[:, None] \
+        + np.arange(1, depth * (n + 1) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    z = z.reshape(k, depth, width)
-    bounds = range(n, 1, -1)
-    below, u = z[..., :n - 1], (z[..., -1] >> np.uint64(11)) / float(1 << 53)
-    swaps = (below % np.array(bounds, dtype=np.uint64)).astype(np.intp)
-    perms = np.tile(np.arange(n), (k, depth, 1))
-    flat, rows = perms.reshape(k * depth, n), np.arange(k * depth)
-    for col, b in enumerate(bounds):
-        j = swaps[..., col].ravel()
-        flat[rows, b - 1], flat[rows, j] = flat[rows, j], flat[rows, b - 1]
-    top = np.array([_MASK64 - (_MASK64 + 1) % b for b in bounds], dtype=np.uint64)
-    for s in np.flatnonzero((below > top).any(axis=(1, 2))):
-        rng = SplitMix64(seeds[s])
-        for i in range(depth):
-            perms[s, i] = rng.permutation(n)
-            u[s, i] = rng.uniform()
+    u = (z >> np.uint64(11)).reshape(count, depth, n + 1) / float(1 << 53)
     lo, hi = np.log(1e-3), np.log(1e2)
-    return perms, np.exp(lo + u * (hi - lo))
+    return np.argsort(u[..., :n], axis=-1, kind="stable"), np.exp(lo + u[..., n] * (hi - lo))
 
 
 def random_schedule(n: int, depth: int, seed: int) -> Schedule:
-    """Deterministic pseudo-random schedule: Fisher-Yates permutations and
-    log-uniform durations on [1e-3, 1e2], drawn from SplitMix64(seed) bit
-    for bit (see _draws).  n, depth and seed are read by the number rule."""
+    """Deterministic pseudo-random schedule: uniform permutations and
+    log-uniform durations on [1e-3, 1e2], from the splitmix stream of seed
+    mod 2^64 (see _draws).  n, depth and seed are read by the number rule."""
     n = _integer(n, "n must be an integer")
     depth = _integer(depth, "depth must be an integer")
     seed = _integer(seed, "seed must be an integer")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    perms, durations = _draws(n, depth, [seed])
+    perms, durations = _draws(n, depth, seed, 1)
     return Schedule([Segment(p, t) for p, t in zip(perms[0], durations[0].tolist())])
 
 
-def _sample_paths(gen: Generator, x0, depth: int, seeds) -> np.ndarray:
-    """States visited by the random schedules of the given seeds, x0 first:
-    shape (len(seeds), depth + 1, n).
+def _sample_paths(gen: Generator, x0, depth: int, seed: int, count: int) -> np.ndarray:
+    """States visited by the random schedules of the seeds seed, ...,
+    seed + count - 1, x0 first: shape (count, depth + 1, n).
 
     The schedules are drawn together (_draws) and all propagators come from
     one stacked evaluation; the states of all schedules then advance one
     segment at a time, by one matvec per schedule as a single schedule would.
     """
     x = _check_simplex(x0, gen.n)
-    perms, durations = _draws(gen.n, depth, seeds)
-    k = len(perms)
-    flows = propagator(gen, durations.ravel()).reshape(k, depth, gen.n, gen.n)
-    out = np.empty((k, depth + 1, gen.n))
+    perms, durations = _draws(gen.n, depth, seed, count)
+    flows = propagator(gen, durations.ravel()).reshape(count, depth, gen.n, gen.n)
+    out = np.empty((count, depth + 1, gen.n))
     out[:, 0] = x
-    rows = np.arange(k)[:, None]
+    rows = np.arange(count)[:, None]
     for j in range(depth):
         permuted = out[:, j][rows, perms[:, j]]
         out[:, j + 1] = _clamp_simplex(np.matmul(flows[:, j], permuted[:, :, None])[:, :, 0])
@@ -813,7 +757,7 @@ def reachable_sample(gen: Generator, x0, depth: int, seed: int) -> np.ndarray:
     depth and seed are read by the number rule."""
     depth = _integer(depth, "depth must be an integer")
     seed = _integer(seed, "seed must be an integer")
-    return _sample_paths(gen, x0, depth, [seed])[0]
+    return _sample_paths(gen, x0, depth, seed, 1)[0]
 
 
 __all__ = [
@@ -821,7 +765,6 @@ __all__ = [
     "Schedule",
     "Segment",
     "SimplexViolationError",
-    "SplitMix64",
     "Trajectory",
     "endpoint",
     "majorization_envelope",

@@ -165,13 +165,13 @@ def array_column_transfer(x, y, tol: float = 1e-9) -> np.ndarray:
 
 def kraus_list(t: SuperOperator, tol: float = 1e-12) -> list:
     """Reference: kraus_set as one scaled, reshaped eigenvector per kept
-    eigenvalue of the Choi matrix."""
+    eigenvalue of the Choi matrix, one above tol times the largest."""
     from dmajor.channels import choi
     from dmajor.linalg import hermitian_eig
 
     w, vecs = hermitian_eig(choi(t))
     return [np.sqrt(w[i]) * vecs[:, i].reshape(t.dim_in, t.dim_out).T
-            for i in range(w.size) if w[i] > tol]
+            for i in range(w.size) if w[i] > tol * w.max()]
 
 
 def stacked_trace_samples(c, a, count: int, seed: int = 0) -> np.ndarray:

@@ -319,6 +319,27 @@ class TestChannelBetween:
         img = t.apply(np.outer(null_vec, null_vec.conj()))
         assert trace_norm(img - omega) <= 1e-9
 
+    def test_accepted_null_states_give_channels(self):
+        # density matrices of full and lower rank, and ones off by up to half
+        # the tolerance in Hermiticity, in positivity and in trace: each is
+        # accepted, and the map is CP and TP
+        rng = np.random.default_rng(89)
+        for n in (2, 3, 4):
+            a, b = pair_with_singular_b(rng, n, 1)
+            for tol in (1e-9, 1e-6):
+                pure = np.outer(*[rng.standard_normal(n)] * 2)
+                omegas = [rand_density(rng, n), pure / np.trace(pure), np.eye(n) / n]
+                skew = rand_hermitian(rng, n) * 1j
+                omegas.append(omegas[0] + 0.25 * tol * np.abs(omegas[0]).max()
+                              * skew / np.abs(skew).max())
+                w, u = np.linalg.eigh(omegas[1])
+                w[0] = -0.5 * tol * w.max()
+                omegas.append(u @ np.diag(w / w.sum()) @ u.conj().T)
+                omegas.append(omegas[0] * (1 + 0.5 * tol))
+                for omega in omegas:
+                    t = channel_between(a, b, null_state=omega, tol=tol)
+                    assert is_cp(t, tol) and is_tp(t, tol)
+
     def test_tolerance_level_input_slack(self):
         # inputs equal only up to the comparison tolerance must still yield a
         # channel within the residual contract
@@ -468,6 +489,22 @@ class TestKrausSet:
                 assert k.shape == r.shape == (t.dim_out, t.dim_in)
                 assert k.tobytes() == r.tobytes()
         assert kraus_set(maps[0]) == []
+
+
+    def test_operators_follow_the_scale_of_the_map(self):
+        # a CP map times s = 2^k keeps its operator count, each operator times
+        # sqrt(s); an absolute cut once dropped every operator below 1e-12
+        rng = np.random.default_rng(87)
+        t = from_kraus(rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
+        ref = kraus_set(t)
+        assert len(ref) == 3
+        for k in range(-60, 61):
+            scaled = SuperOperator(2, 2, t.action * 2.0 ** k)
+            assert is_cp(scaled)
+            got = kraus_set(scaled)
+            assert len(got) == len(ref)
+            for op, r in zip(got, ref):
+                assert np.abs(op - 2.0 ** (k / 2) * r).max() <= 1e-12 * 2.0 ** (k / 2)
 
 
 class TestMatrixMajorization:

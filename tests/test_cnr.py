@@ -65,6 +65,19 @@ class TestCSpectrum:
             order = np.lexsort((pts.imag, pts.real))
             assert np.array_equal(order, np.arange(pts.size))
 
+    def test_dedup_follows_the_scale_of_the_sums(self):
+        # C = diag(1, 2, 3), T = diag(0, 1, 5): six distinct sums at every
+        # scale s = 2^k of C, each s times the sum at s = 1; an absolute
+        # dedup_tol once merged them to two below 1e-10
+        c, t = np.diag([1.0, 2.0, 3.0]), np.diag([0.0, 1.0, 5.0])
+        ref = c_spectrum(c, t)
+        assert ref.size == 6
+        for k in range(-60, 61):
+            s = 2.0 ** k
+            for pts in (c_spectrum(s * c, t), c_spectrum(c, s * t)):
+                assert pts.size == 6
+                assert np.abs(pts - s * ref).max() <= 1e-12 * s * np.abs(ref).max()
+
     def test_rejects_non_normal(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):

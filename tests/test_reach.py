@@ -21,7 +21,6 @@ from dmajor.reach import (
     Schedule,
     Segment,
     SimplexViolationError,
-    SplitMix64,
     endpoint,
     majorization_envelope,
     random_schedule,
@@ -353,49 +352,46 @@ def _scalar_majorizes(x, y, tol=1e-9):
     return bool(np.all(xs[:-1] <= ys[:-1] + eps))
 
 
-def _per_point_sample(b0, x, depth, seed):
-    """Reference: the schedule drawn one segment at a time, one exponential,
-    one clamp and one copy per segment."""
-    rng = SplitMix64(seed)
+def _splitmix64(seed):
+    """Reference: the SplitMix64 output stream of seed mod 2^64, one Python
+    int at a time."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def _reference_uniforms(n, depth, seed):
+    """Reference: one schedule's uniforms drawn from the scalar stream, n + 1
+    a segment: the sort keys (depth, n) and the duration uniforms (depth,)."""
+    stream = _splitmix64(seed)
+    u = np.array([(next(stream) >> 11) / float(1 << 53) for _ in range(depth * (n + 1))])
+    u = u.reshape(depth, n + 1)
+    return u[:, :n], u[:, n]
+
+
+def _log_uniform(u):
     lo, hi = np.log(1e-3), np.log(1e2)
+    return np.exp(lo + u * (hi - lo))
+
+
+def _per_point_sample(b0, x, depth, seed):
+    """Reference: the schedule's uniforms from the scalar stream, each
+    segment's keys ranked by Python's stable sort, then one exponential, one
+    clamp and one copy per segment."""
+    keys, u = _reference_uniforms(b0.shape[0], depth, seed)
     points = [x.copy()]
-    for _ in range(depth):
-        perm = rng.permutation(b0.shape[0])
-        duration = float(np.exp(lo + rng.uniform() * (hi - lo)))
-        x = scipy.linalg.expm(-duration * b0) @ x[perm]
+    for key, duration in zip(keys, _log_uniform(u)):
+        perm = sorted(range(key.size), key=key.__getitem__)     # a stable ranking
+        x = scipy.linalg.expm(-float(duration) * b0) @ x[perm]
         assert -np.minimum(x, 0.0).sum() <= 1e-10
         x = np.maximum(x, 0.0)
         x = x / x.sum()
         points.append(x.copy())
     return np.array(points)
-
-
-def _class_draws(n, depth, seed):
-    """Reference: one schedule's permutations and durations drawn from the
-    class, and the state the stream ends in."""
-    rng = SplitMix64(seed)
-    perms, u = np.empty((depth, n), dtype=int), np.empty(depth)
-    for i in range(depth):
-        perms[i] = rng.permutation(n)
-        u[i] = rng.uniform()
-    lo, hi = np.log(1e-3), np.log(1e2)
-    return perms, np.exp(lo + u * (hi - lo)), rng.state
-
-
-def _forged_seed(k, out):
-    """A seed whose k-th SplitMix64 output is out: the xor-shifts of the
-    mixer undone and its multipliers inverted, then k steps taken back."""
-    mask = (1 << 64) - 1
-
-    def unshift(y, shift):
-        x = y
-        for _ in range(64 // shift + 1):
-            x = y ^ (x >> shift)
-        return x
-
-    z = unshift(out, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
-    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
-    return (unshift(z, 30) - k * 0x9E3779B97F4A7C15) & mask
 
 
 def _tangent_partials(z, b0):
@@ -1933,6 +1929,27 @@ class TestEnvelope:
         assert calls == [(16,), (16,), (8,)]
         _assert_matches_reference(x0, d, 20, 2, 5, z, report)
 
+    def test_sample_i_is_the_schedule_of_seed_plus_i(self, monkeypatch):
+        # blocks of 8 from the seed -3, so the seeds cross a block boundary
+        # and pass 2^64 - 1 to 0: path i is reachable_sample's at seed - 3 + i
+        paths, real = [], dmajor.reach._sample_paths
+
+        def recording(*args):
+            out = real(*args)
+            paths.extend(out)
+            return out
+
+        monkeypatch.setattr(dmajor.reach, "_SAMPLE_BLOCK", 8)
+        monkeypatch.setattr(dmajor.reach, "_sample_paths", recording)
+        d, x0 = equidistant_d(0.4, 4), np.array([0.1, 0.2, 0.3, 0.4])
+        majorization_envelope(x0, d, sample_count=20, sample_depth=3, seed=-3)
+        monkeypatch.undo()
+        assert len(paths) == 20
+        gen = b0_from_rates(thermal_rates(d))
+        for i, path in enumerate(paths):
+            assert np.array_equal(path, reachable_sample(gen, x0, 3, -3 + i))
+            assert np.array_equal(path, reachable_sample(gen, x0, 3, 2 ** 64 - 3 + i))
+
     def test_dimension_cap(self):
         x0 = np.arange(1.0, 9.0) / 36.0
         d = equidistant_d(0.5, 8)
@@ -2108,52 +2125,42 @@ class TestSampling:
             assert pts.shape == (depth + 1, d.size)
             assert np.max(np.abs(pts - _per_point_sample(gen.b0, x0, depth, seed))) <= 1e-14
 
-    def test_draws_equal_the_class_streams(self):
+    def test_draws_equal_the_scalar_reference(self):
+        # three consecutive seeds from each, so that 2^64 - 1 and -1 step on
+        # to 0 mod 2^64: the durations carry the reference's uniforms bit for
+        # bit, and each permutation is the stable argsort of its keys
         seeds = [0, 1, 7, 2 ** 31 - 1, -1, -5, -2 ** 63, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
                  2 ** 70 + 5, 12345678901234567890]
         for n in range(1, 9):
             for depth in range(dmajor.reach.MAX_SAMPLE_DEPTH + 1):
-                perms, durations = dmajor.reach._draws(n, depth, seeds)
-                assert perms.shape == (len(seeds), depth, n)
-                assert durations.shape == (len(seeds), depth)
-                for s, seed in enumerate(seeds):
-                    want_perms, want_durations, _ = _class_draws(n, depth, seed)
-                    assert np.array_equal(perms[s], want_perms)
-                    assert np.array_equal(durations[s], want_durations)
-                sched = random_schedule(n, depth, seeds[-1])
-                assert [seg.perm.tolist() for seg in sched.segments] == perms[-1].tolist()
-                assert [seg.duration for seg in sched.segments] == durations[-1].tolist()
+                for seed in seeds:
+                    perms, durations = dmajor.reach._draws(n, depth, seed, 3)
+                    assert perms.shape == (3, depth, n)
+                    assert durations.shape == (3, depth)
+                    for i in range(3):
+                        keys, u = _reference_uniforms(n, depth, seed + i)
+                        assert np.array_equal(perms[i], np.argsort(keys, axis=-1, kind="stable"))
+                        assert np.array_equal(durations[i], _log_uniform(u))
+                    sched = random_schedule(n, depth, seed)
+                    assert [seg.perm.tolist() for seg in sched.segments] == perms[0].tolist()
+                    assert [seg.duration for seg in sched.segments] == durations[0].tolist()
 
-    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
-    def test_draws_take_rejected_outputs_from_the_class(self, n):
-        # a seed whose k-th output is 2^64 - 1, which every draw below a bound
-        # other than a power of two rejects, at each such draw of 4 segments
-        depth, mask, gamma = 4, (1 << 64) - 1, dmajor.reach._GAMMA
-        for segment in range(depth):
-            for col, bound in enumerate(range(n, 1, -1)):
-                if (1 << 64) % bound == 0:
-                    continue
-                k = segment * n + col + 1
-                seed = _forged_seed(k, mask)
-                rng = SplitMix64(seed)
-                assert [rng.next_u64() for _ in range(k)][-1] == mask
-                want_perms, want_durations, state = _class_draws(n, depth, seed)
-                # the stream took one output more than n per segment
-                assert state == (seed + (depth * n + 1) * gamma) & mask
-                seeds = [3, seed, seed - 2 ** 64, seed + 2 ** 64, 4]
-                perms, durations = dmajor.reach._draws(n, depth, seeds)
-                for s in (1, 2, 3):
-                    assert np.array_equal(perms[s], want_perms)
-                    assert np.array_equal(durations[s], want_durations)
-                for s in (0, 4):
-                    assert np.array_equal(perms[s], _class_draws(n, depth, seeds[s])[0])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_draws_reach_every_permutation_alike(self, n):
+        # 24,000 seeded segments: each permutation within 15 % of its share
+        perms = dmajor.reach._draws(n, 12, 5, 2000)[0].reshape(-1, n)
+        seen, counts = np.unique(perms, axis=0, return_counts=True)
+        assert seen.tolist() == [list(p) for p in itertools.permutations(range(n))]
+        share = len(perms) / math.factorial(n)
+        assert np.abs(counts - share).max() <= 0.15 * share
 
     def test_splitmix_reference_values(self):
-        rng = SplitMix64(0)
-        first = rng.next_u64()
+        first = next(_splitmix64(0))
         assert first == 0xE220A8397B1DCDAF  # splitmix64 reference stream
-        rng2 = SplitMix64(0)
-        assert rng2.next_u64() == first
+        assert next(_splitmix64(2 ** 64)) == first
+        # the first key of seed 0 is that output's top 53 bits
+        keys, _ = _reference_uniforms(1, 1, 0)
+        assert keys[0, 0] == (first >> 11) / float(1 << 53)
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):

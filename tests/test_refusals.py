@@ -45,6 +45,7 @@ BOOL = "expected real numbers, got a boolean"
 NUMBER = "expected real or complex numbers, got entries of dtype"
 NUMBER_BOOL = "expected real or complex numbers, got a boolean"
 PERMUTATION = "permutation must be a non-empty 1-d integer array"
+NULL_STATE = "null_state must be a density matrix of size"
 NON_NUMBERS = {
     "check-square-string": (lambda: check_square([["1", 0], [0, 1]]), NUMBER),
     "check-square-boolean": (lambda: check_square([[True, 0], [0, 1]]), NUMBER_BOOL),
@@ -170,6 +171,27 @@ REFUSALS = {
                                               identity_superoperator(3)),
                               "composition dimension mismatch"),
     "channel-between-size": (lambda: channel_between(I2, I3), "A and B must have equal size"),
+    # an unchecked null_state once gave a map neither CP nor TP, or a numpy
+    # broadcast error at the wrong size
+    "channel-between-null-state-negative": (
+        lambda: channel_between(np.diag([0.6, 0.4, 0]), np.diag([1.0, 0, 0]),
+                                null_state=np.diag([5.0, -3.0, 0.0])), NULL_STATE),
+    "channel-between-null-state-size": (
+        lambda: channel_between(np.diag([0.6, 0.4, 0]), np.diag([1.0, 0, 0]), null_state=I2 / 2),
+        "null_state must be a density matrix of size 3 x 3"),
+    "channel-between-null-state-trace": (
+        lambda: channel_between(np.diag([0.6, 0.4]), np.diag([1.0, 0]), null_state=I2), NULL_STATE),
+    "channel-between-null-state-not-hermitian": (
+        lambda: channel_between(np.diag([0.6, 0.4]), np.diag([1.0, 0]),
+                                null_state=[[0.5, 0.5], [0.0, 0.5]]),
+        "null_state is not Hermitian within tolerance"),
+    "channel-between-null-state-not-square": (
+        lambda: channel_between(np.diag([0.6, 0.4]), np.diag([1.0, 0]), null_state=[0.5, 0.5]),
+        "null_state must be square"),
+    "channel-between-null-state-infinite": (
+        lambda: channel_between(np.diag([0.6, 0.4]), np.diag([1.0, 0]),
+                                null_state=[[np.inf, 0], [0, 0]]),
+        "entries of null_state must be finite"),
     "matrix-majorizes-size": (lambda: matrix_majorizes(I2, I3), "A and B must have equal size"),
     "c-spectrum-size": (lambda: c_spectrum(I2, I3), "C and T must have equal size"),
     "orbit-extrema-size": (lambda: unitary_orbit_extrema(I2, I3), "C and T must have equal size"),
