@@ -242,16 +242,20 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
     a coordinate above J is negative), and min w > 0 holds on one interval
     [0, tau).  The bracket ends at the first state of the doubling search
     from the seed 1e-6 (_doubling) outside the open simplex.  Safeguarded
-    Newton steps toward the earliest crossing of a falling coordinate, on
-    Python floats, each probe a walk.at, then shrink it to 2e-15 * tau, a
-    few ulps.  Returns (time, index, w(time)), ties toward the lowest index.
+    steps to the root of the quartic Taylor model of w about the last state
+    the series gave (_flow_model), on Python floats, shrink it to 2e-15 * tau,
+    a few ulps.  A probe within 1e-3 min(t, 1 / ||B0||_1) of that state is
+    read off the model, whose truncation there is below 1e-17 ||w||_1; one
+    farther out is a walk.at, and the model is built anew about it: about one
+    walk.at a face.  Returns (time, index, w(time)), ties toward the lowest index.
     """
     scale = max(1.0, float(np.add.reduce(np.abs(z))))
     lo, wt = 0.0, z.tolist()
     if min(wt) <= 1e-12 * scale:
         return 0.0, wt.index(min(wt)), z.copy()
 
-    start, limit = _doubling(walk.norm, 1e-6)
+    norm = walk.norm
+    start, limit = _doubling(norm, 1e-6)
     for hi, w_hi in ((u, w) for ts, e in walk.chain(start, walk) for u, w in zip(ts, e @ z)):
         if hi > limit:
             raise SimplexViolationError("backward flow never hits a face")
@@ -260,36 +264,83 @@ def _first_face_hit(b0: np.ndarray, z: np.ndarray,
             break
         lo, wt = hi, w
 
-    diag, upper = b0.diagonal().tolist(), b0.diagonal(1).tolist() + [0.0]
-    t, at_lo, cross = lo, True, 0.25
-    move_before = move = hi - lo
+    # the model runs in time units x = t / unit, 1 <= unit ||B0||_1 < 2, so that
+    # 2^k B0 gives the same bits; its rates are read from the last coordinate up
+    unit = math.ldexp(1.0, 1 - math.frexp(norm)[1])
+    rates = ([d * unit for d in b0.diagonal().tolist()[::-1]],
+             [0.0] + [u * unit for u in b0.diagonal(1).tolist()[::-1]])
+    t, at_lo, cross, center = lo, True, 0.25, None
+    # the model's first step may cross the whole bracket
+    move_before = move = 2.0 * (hi - lo)
     # the midpoint test ends a bracket of subnormal times, where 2e-15 * hi rounds to 0
     while hi - lo > 2e-15 * hi and lo < lo + 0.5 * (hi - lo) < hi:
-        # Newton toward the earliest crossing of a falling coordinate (w' = B0 w),
-        # landing a quarter of the stop past it so that both ends close in; from
-        # within the stop, by a share of it that doubles each time, to outgrow the
-        # rounding of w.  Bisect when that leaves the bracket or fails to halve
+        # step to the model's root, landing a quarter of the stop past it so that
+        # both ends close in; from within the stop, by a share of it that doubles
+        # each time, to outgrow the rounding of w.  Bisect when that leaves the
+        # bracket or fails to halve
         stop = 2e-15 * hi
         probe = 0.5 * (lo + hi)
-        slope = [d * a + u * b for d, u, a, b in zip(diag, upper, wt, wt[1:] + [0.0])]
-        step = min((-a / s for a, s in zip(wt, slope) if s < 0.0), default=None)
-        if step is not None:
-            near = abs(step) <= stop
-            share = cross if near else 0.25
-            cross *= 2.0 if near else 1.0
-            newton = t + step + (share if at_lo else -share) * stop
-            if lo < newton < hi and (near or 2.0 * abs(newton - t) <= move_before):
-                probe = newton
+        if center is None:
+            center = t
+            model, x = _flow_model(*rates, wt, 2e-17 * hi / unit)
+            root = center + x * unit
+        # a NaN root (no coordinate falls) is neither near nor inside the bracket
+        near = abs(root - t) <= stop
+        share = cross if near else 0.25
+        cross *= 2.0 if near else 1.0
+        newton = root + (share if at_lo else -share) * stop
+        if lo < newton < hi and (near or 2.0 * abs(newton - t) <= move_before):
+            probe = newton
         move_before, move = move, abs(probe - t)
-        t, w_t = probe, walk.at(probe) @ z
-        wt = w_t.tolist()
+        t = probe
+        if abs(t - center) * norm <= 1e-3 * min(1.0, t * norm):
+            x = (t - center) / unit
+            x2, x3, x4 = 0.5 * x, x / 3.0, 0.25 * x
+            wt = [a0 + x * (a1 + x2 * (a2 + x3 * (a3 + x4 * a4))) for a0, a1, a2, a3, a4 in model]
+        else:
+            wt, center = (walk.at(t) @ z).tolist(), None
         at_lo = min(wt) > 0.0
         if at_lo:
             lo = t
         else:
-            hi, w_hi, w = t, w_t, wt
+            hi, w = t, wt
     floor = min(w) + 1e-13 * scale
-    return hi, next(i for i, a in enumerate(w) if a <= floor), w_hi
+    return hi, next(i for i, a in enumerate(w) if a <= floor), np.array(w)
+
+
+def _flow_model(rdiag: list[float], rupper: list[float], w: list[float],
+                tol: float) -> tuple[list[tuple[float, ...]], float]:
+    """The quartic Taylor model of the backward flow about the state w, a tuple
+    (a_0, ..., a_4), a_p = (B^p w)_i, per coordinate, w_i(x) ~ sum_p a_p x^p / p!
+    in time units x of B, whose diagonal rdiag and superdiagonal rupper (led by
+    a 0) run from the last coordinate up; and the root of the coordinate whose
+    linear step -a_0 / a_1 (a_1 < 0) comes first, by Newton steps from it down
+    to tol, or NaN when none falls.  B is bidiagonal, so the model takes one
+    pass and its root O(1) more work."""
+    model, first, index = [], math.inf, -1
+    p0 = p1 = p2 = p3 = 0.0
+    for i, (d, u, a) in enumerate(zip(rdiag, rupper, w[::-1])):
+        b1 = d * a + u * p0
+        b2 = d * b1 + u * p1
+        b3 = d * b2 + u * p2
+        model.append((a, b1, b2, b3, d * b3 + u * p3))
+        if b1 < 0.0 and -a / b1 <= first:
+            first, index = -a / b1, i
+        p0, p1, p2, p3 = a, b1, b2, b3
+    if index < 0:
+        return model[::-1], math.nan
+    a0, a1, a2, a3, a4 = model[index]
+    x = first
+    for _ in range(8):
+        x2, x3 = 0.5 * x, x / 3.0
+        slope = a1 + x * (a2 + x2 * (a3 + x3 * a4))
+        if not slope < 0.0:
+            break
+        dx = (a0 + x * (a1 + x2 * (a2 + x3 * (a3 + 0.25 * x * a4)))) / slope
+        x -= dx
+        if abs(dx) <= tol:
+            break
+    return model[::-1], x
 
 
 def _two_level_face_hit(b0: list[list[float]], z0: float, z1: float) -> tuple[float, int]:
@@ -380,7 +431,9 @@ def synthesize_from_ground(gen: Generator, x) -> Schedule:
     Built backwards: evolve x backward until a coordinate vanishes while the
     state stays in the simplex, permute that face into the last active slot,
     and recurse on the shrunken support.  The backward flows run on the
-    generator's cached series.  The last step, on the leading 2 x 2 block,
+    generator's cached series, about one series evaluation a face besides the
+    bracket's chain: the other probes are read off a quartic Taylor model of
+    the flow (_first_face_hit).  The last step, on the leading 2 x 2 block,
     has the closed form of _two_level_face_hit, within an ulp of the exact
     time, so every schedule ends without a search and an n = 2 generator
     never searches.  It lands within 2.1e-12 n of x' = max(x, 0) / its total
@@ -430,8 +483,9 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
 
     Every later step is a 1-norm contraction, so the cooling error (< eps/2)
     carries through unchanged.  The ground schedule adds its own error: each
-    face hit is located to 2e-15 tau, a few ulps (the last, two-level one to
-    an ulp, in closed form), and the state is renormalized onto the face,
+    face hit is located to 2e-15 tau, a few ulps, on a Taylor model of the
+    flow checked by about one series evaluation (the last, two-level hit to an
+    ulp, in closed form), and the state is renormalized onto the face,
     leaving ~2e-15 (1-norm) at n = 8 and ~1.2e-14 at 256 on seeded Dirichlet
     states (synthesize_from_ground states a bound).  The endpoint error is at
     most eps/2 plus that, and a smaller eps is not met; measure it with endpoint.
