@@ -274,68 +274,37 @@ def _outcome(fn, *args):
     return "ok", [v.tobytes() if isinstance(v, np.ndarray) else v for v in out]
 
 
-def _assert_same_hit(b0, z, walk, arbiter=False):
+def _assert_same_hit(b0, z, walk):
     """_first_face_hit, run first (so that it meets a cold chain first),
     against _walk_face_hit: the same refusal, or hits within the figures of
-    _assert_near_reference, whose verdict on the arbiter it returns."""
+    _assert_near_reference, whose verdict it returns."""
     try:
         got = dmajor.reach._first_face_hit(b0, z, walk)
     except (ValueError, SimplexViolationError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             _walk_face_hit(b0, z, walk)
         return False
-    return _assert_near_reference(b0, z, got, _walk_face_hit(b0, z, walk), arbiter)
+    return _assert_near_reference(b0, z, got, _walk_face_hit(b0, z, walk))
 
 
-def _exact_flow(b0, z, t):
-    """exp(t B0) z for an upper bidiagonal B0 at 60 digits, by its Taylor
-    series (mpmath), as a list of mpf."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        diag = [mpmath.mpf(v) for v in b0.diagonal().tolist()]
-        upper = [mpmath.mpf(v) for v in b0.diagonal(1).tolist()] + [mpmath.mpf(0)]
-        t = mpmath.mpf(t)
-        term = [mpmath.mpf(v) for v in z.tolist()]
-        total, k = list(term), 0
-        while k < 20 or max(map(abs, term)) > mpmath.mpf(10) ** -60 * max(map(abs, total)):
-            k += 1
-            term = [(d * a + u * b) * t / k for d, u, a, b in zip(diag, upper, term, term[1:] + [0])]
-            total = [s + a for s, a in zip(total, term)]
-        return total
-
-
-def _exact_root(b0, z, j, t):
-    """The root near t of coordinate j of the backward flow, at 60 digits, by
-    Newton steps on _exact_flow (w_j' = b_jj w_j + b_j,j+1 w_j+1)."""
-    mpmath = pytest.importorskip("mpmath")
-    diag, upper = b0.diagonal().tolist(), b0.diagonal(1).tolist() + [0.0]
-    with mpmath.workdps(60):
-        t = mpmath.mpf(t)
-        for _ in range(6):
-            w = _exact_flow(b0, z, t) + [0]
-            t -= w[j] / (diag[j] * w[j] + upper[j] * w[j + 1])
-        return t
-
-
-def _assert_near_reference(b0, z, got, ref, arbiter=False):
+def _assert_near_reference(b0, z, got, ref):
     """A face hit (tau, j, w) against ref, the hit of the Newton search with a
     walk.at per probe (_walk_face_hit, _loop_face_hit): the same index, tau
-    within 6e-15 tau (three stops) and w within 1e-14 max(1, ||z||_1).  With
-    arbiter, on blocks where that search itself misses the flow by more
-    (stiff blocks, where the series' own rounding moves a hit by several stops),
-    got may instead lie no farther from the 60-digit root and state than ref,
-    plus those figures.  Returns whether the arbiter was needed."""
+    within 6e-15 tau (three stops) and w within 1e-14 max(1, ||z||_1).
+    Returns whether the hit lies outside those figures, which each caller
+    bounds in number: on stiff blocks the series' rounding, which its
+    squarings grow with tau ||B0||_1, moves either search's hit by more, and
+    the two read it at different times.  Such a hit must still lie within the
+    figure of w grown by max(1, tau ||B0||_1), in w and in tau read through
+    the slope of w_j."""
     (tau, j, w), (tau_ref, j_ref, w_ref) = got, ref
     scale = max(1.0, float(np.abs(z).sum()))
     assert j == j_ref
     if abs(tau - tau_ref) <= 6e-15 * tau_ref and np.abs(w - w_ref).max() <= 1e-14 * scale:
         return False
-    assert arbiter, (tau, tau_ref, np.abs(w - w_ref).max())
-    root = _exact_root(b0, z, j, tau_ref)
-    assert abs(tau - root) <= abs(tau_ref - root) + 6e-15 * tau_ref
-    misses = [max(abs(float(a) - b) for a, b in zip(_exact_flow(b0, z, t), v.tolist()))
-              for t, v in ((tau, w), (tau_ref, w_ref))]
-    assert misses[0] <= misses[1] + 1e-14 * scale
+    grown = 1e-14 * scale * max(1.0, tau_ref * np.linalg.norm(b0, 1))
+    assert np.abs(w - w_ref).max() <= grown
+    assert abs(tau - tau_ref) <= 6e-15 * tau_ref or abs(tau - tau_ref) * abs(b0[j] @ w_ref) <= grown
     return True
 
 
@@ -1318,20 +1287,19 @@ class TestFirstFaceHit:
     def test_matches_state_by_state_grid(self, faces, rate_faces):
         # on pure-birth blocks the grid never moves the bracket, so the search
         # without it returns the reference's hit, within the figures of
-        # _assert_near_reference (the stiff rate faces with the arbiter)
+        # _assert_near_reference
         assert len(rate_faces) >= 10000
-        arbitrated = 0
-        for arbiter, triples in ((False, faces), (True, rate_faces)):
-            for b0, z, walk in triples:
-                tau, j, w = dmajor.reach._first_face_hit(b0, z, walk)
-                tau_ref, j_ref, w_ref, passes = _loop_face_hit(b0, z, walk)
-                assert passes == 1 or tau_ref == 0.0
-                arbitrated += _assert_near_reference(b0, z, (tau, j, w), (tau_ref, j_ref, w_ref),
-                                                     arbiter)
-                # the hit state lies on the face to the rounding of w
-                assert w.min() >= -1e-13 * max(1.0, np.abs(z).sum())
-        # 14 of the 10,800 rate faces here
-        assert arbitrated <= len(rate_faces) // 100
+        outside = 0
+        for b0, z, walk in faces + rate_faces:
+            tau, j, w = dmajor.reach._first_face_hit(b0, z, walk)
+            tau_ref, j_ref, w_ref, passes = _loop_face_hit(b0, z, walk)
+            assert passes == 1 or tau_ref == 0.0
+            outside += _assert_near_reference(b0, z, (tau, j, w), (tau_ref, j_ref, w_ref))
+            # the hit state lies on the face to the rounding of w
+            assert w.min() >= -1e-13 * max(1.0, np.abs(z).sum())
+        # 14 of these 11,325 faces with OpenBLAS's SkylakeX kernel, 12
+        # with its Haswell, Zen, Sandybridge and Prescott kernels
+        assert outside <= 16
 
     def test_backward_flow_never_reenters_the_simplex(self, faces, rate_faces):
         # the premise of the grid-free search: past the hit, the highest
@@ -1407,26 +1375,28 @@ class TestFirstFaceHit:
     def test_matches_the_walk_reference(self, faces, rate_faces):
         # the bracket reads the block's kept chain: the hit is that of the
         # Newton search one exponential at a time, within the figures of
-        # _assert_near_reference (the stiff rate faces with the arbiter)
-        arbitrated = 0
-        for arbiter, triples in ((False, faces), (True, rate_faces)):
-            for b0, z, walk in triples:
-                arbitrated += _assert_same_hit(b0, z, walk, arbiter)
-        # 14 of the 10,800 rate faces here
-        assert arbitrated <= len(rate_faces) // 100
+        # _assert_near_reference
+        outside = sum(_assert_same_hit(b0, z, walk) for b0, z, walk in faces + rate_faces)
+        # 14 of these 11,325 faces with OpenBLAS's SkylakeX kernel, 12
+        # with its Haswell, Zen, Sandybridge and Prescott kernels
+        assert outside <= 16
 
     def test_matches_the_walk_reference_from_cold_chains(self):
         # fresh ladders, in time units 2^-3 .. 2^3 of the unit ones: the
         # first face on a block builds its chain, later ones read and extend it
         rng = np.random.default_rng(79)
+        outside = 0
         for n in range(3, 9):
             for k in (-3, 0, 3):
                 gen = Generator(np.ldexp(_gen(n).b0, k))
                 backward = dmajor.dissipation._ladder_of.__wrapped__(gen.b0.tobytes(), n)[1]
                 for m in rng.integers(3, n + 1, 12):
                     z = rng.dirichlet(np.full(m, rng.choice([0.1, 1.0, 3.0])))
-                    _assert_same_hit(gen.b0[:m, :m], z, backward.walk(m))
+                    outside += _assert_same_hit(gen.b0[:m, :m], z, backward.walk(m))
                 assert backward.chains and all(c[1] for c in backward.chains.values())
+        # none of these 216 faces with OpenBLAS's SkylakeX kernel, one with its
+        # Haswell and Zen kernels
+        assert outside <= 1
 
     def test_hits_the_face_at_tiny_rates(self):
         # upper rates of 1e-20 put the face near 1e40, which the search,
@@ -1438,7 +1408,7 @@ class TestFirstFaceHit:
         b0 = gen.b0[:3, :3]
         for z in ([0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]):
             z = np.array(z)
-            _assert_same_hit(b0, z, backward.walk(3))
+            assert not _assert_same_hit(b0, z, backward.walk(3))
             tau, j, w = dmajor.reach._first_face_hit(b0, z, backward.walk(3))
             assert 1e39 < tau < 1e41
             exact = scipy.linalg.expm(tau * b0) @ z
