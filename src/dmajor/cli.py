@@ -6,6 +6,10 @@ JSON to stdout (or --out), CSV for tabular data.  Exit codes: 0 = true/ok,
 included), 3 = numerical failure or internal error, 141 = stdout closed by
 its reader.
 
+Flags: COMMANDS gives each subcommand the global flags it reads (before or
+after its name) and its flags of one mode; any other flag exits 2, naming
+itself and the subcommand.  DMAJOR_TOL is read only where --tol is.
+
 File formats: vectors are JSON arrays; real matrices are arrays of row
 arrays; complex matrices use [re, im] entry pairs; schedules are
 {"segments": [{"perm": [...], "duration": t}]} with integer perm entries.
@@ -51,40 +55,24 @@ class _InputError(Exception):
     pass
 
 
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return 1e-9
-    try:
-        return float(raw)
-    except ValueError:
-        raise _InputError(f"cannot parse {TOL_ENV_VAR}={raw!r} as a float")
-
-
-def _load_json(path: str):
-    """The JSON document in path.  Where a handler reads numbers from it, the
-    library's gate (majorize._numbers) refuses JSON true and false."""
+def _load_json(path: str, read=None):
+    """The JSON document in path, or what read makes of it, its ValueError
+    then naming path.  Where a handler reads numbers from it, the library's
+    gate (majorize._numbers) refuses JSON true and false."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"cannot read {path}: {exc}")
-
-
-def _load_numbers(path: str):
-    """A JSON array of numbers as a float array."""
     try:
-        return majorize.as_real_array(_load_json(path))
+        return doc if read is None else read(doc)
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}")
 
 
 def _load_entries(path: str) -> list:
     """A JSON array of finite numbers as a list of floats, without numpy."""
-    try:
-        return majorize._finite_entries(_load_json(path))
-    except ValueError as exc:
-        raise _InputError(f"{path}: {exc}")
+    return _load_json(path, majorize._finite_entries)
 
 
 def _load_vector(path: str):
@@ -95,7 +83,7 @@ def _load_vector(path: str):
 
 
 def _load_complex_matrix(path: str):
-    arr = _load_numbers(path)
+    arr = _load_json(path, majorize.as_real_array)
     if arr.ndim == 2:  # plain real matrix
         return arr.astype(complex)
     if arr.ndim == 3 and arr.shape[2] == 2:
@@ -126,21 +114,14 @@ def _write(args, text: str) -> None:
         print(text)
 
 
-def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload))    # no indent: json then runs its C encoder
-
-
-def _emit_csv(args, header: str, rows: list[str]) -> None:
-    _write(args, "\n".join([header] + rows))
-
-
-def _report(command: str, verdict=None, data=None, diagnostics=None) -> dict:
-    out = {"command": command}
+def _emit(args, verdict=None, data=None, diagnostics=None) -> None:
+    """The JSON report of args.command: its verdict, where it has one, data
+    and diagnostics."""
+    report = {"command": args.command}
     if verdict is not None:
-        out["verdict"] = bool(verdict)
-    out["data"] = data if data is not None else {}
-    out["diagnostics"] = diagnostics or []
-    return out
+        report["verdict"] = bool(verdict)
+    report.update(data=data or {}, diagnostics=diagnostics or [])
+    _write(args, json.dumps(report))    # no indent: json then runs its C encoder
 
 
 def _generator_from_args(args):
@@ -152,7 +133,7 @@ def _generator_from_args(args):
     if args.thermal is not None:
         d = _load_vector(args.thermal)
         return dissipation.b0_from_rates(dissipation.thermal_rates(d))
-    return dissipation.Generator(_load_numbers(args.b0))
+    return dissipation.Generator(_load_json(args.b0, majorize.as_real_array))
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +166,19 @@ def _cmd_check(args) -> int:
         data["certificate"] = rows
         data["certificate_kind"] = "doubly" if d is None else "d-stochastic"
         diagnostics = _certificate_residuals(rows, x, y, d)
-    _emit(args, _report("check", verdict=verdict, data=data, diagnostics=diagnostics))
+    _emit(args, verdict=verdict, data=data, diagnostics=diagnostics)
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 
 def _cmd_polytope(args) -> int:
     from . import polytope
 
-    y = _load_vector(args.y)
-    d = _load_vector(args.d)
+    y, d = _load_vector(args.y), _load_vector(args.d)
     poly = polytope.halfspace_bounds(y, d)
     verts = polytope.vertices(y, d)
     if args.format == "csv":
         rows = sorted(",".join(repr(float(v)) for v in p) for p in verts.points)
-        _emit_csv(args, ",".join(f"x{i}" for i in range(poly.n)), rows)
+        _write(args, "\n".join([",".join(f"x{i}" for i in range(poly.n)), *rows]))
     else:
         data = {
             "n": poly.n,
@@ -206,18 +186,17 @@ def _cmd_polytope(args) -> int:
             "vertices": _real_json(verts.points),
             "generating_perms": [[list(p) for p in ps] for ps in verts.perms],
         }
-        _emit(args, _report("polytope", data=data))
+        _emit(args, data=data)
     return EXIT_TRUE
 
 
 def _cmd_curve(args) -> int:
-    y = _load_entries(args.y)
-    d = _load_entries(args.d)
+    y, d = _load_entries(args.y), _load_entries(args.d)
     cs, fs = majorize._elbows(*majorize._validated(y, d))     # thermo_curve's elbows
     if args.format == "csv":
-        _emit_csv(args, "c,f", [f"{c!r},{f!r}" for c, f in zip(cs, fs)])
+        _write(args, "\n".join(["c,f", *(f"{c!r},{f!r}" for c, f in zip(cs, fs))]))
     else:
-        _emit(args, _report("curve", data={"elbows_c": cs, "elbows_f": fs}))
+        _emit(args, data={"elbows_c": cs, "elbows_f": fs})
     return EXIT_TRUE
 
 
@@ -241,7 +220,7 @@ def _cmd_bath(args) -> int:
     data["a"] = _real_json(rates.a)
     data["b"] = _real_json(rates.b)
     data["b0"] = _real_json(gen.b0)
-    _emit(args, _report("bath", data=data))
+    _emit(args, data=data)
     return EXIT_TRUE
 
 
@@ -257,7 +236,7 @@ def _cmd_simulate(args) -> int:
         repr(float(t)) + "," + ",".join(repr(float(v)) for v in state)
         for t, state in zip(traj.times, traj.states)
     ]
-    _emit_csv(args, header, rows)
+    _write(args, "\n".join([header, *rows]))
     return EXIT_TRUE
 
 
@@ -281,7 +260,7 @@ def _cmd_synthesize(args) -> int:
     missed = err > bound
     if missed:
         diagnostics.append(f"error exceeds {what} {bound:.3e}")
-    _emit(args, _report("synthesize", data=sched.to_dict(), diagnostics=diagnostics))
+    _emit(args, data=sched.to_dict(), diagnostics=diagnostics)
     return EXIT_NUMERIC if missed else EXIT_TRUE
 
 
@@ -305,15 +284,14 @@ def _cmd_bound(args) -> int:
         "samples_checked": report.samples_checked,
     }
     ok = report.initial_majorized and report.tangential_ok and report.sampled_violations == 0
-    _emit(args, _report("bound", verdict=ok, data=data))
+    _emit(args, verdict=ok, data=data)
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
 def _cmd_channel(args) -> int:
     from .channels import channel_between, is_cp, is_tp, kraus_set, trace_norm
 
-    a = _load_complex_matrix(args.a)
-    b = _load_complex_matrix(args.b)
+    a, b = _load_complex_matrix(args.a), _load_complex_matrix(args.b)
     t = channel_between(a, b, tol=args.tol)
     residual = trace_norm(t.apply(b) - a)
     data = {
@@ -331,18 +309,19 @@ def _cmd_channel(args) -> int:
         data["failed"] = dict(zip(("condition", "value", "gate"), failed))
     if args.kraus:
         data["kraus"] = [_complex_matrix_json(k) for k in kraus_set(t)]
-    _emit(args, _report("channel", verdict=failed is None, data=data))
+    _emit(args, verdict=failed is None, data=data)
     return EXIT_FALSE if failed else EXIT_TRUE
 
 
 def _cmd_cnr(args) -> int:
     from .cnr import c_numerical_range_sample
 
-    c = _load_complex_matrix(args.c)
-    a = _load_complex_matrix(args.t)
+    c, a = _load_complex_matrix(args.c), _load_complex_matrix(args.t)
+    if args.seed < 0:       # numpy's generators take no negative seed; bound reads it mod 2^64
+        raise _InputError(f"--seed must be a nonnegative integer for cnr, got {args.seed}")
     samples = c_numerical_range_sample(c, a, count=args.count, seed=args.seed)
     rows = [f"{repr(float(z.real))},{repr(float(z.imag))}" for z in samples]
-    _emit_csv(args, "re,im", rows)
+    _write(args, "\n".join(["re,im", *rows]))
     return EXIT_TRUE
 
 
@@ -350,27 +329,46 @@ def _cmd_cnr(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    # global flags live on a shared parent with suppressed defaults so they
-    # may appear before or after the subcommand name
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help=f"comparison tolerance (default 1e-9 or ${TOL_ENV_VAR})")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS,
-                        help="write output to a file")
-    common.add_argument("--format", choices=["json", "csv"], default=argparse.SUPPRESS)
+# argparse keywords of the global flags
+GLOBAL_FLAGS = {
+    "--tol": {"type": float, "help": f"comparison tolerance (default 1e-9 or ${TOL_ENV_VAR})"},
+    "--seed": {"type": int},
+    "--out": {"help": "write output to a file"},
+    "--format": {"choices": ["json", "csv"]},
+}
 
+# each subcommand: its handler, the global and mode flags it reads with their
+# values where the command line omits them (--tol's None: $DMAJOR_TOL or
+# 1e-9), and each mode flag with the flag of its mode
+COMMANDS = {
+    "check": (_cmd_check, {"--out": None, "--tol": None, "--method": "norm"}, {"--method": "--d"}),
+    "polytope": (_cmd_polytope, {"--out": None, "--format": "json"}, {}),
+    "curve": (_cmd_curve, {"--out": None, "--format": "json"}, {}),
+    "bath": (_cmd_bath, {"--out": None, "--temperature": 1.0}, {"--temperature": "--gibbs"}),
+    "simulate": (_cmd_simulate, {"--out": None}, {}),
+    "synthesize": (_cmd_synthesize, {"--out": None, "--eps": 1e-6}, {"--eps": "--x0"}),
+    "bound": (_cmd_bound, {"--out": None, "--seed": 0}, {}),
+    "channel": (_cmd_channel, {"--out": None, "--tol": None}, {}),
+    "cnr": (_cmd_cnr, {"--out": None, "--seed": 0}, {}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # flags in COMMANDS have suppressed defaults, so main sees which were given
     parser = argparse.ArgumentParser(
         prog="dmajor",
         description="d-majorization checks, polytopes, bath dissipation, "
                     "simplex reachability, channels, and numerical ranges",
-        parents=[common],
     )
+    for flag, kwargs in GLOBAL_FLAGS.items():
+        parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, *parents, **kwargs):
-        return sub.add_parser(name, parents=[common, *parents], **kwargs)
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
+        for flag in [f for f in GLOBAL_FLAGS if f in COMMANDS[name][1]]:
+            p.add_argument(flag, default=argparse.SUPPRESS, **GLOBAL_FLAGS[flag])
+        return p
 
     generator = argparse.ArgumentParser(add_help=False)
     g = generator.add_mutually_exclusive_group(required=True)
@@ -382,21 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--d", default=None, help="weight vector file; omit for classical")
-    p.add_argument("--method", choices=list(majorize.D_MAJORIZE_METHODS), default="norm")
+    p.add_argument("--method", choices=majorize.D_MAJORIZE_METHODS, default=argparse.SUPPRESS)
     p.add_argument("--certificate", action="store_true",
                    help="include a transfer-matrix certificate on positive verdicts")
-    p.set_defaults(func=_cmd_check)
 
     p = add_command("polytope", help="half-space bounds and vertices of the "
                                         "d-majorization polytope")
     p.add_argument("y")
     p.add_argument("--d", required=True)
-    p.set_defaults(func=_cmd_polytope)
 
     p = add_command("curve", help="thermomajorization curve elbows")
     p.add_argument("y")
     p.add_argument("--d", required=True)
-    p.set_defaults(func=_cmd_curve)
 
     p = add_command("bath", help="bath-coupling rates and rate matrix")
     g = p.add_mutually_exclusive_group(required=True)
@@ -404,21 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--thermal", default=None, metavar="D_FILE")
     g.add_argument("--gibbs", default=None, metavar="E_FILE")
     g.add_argument("--equidistant", nargs=2, default=None, metavar=("ALPHA", "N"))
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.set_defaults(func=_cmd_bath)
+    p.add_argument("--temperature", type=float, default=argparse.SUPPRESS)
 
     p = add_command("simulate", generator, help="simulate a schedule, emit trajectory CSV")
     p.add_argument("--x0", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--dt", type=float, default=0.1)
-    p.set_defaults(func=_cmd_simulate)
 
     p = add_command("synthesize", generator, help="steering schedule for the "
                                                   "zero-temperature model")
     p.add_argument("--target", required=True)
     p.add_argument("--x0", default=None, help="initial state; omit to steer from e_1")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_synthesize)
+    p.add_argument("--eps", type=float, default=argparse.SUPPRESS)
 
     p = add_command("bound", help="majorization envelope for the thermal model")
     p.add_argument("--x0", required=True)
@@ -427,36 +419,43 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d", default=None)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--depth", type=int, default=4)
-    p.set_defaults(func=_cmd_bound)
 
     p = add_command("channel", help="construct a channel mapping B to A")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--kraus", action="store_true")
-    p.set_defaults(func=_cmd_channel)
 
     p = add_command("cnr", help="sample the C-numerical range, emit CSV")
     p.add_argument("--c", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--count", type=int, default=1000)
-    p.set_defaults(func=_cmd_cnr)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args.seed = getattr(args, "seed", 0)
-    args.out = getattr(args, "out", None)
-    args.format = getattr(args, "format", "json")
+    args, unknown = parser.parse_known_args(argv)    # unknown: what no parser here takes
+    handler, reads, modes = COMMANDS[args.command]
+    given = vars(args)
+    unread = [" ".join(unknown)] if unknown else []
+    unread += [flag for flag in GLOBAL_FLAGS if flag[2:] in given and flag not in reads]
+    unread += [f"{flag} without {mode}" for flag, mode in modes.items()
+               if flag[2:] in given and given[mode[2:]] is None]
+    if unread:
+        parser.error(f"{args.command} does not read {', '.join(unread)}")
+    for flag, default in reads.items():
+        given.setdefault(flag[2:], default)
     try:
-        args.tol = getattr(args, "tol", None)
-        if args.tol is None:
-            args.tol = _default_tol()
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise _InputError(f"tolerance must be finite and nonnegative, got {args.tol}")
-        return args.func(args)
+        if "--tol" in reads:
+            raw = os.environ.get(TOL_ENV_VAR, "1e-9") if args.tol is None else args.tol
+            try:
+                args.tol = float(raw)
+            except ValueError:
+                raise _InputError(f"cannot parse {TOL_ENV_VAR}={raw!r} as a float")
+            if not (math.isfinite(args.tol) and args.tol >= 0):
+                raise _InputError(f"tolerance must be finite and nonnegative, got {args.tol}")
+        return handler(args)
     except (_InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -482,13 +482,14 @@ def synthesize(gen: Generator, x0, x, eps: float) -> Schedule:
     """Cool x0 toward e_1 within eps/2, then run the ground schedule.
 
     Every later step is a 1-norm contraction, so the cooling error (< eps/2)
-    carries through unchanged.  The ground schedule adds its own error: each
-    face hit is located to 2e-15 tau, a few ulps, on a Taylor model of the
-    flow checked by about one series evaluation (the last, two-level hit to an
-    ulp, in closed form), and the state is renormalized onto the face,
-    leaving ~2e-15 (1-norm) at n = 8 and ~1.2e-14 at 256 on seeded Dirichlet
-    states (synthesize_from_ground states a bound).  The endpoint error is at
-    most eps/2 plus that, and a smaller eps is not met; measure it with endpoint.
+    carries through unchanged.  The ground schedule adds its own error: a face
+    hit's bracket closes to 2e-15 tau on a Taylor model of the flow, but on
+    stiff ladders (tau ||B0||_1 from 3.5 to 36) the series' rounding moves the
+    hit by up to ~2e-14 tau (the last, two-level hit: an ulp, closed form).
+    The state is renormalized onto each face, leaving ~2e-15 (1-norm) at n = 8
+    and ~1.2e-14 at 256 on seeded Dirichlet states (synthesize_from_ground
+    states a bound).  The endpoint error is at most eps/2 plus that, and a
+    smaller eps is not met; measure it with endpoint.
     The cooling flow's columns sum to 1 exactly, so it reaches e_1 up to the
     rounding of x0's total: SimplexViolationError is raised only when eps/2
     lies below that, as for an x0 whose total does not round to 1.  Cooling

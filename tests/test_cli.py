@@ -278,7 +278,7 @@ class TestCheck:
             expected.append(f"certificate fixed-point 1-norm error {_residual(a, d, d):.3e}")
         assert report["diagnostics"] == expected
 
-    def test_classical_certificate_output_is_pinned(self, tmp_path, capture):
+    def test_classical_certificate_output_is_pinned(self, tmp_path, capture, capsys):
         # classical check --certificate on a fixed pair, byte for byte: the
         # "doubly" kind and three residual lines, two of them nonzero
         argv = ["check", write(tmp_path, "x.json", [0.21, 0.27, 0.19, 0.33]),
@@ -292,9 +292,11 @@ class TestCheck:
             '0.030769230769230743]], "certificate_kind": "doubly"}, "diagnostics": '
             '["certificate transfer 1-norm error 5.551e-17", '
             '"certificate column-sum error 1.110e-16", "certificate min entry 0.000e+00"]}\n')
-        # --method is the d-routes' choice; classical check ignores it
-        for method in ([], ["--method", "norm"], ["--method", "positive_part"]):
-            assert capture(argv + method) == (0, expected, "")
+        assert capture(argv) == (0, expected, "")
+        # --method is the d-routes' choice; classical check refuses it
+        for method in ("norm", "positive_part"):
+            err = parse_error(capsys, argv + ["--method", method])
+            assert "check does not read --method without --d" in err
 
     def test_exit_code_campaign(self, tmp_path, capsys):
         files = malformed_files(tmp_path)
@@ -720,9 +722,10 @@ class TestSimulateSynthesize:
             dmajor.dissipation.zero_temperature_rates(4)).b0) * s
         b0 = write(tmp_path, "b0.json", b0.tolist())
         target = [0.1, 0.2, 0.3, 0.4]
-        files = ["--b0", b0, "--target", write(tmp_path, "t.json", target), "--eps", "1e-9"]
+        files = ["--b0", b0, "--target", write(tmp_path, "t.json", target)]
         x0 = write(tmp_path, "x0.json", [0.25] * 4)
-        for extra, start in (([], [1.0, 0.0, 0.0, 0.0]), (["--x0", x0], [0.25] * 4)):
+        for extra, start in (([], [1.0, 0.0, 0.0, 0.0]),
+                             (["--x0", x0, "--eps", "1e-9"], [0.25] * 4)):
             code, out, err = capture(["synthesize", *files, *extra])
             assert (code, err) == (0, ""), extra
             segments = json.loads(out)["data"]["segments"]
@@ -1284,6 +1287,133 @@ class TestExitContract:
         assert len(cases) == 189
         # no negative verdict, and no numerical failure: every case succeeds or is refused
         assert codes[0] == 0 and set(codes) == {0, 2}
+
+
+# the global flags each subcommand reads: 15 of the 36 pairs
+GLOBAL_READS = {"check": {"--out", "--tol"}, "polytope": {"--out", "--format"},
+                "curve": {"--out", "--format"}, "bath": {"--out"}, "simulate": {"--out"},
+                "synthesize": {"--out"}, "bound": {"--out", "--seed"},
+                "channel": {"--out", "--tol"}, "cnr": {"--out", "--seed"}}
+
+
+class TestFlagSurface:
+    """Each subcommand accepts only the flags it reads; any other exits 2."""
+
+    @staticmethod
+    def _runner(capsys, out):
+        def run(argv):
+            """Exit code, stdout, stderr and what --out wrote (None for nothing)."""
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            std = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, std.out, std.err, written
+        return run
+
+    def test_every_global_flag_is_read_or_refused(self, tmp_path, capsys, monkeypatch):
+        # each flag before and after each name.  Where the subcommand reads
+        # it, the output changes, but bound's seed only picks the schedules it
+        # samples, so a probe of majorization_envelope shows it read; elsewhere
+        # the exit is 2, with a message naming the flag and the subcommand
+        x = write(tmp_path, "x.json", [0.62, 0.38])
+        y = write(tmp_path, "y.json", [0.6, 0.4])
+        a = write(tmp_path, "a.json", [[0.6, 0.0], [0.0, 0.4]])
+        b = write(tmp_path, "b.json", [[0.7, 0.0], [0.0, 0.3]])
+        sched = write(tmp_path, "s.json", {"segments": [{"perm": [1, 0], "duration": 0.7}]})
+        commands = {
+            "check": ["check", x, y],   # False at the default tol, True at 0.5
+            "polytope": ["polytope", y, "--d", x],
+            "curve": ["curve", y, "--d", x],
+            "bath": ["bath", "--zero-temp", "2"],
+            "simulate": ["simulate", "--zero-temp", "2", "--x0", y, "--schedule", sched],
+            "synthesize": ["synthesize", "--zero-temp", "2", "--target", y],
+            "bound": ["bound", "--x0", y, "--alpha", "0.5", "--samples", "5"],
+            "channel": ["channel", "--a", a, "--b", b],     # 0.3 is a null eigenvalue at 0.5
+            "cnr": ["cnr", "--c", a, "--t", b, "--count", "3"],
+        }
+        out = tmp_path / "out.txt"
+        values = {"--tol": "0.5", "--seed": "3", "--out": str(out), "--format": "csv"}
+        seeds = []
+        envelope = dmajor.reach.majorization_envelope
+        monkeypatch.setattr(dmajor.reach, "majorization_envelope",
+                            lambda *args, **kw: seeds.append(kw["seed"]) or envelope(*args, **kw))
+        run = self._runner(capsys, out)
+        accepted = set()
+        for command, argv in commands.items():
+            plain = run(argv)
+            assert plain[0] in (0, 1) and plain[3] is None, argv
+            for flag, value in values.items():
+                for line in ([flag, value, *argv], [*argv, flag, value]):
+                    seeds.clear()
+                    code, stdout, err, written = run(line)
+                    if flag not in GLOBAL_READS[command]:
+                        assert (code, stdout, written) == (2, "", None), line
+                        assert f"dmajor: error: {command} does not read {flag}" in err, line
+                    elif (command, flag) == ("bound", "--seed"):
+                        assert (code, stdout) == plain[:2] and seeds == [3], line
+                        accepted.add((command, flag))
+                    else:
+                        assert code in (0, 1) and (code, stdout, written) != plain[:2] + (None,)
+                        accepted.add((command, flag))
+        assert accepted == {(c, f) for c, flags in GLOBAL_READS.items() for f in flags}
+        assert len(accepted) == 15
+
+    @pytest.mark.parametrize("mode, flag, value", [("--gibbs", "--temperature", "5"),
+                                                   ("--x0", "--eps", "1e-3"),
+                                                   ("--d", "--method", "positive_part")])
+    def test_mode_flags_are_read_only_in_their_mode(self, tmp_path, capsys, monkeypatch, mode,
+                                                    flag, value):
+        # the routes agree, so --method shows in a probe of the route run
+        methods = []
+        route = dmajor.majorize._d_majorizes
+        monkeypatch.setattr(dmajor.majorize, "_d_majorizes",
+                            lambda *args: methods.append(args[3]) or route(*args))
+        x = write(tmp_path, "x.json", [0.3, 0.3, 0.4])
+        y = write(tmp_path, "y.json", [0.5, 0.3, 0.2])
+        # the subcommand, then its command line outside the mode and in it
+        command, outside, inside = {
+            "--gibbs": ("bath", ["--zero-temp", "3"], ["--gibbs", x]),
+            "--x0": ("synthesize", ["--zero-temp", "3", "--target", x],
+                     ["--zero-temp", "3", "--target", x, "--x0", y]),
+            "--d": ("check", [x, y], [x, y, "--d", x]),
+        }[mode]
+        run = self._runner(capsys, tmp_path / "out.txt")
+        assert run([command, *outside])[0] == 0
+        code, stdout, err, _ = run([command, *outside, flag, value])
+        assert (code, stdout) == (2, "")
+        assert f"dmajor: error: {command} does not read {flag} without {mode}" in err
+        plain = run([command, *inside])
+        methods.clear()
+        given = run([command, *inside, flag, value])
+        assert plain[0] == given[0] == 0
+        assert given[1] != plain[1] or methods == [value]
+
+    def test_unread_tolerance_variable_fails_no_other_subcommand(self, tmp_path, capture,
+                                                                 monkeypatch):
+        # DMAJOR_TOL is read, and refused when malformed, only where --tol is
+        monkeypatch.setenv("DMAJOR_TOL", "abc")
+        x = write(tmp_path, "x.json", [0.3, 0.3, 0.4])
+        assert capture(["bath", "--zero-temp", "3"])[0] == 0
+        assert capture(["curve", x, "--d", x])[0] == 0
+        code, out, err = capture(["check", x, x])
+        assert (code, out) == (2, "") and "cannot parse DMAJOR_TOL='abc'" in err
+        monkeypatch.setenv("DMAJOR_TOL", "-1")
+        assert capture(["bath", "--zero-temp", "3"])[0] == 0
+
+    def test_seed_domains(self, tmp_path, capture):
+        # bound takes any integer seed mod 2^64; cnr's Haar draws take none below 0
+        c = write(tmp_path, "c.json", [[0.6, 0.0], [0.0, 0.4]])
+        x0 = write(tmp_path, "x0.json", [0.25] * 4)
+        assert capture(["bound", "--x0", x0, "--alpha", "0.5", "--seed", "-1",
+                        "--samples", "5"])[0] == 0
+        for argv in (["cnr", "--c", c, "--t", c, "--seed", "-1"],
+                     ["--seed", "-1", "cnr", "--c", c, "--t", c]):
+            code, out, err = capture(argv)
+            assert (code, out) == (2, "")
+            assert err == "error: --seed must be a nonnegative integer for cnr, got -1\n"
 
 
 class TestProcessEntry:
